@@ -94,11 +94,16 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _run_configured(args):
+    """Load the config and run its first ladder rung to blow-up."""
     cfg = _load_config(args)
     solver_cfg = cfg.solver_config()
     phi = build_initial_data(cfg.grid(), cfg.initial_data)
-    record = run_to_blowup(init(solver_cfg, phi))
+    return cfg, solver_cfg, run_to_blowup(init(solver_cfg, phi))
+
+
+def _cmd_simulate(args) -> int:
+    cfg, _, record = _run_configured(args)
     print(f"eps = {record.eps!r}")
     print(f"status = {record.status}")
     if record.T_eps is not None:
@@ -174,10 +179,7 @@ def _cmd_profile_ode(args) -> int:
 
 
 def _cmd_diagnostics(args) -> int:
-    cfg = _load_config(args)
-    solver_cfg = cfg.solver_config()
-    phi = build_initial_data(cfg.grid(), cfg.initial_data)
-    record = run_to_blowup(init(solver_cfg, phi))
+    cfg, solver_cfg, record = _run_configured(args)
     print(f"run status = {record.status}, T_eps = {record.T_eps!r}")
     ratios = decay_ratio_diagnostics(record.diagnostics, solver_cfg)
     for name in ("r1", "r2", "r3"):

@@ -162,51 +162,18 @@ def _diagnostics_to_dict(diag) -> dict:
 
 def run_record_to_dict(record: RunRecord) -> dict:
     """JSON form of a run record; field snapshots are not serialized."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "eps": record.eps,
-        "theta": record.theta,
-        "d": record.d,
-        "lam": [record.lam.real, record.lam.imag],
-        "status": record.status,
-        "T_eps": record.T_eps,
-        "censored": record.censored,
-        "t_blow_pointwise": record.t_blow_pointwise,
-        "t_blow_threshold": record.t_blow_threshold,
-        "invariant_quantity": record.invariant_quantity,
-        "bound_value": record.bound_value,
-        "grid_fingerprint": record.grid_fingerprint,
-        "config_fingerprint": record.config_fingerprint,
-        "max_remainder_scaled": record.max_remainder_scaled,
-        "max_tail_fraction": record.max_tail_fraction,
-        "max_shell_fraction": record.max_shell_fraction,
-        "outside_hypotheses": record.outside_hypotheses,
-        "diagnostics": _diagnostics_to_dict(record.diagnostics),
-    }
+    out = {f.name: getattr(record, f.name) for f in fields(RunRecord)}
+    out["lam"] = [record.lam.real, record.lam.imag]
+    out["diagnostics"] = _diagnostics_to_dict(record.diagnostics)
+    out["schema_version"] = SCHEMA_VERSION
+    return out
 
 
 def run_record_from_dict(data: dict) -> RunRecord:
     """Rebuild the scalar fields of a persisted run (diagnostics stay a plain dict)."""
-    return RunRecord(
-        eps=data["eps"],
-        theta=data["theta"],
-        d=data["d"],
-        lam=complex(data["lam"][0], data["lam"][1]),
-        status=data["status"],
-        T_eps=data["T_eps"],
-        censored=data["censored"],
-        t_blow_pointwise=data["t_blow_pointwise"],
-        t_blow_threshold=data["t_blow_threshold"],
-        invariant_quantity=data["invariant_quantity"],
-        bound_value=data["bound_value"],
-        grid_fingerprint=data["grid_fingerprint"],
-        config_fingerprint=data["config_fingerprint"],
-        max_remainder_scaled=data["max_remainder_scaled"],
-        max_tail_fraction=data["max_tail_fraction"],
-        max_shell_fraction=data["max_shell_fraction"],
-        outside_hypotheses=data["outside_hypotheses"],
-        diagnostics=data["diagnostics"],
-    )
+    kwargs = {f.name: data[f.name] for f in fields(RunRecord)}
+    kwargs["lam"] = complex(data["lam"][0], data["lam"][1])
+    return RunRecord(**kwargs)
 
 
 def _fmt(value) -> str:

@@ -43,6 +43,8 @@ def t_star_time(eps: float, theta: float, d: int) -> float:
     """Hand-off time eps^(-theta/((1-theta) d)) where the profile ODE takes over."""
     if not (0.0 < theta < 1.0):
         raise ValueError(f"t_star is defined for theta in (0,1), got {theta}")
+    if not (eps > 0.0):
+        raise ValueError(f"t_star is defined for eps > 0, got {eps}")
     return float(eps ** (-theta / ((1.0 - theta) * d)))
 
 
@@ -79,12 +81,11 @@ def theoretical_bound(phi_hat: ComplexField, params: NonlinearityParams,
         raise ValueError("datum transform vanishes identically")
     bound_value = (1.0 - theta) * d / (2.0 * theta * mu * sup ** (2.0 * theta / d))
     tau0 = bound_value ** (1.0 / (1.0 - theta))
-    # same constant through the ODE-module parameters: a = theta, b = 2 theta/d
-    from .profile_ode import OdeParams
-
-    ode = OdeParams(a=theta, b=2.0 * theta / d, lam=params.lam,
-                    eps=eps if eps else 1.0, t_star=1.0, psi0_sup=sup)
-    report = BoundReport(tau0=tau0, bound_value=bound_value, tau1=ode.tau1)
+    # OdeParams.tau1 with a = theta, b = 2 theta/d and psi0_sup = sup
+    b = params.b
+    q = b / (2.0 * (1.0 - theta))
+    tau1 = float((2.0 * q * mu * sup**b) ** (-1.0 / (1.0 - theta)))
+    report = BoundReport(tau0=tau0, bound_value=bound_value, tau1=tau1)
     if s is not None:
         report.gamma = gamma_exponent(s, d)
     if eps is not None:

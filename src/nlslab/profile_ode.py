@@ -88,16 +88,21 @@ def _denominator(t, psi0_abs, params: OdeParams):
     return 1.0 + rate * (params.t_star ** (1.0 - params.a) - t ** (1.0 - params.a))
 
 
+def _modulus_and_denominator(t, psi0_abs, params: OdeParams):
+    """(|eta0(t)|, D(t)); raises :class:`PointwiseBlowUp` where D <= 0."""
+    denom = _denominator(t, psi0_abs, params)
+    if np.any(denom <= 0.0):
+        raise PointwiseBlowUp(eta0_blowup_time(psi0_abs, params))
+    return params.eps * np.abs(psi0_abs) * denom ** (-1.0 / params.b), denom
+
+
 def eta0_modulus(t, psi0_abs, params: OdeParams):
     """Closed-form |eta0(t)| for datum modulus |psi0| at one frequency.
 
     |eta0(t)|^b = (eps |psi0|)^b / D(t) with the explicit denominator D;
     raises :class:`PointwiseBlowUp` where D <= 0.
     """
-    denom = _denominator(t, psi0_abs, params)
-    if np.any(denom <= 0.0):
-        raise PointwiseBlowUp(eta0_blowup_time(psi0_abs, params))
-    out = params.eps * np.abs(psi0_abs) * denom ** (-1.0 / params.b)
+    out, _ = _modulus_and_denominator(t, psi0_abs, params)
     if out.ndim == 0:
         return float(out)
     return out
@@ -106,10 +111,7 @@ def eta0_modulus(t, psi0_abs, params: OdeParams):
 def eta0_closed_form(t, psi0_value, params: OdeParams):
     """Closed-form complex eta0(t); modulus from :func:`eta0_modulus`, phase
     advanced by -(Re lam / (b mu)) log(1/D(t))."""
-    denom = _denominator(t, np.abs(psi0_value), params)
-    if np.any(denom <= 0.0):
-        raise PointwiseBlowUp(eta0_blowup_time(np.abs(psi0_value), params))
-    modulus = params.eps * np.abs(psi0_value) * denom ** (-1.0 / params.b)
+    modulus, denom = _modulus_and_denominator(t, np.abs(psi0_value), params)
     phase0 = np.angle(psi0_value) if psi0_value != 0 else 0.0
     alpha = float(np.real(params.lam))
     phase = phase0 + (alpha / (params.b * params.mu)) * np.log(denom)

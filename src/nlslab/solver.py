@@ -113,20 +113,17 @@ class DiagnosticSample:
 
 @dataclass
 class DiagnosticsLog:
+    """Diagnostics of one trajectory; every state along it shares this log.
+
+    Samples are only appended, so stepping twice from one state with
+    recording on writes both branches here.  An event step records none.
+    """
+
     samples: list = field(default_factory=list)
     snapshot_times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
     _snapshot_stride: int = 1
     _steps_since_snapshot: int = 0
-
-    def copy(self) -> "DiagnosticsLog":
-        return DiagnosticsLog(
-            samples=list(self.samples),
-            snapshot_times=list(self.snapshot_times),
-            snapshots=list(self.snapshots),
-            _snapshot_stride=self._snapshot_stride,
-            _steps_since_snapshot=self._steps_since_snapshot,
-        )
 
     def record_snapshot(self, t: float, values: np.ndarray, budget: int):
         self._steps_since_snapshot += 1
@@ -140,11 +137,6 @@ class DiagnosticsLog:
             self.snapshot_times = self.snapshot_times[::2]
             self.snapshots = self.snapshots[::2]
             self._snapshot_stride *= 2
-
-    def energy_sup(self) -> float:
-        if not self.samples:
-            return 0.0
-        return max(s.report.sigma_s for s in self.samples)
 
 
 @dataclass
@@ -167,8 +159,9 @@ def _sample_diagnostics(state: SolverState):
     absu = np.abs(state.u.values)
     mass = float(wx * np.sum(absu**2))
     lp1 = float(wx * np.sum(absu ** (cfg.params.p + 1.0)))
-    energy = max(state.diagnostics.energy_sup(), rep.sigma_s)
-    state.diagnostics.samples.append(DiagnosticSample(
+    samples = state.diagnostics.samples
+    energy = max(samples[-1].energy if samples else 0.0, rep.sigma_s)
+    samples.append(DiagnosticSample(
         t=state.t,
         report=rep,
         energy=energy,
@@ -193,49 +186,50 @@ def init(config: SolverConfig, phi: ComplexField) -> SolverState:
     return state
 
 
-def _frozen(state: SolverState, status: RunStatus, t: float,
-            t_blow=None, criterion=None, mark_blown=False) -> SolverState:
-    u = state.u.copy()
-    if mark_blown:
-        u.blown_up = True
-    return SolverState(t=t, u=u, status=status, config=state.config,
-                       diagnostics=state.diagnostics.copy(), t_blow=t_blow,
-                       blow_criterion=criterion, step_count=state.step_count)
+def _strang(u: np.ndarray, dt: float, config: SolverConfig) -> np.ndarray:
+    """Half nonlinear substep, free propagation, half nonlinear substep; a
+    :class:`PointwiseBlowUp` carries `earliest` from the start of the step."""
+    half = dt / 2.0
+    elapsed = 0.0
+    try:
+        u = nonlinear_flow_exact(u, half, config.params)
+        elapsed = half
+        u = free_propagate(ComplexField(config.grid, Space.PHYSICAL, u), dt).values
+        return nonlinear_flow_exact(u, half, config.params)
+    except PointwiseBlowUp as e:
+        raise PointwiseBlowUp(elapsed + min(e.earliest, half)) from None
 
 
 def step(state: SolverState, dt: float, record: bool = True) -> SolverState:
-    """One Strang step of size dt; freezes the state if a substep blows up."""
+    """One Strang step of size dt.
+
+    A step that ends in an event returns the base state marked BLOWN_UP with
+    `t_blow` and `blow_criterion`: "pointwise" for a substep denominator zero
+    or a non-finite field, "threshold" when sup|u| reaches the cap.  An event
+    step records no sample; otherwise the new state shares the append-only
+    diagnostics log and, with `record` set, samples it every `record_every`
+    steps.
+    """
     if state.status is not RunStatus.RUNNING:
         raise ValueError(f"cannot step a state with status {state.status.value}")
     if not (dt > 0):
         raise ValueError(f"step size must be positive, got {dt}")
-    params = state.config.params
+    cfg = state.config
     try:
-        u1 = nonlinear_flow_exact(state.u.values, dt / 2.0, params)
+        u = ComplexField(cfg.grid, Space.PHYSICAL, _strang(state.u.values, dt, cfg))
     except PointwiseBlowUp as e:
-        t_blow = state.t + min(e.earliest, dt / 2.0)
-        return _frozen(state, RunStatus.BLOWN_UP, state.t, t_blow, "pointwise")
-    u2 = free_propagate(ComplexField(state.config.grid, Space.PHYSICAL, u1), dt)
-    try:
-        u3 = nonlinear_flow_exact(u2.values, dt / 2.0, params)
-    except PointwiseBlowUp as e:
-        t_blow = state.t + dt / 2.0 + min(e.earliest, dt / 2.0)
-        return _frozen(state, RunStatus.BLOWN_UP, state.t, t_blow, "pointwise")
-    if not np.isfinite(u3).all():
-        bad = _frozen(state, RunStatus.BLOWN_UP, state.t + dt, state.t + dt,
-                      "pointwise", mark_blown=True)
-        return bad
-    new = SolverState(
-        t=state.t + dt,
-        u=ComplexField(state.config.grid, Space.PHYSICAL, u3),
-        status=RunStatus.RUNNING,
-        config=state.config,
-        diagnostics=state.diagnostics.copy(),
-        step_count=state.step_count + 1,
-    )
-    if record and (new.step_count % state.config.record_every == 0):
-        _sample_diagnostics(new)
-    return new
+        t_blow, criterion = state.t + e.earliest, "pointwise"
+    else:
+        if not u.is_finite():
+            t_blow, criterion = state.t + dt, "pointwise"
+        elif sup_modulus(u) >= cfg.threshold:
+            t_blow, criterion = state.t + dt, "threshold"
+        else:
+            new = replace(state, t=state.t + dt, u=u, step_count=state.step_count + 1)
+            if record and new.step_count % cfg.record_every == 0:
+                _sample_diagnostics(new)
+            return new
+    return replace(state, status=RunStatus.BLOWN_UP, t_blow=t_blow, blow_criterion=criterion)
 
 
 def _adaptive_dt(state: SolverState) -> float:
@@ -249,65 +243,57 @@ def _adaptive_dt(state: SolverState) -> float:
     return cfg.dt_safety * min(cfg.dt_init, horizon)
 
 
-def _event_fired(trial: SolverState, threshold: float) -> bool:
-    return trial.status is RunStatus.BLOWN_UP or sup_modulus(trial.u) >= threshold
-
-
-def _bisect_event(state: SolverState, dt_hi: float, threshold: float):
+def _bisect_event(state: SolverState, dt_hi: float, hi_trial: SolverState):
     """Bracket the event time within [t, t + dt_hi] to relative width 1e-3.
 
-    Every trial steps from the same base state; returns (dt_lo, dt_hi,
+    `hi_trial` is the event step of size dt_hi.  Every further trial steps
+    from the same base state without recording; returns (dt_lo, dt_hi,
     criterion) where criterion is read off the first-firing edge.
     """
     lo, hi = 0.0, dt_hi
-    hi_trial = step(state, dt_hi, record=False)
     while (hi - lo) > 1e-3 * max(state.t + lo, dt_hi):
         mid = 0.5 * (lo + hi)
         trial = step(state, mid, record=False)
-        if _event_fired(trial, threshold):
+        if trial.status is RunStatus.BLOWN_UP:
             hi, hi_trial = mid, trial
         else:
             lo = mid
-    if hi_trial.status is RunStatus.BLOWN_UP:
-        criterion = hi_trial.blow_criterion or "pointwise"
-    else:
-        criterion = "threshold"
-    return lo, hi, criterion
+    return lo, hi, hi_trial.blow_criterion
 
 
-def run_to_blowup(state: SolverState, config: SolverConfig | None = None) -> RunRecord:
+def run_to_blowup(state: SolverState) -> RunRecord:
     """Advance with the adaptive step law until blow-up, contamination, or t_max.
 
     dt = dt_safety * min(dt_init, pointwise blow-up horizon of the sup norm),
-    so the nonlinear substep stays well inside its own singularity.  The
-    boundary monitor aborts when the outer-shell mass fraction exceeds its
-    tolerance; such runs are invalid for bound checking.
+    so the nonlinear substep stays well inside its own singularity.  When a
+    step ends in an event the step is bisected, the run lands on the last
+    event-free trial and records one final sample there.  The boundary
+    monitor aborts when the outer-shell mass fraction exceeds its tolerance;
+    such runs are invalid for bound checking.
     """
-    cfg = config or state.config
-    threshold = cfg.threshold
+    cfg = state.config
     while state.status is RunStatus.RUNNING:
         remaining = cfg.t_max - state.t
         if remaining <= 1e-12 * cfg.t_max:
-            state = _frozen(state, RunStatus.REACHED_TMAX, state.t)
+            state = replace(state, status=RunStatus.REACHED_TMAX)
             break
         dt = min(_adaptive_dt(state), remaining)
         trial = step(state, dt)
-        if _event_fired(trial, threshold):
-            dt_lo, dt_hi, criterion = _bisect_event(state, dt, threshold)
+        if trial.status is RunStatus.BLOWN_UP:
+            dt_lo, dt_hi, criterion = _bisect_event(state, dt, trial)
             landed = step(state, dt_lo, record=False) if dt_lo > 0 else state
-            t_blow = state.t + 0.5 * (dt_lo + dt_hi)
-            state = _frozen(landed, RunStatus.BLOWN_UP, landed.t, t_blow, criterion)
+            state = replace(landed, status=RunStatus.BLOWN_UP,
+                            t_blow=state.t + 0.5 * (dt_lo + dt_hi), blow_criterion=criterion)
             _sample_diagnostics(state)
-            break
-        if boundary_shell_fraction(trial.u) > cfg.boundary_mass_tolerance:
-            state = _frozen(trial, RunStatus.BOUNDARY_CONTAMINATED, trial.t, None, None)
-            break
-        state = trial
-    return make_record(state, cfg)
+        elif boundary_shell_fraction(trial.u) > cfg.boundary_mass_tolerance:
+            state = replace(trial, status=RunStatus.BOUNDARY_CONTAMINATED)
+        else:
+            state = trial
+    return make_record(state)
 
 
-def make_record(state: SolverState, config: SolverConfig | None = None) -> RunRecord:
-    cfg = config or state.config
+def make_record(state: SolverState) -> RunRecord:
+    cfg = state.config
     params = cfg.params
     status = state.status.value
     censored = state.status is RunStatus.REACHED_TMAX

@@ -11,6 +11,7 @@ from nlslab.harness import (
     load_run,
     persist_run,
     persist_summary,
+    run_record_from_dict,
     run_record_to_dict,
 )
 from nlslab.lifespan import sweep
@@ -84,6 +85,13 @@ class TestPersistence:
         original = run_record_to_dict(records[0])
         assert run_record_to_dict(loaded) == original
 
+    def test_missing_run_key_rejected(self, micro_sweep):
+        _, records, _, _ = micro_sweep
+        data = run_record_to_dict(records[0])
+        del data["T_eps"]
+        with pytest.raises(KeyError):
+            run_record_from_dict(data)
+
     def test_csv_row_count_matches_ladder(self, micro_sweep, tmp_path):
         cfg, records, summary, _ = micro_sweep
         path = persist_summary(records, summary, tmp_path)
@@ -123,6 +131,12 @@ class TestCli:
         path.write_text(json.dumps(small_config_dict(theta=1.5)))
         assert main(["bounds", "--config", str(path)]) == 1
         assert "theta" in capsys.readouterr().err
+
+    def test_bounds_rejects_zero_eps_rung(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config_dict(eps_ladder=[0.4, 0.0])))
+        assert main(["bounds", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_malformed_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "c.json"

@@ -80,6 +80,14 @@ class TestTheoreticalBound:
         with pytest.raises(ValueError):
             theoretical_bound(f, NonlinearityParams(lam=1j, theta=1.0, d=1))
 
+    @pytest.mark.parametrize("eps", [0.0, -0.1])
+    def test_nonpositive_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps > 0"):
+            t_star_time(eps, 0.5, 1)
+        with pytest.raises(ValueError, match="eps > 0"):
+            theoretical_bound(unit_peak_datum(), NonlinearityParams(lam=1j, theta=0.5, d=1),
+                              eps=eps)
+
 
 class TestCriticalBound:
     def test_reference_value(self):

@@ -133,6 +133,22 @@ class TestStep:
         with pytest.raises(ValueError):
             step(frozen, 0.01)
 
+    def test_threshold_crossing_is_an_event_without_sample(self):
+        # sup |u| starts at 0.4 and grows without bound; the pointwise
+        # horizon stays far beyond dt/2 while sup |u| < 1
+        cfg = small_config(eps=0.4, blowup_norm_threshold=1.0)
+        state = init(cfg, gaussian(cfg.grid))
+        for _ in range(1000):
+            n_samples = len(state.diagnostics.samples)
+            nxt = step(state, 0.05)
+            if nxt.status is not RunStatus.RUNNING:
+                break
+            state = nxt
+        assert nxt.status is RunStatus.BLOWN_UP
+        assert nxt.blow_criterion == "threshold"
+        assert nxt.t == state.t and nxt.t_blow == state.t + 0.05
+        assert len(nxt.diagnostics.samples) == n_samples
+
     def test_rejects_nonpositive_dt(self):
         state = init(small_config(), gaussian(Grid(1, 256, 20.0)))
         with pytest.raises(ValueError):
@@ -220,6 +236,29 @@ class TestRunToBlowup:
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         masses = np.array([s.mass for s in rec.diagnostics.samples])
         assert np.all(np.diff(masses) > -1e-12)
+
+    @pytest.mark.parametrize("lam, t_max", [(1j, 50.0), (-1j, 3.0)])
+    def test_energy_is_running_sup_of_sigma(self, lam, t_max):
+        # the damped run's sigma_s falls, so its energy must stay at the peak
+        cfg = small_config(params=NonlinearityParams(lam=lam, theta=0.5, d=1), eps=0.4,
+                           grid=Grid(1, 256, 25.0), t_max=t_max, record_every=2)
+        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        samples = rec.diagnostics.samples
+        sigma = np.array([s.report.sigma_s for s in samples])
+        assert [s.energy for s in samples] == list(np.maximum.accumulate(sigma))
+        if lam == -1j:
+            assert sigma[-1] < sigma.max()
+
+    def test_sample_times_increase_up_to_landing(self):
+        cfg = small_config(eps=0.4, grid=Grid(1, 256, 25.0), record_every=1)
+        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        times = np.array([s.t for s in rec.diagnostics.samples])
+        assert rec.status == "blown-up"
+        # the last sample is taken on the landed state; when the bisection
+        # lands on the base state it repeats the base state's time
+        assert np.all(np.diff(times[:-1]) > 0) and times[-1] >= times[-2]
+        # a sample from the rejected trial step would lie beyond T_eps
+        assert times[-1] < rec.T_eps
 
     def test_snapshot_budget_respected(self):
         cfg = small_config(eps=0.2, grid=Grid(1, 256, 25.0), record_every=1,
