@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .spectral import ComplexField, Space, apply_multiplier, _require_space
+from .spectral import ComplexField, Grid, Space, _read_only, _require_space
 
 
 class PointwiseBlowUp(Exception):
@@ -53,12 +54,29 @@ class NonlinearityParams:
         return float(np.imag(self.lam))
 
 
+@lru_cache(maxsize=2)
+def _free_multiplier(grid: Grid, t: float) -> np.ndarray:
+    """exp(-i t |xi|^2 / 2) in FFT index order, cached per (grid, t)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.exp(-0.5j * t * grid.abs_xi_sq_fft)
+    if not np.isfinite(m).all():
+        raise ValueError(f"free propagation over t={t!r} overflows the phase on the lattice")
+    return _read_only(m)
+
+
 def free_propagate(f: ComplexField, t: float) -> ComplexField:
-    """Free flow U(t) = exp(i t Lap / 2); t < 0 gives the inverse flow."""
+    """Free flow U(t) = exp(i t Lap / 2); t < 0 gives the inverse flow.
+
+    Computed as ifftn(m * fftn(u)) with m in FFT order: the unitary
+    transform's scale, sign vector and shift cancel in F^{-1} m F.
+    """
     _require_space(f, Space.PHYSICAL, "free_propagate")
+    if not np.isfinite(t):
+        raise ValueError(f"propagation time must be finite, got {t}")
     if t == 0.0:
         return f.copy()
-    return apply_multiplier(f, np.exp(-0.5j * t * f.grid.abs_xi_sq))
+    vals = np.fft.ifftn(_free_multiplier(f.grid, t) * np.fft.fftn(f.values))
+    return ComplexField(f.grid, Space.PHYSICAL, vals, f.blown_up)
 
 
 def gauge_multiply(f: ComplexField, t: float, inverse: bool = False) -> ComplexField:
@@ -117,7 +135,10 @@ def nonlinear_flow_exact(z, dt: float, params: NonlinearityParams):
     denom = 1.0 - b * mu * az_b * dt
     if np.any(denom <= 0.0):
         raise PointwiseBlowUp(np.min(blowup_horizon(z, params)))
-    if mu == 0.0:
+    if alpha == 0.0:
+        # no phase: the general formula would multiply by exp(0j) == 1 exactly
+        w = z * denom ** (-1.0 / b)
+    elif mu == 0.0:
         w = z * np.exp(-1j * alpha * az_b * dt)
     else:
         # phase integral: -(alpha / (b mu)) * log(1 / denom)

@@ -153,7 +153,9 @@ class SolverState:
 
 def _sample_diagnostics(state: SolverState):
     cfg = state.config
-    rep = norms(state.u, state.t, cfg.s)
+    # one forward transform serves the norms and the tail monitor
+    spectrum = np.fft.fftn(state.u.values)
+    rep = norms(state.u, state.t, cfg.s, spectrum=spectrum)
     g = cfg.grid
     wx = g.h**g.d
     absu = np.abs(state.u.values)
@@ -167,7 +169,7 @@ def _sample_diagnostics(state: SolverState):
         energy=energy,
         mass=mass,
         lp1=lp1,
-        tail_fraction=spectral_tail_fraction(state.u),
+        tail_fraction=spectral_tail_fraction(state.u, spectrum=spectrum),
         shell_fraction=boundary_shell_fraction(state.u),
     ))
     state.diagnostics.record_snapshot(state.t, state.u.values, cfg.snapshot_budget)
@@ -267,7 +269,8 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     dt = dt_safety * min(dt_init, pointwise blow-up horizon of the sup norm),
     so the nonlinear substep stays well inside its own singularity.  When a
     step ends in an event the step is bisected, the run lands on the last
-    event-free trial and records one final sample there.  The boundary
+    event-free trial and records one final sample there, unless the landing
+    state is the base state and was already sampled.  The boundary
     monitor aborts when the outer-shell mass fraction exceeds its tolerance;
     such runs are invalid for bound checking.
     """
@@ -284,7 +287,8 @@ def run_to_blowup(state: SolverState) -> RunRecord:
             landed = step(state, dt_lo, record=False) if dt_lo > 0 else state
             state = replace(landed, status=RunStatus.BLOWN_UP,
                             t_blow=state.t + 0.5 * (dt_lo + dt_hi), blow_criterion=criterion)
-            _sample_diagnostics(state)
+            if state.diagnostics.samples[-1].t != state.t:
+                _sample_diagnostics(state)
         elif boundary_shell_fraction(trial.u) > cfg.boundary_mass_tolerance:
             state = replace(trial, status=RunStatus.BOUNDARY_CONTAMINATED)
         else:

@@ -3,15 +3,19 @@
 The whole-space problem is truncated to the periodic box [-L, L)^d.  The
 frequency lattice is xi_k = pi*k/L for integer k in [-n/2, n/2), so the
 Nyquist frequency pi/h is the largest |xi| component on the grid.  All
-frequency-space arrays are stored in monotone-xi order; the reshuffling to
+frequency-space fields are stored in monotone-xi order; the reshuffling to
 FFT order happens only inside the transform routines.
+
+The hot path (free propagation, norms, monitors) skips that reshuffling: it
+works on ``np.fft.fftn(values)``, unscaled and in FFT index order, with the
+grid's frequency weights and masks ifftshift-ed once and cached read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,6 +86,11 @@ class Grid:
     @cached_property
     def abs_xi_sq(self) -> np.ndarray:
         return sum(xi**2 for xi in self.xi_mesh)
+
+    @cached_property
+    def abs_xi_sq_fft(self) -> np.ndarray:
+        """|xi|^2 in FFT index order, read-only."""
+        return _read_only(np.fft.ifftshift(self.abs_xi_sq))
 
     @cached_property
     def _sign(self) -> np.ndarray:
@@ -202,7 +211,46 @@ def sup_modulus(f: ComplexField) -> float:
     return float(np.max(np.abs(f.values)))
 
 
-def norms(f: ComplexField, t: float, s: float) -> NormReport:
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# Per-parameter constants of the hot path, bounded caches keyed by (grid, value).
+@lru_cache(maxsize=4)
+def _xi_weight(grid: Grid, s: float) -> np.ndarray:
+    """(1 + |xi|^2)^s in FFT index order."""
+    return _read_only((1.0 + grid.abs_xi_sq_fft) ** s)
+
+
+@lru_cache(maxsize=4)
+def _x_weight(grid: Grid, s: float) -> np.ndarray:
+    """(1 + |x|^2)^s on the physical grid."""
+    return _read_only((1.0 + grid.abs_x_sq) ** s)
+
+
+@lru_cache(maxsize=4)
+def _tail_mask(grid: Grid, band: float) -> np.ndarray:
+    """max_i |xi_i| > band * Nyquist, in FFT index order."""
+    cutoff = band * np.pi / grid.h
+    mask = np.zeros(grid.shape, dtype=bool)
+    for xi in grid.xi_mesh:
+        mask |= np.abs(xi) > cutoff
+    return _read_only(np.fft.ifftshift(mask))
+
+
+@lru_cache(maxsize=4)
+def _shell_mask(grid: Grid, shell: float) -> np.ndarray:
+    """max_i |x_i| >= (1 - shell) * L."""
+    cutoff = (1.0 - shell) * grid.L
+    mask = np.zeros(grid.shape, dtype=bool)
+    for x in grid.x_mesh:
+        mask |= np.abs(x) >= cutoff
+    return _read_only(mask)
+
+
+def norms(f: ComplexField, t: float, s: float, *,
+          spectrum: np.ndarray | None = None) -> NormReport:
     """Weighted norms of f at time t.
 
     h_s0 is the H^{s,0} norm computed spectrally with the (1+|xi|^2)^{s/2}
@@ -210,6 +258,7 @@ def norms(f: ComplexField, t: float, s: float) -> NormReport:
     U(t)^{-1} f with weight (1+|x|^2)^{s/2}, i.e. the decay norm tracked by
     the solver diagnostics; at t = 0 it reduces to the plain weighted norm
     of f.  A blown-up or non-finite field yields an all-infinite report.
+    `spectrum` is ``np.fft.fftn(f.values)`` when the caller already has it.
     """
     _require_space(f, Space.PHYSICAL, "norms")
     if s < 0:
@@ -220,14 +269,13 @@ def norms(f: ComplexField, t: float, s: float) -> NormReport:
         inf = float("inf")
         return NormReport(inf, inf, inf, inf, inf)
     g = f.grid
-    fhat = fourier_forward(f)
-    wxi = g.dxi**g.d
-    h_s0 = float(np.sqrt(wxi * np.sum((1.0 + g.abs_xi_sq) ** s * np.abs(fhat.values) ** 2)))
-    back = fourier_inverse(
-        ComplexField(g, Space.FREQUENCY, np.exp(0.5j * t * g.abs_xi_sq) * fhat.values)
-    )
+    if spectrum is None:
+        spectrum = np.fft.fftn(f.values)
     wx = g.h**g.d
-    h_0s = float(np.sqrt(wx * np.sum((1.0 + g.abs_x_sq) ** s * np.abs(back.values) ** 2)))
+    # the unitary transform's |scale|^2 times the dxi^d quadrature weight is h^d / n^d
+    h_s0 = float(np.sqrt(wx / g.num_points * np.sum(_xi_weight(g, s) * np.abs(spectrum) ** 2)))
+    back = np.fft.ifftn(np.exp(0.5j * t * g.abs_xi_sq_fft) * spectrum)
+    h_0s = float(np.sqrt(wx * np.sum(_x_weight(g, s) * np.abs(back) ** 2)))
     l2 = float(np.sqrt(wx * np.sum(np.abs(f.values) ** 2)))
     return NormReport(
         l2=l2,
@@ -238,32 +286,29 @@ def norms(f: ComplexField, t: float, s: float) -> NormReport:
     )
 
 
-def spectral_tail_fraction(f: ComplexField, band: float = 2.0 / 3.0) -> float:
+def spectral_tail_fraction(f: ComplexField, band: float = 2.0 / 3.0, *,
+                           spectrum: np.ndarray | None = None) -> float:
     """Fraction of spectral energy carried by modes with max_i |xi_i| above band * Nyquist.
 
     The resolution-adequacy monitor: well-resolved fields keep this tiny.
+    `spectrum` is ``np.fft.fftn(f.values)`` of a physical-space f when the
+    caller already has it.
     """
-    fhat = f if f.space is Space.FREQUENCY else fourier_forward(f)
-    g = f.grid
-    cutoff = band * np.pi / g.h
-    mask = np.zeros(g.shape, dtype=bool)
-    for xi in g.xi_mesh:
-        mask |= np.abs(xi) > cutoff
-    total = np.sum(np.abs(fhat.values) ** 2)
+    if spectrum is None:
+        spectrum = (np.fft.ifftshift(f.values) if f.space is Space.FREQUENCY
+                    else np.fft.fftn(f.values))
+    power = np.abs(spectrum) ** 2
+    total = np.sum(power)
     if total == 0.0:
         return 0.0
-    return float(np.sum(np.abs(fhat.values[mask]) ** 2) / total)
+    return float(np.sum(power[_tail_mask(f.grid, band)]) / total)
 
 
 def boundary_shell_fraction(f: ComplexField, shell: float = 0.1) -> float:
     """Fraction of L2 mass in the outer `shell` fraction of the box (max-norm shell)."""
     _require_space(f, Space.PHYSICAL, "boundary_shell_fraction")
-    g = f.grid
-    cutoff = (1.0 - shell) * g.L
-    mask = np.zeros(g.shape, dtype=bool)
-    for x in g.x_mesh:
-        mask |= np.abs(x) >= cutoff
-    total = np.sum(np.abs(f.values) ** 2)
+    power = np.abs(f.values) ** 2
+    total = np.sum(power)
     if total == 0.0:
         return 0.0
-    return float(np.sum(np.abs(f.values[mask]) ** 2) / total)
+    return float(np.sum(power[_shell_mask(f.grid, shell)]) / total)

@@ -18,7 +18,9 @@ from nlslab import (
     g_p,
     gauge_multiply,
     nonlinear_flow_exact,
+    norms,
 )
+from nlslab.propagators import _free_multiplier
 
 
 def gaussian_field(grid, width=1.0, k0=0.0):
@@ -91,6 +93,44 @@ class TestFreePropagate:
         b = fourier_forward(f)
         b.values *= np.exp(-0.5j * t * g.abs_xi_sq)
         assert np.max(np.abs(a.values - b.values)) / np.max(np.abs(b.values)) < 1e-12
+
+    @pytest.mark.parametrize("g", [Grid(1, 64, 8.0), Grid(2, 32, 6.0), Grid(3, 16, 5.0)],
+                             ids=lambda g: f"d{g.d}")
+    @pytest.mark.parametrize("t", [0.005, -1.3, 4.0])
+    def test_matches_monotone_order_oracle(self, g, t):
+        # the monotone-order formula F^{-1}[exp(-i t |xi|^2 / 2) F u] it replaced
+        f = random_field(g, seed=g.d)
+        want = apply_multiplier(f, np.exp(-0.5j * t * g.abs_xi_sq)).values
+        got = free_propagate(f, t).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 1e308])
+    def test_rejects_non_finite_time(self, t):
+        f = random_field(Grid(1, 32, 4.0))
+        with pytest.raises(ValueError):
+            free_propagate(f, t)
+
+    def test_multiplier_cache(self):
+        g, other_L = Grid(2, 16, 4.0), Grid(2, 16, 5.0)
+        m = _free_multiplier(g, 0.01)
+        assert _free_multiplier(Grid(2, 16, 4.0), 0.01) is m
+        with pytest.raises(ValueError):
+            m[0, 0] = 1
+        assert not np.array_equal(_free_multiplier(g, 0.02), m)
+        assert not np.array_equal(_free_multiplier(other_L, 0.01), _free_multiplier(g, 0.01))
+        for k in range(10):
+            free_propagate(random_field(g), 0.1 * (k + 1))
+        info = _free_multiplier.cache_info()
+        assert info.currsize <= info.maxsize <= 4
+
+    def test_back_propagation_stays_out_of_the_cache(self):
+        g = Grid(1, 64, 8.0)
+        m = _free_multiplier(g, 0.005)
+        before = _free_multiplier.cache_info()
+        for t in (0.3, 0.7, 1.1):
+            norms(random_field(g), t, 1.0)
+        assert _free_multiplier.cache_info() == before
+        assert _free_multiplier(g, 0.005) is m
 
 
 class TestGauge:
@@ -238,6 +278,25 @@ class TestNonlinearFlow:
             w_ode = sol.y[0, -1] + 1j * sol.y[1, -1]
             w_exact = nonlinear_flow_exact(z, dt, params)
             assert abs(w_ode - w_exact) / abs(w_exact) < 1e-10
+
+    @pytest.mark.parametrize("b", [0.5, 1.0, 4.0 / 3.0])
+    @pytest.mark.parametrize("lam", [1j, 0.4j, -1j, 0.3 + 1j, -0.7 - 0.5j, 0.8 + 0j])
+    def test_matches_general_closed_form_bit_for_bit(self, b, lam):
+        # Re(lam) = 0 skips the phase factor exp(0j) == 1; every other
+        # branch is the closed form as written
+        params = params_for(lam, b=b)
+        rng = np.random.default_rng(7)
+        z = 0.8 * (rng.standard_normal(200) + 1j * rng.standard_normal(200))
+        z[:3] = 0.0
+        mu, alpha = params.mu, lam.real
+        dt = 0.4 / (b * max(abs(mu), 1.0) * np.max(np.abs(z)) ** b)
+        az_b = np.abs(z) ** b
+        if mu == 0.0:
+            want = z * np.exp(-1j * alpha * az_b * dt)
+        else:
+            denom = 1.0 - b * mu * az_b * dt
+            want = z * denom ** (-1.0 / b) * np.exp(1j * (alpha / (b * mu)) * np.log(denom))
+        assert np.array_equal(nonlinear_flow_exact(z, dt, params), want)
 
     def test_vectorized_matches_scalar(self):
         params = params_for(0.5 + 1j, b=1.2)

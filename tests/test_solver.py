@@ -11,6 +11,7 @@ from nlslab import (
     free_propagate,
     norms,
 )
+from nlslab import solver
 from nlslab.initial_data import gaussian
 from nlslab.solver import (
     RunStatus,
@@ -254,11 +255,29 @@ class TestRunToBlowup:
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         times = np.array([s.t for s in rec.diagnostics.samples])
         assert rec.status == "blown-up"
-        # the last sample is taken on the landed state; when the bisection
-        # lands on the base state it repeats the base state's time
-        assert np.all(np.diff(times[:-1]) > 0) and times[-1] >= times[-2]
+        # a landing on an already-sampled base state adds no second sample
+        assert np.all(np.diff(times) > 0)
         # a sample from the rejected trial step would lie beyond T_eps
         assert times[-1] < rec.T_eps
+
+    def test_landing_on_sampled_base_keeps_residuals_finite(self, monkeypatch):
+        # late in a run the step is already narrower than the bisection
+        # bracket, so the run lands on its (sampled) base state
+        landed = []
+        bisect = solver._bisect_event
+
+        def spy(*args):
+            out = bisect(*args)
+            landed.append(out[0])
+            return out
+
+        monkeypatch.setattr(solver, "_bisect_event", spy)
+        cfg = small_config(eps=0.4, grid=Grid(1, 256, 25.0), record_every=1)
+        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        assert landed == [0.0]
+        with np.errstate(divide="raise", invalid="raise"):
+            res = mass_balance_residuals(rec.diagnostics.samples, mu=1.0)
+        assert np.all(np.isfinite(res))
 
     def test_snapshot_budget_respected(self):
         cfg = small_config(eps=0.2, grid=Grid(1, 256, 25.0), record_every=1,

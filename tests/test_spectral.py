@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nlslab import spectral
 from nlslab import (
     ComplexField,
     Grid,
@@ -236,3 +237,109 @@ class TestMonitors:
         z = ComplexField(g, Space.PHYSICAL, np.zeros(16, dtype=complex))
         assert spectral_tail_fraction(z) == 0.0
         assert boundary_shell_fraction(z) == 0.0
+
+
+# The monotone-order formulas the FFT-order hot path replaced, kept as oracles.
+def oracle_norms(f, t, s):
+    g = f.grid
+    fhat = fourier_forward(f)
+    h_s0 = np.sqrt(g.dxi**g.d * np.sum((1.0 + g.abs_xi_sq) ** s * np.abs(fhat.values) ** 2))
+    back = fourier_inverse(
+        ComplexField(g, Space.FREQUENCY, np.exp(0.5j * t * g.abs_xi_sq) * fhat.values))
+    h_0s = np.sqrt(g.h**g.d * np.sum((1.0 + g.abs_x_sq) ** s * np.abs(back.values) ** 2))
+    l2 = np.sqrt(g.h**g.d * np.sum(np.abs(f.values) ** 2))
+    return l2, h_s0, h_0s
+
+
+def oracle_tail_fraction(f, band=2.0 / 3.0):
+    g = f.grid
+    fhat = fourier_forward(f)
+    mask = np.zeros(g.shape, dtype=bool)
+    for xi in g.xi_mesh:
+        mask |= np.abs(xi) > band * np.pi / g.h
+    return np.sum(np.abs(fhat.values[mask]) ** 2) / np.sum(np.abs(fhat.values) ** 2)
+
+
+def oracle_shell_fraction(f, shell=0.1):
+    g = f.grid
+    mask = np.zeros(g.shape, dtype=bool)
+    for x in g.x_mesh:
+        mask |= np.abs(x) >= (1.0 - shell) * g.L
+    return np.sum(np.abs(f.values[mask]) ** 2) / np.sum(np.abs(f.values) ** 2)
+
+
+ORACLE_GRIDS = [Grid(1, 64, 8.0), Grid(2, 32, 6.0), Grid(3, 16, 5.0)]
+
+
+def wide_random_field(grid, seed=0):
+    # a random field under a wide envelope, so every monitor sees mass
+    env = np.exp(-grid.abs_x_sq / (0.5 * grid.L**2))
+    return ComplexField(grid, Space.PHYSICAL, env * random_field(grid, seed).values)
+
+
+class TestFftOrderOracles:
+    @pytest.mark.parametrize("g", ORACLE_GRIDS, ids=lambda g: f"d{g.d}")
+    @pytest.mark.parametrize("t, s", [(0.0, 1.0), (0.7, 1.2), (3.1, 0.6)])
+    def test_norms(self, g, t, s):
+        f = wide_random_field(g, seed=g.d)
+        rep = norms(f, t, s)
+        for got, want in zip((rep.l2, rep.h_s0, rep.h_0s), oracle_norms(f, t, s)):
+            assert got == pytest.approx(want, rel=1e-13)
+        assert rep.sigma_s == rep.h_s0 + rep.h_0s
+
+    @pytest.mark.parametrize("g", ORACLE_GRIDS, ids=lambda g: f"d{g.d}")
+    def test_monitors(self, g):
+        f = wide_random_field(g, seed=10 + g.d)
+        for band in (2.0 / 3.0, 0.5):
+            want = oracle_tail_fraction(f, band)
+            assert want > 0.01
+            assert spectral_tail_fraction(f, band) == pytest.approx(want, rel=1e-13)
+            assert spectral_tail_fraction(fourier_forward(f), band) == pytest.approx(want, rel=1e-13)
+        for shell in (0.1, 0.25):
+            want = oracle_shell_fraction(f, shell)
+            assert want > 1e-6
+            # same mask and summation order as the oracle: bit-identical
+            assert boundary_shell_fraction(f, shell) == want
+
+    def test_shared_spectrum_is_exact(self):
+        g = ORACLE_GRIDS[1]
+        f = wide_random_field(g)
+        spectrum = np.fft.fftn(f.values)
+        assert norms(f, 0.9, 1.1, spectrum=spectrum) == norms(f, 0.9, 1.1)
+        assert spectral_tail_fraction(f, spectrum=spectrum) == spectral_tail_fraction(f)
+
+
+class TestGridCaches:
+    def cached(self, g, value):
+        return [spectral._xi_weight(g, value), spectral._x_weight(g, value),
+                spectral._tail_mask(g, value), spectral._shell_mask(g, value)]
+
+    def test_read_only(self):
+        g = Grid(2, 16, 4.0)
+        for arr in [g.abs_xi_sq_fft] + self.cached(g, 0.3):
+            with pytest.raises(ValueError):
+                arr[(0,) * g.d] = 1
+
+    def test_equal_grids_share_an_entry(self):
+        a, b = self.cached(Grid(1, 64, 8.0), 0.4), self.cached(Grid(1, 64, 8.0), 0.4)
+        assert all(x is y for x, y in zip(a, b))
+
+    def test_grids_differing_in_L_do_not_share(self):
+        a, b = self.cached(Grid(1, 64, 8.0), 0.4), self.cached(Grid(1, 64, 9.0), 0.4)
+        assert all(x is not y for x, y in zip(a, b))
+        # the masks are L-invariant patterns; the weights are not
+        assert not np.array_equal(a[0], b[0]) and not np.array_equal(a[1], b[1])
+
+    def test_parameter_values_do_not_share(self):
+        g = Grid(1, 64, 8.0)
+        a, b = self.cached(g, 0.4), self.cached(g, 0.45)
+        assert all(not np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_caches_are_bounded(self):
+        g = Grid(1, 32, 3.0)
+        for fn in (spectral._xi_weight, spectral._x_weight,
+                   spectral._tail_mask, spectral._shell_mask):
+            for k in range(10):
+                fn(g, 0.1 + 0.05 * k)
+            info = fn.cache_info()
+            assert info.currsize <= info.maxsize <= 8
