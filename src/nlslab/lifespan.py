@@ -124,7 +124,7 @@ def profile(u: ComplexField, t: float) -> ComplexField:
     """Scattering profile A(t) = F[U(t)^{-1} u(t)] on the frequency lattice."""
     fhat = fourier_forward(u)
     vals = np.exp(0.5j * t * u.grid.abs_xi_sq) * fhat.values
-    return ComplexField(u.grid, Space.FREQUENCY, vals, u.blown_up)
+    return ComplexField(u.grid, Space.FREQUENCY, vals)
 
 
 def remainder(u: ComplexField, t: float, params: NonlinearityParams) -> ComplexField:

@@ -56,9 +56,9 @@ class NonlinearityParams:
 
 @lru_cache(maxsize=2)
 def _free_multiplier(grid: Grid, t: float) -> np.ndarray:
-    """exp(-i t |xi|^2 / 2) in FFT index order, cached per (grid, t)."""
+    """exp(-i t |xi|^2 / 2), cached per (grid, t)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        m = np.exp(-0.5j * t * grid.abs_xi_sq_fft)
+        m = np.exp(-0.5j * t * grid.abs_xi_sq)
     if not np.isfinite(m).all():
         raise ValueError(f"free propagation over t={t!r} overflows the phase on the lattice")
     return _read_only(m)
@@ -67,8 +67,8 @@ def _free_multiplier(grid: Grid, t: float) -> np.ndarray:
 def free_propagate(f: ComplexField, t: float) -> ComplexField:
     """Free flow U(t) = exp(i t Lap / 2); t < 0 gives the inverse flow.
 
-    Computed as ifftn(m * fftn(u)) with m in FFT order: the unitary
-    transform's scale, sign vector and shift cancel in F^{-1} m F.
+    Computed as ifftn(m * fftn(u)): the unitary transform's scale and sign
+    vector cancel in F^{-1} m F.
     """
     _require_space(f, Space.PHYSICAL, "free_propagate")
     if not np.isfinite(t):
@@ -76,7 +76,7 @@ def free_propagate(f: ComplexField, t: float) -> ComplexField:
     if t == 0.0:
         return f.copy()
     vals = np.fft.ifftn(_free_multiplier(f.grid, t) * np.fft.fftn(f.values))
-    return ComplexField(f.grid, Space.PHYSICAL, vals, f.blown_up)
+    return ComplexField(f.grid, Space.PHYSICAL, vals)
 
 
 def gauge_multiply(f: ComplexField, t: float, inverse: bool = False) -> ComplexField:
@@ -86,7 +86,7 @@ def gauge_multiply(f: ComplexField, t: float, inverse: bool = False) -> ComplexF
         raise ValueError(f"gauge factor requires t > 0, got {t}")
     phase = f.grid.abs_x_sq / (2.0 * t)
     factor = np.exp(-1j * phase) if inverse else np.exp(1j * phase)
-    return ComplexField(f.grid, Space.PHYSICAL, factor * f.values, f.blown_up)
+    return ComplexField(f.grid, Space.PHYSICAL, factor * f.values)
 
 
 def g_p(z, p: float):

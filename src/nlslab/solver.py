@@ -26,9 +26,8 @@ from .spectral import (
     Grid,
     NormReport,
     Space,
+    _resample,
     boundary_shell_fraction,
-    fourier_forward,
-    fourier_inverse,
     norms,
     spectral_tail_fraction,
     sup_modulus,
@@ -65,7 +64,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.eps < 0:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
-        for name in ("dt_init", "dt_safety", "t_max"):
+        for name in ("dt_init", "dt_safety", "t_max", "record_every", "snapshot_budget"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not (0 < self.dt_safety < 1):
@@ -146,6 +145,7 @@ class SolverState:
     status: RunStatus
     config: SolverConfig
     diagnostics: DiagnosticsLog
+    sup: float                           # sup|u|, taken once per field
     t_blow: float | None = None
     blow_criterion: str | None = None   # "pointwise" or "threshold"
     step_count: int = 0
@@ -183,7 +183,7 @@ def init(config: SolverConfig, phi: ComplexField) -> SolverState:
         raise ValueError("initial datum contains non-finite values")
     u0 = ComplexField(config.grid, Space.PHYSICAL, config.eps * phi.values)
     state = SolverState(t=0.0, u=u0, status=RunStatus.RUNNING, config=config,
-                        diagnostics=DiagnosticsLog())
+                        diagnostics=DiagnosticsLog(), sup=sup_modulus(u0))
     _sample_diagnostics(state)
     return state
 
@@ -224,10 +224,10 @@ def step(state: SolverState, dt: float, record: bool = True) -> SolverState:
     else:
         if not u.is_finite():
             t_blow, criterion = state.t + dt, "pointwise"
-        elif sup_modulus(u) >= cfg.threshold:
+        elif (sup := sup_modulus(u)) >= cfg.threshold:
             t_blow, criterion = state.t + dt, "threshold"
         else:
-            new = replace(state, t=state.t + dt, u=u, step_count=state.step_count + 1)
+            new = replace(state, t=state.t + dt, u=u, sup=sup, step_count=state.step_count + 1)
             if record and new.step_count % cfg.record_every == 0:
                 _sample_diagnostics(new)
             return new
@@ -236,10 +236,9 @@ def step(state: SolverState, dt: float, record: bool = True) -> SolverState:
 
 def _adaptive_dt(state: SolverState) -> float:
     cfg = state.config
-    sup = sup_modulus(state.u)
     params = cfg.params
-    if params.mu > 0 and sup > 0:
-        horizon = 1.0 / (params.b * params.mu * sup**params.b)
+    if params.mu > 0 and state.sup > 0:
+        horizon = 1.0 / (params.b * params.mu * state.sup**params.b)
     else:
         horizon = np.inf
     return cfg.dt_safety * min(cfg.dt_init, horizon)
@@ -379,16 +378,6 @@ def convergence_study(config: SolverConfig, phi: ComplexField, refinements: int 
         measured_orders=orders, spatial_ns=[base.n, base.n * 2],
         spatial_errors=sp_errors, spatial_drops=drops,
     )
-
-
-def _resample(phi: ComplexField, grid: Grid) -> ComplexField:
-    """Evaluate a field on a refined grid by zero-padded trigonometric interpolation."""
-    if phi.grid.n == grid.n:
-        return ComplexField(grid, Space.PHYSICAL, phi.values.copy())
-    fhat = fourier_forward(phi)
-    pad = (grid.n - phi.grid.n) // 2
-    padded = np.pad(fhat.values, [(pad, pad)] * phi.grid.d)
-    return fourier_inverse(ComplexField(grid, Space.FREQUENCY, padded))
 
 
 def mass_balance_residuals(samples, mu: float) -> np.ndarray:

@@ -2,13 +2,12 @@
 
 The whole-space problem is truncated to the periodic box [-L, L)^d.  The
 frequency lattice is xi_k = pi*k/L for integer k in [-n/2, n/2), so the
-Nyquist frequency pi/h is the largest |xi| component on the grid.  All
-frequency-space fields are stored in monotone-xi order; the reshuffling to
-FFT order happens only inside the transform routines.
-
-The hot path (free propagation, norms, monitors) skips that reshuffling: it
-works on ``np.fft.fftn(values)``, unscaled and in FFT index order, with the
-grid's frequency weights and masks ifftshift-ed once and cached read-only.
+Nyquist frequency pi/h is the largest |xi| component on the grid.  Every
+frequency-space array (field values, the xi lattice, |xi|^2, weights, masks)
+is stored in ``np.fft.fftn`` index order, k = 0, ..., n/2-1, -n/2, ..., -1
+along each axis; no other module knows that layout.  The hot path (free
+propagation, norms, monitors) works on the unscaled ``np.fft.fftn(values)``
+with the grid's frequency weights and masks cached read-only.
 """
 
 from __future__ import annotations
@@ -69,7 +68,8 @@ class Grid:
 
     @cached_property
     def xi_1d(self) -> np.ndarray:
-        return self.dxi * np.arange(-self.n // 2, self.n // 2)
+        """The lattice pi*k/L in FFT index order: xi = 0 first, -Nyquist at n/2."""
+        return self.dxi * np.fft.fftfreq(self.n, 1.0 / self.n)
 
     @cached_property
     def x_mesh(self) -> tuple:
@@ -85,18 +85,13 @@ class Grid:
 
     @cached_property
     def abs_xi_sq(self) -> np.ndarray:
-        return sum(xi**2 for xi in self.xi_mesh)
-
-    @cached_property
-    def abs_xi_sq_fft(self) -> np.ndarray:
-        """|xi|^2 in FFT index order, read-only."""
-        return _read_only(np.fft.ifftshift(self.abs_xi_sq))
+        """|xi|^2, read-only."""
+        return _read_only(sum(xi**2 for xi in self.xi_mesh))
 
     @cached_property
     def _sign(self) -> np.ndarray:
         # (-1)^k relates samples on [-L, L) to the DFT's [0, 2L) convention;
-        # n/2 is even for every allowed n, so the monotone-k and index
-        # parities agree and one alternating vector serves both orders.
+        # n is even, so the array index and the wavenumber k have one parity.
         s1 = (-1.0) ** np.arange(self.n)
         out = s1
         for _ in range(self.d - 1):
@@ -109,13 +104,12 @@ class ComplexField:
     """Complex samples on a Grid, tagged physical- or frequency-space.
 
     `values` has shape grid.shape (row-major); frequency-space values are in
-    monotone-xi order.  `blown_up` marks fields that escaped to infinity.
+    FFT index order, matching ``grid.xi_mesh``.
     """
 
     grid: Grid
     space: Space
     values: np.ndarray
-    blown_up: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
@@ -128,7 +122,7 @@ class ComplexField:
         return bool(np.isfinite(self.values).all())
 
     def copy(self) -> "ComplexField":
-        return ComplexField(self.grid, self.space, self.values.copy(), self.blown_up)
+        return ComplexField(self.grid, self.space, self.values.copy())
 
 
 @dataclass(frozen=True)
@@ -153,13 +147,12 @@ def _require_space(f: ComplexField, space: Space, op: str):
 def fourier_forward(f: ComplexField) -> ComplexField:
     """Unitary continuous-convention transform: DFT scaled by h^d/(2*pi)^{d/2}.
 
-    Output frequencies are on the monotone xi_k = pi*k/L lattice.
+    Output frequencies are on the xi_k = pi*k/L lattice of ``grid.xi_mesh``.
     """
     _require_space(f, Space.PHYSICAL, "fourier_forward")
     g = f.grid
     scale = g.h**g.d / (2.0 * np.pi) ** (g.d / 2.0)
-    vals = scale * g._sign * np.fft.fftshift(np.fft.fftn(f.values))
-    return ComplexField(g, Space.FREQUENCY, vals, f.blown_up)
+    return ComplexField(g, Space.FREQUENCY, scale * g._sign * np.fft.fftn(f.values))
 
 
 def fourier_inverse(f: ComplexField) -> ComplexField:
@@ -167,8 +160,7 @@ def fourier_inverse(f: ComplexField) -> ComplexField:
     _require_space(f, Space.FREQUENCY, "fourier_inverse")
     g = f.grid
     scale = (2.0 * np.pi) ** (g.d / 2.0) / g.h**g.d
-    vals = scale * np.fft.ifftn(np.fft.ifftshift(g._sign * f.values))
-    return ComplexField(g, Space.PHYSICAL, vals, f.blown_up)
+    return ComplexField(g, Space.PHYSICAL, scale * np.fft.ifftn(g._sign * f.values))
 
 
 def _multiplier_values(grid: Grid, m) -> np.ndarray:
@@ -187,13 +179,13 @@ def _multiplier_values(grid: Grid, m) -> np.ndarray:
 def apply_multiplier(f: ComplexField, m) -> ComplexField:
     """Apply the Fourier multiplier m(xi): returns F^{-1}[m * F f].
 
-    `m` is either a callable of the d monotone-xi meshes or a precomputed
+    `m` is either a callable of the d meshes ``grid.xi_mesh`` or a precomputed
     array on the frequency lattice.  Physical-space input is round-tripped
     through frequency space; frequency-space input stays there.
     """
     mv = _multiplier_values(f.grid, m)
     if f.space is Space.FREQUENCY:
-        return ComplexField(f.grid, Space.FREQUENCY, mv * f.values, f.blown_up)
+        return ComplexField(f.grid, Space.FREQUENCY, mv * f.values)
     fhat = fourier_forward(f)
     fhat.values *= mv
     return fourier_inverse(fhat)
@@ -219,8 +211,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # Per-parameter constants of the hot path, bounded caches keyed by (grid, value).
 @lru_cache(maxsize=4)
 def _xi_weight(grid: Grid, s: float) -> np.ndarray:
-    """(1 + |xi|^2)^s in FFT index order."""
-    return _read_only((1.0 + grid.abs_xi_sq_fft) ** s)
+    """(1 + |xi|^2)^s."""
+    return _read_only((1.0 + grid.abs_xi_sq) ** s)
 
 
 @lru_cache(maxsize=4)
@@ -231,12 +223,12 @@ def _x_weight(grid: Grid, s: float) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _tail_mask(grid: Grid, band: float) -> np.ndarray:
-    """max_i |xi_i| > band * Nyquist, in FFT index order."""
+    """max_i |xi_i| > band * Nyquist."""
     cutoff = band * np.pi / grid.h
     mask = np.zeros(grid.shape, dtype=bool)
     for xi in grid.xi_mesh:
         mask |= np.abs(xi) > cutoff
-    return _read_only(np.fft.ifftshift(mask))
+    return _read_only(mask)
 
 
 @lru_cache(maxsize=4)
@@ -257,7 +249,7 @@ def norms(f: ComplexField, t: float, s: float, *,
     multiplier.  h_0s is the weighted L2 norm of the back-propagated field
     U(t)^{-1} f with weight (1+|x|^2)^{s/2}, i.e. the decay norm tracked by
     the solver diagnostics; at t = 0 it reduces to the plain weighted norm
-    of f.  A blown-up or non-finite field yields an all-infinite report.
+    of f.  A non-finite field yields an all-infinite report.
     `spectrum` is ``np.fft.fftn(f.values)`` when the caller already has it.
     """
     _require_space(f, Space.PHYSICAL, "norms")
@@ -265,7 +257,7 @@ def norms(f: ComplexField, t: float, s: float, *,
         raise ValueError(f"Sobolev index must be >= 0, got {s}")
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    if f.blown_up or not f.is_finite():
+    if not f.is_finite():
         inf = float("inf")
         return NormReport(inf, inf, inf, inf, inf)
     g = f.grid
@@ -274,7 +266,7 @@ def norms(f: ComplexField, t: float, s: float, *,
     wx = g.h**g.d
     # the unitary transform's |scale|^2 times the dxi^d quadrature weight is h^d / n^d
     h_s0 = float(np.sqrt(wx / g.num_points * np.sum(_xi_weight(g, s) * np.abs(spectrum) ** 2)))
-    back = np.fft.ifftn(np.exp(0.5j * t * g.abs_xi_sq_fft) * spectrum)
+    back = np.fft.ifftn(np.exp(0.5j * t * g.abs_xi_sq) * spectrum)
     h_0s = float(np.sqrt(wx * np.sum(_x_weight(g, s) * np.abs(back) ** 2)))
     l2 = float(np.sqrt(wx * np.sum(np.abs(f.values) ** 2)))
     return NormReport(
@@ -292,11 +284,10 @@ def spectral_tail_fraction(f: ComplexField, band: float = 2.0 / 3.0, *,
 
     The resolution-adequacy monitor: well-resolved fields keep this tiny.
     `spectrum` is ``np.fft.fftn(f.values)`` of a physical-space f when the
-    caller already has it.
+    caller already has it; the values of a frequency-space f serve as is.
     """
     if spectrum is None:
-        spectrum = (np.fft.ifftshift(f.values) if f.space is Space.FREQUENCY
-                    else np.fft.fftn(f.values))
+        spectrum = f.values if f.space is Space.FREQUENCY else np.fft.fftn(f.values)
     power = np.abs(spectrum) ** 2
     total = np.sum(power)
     if total == 0.0:
@@ -312,3 +303,15 @@ def boundary_shell_fraction(f: ComplexField, shell: float = 0.1) -> float:
     if total == 0.0:
         return 0.0
     return float(np.sum(power[_shell_mask(f.grid, shell)]) / total)
+
+
+def _resample(phi: ComplexField, grid: Grid) -> ComplexField:
+    """Zero-padded trigonometric interpolation of a field onto a finer grid of the same box."""
+    n = phi.grid.n
+    if n == grid.n:
+        return ComplexField(grid, Space.PHYSICAL, phi.values.copy())
+    # wavenumbers 0..n/2-1 and -n/2..-1 keep their offsets from the two ends of each axis
+    kept = np.r_[: n // 2, grid.n - n // 2 : grid.n]
+    padded = np.zeros(grid.shape, dtype=np.complex128)
+    padded[np.ix_(*[kept] * grid.d)] = fourier_forward(phi).values
+    return fourier_inverse(ComplexField(grid, Space.FREQUENCY, padded))

@@ -138,6 +138,14 @@ class TestCli:
         assert main(["bounds", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("field, value", [
+        ("record_every", 0), ("record_every", -3), ("snapshot_budget", 0)])
+    def test_simulate_rejects_bad_sampling_counts(self, tmp_path, capsys, field, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config_dict(**{field: value})))
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}")
+
     def test_malformed_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text('{"d": 1,,}')

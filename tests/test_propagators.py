@@ -98,7 +98,7 @@ class TestFreePropagate:
                              ids=lambda g: f"d{g.d}")
     @pytest.mark.parametrize("t", [0.005, -1.3, 4.0])
     def test_matches_monotone_order_oracle(self, g, t):
-        # the monotone-order formula F^{-1}[exp(-i t |xi|^2 / 2) F u] it replaced
+        # F^{-1}[exp(-i t |xi|^2 / 2) F u] through the public unitary transform
         f = random_field(g, seed=g.d)
         want = apply_multiplier(f, np.exp(-0.5j * t * g.abs_xi_sq)).values
         got = free_propagate(f, t).values

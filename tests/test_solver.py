@@ -50,6 +50,12 @@ class TestConfig:
                            enforce_hypotheses=False)
         assert not cfg.index_condition_ok
 
+    @pytest.mark.parametrize("field, value", [
+        ("record_every", 0), ("record_every", -3), ("snapshot_budget", 0)])
+    def test_rejects_bad_sampling_counts(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: value})
+
     def test_fingerprint_changes_with_fields(self):
         a = small_config()
         b = small_config(eps=0.31)
@@ -99,6 +105,13 @@ class TestStep:
         exact = free_propagate(ComplexField(cfg.grid, Space.PHYSICAL,
                                             cfg.eps * phi.values), 1.0)
         assert np.max(np.abs(state.u.values - exact.values)) < 1e-12
+
+    def test_state_carries_sup_of_its_field(self):
+        cfg = small_config(eps=0.4)
+        state = init(cfg, gaussian(cfg.grid))
+        for _ in range(20):
+            assert state.sup == np.max(np.abs(state.u.values))
+            state = step(state, 0.05, record=False)
 
     def test_real_lambda_conserves_mass(self):
         cfg = small_config(params=CONSERVATIVE)

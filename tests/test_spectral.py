@@ -79,6 +79,17 @@ class TestFourier:
         rhs = np.exp(-1j * a * g.xi_1d) * fourier_forward(f).values
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_modulated_gaussian_matches_analytic_transform(self, d):
+        # F[e^{-|x|^2/2 + i k0.x}](xi) = e^{-|xi - k0|^2/2}; k0 breaks every
+        # symmetry of the lattice, so a misplaced frequency shows
+        g = Grid(d, 64, 8.0)
+        k0 = [1.0, -0.5, 0.75][:d]
+        phase = sum(k * x for k, x in zip(k0, g.x_mesh))
+        f = ComplexField(g, Space.PHYSICAL, np.exp(-g.abs_x_sq / 2 + 1j * phase))
+        want = np.exp(-sum((xi - k) ** 2 for k, xi in zip(k0, g.xi_mesh)) / 2)
+        assert np.max(np.abs(fourier_forward(f).values - want)) < 1e-10
+
     @pytest.mark.parametrize("d,n,L", [(1, 64, 7.0), (1, 1024, 40.0), (2, 32, 5.0), (3, 16, 3.0)])
     def test_round_trip_and_parseval_random(self, d, n, L):
         g = Grid(d, n, L)
@@ -187,10 +198,33 @@ class TestNorms:
 
     def test_blown_up_field_flagged(self):
         g = Grid(1, 16, 2.0)
-        f = ComplexField(g, Space.PHYSICAL, np.zeros(16, dtype=complex), blown_up=True)
+        vals = np.zeros(16, dtype=complex)
+        vals[3] = np.inf
+        f = ComplexField(g, Space.PHYSICAL, vals)
         rep = norms(f, t=0.0, s=1.0)
         assert not rep.is_finite()
         assert rep.sigma_s == np.inf
+
+
+class TestResample:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_band_limited_polynomial_reproduced_on_fine_grid(self, d):
+        # modes up to the Nyquist wavenumber -n/2 of the coarse grid
+        n, L = 16, 3.0
+        rng = np.random.default_rng(d)
+        modes = rng.integers(-n // 2, n // 2, size=(6, d))
+        modes[0] = -n // 2
+        coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+
+        def poly(grid):
+            return sum(c * np.exp(1j * np.pi / L * sum(k * x for k, x in zip(ks, grid.x_mesh)))
+                       for c, ks in zip(coeffs, modes))
+
+        coarse, fine = Grid(d, n, L), Grid(d, 2 * n, L)
+        got = spectral._resample(ComplexField(coarse, Space.PHYSICAL, poly(coarse)), fine)
+        assert got.grid == fine and got.space is Space.PHYSICAL
+        want = poly(fine)
+        assert np.max(np.abs(got.values - want)) < 1e-12 * np.max(np.abs(want))
 
 
 class TestSupModulus:
@@ -239,7 +273,8 @@ class TestMonitors:
         assert boundary_shell_fraction(z) == 0.0
 
 
-# The monotone-order formulas the FFT-order hot path replaced, kept as oracles.
+# The formulas through the public unitary transform and the xi meshes, kept as
+# oracles for the hot path's unscaled fftn and cached weights and masks.
 def oracle_norms(f, t, s):
     g = f.grid
     fhat = fourier_forward(f)
@@ -316,7 +351,7 @@ class TestGridCaches:
 
     def test_read_only(self):
         g = Grid(2, 16, 4.0)
-        for arr in [g.abs_xi_sq_fft] + self.cached(g, 0.3):
+        for arr in [g.abs_xi_sq] + self.cached(g, 0.3):
             with pytest.raises(ValueError):
                 arr[(0,) * g.d] = 1
 
