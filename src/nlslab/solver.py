@@ -9,6 +9,7 @@ configured cap; the final step is bisected to bracket the event time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -30,7 +31,6 @@ from .spectral import (
     boundary_shell_fraction,
     norms,
     spectral_tail_fraction,
-    sup_modulus,
 )
 
 
@@ -69,6 +69,12 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not (0 < self.dt_safety < 1):
             raise ValueError(f"dt_safety must lie in (0,1), got {self.dt_safety}")
+        if self.blowup_norm_threshold is not None and not (self.blowup_norm_threshold > 0):
+            raise ValueError(
+                f"blowup_norm_threshold must be positive, got {self.blowup_norm_threshold}")
+        if not (self.boundary_mass_tolerance >= 0):
+            raise ValueError(
+                f"boundary_mass_tolerance must be >= 0, got {self.boundary_mass_tolerance}")
         if self.enforce_hypotheses and not self.index_condition_ok:
             raise ValueError(
                 f"Sobolev index s={self.s} violates the admissible range "
@@ -145,21 +151,24 @@ class SolverState:
     status: RunStatus
     config: SolverConfig
     diagnostics: DiagnosticsLog
-    sup: float                           # sup|u|, taken once per field
+    sup: float                           # sup|u| and the boundary-shell mass fraction,
+    shell: float                         # both from the one |u| pass per field
     t_blow: float | None = None
     blow_criterion: str | None = None   # "pointwise" or "threshold"
     step_count: int = 0
 
 
-def _sample_diagnostics(state: SolverState):
+def _sample_diagnostics(state: SolverState, absu: np.ndarray, power: np.ndarray):
+    """Append a sample of `state`, whose field has modulus `absu` and `power` = absu**2."""
     cfg = state.config
-    # one forward transform serves the norms and the tail monitor
-    spectrum = np.fft.fftn(state.u.values)
-    rep = norms(state.u, state.t, cfg.s, spectrum=spectrum)
     g = cfg.grid
     wx = g.h**g.d
-    absu = np.abs(state.u.values)
-    mass = float(wx * np.sum(absu**2))
+    mass = float(wx * np.sum(power))
+    # one forward transform and its |spectrum|^2 serve the norms and the tail monitor
+    spectrum = np.fft.fftn(state.u.values)
+    spectral_power = np.abs(spectrum) ** 2
+    rep = norms(state.u, state.t, cfg.s, spectrum=spectrum, spectral_power=spectral_power,
+                l2=math.sqrt(mass), sup=state.sup)
     lp1 = float(wx * np.sum(absu ** (cfg.params.p + 1.0)))
     samples = state.diagnostics.samples
     energy = max(samples[-1].energy if samples else 0.0, rep.sigma_s)
@@ -169,8 +178,8 @@ def _sample_diagnostics(state: SolverState):
         energy=energy,
         mass=mass,
         lp1=lp1,
-        tail_fraction=spectral_tail_fraction(state.u, spectrum=spectrum),
-        shell_fraction=boundary_shell_fraction(state.u),
+        tail_fraction=spectral_tail_fraction(state.u, spectral_power=spectral_power),
+        shell_fraction=state.shell,
     ))
     state.diagnostics.record_snapshot(state.t, state.u.values, cfg.snapshot_budget)
 
@@ -182,9 +191,12 @@ def init(config: SolverConfig, phi: ComplexField) -> SolverState:
     if not phi.is_finite():
         raise ValueError("initial datum contains non-finite values")
     u0 = ComplexField(config.grid, Space.PHYSICAL, config.eps * phi.values)
+    absu = np.abs(u0.values)
+    power = absu**2
     state = SolverState(t=0.0, u=u0, status=RunStatus.RUNNING, config=config,
-                        diagnostics=DiagnosticsLog(), sup=sup_modulus(u0))
-    _sample_diagnostics(state)
+                        diagnostics=DiagnosticsLog(), sup=float(np.max(absu)),
+                        shell=boundary_shell_fraction(u0, power=power))
+    _sample_diagnostics(state, absu, power)
     return state
 
 
@@ -208,9 +220,10 @@ def step(state: SolverState, dt: float, record: bool = True) -> SolverState:
     A step that ends in an event returns the base state marked BLOWN_UP with
     `t_blow` and `blow_criterion`: "pointwise" for a substep denominator zero
     or a non-finite field, "threshold" when sup|u| reaches the cap.  An event
-    step records no sample; otherwise the new state shares the append-only
-    diagnostics log and, with `record` set, samples it every `record_every`
-    steps.
+    step records no sample; otherwise the new state carries sup|u| and the
+    boundary-shell fraction, both from one pass of |u| that the sample
+    reuses, shares the append-only diagnostics log and, with `record` set,
+    samples it every `record_every` steps.
     """
     if state.status is not RunStatus.RUNNING:
         raise ValueError(f"cannot step a state with status {state.status.value}")
@@ -222,14 +235,20 @@ def step(state: SolverState, dt: float, record: bool = True) -> SolverState:
     except PointwiseBlowUp as e:
         t_blow, criterion = state.t + e.earliest, "pointwise"
     else:
-        if not u.is_finite():
+        absu = np.abs(u.values)
+        sup = float(np.max(absu))
+        # a non-finite value has a non-finite modulus, so only then is the field scanned
+        if not math.isfinite(sup) and not u.is_finite():
             t_blow, criterion = state.t + dt, "pointwise"
-        elif (sup := sup_modulus(u)) >= cfg.threshold:
+        elif sup >= cfg.threshold:
             t_blow, criterion = state.t + dt, "threshold"
         else:
-            new = replace(state, t=state.t + dt, u=u, sup=sup, step_count=state.step_count + 1)
+            power = absu**2
+            new = replace(state, t=state.t + dt, u=u, sup=sup,
+                          shell=boundary_shell_fraction(u, power=power),
+                          step_count=state.step_count + 1)
             if record and new.step_count % cfg.record_every == 0:
-                _sample_diagnostics(new)
+                _sample_diagnostics(new, absu, power)
             return new
     return replace(state, status=RunStatus.BLOWN_UP, t_blow=t_blow, blow_criterion=criterion)
 
@@ -287,8 +306,9 @@ def run_to_blowup(state: SolverState) -> RunRecord:
             state = replace(landed, status=RunStatus.BLOWN_UP,
                             t_blow=state.t + 0.5 * (dt_lo + dt_hi), blow_criterion=criterion)
             if state.diagnostics.samples[-1].t != state.t:
-                _sample_diagnostics(state)
-        elif boundary_shell_fraction(trial.u) > cfg.boundary_mass_tolerance:
+                absu = np.abs(state.u.values)
+                _sample_diagnostics(state, absu, absu**2)
+        elif trial.shell > cfg.boundary_mass_tolerance:
             state = replace(trial, status=RunStatus.BOUNDARY_CONTAMINATED)
         else:
             state = trial

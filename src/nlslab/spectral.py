@@ -241,8 +241,32 @@ def _shell_mask(grid: Grid, shell: float) -> np.ndarray:
     return _read_only(mask)
 
 
-def norms(f: ComplexField, t: float, s: float, *,
-          spectrum: np.ndarray | None = None) -> NormReport:
+@lru_cache(maxsize=4)
+def _mirror_index(n: int) -> np.ndarray:
+    """|k| at each FFT-order index: the rows of a k = 0..n/2 table that fill an axis."""
+    j = np.arange(n)
+    return _read_only(np.minimum(j, n - j))
+
+
+def _back_propagation_phase(grid: Grid, t: float) -> np.ndarray:
+    """exp(i t |xi|^2 / 2) on the lattice, in FFT order.
+
+    The phase is a product over the axes of one 1-D factor, even in k, so the
+    complex exponential is taken on k = 0..n/2 only.  In d = 1 the values are
+    those of ``np.exp(0.5j * t * grid.abs_xi_sq)`` bit for bit; in d >= 2 the
+    outer product differs from it by roundoff.
+    """
+    n = grid.n
+    factor = np.exp(0.5j * t * grid.xi_1d[: n // 2 + 1] ** 2)[_mirror_index(n)]
+    out = factor
+    for _ in range(grid.d - 1):
+        out = np.multiply.outer(out, factor)
+    return out
+
+
+def norms(f: ComplexField, t: float, s: float, *, spectrum: np.ndarray | None = None,
+          spectral_power: np.ndarray | None = None, l2: float | None = None,
+          sup: float | None = None) -> NormReport:
     """Weighted norms of f at time t.
 
     h_s0 is the H^{s,0} norm computed spectrally with the (1+|xi|^2)^{s/2}
@@ -250,28 +274,38 @@ def norms(f: ComplexField, t: float, s: float, *,
     U(t)^{-1} f with weight (1+|x|^2)^{s/2}, i.e. the decay norm tracked by
     the solver diagnostics; at t = 0 it reduces to the plain weighted norm
     of f.  A non-finite field yields an all-infinite report.
-    `spectrum` is ``np.fft.fftn(f.values)`` when the caller already has it.
+    The keywords pass what the caller already has: `spectrum` is
+    ``np.fft.fftn(f.values)``, `spectral_power` is ``np.abs(spectrum) ** 2``,
+    and `l2` and `sup` are the report's ``l2`` and ``l_inf``.
     """
     _require_space(f, Space.PHYSICAL, "norms")
     if s < 0:
         raise ValueError(f"Sobolev index must be >= 0, got {s}")
+    if not np.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    if not f.is_finite():
+    if sup is None:
+        sup = sup_modulus(f)
+    # a non-finite value has a non-finite modulus, so only then is the field scanned
+    if not np.isfinite(sup) and not f.is_finite():
         inf = float("inf")
         return NormReport(inf, inf, inf, inf, inf)
     g = f.grid
     if spectrum is None:
         spectrum = np.fft.fftn(f.values)
     wx = g.h**g.d
+    if spectral_power is None:
+        spectral_power = np.abs(spectrum) ** 2
     # the unitary transform's |scale|^2 times the dxi^d quadrature weight is h^d / n^d
-    h_s0 = float(np.sqrt(wx / g.num_points * np.sum(_xi_weight(g, s) * np.abs(spectrum) ** 2)))
-    back = np.fft.ifftn(np.exp(0.5j * t * g.abs_xi_sq) * spectrum)
+    h_s0 = float(np.sqrt(wx / g.num_points * np.sum(_xi_weight(g, s) * spectral_power)))
+    back = np.fft.ifftn(_back_propagation_phase(g, t) * spectrum)
     h_0s = float(np.sqrt(wx * np.sum(_x_weight(g, s) * np.abs(back) ** 2)))
-    l2 = float(np.sqrt(wx * np.sum(np.abs(f.values) ** 2)))
+    if l2 is None:
+        l2 = float(np.sqrt(wx * np.sum(np.abs(f.values) ** 2)))
     return NormReport(
         l2=l2,
-        l_inf=sup_modulus(f),
+        l_inf=sup,
         h_s0=h_s0,
         h_0s=h_0s,
         sigma_s=h_s0 + h_0s,
@@ -279,26 +313,32 @@ def norms(f: ComplexField, t: float, s: float, *,
 
 
 def spectral_tail_fraction(f: ComplexField, band: float = 2.0 / 3.0, *,
-                           spectrum: np.ndarray | None = None) -> float:
+                           spectral_power: np.ndarray | None = None) -> float:
     """Fraction of spectral energy carried by modes with max_i |xi_i| above band * Nyquist.
 
     The resolution-adequacy monitor: well-resolved fields keep this tiny.
-    `spectrum` is ``np.fft.fftn(f.values)`` of a physical-space f when the
-    caller already has it; the values of a frequency-space f serve as is.
+    `spectral_power` is ``np.abs(np.fft.fftn(f.values)) ** 2`` of a
+    physical-space f when the caller already has it; the values of a
+    frequency-space f serve as the spectrum.
     """
-    if spectrum is None:
+    if spectral_power is None:
         spectrum = f.values if f.space is Space.FREQUENCY else np.fft.fftn(f.values)
-    power = np.abs(spectrum) ** 2
-    total = np.sum(power)
+        spectral_power = np.abs(spectrum) ** 2
+    total = np.sum(spectral_power)
     if total == 0.0:
         return 0.0
-    return float(np.sum(power[_tail_mask(f.grid, band)]) / total)
+    return float(np.sum(spectral_power[_tail_mask(f.grid, band)]) / total)
 
 
-def boundary_shell_fraction(f: ComplexField, shell: float = 0.1) -> float:
-    """Fraction of L2 mass in the outer `shell` fraction of the box (max-norm shell)."""
+def boundary_shell_fraction(f: ComplexField, shell: float = 0.1, *,
+                            power: np.ndarray | None = None) -> float:
+    """Fraction of L2 mass in the outer `shell` fraction of the box (max-norm shell).
+
+    `power` is ``np.abs(f.values) ** 2`` when the caller already has it.
+    """
     _require_space(f, Space.PHYSICAL, "boundary_shell_fraction")
-    power = np.abs(f.values) ** 2
+    if power is None:
+        power = np.abs(f.values) ** 2
     total = np.sum(power)
     if total == 0.0:
         return 0.0

@@ -146,6 +146,16 @@ class TestCli:
         assert main(["simulate", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {field}")
 
+    @pytest.mark.parametrize("field, value", [
+        ("blowup_norm_threshold", float("nan")), ("blowup_norm_threshold", 0.0),
+        ("blowup_norm_threshold", -5.0), ("boundary_mass_tolerance", float("nan")),
+        ("boundary_mass_tolerance", -1e-6)])
+    def test_simulate_rejects_bad_threshold_and_tolerance(self, tmp_path, capsys, field, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config_dict(**{field: value})))
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}")
+
     def test_malformed_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text('{"d": 1,,}')

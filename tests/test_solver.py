@@ -8,8 +8,10 @@ from nlslab import (
     Grid,
     NonlinearityParams,
     Space,
+    boundary_shell_fraction,
     free_propagate,
     norms,
+    sup_modulus,
 )
 from nlslab import solver
 from nlslab.initial_data import gaussian
@@ -55,6 +57,18 @@ class TestConfig:
     def test_rejects_bad_sampling_counts(self, field, value):
         with pytest.raises(ValueError, match=field):
             small_config(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("blowup_norm_threshold", np.nan), ("blowup_norm_threshold", 0.0),
+        ("blowup_norm_threshold", -5.0), ("boundary_mass_tolerance", np.nan),
+        ("boundary_mass_tolerance", -1e-6)])
+    def test_rejects_bad_threshold_and_tolerance(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: value})
+
+    def test_accepts_edge_threshold_and_tolerance(self):
+        cfg = small_config(blowup_norm_threshold=np.inf, boundary_mass_tolerance=0.0)
+        assert cfg.threshold == np.inf
 
     def test_fingerprint_changes_with_fields(self):
         a = small_config()
@@ -112,6 +126,35 @@ class TestStep:
         for _ in range(20):
             assert state.sup == np.max(np.abs(state.u.values))
             state = step(state, 0.05, record=False)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sample_reuses_the_steps_modulus_pass(self, d):
+        # the shell fraction and sup|u| on the state, and the sample's l2,
+        # l_inf and shell fraction, are the public functions' values bit for bit
+        if d == 1:
+            cfg = small_config(eps=0.4, grid=Grid(1, 128, 10.0), record_every=3)
+        else:
+            cfg = SolverConfig(grid=Grid(2, 32, 6.0), params=NonlinearityParams(1j, 0.5, 2),
+                               eps=0.5, s=1.2, record_every=3)
+        state = init(cfg, gaussian(cfg.grid))
+        samples = state.diagnostics.samples
+        for _ in range(60):
+            assert state.shell == boundary_shell_fraction(state.u)
+            assert state.sup == sup_modulus(state.u)
+            if state.step_count % cfg.record_every == 0:
+                sample = samples[-1]
+                assert sample.t == state.t
+                assert sample.shell_fraction == state.shell
+                assert sample.report.l_inf == sup_modulus(state.u)
+                want = norms(state.u, state.t, cfg.s)
+                assert sample.report.l2 == want.l2
+                assert sample.report.h_s0 == want.h_s0
+                assert sample.report.h_0s == pytest.approx(want.h_0s, rel=1e-13)
+                if d == 1:
+                    assert sample.report == want
+            state = step(state, solver._adaptive_dt(state))
+            assert state.status is RunStatus.RUNNING
+        assert state.shell > 0 and len(samples) == 21
 
     def test_real_lambda_conserves_mass(self):
         cfg = small_config(params=CONSERVATIVE)
@@ -244,6 +287,26 @@ class TestRunToBlowup:
         assert rec.status == "boundary-contaminated"
         assert rec.T_eps is None
         assert rec.invariant_quantity is None
+
+    def test_contamination_detected_on_an_unsampled_step(self, monkeypatch):
+        trials = []
+        original = solver.step
+
+        def spy(*args, **kwargs):
+            trials.append(original(*args, **kwargs))
+            return trials[-1]
+
+        monkeypatch.setattr(solver, "step", spy)
+        cfg = small_config(params=CONSERVATIVE, grid=Grid(1, 64, 6.0),
+                           eps=0.3, t_max=40.0, record_every=4)
+        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        abort = trials[-1]
+        assert rec.status == "boundary-contaminated"
+        assert abort.shell > cfg.boundary_mass_tolerance
+        # the aborting step took no sample, and no sample saw the shell mass
+        assert abort.step_count % cfg.record_every != 0
+        assert rec.diagnostics.samples[-1].t < abort.t
+        assert rec.max_shell_fraction <= cfg.boundary_mass_tolerance
 
     def test_mass_monotone_for_amplifying(self):
         cfg = small_config(eps=0.3, grid=Grid(1, 512, 30.0), record_every=4)

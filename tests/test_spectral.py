@@ -205,6 +205,48 @@ class TestNorms:
         assert not rep.is_finite()
         assert rep.sigma_s == np.inf
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_time(self, t):
+        f = random_field(Grid(1, 32, 4.0))
+        with pytest.raises(ValueError, match="finite"):
+            norms(f, t, 1.0)
+
+
+class TestBackPropagationPhase:
+    # t = 34.2 is about T_eps of the long 1-D benchmark run
+    TIMES = (0.0, 0.7, 3.1, 34.2)
+
+    @pytest.mark.parametrize("g", [Grid(1, 64, 8.0), Grid(1, 4096, 160.0)], ids=["n64", "n4096"])
+    @pytest.mark.parametrize("t", TIMES)
+    def test_d1_is_the_lattice_exponential(self, g, t):
+        want = np.exp(0.5j * t * g.abs_xi_sq)
+        assert np.array_equal(spectral._back_propagation_phase(g, t), want)
+
+    @pytest.mark.parametrize("g", [Grid(2, 32, 6.0), Grid(2, 64, 4.0),
+                                   Grid(3, 16, 5.0), Grid(3, 16, 1.5)],
+                             ids=lambda g: f"d{g.d}-L{g.L}")
+    @pytest.mark.parametrize("t", TIMES)
+    def test_outer_product_matches_lattice_exponential(self, g, t):
+        arg = 0.5 * t * g.abs_xi_sq
+        want = np.exp(1j * arg)
+        got = spectral._back_propagation_phase(g, t)
+        assert got.shape == g.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        # pointwise, both sides round an angle of size arg: a few ulps of it
+        assert np.all(np.abs(got - want) <= 1e-15 * (1.0 + arg))
+
+    def test_large_phase_case_is_covered(self):
+        # the L = 4 and L = 1.5 grids above reach phases beyond 1e4 rad at t = 34.2
+        for g in (Grid(2, 64, 4.0), Grid(3, 16, 1.5)):
+            assert 0.5 * 34.2 * g.abs_xi_sq.max() > 1e4
+
+    def test_mirror_index_is_cached_read_only(self):
+        idx = spectral._mirror_index(16)
+        assert idx is spectral._mirror_index(16)
+        assert list(idx) == [0, 1, 2, 3, 4, 5, 6, 7, 8, 7, 6, 5, 4, 3, 2, 1]
+        with pytest.raises(ValueError):
+            idx[0] = 1
+
 
 class TestResample:
     @pytest.mark.parametrize("d", [1, 2])
@@ -340,8 +382,20 @@ class TestFftOrderOracles:
         g = ORACLE_GRIDS[1]
         f = wide_random_field(g)
         spectrum = np.fft.fftn(f.values)
+        spectral_power = np.abs(spectrum) ** 2
         assert norms(f, 0.9, 1.1, spectrum=spectrum) == norms(f, 0.9, 1.1)
-        assert spectral_tail_fraction(f, spectrum=spectrum) == spectral_tail_fraction(f)
+        assert (spectral_tail_fraction(f, spectral_power=spectral_power)
+                == spectral_tail_fraction(f))
+
+    @pytest.mark.parametrize("g", ORACLE_GRIDS, ids=lambda g: f"d{g.d}")
+    def test_shared_moduli_are_exact(self, g):
+        f = wide_random_field(g)
+        spectrum = np.fft.fftn(f.values)
+        power = np.abs(f.values) ** 2
+        l2 = float(np.sqrt(g.h**g.d * np.sum(power)))
+        assert norms(f, 0.9, 1.1, spectrum=spectrum, spectral_power=np.abs(spectrum) ** 2,
+                     l2=l2, sup=sup_modulus(f)) == norms(f, 0.9, 1.1)
+        assert boundary_shell_fraction(f, power=power) == boundary_shell_fraction(f)
 
 
 class TestGridCaches:
