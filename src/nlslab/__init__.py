@@ -5,11 +5,9 @@ from .spectral import (
     Grid,
     NormReport,
     Space,
-    apply_multiplier,
     boundary_shell_fraction,
     fourier_forward,
     fourier_inverse,
-    l2_norm,
     norms,
     spectral_tail_fraction,
     sup_modulus,

@@ -1,10 +1,12 @@
-"""Strang split-step integration with adaptive stepping and blow-up time measurement.
+"""Strang split-step integration with error-controlled stepping and blow-up time measurement.
 
 One step is: half-step of the exact pointwise nonlinear flow, full spectral
-free propagation, half-step of the nonlinear flow.  The nonlinear substep's
-closed form carries its own blow-up detector (a pointwise denominator zero),
-so a run ends either when that fires, or when the sup norm crosses the
-configured cap; the final step is bisected to bracket the event time.
+free propagation, half-step of the nonlinear flow.  The run loop sizes its
+steps by step doubling, so the step grows wherever the local error allows.
+The nonlinear substep's closed form carries its own blow-up detector (a
+pointwise denominator zero), so a run ends either when that fires, or when
+the sup norm crosses the configured cap; the final step is bisected to
+bracket the event time.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .spectral import (
     Space,
     _resample,
     boundary_shell_fraction,
+    dft,
     norms,
     spectral_tail_fraction,
 )
@@ -48,6 +51,14 @@ def index_condition_holds(d: int, theta: float, s: float) -> bool:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Everything one run depends on.
+
+    `dt_init` sets the first trial step, dt_safety * dt_init; after that the
+    run loop grows or shrinks the step by step doubling until the local error
+    estimate meets `step_tolerance`.  Every step is also capped at dt_safety
+    times the pointwise blow-up horizon of sup|u|.
+    """
+
     grid: Grid
     params: NonlinearityParams
     eps: float
@@ -60,6 +71,7 @@ class SolverConfig:
     enforce_hypotheses: bool = True
     record_every: int = 1
     snapshot_budget: int = 128
+    step_tolerance: float = 1e-7
 
     def __post_init__(self):
         if self.eps < 0:
@@ -75,6 +87,9 @@ class SolverConfig:
         if not (self.boundary_mass_tolerance >= 0):
             raise ValueError(
                 f"boundary_mass_tolerance must be >= 0, got {self.boundary_mass_tolerance}")
+        if not (0 < self.step_tolerance < math.inf):
+            raise ValueError(
+                f"step_tolerance must be positive and finite, got {self.step_tolerance}")
         if self.enforce_hypotheses and not self.index_condition_ok:
             raise ValueError(
                 f"Sobolev index s={self.s} violates the admissible range "
@@ -102,6 +117,7 @@ class SolverConfig:
             "threshold": self.threshold,
             "boundary_mass_tolerance": self.boundary_mass_tolerance,
             "t_max": self.t_max, "record_every": self.record_every,
+            "step_tolerance": self.step_tolerance,
         })
 
 
@@ -122,26 +138,26 @@ class DiagnosticsLog:
 
     Samples are only appended, so stepping twice from one state with
     recording on writes both branches here.  An event step records none.
+    Each sample, and each step the run loop accepts, offers its field as a
+    snapshot; past the budget the snapshots are thinned so that they stay
+    evenly spread in time.
     """
 
     samples: list = field(default_factory=list)
     snapshot_times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
-    _snapshot_stride: int = 1
-    _steps_since_snapshot: int = 0
 
     def record_snapshot(self, t: float, values: np.ndarray, budget: int):
-        self._steps_since_snapshot += 1
-        if self._steps_since_snapshot < self._snapshot_stride:
+        times = self.snapshot_times
+        if times and times[-1] == t:
             return
-        self._steps_since_snapshot = 0
-        self.snapshot_times.append(t)
+        times.append(t)
         self.snapshots.append(values.copy())
-        if len(self.snapshots) > budget:
-            # dyadic decimation keeps memory bounded over arbitrarily long runs
-            self.snapshot_times = self.snapshot_times[::2]
-            self.snapshots = self.snapshots[::2]
-            self._snapshot_stride *= 2
+        if len(times) > budget:
+            # drop the interior snapshot whose neighbours lie closest in time
+            i = min(range(1, len(times) - 1), key=lambda j: times[j + 1] - times[j - 1],
+                    default=0)
+            del times[i], self.snapshots[i]
 
 
 @dataclass
@@ -165,7 +181,7 @@ def _sample_diagnostics(state: SolverState, absu: np.ndarray, power: np.ndarray)
     wx = g.h**g.d
     mass = float(wx * np.sum(power))
     # one forward transform and its |spectrum|^2 serve the norms and the tail monitor
-    spectrum = np.fft.fftn(state.u.values)
+    spectrum = dft(state.u.values)
     spectral_power = np.abs(spectrum) ** 2
     rep = norms(state.u, state.t, cfg.s, spectrum=spectrum, spectral_power=spectral_power,
                 l2=math.sqrt(mass), sup=state.sup)
@@ -214,6 +230,36 @@ def _strang(u: np.ndarray, dt: float, config: SolverConfig) -> np.ndarray:
         raise PointwiseBlowUp(elapsed + min(e.earliest, half)) from None
 
 
+def _event(state: SolverState, t_blow: float, criterion: str) -> SolverState:
+    return replace(state, status=RunStatus.BLOWN_UP, t_blow=t_blow, blow_criterion=criterion)
+
+
+def _advance(state: SolverState, u: np.ndarray, dt: float, record: bool) -> SolverState:
+    """The state dt after `state`, carrying the field u, or the base state marked
+    BLOWN_UP when u is non-finite or reaches the sup-norm cap.
+
+    One pass of |u| gives the finiteness check, sup|u| and the boundary-shell
+    fraction, and the sample reuses it; with `record` set the new state is
+    sampled every `record_every` steps.
+    """
+    cfg = state.config
+    absu = np.abs(u)
+    sup = float(np.max(absu))
+    # a non-finite value has a non-finite modulus, so only then is the field scanned
+    if not math.isfinite(sup) and not np.isfinite(u).all():
+        return _event(state, state.t + dt, "pointwise")
+    if sup >= cfg.threshold:
+        return _event(state, state.t + dt, "threshold")
+    u_field = ComplexField(cfg.grid, Space.PHYSICAL, u)
+    power = absu**2
+    new = replace(state, t=state.t + dt, u=u_field, sup=sup,
+                  shell=boundary_shell_fraction(u_field, power=power),
+                  step_count=state.step_count + 1)
+    if record and new.step_count % cfg.record_every == 0:
+        _sample_diagnostics(new, absu, power)
+    return new
+
+
 def step(state: SolverState, dt: float, record: bool = True) -> SolverState:
     """One Strang step of size dt.
 
@@ -229,38 +275,45 @@ def step(state: SolverState, dt: float, record: bool = True) -> SolverState:
         raise ValueError(f"cannot step a state with status {state.status.value}")
     if not (dt > 0):
         raise ValueError(f"step size must be positive, got {dt}")
-    cfg = state.config
     try:
-        u = ComplexField(cfg.grid, Space.PHYSICAL, _strang(state.u.values, dt, cfg))
+        u = _strang(state.u.values, dt, state.config)
     except PointwiseBlowUp as e:
-        t_blow, criterion = state.t + e.earliest, "pointwise"
-    else:
-        absu = np.abs(u.values)
-        sup = float(np.max(absu))
-        # a non-finite value has a non-finite modulus, so only then is the field scanned
-        if not math.isfinite(sup) and not u.is_finite():
-            t_blow, criterion = state.t + dt, "pointwise"
-        elif sup >= cfg.threshold:
-            t_blow, criterion = state.t + dt, "threshold"
-        else:
-            power = absu**2
-            new = replace(state, t=state.t + dt, u=u, sup=sup,
-                          shell=boundary_shell_fraction(u, power=power),
-                          step_count=state.step_count + 1)
-            if record and new.step_count % cfg.record_every == 0:
-                _sample_diagnostics(new, absu, power)
-            return new
-    return replace(state, status=RunStatus.BLOWN_UP, t_blow=t_blow, blow_criterion=criterion)
+        return _event(state, state.t + e.earliest, "pointwise")
+    return _advance(state, u, dt, record)
 
 
-def _adaptive_dt(state: SolverState) -> float:
-    cfg = state.config
-    params = cfg.params
-    if params.mu > 0 and state.sup > 0:
-        horizon = 1.0 / (params.b * params.mu * state.sup**params.b)
-    else:
-        horizon = np.inf
-    return cfg.dt_safety * min(cfg.dt_init, horizon)
+def _doubling_trial(u: np.ndarray, dt: float, config: SolverConfig):
+    """One Strang step of dt and two of dt/2 from the field u.
+
+    Returns (two, err): the two-half-step field and the local error estimate
+    err = ||u_dt - two||_2 / (3 ||two||_2), not finite when either field
+    is not.  A :class:`PointwiseBlowUp` of the full step propagates; one
+    in a half step alone returns (None, inf).
+    """
+    full = _strang(u, dt, config)
+    try:
+        two = _strang(_strang(u, 0.5 * dt, config), 0.5 * dt, config)
+    except PointwiseBlowUp:
+        return None, math.inf
+    diff = full - two
+    num = np.vdot(diff, diff).real
+    den = np.vdot(two, two).real
+    if den > 0:
+        return two, math.sqrt(num / den) / 3.0
+    return two, 0.0 if num == 0 else math.nan
+
+
+def _resize(err: float, tol: float) -> float:
+    """Factor from one step to the next: 0.9 (tol/err)^(1/3), clipped to [0.2, 4].
+
+    The exponent is that of the doubling estimate's local error, O(dt^3).  A
+    non-finite err gives the smallest factor.
+    """
+    if not math.isfinite(err):
+        return 0.2
+    if err == 0.0:
+        return 4.0
+    return min(4.0, max(0.2, 0.9 * (tol / err) ** (1.0 / 3.0)))
 
 
 def _bisect_event(state: SolverState, dt_hi: float, hi_trial: SolverState):
@@ -282,24 +335,58 @@ def _bisect_event(state: SolverState, dt_hi: float, hi_trial: SolverState):
 
 
 def run_to_blowup(state: SolverState) -> RunRecord:
-    """Advance with the adaptive step law until blow-up, contamination, or t_max.
+    """Advance with the error-controlled step law until blow-up, contamination, or t_max.
 
-    dt = dt_safety * min(dt_init, pointwise blow-up horizon of the sup norm),
-    so the nonlinear substep stays well inside its own singularity.  When a
-    step ends in an event the step is bisected, the run lands on the last
-    event-free trial and records one final sample there, unless the landing
-    state is the base state and was already sampled.  The boundary
-    monitor aborts when the outer-shell mass fraction exceeds its tolerance;
-    such runs are invalid for bound checking.
+    Each proposed step h is cut to dt = min(h, dt_safety * pointwise blow-up
+    horizon of sup|u|, t_max - t), so the nonlinear substep stays well
+    inside its own singularity; the first proposal is dt_safety * dt_init.
+    A trial takes one Strang step of dt and two of dt/2 (see
+    :func:`_doubling_trial`).  If the error estimate err meets
+    `step_tolerance`, the two-half-step field is accepted, and only it gets
+    the |u| pass, the shell check, a snapshot and, every `record_every`
+    accepted steps, a sample; otherwise, or for a non-finite trial field,
+    the trial is retried.  The next proposal is dt * 0.9 (tol/err)^(1/3),
+    at most 4 dt after an acceptance and at least dt/5 after a rejection; a
+    half step alone running into the singularity halves dt.  A tolerance
+    below the attainable roundoff shrinks the step to nothing and raises
+    RuntimeError.
+
+    When the full trial step, or the accepted field's sup-norm cap, ends in
+    an event, the step of dt is bisected with single Strang steps from the
+    base state; the run lands on the last event-free trial and records one
+    final sample there, unless the landing state is the base state and was
+    already sampled.  The boundary monitor aborts when the outer-shell mass
+    fraction exceeds its tolerance; such runs are invalid for bound checking.
     """
     cfg = state.config
+    params = cfg.params
+    tol = cfg.step_tolerance
+    h = cfg.dt_safety * cfg.dt_init
     while state.status is RunStatus.RUNNING:
         remaining = cfg.t_max - state.t
         if remaining <= 1e-12 * cfg.t_max:
             state = replace(state, status=RunStatus.REACHED_TMAX)
             break
-        dt = min(_adaptive_dt(state), remaining)
-        trial = step(state, dt)
+        if params.mu > 0 and state.sup > 0:
+            horizon = 1.0 / (params.b * params.mu * state.sup**params.b)
+        else:
+            horizon = math.inf
+        dt = min(h, cfg.dt_safety * horizon, remaining)
+        if not state.t + dt > state.t:
+            raise RuntimeError(f"step size {dt!r} vanishes at t={state.t!r}: the local "
+                               f"error cannot meet step_tolerance={tol!r}")
+        try:
+            two, err = _doubling_trial(state.u.values, dt, cfg)
+        except PointwiseBlowUp as e:
+            trial = _event(state, state.t + e.earliest, "pointwise")
+        else:
+            if two is None:
+                h = 0.5 * dt
+                continue
+            h = dt * _resize(err, tol)
+            if not err <= tol:
+                continue
+            trial = _advance(state, two, dt, record=True)
         if trial.status is RunStatus.BLOWN_UP:
             dt_lo, dt_hi, criterion = _bisect_event(state, dt, trial)
             landed = step(state, dt_lo, record=False) if dt_lo > 0 else state
@@ -312,6 +399,7 @@ def run_to_blowup(state: SolverState) -> RunRecord:
             state = replace(trial, status=RunStatus.BOUNDARY_CONTAMINATED)
         else:
             state = trial
+            state.diagnostics.record_snapshot(state.t, state.u.values, cfg.snapshot_budget)
     return make_record(state)
 
 

@@ -11,9 +11,9 @@ from nlslab import (
     NonlinearityParams,
     PointwiseBlowUp,
     Space,
-    apply_multiplier,
     blowup_horizon,
     fourier_forward,
+    fourier_inverse,
     free_propagate,
     g_p,
     gauge_multiply,
@@ -33,6 +33,14 @@ def random_field(grid, seed=0):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     return ComplexField(grid, Space.PHYSICAL, v)
+
+
+def apply_multiplier(f, m):
+    """F^{-1}[m F f] through the public unitary transform; m is an array on the
+    lattice or a function of the frequency meshes."""
+    m = m(*f.grid.xi_mesh) if callable(m) else m
+    fh = fourier_forward(f)
+    return fourier_inverse(ComplexField(f.grid, Space.FREQUENCY, m * fh.values))
 
 
 def params_for(lam, b, d=1):
@@ -103,6 +111,15 @@ class TestFreePropagate:
         want = apply_multiplier(f, np.exp(-0.5j * t * g.abs_xi_sq)).values
         got = free_propagate(f, t).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [64, 4096])
+    @pytest.mark.parametrize("t", [0.005, -1.3, 33.7])
+    def test_one_dimensional_path_equals_fftn_path(self, n, t):
+        # the 1-D transforms and the 1-D phase factor change no bit
+        g = Grid(1, n, 40.0)
+        f = random_field(g, seed=n)
+        want = np.fft.ifftn(np.exp(-0.5j * t * g.abs_xi_sq) * np.fft.fftn(f.values))
+        assert np.array_equal(free_propagate(f, t).values, want)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 1e308])
     def test_rejects_non_finite_time(self, t):

@@ -1,5 +1,7 @@
 """Split-step solver: linear limit, conservation, blow-up measurement, convergence."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize("value", [np.nan, 0.0, -1e-7, np.inf])
+    def test_rejects_bad_step_tolerance(self, value):
+        with pytest.raises(ValueError, match="step_tolerance"):
+            small_config(step_tolerance=value)
+
     def test_accepts_edge_threshold_and_tolerance(self):
         cfg = small_config(blowup_norm_threshold=np.inf, boundary_mass_tolerance=0.0)
         assert cfg.threshold == np.inf
@@ -77,6 +84,7 @@ class TestConfig:
         assert a.fingerprint() == small_config().fingerprint()
         assert a.fingerprint() != b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
+        assert a.fingerprint() != small_config(step_tolerance=1e-8).fingerprint()
 
 
 class TestInit:
@@ -152,7 +160,7 @@ class TestStep:
                 assert sample.report.h_0s == pytest.approx(want.h_0s, rel=1e-13)
                 if d == 1:
                     assert sample.report == want
-            state = step(state, solver._adaptive_dt(state))
+            state = step(state, 0.005)
             assert state.status is RunStatus.RUNNING
         assert state.shell > 0 and len(samples) == 21
 
@@ -289,18 +297,18 @@ class TestRunToBlowup:
         assert rec.invariant_quantity is None
 
     def test_contamination_detected_on_an_unsampled_step(self, monkeypatch):
-        trials = []
-        original = solver.step
+        accepted = []
+        original = solver._advance
 
         def spy(*args, **kwargs):
-            trials.append(original(*args, **kwargs))
-            return trials[-1]
+            accepted.append(original(*args, **kwargs))
+            return accepted[-1]
 
-        monkeypatch.setattr(solver, "step", spy)
+        monkeypatch.setattr(solver, "_advance", spy)
         cfg = small_config(params=CONSERVATIVE, grid=Grid(1, 64, 6.0),
                            eps=0.3, t_max=40.0, record_every=4)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
-        abort = trials[-1]
+        abort = accepted[-1]
         assert rec.status == "boundary-contaminated"
         assert abort.shell > cfg.boundary_mass_tolerance
         # the aborting step took no sample, and no sample saw the shell mass
@@ -360,6 +368,95 @@ class TestRunToBlowup:
                            snapshot_budget=32)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         assert len(rec.diagnostics.snapshots) <= 33
+
+    def test_snapshots_stay_evenly_spread(self):
+        # 295 accepted steps, growing from 0.005 to about 0.03, offer their
+        # fields; the 32 kept span the run with no gap above twice the mean
+        # (1.48 measured)
+        cfg = small_config(eps=0.3, grid=Grid(1, 256, 25.0), record_every=1,
+                           snapshot_budget=32)
+        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        times = np.array(rec.diagnostics.snapshot_times)
+        assert rec.status == "blown-up" and len(times) == 32
+        assert times[0] == 0.0 and times[-1] == rec.diagnostics.samples[-1].t
+        assert np.diff(times).max() < 2.0 * times[-1] / (len(times) - 1)
+
+
+class TestStepLaw:
+    def spy_trials(self, monkeypatch):
+        """Record (dt, two, err) of every doubling trial and (field, dt) of every _advance."""
+        trials, advanced = [], []
+        trial, advance = solver._doubling_trial, solver._advance
+
+        def spy_trial(u, dt, config):
+            two, err = trial(u, dt, config)
+            if two is not None:
+                # the field is two Strang steps of dt/2, and err the doubling estimate
+                want = solver._strang(solver._strang(u, dt / 2, config), dt / 2, config)
+                assert np.array_equal(two, want)
+                full = solver._strang(u, dt, config)
+                assert err == pytest.approx(
+                    np.linalg.norm(full - two) / (3.0 * np.linalg.norm(two)), rel=1e-9)
+            trials.append((dt, two, err))
+            return two, err
+
+        def spy_advance(state, u, dt, record):
+            advanced.append((u, dt))
+            return advance(state, u, dt, record)
+
+        monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
+        monkeypatch.setattr(solver, "_advance", spy_advance)
+        return trials, advanced
+
+    def test_tolerance_refinement_stays_inside_the_bisection_bracket(self):
+        # the event bracket has relative half-width 5e-4; a tenfold tighter
+        # step tolerance must move T by less (2.9e-6 measured)
+        def measure(tol):
+            cfg = small_config(eps=0.4, grid=Grid(1, 512, 30.0), record_every=8,
+                               step_tolerance=tol)
+            return run_to_blowup(init(cfg, gaussian(cfg.grid))).T_eps
+
+        tol = SolverConfig.step_tolerance
+        t_a, t_b = measure(tol), measure(tol / 10.0)
+        assert abs(t_a - t_b) / t_b < 5e-4
+
+    def test_rejected_trials_retry_smaller_and_accepted_meet_tolerance(self, monkeypatch):
+        trials, advanced = self.spy_trials(monkeypatch)
+        # a first step of 0.2 is far too long for the tolerance
+        cfg = small_config(eps=0.4, dt_init=2.0, record_every=8)
+        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        assert rec.status == "blown-up"
+        assert trials[0][0] == pytest.approx(0.2) and trials[0][2] > cfg.step_tolerance
+        rejected = [k for k, (_, _, err) in enumerate(trials) if not err <= cfg.step_tolerance]
+        assert rejected
+        for k in rejected:
+            assert trials[k + 1][0] < trials[k][0]
+        # every accepted field is the two-half-step field of a trial within tolerance;
+        # the rest of the _advance calls are the bisection's single steps
+        by_field = {id(two): (dt, err) for dt, two, err in trials if two is not None}
+        accepted = [(by_field[id(u)], dt) for u, dt in advanced if id(u) in by_field]
+        assert len(accepted) == len(trials) - len(rejected)
+        for (dt_trial, err), dt in accepted:
+            assert err <= cfg.step_tolerance and dt == dt_trial
+
+    def test_half_step_event_halves_the_step(self, monkeypatch):
+        dts = []
+        trial = solver._doubling_trial
+
+        def first_half_step_blows_up(u, dt, config):
+            dts.append(dt)
+            return (None, math.inf) if len(dts) == 1 else trial(u, dt, config)
+
+        monkeypatch.setattr(solver, "_doubling_trial", first_half_step_blows_up)
+        cfg = small_config(eps=0.4, t_max=0.1)
+        run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        assert dts[0] == cfg.dt_safety * cfg.dt_init and dts[1] == dts[0] / 2
+
+    def test_unattainable_tolerance_fails_loudly(self):
+        # roundoff alone keeps err above 1e-300, so the step shrinks to nothing
+        cfg = small_config(eps=0.4, grid=Grid(1, 64, 10.0), step_tolerance=1e-300)
+        with pytest.raises(RuntimeError, match="step_tolerance"):
+            run_to_blowup(init(cfg, gaussian(cfg.grid)))
 
 
 class TestHigherDimensions:

@@ -1,4 +1,4 @@
-"""Grid, transform convention, multiplier, and weighted-norm checks."""
+"""Grid, transform convention, and weighted-norm checks."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,9 @@ from nlslab import (
     ComplexField,
     Grid,
     Space,
-    apply_multiplier,
     boundary_shell_fraction,
     fourier_forward,
     fourier_inverse,
-    l2_norm,
     norms,
     spectral_tail_fraction,
     sup_modulus,
@@ -98,7 +96,16 @@ class TestFourier:
         back = fourier_inverse(fh)
         scale = np.max(np.abs(f.values))
         assert np.max(np.abs(back.values - f.values)) / scale < 1e-12
-        assert abs(l2_norm(fh) - l2_norm(f)) / l2_norm(f) < 1e-12
+        # Parseval: the quadrature weights are h^d and dxi^d
+        l2 = np.sqrt(g.h**d * np.sum(np.abs(f.values) ** 2))
+        l2_hat = np.sqrt(g.dxi**d * np.sum(np.abs(fh.values) ** 2))
+        assert abs(l2_hat - l2) / l2 < 1e-12
+
+    @pytest.mark.parametrize("d,n", [(1, 64), (1, 4096), (2, 32), (3, 16)])
+    def test_dft_is_fftn(self, d, n):
+        v = random_field(Grid(d, n, 5.0), seed=n).values
+        assert np.array_equal(spectral.dft(v), np.fft.fftn(v))
+        assert np.array_equal(spectral.idft(v), np.fft.ifftn(v))
 
     def test_wrong_space_rejected(self):
         g = Grid(1, 16, 2.0)
@@ -108,36 +115,6 @@ class TestFourier:
             fourier_forward(fh)
         with pytest.raises(ValueError):
             fourier_inverse(f)
-
-
-class TestMultiplier:
-    def test_identity(self):
-        g = Grid(1, 64, 8.0)
-        f = random_field(g, seed=3)
-        out = apply_multiplier(f, lambda xi: np.ones_like(xi))
-        assert np.max(np.abs(out.values - f.values)) < 1e-14
-
-    def test_inverse_pair(self):
-        g = Grid(2, 32, 6.0)
-        f = gaussian_field(g)
-        s = 1.3
-        up = apply_multiplier(f, lambda x1, x2: (1 + x1**2 + x2**2) ** (s / 2))
-        down = apply_multiplier(up, lambda x1, x2: (1 + x1**2 + x2**2) ** (-s / 2))
-        assert np.max(np.abs(down.values - f.values)) / np.max(np.abs(f.values)) < 1e-10
-
-    def test_derivative_oracle(self):
-        # i*xi on sin(pi x / L) must give the analytic derivative (pi/L) cos(pi x / L)
-        g = Grid(1, 128, 5.0)
-        f = ComplexField(g, Space.PHYSICAL, np.sin(np.pi * g.x_1d / g.L) + 0j)
-        out = apply_multiplier(f, lambda xi: 1j * xi)
-        expected = (np.pi / g.L) * np.cos(np.pi * g.x_1d / g.L)
-        assert np.max(np.abs(out.values - expected)) < 1e-10
-
-    def test_nonfinite_multiplier_rejected(self):
-        g = Grid(1, 16, 2.0)
-        f = gaussian_field(g)
-        with pytest.raises(ValueError), np.errstate(divide="ignore"):
-            apply_multiplier(f, lambda xi: 1.0 / xi)  # blows up at xi = 0
 
 
 class TestNorms:
