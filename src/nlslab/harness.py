@@ -51,7 +51,6 @@ class ExperimentConfig:
     enforce_hypotheses: bool = True
     record_every: int = 4
     snapshot_budget: int = 128
-    step_tolerance: float = 1e-7
     profile_ode: dict = field(default_factory=lambda: {
         "kind": "adversarial", "t_star": 0.5, "sigma_fraction": 0.2,
         "c1": 0.3, "c2": 0.3, "delta": 1.0, "eps": None,
@@ -137,7 +136,6 @@ class ExperimentConfig:
             enforce_hypotheses=self.enforce_hypotheses,
             record_every=self.record_every,
             snapshot_budget=self.snapshot_budget,
-            step_tolerance=self.step_tolerance,
         )
 
 

@@ -37,6 +37,13 @@ from .spectral import (
 )
 
 
+# Relative local error the run loop's step doubling accepts per step.  Chosen
+# on the benchmark runs: it moves T_eps by at most 1.7e-4 relative against the
+# old fixed step of 0.005 (the bisection bracket's half-width is 5e-4), while
+# 1e-8 makes the 2-D run slower than the fixed step was.
+_STEP_TOLERANCE = 1e-7
+
+
 class RunStatus(str, Enum):
     RUNNING = "running"
     BLOWN_UP = "blown-up"
@@ -55,8 +62,8 @@ class SolverConfig:
 
     `dt_init` sets the first trial step, dt_safety * dt_init; after that the
     run loop grows or shrinks the step by step doubling until the local error
-    estimate meets `step_tolerance`.  Every step is also capped at dt_safety
-    times the pointwise blow-up horizon of sup|u|.
+    estimate meets the solver's step tolerance (1e-7).  Every step is also
+    capped at dt_safety times the pointwise blow-up horizon of sup|u|.
     """
 
     grid: Grid
@@ -71,7 +78,6 @@ class SolverConfig:
     enforce_hypotheses: bool = True
     record_every: int = 1
     snapshot_budget: int = 128
-    step_tolerance: float = 1e-7
 
     def __post_init__(self):
         if self.eps < 0:
@@ -87,9 +93,6 @@ class SolverConfig:
         if not (self.boundary_mass_tolerance >= 0):
             raise ValueError(
                 f"boundary_mass_tolerance must be >= 0, got {self.boundary_mass_tolerance}")
-        if not (0 < self.step_tolerance < math.inf):
-            raise ValueError(
-                f"step_tolerance must be positive and finite, got {self.step_tolerance}")
         if self.enforce_hypotheses and not self.index_condition_ok:
             raise ValueError(
                 f"Sobolev index s={self.s} violates the admissible range "
@@ -117,7 +120,6 @@ class SolverConfig:
             "threshold": self.threshold,
             "boundary_mass_tolerance": self.boundary_mass_tolerance,
             "t_max": self.t_max, "record_every": self.record_every,
-            "step_tolerance": self.step_tolerance,
         })
 
 
@@ -287,13 +289,23 @@ def _doubling_trial(u: np.ndarray, dt: float, config: SolverConfig):
 
     Returns (two, err): the two-half-step field and the local error estimate
     err = ||u_dt - two||_2 / (3 ||two||_2), not finite when either field
-    is not.  A :class:`PointwiseBlowUp` of the full step propagates; one
-    in a half step alone returns (None, inf).
+    is not.  When both the full step and a half step run into the pointwise
+    singularity, the full step's :class:`PointwiseBlowUp` propagates; when
+    only one of them does, the step is too long to tell an event from a
+    step-size artifact, and the result is (None, inf).
     """
-    full = _strang(u, dt, config)
+    blown = None
+    try:
+        full = _strang(u, dt, config)
+    except PointwiseBlowUp as e:
+        blown = e
     try:
         two = _strang(_strang(u, 0.5 * dt, config), 0.5 * dt, config)
     except PointwiseBlowUp:
+        if blown is not None:
+            raise blown from None
+        return None, math.inf
+    if blown is not None:
         return None, math.inf
     diff = full - two
     num = np.vdot(diff, diff).real
@@ -341,26 +353,27 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     horizon of sup|u|, t_max - t), so the nonlinear substep stays well
     inside its own singularity; the first proposal is dt_safety * dt_init.
     A trial takes one Strang step of dt and two of dt/2 (see
-    :func:`_doubling_trial`).  If the error estimate err meets
-    `step_tolerance`, the two-half-step field is accepted, and only it gets
-    the |u| pass, the shell check, a snapshot and, every `record_every`
-    accepted steps, a sample; otherwise, or for a non-finite trial field,
-    the trial is retried.  The next proposal is dt * 0.9 (tol/err)^(1/3),
-    at most 4 dt after an acceptance and at least dt/5 after a rejection; a
-    half step alone running into the singularity halves dt.  A tolerance
-    below the attainable roundoff shrinks the step to nothing and raises
-    RuntimeError.
+    :func:`_doubling_trial`).  If the error estimate err meets the step
+    tolerance `_STEP_TOLERANCE`, the two-half-step field is accepted, and
+    only it gets the |u| pass, the shell check, a snapshot and, every
+    `record_every` accepted steps, a sample; otherwise, or for a non-finite
+    trial field, the trial is retried.  The next proposal is
+    dt * 0.9 (tol/err)^(1/3), at most 4 dt after an acceptance and at least
+    dt/5 after a rejection.  When only the full step or only a half step
+    runs into the pointwise singularity, dt is halved and the trial retried.
+    A step that shrinks to nothing raises RuntimeError.
 
-    When the full trial step, or the accepted field's sup-norm cap, ends in
-    an event, the step of dt is bisected with single Strang steps from the
-    base state; the run lands on the last event-free trial and records one
-    final sample there, unless the landing state is the base state and was
-    already sampled.  The boundary monitor aborts when the outer-shell mass
-    fraction exceeds its tolerance; such runs are invalid for bound checking.
+    When the full step and a half step both run into the singularity, or the
+    accepted field reaches the sup-norm cap, the step of dt is bisected with
+    single Strang steps from the base state; the run lands on the last
+    event-free trial and records one final sample there, unless the landing
+    state is the base state and was already sampled.  The boundary monitor
+    aborts when the outer-shell mass fraction exceeds its tolerance; such
+    runs are invalid for bound checking.
     """
     cfg = state.config
     params = cfg.params
-    tol = cfg.step_tolerance
+    tol = _STEP_TOLERANCE
     h = cfg.dt_safety * cfg.dt_init
     while state.status is RunStatus.RUNNING:
         remaining = cfg.t_max - state.t
@@ -373,8 +386,8 @@ def run_to_blowup(state: SolverState) -> RunRecord:
             horizon = math.inf
         dt = min(h, cfg.dt_safety * horizon, remaining)
         if not state.t + dt > state.t:
-            raise RuntimeError(f"step size {dt!r} vanishes at t={state.t!r}: the local "
-                               f"error cannot meet step_tolerance={tol!r}")
+            raise RuntimeError(f"step size {dt!r} vanishes at t={state.t!r}: the trials "
+                               f"cannot meet the step tolerance {tol!r}")
         try:
             two, err = _doubling_trial(state.u.values, dt, cfg)
         except PointwiseBlowUp as e:

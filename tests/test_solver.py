@@ -17,6 +17,7 @@ from nlslab import (
 )
 from nlslab import solver
 from nlslab.initial_data import gaussian
+from nlslab.propagators import PointwiseBlowUp
 from nlslab.solver import (
     RunStatus,
     SolverConfig,
@@ -68,11 +69,6 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             small_config(**{field: value})
 
-    @pytest.mark.parametrize("value", [np.nan, 0.0, -1e-7, np.inf])
-    def test_rejects_bad_step_tolerance(self, value):
-        with pytest.raises(ValueError, match="step_tolerance"):
-            small_config(step_tolerance=value)
-
     def test_accepts_edge_threshold_and_tolerance(self):
         cfg = small_config(blowup_norm_threshold=np.inf, boundary_mass_tolerance=0.0)
         assert cfg.threshold == np.inf
@@ -84,7 +80,6 @@ class TestConfig:
         assert a.fingerprint() == small_config().fingerprint()
         assert a.fingerprint() != b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
-        assert a.fingerprint() != small_config(step_tolerance=1e-8).fingerprint()
 
 
 class TestInit:
@@ -408,16 +403,13 @@ class TestStepLaw:
         monkeypatch.setattr(solver, "_advance", spy_advance)
         return trials, advanced
 
-    def test_tolerance_refinement_stays_inside_the_bisection_bracket(self):
+    def test_tolerance_refinement_stays_inside_the_bisection_bracket(self, monkeypatch):
         # the event bracket has relative half-width 5e-4; a tenfold tighter
         # step tolerance must move T by less (2.9e-6 measured)
-        def measure(tol):
-            cfg = small_config(eps=0.4, grid=Grid(1, 512, 30.0), record_every=8,
-                               step_tolerance=tol)
-            return run_to_blowup(init(cfg, gaussian(cfg.grid))).T_eps
-
-        tol = SolverConfig.step_tolerance
-        t_a, t_b = measure(tol), measure(tol / 10.0)
+        cfg = small_config(eps=0.4, grid=Grid(1, 512, 30.0), record_every=8)
+        t_a = run_to_blowup(init(cfg, gaussian(cfg.grid))).T_eps
+        monkeypatch.setattr(solver, "_STEP_TOLERANCE", solver._STEP_TOLERANCE / 10.0)
+        t_b = run_to_blowup(init(cfg, gaussian(cfg.grid))).T_eps
         assert abs(t_a - t_b) / t_b < 5e-4
 
     def test_rejected_trials_retry_smaller_and_accepted_meet_tolerance(self, monkeypatch):
@@ -426,8 +418,9 @@ class TestStepLaw:
         cfg = small_config(eps=0.4, dt_init=2.0, record_every=8)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         assert rec.status == "blown-up"
-        assert trials[0][0] == pytest.approx(0.2) and trials[0][2] > cfg.step_tolerance
-        rejected = [k for k, (_, _, err) in enumerate(trials) if not err <= cfg.step_tolerance]
+        tol = solver._STEP_TOLERANCE
+        assert trials[0][0] == pytest.approx(0.2) and trials[0][2] > tol
+        rejected = [k for k, (_, _, err) in enumerate(trials) if not err <= tol]
         assert rejected
         for k in rejected:
             assert trials[k + 1][0] < trials[k][0]
@@ -437,7 +430,7 @@ class TestStepLaw:
         accepted = [(by_field[id(u)], dt) for u, dt in advanced if id(u) in by_field]
         assert len(accepted) == len(trials) - len(rejected)
         for (dt_trial, err), dt in accepted:
-            assert err <= cfg.step_tolerance and dt == dt_trial
+            assert err <= tol and dt == dt_trial
 
     def test_half_step_event_halves_the_step(self, monkeypatch):
         dts = []
@@ -452,10 +445,45 @@ class TestStepLaw:
         run_to_blowup(init(cfg, gaussian(cfg.grid)))
         assert dts[0] == cfg.dt_safety * cfg.dt_init and dts[1] == dts[0] / 2
 
-    def test_unattainable_tolerance_fails_loudly(self):
+    def spy_strang(self, monkeypatch, blown_calls):
+        """Record the dt of every Strang step; the calls numbered in `blown_calls` raise."""
+        dts = []
+        strang = solver._strang
+
+        def spy(u, dt, config):
+            dts.append(dt)
+            if len(dts) in blown_calls:
+                raise PointwiseBlowUp(0.5 * dt)
+            return strang(u, dt, config)
+
+        monkeypatch.setattr(solver, "_strang", spy)
+        return dts
+
+    def test_full_step_event_alone_halves_the_step(self, monkeypatch):
+        # the first trial's full step meets the singularity but its half steps
+        # do not: a step-size artifact, so the trial is retried at half length
+        dts = self.spy_strang(monkeypatch, blown_calls={1})
+        cfg = small_config(eps=0.4, t_max=0.1)
+        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        dt0 = cfg.dt_safety * cfg.dt_init
+        assert rec.status == "reached-t-max"
+        assert dts[:6] == [dt0, dt0 / 2, dt0 / 2, dt0 / 2, dt0 / 4, dt0 / 4]
+
+    def test_event_in_both_paths_ends_the_run(self, monkeypatch):
+        # the full step and the first half step both meet the singularity: an
+        # event, bisected inside the first step
+        dts = self.spy_strang(monkeypatch, blown_calls={1, 2})
+        cfg = small_config(eps=0.4, t_max=0.1)
+        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        dt0 = cfg.dt_safety * cfg.dt_init
+        assert dts[:2] == [dt0, dt0 / 2]
+        assert rec.status == "blown-up" and 0 < rec.t_blow_pointwise <= dt0
+
+    def test_unattainable_tolerance_fails_loudly(self, monkeypatch):
         # roundoff alone keeps err above 1e-300, so the step shrinks to nothing
-        cfg = small_config(eps=0.4, grid=Grid(1, 64, 10.0), step_tolerance=1e-300)
-        with pytest.raises(RuntimeError, match="step_tolerance"):
+        monkeypatch.setattr(solver, "_STEP_TOLERANCE", 1e-300)
+        cfg = small_config(eps=0.4, grid=Grid(1, 64, 10.0))
+        with pytest.raises(RuntimeError, match="step tolerance"):
             run_to_blowup(init(cfg, gaussian(cfg.grid)))
 
 
