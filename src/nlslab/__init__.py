@@ -55,7 +55,6 @@ from .lifespan import (
     RatioSample,
     critical_bound,
     critical_pointwise_time,
-    extract_profile,
     gamma_exponent,
     decay_ratio_diagnostics,
     max_remainder_scaled,

@@ -26,9 +26,6 @@ _INITIAL_DATA_KEYS = {
     "bump_sum": {"bumps"},
 }
 
-_PROFILE_ODE_KEYS = {"kind", "t_star", "sigma_fraction", "c1", "c2", "delta",
-                     "eps", "xi_samples", "seed"}
-
 
 @dataclass
 class ExperimentConfig:
@@ -80,10 +77,10 @@ class ExperimentConfig:
             if extra:
                 raise ValueError(f"unknown initial_data fields for {kind!r}: {sorted(extra)}")
         if "profile_ode" in data:
-            extra = set(data["profile_ode"]) - _PROFILE_ODE_KEYS
+            merged = dict(cls().profile_ode)
+            extra = set(data["profile_ode"]) - set(merged)
             if extra:
                 raise ValueError(f"unknown profile_ode fields: {sorted(extra)}")
-            merged = dict(cls().profile_ode)
             merged.update(data["profile_ode"])
             data["profile_ode"] = merged
         cfg = cls(**data)

@@ -21,7 +21,7 @@ import numpy as np
 from .initial_data import build as build_initial_data
 from .propagators import NonlinearityParams, g_p
 from .records import SweepSummary
-from .solver import DiagnosticsLog, SolverConfig, SolverState, init, run_to_blowup
+from .solver import DiagnosticsLog, SolverConfig, init, run_to_blowup
 from .spectral import (
     ComplexField,
     Space,
@@ -55,7 +55,6 @@ class BoundReport:
     tau1: float
     gamma: float | None = None
     t_star: float | None = None
-    d0_estimate: float | None = None
     critical_T: float | None = None
 
 
@@ -140,14 +139,6 @@ def remainder(u: ComplexField, t: float, params: NonlinearityParams) -> ComplexF
     a = profile(u, t)
     rhs = t ** (-params.theta) * params.lam * g_p(a.values, params.p)
     return ComplexField(g, Space.FREQUENCY, lhs.values - rhs)
-
-
-def extract_profile(state: SolverState):
-    """(A, R) for a solver state; R is None at t = 0."""
-    u, t = state.u, state.t
-    a = profile(u, t)
-    r = remainder(u, t, state.config.params) if t > 0 else None
-    return a, r
 
 
 def remainder_series(diag: DiagnosticsLog, cfg: SolverConfig, t_min: float = 1.0):
@@ -238,7 +229,7 @@ def _run_one(args):
 
 
 def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
-          tolerance: float = 0.1, jobs: int = 1, measure_remainder: bool = True):
+          tolerance: float = 0.1, jobs: int = 1):
     """Run the eps ladder, stamp bound values, and fold the records into a verdict.
 
     The ladder must be strictly decreasing.  Censored (reached t_max) and
@@ -265,8 +256,7 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
     d0 = None
     for cfg, rec in zip(configs, records):
         rec.bound_value = bound.bound_value
-        if measure_remainder and rec.diagnostics is not None and rec.T_eps is not None:
-            rec.max_remainder_scaled = max_remainder_scaled(rec.diagnostics, cfg, rec.T_eps)
+        rec.max_remainder_scaled = max_remainder_scaled(rec.diagnostics, cfg, rec.T_eps)
         statuses.append(rec.status)
         if rec.usable_for_bound():
             q = rec.invariant_quantity
@@ -295,5 +285,4 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
         d0_estimate=d0,
         statuses=statuses,
     )
-    bound.d0_estimate = d0
     return records, summary, bound

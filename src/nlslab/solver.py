@@ -5,8 +5,9 @@ free propagation, half-step of the nonlinear flow.  The run loop sizes its
 steps by step doubling, so the step grows wherever the local error allows.
 The nonlinear substep's closed form carries its own blow-up detector (a
 pointwise denominator zero), so a run ends either when that fires, or when
-the sup norm crosses the configured cap; the final step is bisected to
-bracket the event time.
+the sup norm crosses the configured cap.  The step law itself brackets the
+event: a step that meets it is halved until it is no wider than 1e-3 of the
+elapsed time, and that final step is the bracket.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .spectral import (
 
 # Relative local error the run loop's step doubling accepts per step.  Chosen
 # on the benchmark runs: it moves T_eps by at most 1.7e-4 relative against the
-# old fixed step of 0.005 (the bisection bracket's half-width is 5e-4), while
+# old fixed step of 0.005 (the event bracket's half-width is 5e-4), while
 # 1e-8 makes the 2-D run slower than the fixed step was.
 _STEP_TOLERANCE = 1e-7
 
@@ -138,8 +139,8 @@ class DiagnosticSample:
 class DiagnosticsLog:
     """Diagnostics of one trajectory; every state along it shares this log.
 
-    Samples are only appended, so stepping twice from one state with
-    recording on writes both branches here.  An event step records none.
+    Samples are only appended, so stepping twice from one state writes both
+    branches here.  An event step records none.
     Each sample, and each step the run loop accepts, offers its field as a
     snapshot; past the budget the snapshots are thinned so that they stay
     evenly spread in time.
@@ -203,16 +204,24 @@ def _sample_diagnostics(state: SolverState, absu: np.ndarray, power: np.ndarray)
 
 
 def init(config: SolverConfig, phi: ComplexField) -> SolverState:
-    """Fresh state u(0) = eps * phi with initial diagnostics recorded."""
+    """Fresh state u(0) = eps * phi with initial diagnostics recorded.
+
+    Raises ValueError when sup|u(0)| already reaches the sup-norm cap: such a
+    run has no event-free step to start from.
+    """
     if phi.space is not Space.PHYSICAL:
         raise ValueError("initial datum must be a physical-space field")
     if not phi.is_finite():
         raise ValueError("initial datum contains non-finite values")
     u0 = ComplexField(config.grid, Space.PHYSICAL, config.eps * phi.values)
     absu = np.abs(u0.values)
+    sup = float(np.max(absu))
+    if sup >= config.threshold:
+        raise ValueError(f"blowup_norm_threshold {config.threshold!r} must exceed the "
+                         f"initial sup|eps*phi| = {sup!r}")
     power = absu**2
     state = SolverState(t=0.0, u=u0, status=RunStatus.RUNNING, config=config,
-                        diagnostics=DiagnosticsLog(), sup=float(np.max(absu)),
+                        diagnostics=DiagnosticsLog(), sup=sup,
                         shell=boundary_shell_fraction(u0, power=power))
     _sample_diagnostics(state, absu, power)
     return state
@@ -236,13 +245,13 @@ def _event(state: SolverState, t_blow: float, criterion: str) -> SolverState:
     return replace(state, status=RunStatus.BLOWN_UP, t_blow=t_blow, blow_criterion=criterion)
 
 
-def _advance(state: SolverState, u: np.ndarray, dt: float, record: bool) -> SolverState:
+def _advance(state: SolverState, u: np.ndarray, dt: float) -> SolverState:
     """The state dt after `state`, carrying the field u, or the base state marked
     BLOWN_UP when u is non-finite or reaches the sup-norm cap.
 
     One pass of |u| gives the finiteness check, sup|u| and the boundary-shell
-    fraction, and the sample reuses it; with `record` set the new state is
-    sampled every `record_every` steps.
+    fraction, and the sample reuses it; the new state is sampled every
+    `record_every` steps.
     """
     cfg = state.config
     absu = np.abs(u)
@@ -257,12 +266,12 @@ def _advance(state: SolverState, u: np.ndarray, dt: float, record: bool) -> Solv
     new = replace(state, t=state.t + dt, u=u_field, sup=sup,
                   shell=boundary_shell_fraction(u_field, power=power),
                   step_count=state.step_count + 1)
-    if record and new.step_count % cfg.record_every == 0:
+    if new.step_count % cfg.record_every == 0:
         _sample_diagnostics(new, absu, power)
     return new
 
 
-def step(state: SolverState, dt: float, record: bool = True) -> SolverState:
+def step(state: SolverState, dt: float) -> SolverState:
     """One Strang step of size dt.
 
     A step that ends in an event returns the base state marked BLOWN_UP with
@@ -270,8 +279,8 @@ def step(state: SolverState, dt: float, record: bool = True) -> SolverState:
     or a non-finite field, "threshold" when sup|u| reaches the cap.  An event
     step records no sample; otherwise the new state carries sup|u| and the
     boundary-shell fraction, both from one pass of |u| that the sample
-    reuses, shares the append-only diagnostics log and, with `record` set,
-    samples it every `record_every` steps.
+    reuses, shares the append-only diagnostics log and samples it every
+    `record_every` steps.
     """
     if state.status is not RunStatus.RUNNING:
         raise ValueError(f"cannot step a state with status {state.status.value}")
@@ -281,7 +290,7 @@ def step(state: SolverState, dt: float, record: bool = True) -> SolverState:
         u = _strang(state.u.values, dt, state.config)
     except PointwiseBlowUp as e:
         return _event(state, state.t + e.earliest, "pointwise")
-    return _advance(state, u, dt, record)
+    return _advance(state, u, dt)
 
 
 def _doubling_trial(u: np.ndarray, dt: float, config: SolverConfig):
@@ -328,24 +337,6 @@ def _resize(err: float, tol: float) -> float:
     return min(4.0, max(0.2, 0.9 * (tol / err) ** (1.0 / 3.0)))
 
 
-def _bisect_event(state: SolverState, dt_hi: float, hi_trial: SolverState):
-    """Bracket the event time within [t, t + dt_hi] to relative width 1e-3.
-
-    `hi_trial` is the event step of size dt_hi.  Every further trial steps
-    from the same base state without recording; returns (dt_lo, dt_hi,
-    criterion) where criterion is read off the first-firing edge.
-    """
-    lo, hi = 0.0, dt_hi
-    while (hi - lo) > 1e-3 * max(state.t + lo, dt_hi):
-        mid = 0.5 * (lo + hi)
-        trial = step(state, mid, record=False)
-        if trial.status is RunStatus.BLOWN_UP:
-            hi, hi_trial = mid, trial
-        else:
-            lo = mid
-    return lo, hi, hi_trial.blow_criterion
-
-
 def run_to_blowup(state: SolverState) -> RunRecord:
     """Advance with the error-controlled step law until blow-up, contamination, or t_max.
 
@@ -363,13 +354,16 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     runs into the pointwise singularity, dt is halved and the trial retried.
     A step that shrinks to nothing raises RuntimeError.
 
-    When the full step and a half step both run into the singularity, or the
-    accepted field reaches the sup-norm cap, the step of dt is bisected with
-    single Strang steps from the base state; the run lands on the last
-    event-free trial and records one final sample there, unless the landing
-    state is the base state and was already sampled.  The boundary monitor
-    aborts when the outer-shell mass fraction exceeds its tolerance; such
-    runs are invalid for bound checking.
+    A trial meets the event when the full step and a half step both run into
+    the singularity, or when the accepted field reaches the sup-norm cap.  An
+    event step wider than 1e-3 max(t, dt) is halved and retried, and the
+    event-free steps that follow are accepted as usual, so an event that does
+    not recur at the shorter steps does not end the run.  An event step
+    within that width is the bracket of the event time: the run ends on its
+    base state with t_blow = t + dt/2 and records one final sample there,
+    unless the base state was already sampled.  The boundary monitor aborts
+    when the outer-shell mass fraction exceeds its tolerance; such runs are
+    invalid for bound checking.
     """
     cfg = state.config
     params = cfg.params
@@ -390,8 +384,8 @@ def run_to_blowup(state: SolverState) -> RunRecord:
                                f"cannot meet the step tolerance {tol!r}")
         try:
             two, err = _doubling_trial(state.u.values, dt, cfg)
-        except PointwiseBlowUp as e:
-            trial = _event(state, state.t + e.earliest, "pointwise")
+        except PointwiseBlowUp:
+            criterion = "pointwise"
         else:
             if two is None:
                 h = 0.5 * dt
@@ -399,12 +393,13 @@ def run_to_blowup(state: SolverState) -> RunRecord:
             h = dt * _resize(err, tol)
             if not err <= tol:
                 continue
-            trial = _advance(state, two, dt, record=True)
-        if trial.status is RunStatus.BLOWN_UP:
-            dt_lo, dt_hi, criterion = _bisect_event(state, dt, trial)
-            landed = step(state, dt_lo, record=False) if dt_lo > 0 else state
-            state = replace(landed, status=RunStatus.BLOWN_UP,
-                            t_blow=state.t + 0.5 * (dt_lo + dt_hi), blow_criterion=criterion)
+            trial = _advance(state, two, dt)
+            criterion = trial.blow_criterion
+        if criterion is not None:
+            if dt > 1e-3 * max(state.t, dt):
+                h = 0.5 * dt
+                continue
+            state = _event(state, state.t + 0.5 * dt, criterion)
             if state.diagnostics.samples[-1].t != state.t:
                 absu = np.abs(state.u.values)
                 _sample_diagnostics(state, absu, absu**2)
@@ -466,7 +461,7 @@ def _fixed_run(config: SolverConfig, phi: ComplexField, t_end: float, dt: float)
     n_steps = int(round(t_end / dt))
     state = init(replace(config, record_every=10**9), phi)
     for _ in range(n_steps):
-        state = step(state, dt, record=False)
+        state = step(state, dt)
         if state.status is not RunStatus.RUNNING:
             raise RuntimeError(f"fixed-step run ended early with {state.status.value}")
     return state.u.values

@@ -50,6 +50,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="initial_data"):
             ExperimentConfig.from_dict(bad)
 
+    def test_unknown_profile_ode_key_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown profile_ode fields: \['pizza'\]"):
+            ExperimentConfig.from_dict(small_config_dict(profile_ode={"seed": 1, "pizza": 2}))
+        cfg = ExperimentConfig.from_dict(small_config_dict(profile_ode={"seed": 1}))
+        assert cfg.profile_ode == dict(ExperimentConfig().profile_ode, seed=1)
+
     def test_lam_must_be_pair(self):
         with pytest.raises(ValueError, match="lam"):
             ExperimentConfig.from_dict(small_config_dict(lam=1.0))
@@ -155,6 +161,16 @@ class TestCli:
         path.write_text(json.dumps(small_config_dict(**{field: value})))
         assert main(["simulate", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {field}")
+
+    def test_simulate_rejects_threshold_below_the_datum(self, tmp_path, capsys):
+        # sup|eps phi| = 0.4 already reaches the cap of 0.3
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config_dict(
+            n=256, L=20.0, eps_ladder=[0.4], blowup_norm_threshold=0.3,
+            out_dir=str(tmp_path / "out"))))
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: blowup_norm_threshold")
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "c.json"

@@ -16,7 +16,6 @@ from nlslab.initial_data import gaussian
 from nlslab.lifespan import (
     critical_bound,
     critical_pointwise_time,
-    extract_profile,
     gamma_exponent,
     decay_ratio_diagnostics,
     max_remainder_scaled,
@@ -120,10 +119,9 @@ class TestProfileExtraction:
         params = NonlinearityParams(lam=1j, theta=0.5, d=1)
         cfg = SolverConfig(grid=Grid(1, 256, 20.0), params=params, eps=0.2, s=1.0)
         state = init(cfg, gaussian(cfg.grid))
-        a, r = extract_profile(state)
+        a = profile(state.u, state.t)
         expected = fourier_forward(state.u)
         assert np.max(np.abs(a.values - expected.values)) < 1e-12
-        assert r is None
 
     def test_free_run_has_constant_profile(self):
         params = NonlinearityParams(lam=0j, theta=0.5, d=1)
@@ -132,7 +130,7 @@ class TestProfileExtraction:
         state = init(cfg, gaussian(cfg.grid))
         a0 = profile(state.u, state.t)
         for _ in range(40):
-            state = step(state, 0.05, record=False)
+            state = step(state, 0.05)
         a1 = profile(state.u, state.t)
         assert np.max(np.abs(a1.values - a0.values)) < 1e-10
 
@@ -147,13 +145,13 @@ class TestProfileExtraction:
         def run_to(t_target):
             state = init(cfg, gaussian(g))
             while state.t < t_target - 1e-9:
-                state = step(state, dt, record=False)
+                state = step(state, dt)
             return state
 
         mid = run_to(2.0)
         a_mid = profile(mid.u, mid.t)
         r_mid = remainder(mid.u, mid.t, params)
-        a_plus = profile(step(mid, dt, record=False).u, mid.t + dt)
+        a_plus = profile(step(mid, dt).u, mid.t + dt)
         a_minus = profile(run_to(2.0 - dt).u, mid.t - dt)
         lhs = 1j * (a_plus.values - a_minus.values) / (2 * dt)
         rhs = params.lam * mid.t ** (-params.theta) * g_p(a_mid.values, params.p) + r_mid.values

@@ -104,6 +104,12 @@ class TestInit:
         assert np.all(state.u.values == 0)
         assert state.status is RunStatus.RUNNING
 
+    def test_rejects_datum_at_the_threshold(self):
+        # sup|eps phi| = 0.4 already reaches the cap of 0.3: no step could be event-free
+        cfg = small_config(eps=0.4, blowup_norm_threshold=0.3)
+        with pytest.raises(ValueError, match="blowup_norm_threshold"):
+            init(cfg, gaussian(cfg.grid))
+
     def test_rejects_frequency_datum(self):
         cfg = small_config()
         from nlslab import fourier_forward
@@ -118,7 +124,7 @@ class TestStep:
         phi = gaussian(cfg.grid)
         state = init(cfg, phi)
         for _ in range(50):
-            state = step(state, 0.02, record=False)
+            state = step(state, 0.02)
         exact = free_propagate(ComplexField(cfg.grid, Space.PHYSICAL,
                                             cfg.eps * phi.values), 1.0)
         assert np.max(np.abs(state.u.values - exact.values)) < 1e-12
@@ -128,7 +134,7 @@ class TestStep:
         state = init(cfg, gaussian(cfg.grid))
         for _ in range(20):
             assert state.sup == np.max(np.abs(state.u.values))
-            state = step(state, 0.05, record=False)
+            state = step(state, 0.05)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_sample_reuses_the_steps_modulus_pass(self, d):
@@ -256,7 +262,7 @@ class TestRunToBlowup:
     def test_gain_amplitude_scaling_covariance(self):
         # for b = 1 the substitution u -> u/2 maps (lam=i, eps=0.4) onto
         # (lam=2i, eps=0.2) exactly, so the two measured lifespans agree up
-        # to the eps-dependent cap and bisection width (7.6e-5 measured)
+        # to the eps-dependent cap and event bracket width (7.6e-5 measured)
         grid = Grid(1, 512, 30.0)
         phi = gaussian(grid)
 
@@ -268,6 +274,19 @@ class TestRunToBlowup:
 
         t_a, t_b = measure(2j, 0.2), measure(1j, 0.4)
         assert abs(t_a - t_b) / t_b < 1e-3
+
+    def test_wide_threshold_bracket_keeps_t_eps(self):
+        # at a cap of 2 the event step the step law reaches is wider than the
+        # bracket, so it is halved down to 1e-3 t; T_eps must agree, to the
+        # bracket half-width, with the value frozen from a solver that
+        # bisected that wide step instead; the run records its landing state
+        # although it falls between the every-7th-step samples
+        cfg = small_config(eps=0.3, blowup_norm_threshold=2.0, record_every=7)
+        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        assert rec.status == "blown-up" and rec.t_blow_threshold == rec.T_eps
+        assert abs(rec.T_eps - 5.167165066477595) / 5.167165066477595 < 5e-4
+        last = rec.diagnostics.samples[-1].t
+        assert 0 < 2 * (rec.T_eps - last) <= 1e-3 * last
 
     def test_threshold_insensitivity(self):
         # the remaining time to the singularity at the sup-norm cap is
@@ -339,21 +358,14 @@ class TestRunToBlowup:
         # a sample from the rejected trial step would lie beyond T_eps
         assert times[-1] < rec.T_eps
 
-    def test_landing_on_sampled_base_keeps_residuals_finite(self, monkeypatch):
-        # late in a run the step is already narrower than the bisection
-        # bracket, so the run lands on its (sampled) base state
-        landed = []
-        bisect = solver._bisect_event
-
-        def spy(*args):
-            out = bisect(*args)
-            landed.append(out[0])
-            return out
-
-        monkeypatch.setattr(solver, "_bisect_event", spy)
+    def test_landing_on_sampled_base_keeps_residuals_finite(self):
+        # the run lands on its (sampled) base state, and the event step from
+        # there is the bracket: T_eps lies half of it past the last sample
         cfg = small_config(eps=0.4, grid=Grid(1, 256, 25.0), record_every=1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
-        assert landed == [0.0]
+        last = rec.diagnostics.samples[-1].t
+        assert rec.status == "blown-up"
+        assert 0 < 2 * (rec.T_eps - last) <= 1e-3 * last
         with np.errstate(divide="raise", invalid="raise"):
             res = mass_balance_residuals(rec.diagnostics.samples, mu=1.0)
         assert np.all(np.isfinite(res))
@@ -395,15 +407,15 @@ class TestStepLaw:
             trials.append((dt, two, err))
             return two, err
 
-        def spy_advance(state, u, dt, record):
+        def spy_advance(state, u, dt):
             advanced.append((u, dt))
-            return advance(state, u, dt, record)
+            return advance(state, u, dt)
 
         monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
         monkeypatch.setattr(solver, "_advance", spy_advance)
         return trials, advanced
 
-    def test_tolerance_refinement_stays_inside_the_bisection_bracket(self, monkeypatch):
+    def test_tolerance_refinement_stays_inside_the_event_bracket(self, monkeypatch):
         # the event bracket has relative half-width 5e-4; a tenfold tighter
         # step tolerance must move T by less (2.9e-6 measured)
         cfg = small_config(eps=0.4, grid=Grid(1, 512, 30.0), record_every=8)
@@ -424,11 +436,10 @@ class TestStepLaw:
         assert rejected
         for k in rejected:
             assert trials[k + 1][0] < trials[k][0]
-        # every accepted field is the two-half-step field of a trial within tolerance;
-        # the rest of the _advance calls are the bisection's single steps
+        # every accepted field is the two-half-step field of a trial within tolerance
         by_field = {id(two): (dt, err) for dt, two, err in trials if two is not None}
         accepted = [(by_field[id(u)], dt) for u, dt in advanced if id(u) in by_field]
-        assert len(accepted) == len(trials) - len(rejected)
+        assert len(accepted) == len(advanced) == len(trials) - len(rejected)
         for (dt_trial, err), dt in accepted:
             assert err <= tol and dt == dt_trial
 
@@ -469,15 +480,45 @@ class TestStepLaw:
         assert rec.status == "reached-t-max"
         assert dts[:6] == [dt0, dt0 / 2, dt0 / 2, dt0 / 2, dt0 / 4, dt0 / 4]
 
-    def test_event_in_both_paths_ends_the_run(self, monkeypatch):
-        # the full step and the first half step both meet the singularity: an
-        # event, bisected inside the first step
+    def test_event_that_does_not_recur_is_stepped_past(self, monkeypatch):
+        # the full step and the first half step of the first trial both meet
+        # the singularity, but no shorter step does: the event step is wider
+        # than the bracket, so it is halved and the run goes on to t_max
         dts = self.spy_strang(monkeypatch, blown_calls={1, 2})
         cfg = small_config(eps=0.4, t_max=0.1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         dt0 = cfg.dt_safety * cfg.dt_init
-        assert dts[:2] == [dt0, dt0 / 2]
-        assert rec.status == "blown-up" and 0 < rec.t_blow_pointwise <= dt0
+        assert dts[:5] == [dt0, dt0 / 2, dt0 / 2, dt0 / 4, dt0 / 4]
+        assert rec.status == "reached-t-max"
+
+    def test_event_in_both_paths_ends_the_run(self, monkeypatch):
+        # every trial that would cross t_event meets the singularity in both
+        # paths; the step law closes in on it, and the last trial's step,
+        # at most 1e-3 t wide, is the bracket whose middle is T_eps
+        t_event = 0.0123
+        clock, dts = [0.0], []
+        trial, advance = solver._doubling_trial, solver._advance
+
+        def blows_up_across(u, dt, config):
+            dts.append(dt)
+            if clock[0] + dt > t_event:
+                raise PointwiseBlowUp(t_event - clock[0])
+            return trial(u, dt, config)
+
+        def spy_advance(state, u, dt):
+            new = advance(state, u, dt)
+            clock[0] = new.t
+            return new
+
+        monkeypatch.setattr(solver, "_doubling_trial", blows_up_across)
+        monkeypatch.setattr(solver, "_advance", spy_advance)
+        cfg = small_config(eps=0.4, t_max=0.1)
+        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        assert rec.status == "blown-up" and rec.t_blow_threshold is None
+        assert dts[-1] <= 1e-3 * clock[0]
+        assert rec.t_blow_pointwise == clock[0] + 0.5 * dts[-1]
+        assert abs(rec.t_blow_pointwise - t_event) <= 5e-4 * t_event
+        assert rec.diagnostics.samples[-1].t == clock[0] < t_event
 
     def test_unattainable_tolerance_fails_loudly(self, monkeypatch):
         # roundoff alone keeps err above 1e-300, so the step shrinks to nothing
