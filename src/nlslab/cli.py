@@ -2,14 +2,15 @@
 
 Subcommands: print-config, bounds, simulate, sweep, profile-ode, diagnostics,
 convergence.  Exit status: 0 on success (including a conclusive PASS/FAIL
-sweep verdict), 1 on a domain or configuration error, 2 on an inconclusive
-verdict.
+sweep verdict), 1 on a domain, configuration or I/O error, 2 on an
+inconclusive verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from .lifespan import (
     critical_bound,
     critical_pointwise_time,
     decay_ratio_diagnostics,
+    max_remainder_scaled,
     remainder_series,
     sweep,
     theoretical_bound,
@@ -29,22 +31,11 @@ from .profile_ode import (
     bound_constants,
     integrate_perturbed,
     make_perturbation,
+    smallness_bound,
     sup_bound_check,
 )
 from .solver import convergence_study, init, run_to_blowup
-from .spectral import fourier_forward, sup_modulus
-
-
-def _persist_reported(write, *args_) -> bool:
-    """Run a persistence step; an IO failure is reported, never fatal
-    (the in-process results were already printed)."""
-    try:
-        path = write(*args_)
-        print(f"wrote {path}")
-        return True
-    except OSError as e:
-        print(f"warning: could not write output: {e}", file=sys.stderr)
-        return False
+from .spectral import Grid, fourier_forward, sup_modulus
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -144,20 +135,15 @@ def _cmd_sweep(args) -> int:
 def _cmd_profile_ode(args) -> int:
     cfg = _load_config(args)
     po = cfg.profile_ode
-    params_nl = cfg.params()
-    base = OdeParams(a=cfg.theta, b=params_nl.b, lam=cfg.lam, eps=1.0,
+    base = OdeParams(a=cfg.theta, b=cfg.params().b, lam=cfg.lam, eps=1.0,
                      t_star=po["t_star"], psi0_sup=1.0)
     sigma = po["sigma_fraction"] * base.tau1
-    consts_probe = bound_constants(
-        OdeParams(a=cfg.theta, b=params_nl.b, lam=cfg.lam, eps=1.0,
-                  t_star=po["t_star"], psi0_sup=1.0, sigma=sigma),
-        po["c1"], po["c2"], po["delta"])
+    params = replace(base, sigma=sigma)
     eps = po["eps"]
     if eps is None:
-        eps = 0.9 * min(1.0, sigma ** (-1.0 / base.q),
-                        consts_probe.m ** (-1.0 / po["delta"]))
-    params = OdeParams(a=cfg.theta, b=params_nl.b, lam=cfg.lam, eps=eps,
-                       t_star=po["t_star"], psi0_sup=1.0, sigma=sigma)
+        consts = bound_constants(params, po["c1"], po["c2"], po["delta"])
+        eps = 0.9 * smallness_bound(params, consts, po["delta"])
+    params = replace(params, eps=eps)
     pert = make_perturbation(po["kind"], po["c1"], po["c2"], po["delta"],
                              params, seed=po["seed"])
     traj = integrate_perturbed(params, pert, np.asarray(po["xi_samples"]))
@@ -190,10 +176,11 @@ def _cmd_diagnostics(args) -> int:
             print(f"{name}: no valid samples")
     times, sups = remainder_series(record.diagnostics, solver_cfg)
     if len(times):
-        print(f"remainder sup over t in [{times[0]!r}, {times[-1]!r}]: "
-              f"first = {sups[0]!r}, max = {float(np.max(sups))!r}")
-    if record.max_remainder_scaled is not None:
-        print(f"max remainder scaled = {record.max_remainder_scaled!r}")
+        print(f"remainder sup over t in [{float(times[0])!r}, {float(times[-1])!r}]: "
+              f"first = {float(sups[0])!r}, max = {float(np.max(sups))!r}")
+    scaled = max_remainder_scaled(record.diagnostics, solver_cfg, record.T_eps)
+    if scaled is not None:
+        print(f"max remainder scaled = {scaled!r}")
     if cfg.out_dir:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -210,9 +197,6 @@ def _cmd_diagnostics(args) -> int:
 
 def _cmd_convergence(args) -> int:
     cfg = _load_config(args)
-    from .spectral import Grid
-    from dataclasses import replace
-
     grid = Grid(cfg.d, min(cfg.n, 64), min(cfg.L, 10.0))
     solver_cfg = replace(cfg.solver_config(), grid=grid)
     phi = build_initial_data(grid, cfg.initial_data)
@@ -257,7 +241,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -13,18 +13,13 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .initial_data import check_spec
 from .propagators import NonlinearityParams
 from .records import RunRecord, SweepSummary, canonical_fingerprint
-from .solver import SolverConfig
-from .spectral import Grid
+from .solver import DiagnosticSample, SolverConfig
+from .spectral import Grid, NormReport
 
 SCHEMA_VERSION = 1
-
-_INITIAL_DATA_KEYS = {
-    "gaussian": {"width", "center", "modulation", "amplitude"},
-    "super_gaussian": {"width", "center", "modulation", "amplitude", "power"},
-    "bump_sum": {"bumps"},
-}
 
 
 @dataclass
@@ -68,14 +63,7 @@ class ExperimentConfig:
                 raise ValueError("config field 'lam' must be a [re, im] pair")
             data["lam"] = complex(float(lam[0]), float(lam[1]))
         if "initial_data" in data:
-            spec = data["initial_data"]
-            kind = spec.get("kind")
-            if kind not in _INITIAL_DATA_KEYS:
-                raise ValueError(
-                    f"initial_data.kind must be one of {sorted(_INITIAL_DATA_KEYS)}, got {kind!r}")
-            extra = set(spec) - _INITIAL_DATA_KEYS[kind] - {"kind"}
-            if extra:
-                raise ValueError(f"unknown initial_data fields for {kind!r}: {sorted(extra)}")
+            check_spec(data["initial_data"])
         if "profile_ode" in data:
             merged = dict(cls().profile_ode)
             extra = set(data["profile_ode"]) - set(merged)
@@ -120,19 +108,13 @@ class ExperimentConfig:
         return NonlinearityParams(lam=self.lam, theta=self.theta, d=self.d)
 
     def solver_config(self, eps: float | None = None) -> SolverConfig:
+        """The solver's config; every field the two configs share is passed by name."""
+        shared = {f.name for f in fields(SolverConfig)} & {f.name for f in fields(self)}
         return SolverConfig(
             grid=self.grid(),
             params=self.params(),
             eps=self.eps_ladder[0] if eps is None else eps,
-            s=self.s,
-            dt_init=self.dt_init,
-            dt_safety=self.dt_safety,
-            blowup_norm_threshold=self.blowup_norm_threshold,
-            boundary_mass_tolerance=self.boundary_mass_tolerance,
-            t_max=self.t_max,
-            enforce_hypotheses=self.enforce_hypotheses,
-            record_every=self.record_every,
-            snapshot_budget=self.snapshot_budget,
+            **{name: getattr(self, name) for name in shared},
         )
 
 
@@ -142,19 +124,11 @@ def _diagnostics_to_dict(diag) -> dict:
     if diag is None or not diag.samples:
         return {}
     samples = diag.samples
-    return {
-        "t": [s.t for s in samples],
-        "l2": [s.report.l2 for s in samples],
-        "l_inf": [s.report.l_inf for s in samples],
-        "h_s0": [s.report.h_s0 for s in samples],
-        "h_0s": [s.report.h_0s for s in samples],
-        "sigma_s": [s.report.sigma_s for s in samples],
-        "energy": [s.energy for s in samples],
-        "mass": [s.mass for s in samples],
-        "lp1": [s.lp1 for s in samples],
-        "tail_fraction": [s.tail_fraction for s in samples],
-        "shell_fraction": [s.shell_fraction for s in samples],
-    }
+    out = {f.name: [getattr(s.report, f.name) for s in samples] for f in fields(NormReport)}
+    for f in fields(DiagnosticSample):
+        if f.name != "report":
+            out[f.name] = [getattr(s, f.name) for s in samples]
+    return out
 
 
 def run_record_to_dict(record: RunRecord) -> dict:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .spectral import ComplexField, Grid, Space
@@ -56,17 +58,32 @@ def bump_sum(grid: Grid, bumps) -> ComplexField:
     return ComplexField(grid, Space.PHYSICAL, total)
 
 
-BUILTIN_KINDS = ("gaussian", "super_gaussian", "bump_sum")
+BUILDERS = {"gaussian": gaussian, "super_gaussian": super_gaussian, "bump_sum": bump_sum}
+
+
+def _check_keys(builder, keys, what: str):
+    """Every key must name a parameter of the builder, and every required one must be given."""
+    params = {k: p for k, p in inspect.signature(builder).parameters.items() if k != "grid"}
+    extra = set(keys) - set(params)
+    if extra:
+        raise ValueError(f"unknown {what}: {sorted(extra)}")
+    missing = {k for k, p in params.items() if p.default is p.empty} - set(keys)
+    if missing:
+        raise ValueError(f"missing {what}: {sorted(missing)}")
+
+
+def check_spec(spec: dict) -> None:
+    """Reject an initial-data spec that its kind's builder would not accept."""
+    kind = spec.get("kind")
+    if kind not in BUILDERS:
+        raise ValueError(f"unknown initial-data kind {kind!r}; expected one of {sorted(BUILDERS)}")
+    _check_keys(BUILDERS[kind], set(spec) - {"kind"}, f"initial_data fields for {kind!r}")
+    if kind == "bump_sum":
+        for bump in spec["bumps"]:
+            _check_keys(gaussian, bump, "initial_data fields for a bump_sum bump")
 
 
 def build(grid: Grid, spec: dict) -> ComplexField:
     """Dispatch on spec['kind']; remaining keys are passed to the builder."""
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind == "gaussian":
-        return gaussian(grid, **spec)
-    if kind == "super_gaussian":
-        return super_gaussian(grid, **spec)
-    if kind == "bump_sum":
-        return bump_sum(grid, **spec)
-    raise ValueError(f"unknown initial-data kind {kind!r}; expected one of {BUILTIN_KINDS}")
+    check_spec(spec)
+    return BUILDERS[spec["kind"]](grid, **{k: v for k, v in spec.items() if k != "kind"})

@@ -25,6 +25,7 @@ from .solver import DiagnosticsLog, SolverConfig, init, run_to_blowup
 from .spectral import (
     ComplexField,
     Space,
+    _back_propagation_phase,
     fourier_forward,
     norms,
     sup_modulus,
@@ -55,7 +56,6 @@ class BoundReport:
     tau1: float
     gamma: float | None = None
     t_star: float | None = None
-    critical_T: float | None = None
 
 
 def theoretical_bound(phi_hat: ComplexField, params: NonlinearityParams,
@@ -122,7 +122,7 @@ def critical_pointwise_time(amplitude, d: int, lam: complex):
 def profile(u: ComplexField, t: float) -> ComplexField:
     """Scattering profile A(t) = F[U(t)^{-1} u(t)] on the frequency lattice."""
     fhat = fourier_forward(u)
-    vals = np.exp(0.5j * t * u.grid.abs_xi_sq) * fhat.values
+    vals = _back_propagation_phase(u.grid, t) * fhat.values
     return ComplexField(u.grid, Space.FREQUENCY, vals)
 
 

@@ -182,6 +182,11 @@ def bound_constants(params: OdeParams, c1: float, c2: float, delta: float) -> Bo
     return BoundConstants(c0=c0, c3=c3, m=float(m))
 
 
+def smallness_bound(params: OdeParams, consts: BoundConstants, delta: float) -> float:
+    """Largest admissible eps, min(1, sigma^(-1/q), M^(-1/delta)); params.eps plays no part."""
+    return min(1.0, params.sigma ** (-1.0 / params.q), consts.m ** (-1.0 / delta))
+
+
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Admissible perturbation: |psi1| <= c1 eps^(1+delta), |rho| <= c2 eps^(1+b+delta)/t^a.
@@ -292,7 +297,7 @@ def integrate_perturbed(params: OdeParams, pert: PerturbationSpec, xi_samples,
     violations and integrator failures raise, never pass silently.
     """
     consts = bound_constants(params, pert.c1, pert.c2, pert.delta)
-    eps_max = min(1.0, params.sigma ** (-1.0 / params.q), consts.m ** (-1.0 / pert.delta))
+    eps_max = smallness_bound(params, consts, pert.delta)
     if params.eps > eps_max:
         raise ValueError(
             f"eps = {params.eps} violates the smallness condition eps <= {eps_max!r}"

@@ -69,7 +69,3 @@ class SweepSummary:
     verdict: str            # PASS / FAIL / INCONCLUSIVE
     d0_estimate: float | None = None
     statuses: list = field(default_factory=list)
-
-    def gaps(self) -> list:
-        """q_eps - bound_value per rung; the sweep reports the slack, asserts nothing about it."""
-        return [None if q is None else q - self.bound_value for q in self.q_values]

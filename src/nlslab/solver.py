@@ -13,7 +13,7 @@ elapsed time, and that final step is the bracket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -112,9 +112,8 @@ class SolverConfig:
         return 1e3 / self.eps if self.eps > 0 else np.inf
 
     def fingerprint(self) -> str:
-        g = self.grid
         return canonical_fingerprint({
-            "d": g.d, "n": g.n, "L": g.L,
+            **asdict(self.grid),
             "lam": [self.params.lam.real, self.params.lam.imag],
             "theta": self.params.theta, "eps": self.eps, "s": self.s,
             "dt_init": self.dt_init, "dt_safety": self.dt_safety,
@@ -433,8 +432,7 @@ def make_record(state: SolverState) -> RunRecord:
         censored=censored,
         t_blow_pointwise=state.t_blow if state.blow_criterion == "pointwise" else None,
         t_blow_threshold=state.t_blow if state.blow_criterion == "threshold" else None,
-        grid_fingerprint=canonical_fingerprint(
-            {"d": cfg.grid.d, "n": cfg.grid.n, "L": cfg.grid.L}),
+        grid_fingerprint=canonical_fingerprint(asdict(cfg.grid)),
         config_fingerprint=cfg.fingerprint(),
         max_tail_fraction=max((s.tail_fraction for s in samples), default=None),
         max_shell_fraction=max((s.shell_fraction for s in samples), default=None),

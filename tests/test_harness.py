@@ -1,6 +1,7 @@
 """Config round trips, persistence, CSV schema, and CLI behavior."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -15,6 +16,7 @@ from nlslab.harness import (
     run_record_to_dict,
 )
 from nlslab.lifespan import sweep
+from nlslab.solver import SolverConfig
 
 
 def small_config_dict(**over):
@@ -44,9 +46,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config field"):
             ExperimentConfig.from_dict(small_config_dict(pizza=1))
 
-    def test_unknown_nested_key_rejected(self):
-        bad = small_config_dict()
-        bad["initial_data"] = {"kind": "gaussian", "sigma": 2.0}
+    @pytest.mark.parametrize("spec", [
+        {"kind": "gaussian", "sigma": 2.0},
+        {"kind": "bump_sum", "bumps": [{"width": 1.0}, {"sigma": 1.0}]},
+        {"kind": "bump_sum"},
+    ], ids=["gaussian-key", "bump-key", "missing-bumps"])
+    def test_unknown_nested_key_rejected(self, spec):
+        bad = small_config_dict(initial_data=spec)
         with pytest.raises(ValueError, match="initial_data"):
             ExperimentConfig.from_dict(bad)
 
@@ -70,6 +76,19 @@ class TestConfig:
         assert a.fingerprint() == ExperimentConfig.from_dict(small_config_dict()).fingerprint()
         assert a.fingerprint() != b.fingerprint()
 
+    def test_solver_config_carries_every_shared_field(self):
+        changed = {"s": 1.1, "dt_init": 0.02, "dt_safety": 0.2, "blowup_norm_threshold": 50.0,
+                   "boundary_mass_tolerance": 1e-5, "t_max": 12.0, "enforce_hypotheses": False,
+                   "record_every": 3, "snapshot_budget": 17}
+        shared = {f.name for f in fields(SolverConfig)} & {f.name for f in fields(ExperimentConfig)}
+        assert shared == set(changed)
+        default = ExperimentConfig()
+        assert all(getattr(default, name) != value for name, value in changed.items())
+        cfg = ExperimentConfig(eps_ladder=[0.3, 0.2], **changed)
+        assert cfg.solver_config() == SolverConfig(grid=cfg.grid(), params=cfg.params(),
+                                                   eps=0.3, **changed)
+        assert cfg.solver_config(0.2).eps == 0.2
+
     def test_schema_version_checked(self):
         with pytest.raises(ValueError, match="schema_version"):
             ExperimentConfig.from_dict(small_config_dict(schema_version=99))
@@ -90,6 +109,16 @@ class TestPersistence:
         loaded = load_run(path)
         original = run_record_to_dict(records[0])
         assert run_record_to_dict(loaded) == original
+
+    def test_persisted_diagnostics_columns(self, micro_sweep):
+        _, records, _, _ = micro_sweep
+        diag = run_record_to_dict(records[0])["diagnostics"]
+        assert sorted(diag) == sorted([
+            "t", "l2", "l_inf", "h_s0", "h_0s", "sigma_s",
+            "energy", "mass", "lp1", "tail_fraction", "shell_fraction"])
+        samples = records[0].diagnostics.samples
+        assert diag["t"] == [s.t for s in samples]
+        assert diag["h_0s"] == [s.report.h_0s for s in samples]
 
     def test_missing_run_key_rejected(self, micro_sweep):
         _, records, _, _ = micro_sweep
@@ -138,11 +167,16 @@ class TestCli:
         assert main(["bounds", "--config", str(path)]) == 1
         assert "theta" in capsys.readouterr().err
 
-    def test_bounds_rejects_zero_eps_rung(self, tmp_path, capsys):
+    @pytest.mark.parametrize("over, message", [
+        ({"eps_ladder": [0.4, 0.0]}, "eps"),
+        ({"initial_data": {"kind": "bump_sum", "bumps": [{"sigma": 1.0}]}}, "['sigma']"),
+    ], ids=["zero-eps-rung", "unknown-bump-key"])
+    def test_bounds_rejects_bad_config(self, tmp_path, capsys, over, message):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(small_config_dict(eps_ladder=[0.4, 0.0])))
+        path.write_text(json.dumps(small_config_dict(**over)))
         assert main(["bounds", "--config", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("field, value", [
         ("record_every", 0), ("record_every", -3), ("snapshot_budget", 0)])
@@ -222,13 +256,23 @@ class TestCli:
         assert "C0 =" in out and "M =" in out
         assert (tmp_path / "out" / "profile_trajectory.csv").exists()
 
-    def test_diagnostics_subcommand(self, tmp_path, capsys):
-        cfg = small_config_dict(eps_ladder=[0.4], out_dir=str(tmp_path / "out"))
+    # at eps = 0.4 the run ends before 2 t_star, so there is no remainder window
+    @pytest.mark.parametrize("over, windowed", [
+        ({"eps_ladder": [0.4]}, False),
+        ({"eps_ladder": [0.2], "n": 512, "L": 50.0}, True),
+    ], ids=["eps0.4", "eps0.2"])
+    def test_diagnostics_subcommand(self, tmp_path, capsys, over, windowed):
+        cfg = small_config_dict(out_dir=str(tmp_path / "out"), **over)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
         assert main(["diagnostics", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert "r1:" in out and "r3:" in out
+        assert "remainder sup over t in [" in out and "np.float64" not in out
+        scaled = [l for l in out.splitlines() if l.startswith("max remainder scaled = ")]
+        assert len(scaled) == windowed
+        if windowed:
+            assert 0 < float(scaled[0].split("=")[1]) < 1.0
         assert (tmp_path / "out" / "diagnostics.csv").exists()
 
     def test_convergence_subcommand(self, tmp_path, capsys):
@@ -239,6 +283,16 @@ class TestCli:
         out = capsys.readouterr().out
         order = float([l for l in out.splitlines() if "measured order" in l][0].split("=")[1])
         assert 1.8 <= order <= 2.4
+
+    def test_out_on_a_regular_file_is_an_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(small_config_dict(
+            lam=[0.0, 0.0], t_max=0.5, eps_ladder=[0.3])))
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(blocker)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert blocker.read_text() == ""
 
     def test_out_flag_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"

@@ -67,10 +67,23 @@ class TestBuild:
         assert sup_modulus(f) == pytest.approx(1.0)
         f2 = build(g, {"kind": "bump_sum", "bumps": [{"width": 1.0}]})
         assert sup_modulus(f2) == pytest.approx(1.0)
+        every = {"width": 1.5, "power": 2, "center": 0.5, "modulation": 1.0, "amplitude": 2.0}
+        f3 = build(g, {"kind": "super_gaussian", **every})
+        assert np.array_equal(f3.values, super_gaussian(g, **every).values)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown initial-data kind"):
             build(Grid(1, 32, 4.0), {"kind": "soliton"})
+
+    @pytest.mark.parametrize("spec, match", [
+        ({"kind": "gaussian", "sigma": 1.0}, r"unknown .*'gaussian'.*\['sigma'\]"),
+        ({"kind": "super_gaussian", "bumps": []}, r"unknown .*\['bumps'\]"),
+        ({"kind": "bump_sum", "bumps": [{"power": 2}]}, r"unknown .*bump.*\['power'\]"),
+        ({"kind": "bump_sum"}, r"missing .*\['bumps'\]"),
+    ], ids=["gaussian-key", "super-gaussian-key", "bump-key", "missing-bumps"])
+    def test_unknown_or_missing_parameter(self, spec, match):
+        with pytest.raises(ValueError, match=match):
+            build(Grid(1, 32, 4.0), spec)
 
     def test_center_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from nlslab.profile_ode import (
     eta0_modulus,
     integrate_perturbed,
     make_perturbation,
+    smallness_bound,
     sup_bound_check,
 )
 
@@ -215,7 +216,11 @@ class TestPerturbedIntegration:
     def test_smallness_condition_enforced(self):
         p = pert_params(eps=0.5)
         pert = make_perturbation("zero", **PERT, params=p)
-        with pytest.raises(ValueError):
+        consts = bound_constants(p, PERT["c1"], PERT["c2"], PERT["delta"])
+        eps_max = smallness_bound(p, consts, PERT["delta"])
+        assert eps_max == min(1.0, p.sigma ** (-1.0 / p.q), consts.m ** (-1.0 / PERT["delta"]))
+        assert 0.02 < eps_max < 0.5
+        with pytest.raises(ValueError, match=rf"eps <= {eps_max!r}$"):
             integrate_perturbed(p, pert, xi_samples=np.array([0.0]))
 
     def test_envelope_violation_detected(self):
