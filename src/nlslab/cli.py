@@ -85,16 +85,25 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _out_dir(cfg) -> Path | None:
+    """The output directory, if any, created before the command computes."""
+    out = Path(cfg.out_dir) if cfg.out_dir else None
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _run_configured(args):
-    """Load the config and run its first ladder rung to blow-up."""
+    """Check the config, create the output directory, run the first ladder rung."""
     cfg = _load_config(args)
     solver_cfg = cfg.solver_config()
-    phi = build_initial_data(cfg.grid(), cfg.initial_data)
-    return cfg, solver_cfg, run_to_blowup(init(solver_cfg, phi))
+    state = init(solver_cfg, build_initial_data(cfg.grid(), cfg.initial_data))
+    out = _out_dir(cfg)
+    return cfg, solver_cfg, out, run_to_blowup(state)
 
 
 def _cmd_simulate(args) -> int:
-    cfg, _, record = _run_configured(args)
+    cfg, _, out, record = _run_configured(args)
     print(f"eps = {record.eps!r}")
     print(f"status = {record.status}")
     if record.T_eps is not None:
@@ -107,15 +116,17 @@ def _cmd_simulate(args) -> int:
         print(f"unitary run: relative l2 drift = {drift!r}")
     print(f"max tail fraction = {record.max_tail_fraction!r}")
     print(f"max shell fraction = {record.max_shell_fraction!r}")
-    if cfg.out_dir:
-        path = persist_run(record, cfg.out_dir)
+    if out is not None:
+        path = persist_run(record, out)
         print(f"wrote {path}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    records, summary, bound = sweep(cfg.eps_ladder, cfg.solver_config(),
+    solver_cfg = cfg.solver_config()
+    out = _out_dir(cfg)
+    records, summary, bound = sweep(cfg.eps_ladder, solver_cfg,
                                     cfg.initial_data, tolerance=cfg.tolerance,
                                     jobs=cfg.jobs)
     print(f"bound_value = {bound.bound_value!r}")
@@ -124,10 +135,10 @@ def _cmd_sweep(args) -> int:
         print(f"eps={rec.eps!r} status={rec.status} T_eps={rec.T_eps!r} q_eps={q_str}")
     print(f"verdict: {summary.verdict} "
           f"(running min = {summary.running_min[-1]!r}, tolerance = {summary.tolerance!r})")
-    if cfg.out_dir:
+    if out is not None:
         for rec in records:
-            persist_run(rec, cfg.out_dir)
-        path = persist_summary(records, summary, cfg.out_dir)
+            persist_run(rec, out)
+        path = persist_summary(records, summary, out)
         print(f"wrote {path}")
     return 2 if summary.verdict == "INCONCLUSIVE" else 0
 
@@ -146,6 +157,7 @@ def _cmd_profile_ode(args) -> int:
     params = replace(params, eps=eps)
     pert = make_perturbation(po["kind"], po["c1"], po["c2"], po["delta"],
                              params, seed=po["seed"])
+    out = _out_dir(cfg)
     traj = integrate_perturbed(params, pert, np.asarray(po["xi_samples"]))
     k = traj.constants
     print(f"eps = {eps!r}, sigma = {sigma!r}, tau1 = {params.tau1!r}")
@@ -155,9 +167,7 @@ def _cmd_profile_ode(args) -> int:
     sup_w = float(np.max(np.abs(traj.w)))
     print(f"sup |eta| = {sup_eta!r} (envelope {(k.c0 + 1) * eps!r})")
     print(f"sup |w| = {sup_w!r} (envelope {k.m * eps ** (1 + po['delta'])!r})")
-    if cfg.out_dir:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         path = out / "profile_trajectory.csv"
         traj.to_csv(path)
         print(f"wrote {path}")
@@ -165,7 +175,7 @@ def _cmd_profile_ode(args) -> int:
 
 
 def _cmd_diagnostics(args) -> int:
-    cfg, solver_cfg, record = _run_configured(args)
+    _, solver_cfg, out, record = _run_configured(args)
     print(f"run status = {record.status}, T_eps = {record.T_eps!r}")
     ratios = decay_ratio_diagnostics(record.diagnostics, solver_cfg)
     for name in ("r1", "r2", "r3"):
@@ -181,9 +191,7 @@ def _cmd_diagnostics(args) -> int:
     scaled = max_remainder_scaled(record.diagnostics, solver_cfg, record.T_eps)
     if scaled is not None:
         print(f"max remainder scaled = {scaled!r}")
-    if cfg.out_dir:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         path = out / "diagnostics.csv"
         with open(path, "w") as fh:
             fh.write("t,r1,r2,r3\n")

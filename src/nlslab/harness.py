@@ -65,6 +65,9 @@ class ExperimentConfig:
         if "initial_data" in data:
             check_spec(data["initial_data"])
         if "profile_ode" in data:
+            if not isinstance(data["profile_ode"], dict):
+                raise ValueError(
+                    f"config field 'profile_ode' must be an object, got {data['profile_ode']!r}")
             merged = dict(cls().profile_ode)
             extra = set(data["profile_ode"]) - set(merged)
             if extra:

@@ -74,12 +74,17 @@ def _check_keys(builder, keys, what: str):
 
 def check_spec(spec: dict) -> None:
     """Reject an initial-data spec that its kind's builder would not accept."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"initial_data must be an object, got {spec!r}")
     kind = spec.get("kind")
     if kind not in BUILDERS:
         raise ValueError(f"unknown initial-data kind {kind!r}; expected one of {sorted(BUILDERS)}")
     _check_keys(BUILDERS[kind], set(spec) - {"kind"}, f"initial_data fields for {kind!r}")
     if kind == "bump_sum":
-        for bump in spec["bumps"]:
+        bumps = spec["bumps"]
+        if not (isinstance(bumps, list) and all(isinstance(b, dict) for b in bumps)):
+            raise ValueError(f"initial_data bumps must be a list of objects, got {bumps!r}")
+        for bump in bumps:
             _check_keys(gaussian, bump, "initial_data fields for a bump_sum bump")
 
 

@@ -251,13 +251,12 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
     else:
         records = [_run_one((c, data_spec)) for c in configs]
 
-    q_values, running_min, statuses = [], [], []
+    q_values, running_min = [], []
     current_min = None
     d0 = None
     for cfg, rec in zip(configs, records):
         rec.bound_value = bound.bound_value
         rec.max_remainder_scaled = max_remainder_scaled(rec.diagnostics, cfg, rec.T_eps)
-        statuses.append(rec.status)
         if rec.usable_for_bound():
             q = rec.invariant_quantity
             q_values.append(q)
@@ -283,6 +282,5 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
         tolerance=tolerance,
         verdict=verdict,
         d0_estimate=d0,
-        statuses=statuses,
     )
     return records, summary, bound

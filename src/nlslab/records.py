@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,4 +68,3 @@ class SweepSummary:
     tolerance: float
     verdict: str            # PASS / FAIL / INCONCLUSIVE
     d0_estimate: float | None = None
-    statuses: list = field(default_factory=list)

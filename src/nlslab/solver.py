@@ -4,10 +4,11 @@ One step is: half-step of the exact pointwise nonlinear flow, full spectral
 free propagation, half-step of the nonlinear flow.  The run loop sizes its
 steps by step doubling, so the step grows wherever the local error allows.
 The nonlinear substep's closed form carries its own blow-up detector (a
-pointwise denominator zero), so a run ends either when that fires, or when
-the sup norm crosses the configured cap.  The step law itself brackets the
-event: a step that meets it is halved until it is no wider than 1e-3 of the
-elapsed time, and that final step is the bracket.
+pointwise denominator zero).  A trial step meets an event when that fires in
+either of its paths, or when its field reaches the configured sup-norm cap.
+The step law itself brackets the event: a step that meets it is halved until
+it is no wider than 1e-3 of the elapsed time, and that final step is the
+bracket.
 """
 
 from __future__ import annotations
@@ -88,9 +89,10 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not (0 < self.dt_safety < 1):
             raise ValueError(f"dt_safety must lie in (0,1), got {self.dt_safety}")
-        if self.blowup_norm_threshold is not None and not (self.blowup_norm_threshold > 0):
-            raise ValueError(
-                f"blowup_norm_threshold must be positive, got {self.blowup_norm_threshold}")
+        # the horizon cap keeps steps clear of the singularity: only a finite cap ends a run
+        cap = self.blowup_norm_threshold
+        if cap is not None and not (0 < cap < math.inf):
+            raise ValueError(f"blowup_norm_threshold must be positive and finite, got {cap}")
         if not (self.boundary_mass_tolerance >= 0):
             raise ValueError(
                 f"boundary_mass_tolerance must be >= 0, got {self.boundary_mass_tolerance}")
@@ -120,6 +122,7 @@ class SolverConfig:
             "threshold": self.threshold,
             "boundary_mass_tolerance": self.boundary_mass_tolerance,
             "t_max": self.t_max, "record_every": self.record_every,
+            "snapshot_budget": self.snapshot_budget,
         })
 
 
@@ -297,24 +300,11 @@ def _doubling_trial(u: np.ndarray, dt: float, config: SolverConfig):
 
     Returns (two, err): the two-half-step field and the local error estimate
     err = ||u_dt - two||_2 / (3 ||two||_2), not finite when either field
-    is not.  When both the full step and a half step run into the pointwise
-    singularity, the full step's :class:`PointwiseBlowUp` propagates; when
-    only one of them does, the step is too long to tell an event from a
-    step-size artifact, and the result is (None, inf).
+    is not.  A :class:`PointwiseBlowUp` in either path propagates; the half
+    steps are not taken once the full step has raised.
     """
-    blown = None
-    try:
-        full = _strang(u, dt, config)
-    except PointwiseBlowUp as e:
-        blown = e
-    try:
-        two = _strang(_strang(u, 0.5 * dt, config), 0.5 * dt, config)
-    except PointwiseBlowUp:
-        if blown is not None:
-            raise blown from None
-        return None, math.inf
-    if blown is not None:
-        return None, math.inf
+    full = _strang(u, dt, config)
+    two = _strang(_strang(u, 0.5 * dt, config), 0.5 * dt, config)
     diff = full - two
     num = np.vdot(diff, diff).real
     den = np.vdot(two, two).real
@@ -349,12 +339,11 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     `record_every` accepted steps, a sample; otherwise, or for a non-finite
     trial field, the trial is retried.  The next proposal is
     dt * 0.9 (tol/err)^(1/3), at most 4 dt after an acceptance and at least
-    dt/5 after a rejection.  When only the full step or only a half step
-    runs into the pointwise singularity, dt is halved and the trial retried.
-    A step that shrinks to nothing raises RuntimeError.
+    dt/5 after a rejection.  A step that shrinks to nothing raises
+    RuntimeError.
 
-    A trial meets the event when the full step and a half step both run into
-    the singularity, or when the accepted field reaches the sup-norm cap.  An
+    A trial meets the event when its full step or a half step runs into the
+    singularity, or when the accepted field reaches the sup-norm cap.  An
     event step wider than 1e-3 max(t, dt) is halved and retried, and the
     event-free steps that follow are accepted as usual, so an event that does
     not recur at the shorter steps does not end the run.  An event step
@@ -386,9 +375,6 @@ def run_to_blowup(state: SolverState) -> RunRecord:
         except PointwiseBlowUp:
             criterion = "pointwise"
         else:
-            if two is None:
-                h = 0.5 * dt
-                continue
             h = dt * _resize(err, tol)
             if not err <= tol:
                 continue

@@ -170,7 +170,11 @@ class TestCli:
     @pytest.mark.parametrize("over, message", [
         ({"eps_ladder": [0.4, 0.0]}, "eps"),
         ({"initial_data": {"kind": "bump_sum", "bumps": [{"sigma": 1.0}]}}, "['sigma']"),
-    ], ids=["zero-eps-rung", "unknown-bump-key"])
+        ({"initial_data": "gaussian"}, "initial_data must be an object"),
+        ({"initial_data": {"kind": "bump_sum", "bumps": [1.0]}}, "list of objects"),
+        ({"profile_ode": 3}, "'profile_ode' must be an object"),
+    ], ids=["zero-eps-rung", "unknown-bump-key", "non-object-spec", "non-object-bump",
+            "non-object-profile-ode"])
     def test_bounds_rejects_bad_config(self, tmp_path, capsys, over, message):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config_dict(**over)))
@@ -188,8 +192,8 @@ class TestCli:
 
     @pytest.mark.parametrize("field, value", [
         ("blowup_norm_threshold", float("nan")), ("blowup_norm_threshold", 0.0),
-        ("blowup_norm_threshold", -5.0), ("boundary_mass_tolerance", float("nan")),
-        ("boundary_mass_tolerance", -1e-6)])
+        ("blowup_norm_threshold", -5.0), ("blowup_norm_threshold", float("inf")),
+        ("boundary_mass_tolerance", float("nan")), ("boundary_mass_tolerance", -1e-6)])
     def test_simulate_rejects_bad_threshold_and_tolerance(self, tmp_path, capsys, field, value):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config_dict(**{field: value})))
@@ -293,6 +297,16 @@ class TestCli:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(blocker)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "diagnostics", "profile-ode"])
+    def test_unusable_out_fails_before_the_run(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(small_config_dict()))
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        assert main([command, "--config", str(cfg_path), "--out", str(blocker / "x")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_out_flag_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"

@@ -80,7 +80,11 @@ class TestBuild:
         ({"kind": "super_gaussian", "bumps": []}, r"unknown .*\['bumps'\]"),
         ({"kind": "bump_sum", "bumps": [{"power": 2}]}, r"unknown .*bump.*\['power'\]"),
         ({"kind": "bump_sum"}, r"missing .*\['bumps'\]"),
-    ], ids=["gaussian-key", "super-gaussian-key", "bump-key", "missing-bumps"])
+        ("gaussian", "initial_data must be an object"),
+        ({"kind": "bump_sum", "bumps": [1.0]}, "list of objects"),
+        ({"kind": "bump_sum", "bumps": {"width": 1.0}}, "list of objects"),
+    ], ids=["gaussian-key", "super-gaussian-key", "bump-key", "missing-bumps",
+            "non-object-spec", "non-object-bump", "bumps-not-a-list"])
     def test_unknown_or_missing_parameter(self, spec, match):
         with pytest.raises(ValueError, match=match):
             build(Grid(1, 32, 4.0), spec)

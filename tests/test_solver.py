@@ -1,6 +1,6 @@
 """Split-step solver: linear limit, conservation, blow-up measurement, convergence."""
 
-import math
+import dataclasses
 
 import numpy as np
 import pytest
@@ -63,23 +63,35 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("blowup_norm_threshold", np.nan), ("blowup_norm_threshold", 0.0),
-        ("blowup_norm_threshold", -5.0), ("boundary_mass_tolerance", np.nan),
-        ("boundary_mass_tolerance", -1e-6)])
+        ("blowup_norm_threshold", -5.0), ("blowup_norm_threshold", np.inf),
+        ("boundary_mass_tolerance", np.nan), ("boundary_mass_tolerance", -1e-6)])
     def test_rejects_bad_threshold_and_tolerance(self, field, value):
         with pytest.raises(ValueError, match=field):
             small_config(**{field: value})
 
     def test_accepts_edge_threshold_and_tolerance(self):
-        cfg = small_config(blowup_norm_threshold=np.inf, boundary_mass_tolerance=0.0)
-        assert cfg.threshold == np.inf
+        big = np.finfo(float).max
+        cfg = small_config(blowup_norm_threshold=big, boundary_mass_tolerance=0.0)
+        assert cfg.threshold == big
+        # the default cap stays infinite for the zero datum, which never grows
+        assert small_config(eps=0.0).threshold == np.inf
 
     def test_fingerprint_changes_with_fields(self):
-        a = small_config()
-        b = small_config(eps=0.31)
-        c = small_config(grid=Grid(1, 512, 20.0))
-        assert a.fingerprint() == small_config().fingerprint()
-        assert a.fingerprint() != b.fingerprint()
-        assert a.fingerprint() != c.fingerprint()
+        # every field but enforce_hypotheses can change a run's results; a
+        # field added without a value here fails the key check
+        changed = {
+            "grid": Grid(1, 512, 20.0), "params": CONSERVATIVE, "eps": 0.31, "s": 1.5,
+            "dt_init": 0.06, "dt_safety": 0.2, "blowup_norm_threshold": 7.0,
+            "boundary_mass_tolerance": 1e-5, "t_max": 60.0, "record_every": 2,
+            "snapshot_budget": 16,
+        }
+        names = {f.name for f in dataclasses.fields(SolverConfig)}
+        assert set(changed) == names - {"enforce_hypotheses"}
+        base = small_config()
+        assert base.fingerprint() == small_config().fingerprint()
+        for name, value in changed.items():
+            assert getattr(base, name) != value
+            assert small_config(**{name: value}).fingerprint() != base.fingerprint(), name
 
 
 class TestInit:
@@ -397,13 +409,12 @@ class TestStepLaw:
 
         def spy_trial(u, dt, config):
             two, err = trial(u, dt, config)
-            if two is not None:
-                # the field is two Strang steps of dt/2, and err the doubling estimate
-                want = solver._strang(solver._strang(u, dt / 2, config), dt / 2, config)
-                assert np.array_equal(two, want)
-                full = solver._strang(u, dt, config)
-                assert err == pytest.approx(
-                    np.linalg.norm(full - two) / (3.0 * np.linalg.norm(two)), rel=1e-9)
+            # the field is two Strang steps of dt/2, and err the doubling estimate
+            want = solver._strang(solver._strang(u, dt / 2, config), dt / 2, config)
+            assert np.array_equal(two, want)
+            full = solver._strang(u, dt, config)
+            assert err == pytest.approx(
+                np.linalg.norm(full - two) / (3.0 * np.linalg.norm(two)), rel=1e-9)
             trials.append((dt, two, err))
             return two, err
 
@@ -437,7 +448,7 @@ class TestStepLaw:
         for k in rejected:
             assert trials[k + 1][0] < trials[k][0]
         # every accepted field is the two-half-step field of a trial within tolerance
-        by_field = {id(two): (dt, err) for dt, two, err in trials if two is not None}
+        by_field = {id(two): (dt, err) for dt, two, err in trials}
         accepted = [(by_field[id(u)], dt) for u, dt in advanced if id(u) in by_field]
         assert len(accepted) == len(advanced) == len(trials) - len(rejected)
         for (dt_trial, err), dt in accepted:
@@ -449,7 +460,9 @@ class TestStepLaw:
 
         def first_half_step_blows_up(u, dt, config):
             dts.append(dt)
-            return (None, math.inf) if len(dts) == 1 else trial(u, dt, config)
+            if len(dts) == 1:
+                raise PointwiseBlowUp(0.25 * dt)
+            return trial(u, dt, config)
 
         monkeypatch.setattr(solver, "_doubling_trial", first_half_step_blows_up)
         cfg = small_config(eps=0.4, t_max=0.1)
@@ -471,24 +484,25 @@ class TestStepLaw:
         return dts
 
     def test_full_step_event_alone_halves_the_step(self, monkeypatch):
-        # the first trial's full step meets the singularity but its half steps
-        # do not: a step-size artifact, so the trial is retried at half length
+        # the first trial's full step meets the singularity, so its half steps
+        # are not taken; the event step is wider than the bracket, so the
+        # trial is retried at half length
         dts = self.spy_strang(monkeypatch, blown_calls={1})
         cfg = small_config(eps=0.4, t_max=0.1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         dt0 = cfg.dt_safety * cfg.dt_init
         assert rec.status == "reached-t-max"
-        assert dts[:6] == [dt0, dt0 / 2, dt0 / 2, dt0 / 2, dt0 / 4, dt0 / 4]
+        assert dts[:4] == [dt0, dt0 / 2, dt0 / 4, dt0 / 4]
 
     def test_event_that_does_not_recur_is_stepped_past(self, monkeypatch):
-        # the full step and the first half step of the first trial both meet
-        # the singularity, but no shorter step does: the event step is wider
-        # than the bracket, so it is halved and the run goes on to t_max
+        # the full steps of the first two trials meet the singularity, but no
+        # shorter step does: each event step is wider than the bracket, so it
+        # is halved and the run goes on to t_max
         dts = self.spy_strang(monkeypatch, blown_calls={1, 2})
         cfg = small_config(eps=0.4, t_max=0.1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         dt0 = cfg.dt_safety * cfg.dt_init
-        assert dts[:5] == [dt0, dt0 / 2, dt0 / 2, dt0 / 4, dt0 / 4]
+        assert dts[:5] == [dt0, dt0 / 2, dt0 / 4, dt0 / 8, dt0 / 8]
         assert rec.status == "reached-t-max"
 
     def test_event_in_both_paths_ends_the_run(self, monkeypatch):
@@ -519,6 +533,42 @@ class TestStepLaw:
         assert rec.t_blow_pointwise == clock[0] + 0.5 * dts[-1]
         assert abs(rec.t_blow_pointwise - t_event) <= 5e-4 * t_event
         assert rec.diagnostics.samples[-1].t == clock[0] < t_event
+
+    @pytest.mark.parametrize("blown_path", ["full", "half"])
+    def test_event_in_one_path_ends_the_run(self, monkeypatch, blown_path):
+        # every trial that would cross t_event meets the singularity in one
+        # path only, the full step or a half step; that is an event like any
+        # other, so the last trial's step, at most 1e-3 t wide, is the bracket
+        t_event = 0.0123
+        clock, dts, calls = [0.0], [], []
+        trial, strang, advance = solver._doubling_trial, solver._strang, solver._advance
+
+        def spy_trial(u, dt, config):
+            dts.append(dt)
+            calls.clear()
+            return trial(u, dt, config)
+
+        def spy_strang(u, dt, config):
+            calls.append(dt)
+            path = "full" if len(calls) == 1 else "half"
+            if path == blown_path and clock[0] + dts[-1] > t_event:
+                raise PointwiseBlowUp(0.5 * dt)
+            return strang(u, dt, config)
+
+        def spy_advance(state, u, dt):
+            new = advance(state, u, dt)
+            clock[0] = new.t
+            return new
+
+        monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
+        monkeypatch.setattr(solver, "_strang", spy_strang)
+        monkeypatch.setattr(solver, "_advance", spy_advance)
+        cfg = small_config(eps=0.4, t_max=0.1)
+        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        assert rec.status == "blown-up" and rec.t_blow_threshold is None
+        assert dts[-1] <= 1e-3 * clock[0]
+        assert rec.t_blow_pointwise == clock[0] + 0.5 * dts[-1]
+        assert abs(rec.t_blow_pointwise - t_event) <= 5e-4 * t_event
 
     def test_unattainable_tolerance_fails_loudly(self, monkeypatch):
         # roundoff alone keeps err above 1e-300, so the step shrinks to nothing
