@@ -29,6 +29,7 @@ from .lifespan import (
 from .profile_ode import (
     OdeParams,
     bound_constants,
+    check_smallness,
     integrate_perturbed,
     make_perturbation,
     smallness_bound,
@@ -157,6 +158,7 @@ def _cmd_profile_ode(args) -> int:
     params = replace(params, eps=eps)
     pert = make_perturbation(po["kind"], po["c1"], po["c2"], po["delta"],
                              params, seed=po["seed"])
+    check_smallness(params, pert)
     out = _out_dir(cfg)
     traj = integrate_perturbed(params, pert, np.asarray(po["xi_samples"]))
     k = traj.constants

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .initial_data import check_spec
+from .lifespan import decreasing_ladder
 from .propagators import NonlinearityParams
 from .records import RunRecord, SweepSummary, canonical_fingerprint
 from .solver import DiagnosticSample, SolverConfig
@@ -75,6 +76,7 @@ class ExperimentConfig:
             merged.update(data["profile_ode"])
             data["profile_ode"] = merged
         cfg = cls(**data)
+        decreasing_ladder(cfg.eps_ladder)
         if cfg.schema_version != SCHEMA_VERSION:
             raise ValueError(
                 f"config schema_version {cfg.schema_version} != supported {SCHEMA_VERSION}")

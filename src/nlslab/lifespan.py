@@ -13,7 +13,6 @@ the running minimum of the left side against bound_value with a tolerance.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -228,6 +227,14 @@ def _run_one(args):
     return run_to_blowup(init(cfg, phi))
 
 
+def decreasing_ladder(eps_ladder) -> list:
+    """The eps ladder as floats; raises ValueError unless it is strictly decreasing."""
+    ladder = [float(e) for e in eps_ladder]
+    if any(b >= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError(f"eps ladder must be strictly decreasing, got {ladder}")
+    return ladder
+
+
 def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
           tolerance: float = 0.1, jobs: int = 1):
     """Run the eps ladder, stamp bound values, and fold the records into a verdict.
@@ -236,9 +243,7 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
     boundary-contaminated runs are excluded from the bound verdict; if no
     usable run remains the verdict is INCONCLUSIVE.
     """
-    ladder = [float(e) for e in eps_ladder]
-    if any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError(f"eps ladder must be strictly decreasing, got {ladder}")
+    ladder = decreasing_ladder(eps_ladder)
     params = base_config.params
     phi = build_initial_data(base_config.grid, data_spec)
     phi_hat = fourier_forward(phi)
@@ -246,6 +251,8 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
 
     configs = [replace(base_config, eps=e) for e in ladder]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_run_one, [(c, data_spec) for c in configs]))
     else:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .propagators import PointwiseBlowUp
 
@@ -187,6 +186,18 @@ def smallness_bound(params: OdeParams, consts: BoundConstants, delta: float) -> 
     return min(1.0, params.sigma ** (-1.0 / params.q), consts.m ** (-1.0 / delta))
 
 
+def check_smallness(params: OdeParams, pert: PerturbationSpec) -> BoundConstants:
+    """The bound constants of (params, pert); raises ValueError when params.eps
+    exceeds :func:`smallness_bound`."""
+    consts = bound_constants(params, pert.c1, pert.c2, pert.delta)
+    eps_max = smallness_bound(params, consts, pert.delta)
+    if params.eps > eps_max:
+        raise ValueError(
+            f"eps = {params.eps} violates the smallness condition eps <= {eps_max!r}"
+        )
+    return consts
+
+
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Admissible perturbation: |psi1| <= c1 eps^(1+delta), |rho| <= c2 eps^(1+b+delta)/t^a.
@@ -296,12 +307,7 @@ def integrate_perturbed(params: OdeParams, pert: PerturbationSpec, xi_samples,
     smallness condition eps <= min(1, sigma^(-1/q), m^(-1/delta)); envelope
     violations and integrator failures raise, never pass silently.
     """
-    consts = bound_constants(params, pert.c1, pert.c2, pert.delta)
-    eps_max = smallness_bound(params, consts, pert.delta)
-    if params.eps > eps_max:
-        raise ValueError(
-            f"eps = {params.eps} violates the smallness condition eps <= {eps_max!r}"
-        )
+    consts = check_smallness(params, pert)
     xi = np.atleast_1d(np.asarray(xi_samples))
     if psi0 is None:
         def psi0(s):
@@ -331,6 +337,9 @@ def integrate_perturbed(params: OdeParams, pert: PerturbationSpec, xi_samples,
         rho = pert.rho(t, xi, eta)
         deta = -1j * (lam * t ** (-a) * np.abs(eta) ** b * eta + rho)
         return np.concatenate([np.real(deta), np.imag(deta)])
+
+    # scipy loads here, at the first integration, and not with the package
+    from scipy.integrate import solve_ivp
 
     t_eval = _window_times(params, t_hi, n_output)
     atol = 1e-12 * params.eps

@@ -79,19 +79,28 @@ def _free_multiplier(grid: Grid, t: float) -> np.ndarray:
     return _read_only(m)
 
 
-def free_propagate(f: ComplexField, t: float) -> ComplexField:
+def free_propagate(f: ComplexField, t: float, *, out: np.ndarray | None = None) -> ComplexField:
     """Free flow U(t) = exp(i t Lap / 2); t < 0 gives the inverse flow.
 
     Computed as idft(m * dft(u)): the unitary transform's scale and sign
-    vector cancel in F^{-1} m F.
+    vector cancel in F^{-1} m F.  `out`, a complex array of the grid's shape,
+    receives the values and holds the spectrum in between; it may be
+    ``f.values``, and without it the values go to a fresh array.
     """
     _require_space(f, Space.PHYSICAL, "free_propagate")
     if not np.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
+    if out is None:
+        out = np.empty_like(f.values)
     if t == 0.0:
-        return f.copy()
-    vals = idft(_free_multiplier(f.grid, t) * dft(f.values))
-    return ComplexField(f.grid, Space.PHYSICAL, vals)
+        np.copyto(out, f.values)
+    else:
+        m = _free_multiplier(f.grid, t)
+        spectrum = dft(f.values, out=out)
+        # m first: numpy's SIMD complex multiply rounds the two operand orders differently
+        np.multiply(m, spectrum, out=spectrum)
+        idft(spectrum, out=out)
+    return ComplexField(f.grid, Space.PHYSICAL, out)
 
 
 def gauge_multiply(f: ComplexField, t: float, inverse: bool = False) -> ComplexField:
@@ -133,31 +142,38 @@ def blowup_horizon(z, params: NonlinearityParams):
     return hor
 
 
-def nonlinear_flow_exact(z, dt: float, params: NonlinearityParams):
+def nonlinear_flow_exact(z, dt: float, params: NonlinearityParams, *,
+                         out: np.ndarray | None = None, scratch: np.ndarray | None = None):
     """Exact flow of i w' = lam |w|^b w over time dt, applied pointwise.
 
     The modulus obeys |w(dt)|^b = |z|^b / (1 - b mu |z|^b dt) with mu = Im(lam);
     the phase advances by -Re(lam) * integral of |w|^b.  Raises
-    :class:`PointwiseBlowUp` if any denominator reaches zero within dt.
+    :class:`PointwiseBlowUp` if any denominator reaches zero within dt, before
+    anything is written.  For an array z, `out` (complex, z's shape; it may
+    be z) receives the values and `scratch` (float, z's shape) holds the
+    modulus terms; each is a fresh array when not given.
     """
     if dt < 0:
         raise ValueError(f"substep length must be >= 0, got {dt}")
     b, mu = params.b, params.mu
     alpha = float(np.real(params.lam))
     z = np.asarray(z, dtype=np.complex128)
-    scalar = z.ndim == 0
-    az_b = np.abs(z) ** b
-    denom = 1.0 - b * mu * az_b * dt
-    if np.any(denom <= 0.0):
-        raise PointwiseBlowUp(np.min(blowup_horizon(z, params)))
-    if alpha == 0.0:
-        # no phase: the general formula would multiply by exp(0j) == 1 exactly
-        w = z * denom ** (-1.0 / b)
-    elif mu == 0.0:
-        w = z * np.exp(-1j * alpha * az_b * dt)
+    a = np.abs(z, out=scratch)
+    a **= b
+    if mu == 0.0 and alpha != 0.0:
+        # |w| stays |z|, so no denominator can vanish
+        w = np.multiply(z, np.exp(-1j * alpha * a * dt), out=out)
     else:
-        # phase integral: -(alpha / (b mu)) * log(1 / denom)
-        w = z * denom ** (-1.0 / b) * np.exp(1j * (alpha / (b * mu)) * np.log(denom))
-    if scalar:
-        return complex(w)
-    return w
+        a *= b * mu
+        a *= dt
+        denom = np.subtract(1.0, a, out=scratch)
+        if np.any(denom <= 0.0):
+            raise PointwiseBlowUp(np.min(blowup_horizon(z, params)))
+        # phase integral: -(alpha / (b mu)) * log(1 / denom); with alpha = 0 the
+        # factor would be exp(0j) == 1 exactly, so it is skipped
+        phase = None if alpha == 0.0 else np.exp(1j * (alpha / (b * mu)) * np.log(denom))
+        denom **= -1.0 / b
+        w = np.multiply(z, denom, out=out)
+        if phase is not None:
+            w *= phase
+    return complex(w) if z.ndim == 0 else w

@@ -229,16 +229,21 @@ def init(config: SolverConfig, phi: ComplexField) -> SolverState:
     return state
 
 
-def _strang(u: np.ndarray, dt: float, config: SolverConfig) -> np.ndarray:
+def _strang(u: np.ndarray, dt: float, config: SolverConfig, out: np.ndarray | None = None,
+            scratch: np.ndarray | None = None) -> np.ndarray:
     """Half nonlinear substep, free propagation, half nonlinear substep; a
-    :class:`PointwiseBlowUp` carries `earliest` from the start of the step."""
+    :class:`PointwiseBlowUp` carries `earliest` from the start of the step.
+
+    The first substep writes into `out` (a fresh array when not given; it may
+    be u), and the other two work in place there, with the float `scratch`.
+    """
     half = dt / 2.0
     elapsed = 0.0
     try:
-        u = nonlinear_flow_exact(u, half, config.params)
+        w = nonlinear_flow_exact(u, half, config.params, out=out, scratch=scratch)
         elapsed = half
-        u = free_propagate(ComplexField(config.grid, Space.PHYSICAL, u), dt).values
-        return nonlinear_flow_exact(u, half, config.params)
+        free_propagate(ComplexField(config.grid, Space.PHYSICAL, w), dt, out=w)
+        return nonlinear_flow_exact(w, half, config.params, out=w, scratch=scratch)
     except PointwiseBlowUp as e:
         raise PointwiseBlowUp(elapsed + min(e.earliest, half)) from None
 
@@ -301,11 +306,15 @@ def _doubling_trial(u: np.ndarray, dt: float, config: SolverConfig):
     Returns (two, err): the two-half-step field and the local error estimate
     err = ||u_dt - two||_2 / (3 ||two||_2), not finite when either field
     is not.  A :class:`PointwiseBlowUp` in either path propagates; the half
-    steps are not taken once the full step has raised.
+    steps are not taken once the full step has raised.  The trial allocates
+    its two fields and one float scratch array, and every substep writes into
+    them; u is only read.
     """
-    full = _strang(u, dt, config)
-    two = _strang(_strang(u, 0.5 * dt, config), 0.5 * dt, config)
-    diff = full - two
+    scratch = np.empty(u.shape)
+    full = _strang(u, dt, config, np.empty_like(u), scratch)
+    two = _strang(u, 0.5 * dt, config, np.empty_like(u), scratch)
+    two = _strang(two, 0.5 * dt, config, two, scratch)
+    diff = np.subtract(full, two, out=full)
     num = np.vdot(diff, diff).real
     den = np.vdot(two, two).real
     if den > 0:

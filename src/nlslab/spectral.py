@@ -145,18 +145,18 @@ def _require_space(f: ComplexField, space: Space, op: str):
         raise ValueError(f"{op} expects a {space.value}-space field, got {f.space.value}")
 
 
-def dft(values: np.ndarray) -> np.ndarray:
+def dft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Unscaled forward DFT over every axis, in FFT order: ``np.fft.fftn(values)``.
 
     A 1-D array takes ``np.fft.fft``, which gives the same values bit for bit
-    at a lower call cost.
+    at a lower call cost.  `out` receives the result; it may be `values`.
     """
-    return np.fft.fft(values) if values.ndim == 1 else np.fft.fftn(values)
+    return np.fft.fft(values, out=out) if values.ndim == 1 else np.fft.fftn(values, out=out)
 
 
-def idft(values: np.ndarray) -> np.ndarray:
+def idft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse of :func:`dft`: ``np.fft.ifftn(values)``, by ``np.fft.ifft`` in 1-D."""
-    return np.fft.ifft(values) if values.ndim == 1 else np.fft.ifftn(values)
+    return np.fft.ifft(values, out=out) if values.ndim == 1 else np.fft.ifftn(values, out=out)
 
 
 def fourier_forward(f: ComplexField) -> ComplexField:

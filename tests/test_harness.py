@@ -89,6 +89,11 @@ class TestConfig:
                                                    eps=0.3, **changed)
         assert cfg.solver_config(0.2).eps == 0.2
 
+    def test_ladder_must_decrease(self):
+        for ladder in ([0.3, 0.4], [0.3, 0.3]):
+            with pytest.raises(ValueError, match="eps ladder must be strictly decreasing"):
+                ExperimentConfig.from_dict(small_config_dict(eps_ladder=ladder))
+
     def test_schema_version_checked(self):
         with pytest.raises(ValueError, match="schema_version"):
             ExperimentConfig.from_dict(small_config_dict(schema_version=99))
@@ -307,6 +312,19 @@ class TestCli:
         assert main([command, "--config", str(cfg_path), "--out", str(blocker / "x")]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("command, over, message", [
+        ("sweep", {"eps_ladder": [0.3, 0.4]}, "eps ladder must be strictly decreasing"),
+        ("profile-ode", {"profile_ode": {"eps": 0.9}}, "eps = 0.9 violates the smallness"),
+    ], ids=["sweep-ladder", "profile-ode-smallness"])
+    def test_rejected_config_leaves_no_out_dir(self, tmp_path, capsys, command, over, message):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(small_config_dict(**over)))
+        out = tmp_path / "new"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
+        assert not out.exists()
 
     def test_out_flag_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"

@@ -1,0 +1,44 @@
+"""What a fresh interpreter loads: the package and its CLI need only numpy and the stdlib."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code: str) -> str:
+    """Run `code` in a new interpreter that imports nlslab from this tree's src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout
+
+
+def test_import_loads_no_scipy_and_no_process_pool():
+    out = run_fresh(
+        "import sys\n"
+        "import nlslab, nlslab.cli\n"
+        "print(nlslab.__file__)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"
+        " or m == 'concurrent.futures.process'))\n"
+    )
+    where, loaded = out.splitlines()
+    assert Path(where).resolve().is_relative_to(SRC)
+    assert loaded == "[]"
+
+
+def test_profile_integration_loads_scipy_on_first_call():
+    out = run_fresh(
+        "import sys\n"
+        "import numpy as np\n"
+        "from nlslab.profile_ode import OdeParams, integrate_perturbed, make_perturbation\n"
+        "before = 'scipy.integrate' in sys.modules\n"
+        "p = OdeParams(a=0.5, b=1.0, lam=1j, eps=0.02, t_star=0.5, psi0_sup=1.0, sigma=0.05)\n"
+        "pert = make_perturbation('zero', c1=0.3, c2=0.3, delta=1.0, params=p)\n"
+        "traj = integrate_perturbed(p, pert, xi_samples=np.array([0.0, 0.7]), n_output=20)\n"
+        "print(before, 'scipy.integrate' in sys.modules, len(traj.t))\n"
+    )
+    assert out.split() == ["False", "True", "20"]

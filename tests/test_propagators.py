@@ -325,6 +325,64 @@ class TestNonlinearFlow:
             assert vec[j] == pytest.approx(nonlinear_flow_exact(complex(z[j]), dt, params), rel=1e-14)
 
 
+# the three branches of the exact flow: no phase, no gain, and both
+LAMBDA_BRANCHES = [1j, 0.8 + 0j, 0.3 + 1j]
+LAMBDA_IDS = ["re-lam-zero", "im-lam-zero", "both-nonzero"]
+
+
+class TestBufferedForms:
+    """The out= forms give the out-of-place values bit for bit, into a separate
+    buffer or in place, and leave a separate input untouched."""
+
+    @staticmethod
+    def field_and_step(d, lam):
+        grid = Grid(d, 64 if d == 1 else 32, 8.0)
+        params = NonlinearityParams(lam=lam, theta=0.5, d=d)
+        z = 0.5 * random_field(grid, seed=d).values
+        z[(0,) * d] = 0.0
+        # a step inside every pointwise horizon: b |Im lam| |z|^b dt <= 0.3 b < 1
+        return grid, params, z, 0.3 / np.max(np.abs(z)) ** params.b
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("lam", LAMBDA_BRANCHES, ids=LAMBDA_IDS)
+    def test_nonlinear_flow_out_matches_out_of_place(self, d, lam):
+        _, params, z, dt = self.field_and_step(d, lam)
+        want = nonlinear_flow_exact(z, dt, params)
+        z_before = z.copy()
+        out, scratch = np.empty_like(z), np.empty(z.shape)
+        assert nonlinear_flow_exact(z, dt, params, out=out, scratch=scratch) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(z, z_before)
+        w = z.copy()
+        assert nonlinear_flow_exact(w, dt, params, out=w, scratch=scratch) is w
+        assert np.array_equal(w, want)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("t", [0.0, 0.7, -1.3])
+    def test_free_propagate_out_matches_out_of_place(self, d, t):
+        grid, _, z, _ = self.field_and_step(d, 1j)
+        f = ComplexField(grid, Space.PHYSICAL, z)
+        want = free_propagate(f, t).values
+        z_before = z.copy()
+        out = np.empty_like(z)
+        assert free_propagate(f, t, out=out).values is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(z, z_before)
+        g = ComplexField(grid, Space.PHYSICAL, z.copy())
+        assert free_propagate(g, t, out=g.values).values is g.values
+        assert np.array_equal(g.values, want)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_blowup_leaves_the_input_untouched(self, d):
+        _, params, z, dt = self.field_and_step(d, 1j)
+        z_before = z.copy()
+        scratch = np.empty(z.shape)
+        # 10 dt is past the horizon 1 / (b |z|^b) of the largest sample
+        with pytest.raises(PointwiseBlowUp):
+            nonlinear_flow_exact(z, 10.0 * dt, params, out=z, scratch=scratch)
+        assert np.array_equal(z, z_before)
+
+
 class TestParams:
     def test_derived_exponents(self):
         p = NonlinearityParams(lam=1j, theta=0.5, d=1)

@@ -474,11 +474,11 @@ class TestStepLaw:
         dts = []
         strang = solver._strang
 
-        def spy(u, dt, config):
+        def spy(u, dt, config, *buffers):
             dts.append(dt)
             if len(dts) in blown_calls:
                 raise PointwiseBlowUp(0.5 * dt)
-            return strang(u, dt, config)
+            return strang(u, dt, config, *buffers)
 
         monkeypatch.setattr(solver, "_strang", spy)
         return dts
@@ -548,12 +548,12 @@ class TestStepLaw:
             calls.clear()
             return trial(u, dt, config)
 
-        def spy_strang(u, dt, config):
+        def spy_strang(u, dt, config, *buffers):
             calls.append(dt)
             path = "full" if len(calls) == 1 else "half"
             if path == blown_path and clock[0] + dts[-1] > t_event:
                 raise PointwiseBlowUp(0.5 * dt)
-            return strang(u, dt, config)
+            return strang(u, dt, config, *buffers)
 
         def spy_advance(state, u, dt):
             new = advance(state, u, dt)
@@ -576,6 +576,54 @@ class TestStepLaw:
         cfg = small_config(eps=0.4, grid=Grid(1, 64, 10.0))
         with pytest.raises(RuntimeError, match="step tolerance"):
             run_to_blowup(init(cfg, gaussian(cfg.grid)))
+
+
+def ownership_config(d):
+    # both blow up inside the box, after about 230 accepted steps
+    if d == 1:
+        return small_config(eps=0.4, record_every=1)
+    return SolverConfig(grid=Grid(2, 32, 12.0), params=NonlinearityParams(1j, 0.5, 2),
+                        eps=0.5, s=1.2, record_every=1)
+
+
+def kept_arrays(state):
+    """The state's field and every snapshot in its log, each with a copy of its values."""
+    return [(a, a.copy()) for a in (state.u.values, *state.diagnostics.snapshots)]
+
+
+class TestFieldOwnership:
+    """The Strang substeps write into buffers of their own trial: no field that a
+    state or the diagnostics log already holds changes."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_step_leaves_its_input_and_the_snapshots_unchanged(self, d):
+        cfg = ownership_config(d)
+        state = init(cfg, gaussian(cfg.grid))
+        for _ in range(3):
+            state = step(state, 0.005)
+        kept = kept_arrays(state)
+        assert len(kept) == 5
+        new = step(state, 0.005)
+        assert new.u.values is not state.u.values
+        for a, copy in kept:
+            assert np.array_equal(a, copy)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_run_leaves_every_accepted_field_unchanged(self, monkeypatch, d):
+        cfg = ownership_config(d)
+        state = step(init(cfg, gaussian(cfg.grid)), 0.005)
+        kept = kept_arrays(state)
+        advance = solver._advance
+
+        def spy_advance(base, u, dt):
+            kept.append((u, u.copy()))
+            return advance(base, u, dt)
+
+        monkeypatch.setattr(solver, "_advance", spy_advance)
+        rec = run_to_blowup(state)
+        assert rec.status == "blown-up" and len(kept) > 200
+        for a, copy in kept:
+            assert np.array_equal(a, copy)
 
 
 class TestHigherDimensions:
