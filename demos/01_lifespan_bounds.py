@@ -25,7 +25,6 @@ print(f"  sup |phi_hat|      = {sup_modulus(phi_hat):.12f}")
 rep = theoretical_bound(phi_hat, params, s=1.0, eps=0.2)
 print(f"  bound_value        = {rep.bound_value:.12f}")
 print(f"  tau0               = {rep.tau0:.12f}")
-print(f"  tau1 (ODE module)  = {rep.tau1:.12f}   <- same constant, two routes")
 print(f"  gamma              = {rep.gamma}")
 print(f"  t_star(eps=0.2)    = {rep.t_star}")
 

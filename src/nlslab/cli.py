@@ -21,8 +21,8 @@ from .lifespan import (
     critical_bound,
     critical_pointwise_time,
     decay_ratio_diagnostics,
-    max_remainder_scaled,
     remainder_series,
+    stamp_record,
     sweep,
     theoretical_bound,
 )
@@ -74,7 +74,6 @@ def _cmd_bounds(args) -> int:
                                 eps=min(cfg.eps_ladder))
         print(f"bound_value = {rep.bound_value!r}")
         print(f"tau0 = {rep.tau0!r}")
-        print(f"tau1 = {rep.tau1!r}")
         print(f"gamma = {rep.gamma!r}")
         print(f"t_star(eps={min(cfg.eps_ladder)!r}) = {rep.t_star!r}")
     else:
@@ -95,12 +94,18 @@ def _out_dir(cfg) -> Path | None:
 
 
 def _run_configured(args):
-    """Check the config, create the output directory, run the first ladder rung."""
+    """Check the config, create the output directory, run the first ladder rung and
+    stamp its record as the sweep does (bound_value None where no bound is defined)."""
     cfg = _load_config(args)
     solver_cfg = cfg.solver_config()
-    state = init(solver_cfg, build_initial_data(cfg.grid(), cfg.initial_data))
+    phi = build_initial_data(cfg.grid(), cfg.initial_data)
+    state = init(solver_cfg, phi)
     out = _out_dir(cfg)
-    return cfg, solver_cfg, out, run_to_blowup(state)
+    try:
+        bound_value = theoretical_bound(fourier_forward(phi), solver_cfg.params).bound_value
+    except ValueError:  # theta = 1, Im(lam) <= 0 or a zero datum
+        bound_value = None
+    return cfg, solver_cfg, out, stamp_record(run_to_blowup(state), solver_cfg, bound_value)
 
 
 def _cmd_simulate(args) -> int:
@@ -190,9 +195,8 @@ def _cmd_diagnostics(args) -> int:
     if len(times):
         print(f"remainder sup over t in [{float(times[0])!r}, {float(times[-1])!r}]: "
               f"first = {float(sups[0])!r}, max = {float(np.max(sups))!r}")
-    scaled = max_remainder_scaled(record.diagnostics, solver_cfg, record.T_eps)
-    if scaled is not None:
-        print(f"max remainder scaled = {scaled!r}")
+    if record.max_remainder_scaled is not None:
+        print(f"max remainder scaled = {record.max_remainder_scaled!r}")
     if out is not None:
         path = out / "diagnostics.csv"
         with open(path, "w") as fh:

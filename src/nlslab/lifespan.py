@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .initial_data import build as build_initial_data
-from .propagators import NonlinearityParams, g_p
-from .records import SweepSummary
+from .propagators import NonlinearityParams, blowup_horizon, coefficient_time, g_p
+from .records import RunRecord, SweepSummary
 from .solver import DiagnosticsLog, SolverConfig, init, run_to_blowup
 from .spectral import (
     ComplexField,
@@ -52,7 +52,6 @@ def t_star_time(eps: float, theta: float, d: int) -> float:
 class BoundReport:
     tau0: float
     bound_value: float
-    tau1: float
     gamma: float | None = None
     t_star: float | None = None
 
@@ -66,9 +65,8 @@ def theoretical_bound(phi_hat: ComplexField, params: NonlinearityParams,
     """
     if phi_hat.space is not Space.FREQUENCY:
         raise ValueError("theoretical_bound expects the frequency-space datum")
-    mu = params.mu
     theta, d = params.theta, params.d
-    if mu <= 0:
+    if params.mu <= 0:
         raise ValueError(f"lifespan bound requires Im(lam) > 0, got {params.lam}")
     if not (0.0 < theta < 1.0):
         raise ValueError(
@@ -77,13 +75,10 @@ def theoretical_bound(phi_hat: ComplexField, params: NonlinearityParams,
     sup = sup_modulus(phi_hat)
     if sup == 0:
         raise ValueError("datum transform vanishes identically")
-    bound_value = (1.0 - theta) * d / (2.0 * theta * mu * sup ** (2.0 * theta / d))
-    tau0 = bound_value ** (1.0 / (1.0 - theta))
-    # OdeParams.tau1 with a = theta, b = 2 theta/d and psi0_sup = sup
-    b = params.b
-    q = b / (2.0 * (1.0 - theta))
-    tau1 = float((2.0 * q * mu * sup**b) ** (-1.0 / (1.0 - theta)))
-    report = BoundReport(tau0=tau0, bound_value=bound_value, tau1=tau1)
+    # the horizon of the peak mode's flow; its clock from t = 0 reaches it at tau0
+    horizon = blowup_horizon(sup, params)
+    report = BoundReport(tau0=float(coefficient_time(0.0, horizon, theta)),
+                         bound_value=(1.0 - theta) * horizon)
     if s is not None:
         report.gamma = gamma_exponent(s, d)
     if eps is not None:
@@ -91,31 +86,29 @@ def theoretical_bound(phi_hat: ComplexField, params: NonlinearityParams,
     return report
 
 
+def _critical_horizon(amplitude, d: int, lam: complex):
+    if not np.imag(lam) > 0:
+        raise ValueError(f"the critical case requires Im(lam) > 0, got {lam}")
+    return blowup_horizon(amplitude, NonlinearityParams(lam=lam, theta=1.0, d=d))
+
+
 def critical_bound(phi_hat: ComplexField, d: int, lam: complex) -> float:
-    """Critical-case (theta = 1) constant d / (2 Im(lam) sup|phi_hat|^(2/d))."""
-    mu = float(np.imag(lam))
-    if mu <= 0:
-        raise ValueError(f"critical bound requires Im(lam) > 0, got {lam}")
+    """Critical-case (theta = 1) constant d / (2 Im(lam) sup|phi_hat|^(2/d)), the
+    pointwise flow's horizon at sup|phi_hat|."""
     sup = sup_modulus(phi_hat)
     if sup == 0:
         raise ValueError("datum transform vanishes identically")
-    return d / (2.0 * mu * sup ** (2.0 / d))
+    return _critical_horizon(sup, d, lam)
 
 
 def critical_pointwise_time(amplitude, d: int, lam: complex):
     """Heuristic per-frequency blow-up time exp(d / (2 Im(lam) amplitude^(2/d))).
 
-    `amplitude` is eps*|phi_hat(xi)|; the log-denominator of the critical
-    profile ODE vanishes at this time.
+    `amplitude` is eps*|phi_hat(xi)|; the critical profile ODE, the pointwise
+    flow on the clock log t from t = 1, blows up at this time.
     """
-    mu = float(np.imag(lam))
-    if mu <= 0:
-        raise ValueError(f"critical heuristic requires Im(lam) > 0, got {lam}")
-    amp = np.asarray(amplitude, dtype=float)
-    out = np.exp(d / (2.0 * mu * amp ** (2.0 / d)))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = coefficient_time(1.0, _critical_horizon(amplitude, d, lam), 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def profile(u: ComplexField, t: float) -> ComplexField:
@@ -235,6 +228,13 @@ def decreasing_ladder(eps_ladder) -> list:
     return ladder
 
 
+def stamp_record(record: RunRecord, cfg: SolverConfig, bound_value: float | None) -> RunRecord:
+    """Stamp a finished run of `cfg` with its bound value and scaled remainder maximum."""
+    record.bound_value = bound_value
+    record.max_remainder_scaled = max_remainder_scaled(record.diagnostics, cfg, record.T_eps)
+    return record
+
+
 def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
           tolerance: float = 0.1, jobs: int = 1):
     """Run the eps ladder, stamp bound values, and fold the records into a verdict.
@@ -262,8 +262,7 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
     current_min = None
     d0 = None
     for cfg, rec in zip(configs, records):
-        rec.bound_value = bound.bound_value
-        rec.max_remainder_scaled = max_remainder_scaled(rec.diagnostics, cfg, rec.T_eps)
+        stamp_record(rec, cfg, bound.bound_value)
         if rec.usable_for_bound():
             q = rec.invariant_quantity
             q_values.append(q)

@@ -1,22 +1,28 @@
 """Diagonal profile ODE with singular-in-time power coefficient.
 
 Implements the model problem i eta' = (lam / t^a) |eta|^b eta on [t_*, T):
-the unperturbed flow has a closed-form solution whose modulus blows up when
-an explicit denominator vanishes, and small perturbations (psi1 of the datum,
-rho of the equation) leave the trajectory within an explicit envelope built
-from the constants C0, C3, M below.  Every quantity here is per-frequency;
-the equation is diagonal in xi, so samples integrate independently.
+the unperturbed flow is the exact pointwise flow run on the coefficient clock
+from t_*, and small perturbations (psi1 of the datum, rho of the equation)
+leave the trajectory within an explicit envelope built from the constants
+C0, C3, M below.  Every quantity here is per-frequency; the equation is
+diagonal in xi, so samples integrate independently.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .propagators import PointwiseBlowUp
+from .propagators import (
+    PointwiseBlowUp,
+    blowup_horizon,
+    coefficient_integral,
+    coefficient_time,
+    nonlinear_flow_exact,
+)
 
 
 class IntegrationFailure(RuntimeError):
@@ -70,10 +76,7 @@ class OdeParams:
 
     @property
     def tau1(self) -> float:
-        rate = 2.0 * self.q * self.mu * self.psi0_sup**self.b
-        if rate == 0.0:
-            return np.inf
-        return float(rate ** (-1.0 / (1.0 - self.a)))
+        return float(coefficient_time(0.0, blowup_horizon(self.psi0_sup, self), self.a))
 
     @property
     def horizon(self) -> float:
@@ -81,68 +84,44 @@ class OdeParams:
         return self.sigma * self.eps ** (-2.0 * self.q)
 
 
-def _denominator(t, psi0_abs, params: OdeParams):
-    rate = 2.0 * params.q * params.mu * np.abs(psi0_abs) ** params.b * params.eps**params.b
-    t = np.asarray(t, dtype=float)
-    return 1.0 + rate * (params.t_star ** (1.0 - params.a) - t ** (1.0 - params.a))
-
-
-def _modulus_and_denominator(t, psi0_abs, params: OdeParams):
-    """(|eta0(t)|, D(t)); raises :class:`PointwiseBlowUp` where D <= 0."""
-    denom = _denominator(t, psi0_abs, params)
-    if np.any(denom <= 0.0):
-        raise PointwiseBlowUp(eta0_blowup_time(psi0_abs, params))
-    return params.eps * np.abs(psi0_abs) * denom ** (-1.0 / params.b), denom
+def eta0_closed_form(t, psi0_value, params: OdeParams):
+    """Closed-form eta0(t), t >= t_*: the pointwise flow of eps*psi0 over the
+    clock from t_*.  A :class:`PointwiseBlowUp` carries the blow-up time in t."""
+    tau = coefficient_integral(params.t_star, np.asarray(t, dtype=float), params.a)
+    if np.any(tau < 0):
+        raise ValueError(f"eta0 lives on t >= t_star = {params.t_star!r}, got t = {t!r}")
+    try:
+        return nonlinear_flow_exact(params.eps * np.asarray(psi0_value), tau, params)
+    except PointwiseBlowUp as e:
+        raise PointwiseBlowUp(coefficient_time(params.t_star, e.earliest, params.a)) from None
 
 
 def eta0_modulus(t, psi0_abs, params: OdeParams):
-    """Closed-form |eta0(t)| for datum modulus |psi0| at one frequency.
-
-    |eta0(t)|^b = (eps |psi0|)^b / D(t) with the explicit denominator D;
-    raises :class:`PointwiseBlowUp` where D <= 0.
-    """
-    out, _ = _modulus_and_denominator(t, psi0_abs, params)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def eta0_closed_form(t, psi0_value, params: OdeParams):
-    """Closed-form complex eta0(t); modulus from :func:`eta0_modulus`, phase
-    advanced by -(Re lam / (b mu)) log(1/D(t))."""
-    modulus, denom = _modulus_and_denominator(t, np.abs(psi0_value), params)
-    phase0 = np.angle(psi0_value) if psi0_value != 0 else 0.0
-    alpha = float(np.real(params.lam))
-    phase = phase0 + (alpha / (params.b * params.mu)) * np.log(denom)
-    return modulus * np.exp(1j * phase)
+    """Closed-form |eta0(t)| for datum modulus |psi0| at one frequency."""
+    out = np.abs(eta0_closed_form(t, psi0_abs, params))
+    return float(out) if out.ndim == 0 else out
 
 
 def eta0_blowup_time(psi0_abs, params: OdeParams):
-    """Denominator root: where the closed-form modulus escapes to infinity."""
-    rate = 2.0 * params.q * params.mu * np.abs(psi0_abs) ** params.b * params.eps**params.b
-    rate = np.asarray(rate, dtype=float)
-    with np.errstate(divide="ignore"):
-        tpow = params.t_star ** (1.0 - params.a) + np.where(rate > 0, 1.0 / rate, np.inf)
-    out = tpow ** (1.0 / (1.0 - params.a))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    """Where the closed-form modulus escapes to infinity: the flow's horizon on the clock."""
+    horizon = blowup_horizon(params.eps * np.asarray(psi0_abs), params)
+    out = coefficient_time(params.t_star, horizon, params.a)
+    return float(out) if out.ndim == 0 else out
 
 
 def _window_times(params: OdeParams, t_end: float, n: int) -> np.ndarray:
-    # uniform in t^(1-a), the ODE's natural clock; clipped because the
-    # power round trip can overshoot the endpoints by an ulp
-    ex = 1.0 - params.a
+    # uniform on the ODE's clock; clipped because the round trip through the
+    # clock can overshoot the endpoints by an ulp
     hi = max(t_end, params.t_star)
-    times = np.linspace(params.t_star**ex, hi**ex, n) ** (1.0 / ex)
-    return np.clip(times, params.t_star, hi)
+    taus = np.linspace(0.0, coefficient_integral(params.t_star, hi, params.a), n)
+    return np.clip(coefficient_time(params.t_star, taus, params.a), params.t_star, hi)
 
 
 def c0_constant(params: OdeParams) -> float:
     """Envelope constant C0 = psi0_sup / (1 - (sigma/tau1)^(1-a))^(1/b)."""
-    if not np.isfinite(params.tau1):
-        return params.psi0_sup
-    ratio = (params.sigma / params.tau1) ** (1.0 - params.a)
+    # (sigma/tau1)^(1-a): the share of psi0_sup's horizon the clock spends on [0, sigma]
+    horizon = blowup_horizon(params.psi0_sup, params)
+    ratio = coefficient_integral(0.0, params.sigma, params.a) / horizon
     return float(params.psi0_sup / (1.0 - ratio) ** (1.0 / params.b))
 
 
@@ -154,11 +133,8 @@ def sup_bound_check(params: OdeParams, psi0_abs_samples=None, n_times: int = 129
     if psi0_abs_samples is None:
         psi0_abs_samples = np.linspace(0.0, params.psi0_sup, 33)[1:]
     times = _window_times(params, params.horizon, n_times)
-    worst = 0.0
-    for psi0 in np.atleast_1d(psi0_abs_samples):
-        vals = eta0_modulus(times, psi0, params) / params.eps
-        worst = max(worst, float(np.max(vals)))
-    return worst
+    moduli = eta0_modulus(times, np.atleast_1d(psi0_abs_samples)[:, None], params)
+    return float(np.max(moduli, initial=0.0)) / params.eps
 
 
 @dataclass(frozen=True)
@@ -176,7 +152,7 @@ def bound_constants(params: OdeParams, c1: float, c2: float, delta: float) -> Bo
     m = (
         2.0
         * np.sqrt(c1**2 + c2**2 / (2.0 * c3))
-        * np.exp(c3 * params.sigma ** (1.0 - params.a) / (2.0 * (1.0 - params.a)))
+        * np.exp(c3 * coefficient_integral(0.0, params.sigma, params.a) / 2.0)
     )
     return BoundConstants(c0=c0, c3=c3, m=float(m))
 
@@ -229,10 +205,8 @@ def make_perturbation(kind: str, c1: float, c2: float, delta: float,
     """
     rng = np.random.default_rng(seed)
     phase = rng.uniform(-np.pi, np.pi)
-    amp1 = c1 * params.eps ** (1.0 + delta)
-
-    def env(t):
-        return c2 * params.eps ** (1.0 + params.b + delta) / np.asarray(t) ** params.a
+    spec = PerturbationSpec(psi1=None, rho=None, c1=c1, c2=c2, delta=delta)
+    amp1 = spec.psi1_envelope(params)
 
     def xi_scalar(xi):
         v = np.asarray(xi, dtype=float)
@@ -243,7 +217,8 @@ def make_perturbation(kind: str, c1: float, c2: float, delta: float,
         rho = lambda t, xi, eta: np.zeros_like(np.asarray(eta, dtype=complex))
     elif kind == "oscillatory":
         psi1 = lambda xi: amp1 * np.exp(1j * (phase + xi_scalar(xi)))
-        rho = lambda t, xi, eta: env(t) * np.exp(1j * (t + phase)) * np.ones_like(np.asarray(eta))
+        rho = lambda t, xi, eta: (spec.rho_envelope(t, params) * np.exp(1j * (t + phase))
+                                  * np.ones_like(np.asarray(eta)))
     elif kind == "adversarial":
         psi1 = lambda xi: amp1 * np.exp(1j * phase) * np.ones_like(np.asarray(xi, dtype=complex))
 
@@ -251,10 +226,10 @@ def make_perturbation(kind: str, c1: float, c2: float, delta: float,
             eta = np.asarray(eta, dtype=complex)
             mod = np.abs(eta)
             direction = np.where(mod > 0, eta / np.where(mod > 0, mod, 1.0), 1.0 + 0.0j)
-            return 1j * env(t) * direction
+            return 1j * spec.rho_envelope(t, params) * direction
     else:
         raise ValueError(f"unknown perturbation kind {kind!r}")
-    return PerturbationSpec(psi1=psi1, rho=rho, c1=c1, c2=c2, delta=delta)
+    return replace(spec, psi1=psi1, rho=rho)
 
 
 @dataclass
@@ -275,10 +250,10 @@ class ProfileTrajectory:
         return self.eta - self.eta0
 
     def gronwall_envelope(self) -> np.ndarray:
-        """Pointwise bound f(t_*) exp(C3 eps^b (t^(1-a) - t_*^(1-a)) / (1-a)) per sample."""
+        """Pointwise bound f(t_*) exp(C3 eps^b tau(t)) per sample, tau the clock from t_*."""
         p = self.params
-        ex = 1.0 - p.a
-        growth = np.exp(self.constants.c3 * p.eps**p.b * (self.t**ex - p.t_star**ex) / ex)
+        tau = coefficient_integral(p.t_star, self.t, p.a)
+        growth = np.exp(self.constants.c3 * p.eps**p.b * tau)
         return self.f[:, :1] * growth[None, :]
 
     def to_csv(self, path):
@@ -355,9 +330,7 @@ def integrate_perturbed(params: OdeParams, pert: PerturbationSpec, xi_samples,
         if np.max(rho_vals) > pert.rho_envelope(t, params) * (1 + 1e-9):
             raise ValueError(f"rho violates its envelope at t = {t}")
 
-    eta0 = np.empty_like(eta)
-    for i in range(m):
-        eta0[i, :] = eta0_closed_form(sol.t, complex(psi0_vals[i]), params)
+    eta0 = eta0_closed_form(sol.t, psi0_vals[:, None], params)
     f = np.abs(eta - eta0) ** 2 + (pert.c2**2 / (2.0 * consts.c3)) * params.eps ** (2.0 + 2.0 * pert.delta)
     return ProfileTrajectory(t=sol.t, xi=xi, eta=eta, eta0=eta0, f=f,
                              params=params, pert=pert, constants=consts)

@@ -124,6 +124,9 @@ def g_p(z, p: float):
     return out
 
 
+_TINY = np.finfo(float).tiny
+
+
 def blowup_horizon(z, params: NonlinearityParams):
     """Pointwise blow-up horizon of i w' = lam |w|^b w starting from w(0) = z.
 
@@ -131,33 +134,56 @@ def blowup_horizon(z, params: NonlinearityParams):
     """
     b, mu = params.b, params.mu
     az_b = np.abs(np.asarray(z, dtype=np.complex128)) ** b
-    with np.errstate(divide="ignore"):
-        hor = np.where(
-            (mu > 0.0) & (az_b > 0.0),
-            1.0 / np.maximum(b * mu * az_b, np.finfo(float).tiny),
-            np.inf,
-        )
+    # the divisor is at least the smallest normal float, so it never divides by zero
+    hor = np.where((mu > 0.0) & (az_b > 0.0), 1.0 / np.maximum(b * mu * az_b, _TINY), np.inf)
     if hor.ndim == 0:
         return float(hor)
     return hor
 
 
-def nonlinear_flow_exact(z, dt: float, params: NonlinearityParams, *,
+def coefficient_integral(t0: float, t1, a: float):
+    """Clock tau = integral of s^(-a) ds from t0 to t1: (t1^(1-a) - t0^(1-a)) / (1-a),
+    log(t1/t0) at a = 1.  :func:`nonlinear_flow_exact` over tau is the flow of
+    i w' = lam t^(-a) |w|^b w from t0 to t1."""
+    ex = 1.0 - a
+    if t0 == 0.0:
+        return np.power(t1, ex) / ex
+    # log1p of (t1 - t0)/t0, where t1 - t0 is exact near t0: tau is 0 at t1 = t0,
+    # has the sign of t1 - t0 and stays accurate on short intervals
+    log_ratio = np.log1p(np.subtract(t1, t0) / t0)
+    return log_ratio if ex == 0.0 else t0**ex * np.expm1(ex * log_ratio) / ex
+
+
+def coefficient_time(t0: float, tau, a: float):
+    """Inverse of :func:`coefficient_integral`: the time t1 at clock tau from t0."""
+    ex = 1.0 - a
+    if t0 == 0.0:
+        return np.power(ex * tau, 1.0 / ex)
+    if ex == 0.0:
+        return t0 * np.exp(tau)
+    return t0 * np.exp(np.log1p(ex * tau / t0**ex) / ex)
+
+
+def nonlinear_flow_exact(z, dt, params: NonlinearityParams, *,
                          out: np.ndarray | None = None, scratch: np.ndarray | None = None):
     """Exact flow of i w' = lam |w|^b w over time dt, applied pointwise.
 
     The modulus obeys |w(dt)|^b = |z|^b / (1 - b mu |z|^b dt) with mu = Im(lam);
     the phase advances by -Re(lam) * integral of |w|^b.  Raises
     :class:`PointwiseBlowUp` if any denominator reaches zero within dt, before
-    anything is written.  For an array z, `out` (complex, z's shape; it may
-    be z) receives the values and `scratch` (float, z's shape) holds the
-    modulus terms; each is a fresh array when not given.
+    anything is written.  dt is a float or an array that broadcasts against
+    z.  For an array z and a float dt, `out` (complex, z's shape; it may be
+    z) receives the values and `scratch` (float, z's shape) holds the modulus
+    terms; each is a fresh array when not given.
     """
-    if dt < 0:
+    dt_float = isinstance(dt, float)  # the step kernel's float dt skips numpy's reductions
+    if dt < 0 if dt_float else np.any(dt < 0):
         raise ValueError(f"substep length must be >= 0, got {dt}")
     b, mu = params.b, params.mu
     alpha = float(np.real(params.lam))
     z = np.asarray(z, dtype=np.complex128)
+    if not dt_float:  # z read on the common shape, which every array below then has
+        z = np.broadcast_to(z, np.broadcast_shapes(z.shape, np.shape(dt)))
     a = np.abs(z, out=scratch)
     a **= b
     if mu == 0.0 and alpha != 0.0:

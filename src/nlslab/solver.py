@@ -22,6 +22,7 @@ import numpy as np
 from .propagators import (
     NonlinearityParams,
     PointwiseBlowUp,
+    blowup_horizon,
     free_propagate,
     nonlinear_flow_exact,
 )
@@ -363,7 +364,6 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     invalid for bound checking.
     """
     cfg = state.config
-    params = cfg.params
     tol = _STEP_TOLERANCE
     h = cfg.dt_safety * cfg.dt_init
     while state.status is RunStatus.RUNNING:
@@ -371,11 +371,7 @@ def run_to_blowup(state: SolverState) -> RunRecord:
         if remaining <= 1e-12 * cfg.t_max:
             state = replace(state, status=RunStatus.REACHED_TMAX)
             break
-        if params.mu > 0 and state.sup > 0:
-            horizon = 1.0 / (params.b * params.mu * state.sup**params.b)
-        else:
-            horizon = math.inf
-        dt = min(h, cfg.dt_safety * horizon, remaining)
+        dt = min(h, cfg.dt_safety * blowup_horizon(state.sup, cfg.params), remaining)
         if not state.t + dt > state.t:
             raise RuntimeError(f"step size {dt!r} vanishes at t={state.t!r}: the trials "
                                f"cannot meet the step tolerance {tol!r}")

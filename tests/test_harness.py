@@ -233,6 +233,31 @@ class TestCli:
         drift = float(drift_line[0].split("=")[1])
         assert drift < 1e-10
 
+    def test_simulate_writes_the_one_rung_sweep_record(self, tmp_path, capsys):
+        # the first rung of a two-rung ladder against the sweep of that rung alone
+        sim_path, sweep_path = tmp_path / "sim.json", tmp_path / "sweep.json"
+        sim_path.write_text(json.dumps(small_config_dict(out_dir=str(tmp_path / "sim"))))
+        sweep_path.write_text(json.dumps(small_config_dict(
+            eps_ladder=[0.4], out_dir=str(tmp_path / "sweep"))))
+        assert main(["simulate", "--config", str(sim_path)]) == 0
+        assert main(["sweep", "--config", str(sweep_path)]) == 0
+        capsys.readouterr()
+        simulated = (tmp_path / "sim" / "run_eps0.4.json").read_bytes()
+        assert simulated == (tmp_path / "sweep" / "run_eps0.4.json").read_bytes()
+        assert json.loads(simulated)["bound_value"] == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("over", [{"theta": 1.0}, {"lam": [0.0, 0.0]}],
+                             ids=["critical", "unitary"])
+    def test_simulate_without_a_bound_keeps_it_none(self, tmp_path, capsys, over):
+        cfg = small_config_dict(t_max=0.5, eps_ladder=[0.3], out_dir=str(tmp_path / "out"),
+                                **over)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        record = load_run(tmp_path / "out" / "run_eps0.3.json")
+        assert record.bound_value is None and record.max_remainder_scaled is None
+
     def test_sweep_writes_deterministic_outputs(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(small_config_dict(out_dir=str(tmp_path / "o1"))))

@@ -11,6 +11,7 @@ from nlslab import (
     fourier_forward,
     fourier_inverse,
     norms,
+    sup_modulus,
 )
 from nlslab.initial_data import gaussian
 from nlslab.lifespan import (
@@ -25,6 +26,7 @@ from nlslab.lifespan import (
     t_star_time,
     theoretical_bound,
 )
+from nlslab.profile_ode import OdeParams
 from nlslab.propagators import g_p
 from nlslab.solver import SolverConfig, init, step
 
@@ -43,8 +45,10 @@ class TestTheoreticalBound:
         rep = theoretical_bound(unit_peak_datum(), params)
         assert rep.bound_value == pytest.approx(0.5, abs=1e-12)
         assert rep.tau0 == pytest.approx(0.25, abs=1e-12)
-        # the ODE-module time scale coincides with tau0 for a=theta, b=2theta/d
-        assert rep.tau1 == pytest.approx(rep.tau0, rel=1e-12)
+        # the ODE module's time scale coincides with tau0 for a=theta, b=2theta/d
+        ode = OdeParams(a=params.theta, b=params.b, lam=params.lam, eps=1.0, t_star=1.0,
+                        psi0_sup=sup_modulus(unit_peak_datum()))
+        assert ode.tau1 == pytest.approx(rep.tau0, rel=1e-12)
 
     def test_scaling_in_datum(self):
         params = NonlinearityParams(lam=1j, theta=0.5, d=1)
@@ -97,6 +101,17 @@ class TestCriticalBound:
         t = critical_pointwise_time(0.1, 1, 1j)
         assert t == pytest.approx(np.exp(50.0), rel=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("eps", [0.3, 0.6])
+    def test_bound_is_the_log_of_the_heuristic_time(self, d, eps):
+        # eps^(2/d) log T(eps sup) = critical_bound: one horizon on the clock log t
+        g = Grid(d, 32, 10.0)
+        datum = ComplexField(g, Space.FREQUENCY, 1.3 * np.exp(-g.abs_xi_sq / 2))
+        sup = sup_modulus(datum)
+        t = critical_pointwise_time(eps * sup, d, 0.2 + 1.5j)
+        assert eps ** (2.0 / d) * np.log(t) == pytest.approx(
+            critical_bound(datum, d, 0.2 + 1.5j), rel=1e-12)
+
     def test_monotone_in_peak(self):
         f = unit_peak_datum()
         big = ComplexField(f.grid, Space.FREQUENCY, 10.0 * f.values)
@@ -110,8 +125,16 @@ class TestCriticalBound:
         assert critical_bound(datum, 2, 2j) == pytest.approx(0.5, abs=1e-12)
 
     def test_requires_gain(self):
-        with pytest.raises(ValueError):
-            critical_bound(unit_peak_datum(), 1, -1j)
+        for lam in (-1j, 0.5 + 0j):
+            with pytest.raises(ValueError, match="Im"):
+                critical_bound(unit_peak_datum(), 1, lam)
+            with pytest.raises(ValueError, match="Im"):
+                critical_pointwise_time(0.1, 1, lam)
+
+    def test_rejects_zero_datum(self):
+        zero = ComplexField(Grid(1, 16, 5.0), Space.FREQUENCY, np.zeros(16, dtype=complex))
+        with pytest.raises(ValueError, match="vanishes"):
+            critical_bound(zero, 1, 1j)
 
 
 class TestProfileExtraction:

@@ -118,6 +118,22 @@ class TestClosedForm:
             vals = eta0_closed_form(ts, psi0, p)
             assert np.max(np.abs(vals - eta_ref) / np.abs(eta_ref)) < 1e-8
 
+    def test_blowup_carries_the_time_not_the_clock(self):
+        # the flow's horizon on the clock is 1/(b mu eps) = 10; the ODE reaches it at t = 36
+        p = reference_params()
+        for fn in (eta0_modulus, eta0_closed_form):
+            with pytest.raises(PointwiseBlowUp) as info:
+                fn(np.array([2.0, 40.0]), 1.0, p)
+            assert info.value.earliest == pytest.approx(36.0, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [0.5, np.array([0.99, 2.0])])
+    def test_before_t_star_is_rejected(self, t):
+        # the ODE lives on [t_*, T); no silent extrapolation below t_*
+        p = reference_params()
+        for fn in (eta0_modulus, eta0_closed_form):
+            with pytest.raises(ValueError, match="t >= t_star"):
+                fn(t, 1.0, p)
+
     def test_modulus_nondecreasing(self):
         p = reference_params()
         ts = np.linspace(p.t_star, 30.0, 200)
@@ -186,6 +202,19 @@ class TestBoundConstants:
             k = bound_constants(p, c1, c2, delta)
             assert k.m >= 2 * c1
             assert k.c3 > 0 and k.c0 > 0
+
+
+class TestPerturbationShapes:
+    @pytest.mark.parametrize("kind", ["oscillatory", "adversarial"])
+    def test_shapes_saturate_the_stated_envelopes(self, kind):
+        p = pert_params()
+        pert = make_perturbation(kind, **PERT, params=p, seed=4)
+        xi = np.array([0.0, 0.5, 1.0])
+        eta = np.array([0.01, -0.02j, 0.0])
+        assert np.abs(pert.psi1(xi)) == pytest.approx(pert.psi1_envelope(p), rel=1e-15)
+        for t in (p.t_star, 3.0):
+            assert np.abs(pert.rho(t, xi, eta)) == pytest.approx(pert.rho_envelope(t, p),
+                                                                  rel=1e-15)
 
 
 class TestPerturbedIntegration:

@@ -20,7 +20,7 @@ from nlslab import (
     nonlinear_flow_exact,
     norms,
 )
-from nlslab.propagators import _free_multiplier
+from nlslab.propagators import _free_multiplier, coefficient_integral, coefficient_time
 
 
 def gaussian_field(grid, width=1.0, k0=0.0):
@@ -323,6 +323,85 @@ class TestNonlinearFlow:
         vec = nonlinear_flow_exact(z, dt, params)
         for j in range(0, 40, 7):
             assert vec[j] == pytest.approx(nonlinear_flow_exact(complex(z[j]), dt, params), rel=1e-14)
+
+    @pytest.mark.parametrize("lam", [1j, 0.8 + 0j, 0.3 + 1j],
+                             ids=["re-lam-zero", "im-lam-zero", "both-nonzero"])
+    def test_dt_array_broadcasts_against_z(self, lam):
+        params = params_for(lam, b=0.8)
+        z = np.array([[0.4 + 0.1j], [0.0], [-0.3j]])
+        dts = np.linspace(0.0, 0.5, 7)
+        grid_vals = nonlinear_flow_exact(z, dts, params)
+        assert grid_vals.shape == (3, 7)
+        for i in range(3):
+            for k in range(7):
+                want = nonlinear_flow_exact(complex(z[i, 0]), float(dts[k]), params)
+                assert grid_vals[i, k] == pytest.approx(want, rel=1e-14, abs=1e-300)
+        scalar_z = nonlinear_flow_exact(0.4 + 0.1j, dts, params)
+        assert scalar_z == pytest.approx(grid_vals[0], rel=1e-14, abs=0.0)
+
+    def test_negative_dt_rejected_as_float_or_array(self):
+        params = params_for(1j, b=1.0)
+        with pytest.raises(ValueError, match="substep length"):
+            nonlinear_flow_exact(0.5, -0.1, params)
+        with pytest.raises(ValueError, match="substep length"):
+            nonlinear_flow_exact(0.5, np.array([0.1, -0.1]), params)
+
+    def test_dt_array_blowup_carries_the_horizon(self):
+        # |z| = 1, b = 1, Im lam = 1: the horizon is 1, past the last dt
+        params = params_for(1j, b=1.0)
+        with pytest.raises(PointwiseBlowUp) as info:
+            nonlinear_flow_exact(1.0, np.array([0.5, 1.5]), params)
+        assert info.value.earliest == 1.0
+
+
+class TestCoefficientClock:
+    @pytest.mark.parametrize("a", [0.25, 0.5, 0.75, 1.5])
+    def test_closed_form_and_inverse(self, a):
+        t0, t1 = 0.7, np.array([1.3, 9.0])
+        tau = coefficient_integral(t0, t1, a)
+        assert tau == pytest.approx((t1 ** (1 - a) - t0 ** (1 - a)) / (1 - a), rel=1e-14)
+        assert coefficient_time(t0, tau, a) == pytest.approx(t1, rel=1e-14)
+
+    @pytest.mark.parametrize("a", [0.3, 0.5, 1.0])
+    def test_sign_and_small_intervals(self, a):
+        # exactly 0 at t1 = t0 and negative below it, on any array length; a
+        # substep of 1e-12 keeps its relative accuracy (no power cancellation)
+        t0 = 1.7
+        for n in (1, 3, 17, 100):
+            assert np.all(coefficient_integral(t0, np.full(n, t0), a) == 0.0)
+            assert np.all(coefficient_integral(t0, np.full(n, np.nextafter(t0, 0.0)), a) < 0.0)
+        t1 = t0 + 1e-12
+        dt = t1 - t0  # exact
+        tau = dt * t0**-a * (1.0 - 0.5 * a * dt / t0)
+        assert coefficient_integral(t0, t1, a) == pytest.approx(tau, rel=1e-14, abs=0.0)
+        assert coefficient_time(t0, tau, a) == pytest.approx(t1, rel=1e-15, abs=0.0)
+
+    def test_critical_clock_is_the_logarithm(self):
+        assert coefficient_integral(2.0, 2.0 * np.e**3, 1.0) == pytest.approx(3.0, rel=1e-15)
+        assert coefficient_time(2.0, 3.0, 1.0) == pytest.approx(2.0 * np.e**3, rel=1e-15)
+
+    def test_clock_from_zero(self):
+        # tau = t^(1-a)/(1-a) from 0, and the inverse starts at 0 as well
+        assert coefficient_integral(0.0, 4.0, 0.5) == 4.0
+        assert coefficient_time(0.0, 4.0, 0.5) == 4.0
+        assert coefficient_time(0.0, np.inf, 0.5) == np.inf
+
+    def test_flow_on_the_clock_solves_the_time_dependent_ode(self):
+        # i w' = lam t^(-a) |w|^b w from t0: the pointwise flow over tau(t0, t)
+        a, t0, t1 = 0.4, 0.5, 3.0
+        params = params_for(0.6 + 0.8j, b=0.9)
+        z = 0.5 * np.exp(0.3j)
+
+        def rhs(t, y):
+            w = y[0] + 1j * y[1]
+            dw = -1j * params.lam * t ** (-a) * abs(w) ** params.b * w
+            return [dw.real, dw.imag]
+
+        sol = solve_ivp(rhs, (t0, t1), [z.real, z.imag], method="DOP853",
+                        rtol=1e-12, atol=1e-14)
+        w_ode = sol.y[0, -1] + 1j * sol.y[1, -1]
+        w_clock = nonlinear_flow_exact(z, coefficient_integral(t0, t1, a), params)
+        assert abs(w_ode - w_clock) / abs(w_clock) < 1e-10
 
 
 # the three branches of the exact flow: no phase, no gain, and both
