@@ -15,7 +15,7 @@ grid = Grid(1, 2048, 80.0)
 params = NonlinearityParams(lam=1j, theta=0.5, d=1)
 eps = 0.3
 config = SolverConfig(grid=grid, params=params, eps=eps, s=1.0,
-                      t_max=200.0, dt_init=0.05, record_every=4)
+                      t_max=200.0, record_every=4)
 
 phi = gaussian(grid)
 print(f"running d=1, theta=1/2, lam=i, eps={eps} on n={grid.n}, L={grid.L} ...")

@@ -15,7 +15,7 @@ from nlslab.solver import SolverConfig
 grid = Grid(1, 2048, 80.0)
 params = NonlinearityParams(lam=1j, theta=0.5, d=1)
 config = SolverConfig(grid=grid, params=params, eps=0.4, s=1.0,
-                      t_max=200.0, dt_init=0.05, record_every=4)
+                      t_max=200.0, record_every=4)
 ladder = [0.4, 0.3, 0.2, 0.15]
 
 print(f"sweeping eps ladder {ladder} ...")

@@ -27,7 +27,7 @@ print("\nshort-time profile consistency, eps = 0.1, t in [1, 100]:")
 params = NonlinearityParams(lam=1j, theta=1.0, d=1)
 grid = Grid(1, 16384, 400.0)
 config = SolverConfig(grid=grid, params=params, eps=0.1, s=1.0, t_max=100.0,
-                      dt_init=0.5, record_every=20)
+                      record_every=20)
 record = run_to_blowup(init(config, gaussian(grid)))
 print(f"status: {record.status} (censored = {record.censored}, as expected)")
 times, sups = remainder_series(record.diagnostics, config, t_min=1.0)

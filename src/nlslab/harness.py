@@ -33,17 +33,12 @@ class ExperimentConfig:
     theta: float = 0.5
     s: float = 1.0
     eps_ladder: list = field(default_factory=lambda: [0.4, 0.3, 0.2, 0.15])
-    dt_init: float = 0.05
-    dt_safety: float = 0.1
-    blowup_norm_threshold: float | None = None
-    boundary_mass_tolerance: float = 1e-6
     t_max: float = 200.0
     tolerance: float = 0.1
     out_dir: str = "runs"
     jobs: int = 1
     enforce_hypotheses: bool = True
     record_every: int = 4
-    snapshot_budget: int = 128
     profile_ode: dict = field(default_factory=lambda: {
         "kind": "adversarial", "t_star": 0.5, "sigma_fraction": 0.2,
         "c1": 0.3, "c2": 0.3, "delta": 1.0, "eps": None,
@@ -53,23 +48,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        for key in data:
-            if key not in known:
+        defaults = cls().to_dict()
+        for key, value in data.items():
+            if key not in defaults:
                 raise ValueError(f"unknown config field {key!r}")
+            if key == "initial_data":
+                check_spec(value)
+            else:
+                _check_type(key, value, defaults[key])
         data = dict(data)
         if "lam" in data:
             lam = data["lam"]
-            if not (isinstance(lam, (list, tuple)) and len(lam) == 2):
+            if len(lam) != 2:
                 raise ValueError("config field 'lam' must be a [re, im] pair")
             data["lam"] = complex(float(lam[0]), float(lam[1]))
-        if "initial_data" in data:
-            check_spec(data["initial_data"])
         if "profile_ode" in data:
-            if not isinstance(data["profile_ode"], dict):
-                raise ValueError(
-                    f"config field 'profile_ode' must be an object, got {data['profile_ode']!r}")
-            merged = dict(cls().profile_ode)
+            merged = dict(defaults["profile_ode"])
             extra = set(data["profile_ode"]) - set(merged)
             if extra:
                 raise ValueError(f"unknown profile_ode fields: {sorted(extra)}")
@@ -121,6 +115,22 @@ class ExperimentConfig:
             eps=self.eps_ladder[0] if eps is None else eps,
             **{name: getattr(self, name) for name in shared},
         )
+
+
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               list: "a list of numbers", dict: "an object"}
+
+
+def _check_type(key: str, value, default) -> None:
+    """Reject a JSON value of another type than the field's default; an integer passes
+    for a number, and a list holds numbers."""
+    want, numbers = type(default), (int, float)
+    if want is float:
+        ok = type(value) in numbers
+    else:
+        ok = type(value) is want and (want is not list or all(type(v) in numbers for v in value))
+    if not ok:
+        raise ValueError(f"config field {key!r} must be {_JSON_TYPES[want]}, got {value!r}")
 
 
 def _diagnostics_to_dict(diag) -> dict:

@@ -5,7 +5,7 @@ free propagation, half-step of the nonlinear flow.  The run loop sizes its
 steps by step doubling, so the step grows wherever the local error allows.
 The nonlinear substep's closed form carries its own blow-up detector (a
 pointwise denominator zero).  A trial step meets an event when that fires in
-either of its paths, or when its field reaches the configured sup-norm cap.
+either of its paths, or when its field reaches the sup-norm cap 1e3/eps.
 The step law itself brackets the event: a step that meets it is halved until
 it is no wider than 1e-3 of the elapsed time, and that final step is the
 bracket.
@@ -45,6 +45,11 @@ from .spectral import (
 # old fixed step of 0.005 (the event bracket's half-width is 5e-4), while
 # 1e-8 makes the 2-D run slower than the fixed step was.
 _STEP_TOLERANCE = 1e-7
+_HORIZON_FRACTION = 0.1  # every step is at most this fraction of the blow-up horizon of sup|u|
+_FIRST_STEP = 0.1 * 0.05  # 0.005000000000000001: a literal 0.005 would move every run's bits
+_SUP_CAP = 1e3  # sup|u| >= _SUP_CAP / eps is an event; there is no cap at eps = 0
+_SHELL_TOLERANCE = 1e-6  # outer-shell mass fraction above which a run is contaminated
+_SNAPSHOT_BUDGET = 128  # snapshots a run keeps, thinned to stay evenly spread in time
 
 
 class RunStatus(str, Enum):
@@ -61,42 +66,24 @@ def index_condition_holds(d: int, theta: float, s: float) -> bool:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Everything one run depends on.
-
-    `dt_init` sets the first trial step, dt_safety * dt_init; after that the
-    run loop grows or shrinks the step by step doubling until the local error
-    estimate meets the solver's step tolerance (1e-7).  Every step is also
-    capped at dt_safety times the pointwise blow-up horizon of sup|u|.
-    """
+    """Everything one run depends on that callers vary; the step tolerance, first
+    step, horizon fraction, sup-norm cap, shell tolerance and snapshot budget
+    are this module's constants."""
 
     grid: Grid
     params: NonlinearityParams
     eps: float
     s: float
-    dt_init: float = 0.05
-    dt_safety: float = 0.1
-    blowup_norm_threshold: float | None = None
-    boundary_mass_tolerance: float = 1e-6
     t_max: float = 100.0
     enforce_hypotheses: bool = True
     record_every: int = 1
-    snapshot_budget: int = 128
 
     def __post_init__(self):
         if self.eps < 0:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
-        for name in ("dt_init", "dt_safety", "t_max", "record_every", "snapshot_budget"):
+        for name in ("t_max", "record_every"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not (0 < self.dt_safety < 1):
-            raise ValueError(f"dt_safety must lie in (0,1), got {self.dt_safety}")
-        # the horizon cap keeps steps clear of the singularity: only a finite cap ends a run
-        cap = self.blowup_norm_threshold
-        if cap is not None and not (0 < cap < math.inf):
-            raise ValueError(f"blowup_norm_threshold must be positive and finite, got {cap}")
-        if not (self.boundary_mass_tolerance >= 0):
-            raise ValueError(
-                f"boundary_mass_tolerance must be >= 0, got {self.boundary_mass_tolerance}")
         if self.enforce_hypotheses and not self.index_condition_ok:
             raise ValueError(
                 f"Sobolev index s={self.s} violates the admissible range "
@@ -110,20 +97,14 @@ class SolverConfig:
 
     @property
     def threshold(self) -> float:
-        if self.blowup_norm_threshold is not None:
-            return self.blowup_norm_threshold
-        return 1e3 / self.eps if self.eps > 0 else np.inf
+        return _SUP_CAP / self.eps if self.eps > 0 else math.inf
 
     def fingerprint(self) -> str:
         return canonical_fingerprint({
             **asdict(self.grid),
             "lam": [self.params.lam.real, self.params.lam.imag],
             "theta": self.params.theta, "eps": self.eps, "s": self.s,
-            "dt_init": self.dt_init, "dt_safety": self.dt_safety,
-            "threshold": self.threshold,
-            "boundary_mass_tolerance": self.boundary_mass_tolerance,
             "t_max": self.t_max, "record_every": self.record_every,
-            "snapshot_budget": self.snapshot_budget,
         })
 
 
@@ -146,20 +127,21 @@ class DiagnosticsLog:
     branches here.  An event step records none.
     Each sample, and each step the run loop accepts, offers its field as a
     snapshot; past the budget the snapshots are thinned so that they stay
-    evenly spread in time.
+    evenly spread in time.  A snapshot is the state's own field, made read-only.
     """
 
     samples: list = field(default_factory=list)
     snapshot_times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
 
-    def record_snapshot(self, t: float, values: np.ndarray, budget: int):
+    def record_snapshot(self, t: float, values: np.ndarray):
         times = self.snapshot_times
         if times and times[-1] == t:
             return
         times.append(t)
-        self.snapshots.append(values.copy())
-        if len(times) > budget:
+        values.flags.writeable = False
+        self.snapshots.append(values)
+        if len(times) > _SNAPSHOT_BUDGET:
             # drop the interior snapshot whose neighbours lie closest in time
             i = min(range(1, len(times) - 1), key=lambda j: times[j + 1] - times[j - 1],
                     default=0)
@@ -203,14 +185,14 @@ def _sample_diagnostics(state: SolverState, absu: np.ndarray, power: np.ndarray)
         tail_fraction=spectral_tail_fraction(state.u, spectral_power=spectral_power),
         shell_fraction=state.shell,
     ))
-    state.diagnostics.record_snapshot(state.t, state.u.values, cfg.snapshot_budget)
+    state.diagnostics.record_snapshot(state.t, state.u.values)
 
 
 def init(config: SolverConfig, phi: ComplexField) -> SolverState:
     """Fresh state u(0) = eps * phi with initial diagnostics recorded.
 
-    Raises ValueError when sup|u(0)| already reaches the sup-norm cap: such a
-    run has no event-free step to start from.
+    Raises ValueError when sup|u(0)| already reaches the sup-norm cap 1e3/eps:
+    such a run has no event-free step to start from.
     """
     if phi.space is not Space.PHYSICAL:
         raise ValueError("initial datum must be a physical-space field")
@@ -220,7 +202,7 @@ def init(config: SolverConfig, phi: ComplexField) -> SolverState:
     absu = np.abs(u0.values)
     sup = float(np.max(absu))
     if sup >= config.threshold:
-        raise ValueError(f"blowup_norm_threshold {config.threshold!r} must exceed the "
+        raise ValueError(f"sup-norm cap 1e3/eps = {config.threshold!r} must exceed the "
                          f"initial sup|eps*phi| = {sup!r}")
     power = absu**2
     state = SolverState(t=0.0, u=u0, status=RunStatus.RUNNING, config=config,
@@ -339,9 +321,9 @@ def _resize(err: float, tol: float) -> float:
 def run_to_blowup(state: SolverState) -> RunRecord:
     """Advance with the error-controlled step law until blow-up, contamination, or t_max.
 
-    Each proposed step h is cut to dt = min(h, dt_safety * pointwise blow-up
+    Each proposed step h is cut to dt = min(h, 0.1 * pointwise blow-up
     horizon of sup|u|, t_max - t), so the nonlinear substep stays well
-    inside its own singularity; the first proposal is dt_safety * dt_init.
+    inside its own singularity; the first proposal is 0.005.
     A trial takes one Strang step of dt and two of dt/2 (see
     :func:`_doubling_trial`).  If the error estimate err meets the step
     tolerance `_STEP_TOLERANCE`, the two-half-step field is accepted, and
@@ -353,25 +335,25 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     RuntimeError.
 
     A trial meets the event when its full step or a half step runs into the
-    singularity, or when the accepted field reaches the sup-norm cap.  An
+    singularity, or when the accepted field reaches the sup-norm cap 1e3/eps.  An
     event step wider than 1e-3 max(t, dt) is halved and retried, and the
     event-free steps that follow are accepted as usual, so an event that does
     not recur at the shorter steps does not end the run.  An event step
     within that width is the bracket of the event time: the run ends on its
     base state with t_blow = t + dt/2 and records one final sample there,
     unless the base state was already sampled.  The boundary monitor aborts
-    when the outer-shell mass fraction exceeds its tolerance; such runs are
-    invalid for bound checking.
+    when the outer-shell mass fraction exceeds 1e-6; such runs are invalid
+    for bound checking.
     """
     cfg = state.config
     tol = _STEP_TOLERANCE
-    h = cfg.dt_safety * cfg.dt_init
+    h = _FIRST_STEP
     while state.status is RunStatus.RUNNING:
         remaining = cfg.t_max - state.t
         if remaining <= 1e-12 * cfg.t_max:
             state = replace(state, status=RunStatus.REACHED_TMAX)
             break
-        dt = min(h, cfg.dt_safety * blowup_horizon(state.sup, cfg.params), remaining)
+        dt = min(h, _HORIZON_FRACTION * blowup_horizon(state.sup, cfg.params), remaining)
         if not state.t + dt > state.t:
             raise RuntimeError(f"step size {dt!r} vanishes at t={state.t!r}: the trials "
                                f"cannot meet the step tolerance {tol!r}")
@@ -393,11 +375,11 @@ def run_to_blowup(state: SolverState) -> RunRecord:
             if state.diagnostics.samples[-1].t != state.t:
                 absu = np.abs(state.u.values)
                 _sample_diagnostics(state, absu, absu**2)
-        elif trial.shell > cfg.boundary_mass_tolerance:
+        elif trial.shell > _SHELL_TOLERANCE:
             state = replace(trial, status=RunStatus.BOUNDARY_CONTAMINATED)
         else:
             state = trial
-            state.diagnostics.record_snapshot(state.t, state.u.values, cfg.snapshot_budget)
+            state.diagnostics.record_snapshot(state.t, state.u.values)
     return make_record(state)
 
 

@@ -35,6 +35,7 @@ from nlslab.profile_ode import (
     integrate_perturbed,
     make_perturbation,
 )
+from nlslab import solver
 from nlslab.solver import SolverConfig, convergence_study, init, run_to_blowup, step
 
 GAUSS = {"kind": "gaussian", "width": 1.0}
@@ -150,7 +151,7 @@ def test_criterion_4_solver_fidelity():
     params0 = NonlinearityParams(lam=0j, theta=0.5, d=1)
     g = Grid(1, 256, 20.0)
     cfg = SolverConfig(grid=g, params=params0, eps=0.3, s=1.0, t_max=1.0,
-                       dt_init=0.05, record_every=1)
+                       record_every=1)
     phi = gaussian(g)
     # advance with the run loop's own step law and compare the snapshot of
     # the step that lands on t_max
@@ -196,11 +197,11 @@ def ladder_runs():
     for lam in (1j, 2j):
         params = NonlinearityParams(lam=lam, theta=0.5, d=1)
         cfg = SolverConfig(grid=Grid(1, 2048, 80.0), params=params, eps=0.4, s=1.0,
-                           t_max=200.0, dt_init=0.05, record_every=4)
+                           t_max=200.0, record_every=4)
         out[lam] = sweep(LADDER, cfg, GAUSS, tolerance=0.1)
     params = NonlinearityParams(lam=1j, theta=0.5, d=1)
     cfg_fine = SolverConfig(grid=Grid(1, 4096, 80.0), params=params, eps=0.2, s=1.0,
-                            t_max=200.0, dt_init=0.05, record_every=4)
+                            t_max=200.0, record_every=4)
     out["fine"] = sweep([0.2], cfg_fine, GAUSS, tolerance=0.1)
     return out
 
@@ -235,7 +236,7 @@ def test_criterion_6_remainder_decay(ladder_runs):
     rec = next(r for r in records if r.eps == 0.2)
     params = NonlinearityParams(lam=1j, theta=0.5, d=1)
     cfg = SolverConfig(grid=Grid(1, 2048, 80.0), params=params, eps=0.2, s=1.0,
-                       t_max=200.0, dt_init=0.05, record_every=4)
+                       t_max=200.0, record_every=4)
     t_star = t_star_time(0.2, 0.5, 1)
     gamma = gamma_exponent(1.0, 1)
     times, sups = remainder_series(rec.diagnostics, cfg, t_min=t_star)
@@ -271,7 +272,7 @@ def test_criterion_7_monotone_in_gain(ladder_runs):
 
 # ---------------------------------------------------------------- criterion 8
 
-def test_criterion_8_critical_case():
+def test_criterion_8_critical_case(monkeypatch):
     g = Grid(1, 128, 10.0)
     datum = ComplexField(g, Space.FREQUENCY, np.exp(-g.xi_1d**2 / 2))
     bound = critical_bound(datum, 1, 1j)
@@ -286,8 +287,9 @@ def test_criterion_8_critical_case():
     # of desk-scale reach by design)
     params = NonlinearityParams(lam=1j, theta=1.0, d=1)
     gc = Grid(1, 16384, 400.0)
+    monkeypatch.setattr(solver, "_FIRST_STEP", 0.1 * 0.5)
     cfg = SolverConfig(grid=gc, params=params, eps=0.1, s=1.0, t_max=100.0,
-                       dt_init=0.5, record_every=20)
+                       record_every=20)
     rec = run_to_blowup(init(cfg, gaussian(gc)))
     checks.append(("run censored at t_max (no blow-up by t=100)", rec.censored))
     times, sups = remainder_series(rec.diagnostics, cfg, t_min=1.0)

@@ -25,7 +25,7 @@ def small_config_dict(**over):
         "d": 1, "n": 256, "L": 25.0,
         "lam": [0.0, 1.0], "theta": 0.5, "s": 1.0,
         "eps_ladder": [0.4, 0.3],
-        "dt_init": 0.05, "t_max": 30.0,
+        "t_max": 30.0,
         "record_every": 8, "out_dir": "runs",
     }
     base.update(over)
@@ -77,9 +77,7 @@ class TestConfig:
         assert a.fingerprint() != b.fingerprint()
 
     def test_solver_config_carries_every_shared_field(self):
-        changed = {"s": 1.1, "dt_init": 0.02, "dt_safety": 0.2, "blowup_norm_threshold": 50.0,
-                   "boundary_mass_tolerance": 1e-5, "t_max": 12.0, "enforce_hypotheses": False,
-                   "record_every": 3, "snapshot_budget": 17}
+        changed = {"s": 1.1, "t_max": 12.0, "enforce_hypotheses": False, "record_every": 3}
         shared = {f.name for f in fields(SolverConfig)} & {f.name for f in fields(ExperimentConfig)}
         assert shared == set(changed)
         default = ExperimentConfig()
@@ -178,8 +176,20 @@ class TestCli:
         ({"initial_data": "gaussian"}, "initial_data must be an object"),
         ({"initial_data": {"kind": "bump_sum", "bumps": [1.0]}}, "list of objects"),
         ({"profile_ode": 3}, "'profile_ode' must be an object"),
+        ({"n": "big"}, "config field 'n' must be an integer, got 'big'"),
+        ({"theta": "x"}, "config field 'theta' must be a number, got 'x'"),
+        ({"L": None}, "config field 'L' must be a number, got None"),
+        ({"eps_ladder": 0.4}, "config field 'eps_ladder' must be a list of numbers"),
+        ({"eps_ladder": [0.4, True]}, "config field 'eps_ladder' must be a list of numbers"),
+        ({"lam": [None, 1]}, "config field 'lam' must be a list of numbers"),
+        ({"jobs": "two"}, "config field 'jobs' must be an integer, got 'two'"),
+        ({"record_every": 2.5}, "config field 'record_every' must be an integer, got 2.5"),
+        ({"record_every": True}, "config field 'record_every' must be an integer, got True"),
+        ({"enforce_hypotheses": 1}, "config field 'enforce_hypotheses' must be a boolean"),
     ], ids=["zero-eps-rung", "unknown-bump-key", "non-object-spec", "non-object-bump",
-            "non-object-profile-ode"])
+            "non-object-profile-ode", "string-int", "string-float", "null-float",
+            "scalar-ladder", "bool-in-ladder", "null-in-lam", "string-jobs", "float-int",
+            "bool-int", "int-bool"])
     def test_bounds_rejects_bad_config(self, tmp_path, capsys, over, message):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config_dict(**over)))
@@ -187,32 +197,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
-    @pytest.mark.parametrize("field, value", [
-        ("record_every", 0), ("record_every", -3), ("snapshot_budget", 0)])
+    @pytest.mark.parametrize("field, value", [("record_every", 0), ("record_every", -3)])
     def test_simulate_rejects_bad_sampling_counts(self, tmp_path, capsys, field, value):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config_dict(**{field: value})))
         assert main(["simulate", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {field}")
 
-    @pytest.mark.parametrize("field, value", [
-        ("blowup_norm_threshold", float("nan")), ("blowup_norm_threshold", 0.0),
-        ("blowup_norm_threshold", -5.0), ("blowup_norm_threshold", float("inf")),
-        ("boundary_mass_tolerance", float("nan")), ("boundary_mass_tolerance", -1e-6)])
-    def test_simulate_rejects_bad_threshold_and_tolerance(self, tmp_path, capsys, field, value):
+    @pytest.mark.parametrize("key", ["dt_init", "dt_safety", "blowup_norm_threshold",
+                                     "boundary_mass_tolerance", "snapshot_budget"])
+    def test_removed_solver_knob_is_an_unknown_field(self, tmp_path, capsys, key):
+        # the step, cap and monitor settings are solver constants, so a config
+        # that still carries one of them fails on its first such key
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(small_config_dict(**{field: value})))
+        path.write_text(json.dumps(small_config_dict(**{key: 0.1})))
         assert main(["simulate", "--config", str(path)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {field}")
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown config field {key!r}\n"
 
     def test_simulate_rejects_threshold_below_the_datum(self, tmp_path, capsys):
-        # sup|eps phi| = 0.4 already reaches the cap of 0.3
+        # sup|eps phi| = 4000 already reaches the cap 1e3/eps = 2500
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config_dict(
-            n=256, L=20.0, eps_ladder=[0.4], blowup_norm_threshold=0.3,
-            out_dir=str(tmp_path / "out"))))
+            initial_data={"kind": "gaussian", "width": 1.0, "amplitude": 1e4},
+            n=256, L=20.0, eps_ladder=[0.4], out_dir=str(tmp_path / "out"))))
         assert main(["simulate", "--config", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("error: blowup_norm_threshold")
+        assert capsys.readouterr().err.startswith("error: sup-norm cap 1e3/eps = 2500.0 ")
         assert not (tmp_path / "out").exists()
 
     def test_malformed_config_exit_code(self, tmp_path, capsys):
@@ -341,7 +352,10 @@ class TestCli:
     @pytest.mark.parametrize("command, over, message", [
         ("sweep", {"eps_ladder": [0.3, 0.4]}, "eps ladder must be strictly decreasing"),
         ("profile-ode", {"profile_ode": {"eps": 0.9}}, "eps = 0.9 violates the smallness"),
-    ], ids=["sweep-ladder", "profile-ode-smallness"])
+        ("sweep", {"jobs": "two"}, "config field 'jobs' must be an integer"),
+        ("simulate", {"record_every": 2.5}, "config field 'record_every' must be an integer"),
+    ], ids=["sweep-ladder", "profile-ode-smallness", "sweep-string-jobs",
+            "simulate-float-record-every"])
     def test_rejected_config_leaves_no_out_dir(self, tmp_path, capsys, command, over, message):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(small_config_dict(**over)))

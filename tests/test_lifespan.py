@@ -295,7 +295,7 @@ class TestSweep:
         g = Grid(1, 2048, 80.0)
         eps = 0.2
         cfg = SolverConfig(grid=g, params=params, eps=eps, s=1.0,
-                           t_max=200.0, dt_init=0.05, record_every=4)
+                           t_max=200.0, record_every=4)
         records, _, _ = sweep([eps], cfg, GAUSS_SPEC)
         rec = records[0]
         diag = rec.diagnostics

@@ -239,6 +239,23 @@ class TestNonlinearFlow:
         assert blowup_horizon(0.0, params) == np.inf
         assert blowup_horizon(1.0, params_for(-1j, b=1.0)) == np.inf
 
+    @pytest.mark.parametrize("lam, theta, d", [
+        (1j, 0.5, 1), (1j, 0.5, 2), (2.5j + 0.3, 0.75, 2), (1j, 1.0, 1), (1j, 0.9, 3),
+        (1j, 0.25, 1), (-1j, 0.5, 1), (1.0, 0.5, 1)])
+    def test_float_horizon_is_the_zero_d_result(self, lam, theta, d):
+        # the run loop's Python-float path and numpy's 0-d path agree bit for bit,
+        # also where x**b overflows, underflows or is not finite
+        params = NonlinearityParams(lam=lam, theta=theta, d=d)
+        rng = np.random.default_rng(7)
+        xs = [*rng.uniform(0.0, 5e3, 2000), *10.0 ** rng.uniform(-300.0, 300.0, 2000),
+              0.0, -0.0, -3.0, 5e-324, 1.7e308, np.inf, np.nan]
+        for x in map(float, xs):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = blowup_horizon(np.array(x), params)
+            got = blowup_horizon(x, params)
+            assert type(got) is float
+            assert got == want or (np.isnan(got) and np.isnan(want)), x
+
     def test_zero_stays_zero(self):
         params = params_for(1j, b=0.8)
         assert nonlinear_flow_exact(0.0 + 0.0j, 5.0, params) == 0.0

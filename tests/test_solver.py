@@ -34,17 +34,19 @@ FREE = NonlinearityParams(lam=0j, theta=0.5, d=1)
 
 
 def small_config(params=AMPLIFYING, **over):
-    kw = dict(grid=Grid(1, 256, 20.0), params=params, eps=0.3, s=1.0,
-              dt_init=0.05, t_max=50.0)
+    kw = dict(grid=Grid(1, 256, 20.0), params=params, eps=0.3, s=1.0, t_max=50.0)
     kw.update(over)
     return SolverConfig(**kw)
 
 
 class TestConfig:
-    def test_threshold_default(self):
+    def test_threshold_default(self, monkeypatch):
         cfg = small_config(eps=0.25)
         assert cfg.threshold == pytest.approx(4000.0)
-        assert small_config(eps=0.25, blowup_norm_threshold=7.0).threshold == 7.0
+        # the cap stays infinite for the zero datum, which never grows
+        assert small_config(eps=0.0).threshold == np.inf
+        monkeypatch.setattr(solver, "_SUP_CAP", 1.75)
+        assert cfg.threshold == 7.0
 
     def test_index_condition_enforced(self):
         # d=3 with theta <= 3/4 leaves no admissible s at all
@@ -55,35 +57,17 @@ class TestConfig:
                            enforce_hypotheses=False)
         assert not cfg.index_condition_ok
 
-    @pytest.mark.parametrize("field, value", [
-        ("record_every", 0), ("record_every", -3), ("snapshot_budget", 0)])
+    @pytest.mark.parametrize("field, value", [("record_every", 0), ("record_every", -3)])
     def test_rejects_bad_sampling_counts(self, field, value):
         with pytest.raises(ValueError, match=field):
             small_config(**{field: value})
-
-    @pytest.mark.parametrize("field, value", [
-        ("blowup_norm_threshold", np.nan), ("blowup_norm_threshold", 0.0),
-        ("blowup_norm_threshold", -5.0), ("blowup_norm_threshold", np.inf),
-        ("boundary_mass_tolerance", np.nan), ("boundary_mass_tolerance", -1e-6)])
-    def test_rejects_bad_threshold_and_tolerance(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            small_config(**{field: value})
-
-    def test_accepts_edge_threshold_and_tolerance(self):
-        big = np.finfo(float).max
-        cfg = small_config(blowup_norm_threshold=big, boundary_mass_tolerance=0.0)
-        assert cfg.threshold == big
-        # the default cap stays infinite for the zero datum, which never grows
-        assert small_config(eps=0.0).threshold == np.inf
 
     def test_fingerprint_changes_with_fields(self):
         # every field but enforce_hypotheses can change a run's results; a
         # field added without a value here fails the key check
         changed = {
             "grid": Grid(1, 512, 20.0), "params": CONSERVATIVE, "eps": 0.31, "s": 1.5,
-            "dt_init": 0.06, "dt_safety": 0.2, "blowup_norm_threshold": 7.0,
-            "boundary_mass_tolerance": 1e-5, "t_max": 60.0, "record_every": 2,
-            "snapshot_budget": 16,
+            "t_max": 60.0, "record_every": 2,
         }
         names = {f.name for f in dataclasses.fields(SolverConfig)}
         assert set(changed) == names - {"enforce_hypotheses"}
@@ -117,10 +101,11 @@ class TestInit:
         assert state.status is RunStatus.RUNNING
 
     def test_rejects_datum_at_the_threshold(self):
-        # sup|eps phi| = 0.4 already reaches the cap of 0.3: no step could be event-free
-        cfg = small_config(eps=0.4, blowup_norm_threshold=0.3)
-        with pytest.raises(ValueError, match="blowup_norm_threshold"):
-            init(cfg, gaussian(cfg.grid))
+        # sup|eps phi| = 4000 already reaches the cap 1e3/eps = 2500: no step could be
+        # event-free
+        cfg = small_config(eps=0.4)
+        with pytest.raises(ValueError, match=r"sup-norm cap 1e3/eps = 2500\.0"):
+            init(cfg, gaussian(cfg.grid, amplitude=1e4))
 
     def test_rejects_frequency_datum(self):
         cfg = small_config()
@@ -211,10 +196,11 @@ class TestStep:
         with pytest.raises(ValueError):
             step(frozen, 0.01)
 
-    def test_threshold_crossing_is_an_event_without_sample(self):
+    def test_threshold_crossing_is_an_event_without_sample(self, monkeypatch):
         # sup |u| starts at 0.4 and grows without bound; the pointwise
-        # horizon stays far beyond dt/2 while sup |u| < 1
-        cfg = small_config(eps=0.4, blowup_norm_threshold=1.0)
+        # horizon stays far beyond dt/2 while sup |u| < 1, the cap 0.4/eps
+        monkeypatch.setattr(solver, "_SUP_CAP", 0.4)
+        cfg = small_config(eps=0.4)
         state = init(cfg, gaussian(cfg.grid))
         for _ in range(1000):
             n_samples = len(state.diagnostics.samples)
@@ -287,28 +273,29 @@ class TestRunToBlowup:
         t_a, t_b = measure(2j, 0.2), measure(1j, 0.4)
         assert abs(t_a - t_b) / t_b < 1e-3
 
-    def test_wide_threshold_bracket_keeps_t_eps(self):
-        # at a cap of 2 the event step the step law reaches is wider than the
+    def test_wide_threshold_bracket_keeps_t_eps(self, monkeypatch):
+        # at a cap of 0.6/eps = 2 the event step the step law reaches is wider than the
         # bracket, so it is halved down to 1e-3 t; T_eps must agree, to the
         # bracket half-width, with the value frozen from a solver that
         # bisected that wide step instead; the run records its landing state
         # although it falls between the every-7th-step samples
-        cfg = small_config(eps=0.3, blowup_norm_threshold=2.0, record_every=7)
+        monkeypatch.setattr(solver, "_SUP_CAP", 0.6)
+        cfg = small_config(eps=0.3, record_every=7)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         assert rec.status == "blown-up" and rec.t_blow_threshold == rec.T_eps
         assert abs(rec.T_eps - 5.167165066477595) / 5.167165066477595 < 5e-4
         last = rec.diagnostics.samples[-1].t
         assert 0 < 2 * (rec.T_eps - last) <= 1e-3 * last
 
-    def test_threshold_insensitivity(self):
+    def test_threshold_insensitivity(self, monkeypatch):
         # the remaining time to the singularity at the sup-norm cap is
         # O(1/cap), so quadrupling the cap barely moves T (1.4e-4 measured)
         grid = Grid(1, 512, 30.0)
         phi = gaussian(grid)
 
         def measure(thr):
-            cfg = small_config(eps=0.3, grid=grid, t_max=60.0,
-                               record_every=10**9, blowup_norm_threshold=thr)
+            monkeypatch.setattr(solver, "_SUP_CAP", thr * 0.3)
+            cfg = small_config(eps=0.3, grid=grid, t_max=60.0, record_every=10**9)
             return run_to_blowup(init(cfg, phi)).T_eps
 
         assert abs(measure(1000.0) - measure(4000.0)) / measure(4000.0) < 1.5e-3
@@ -336,11 +323,11 @@ class TestRunToBlowup:
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         abort = accepted[-1]
         assert rec.status == "boundary-contaminated"
-        assert abort.shell > cfg.boundary_mass_tolerance
+        assert abort.shell > solver._SHELL_TOLERANCE
         # the aborting step took no sample, and no sample saw the shell mass
         assert abort.step_count % cfg.record_every != 0
         assert rec.diagnostics.samples[-1].t < abort.t
-        assert rec.max_shell_fraction <= cfg.boundary_mass_tolerance
+        assert rec.max_shell_fraction <= solver._SHELL_TOLERANCE
 
     def test_mass_monotone_for_amplifying(self):
         cfg = small_config(eps=0.3, grid=Grid(1, 512, 30.0), record_every=4)
@@ -382,18 +369,18 @@ class TestRunToBlowup:
             res = mass_balance_residuals(rec.diagnostics.samples, mu=1.0)
         assert np.all(np.isfinite(res))
 
-    def test_snapshot_budget_respected(self):
-        cfg = small_config(eps=0.2, grid=Grid(1, 256, 25.0), record_every=1,
-                           snapshot_budget=32)
+    def test_snapshot_budget_respected(self, monkeypatch):
+        monkeypatch.setattr(solver, "_SNAPSHOT_BUDGET", 32)
+        cfg = small_config(eps=0.2, grid=Grid(1, 256, 25.0), record_every=1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         assert len(rec.diagnostics.snapshots) <= 33
 
-    def test_snapshots_stay_evenly_spread(self):
+    def test_snapshots_stay_evenly_spread(self, monkeypatch):
         # 295 accepted steps, growing from 0.005 to about 0.03, offer their
         # fields; the 32 kept span the run with no gap above twice the mean
         # (1.48 measured)
-        cfg = small_config(eps=0.3, grid=Grid(1, 256, 25.0), record_every=1,
-                           snapshot_budget=32)
+        monkeypatch.setattr(solver, "_SNAPSHOT_BUDGET", 32)
+        cfg = small_config(eps=0.3, grid=Grid(1, 256, 25.0), record_every=1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         times = np.array(rec.diagnostics.snapshot_times)
         assert rec.status == "blown-up" and len(times) == 32
@@ -438,7 +425,8 @@ class TestStepLaw:
     def test_rejected_trials_retry_smaller_and_accepted_meet_tolerance(self, monkeypatch):
         trials, advanced = self.spy_trials(monkeypatch)
         # a first step of 0.2 is far too long for the tolerance
-        cfg = small_config(eps=0.4, dt_init=2.0, record_every=8)
+        monkeypatch.setattr(solver, "_FIRST_STEP", 0.1 * 2.0)
+        cfg = small_config(eps=0.4, record_every=8)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         assert rec.status == "blown-up"
         tol = solver._STEP_TOLERANCE
@@ -467,7 +455,7 @@ class TestStepLaw:
         monkeypatch.setattr(solver, "_doubling_trial", first_half_step_blows_up)
         cfg = small_config(eps=0.4, t_max=0.1)
         run_to_blowup(init(cfg, gaussian(cfg.grid)))
-        assert dts[0] == cfg.dt_safety * cfg.dt_init and dts[1] == dts[0] / 2
+        assert dts[0] == solver._FIRST_STEP and dts[1] == dts[0] / 2
 
     def spy_strang(self, monkeypatch, blown_calls):
         """Record the dt of every Strang step; the calls numbered in `blown_calls` raise."""
@@ -490,7 +478,7 @@ class TestStepLaw:
         dts = self.spy_strang(monkeypatch, blown_calls={1})
         cfg = small_config(eps=0.4, t_max=0.1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
-        dt0 = cfg.dt_safety * cfg.dt_init
+        dt0 = solver._FIRST_STEP
         assert rec.status == "reached-t-max"
         assert dts[:4] == [dt0, dt0 / 2, dt0 / 4, dt0 / 4]
 
@@ -501,7 +489,7 @@ class TestStepLaw:
         dts = self.spy_strang(monkeypatch, blown_calls={1, 2})
         cfg = small_config(eps=0.4, t_max=0.1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
-        dt0 = cfg.dt_safety * cfg.dt_init
+        dt0 = solver._FIRST_STEP
         assert dts[:5] == [dt0, dt0 / 2, dt0 / 4, dt0 / 8, dt0 / 8]
         assert rec.status == "reached-t-max"
 
@@ -624,6 +612,20 @@ class TestFieldOwnership:
         assert rec.status == "blown-up" and len(kept) > 200
         for a, copy in kept:
             assert np.array_equal(a, copy)
+
+    def test_snapshots_are_the_read_only_accepted_fields(self):
+        # a snapshot is no copy: it is the field a state held, and writing into it fails
+        cfg = ownership_config(1)
+        state = init(cfg, gaussian(cfg.grid))
+        assert state.diagnostics.snapshots[0] is state.u.values
+        rec = run_to_blowup(state)
+        snapshots = rec.diagnostics.snapshots
+        assert len(snapshots) == solver._SNAPSHOT_BUDGET
+        for snap in snapshots:
+            with pytest.raises(ValueError, match="read-only"):
+                snap[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                snap *= 2.0
 
 
 class TestHigherDimensions:

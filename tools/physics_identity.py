@@ -1,0 +1,82 @@
+"""Check that the working tree computes the same physics as a git revision, bit for bit.
+
+    python3 tools/physics_identity.py <rev> [workload ...]
+
+Exports <rev> with `git archive` into a temporary directory, then runs
+`perfbench/worker.py --mode full` on each benchmark workload (all of them by
+default) once in that export and once in the working tree, each with its own
+worker and its own `src/`.  The physics keys of the two JSON results must be
+equal: the runs (status, T_eps, q_eps, max_remainder_scaled), bound_value,
+the sweep verdict, the sample count, the persisted T_eps and the persisted
+byte count.  Timings are ignored.
+
+Exit status: 0 when every workload is identical, 1 when one differs, 2 when a
+worker or git fails.  `perfbench/run.py` accepts T_eps within 1e-3 of its
+reference, so its `correct: true` cannot show bit-identity; this can.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from worker import WORKLOADS  # noqa: E402
+
+PHYSICS_KEYS = ("runs", "bound_value", "verdict", "samples", "persisted_T_eps", "persist_bytes")
+
+
+def export(rev: str, dest: Path) -> None:
+    """Write the files of `rev` into dest."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                             capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+
+
+def physics(tree: Path, workload: str) -> dict:
+    """The physics keys of one full worker repetition in `tree`."""
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(tree / "perfbench" / "worker.py"), "--workload", workload,
+         "--mode", "full"], cwd=tree, env=env, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {key: result.get(key) for key in PHYSICS_KEYS}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
+    ap.add_argument("workloads", nargs="*", help=f"any of {sorted(WORKLOADS)} (default: all)")
+    args = ap.parse_args(argv)
+    unknown = sorted(set(args.workloads) - set(WORKLOADS))
+    if unknown:
+        ap.error(f"unknown workloads {unknown}")
+    differ = False
+    with tempfile.TemporaryDirectory(prefix="physics-identity-") as tmp:
+        base = Path(tmp)
+        try:
+            export(args.rev, base)
+            for workload in args.workloads or sorted(WORKLOADS):
+                want, got = physics(base, workload), physics(ROOT, workload)
+                changed = [key for key in PHYSICS_KEYS if want[key] != got[key]]
+                print(f"{workload}: " + ("identical" if not changed else "differs"))
+                for key in changed:
+                    print(f"  {key}: {args.rev} {json.dumps(want[key])}")
+                    print(f"  {key}: working tree {json.dumps(got[key])}")
+                differ = differ or bool(changed)
+        except subprocess.CalledProcessError as e:
+            stderr = e.stderr if isinstance(e.stderr, str) else (e.stderr or b"").decode()
+            print(f"error: {' '.join(map(str, e.cmd))} failed: {stderr.strip()}", file=sys.stderr)
+            return 2
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
