@@ -4,11 +4,13 @@ One step is: half-step of the exact pointwise nonlinear flow, full spectral
 free propagation, half-step of the nonlinear flow.  The run loop sizes its
 steps by step doubling, so the step grows wherever the local error allows.
 The nonlinear substep's closed form carries its own blow-up detector (a
-pointwise denominator zero).  A trial step meets an event when that fires in
-either of its paths, or when its field reaches the sup-norm cap 1e3/eps.
-The step law itself brackets the event: a step that meets it is halved until
-it is no wider than 1e-3 of the elapsed time, and that final step is the
-bracket.
+pointwise denominator zero).  A run ends when its event is bracketed within
+1e-3 of the elapsed time, in one of two ways.  A trial step meets the event
+when the detector fires in either of its paths, or when its field reaches
+the sup-norm cap 1e3/eps; such a step is halved until it is no wider than
+the bracket, and that final step is the bracket.  Or the pointwise blow-up
+horizon of sup|u| falls within the bracket: the pointwise flow's own
+singularity then lies at most that far ahead, and the horizon is the bracket.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .spectral import (
 # 1e-8 makes the 2-D run slower than the fixed step was.
 _STEP_TOLERANCE = 1e-7
 _HORIZON_FRACTION = 0.1  # every step is at most this fraction of the blow-up horizon of sup|u|
+_BRACKET = 1e-3  # an event is bracketed within this fraction of the elapsed time
 _FIRST_STEP = 0.1 * 0.05  # 0.005000000000000001: a literal 0.005 would move every run's bits
 _SUP_CAP = 1e3  # sup|u| >= _SUP_CAP / eps is an event; there is no cap at eps = 0
 _SHELL_TOLERANCE = 1e-6  # outer-shell mass fraction above which a run is contaminated
@@ -67,8 +70,8 @@ def index_condition_holds(d: int, theta: float, s: float) -> bool:
 @dataclass(frozen=True)
 class SolverConfig:
     """Everything one run depends on that callers vary; the step tolerance, first
-    step, horizon fraction, sup-norm cap, shell tolerance and snapshot budget
-    are this module's constants."""
+    step, horizon fraction, event bracket, sup-norm cap, shell tolerance and
+    snapshot budget are this module's constants."""
 
     grid: Grid
     params: NonlinearityParams
@@ -158,7 +161,8 @@ class SolverState:
     sup: float                           # sup|u| and the boundary-shell mass fraction,
     shell: float                         # both from the one |u| pass per field
     t_blow: float | None = None
-    blow_criterion: str | None = None   # "pointwise" or "threshold"
+    blow_criterion: str | None = None   # "pointwise" (a substep singularity, a non-finite
+                                        # field or the horizon of sup|u|) or "threshold"
     step_count: int = 0
 
 
@@ -233,6 +237,15 @@ def _strang(u: np.ndarray, dt: float, config: SolverConfig, out: np.ndarray | No
 
 def _event(state: SolverState, t_blow: float, criterion: str) -> SolverState:
     return replace(state, status=RunStatus.BLOWN_UP, t_blow=t_blow, blow_criterion=criterion)
+
+
+def _land(state: SolverState, t_blow: float, criterion: str) -> SolverState:
+    """`state` marked BLOWN_UP at t_blow, with a final sample unless it already has one."""
+    state = _event(state, t_blow, criterion)
+    if state.diagnostics.samples[-1].t != state.t:
+        absu = np.abs(state.u.values)
+        _sample_diagnostics(state, absu, absu**2)
+    return state
 
 
 def _advance(state: SolverState, u: np.ndarray, dt: float) -> SolverState:
@@ -334,16 +347,20 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     dt/5 after a rejection.  A step that shrinks to nothing raises
     RuntimeError.
 
-    A trial meets the event when its full step or a half step runs into the
-    singularity, or when the accepted field reaches the sup-norm cap 1e3/eps.  An
-    event step wider than 1e-3 max(t, dt) is halved and retried, and the
-    event-free steps that follow are accepted as usual, so an event that does
-    not recur at the shorter steps does not end the run.  An event step
-    within that width is the bracket of the event time: the run ends on its
-    base state with t_blow = t + dt/2 and records one final sample there,
-    unless the base state was already sampled.  The boundary monitor aborts
-    when the outer-shell mass fraction exceeds 1e-6; such runs are invalid
-    for bound checking.
+    The run ends when its event is bracketed within `_BRACKET` = 1e-3 of the
+    elapsed time, on its base state, which records one final sample unless
+    it was already sampled.  Either a trial brackets it: a trial meets the
+    event when its full step or a half step runs into the singularity, or
+    when the accepted field reaches the sup-norm cap 1e3/eps.  An event step
+    wider than 1e-3 max(t, dt) is halved and retried, and the event-free
+    steps that follow are accepted as usual, so an event that does not recur
+    at the shorter steps does not end the run; an event step within that
+    width is the bracket, and t_blow = t + dt/2.  Or the horizon of sup|u|
+    brackets it: before each trial, once horizon <= 1e-3 t and
+    t + horizon <= t_max, the pointwise flow's singularity lies within
+    [t, t + horizon], and the run ends "pointwise" with t_blow = t + horizon.
+    The boundary monitor aborts when the outer-shell mass fraction exceeds
+    1e-6; such runs are invalid for bound checking.
     """
     cfg = state.config
     tol = _STEP_TOLERANCE
@@ -353,7 +370,11 @@ def run_to_blowup(state: SolverState) -> RunRecord:
         if remaining <= 1e-12 * cfg.t_max:
             state = replace(state, status=RunStatus.REACHED_TMAX)
             break
-        dt = min(h, _HORIZON_FRACTION * blowup_horizon(state.sup, cfg.params), remaining)
+        horizon = blowup_horizon(state.sup, cfg.params)
+        if horizon <= _BRACKET * state.t and state.t + horizon <= cfg.t_max:
+            state = _land(state, state.t + horizon, "pointwise")
+            break
+        dt = min(h, _HORIZON_FRACTION * horizon, remaining)
         if not state.t + dt > state.t:
             raise RuntimeError(f"step size {dt!r} vanishes at t={state.t!r}: the trials "
                                f"cannot meet the step tolerance {tol!r}")
@@ -368,13 +389,10 @@ def run_to_blowup(state: SolverState) -> RunRecord:
             trial = _advance(state, two, dt)
             criterion = trial.blow_criterion
         if criterion is not None:
-            if dt > 1e-3 * max(state.t, dt):
+            if dt > _BRACKET * max(state.t, dt):
                 h = 0.5 * dt
                 continue
-            state = _event(state, state.t + 0.5 * dt, criterion)
-            if state.diagnostics.samples[-1].t != state.t:
-                absu = np.abs(state.u.values)
-                _sample_diagnostics(state, absu, absu**2)
+            state = _land(state, state.t + 0.5 * dt, criterion)
         elif trial.shell > _SHELL_TOLERANCE:
             state = replace(trial, status=RunStatus.BOUNDARY_CONTAMINATED)
         else:

@@ -17,7 +17,7 @@ from nlslab import (
 )
 from nlslab import solver
 from nlslab.initial_data import gaussian
-from nlslab.propagators import PointwiseBlowUp
+from nlslab.propagators import PointwiseBlowUp, blowup_horizon
 from nlslab.solver import (
     RunStatus,
     SolverConfig,
@@ -227,7 +227,7 @@ class TestRunToBlowup:
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         assert rec.status == "blown-up"
         assert rec.T_eps == pytest.approx(3.754098, abs=5e-3)
-        assert rec.t_blow_threshold is not None
+        assert rec.t_blow_pointwise is not None
         assert rec.invariant_quantity == pytest.approx(0.4 * np.sqrt(rec.T_eps), rel=1e-12)
 
     def test_deterministic(self):
@@ -259,8 +259,8 @@ class TestRunToBlowup:
 
     def test_gain_amplitude_scaling_covariance(self):
         # for b = 1 the substitution u -> u/2 maps (lam=i, eps=0.4) onto
-        # (lam=2i, eps=0.2) exactly, so the two measured lifespans agree up
-        # to the eps-dependent cap and event bracket width (7.6e-5 measured)
+        # (lam=2i, eps=0.2) exactly, and so does the horizon stop that ends
+        # both runs: the two measured lifespans agree (bit for bit, measured)
         grid = Grid(1, 512, 30.0)
         phi = gaussian(grid)
 
@@ -288,17 +288,45 @@ class TestRunToBlowup:
         assert 0 < 2 * (rec.T_eps - last) <= 1e-3 * last
 
     def test_threshold_insensitivity(self, monkeypatch):
-        # the remaining time to the singularity at the sup-norm cap is
-        # O(1/cap), so quadrupling the cap barely moves T (1.4e-4 measured)
+        # sup|u| brings the pointwise horizon inside the bracket below both
+        # caps, so the run ends on that stop and the cap never fires
         grid = Grid(1, 512, 30.0)
         phi = gaussian(grid)
 
         def measure(thr):
             monkeypatch.setattr(solver, "_SUP_CAP", thr * 0.3)
             cfg = small_config(eps=0.3, grid=grid, t_max=60.0, record_every=10**9)
-            return run_to_blowup(init(cfg, phi)).T_eps
+            rec = run_to_blowup(init(cfg, phi))
+            assert rec.status == "blown-up" and rec.t_blow_pointwise == rec.T_eps
+            return rec.T_eps
 
-        assert abs(measure(1000.0) - measure(4000.0)) / measure(4000.0) < 1.5e-3
+        assert measure(1000.0) == measure(4000.0)
+
+    def test_horizon_stop_brackets_the_singularity(self):
+        # the run ends on its last sample, once the pointwise blow-up horizon
+        # of its sup|u| is within the bracket; that horizon is the bracket
+        cfg = small_config(eps=0.4, grid=Grid(1, 512, 30.0), record_every=8)
+        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        last = rec.diagnostics.samples[-1]
+        assert rec.status == "blown-up" and rec.t_blow_pointwise == rec.T_eps
+        assert rec.T_eps == last.t + blowup_horizon(last.report.l_inf, cfg.params)
+        assert 0 < rec.T_eps - last.t <= 1e-3 * last.t
+
+    def test_horizon_stop_keeps_the_run_resolved(self):
+        # the default eps = 0.4 run stops before the spike outgrows the
+        # grid (tail 1.06e-7 measured; 5.2e-3 when it ran on to the cap)
+        cfg = small_config(eps=0.4, grid=Grid(1, 2048, 80.0), t_max=200.0, record_every=4)
+        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        assert rec.status == "blown-up" and rec.t_blow_pointwise == rec.T_eps
+        assert rec.max_tail_fraction < 1e-6
+
+    def test_singularity_past_t_max_is_censored(self):
+        # the predicted singularity, 3.75446, lies past t_max: no stop
+        cfg = small_config(eps=0.4, grid=Grid(1, 2048, 80.0), t_max=3.754, record_every=4)
+        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        assert rec.status == "reached-t-max" and rec.censored
+        assert rec.t_blow_pointwise is None and rec.t_blow_threshold is None
+        assert rec.T_eps == pytest.approx(3.754, rel=1e-12)
 
     def test_boundary_contamination_flagged(self):
         # a box too small for the dispersive spreading must abort the run
@@ -358,13 +386,13 @@ class TestRunToBlowup:
         assert times[-1] < rec.T_eps
 
     def test_landing_on_sampled_base_keeps_residuals_finite(self):
-        # the run lands on its (sampled) base state, and the event step from
-        # there is the bracket: T_eps lies half of it past the last sample
+        # the run lands on its (sampled) base state, and the horizon from
+        # there is the bracket [last, T_eps]
         cfg = small_config(eps=0.4, grid=Grid(1, 256, 25.0), record_every=1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         last = rec.diagnostics.samples[-1].t
         assert rec.status == "blown-up"
-        assert 0 < 2 * (rec.T_eps - last) <= 1e-3 * last
+        assert 0 < rec.T_eps - last <= 1e-3 * last
         with np.errstate(divide="raise", invalid="raise"):
             res = mass_balance_residuals(rec.diagnostics.samples, mu=1.0)
         assert np.all(np.isfinite(res))
@@ -376,7 +404,7 @@ class TestRunToBlowup:
         assert len(rec.diagnostics.snapshots) <= 33
 
     def test_snapshots_stay_evenly_spread(self, monkeypatch):
-        # 295 accepted steps, growing from 0.005 to about 0.03, offer their
+        # 245 accepted steps, growing from 0.005 to about 0.03, offer their
         # fields; the 32 kept span the run with no gap above twice the mean
         # (1.48 measured)
         monkeypatch.setattr(solver, "_SNAPSHOT_BUDGET", 32)
@@ -415,7 +443,7 @@ class TestStepLaw:
 
     def test_tolerance_refinement_stays_inside_the_event_bracket(self, monkeypatch):
         # the event bracket has relative half-width 5e-4; a tenfold tighter
-        # step tolerance must move T by less (2.9e-6 measured)
+        # step tolerance must move T by less (1.5e-6 measured)
         cfg = small_config(eps=0.4, grid=Grid(1, 512, 30.0), record_every=8)
         t_a = run_to_blowup(init(cfg, gaussian(cfg.grid))).T_eps
         monkeypatch.setattr(solver, "_STEP_TOLERANCE", solver._STEP_TOLERANCE / 10.0)

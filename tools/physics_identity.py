@@ -8,7 +8,8 @@ default) once in that export and once in the working tree, each with its own
 worker and its own `src/`.  The physics keys of the two JSON results must be
 equal: the runs (status, T_eps, q_eps, max_remainder_scaled), bound_value,
 the sweep verdict, the sample count, the persisted T_eps and the persisted
-byte count.  Timings are ignored.
+byte count.  Timings are ignored.  For each run whose T_eps differs it also
+prints the relative shift (got - want) / want, the working tree against <rev>.
 
 Exit status: 0 when every workload is identical, 1 when one differs, 2 when a
 worker or git fails.  `perfbench/run.py` accepts T_eps within 1e-3 of its
@@ -50,6 +51,13 @@ def physics(tree: Path, workload: str) -> dict:
     return {key: result.get(key) for key in PHYSICS_KEYS}
 
 
+def t_eps_shifts(want: list, got: list) -> list:
+    """(eps, (got - want) / want) for each run, paired in order, whose T_eps differs."""
+    return [(w["eps"], (g["T_eps"] - w["T_eps"]) / w["T_eps"])
+            for w, g in zip(want, got)
+            if w["T_eps"] and g["T_eps"] is not None and g["T_eps"] != w["T_eps"]]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
@@ -70,6 +78,8 @@ def main(argv=None) -> int:
                 for key in changed:
                     print(f"  {key}: {args.rev} {json.dumps(want[key])}")
                     print(f"  {key}: working tree {json.dumps(got[key])}")
+                for eps, shift in t_eps_shifts(want["runs"], got["runs"]):
+                    print(f"  T_eps at eps = {eps}: relative shift {shift:+.3e}")
                 differ = differ or bool(changed)
         except subprocess.CalledProcessError as e:
             stderr = e.stderr if isinstance(e.stderr, str) else (e.stderr or b"").decode()
