@@ -61,7 +61,7 @@ class NonlinearityParams:
 
     @property
     def mu(self) -> float:
-        return float(np.imag(self.lam))
+        return complex(self.lam).imag
 
 
 @lru_cache(maxsize=2)
@@ -80,6 +80,17 @@ def _free_multiplier(grid: Grid, t: float) -> np.ndarray:
     return _read_only(m)
 
 
+def _multiply_spectrum(values: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """idft(m * dft(values)) into `out`, which holds the spectrum in between; it may be `values`.
+
+    With m = ``_free_multiplier(grid, t)`` this is the free flow over t.
+    """
+    spectrum = dft(values, out=out)
+    # m first: numpy's SIMD complex multiply rounds the two operand orders differently
+    np.multiply(m, spectrum, out=spectrum)
+    return idft(spectrum, out=out)
+
+
 def free_propagate(f: ComplexField, t: float, *, out: np.ndarray | None = None) -> ComplexField:
     """Free flow U(t) = exp(i t Lap / 2); t < 0 gives the inverse flow.
 
@@ -96,11 +107,7 @@ def free_propagate(f: ComplexField, t: float, *, out: np.ndarray | None = None) 
     if t == 0.0:
         np.copyto(out, f.values)
     else:
-        m = _free_multiplier(f.grid, t)
-        spectrum = dft(f.values, out=out)
-        # m first: numpy's SIMD complex multiply rounds the two operand orders differently
-        np.multiply(m, spectrum, out=spectrum)
-        idft(spectrum, out=out)
+        _multiply_spectrum(f.values, _free_multiplier(f.grid, t), out)
     return ComplexField(f.grid, Space.PHYSICAL, out)
 
 
@@ -172,8 +179,8 @@ def coefficient_time(t0: float, tau, a: float):
     return t0 * np.exp(np.log1p(ex * tau / t0**ex) / ex)
 
 
-def nonlinear_flow_exact(z, dt, params: NonlinearityParams, *,
-                         out: np.ndarray | None = None, scratch: np.ndarray | None = None):
+def nonlinear_flow_exact(z, dt, params: NonlinearityParams, *, out: np.ndarray | None = None,
+                         scratch: np.ndarray | None = None, abs_b: np.ndarray | None = None):
     """Exact flow of i w' = lam |w|^b w over time dt, applied pointwise.
 
     The modulus obeys |w(dt)|^b = |z|^b / (1 - b mu |z|^b dt) with mu = Im(lam);
@@ -182,26 +189,30 @@ def nonlinear_flow_exact(z, dt, params: NonlinearityParams, *,
     anything is written.  dt is a float or an array that broadcasts against
     z.  For an array z and a float dt, `out` (complex, z's shape; it may be
     z) receives the values and `scratch` (float, z's shape) holds the modulus
-    terms; each is a fresh array when not given.
+    terms; each is a fresh array when not given.  `abs_b`, when given, is
+    |z|^b (float, z's shape) already computed; it is only read, so several
+    flows from one z can share it.
     """
     dt_float = isinstance(dt, float)  # the step kernel's float dt skips numpy's reductions
     if dt < 0 if dt_float else np.any(dt < 0):
         raise ValueError(f"substep length must be >= 0, got {dt}")
     b, mu = params.b, params.mu
-    alpha = float(np.real(params.lam))
+    alpha = complex(params.lam).real
     z = np.asarray(z, dtype=np.complex128)
     if not dt_float:  # z read on the common shape, which every array below then has
         z = np.broadcast_to(z, np.broadcast_shapes(z.shape, np.shape(dt)))
-    a = np.abs(z, out=scratch)
-    a **= b
+    if abs_b is None:
+        abs_b = np.abs(z, out=scratch)
+        abs_b **= b
     if mu == 0.0 and alpha != 0.0:
         # |w| stays |z|, so no denominator can vanish
-        w = np.multiply(z, np.exp(-1j * alpha * a * dt), out=out)
+        w = np.multiply(z, np.exp(-1j * alpha * abs_b * dt), out=out)
     else:
-        a *= b * mu
+        a = np.multiply(abs_b, b * mu, out=scratch)
         a *= dt
         denom = np.subtract(1.0, a, out=scratch)
-        if np.any(denom <= 0.0):
+        # fmin passes over NaNs, as the comparison denom <= 0 does, and an empty z gives inf
+        if np.fmin.reduce(denom, axis=None, initial=np.inf) <= 0.0:
             raise PointwiseBlowUp(np.min(blowup_horizon(z, params)))
         # phase integral: -(alpha / (b mu)) * log(1 / denom); with alpha = 0 the
         # factor would be exp(0j) == 1 exactly, so it is skipped

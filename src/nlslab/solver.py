@@ -1,8 +1,12 @@
 """Strang split-step integration with error-controlled stepping and blow-up time measurement.
 
 One step is: half-step of the exact pointwise nonlinear flow, full spectral
-free propagation, half-step of the nonlinear flow.  The run loop sizes its
-steps by step doubling, so the step grows wherever the local error allows.
+free propagation, half-step of the nonlinear flow.  Steps and trials are
+paths of one kernel, which alternates exact nonlinear substeps with free
+propagations by a Fourier multiplier.  The run loop sizes its steps by step
+doubling, so the step grows wherever the local error allows; a doubling
+trial runs its two half steps as one path whose middle nonlinear substeps
+are merged, and squares the half step's multiplier for the full step.
 The nonlinear substep's closed form carries its own blow-up detector (a
 pointwise denominator zero).  A run ends when its event is bracketed within
 1e-3 of the elapsed time, in one of two ways.  A trial step meets the event
@@ -24,8 +28,9 @@ import numpy as np
 from .propagators import (
     NonlinearityParams,
     PointwiseBlowUp,
+    _free_multiplier,
+    _multiply_spectrum,
     blowup_horizon,
-    free_propagate,
     nonlinear_flow_exact,
 )
 from .records import RunRecord, canonical_fingerprint
@@ -145,9 +150,10 @@ class DiagnosticsLog:
         values.flags.writeable = False
         self.snapshots.append(values)
         if len(times) > _SNAPSHOT_BUDGET:
-            # drop the interior snapshot whose neighbours lie closest in time
-            i = min(range(1, len(times) - 1), key=lambda j: times[j + 1] - times[j - 1],
-                    default=0)
+            # drop the first interior snapshot whose neighbours lie closest in
+            # time, or the older of two
+            t = np.array(times)
+            i = int(np.argmin(t[2:] - t[:-2])) + 1 if len(times) > 2 else 0
             del times[i], self.snapshots[i]
 
 
@@ -177,7 +183,8 @@ def _sample_diagnostics(state: SolverState, absu: np.ndarray, power: np.ndarray)
     spectral_power = np.abs(spectrum) ** 2
     rep = norms(state.u, state.t, cfg.s, spectrum=spectrum, spectral_power=spectral_power,
                 l2=math.sqrt(mass), sup=state.sup)
-    lp1 = float(wx * np.sum(absu ** (cfg.params.p + 1.0)))
+    # |u|^(p+1) as |u|^2 |u|^b: numpy takes b = 1 and 0.5 without a general power
+    lp1 = float(wx * np.sum(power * absu ** cfg.params.b))
     samples = state.diagnostics.samples
     energy = max(samples[-1].energy if samples else 0.0, rep.sigma_s)
     samples.append(DiagnosticSample(
@@ -216,23 +223,31 @@ def init(config: SolverConfig, phi: ComplexField) -> SolverState:
     return state
 
 
-def _strang(u: np.ndarray, dt: float, config: SolverConfig, out: np.ndarray | None = None,
-            scratch: np.ndarray | None = None) -> np.ndarray:
-    """Half nonlinear substep, free propagation, half nonlinear substep; a
-    :class:`PointwiseBlowUp` carries `earliest` from the start of the step.
+def _strang(u: np.ndarray, substeps: tuple, multipliers: tuple, params: NonlinearityParams,
+            out: np.ndarray | None = None, scratch: np.ndarray | None = None,
+            abs_b: np.ndarray | None = None) -> np.ndarray:
+    """The Strang path N(substeps[0]) F(multipliers[0]) N(substeps[1]) ... from the field u.
 
-    The first substep writes into `out` (a fresh array when not given; it may
-    be u), and the other two work in place there, with the float `scratch`.
+    N(tau) is the exact nonlinear substep over tau, F(m) the free propagation
+    by the Fourier multiplier m; there is one multiplier fewer than substeps.
+    A :class:`PointwiseBlowUp` carries `earliest` from the start of the path,
+    on the clock of the nonlinear substeps.  The first substep reads u and
+    `abs_b` = |u|^b when given, and writes into `out` (a fresh array when not
+    given; it may be u); the rest work in place there, with the float
+    `scratch`.
     """
-    half = dt / 2.0
-    elapsed = 0.0
+    if scratch is None:
+        scratch = np.empty(u.shape)
+    elapsed, tau = 0.0, substeps[0]
     try:
-        w = nonlinear_flow_exact(u, half, config.params, out=out, scratch=scratch)
-        elapsed = half
-        free_propagate(ComplexField(config.grid, Space.PHYSICAL, w), dt, out=w)
-        return nonlinear_flow_exact(w, half, config.params, out=w, scratch=scratch)
+        w = nonlinear_flow_exact(u, tau, params, out=out, scratch=scratch, abs_b=abs_b)
+        for m, following in zip(multipliers, substeps[1:]):
+            elapsed, tau = elapsed + tau, following
+            _multiply_spectrum(w, m, w)
+            w = nonlinear_flow_exact(w, tau, params, out=w, scratch=scratch)
     except PointwiseBlowUp as e:
-        raise PointwiseBlowUp(elapsed + min(e.earliest, half)) from None
+        raise PointwiseBlowUp(elapsed + min(e.earliest, tau)) from None
+    return w
 
 
 def _event(state: SolverState, t_blow: float, criterion: str) -> SolverState:
@@ -275,7 +290,7 @@ def _advance(state: SolverState, u: np.ndarray, dt: float) -> SolverState:
 
 
 def step(state: SolverState, dt: float) -> SolverState:
-    """One Strang step of size dt.
+    """One Strang step of size dt: the path N(dt/2) F(m_dt) N(dt/2) of :func:`_strang`.
 
     A step that ends in an event returns the base state marked BLOWN_UP with
     `t_blow` and `blow_criterion`: "pointwise" for a substep denominator zero
@@ -289,30 +304,50 @@ def step(state: SolverState, dt: float) -> SolverState:
         raise ValueError(f"cannot step a state with status {state.status.value}")
     if not (dt > 0):
         raise ValueError(f"step size must be positive, got {dt}")
+    cfg = state.config
+    half = dt / 2.0
     try:
-        u = _strang(state.u.values, dt, state.config)
+        u = _strang(state.u.values, (half, half), (_free_multiplier(cfg.grid, dt),), cfg.params)
     except PointwiseBlowUp as e:
         return _event(state, state.t + e.earliest, "pointwise")
     return _advance(state, u, dt)
 
 
 def _doubling_trial(u: np.ndarray, dt: float, config: SolverConfig):
-    """One Strang step of dt and two of dt/2 from the field u.
+    """One Strang step of dt and two of dt/2 from the field u, as two fused paths.
+
+    The full path is N(dt/2) F(m_dt) N(dt/2) and the half path is
+    N(dt/4) F(m_{dt/2}) N(dt/2) F(m_{dt/2}) N(dt/4), where N is the exact
+    nonlinear substep and F the free propagation by a multiplier.  The exact
+    pointwise flow is a one-parameter group, so the two middle quarter
+    substeps of the half steps are one substep of dt/2, and m_dt =
+    m_{dt/2}^2: a trial takes 5 nonlinear substeps, 3 FFT pairs and one
+    multiplier build.  |u|^b is taken once, and the first substep of each
+    path reads it.
 
     Returns (two, err): the two-half-step field and the local error estimate
     err = ||u_dt - two||_2 / (3 ||two||_2), not finite when either field
-    is not.  A :class:`PointwiseBlowUp` in either path propagates; the half
-    steps are not taken once the full step has raised.  The trial allocates
-    its two fields and one float scratch array, and every substep writes into
+    is not.  The norms are numpy's own sums of products (einsum calls no
+    BLAS), so err does not depend on the BLAS thread count.  A
+    :class:`PointwiseBlowUp` in either path propagates; the half path is not
+    taken once the full path has raised.  The trial allocates its two fields,
+    m_dt, |u|^b and one float scratch array, and every substep writes into
     them; u is only read.
     """
+    params = config.params
+    half, quarter = 0.5 * dt, 0.25 * dt
+    m_half = _free_multiplier(config.grid, half)
+    abs_b = np.abs(u)
+    abs_b **= params.b
     scratch = np.empty(u.shape)
-    full = _strang(u, dt, config, np.empty_like(u), scratch)
-    two = _strang(u, 0.5 * dt, config, np.empty_like(u), scratch)
-    two = _strang(two, 0.5 * dt, config, two, scratch)
-    diff = np.subtract(full, two, out=full)
-    num = np.vdot(diff, diff).real
-    den = np.vdot(two, two).real
+    full = _strang(u, (half, half), (np.multiply(m_half, m_half),), params,
+                   np.empty_like(u), scratch, abs_b)
+    two = _strang(u, (quarter, half, quarter), (m_half, m_half), params,
+                  np.empty_like(u), scratch, abs_b)
+    # each squared norm is the sum of squares of the real and imaginary parts
+    diff = np.subtract(full, two, out=full).ravel().view(np.float64)
+    flat = two.ravel().view(np.float64)
+    num, den = float(np.einsum("i,i", diff, diff)), float(np.einsum("i,i", flat, flat))
     if den > 0:
         return two, math.sqrt(num / den) / 3.0
     return two, 0.0 if num == 0 else math.nan

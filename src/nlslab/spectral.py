@@ -232,12 +232,17 @@ def _back_propagation_phase(grid: Grid, t: float) -> np.ndarray:
     """exp(i t |xi|^2 / 2) on the lattice, in FFT order.
 
     The phase is a product over the axes of one 1-D factor, even in k, so the
-    complex exponential is taken on k = 0..n/2 only.  In d = 1 the values are
+    phase is taken on k = 0..n/2 only, as the cosine and sine of the real
+    angle (numpy's complex exp computes the same two).  In d = 1 the values are
     those of ``np.exp(0.5j * t * grid.abs_xi_sq)`` bit for bit; in d >= 2 the
     outer product differs from it by roundoff.
     """
     n = grid.n
-    factor = np.exp(0.5j * t * grid.xi_1d[: n // 2 + 1] ** 2)[_mirror_index(n)]
+    angle = (0.5 * t) * grid.xi_1d[: n // 2 + 1] ** 2
+    factor = np.empty(angle.shape, dtype=np.complex128)
+    factor.real = np.cos(angle)
+    factor.imag = np.sin(angle)
+    factor = factor[_mirror_index(n)]
     out = factor
     for _ in range(grid.d - 1):
         out = np.multiply.outer(out, factor)

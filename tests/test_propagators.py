@@ -452,6 +452,12 @@ class TestBufferedForms:
         w = z.copy()
         assert nonlinear_flow_exact(w, dt, params, out=w, scratch=scratch) is w
         assert np.array_equal(w, want)
+        # a shared |z|^b gives the same values and is only read
+        abs_b = np.abs(z) ** params.b
+        abs_b_before = abs_b.copy()
+        got = nonlinear_flow_exact(z, dt, params, out=out, scratch=scratch, abs_b=abs_b)
+        assert np.array_equal(got, want)
+        assert np.array_equal(abs_b, abs_b_before)
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("t", [0.0, 0.7, -1.3])
@@ -467,6 +473,15 @@ class TestBufferedForms:
         g = ComplexField(grid, Space.PHYSICAL, z.copy())
         assert free_propagate(g, t, out=g.values).values is g.values
         assert np.array_equal(g.values, want)
+
+    def test_blowup_check_passes_over_nan_and_empty_input(self):
+        params = params_for(1j, b=1.0)
+        # a NaN sample blows up nowhere, but it does not hide one that does
+        w = nonlinear_flow_exact(np.array([np.nan, 0.5]), 1.0, params)
+        assert np.isnan(w[0]) and w[1] == 1.0
+        with pytest.raises(PointwiseBlowUp):
+            nonlinear_flow_exact(np.array([np.nan, 2.0]), 1.0, params)
+        assert nonlinear_flow_exact(np.array([], dtype=complex), 1.0, params).shape == (0,)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_blowup_leaves_the_input_untouched(self, d):

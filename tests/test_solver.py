@@ -1,6 +1,10 @@
 """Split-step solver: linear limit, conservation, blow-up measurement, convergence."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +19,9 @@ from nlslab import (
     norms,
     sup_modulus,
 )
-from nlslab import solver
+from nlslab import propagators, solver
 from nlslab.initial_data import gaussian
-from nlslab.propagators import PointwiseBlowUp, blowup_horizon
+from nlslab.propagators import PointwiseBlowUp, _free_multiplier, blowup_horizon
 from nlslab.solver import (
     RunStatus,
     SolverConfig,
@@ -37,6 +41,32 @@ def small_config(params=AMPLIFYING, **over):
     kw = dict(grid=Grid(1, 256, 20.0), params=params, eps=0.3, s=1.0, t_max=50.0)
     kw.update(over)
     return SolverConfig(**kw)
+
+
+# A fused doubling trial rounds differently from separate Strang steps: its
+# two-half-step field is within 8.9e-16 max|two| of theirs and its err within
+# 8.9e-17 of theirs (measured over whole 1-D and 2-D runs).
+TRIAL_ROUNDOFF = 2e-15
+TRIAL_ERR_ROUNDOFF = 1e-15
+
+
+def strang_step(u, dt, config):
+    """One Strang step of dt, as :func:`solver.step` takes it."""
+    return solver._strang(u, (dt / 2, dt / 2), (_free_multiplier(config.grid, dt),),
+                          config.params)
+
+
+def unfused_trial(u, dt, config):
+    """(two, err) of a doubling trial composed of separate Strang steps."""
+    two = strang_step(strang_step(u, dt / 2, config), dt / 2, config)
+    full = strang_step(u, dt, config)
+    return two, np.linalg.norm(full - two) / (3.0 * np.linalg.norm(two))
+
+
+def assert_trial_matches_unfused(u, dt, config, two, err):
+    want, want_err = unfused_trial(u, dt, config)
+    assert np.max(np.abs(two - want)) <= TRIAL_ROUNDOFF * np.max(np.abs(two))
+    assert err == pytest.approx(want_err, rel=0, abs=TRIAL_ERR_ROUNDOFF)
 
 
 class TestConfig:
@@ -158,6 +188,9 @@ class TestStep:
                 assert sample.report.h_0s == pytest.approx(want.h_0s, rel=1e-13)
                 if d == 1:
                     assert sample.report == want
+                wx = cfg.grid.h ** d
+                lp1 = wx * np.sum(np.abs(state.u.values) ** (cfg.params.p + 1.0))
+                assert sample.lp1 == pytest.approx(lp1, rel=1e-14)
             state = step(state, 0.005)
             assert state.status is RunStatus.RUNNING
         assert state.shell > 0 and len(samples) == 21
@@ -415,6 +448,34 @@ class TestRunToBlowup:
         assert times[0] == 0.0 and times[-1] == rec.diagnostics.samples[-1].t
         assert np.diff(times).max() < 2.0 * times[-1] / (len(times) - 1)
 
+    @pytest.mark.parametrize("budget", [1, 2, 3, 32, 128])
+    def test_thinning_keeps_what_the_pairwise_rule_kept(self, monkeypatch, budget):
+        def thinned(times):
+            """The rule as a loop: past the budget, drop the first interior time whose
+            neighbours lie closest, or the older of two."""
+            kept = []
+            for t in times:
+                if kept and kept[-1] == t:
+                    continue
+                kept.append(t)
+                if len(kept) > budget:
+                    i = min(range(1, len(kept) - 1), key=lambda j: kept[j + 1] - kept[j - 1],
+                            default=0)
+                    del kept[i]
+            return kept
+
+        monkeypatch.setattr(solver, "_SNAPSHOT_BUDGET", budget)
+        rng = np.random.default_rng(budget)
+        for k in range(20):
+            # integer gaps give ties between candidates, and a repeated time is offered twice
+            gaps = rng.integers(0, 4, 300) if k % 2 else rng.exponential(size=300)
+            times = [float(t) for t in np.cumsum(gaps)]
+            log = solver.DiagnosticsLog()
+            for t in times:
+                log.record_snapshot(t, np.array([t]))
+            assert log.snapshot_times == thinned(times)
+            assert [float(v[0]) for v in log.snapshots] == log.snapshot_times
+
 
 class TestStepLaw:
     def spy_trials(self, monkeypatch):
@@ -425,11 +486,7 @@ class TestStepLaw:
         def spy_trial(u, dt, config):
             two, err = trial(u, dt, config)
             # the field is two Strang steps of dt/2, and err the doubling estimate
-            want = solver._strang(solver._strang(u, dt / 2, config), dt / 2, config)
-            assert np.array_equal(two, want)
-            full = solver._strang(u, dt, config)
-            assert err == pytest.approx(
-                np.linalg.norm(full - two) / (3.0 * np.linalg.norm(two)), rel=1e-9)
+            assert_trial_matches_unfused(u, dt, config, two, err)
             trials.append((dt, two, err))
             return two, err
 
@@ -485,40 +542,42 @@ class TestStepLaw:
         run_to_blowup(init(cfg, gaussian(cfg.grid)))
         assert dts[0] == solver._FIRST_STEP and dts[1] == dts[0] / 2
 
-    def spy_strang(self, monkeypatch, blown_calls):
-        """Record the dt of every Strang step; the calls numbered in `blown_calls` raise."""
-        dts = []
+    def spy_paths(self, monkeypatch, blown_calls):
+        """Record the substeps of every Strang path; the calls numbered in `blown_calls` raise."""
+        paths = []
         strang = solver._strang
 
-        def spy(u, dt, config, *buffers):
-            dts.append(dt)
-            if len(dts) in blown_calls:
-                raise PointwiseBlowUp(0.5 * dt)
-            return strang(u, dt, config, *buffers)
+        def spy(u, substeps, *args):
+            paths.append(substeps)
+            if len(paths) in blown_calls:
+                raise PointwiseBlowUp(0.5 * substeps[0])
+            return strang(u, substeps, *args)
 
         monkeypatch.setattr(solver, "_strang", spy)
-        return dts
+        return paths
 
     def test_full_step_event_alone_halves_the_step(self, monkeypatch):
-        # the first trial's full step meets the singularity, so its half steps
-        # are not taken; the event step is wider than the bracket, so the
+        # the first trial's full path meets the singularity, so its half path
+        # is not taken; the event step is wider than the bracket, so the
         # trial is retried at half length
-        dts = self.spy_strang(monkeypatch, blown_calls={1})
+        paths = self.spy_paths(monkeypatch, blown_calls={1})
         cfg = small_config(eps=0.4, t_max=0.1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         dt0 = solver._FIRST_STEP
         assert rec.status == "reached-t-max"
-        assert dts[:4] == [dt0, dt0 / 2, dt0 / 4, dt0 / 4]
+        assert paths[:3] == [(dt0 / 2, dt0 / 2),
+                             (dt0 / 4, dt0 / 4), (dt0 / 8, dt0 / 4, dt0 / 8)]
 
     def test_event_that_does_not_recur_is_stepped_past(self, monkeypatch):
-        # the full steps of the first two trials meet the singularity, but no
+        # the full paths of the first two trials meet the singularity, but no
         # shorter step does: each event step is wider than the bracket, so it
         # is halved and the run goes on to t_max
-        dts = self.spy_strang(monkeypatch, blown_calls={1, 2})
+        paths = self.spy_paths(monkeypatch, blown_calls={1, 2})
         cfg = small_config(eps=0.4, t_max=0.1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         dt0 = solver._FIRST_STEP
-        assert dts[:5] == [dt0, dt0 / 2, dt0 / 4, dt0 / 8, dt0 / 8]
+        assert paths[:4] == [(dt0 / 2, dt0 / 2), (dt0 / 4, dt0 / 4),
+                             (dt0 / 8, dt0 / 8), (dt0 / 16, dt0 / 8, dt0 / 16)]
         assert rec.status == "reached-t-max"
 
     def test_event_in_both_paths_ends_the_run(self, monkeypatch):
@@ -553,8 +612,8 @@ class TestStepLaw:
     @pytest.mark.parametrize("blown_path", ["full", "half"])
     def test_event_in_one_path_ends_the_run(self, monkeypatch, blown_path):
         # every trial that would cross t_event meets the singularity in one
-        # path only, the full step or a half step; that is an event like any
-        # other, so the last trial's step, at most 1e-3 t wide, is the bracket
+        # path only, the full step or the half steps; that is an event like
+        # any other, so the last trial's step, at most 1e-3 t wide, is the bracket
         t_event = 0.0123
         clock, dts, calls = [0.0], [], []
         trial, strang, advance = solver._doubling_trial, solver._strang, solver._advance
@@ -564,12 +623,12 @@ class TestStepLaw:
             calls.clear()
             return trial(u, dt, config)
 
-        def spy_strang(u, dt, config, *buffers):
-            calls.append(dt)
+        def spy_strang(u, substeps, *args):
+            calls.append(substeps)
             path = "full" if len(calls) == 1 else "half"
             if path == blown_path and clock[0] + dts[-1] > t_event:
-                raise PointwiseBlowUp(0.5 * dt)
-            return strang(u, dt, config, *buffers)
+                raise PointwiseBlowUp(0.5 * substeps[0])
+            return strang(u, substeps, *args)
 
         def spy_advance(state, u, dt):
             new = advance(state, u, dt)
@@ -592,6 +651,63 @@ class TestStepLaw:
         cfg = small_config(eps=0.4, grid=Grid(1, 64, 10.0))
         with pytest.raises(RuntimeError, match="step tolerance"):
             run_to_blowup(init(cfg, gaussian(cfg.grid)))
+
+
+class TestDoublingTrial:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("lam", [1j, 0.5 + 1j])
+    def test_fused_trial_matches_unfused_composition(self, d, lam):
+        grid = Grid(1, 256, 20.0) if d == 1 else Grid(2, 32, 12.0)
+        cfg = SolverConfig(grid=grid, params=NonlinearityParams(lam, 0.5, d), eps=0.5,
+                           s=1.0 if d == 1 else 1.2)
+        u = cfg.eps * gaussian(grid).values
+        for dt in (0.005, 0.05, 0.2):
+            two, err = solver._doubling_trial(u, dt, cfg)
+            assert err > 1e-10
+            assert_trial_matches_unfused(u, dt, cfg, two, err)
+
+    def test_trial_takes_five_substeps_three_fft_pairs_and_one_multiplier(self, monkeypatch):
+        counts = {}
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def spy(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+
+        for module, name in ((solver, "nonlinear_flow_exact"), (propagators, "dft"),
+                             (propagators, "idft"), (propagators, "_back_propagation_phase")):
+            count(module, name)
+        cfg = small_config(eps=0.4)
+        u = cfg.eps * gaussian(cfg.grid).values
+        _free_multiplier.cache_clear()
+        solver._doubling_trial(u, 0.0123, cfg)
+        assert counts == {"nonlinear_flow_exact": 5, "dft": 3, "idft": 3,
+                          "_back_propagation_phase": 1}
+
+    def test_trial_error_does_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a complex dot product over its threads on a 128^2 field,
+        # which moved err in the last bit between 1 and 2 threads
+        code = (
+            "from nlslab import Grid, NonlinearityParams, solver\n"
+            "from nlslab.initial_data import gaussian\n"
+            "cfg = solver.SolverConfig(grid=Grid(2, 128, 20.0), s=1.2, eps=0.4,\n"
+            "                          params=NonlinearityParams(1j, 0.5, 2))\n"
+            "u = cfg.eps * gaussian(cfg.grid).values\n"
+            "print([solver._doubling_trial(u, dt, cfg)[1] for dt in (0.005, 0.01, 0.02, 0.04)])\n"
+        )
+        src = Path(solver.__file__).resolve().parents[1]
+        errs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, check=True)
+            errs.append(done.stdout)
+        assert errs[0] == errs[1]
 
 
 def ownership_config(d):
