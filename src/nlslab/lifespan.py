@@ -150,14 +150,19 @@ def remainder_series(diag: DiagnosticsLog, cfg: SolverConfig, t_min: float = 1.0
 
 
 def max_remainder_scaled(diag: DiagnosticsLog, cfg: SolverConfig, T: float) -> float | None:
-    """sup over [t_star, T/2] of sup_xi|R| * t^(theta+gamma); None when the window is empty."""
+    """sup over [t_star, T/2] of sup_xi|R| * t^(theta+gamma).
+
+    None where the window is undefined (theta >= 1, eps = 0, or gamma outside
+    (0, 1/2]) or holds no snapshot.
+    """
     params = cfg.params
-    if params.theta >= 1.0:
+    try:
+        t_star = t_star_time(cfg.eps, params.theta, params.d)
+        gamma = gamma_exponent(cfg.s, params.d)
+    except ValueError:
         return None
-    t_star = t_star_time(cfg.eps, params.theta, params.d)
     if T is None or T / 2.0 <= t_star:
         return None
-    gamma = gamma_exponent(cfg.s, params.d)
     times, sups = remainder_series(diag, cfg, t_min=t_star)
     mask = times <= T / 2.0
     if not np.any(mask):
@@ -183,18 +188,16 @@ class RatioSample:
     r3: float | None
 
 
-def decay_ratio_diagnostics(diag: DiagnosticsLog, cfg: SolverConfig,
-                      s: float | None = None, gamma: float | None = None) -> list:
-    """Diagnostic ratios sampled over a run's snapshots; each must stay bounded.
+def decay_ratio_diagnostics(diag: DiagnosticsLog, cfg: SolverConfig) -> list:
+    """Diagnostic ratios at index cfg.s sampled over a run's snapshots; each must stay bounded.
 
     Callers holding a solver state pass (state.diagnostics, state.config).
     """
     params = cfg.params
-    s = cfg.s if s is None else s
+    s = cfg.s
     if not (s > params.d / 2.0):
         raise ValueError(f"diagnostic ratios require s > d/2, got s={s}, d={params.d}")
-    if gamma is None:
-        gamma = gamma_exponent(s, params.d)
+    gamma = gamma_exponent(s, params.d)
     d, p = params.d, params.p
     out = []
     for t, vals in zip(diag.snapshot_times, diag.snapshots):
@@ -247,7 +250,7 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
     params = base_config.params
     phi = build_initial_data(base_config.grid, data_spec)
     phi_hat = fourier_forward(phi)
-    bound = theoretical_bound(phi_hat, params, s=base_config.s, eps=min(ladder))
+    bound = theoretical_bound(phi_hat, params)
 
     configs = [replace(base_config, eps=e) for e in ladder]
     if jobs > 1:

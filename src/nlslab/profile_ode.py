@@ -125,15 +125,14 @@ def c0_constant(params: OdeParams) -> float:
     return float(params.psi0_sup / (1.0 - ratio) ** (1.0 / params.b))
 
 
-def sup_bound_check(params: OdeParams, psi0_abs_samples=None, n_times: int = 129) -> float:
-    """Max of |eta0|/eps over a (t, psi0)-sample grid on [t_*, sigma eps^(-2q)].
+def sup_bound_check(params: OdeParams, n_times: int = 129) -> float:
+    """Max of |eta0|/eps over a (t, |psi0|)-sample grid on [t_*, sigma eps^(-2q)] x (0, psi0_sup].
 
     The contract is that the result never exceeds :func:`c0_constant`.
     """
-    if psi0_abs_samples is None:
-        psi0_abs_samples = np.linspace(0.0, params.psi0_sup, 33)[1:]
+    psi0_abs_samples = np.linspace(0.0, params.psi0_sup, 33)[1:]
     times = _window_times(params, params.horizon, n_times)
-    moduli = eta0_modulus(times, np.atleast_1d(psi0_abs_samples)[:, None], params)
+    moduli = eta0_modulus(times, psi0_abs_samples[:, None], params)
     return float(np.max(moduli, initial=0.0)) / params.eps
 
 
@@ -274,24 +273,18 @@ class ProfileTrajectory:
 
 
 def integrate_perturbed(params: OdeParams, pert: PerturbationSpec, xi_samples,
-                        psi0: Callable | None = None, t_end: float | None = None,
-                        n_output: int = 200, rtol: float = 1e-10) -> ProfileTrajectory:
+                        t_end: float | None = None, n_output: int = 200) -> ProfileTrajectory:
     """Adaptive high-order integration of the perturbed ODE on [t_*, min(t_end, horizon)].
 
-    psi0 defaults to a hump peaking at psi0_sup on xi = 0.  Requires the
+    psi0 is the hump psi0_sup * exp(-|xi|^2 / 2).  Requires the
     smallness condition eps <= min(1, sigma^(-1/q), m^(-1/delta)); envelope
     violations and integrator failures raise, never pass silently.
     """
     consts = check_smallness(params, pert)
     xi = np.atleast_1d(np.asarray(xi_samples))
-    if psi0 is None:
-        def psi0(s):
-            v = np.asarray(s, dtype=float)
-            r2 = v**2 if v.ndim <= 1 else np.sum(v**2, axis=-1)
-            return params.psi0_sup * np.exp(-r2 / 2.0)
-    psi0_vals = np.asarray(psi0(xi), dtype=complex)
-    if np.max(np.abs(psi0_vals)) > params.psi0_sup * (1 + 1e-12):
-        raise ValueError("psi0 samples exceed the declared sup psi0_sup")
+    v = np.asarray(xi, dtype=float)
+    r2 = v**2 if v.ndim <= 1 else np.sum(v**2, axis=-1)
+    psi0_vals = params.psi0_sup * np.exp(-r2 / 2.0)
     psi1_vals = np.asarray(pert.psi1(xi), dtype=complex)
     if np.max(np.abs(psi1_vals)) > pert.psi1_envelope(params) * (1 + 1e-9):
         raise ValueError("psi1 violates its envelope c1 * eps^(1+delta)")
@@ -319,7 +312,7 @@ def integrate_perturbed(params: OdeParams, pert: PerturbationSpec, xi_samples,
     t_eval = _window_times(params, t_hi, n_output)
     atol = 1e-12 * params.eps
     sol = solve_ivp(rhs, (params.t_star, t_hi), y0, method="DOP853",
-                    rtol=rtol, atol=atol, t_eval=t_eval, dense_output=False)
+                    rtol=1e-10, atol=atol, t_eval=t_eval, dense_output=False)
     if not sol.success:
         raise IntegrationFailure(f"integrator stopped at t = {sol.t[-1]!r}: {sol.message}")
 

@@ -91,23 +91,18 @@ def _multiply_spectrum(values: np.ndarray, m: np.ndarray, out: np.ndarray) -> np
     return idft(spectrum, out=out)
 
 
-def free_propagate(f: ComplexField, t: float, *, out: np.ndarray | None = None) -> ComplexField:
+def free_propagate(f: ComplexField, t: float) -> ComplexField:
     """Free flow U(t) = exp(i t Lap / 2); t < 0 gives the inverse flow.
 
-    Computed as idft(m * dft(u)): the unitary transform's scale and sign
-    vector cancel in F^{-1} m F.  `out`, a complex array of the grid's shape,
-    receives the values and holds the spectrum in between; it may be
-    ``f.values``, and without it the values go to a fresh array.
+    Computed as idft(m * dft(u)) into a fresh array: the unitary transform's
+    scale and sign vector cancel in F^{-1} m F.
     """
     _require_space(f, Space.PHYSICAL, "free_propagate")
     if not np.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
-    if out is None:
-        out = np.empty_like(f.values)
     if t == 0.0:
-        np.copyto(out, f.values)
-    else:
-        _multiply_spectrum(f.values, _free_multiplier(f.grid, t), out)
+        return f.copy()
+    out = _multiply_spectrum(f.values, _free_multiplier(f.grid, t), np.empty_like(f.values))
     return ComplexField(f.grid, Space.PHYSICAL, out)
 
 

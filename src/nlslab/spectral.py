@@ -99,6 +99,30 @@ class Grid:
             out = np.multiply.outer(out, s1)
         return out
 
+    @cached_property
+    def _mirror_index(self) -> np.ndarray:
+        """|k| at each FFT-order index: the rows of a k = 0..n/2 table that fill an axis."""
+        j = np.arange(self.n)
+        return _read_only(np.minimum(j, self.n - j))
+
+    @cached_property
+    def _tail_mask(self) -> np.ndarray:
+        """max_i |xi_i| > 2/3 of Nyquist: the band of :func:`spectral_tail_fraction`."""
+        cutoff = (2.0 / 3.0) * np.pi / self.h
+        mask = np.zeros(self.shape, dtype=bool)
+        for xi in self.xi_mesh:
+            mask |= np.abs(xi) > cutoff
+        return _read_only(mask)
+
+    @cached_property
+    def _shell_mask(self) -> np.ndarray:
+        """max_i |x_i| >= 0.9 L: the outer tenth of :func:`boundary_shell_fraction`."""
+        cutoff = 0.9 * self.L
+        mask = np.zeros(self.shape, dtype=bool)
+        for x in self.x_mesh:
+            mask |= np.abs(x) >= cutoff
+        return _read_only(mask)
+
 
 @dataclass
 class ComplexField:
@@ -188,7 +212,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Per-parameter constants of the hot path, bounded caches keyed by (grid, value).
+# Sobolev weights of the hot path, bounded caches keyed by (grid, s).
 @lru_cache(maxsize=4)
 def _xi_weight(grid: Grid, s: float) -> np.ndarray:
     """(1 + |xi|^2)^s."""
@@ -199,33 +223,6 @@ def _xi_weight(grid: Grid, s: float) -> np.ndarray:
 def _x_weight(grid: Grid, s: float) -> np.ndarray:
     """(1 + |x|^2)^s on the physical grid."""
     return _read_only((1.0 + grid.abs_x_sq) ** s)
-
-
-@lru_cache(maxsize=4)
-def _tail_mask(grid: Grid, band: float) -> np.ndarray:
-    """max_i |xi_i| > band * Nyquist."""
-    cutoff = band * np.pi / grid.h
-    mask = np.zeros(grid.shape, dtype=bool)
-    for xi in grid.xi_mesh:
-        mask |= np.abs(xi) > cutoff
-    return _read_only(mask)
-
-
-@lru_cache(maxsize=4)
-def _shell_mask(grid: Grid, shell: float) -> np.ndarray:
-    """max_i |x_i| >= (1 - shell) * L."""
-    cutoff = (1.0 - shell) * grid.L
-    mask = np.zeros(grid.shape, dtype=bool)
-    for x in grid.x_mesh:
-        mask |= np.abs(x) >= cutoff
-    return _read_only(mask)
-
-
-@lru_cache(maxsize=4)
-def _mirror_index(n: int) -> np.ndarray:
-    """|k| at each FFT-order index: the rows of a k = 0..n/2 table that fill an axis."""
-    j = np.arange(n)
-    return _read_only(np.minimum(j, n - j))
 
 
 def _back_propagation_phase(grid: Grid, t: float) -> np.ndarray:
@@ -242,7 +239,7 @@ def _back_propagation_phase(grid: Grid, t: float) -> np.ndarray:
     factor = np.empty(angle.shape, dtype=np.complex128)
     factor.real = np.cos(angle)
     factor.imag = np.sin(angle)
-    factor = factor[_mirror_index(n)]
+    factor = factor[grid._mirror_index]
     out = factor
     for _ in range(grid.d - 1):
         out = np.multiply.outer(out, factor)
@@ -297,9 +294,8 @@ def norms(f: ComplexField, t: float, s: float, *, spectrum: np.ndarray | None = 
     )
 
 
-def spectral_tail_fraction(f: ComplexField, band: float = 2.0 / 3.0, *,
-                           spectral_power: np.ndarray | None = None) -> float:
-    """Fraction of spectral energy carried by modes with max_i |xi_i| above band * Nyquist.
+def spectral_tail_fraction(f: ComplexField, *, spectral_power: np.ndarray | None = None) -> float:
+    """Fraction of spectral energy carried by modes with max_i |xi_i| above 2/3 of Nyquist.
 
     The resolution-adequacy monitor: well-resolved fields keep this tiny.
     `spectral_power` is ``np.abs(dft(f.values)) ** 2`` of a
@@ -312,12 +308,11 @@ def spectral_tail_fraction(f: ComplexField, band: float = 2.0 / 3.0, *,
     total = np.sum(spectral_power)
     if total == 0.0:
         return 0.0
-    return float(np.sum(spectral_power[_tail_mask(f.grid, band)]) / total)
+    return float(np.sum(spectral_power[f.grid._tail_mask]) / total)
 
 
-def boundary_shell_fraction(f: ComplexField, shell: float = 0.1, *,
-                            power: np.ndarray | None = None) -> float:
-    """Fraction of L2 mass in the outer `shell` fraction of the box (max-norm shell).
+def boundary_shell_fraction(f: ComplexField, *, power: np.ndarray | None = None) -> float:
+    """Fraction of L2 mass in the outer tenth of the box, max_i |x_i| >= 0.9 L.
 
     `power` is ``np.abs(f.values) ** 2`` when the caller already has it.
     """
@@ -327,7 +322,7 @@ def boundary_shell_fraction(f: ComplexField, shell: float = 0.1, *,
     total = np.sum(power)
     if total == 0.0:
         return 0.0
-    return float(np.sum(power[_shell_mask(f.grid, shell)]) / total)
+    return float(np.sum(power[f.grid._shell_mask]) / total)
 
 
 def _resample(phi: ComplexField, grid: Grid) -> ComplexField:

@@ -15,7 +15,7 @@ from nlslab.harness import (
     run_record_from_dict,
     run_record_to_dict,
 )
-from nlslab.lifespan import sweep
+from nlslab.lifespan import sweep, t_star_time
 from nlslab.solver import SolverConfig
 
 
@@ -256,6 +256,38 @@ class TestCli:
         simulated = (tmp_path / "sim" / "run_eps0.4.json").read_bytes()
         assert simulated == (tmp_path / "sweep" / "run_eps0.4.json").read_bytes()
         assert json.loads(simulated)["bound_value"] == pytest.approx(0.5, rel=1e-12)
+
+    # s = 0.4 < d/2 puts gamma = (2s - d)/8 below 0: the runs are defined, the
+    # scaled remainder's window is not
+    OUTSIDE = {"d": 1, "n": 512, "L": 40.0, "s": 0.4, "eps_ladder": [0.4],
+               "enforce_hypotheses": False}
+
+    def test_sweep_runs_what_simulate_runs_outside_the_hypotheses(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(self.OUTSIDE))
+        for command in ("simulate", "sweep"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+        capsys.readouterr()
+        simulated = (tmp_path / "simulate" / "run_eps0.4.json").read_bytes()
+        assert simulated == (tmp_path / "sweep" / "run_eps0.4.json").read_bytes()
+
+    def test_simulate_outside_the_hypotheses_leaves_the_scaled_remainder_none(
+            self, tmp_path, capsys):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(dict(self.OUTSIDE, n=1024, L=80.0, eps_ladder=[0.15])))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        record = load_run(tmp_path / "out" / "run_eps0.15.json")
+        assert record.status == "blown-up" and record.T_eps > 2.0 * t_star_time(0.15, 0.5, 1)
+        assert record.outside_hypotheses and record.max_remainder_scaled is None
+
+    def test_sweep_records_a_zero_rung_as_censored(self, tmp_path, capsys):
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps(dict(self.OUTSIDE, eps_ladder=[0.4, 0.0])))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert "eps=0.0 status=reached-t-max" in capsys.readouterr().out
+        record = load_run(tmp_path / "out" / "run_eps0.0.json")
+        assert record.censored and record.max_remainder_scaled is None
 
     @pytest.mark.parametrize("over", [{"theta": 1.0}, {"lam": [0.0, 0.0]}],
                              ids=["critical", "unitary"])

@@ -54,6 +54,7 @@ class TestFreePropagate:
         f = random_field(g, seed=1)
         out = free_propagate(f, 0.0)
         assert np.array_equal(out.values, f.values)
+        assert out.values is not f.values
 
     def test_free_gaussian_closed_form(self):
         # closed form (1+it)^{-1/2} exp(-x^2/(2(1+it))); cross-checked against
@@ -108,9 +109,11 @@ class TestFreePropagate:
     def test_matches_monotone_order_oracle(self, g, t):
         # F^{-1}[exp(-i t |xi|^2 / 2) F u] through the public unitary transform
         f = random_field(g, seed=g.d)
+        f_before = f.values.copy()
         want = apply_multiplier(f, np.exp(-0.5j * t * g.abs_xi_sq)).values
         got = free_propagate(f, t).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(f.values, f_before)
 
     @pytest.mark.parametrize("n", [64, 4096])
     @pytest.mark.parametrize("t", [0.005, -1.3, 33.7])
@@ -458,21 +461,6 @@ class TestBufferedForms:
         got = nonlinear_flow_exact(z, dt, params, out=out, scratch=scratch, abs_b=abs_b)
         assert np.array_equal(got, want)
         assert np.array_equal(abs_b, abs_b_before)
-
-    @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("t", [0.0, 0.7, -1.3])
-    def test_free_propagate_out_matches_out_of_place(self, d, t):
-        grid, _, z, _ = self.field_and_step(d, 1j)
-        f = ComplexField(grid, Space.PHYSICAL, z)
-        want = free_propagate(f, t).values
-        z_before = z.copy()
-        out = np.empty_like(z)
-        assert free_propagate(f, t, out=out).values is out
-        assert np.array_equal(out, want)
-        assert np.array_equal(z, z_before)
-        g = ComplexField(grid, Space.PHYSICAL, z.copy())
-        assert free_propagate(g, t, out=g.values).values is g.values
-        assert np.array_equal(g.values, want)
 
     def test_blowup_check_passes_over_nan_and_empty_input(self):
         params = params_for(1j, b=1.0)

@@ -218,8 +218,9 @@ class TestBackPropagationPhase:
             assert 0.5 * 34.2 * g.abs_xi_sq.max() > 1e4
 
     def test_mirror_index_is_cached_read_only(self):
-        idx = spectral._mirror_index(16)
-        assert idx is spectral._mirror_index(16)
+        g = Grid(2, 16, 3.0)
+        idx = g._mirror_index
+        assert idx is g._mirror_index
         assert list(idx) == [0, 1, 2, 3, 4, 5, 6, 7, 8, 7, 6, 5, 4, 3, 2, 1]
         with pytest.raises(ValueError):
             idx[0] = 1
@@ -305,20 +306,20 @@ def oracle_norms(f, t, s):
     return l2, h_s0, h_0s
 
 
-def oracle_tail_fraction(f, band=2.0 / 3.0):
+def oracle_tail_fraction(f):
     g = f.grid
     fhat = fourier_forward(f)
     mask = np.zeros(g.shape, dtype=bool)
     for xi in g.xi_mesh:
-        mask |= np.abs(xi) > band * np.pi / g.h
+        mask |= np.abs(xi) > (2.0 / 3.0) * np.pi / g.h
     return np.sum(np.abs(fhat.values[mask]) ** 2) / np.sum(np.abs(fhat.values) ** 2)
 
 
-def oracle_shell_fraction(f, shell=0.1):
+def oracle_shell_fraction(f):
     g = f.grid
     mask = np.zeros(g.shape, dtype=bool)
     for x in g.x_mesh:
-        mask |= np.abs(x) >= (1.0 - shell) * g.L
+        mask |= np.abs(x) >= 0.9 * g.L
     return np.sum(np.abs(f.values[mask]) ** 2) / np.sum(np.abs(f.values) ** 2)
 
 
@@ -344,16 +345,14 @@ class TestFftOrderOracles:
     @pytest.mark.parametrize("g", ORACLE_GRIDS, ids=lambda g: f"d{g.d}")
     def test_monitors(self, g):
         f = wide_random_field(g, seed=10 + g.d)
-        for band in (2.0 / 3.0, 0.5):
-            want = oracle_tail_fraction(f, band)
-            assert want > 0.01
-            assert spectral_tail_fraction(f, band) == pytest.approx(want, rel=1e-13)
-            assert spectral_tail_fraction(fourier_forward(f), band) == pytest.approx(want, rel=1e-13)
-        for shell in (0.1, 0.25):
-            want = oracle_shell_fraction(f, shell)
-            assert want > 1e-6
-            # same mask and summation order as the oracle: bit-identical
-            assert boundary_shell_fraction(f, shell) == want
+        want = oracle_tail_fraction(f)
+        assert want > 0.01
+        assert spectral_tail_fraction(f) == pytest.approx(want, rel=1e-13)
+        assert spectral_tail_fraction(fourier_forward(f)) == pytest.approx(want, rel=1e-13)
+        want = oracle_shell_fraction(f)
+        assert want > 1e-6
+        # same mask and summation order as the oracle: bit-identical
+        assert boundary_shell_fraction(f) == want
 
     def test_shared_spectrum_is_exact(self):
         g = ORACLE_GRIDS[1]
@@ -376,35 +375,35 @@ class TestFftOrderOracles:
 
 
 class TestGridCaches:
-    def cached(self, g, value):
-        return [spectral._xi_weight(g, value), spectral._x_weight(g, value),
-                spectral._tail_mask(g, value), spectral._shell_mask(g, value)]
+    def weights(self, g, s):
+        return [spectral._xi_weight(g, s), spectral._x_weight(g, s)]
 
     def test_read_only(self):
         g = Grid(2, 16, 4.0)
-        for arr in [g.abs_xi_sq] + self.cached(g, 0.3):
+        for arr in [g.abs_xi_sq, g._tail_mask, g._shell_mask] + self.weights(g, 0.3):
             with pytest.raises(ValueError):
                 arr[(0,) * g.d] = 1
 
+    def test_masks_are_built_once_per_grid(self):
+        g = Grid(2, 16, 4.0)
+        assert g._tail_mask is g._tail_mask and g._shell_mask is g._shell_mask
+
     def test_equal_grids_share_an_entry(self):
-        a, b = self.cached(Grid(1, 64, 8.0), 0.4), self.cached(Grid(1, 64, 8.0), 0.4)
+        a, b = self.weights(Grid(1, 64, 8.0), 0.4), self.weights(Grid(1, 64, 8.0), 0.4)
         assert all(x is y for x, y in zip(a, b))
 
     def test_grids_differing_in_L_do_not_share(self):
-        a, b = self.cached(Grid(1, 64, 8.0), 0.4), self.cached(Grid(1, 64, 9.0), 0.4)
-        assert all(x is not y for x, y in zip(a, b))
-        # the masks are L-invariant patterns; the weights are not
-        assert not np.array_equal(a[0], b[0]) and not np.array_equal(a[1], b[1])
+        a, b = self.weights(Grid(1, 64, 8.0), 0.4), self.weights(Grid(1, 64, 9.0), 0.4)
+        assert all(not np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_parameter_values_do_not_share(self):
         g = Grid(1, 64, 8.0)
-        a, b = self.cached(g, 0.4), self.cached(g, 0.45)
+        a, b = self.weights(g, 0.4), self.weights(g, 0.45)
         assert all(not np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_caches_are_bounded(self):
         g = Grid(1, 32, 3.0)
-        for fn in (spectral._xi_weight, spectral._x_weight,
-                   spectral._tail_mask, spectral._shell_mask):
+        for fn in (spectral._xi_weight, spectral._x_weight):
             for k in range(10):
                 fn(g, 0.1 + 0.05 * k)
             info = fn.cache_info()
