@@ -115,6 +115,22 @@ class TestFreePropagate:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.array_equal(f.values, f_before)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("t", [0.0, 0.7, -1.3])
+    def test_returns_a_new_array_and_keeps_its_input(self, d, t):
+        g = Grid(d, 64 if d == 1 else 32, 8.0)
+        f = random_field(g, seed=d)
+        f_before = f.values.copy()
+        out = free_propagate(f, t)
+        assert out.grid == g and out.space is Space.PHYSICAL
+        assert not np.shares_memory(out.values, f.values)
+        assert np.array_equal(f.values, f_before)
+        want = out.values.copy()
+        # writing into a result reaches neither the input nor the cached multiplier
+        out.values[...] = 0.0
+        assert np.array_equal(f.values, f_before)
+        assert np.array_equal(free_propagate(f, t).values, want)
+
     @pytest.mark.parametrize("n", [64, 4096])
     @pytest.mark.parametrize("t", [0.005, -1.3, 33.7])
     def test_one_dimensional_path_equals_fftn_path(self, n, t):
