@@ -21,6 +21,7 @@ from .lifespan import (
     critical_bound,
     critical_pointwise_time,
     decay_ratio_diagnostics,
+    gamma_exponent,
     remainder_series,
     stamp_record,
     sweep,
@@ -70,12 +71,18 @@ def _cmd_bounds(args) -> int:
     sup = sup_modulus(phi_hat)
     print(f"sup |phi_hat| = {sup!r}")
     if cfg.theta < 1.0:
-        rep = theoretical_bound(phi_hat, params, s=cfg.s,
-                                eps=min(cfg.eps_ladder))
+        rep = theoretical_bound(phi_hat, params, eps=min(cfg.eps_ladder))
         print(f"bound_value = {rep.bound_value!r}")
         print(f"tau0 = {rep.tau0!r}")
-        print(f"gamma = {rep.gamma!r}")
-        print(f"t_star(eps={min(cfg.eps_ladder)!r}) = {rep.t_star!r}")
+        # the remainder window [t_star, T/2] and its decay rate gamma need
+        # gamma = (2s-d)/8 in (0, 1/2], which a config run outside the hypotheses lacks
+        try:
+            gamma = gamma_exponent(cfg.s, cfg.d)
+        except ValueError as e:
+            print(f"gamma and t_star are undefined: {e}")
+        else:
+            print(f"gamma = {gamma!r}")
+            print(f"t_star(eps={min(cfg.eps_ladder)!r}) = {rep.t_star!r}")
     else:
         bound = critical_bound(phi_hat, cfg.d, cfg.lam)
         eps = min(cfg.eps_ladder)
@@ -93,11 +100,9 @@ def _out_dir(cfg) -> Path | None:
     return out
 
 
-def _run_configured(args):
-    """Check the config, create the output directory, run the first ladder rung and
+def _run_configured(cfg, solver_cfg):
+    """Check the datum, create the output directory, run the first ladder rung and
     stamp its record as the sweep does (bound_value None where no bound is defined)."""
-    cfg = _load_config(args)
-    solver_cfg = cfg.solver_config()
     phi = build_initial_data(cfg.grid(), cfg.initial_data)
     state = init(solver_cfg, phi)
     out = _out_dir(cfg)
@@ -105,11 +110,12 @@ def _run_configured(args):
         bound_value = theoretical_bound(fourier_forward(phi), solver_cfg.params).bound_value
     except ValueError:  # theta = 1, Im(lam) <= 0 or a zero datum
         bound_value = None
-    return cfg, solver_cfg, out, stamp_record(run_to_blowup(state), solver_cfg, bound_value)
+    return out, stamp_record(run_to_blowup(state), solver_cfg, bound_value)
 
 
 def _cmd_simulate(args) -> int:
-    cfg, _, out, record = _run_configured(args)
+    cfg = _load_config(args)
+    out, record = _run_configured(cfg, cfg.solver_config())
     print(f"eps = {record.eps!r}")
     print(f"status = {record.status}")
     if record.T_eps is not None:
@@ -182,7 +188,11 @@ def _cmd_profile_ode(args) -> int:
 
 
 def _cmd_diagnostics(args) -> int:
-    _, solver_cfg, out, record = _run_configured(args)
+    cfg = _load_config(args)
+    solver_cfg = cfg.solver_config()
+    # the ratios need gamma = (2s-d)/8 in (0, 1/2]: check it before the run
+    gamma_exponent(solver_cfg.s, solver_cfg.params.d)
+    out, record = _run_configured(cfg, solver_cfg)
     print(f"run status = {record.status}, T_eps = {record.T_eps!r}")
     ratios = decay_ratio_diagnostics(record.diagnostics, solver_cfg)
     for name in ("r1", "r2", "r3"):

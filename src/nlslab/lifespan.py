@@ -192,11 +192,10 @@ def decay_ratio_diagnostics(diag: DiagnosticsLog, cfg: SolverConfig) -> list:
     """Diagnostic ratios at index cfg.s sampled over a run's snapshots; each must stay bounded.
 
     Callers holding a solver state pass (state.diagnostics, state.config).
+    Raises ValueError unless gamma = (2s-d)/8 lies in (0, 1/2], so s > d/2.
     """
     params = cfg.params
     s = cfg.s
-    if not (s > params.d / 2.0):
-        raise ValueError(f"diagnostic ratios require s > d/2, got s={s}, d={params.d}")
     gamma = gamma_exponent(s, params.d)
     d, p = params.d, params.p
     out = []

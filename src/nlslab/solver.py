@@ -4,9 +4,11 @@ One step is: half-step of the exact pointwise nonlinear flow, full spectral
 free propagation, half-step of the nonlinear flow.  Steps and trials are
 paths of one kernel, which alternates exact nonlinear substeps with free
 propagations by a Fourier multiplier.  The run loop sizes its steps by step
-doubling, so the step grows wherever the local error allows; a doubling
-trial runs its two half steps as one path whose middle nonlinear substeps
-are merged, and squares the half step's multiplier for the full step.
+doubling, so the step grows wherever the local error allows: a doubling
+trial takes one step of dt and two of dt/2, squaring the half step's
+multiplier for the full step.  Strang splitting is symmetric, so the
+Richardson extrapolation of the two is a fourth-order field at no extra
+cost, and the run loop accepts it (local extrapolation).
 The nonlinear substep's closed form carries its own blow-up detector (a
 pointwise denominator zero).  A run ends when its event is bracketed within
 1e-3 of the elapsed time, in one of two ways.  A trial step meets the event
@@ -47,11 +49,14 @@ from .spectral import (
 )
 
 
-# Relative local error the run loop's step doubling accepts per step.  Chosen
-# on the benchmark runs: it moves T_eps by at most 1.7e-4 relative against the
-# old fixed step of 0.005 (the event bracket's half-width is 5e-4), while
-# 1e-8 makes the 2-D run slower than the fixed step was.
-_STEP_TOLERANCE = 1e-7
+# Relative local error of the two-half-step field that the run loop's step
+# doubling accepts per step; the extrapolated field it accepts is more accurate
+# still.  Chosen on the benchmark runs: every 1-D rung's T_eps lies within
+# 7.2e-7 relative of the same run at 1e-10 (the two-half-step field accepted at
+# 1e-7 lay up to 5.9e-6 away, after twice the trials), and the 2-D run, which
+# ends on the sup-norm cap, moved by 3.1e-4 from that, inside the event
+# bracket's half-width 5e-4.
+_STEP_TOLERANCE = 1e-6
 _HORIZON_FRACTION = 0.1  # every step is at most this fraction of the blow-up horizon of sup|u|
 _BRACKET = 1e-3  # an event is bracketed within this fraction of the elapsed time
 _FIRST_STEP = 0.1 * 0.05  # 0.005000000000000001: a literal 0.005 would move every run's bits
@@ -134,8 +139,10 @@ class DiagnosticsLog:
     Samples are only appended, so stepping twice from one state writes both
     branches here.  An event step records none.
     Each sample, and each step the run loop accepts, offers its field as a
-    snapshot; past the budget the snapshots are thinned so that they stay
-    evenly spread in time.  A snapshot is the state's own field, made read-only.
+    snapshot, and each accepted step first offers its trial's midpoint field;
+    past the budget the snapshots are thinned so that they stay evenly spread
+    in time.  A snapshot is the state's own field, or a midpoint field, made
+    read-only.
     """
 
     samples: list = field(default_factory=list)
@@ -164,16 +171,25 @@ class SolverState:
     status: RunStatus
     config: SolverConfig
     diagnostics: DiagnosticsLog
-    sup: float                           # sup|u| and the boundary-shell mass fraction,
-    shell: float                         # both from the one |u| pass per field
+    sup: float                           # sup|u|, the boundary-shell mass fraction and
+    shell: float                         # |u|^b, all from the one |u| pass per field;
+    abs_b: np.ndarray                    # every path from u reads this read-only |u|^b
     t_blow: float | None = None
     blow_criterion: str | None = None   # "pointwise" (a substep singularity, a non-finite
                                         # field or the horizon of sup|u|) or "threshold"
     step_count: int = 0
 
 
-def _sample_diagnostics(state: SolverState, absu: np.ndarray, power: np.ndarray):
-    """Append a sample of `state`, whose field has modulus `absu` and `power` = absu**2."""
+def _modulus_pass(u: np.ndarray, b: float):
+    """(|u|, |u|^b), the second made read-only: every substep from u may read it."""
+    absu = np.abs(u)
+    abs_b = absu**b
+    abs_b.flags.writeable = False
+    return absu, abs_b
+
+
+def _sample_diagnostics(state: SolverState, power: np.ndarray):
+    """Append a sample of `state`, whose field has squared modulus `power`."""
     cfg = state.config
     g = cfg.grid
     wx = g.h**g.d
@@ -184,7 +200,7 @@ def _sample_diagnostics(state: SolverState, absu: np.ndarray, power: np.ndarray)
     rep = norms(state.u, state.t, cfg.s, spectrum=spectrum, spectral_power=spectral_power,
                 l2=math.sqrt(mass), sup=state.sup)
     # |u|^(p+1) as |u|^2 |u|^b: numpy takes b = 1 and 0.5 without a general power
-    lp1 = float(wx * np.sum(power * absu ** cfg.params.b))
+    lp1 = float(wx * np.sum(power * state.abs_b))
     samples = state.diagnostics.samples
     energy = max(samples[-1].energy if samples else 0.0, rep.sigma_s)
     samples.append(DiagnosticSample(
@@ -210,7 +226,7 @@ def init(config: SolverConfig, phi: ComplexField) -> SolverState:
     if not phi.is_finite():
         raise ValueError("initial datum contains non-finite values")
     u0 = ComplexField(config.grid, Space.PHYSICAL, config.eps * phi.values)
-    absu = np.abs(u0.values)
+    absu, abs_b = _modulus_pass(u0.values, config.params.b)
     sup = float(np.max(absu))
     if sup >= config.threshold:
         raise ValueError(f"sup-norm cap 1e3/eps = {config.threshold!r} must exceed the "
@@ -218,8 +234,8 @@ def init(config: SolverConfig, phi: ComplexField) -> SolverState:
     power = absu**2
     state = SolverState(t=0.0, u=u0, status=RunStatus.RUNNING, config=config,
                         diagnostics=DiagnosticsLog(), sup=sup,
-                        shell=boundary_shell_fraction(u0, power=power))
-    _sample_diagnostics(state, absu, power)
+                        shell=boundary_shell_fraction(u0, power=power), abs_b=abs_b)
+    _sample_diagnostics(state, power)
     return state
 
 
@@ -258,21 +274,22 @@ def _land(state: SolverState, t_blow: float, criterion: str) -> SolverState:
     """`state` marked BLOWN_UP at t_blow, with a final sample unless it already has one."""
     state = _event(state, t_blow, criterion)
     if state.diagnostics.samples[-1].t != state.t:
-        absu = np.abs(state.u.values)
-        _sample_diagnostics(state, absu, absu**2)
+        _sample_diagnostics(state, np.abs(state.u.values) ** 2)
     return state
 
 
-def _advance(state: SolverState, u: np.ndarray, dt: float) -> SolverState:
+def _advance(state: SolverState, u: np.ndarray, dt: float,
+             mid: np.ndarray | None = None) -> SolverState:
     """The state dt after `state`, carrying the field u, or the base state marked
     BLOWN_UP when u is non-finite or reaches the sup-norm cap.
 
-    One pass of |u| gives the finiteness check, sup|u| and the boundary-shell
-    fraction, and the sample reuses it; the new state is sampled every
-    `record_every` steps.
+    One pass of |u| gives the finiteness check, sup|u|, the boundary-shell
+    fraction and |u|^b, and the sample reuses it.  The field `mid` at
+    t + dt/2, when given, is offered as a snapshot first; then the new state
+    is sampled every `record_every` steps.
     """
     cfg = state.config
-    absu = np.abs(u)
+    absu, abs_b = _modulus_pass(u, cfg.params.b)
     sup = float(np.max(absu))
     # a non-finite value has a non-finite modulus, so only then is the field scanned
     if not math.isfinite(sup) and not np.isfinite(u).all():
@@ -282,10 +299,12 @@ def _advance(state: SolverState, u: np.ndarray, dt: float) -> SolverState:
     u_field = ComplexField(cfg.grid, Space.PHYSICAL, u)
     power = absu**2
     new = replace(state, t=state.t + dt, u=u_field, sup=sup,
-                  shell=boundary_shell_fraction(u_field, power=power),
+                  shell=boundary_shell_fraction(u_field, power=power), abs_b=abs_b,
                   step_count=state.step_count + 1)
+    if mid is not None:
+        state.diagnostics.record_snapshot(state.t + 0.5 * dt, mid)
     if new.step_count % cfg.record_every == 0:
-        _sample_diagnostics(new, absu, power)
+        _sample_diagnostics(new, power)
     return new
 
 
@@ -307,57 +326,62 @@ def step(state: SolverState, dt: float) -> SolverState:
     cfg = state.config
     half = dt / 2.0
     try:
-        u = _strang(state.u.values, (half, half), (_free_multiplier(cfg.grid, dt),), cfg.params)
+        u = _strang(state.u.values, (half, half), (_free_multiplier(cfg.grid, dt),), cfg.params,
+                    abs_b=state.abs_b)
     except PointwiseBlowUp as e:
         return _event(state, state.t + e.earliest, "pointwise")
     return _advance(state, u, dt)
 
 
-def _doubling_trial(u: np.ndarray, dt: float, config: SolverConfig):
-    """One Strang step of dt and two of dt/2 from the field u, as two fused paths.
+def _doubling_trial(u: np.ndarray, abs_b: np.ndarray, dt: float, config: SolverConfig):
+    """One Strang step of dt and two of dt/2 from the field u, extrapolated.
 
-    The full path is N(dt/2) F(m_dt) N(dt/2) and the half path is
-    N(dt/4) F(m_{dt/2}) N(dt/2) F(m_{dt/2}) N(dt/4), where N is the exact
-    nonlinear substep and F the free propagation by a multiplier.  The exact
-    pointwise flow is a one-parameter group, so the two middle quarter
-    substeps of the half steps are one substep of dt/2, and m_dt =
-    m_{dt/2}^2: a trial takes 5 nonlinear substeps, 3 FFT pairs and one
-    multiplier build.  |u|^b is taken once, and the first substep of each
-    path reads it.
+    The full path is N(dt/2) F(m_dt) N(dt/2) and each half step is
+    N(dt/4) F(m_{dt/2}) N(dt/4), where N is the exact nonlinear substep and
+    F the free propagation by a multiplier; m_dt = m_{dt/2}^2, so a trial
+    takes 6 nonlinear substeps, 3 FFT pairs and one multiplier build.  The
+    first substep of the full path and of the first half step reads
+    `abs_b` = |u|^b, which the caller took with sup|u|.
 
-    Returns (two, err): the two-half-step field and the local error estimate
-    err = ||u_dt - two||_2 / (3 ||two||_2), not finite when either field
-    is not.  The norms are numpy's own sums of products (einsum calls no
-    BLAS), so err does not depend on the BLAS thread count.  A
-    :class:`PointwiseBlowUp` in either path propagates; the half path is not
-    taken once the full path has raised.  The trial allocates its two fields,
-    m_dt, |u|^b and one float scratch array, and every substep writes into
-    them; u is only read.
+    Returns (R, mid, err).  With u_dt the full-step field and two the
+    two-half-step field, err = ||u_dt - two||_2 / (3 ||two||_2) estimates
+    two's local error, O(dt^3), and R = two - (u_dt - two)/3 cancels its
+    leading term: Strang splitting is symmetric, so R's local error is
+    O(dt^5) and err bounds it.  mid is the field after the first half step,
+    at dt/2.  err is not finite when u_dt or two is not.  The norms are
+    numpy's own sums of products (einsum calls no BLAS), so err does not
+    depend on the BLAS thread count.  A :class:`PointwiseBlowUp` in any
+    path propagates, with `earliest` counted from that path's start, and the
+    paths after it are not taken.  The trial allocates its three fields, m_dt
+    and one float scratch array, and every substep writes into them; u and
+    abs_b are only read.
     """
     params = config.params
     half, quarter = 0.5 * dt, 0.25 * dt
     m_half = _free_multiplier(config.grid, half)
-    abs_b = np.abs(u)
-    abs_b **= params.b
     scratch = np.empty(u.shape)
     full = _strang(u, (half, half), (np.multiply(m_half, m_half),), params,
                    np.empty_like(u), scratch, abs_b)
-    two = _strang(u, (quarter, half, quarter), (m_half, m_half), params,
-                  np.empty_like(u), scratch, abs_b)
+    mid = _strang(u, (quarter, quarter), (m_half,), params, np.empty_like(u), scratch, abs_b)
+    two = _strang(mid, (quarter, quarter), (m_half,), params, np.empty_like(u), scratch)
     # each squared norm is the sum of squares of the real and imaginary parts
-    diff = np.subtract(full, two, out=full).ravel().view(np.float64)
-    flat = two.ravel().view(np.float64)
-    num, den = float(np.einsum("i,i", diff, diff)), float(np.einsum("i,i", flat, flat))
+    diff = np.subtract(full, two, out=full)
+    flat_diff, flat = diff.ravel().view(np.float64), two.ravel().view(np.float64)
+    num, den = float(np.einsum("i,i", flat_diff, flat_diff)), float(np.einsum("i,i", flat, flat))
     if den > 0:
-        return two, math.sqrt(num / den) / 3.0
-    return two, 0.0 if num == 0 else math.nan
+        err = math.sqrt(num / den) / 3.0
+    else:
+        err = 0.0 if num == 0 else math.nan
+    two -= np.divide(diff, 3.0, out=diff)
+    return two, mid, err
 
 
 def _resize(err: float, tol: float) -> float:
     """Factor from one step to the next: 0.9 (tol/err)^(1/3), clipped to [0.2, 4].
 
-    The exponent is that of the doubling estimate's local error, O(dt^3).  A
-    non-finite err gives the smallest factor.
+    The exponent is that of the doubling estimate's local error, O(dt^3),
+    which err measures; the accepted extrapolated field is more accurate still.
+    A non-finite err gives the smallest factor.
     """
     if not math.isfinite(err):
         return 0.2
@@ -374,10 +398,11 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     inside its own singularity; the first proposal is 0.005.
     A trial takes one Strang step of dt and two of dt/2 (see
     :func:`_doubling_trial`).  If the error estimate err meets the step
-    tolerance `_STEP_TOLERANCE`, the two-half-step field is accepted, and
+    tolerance `_STEP_TOLERANCE`, the extrapolated field is accepted, and
     only it gets the |u| pass, the shell check, a snapshot and, every
-    `record_every` accepted steps, a sample; otherwise, or for a non-finite
-    trial field, the trial is retried.  The next proposal is
+    `record_every` accepted steps, a sample; the trial's midpoint field is
+    offered as a snapshot at t + dt/2 just before.  Otherwise, or for a
+    non-finite trial field, the trial is retried.  The next proposal is
     dt * 0.9 (tol/err)^(1/3), at most 4 dt after an acceptance and at least
     dt/5 after a rejection.  A step that shrinks to nothing raises
     RuntimeError.
@@ -414,14 +439,14 @@ def run_to_blowup(state: SolverState) -> RunRecord:
             raise RuntimeError(f"step size {dt!r} vanishes at t={state.t!r}: the trials "
                                f"cannot meet the step tolerance {tol!r}")
         try:
-            two, err = _doubling_trial(state.u.values, dt, cfg)
+            u, mid, err = _doubling_trial(state.u.values, state.abs_b, dt, cfg)
         except PointwiseBlowUp:
             criterion = "pointwise"
         else:
             h = dt * _resize(err, tol)
             if not err <= tol:
                 continue
-            trial = _advance(state, two, dt)
+            trial = _advance(state, u, dt, mid)
             criterion = trial.blow_criterion
         if criterion is not None:
             if dt > _BRACKET * max(state.t, dt):

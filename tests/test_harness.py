@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import pytest
 
+from nlslab import cli
 from nlslab.cli import main
 from nlslab.harness import (
     CSV_COLUMNS,
@@ -280,6 +281,30 @@ class TestCli:
         record = load_run(tmp_path / "out" / "run_eps0.15.json")
         assert record.status == "blown-up" and record.T_eps > 2.0 * t_star_time(0.15, 0.5, 1)
         assert record.outside_hypotheses and record.max_remainder_scaled is None
+
+    def test_bounds_outside_the_hypotheses_prints_the_bound(self, tmp_path, capsys):
+        # the bound needs no s; gamma and t_star need gamma in (0, 1/2]
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(self.OUTSIDE))
+        assert main(["bounds", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "bound_value = 0.4999999999999999" in lines and "tau0 = 0.2499999999999999" in lines
+        assert lines[-1].startswith("gamma and t_star are undefined: gamma = (2s-d)/8 = ")
+        assert lines[-1].endswith(" outside (0, 1/2]; s = 0.4, d = 1")
+
+    def test_diagnostics_outside_the_hypotheses_fails_before_the_run(
+            self, tmp_path, capsys, monkeypatch):
+        def no_run(state):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_to_blowup", no_run)
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(self.OUTSIDE))
+        out = tmp_path / "out"
+        assert main(["diagnostics", "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: gamma = (2s-d)/8 = ")
+        assert not out.exists()
 
     def test_sweep_records_a_zero_rung_as_censored(self, tmp_path, capsys):
         path = tmp_path / "z.json"

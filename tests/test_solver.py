@@ -20,6 +20,7 @@ from nlslab import (
     sup_modulus,
 )
 from nlslab import propagators, solver
+from nlslab.harness import ExperimentConfig
 from nlslab.initial_data import gaussian
 from nlslab.propagators import PointwiseBlowUp, _free_multiplier, blowup_horizon
 from nlslab.solver import (
@@ -43,11 +44,12 @@ def small_config(params=AMPLIFYING, **over):
     return SolverConfig(**kw)
 
 
-# A fused doubling trial rounds differently from separate Strang steps: its
-# two-half-step field is within 8.9e-16 max|two| of theirs and its err within
-# 8.9e-17 of theirs (measured over whole 1-D and 2-D runs).
-TRIAL_ROUNDOFF = 2e-15
-TRIAL_ERR_ROUNDOFF = 1e-15
+# A doubling trial squares the half step's multiplier for its full step, so it
+# rounds differently from separate Strang steps: its extrapolated field is
+# within 2.3e-16 max|R| of theirs and its err within 3.8e-17 of theirs
+# (measured over whole 1-D and 2-D runs).  Its midpoint field is theirs bit for bit.
+TRIAL_ROUNDOFF = 1e-15
+TRIAL_ERR_ROUNDOFF = 2e-16
 
 
 def strang_step(u, dt, config):
@@ -56,16 +58,25 @@ def strang_step(u, dt, config):
                           config.params)
 
 
+def doubling_trial(u, dt, config):
+    """(R, mid, err) of :func:`solver._doubling_trial` from u, with |u|^b taken here."""
+    return solver._doubling_trial(u, np.abs(u) ** config.params.b, dt, config)
+
+
 def unfused_trial(u, dt, config):
-    """(two, err) of a doubling trial composed of separate Strang steps."""
-    two = strang_step(strang_step(u, dt / 2, config), dt / 2, config)
+    """(R, mid, err, two) of a doubling trial composed of separate Strang steps."""
+    mid = strang_step(u, dt / 2, config)
+    two = strang_step(mid, dt / 2, config)
     full = strang_step(u, dt, config)
-    return two, np.linalg.norm(full - two) / (3.0 * np.linalg.norm(two))
+    err = np.linalg.norm(full - two) / (3.0 * np.linalg.norm(two))
+    return two - (full - two) / 3.0, mid, err, two
 
 
-def assert_trial_matches_unfused(u, dt, config, two, err):
-    want, want_err = unfused_trial(u, dt, config)
-    assert np.max(np.abs(two - want)) <= TRIAL_ROUNDOFF * np.max(np.abs(two))
+def assert_trial_matches_unfused(u, dt, config, trial):
+    got, mid, err = trial
+    want, want_mid, want_err, _ = unfused_trial(u, dt, config)
+    assert np.array_equal(mid, want_mid)
+    assert np.max(np.abs(got - want)) <= TRIAL_ROUNDOFF * np.max(np.abs(got))
     assert err == pytest.approx(want_err, rel=0, abs=TRIAL_ERR_ROUNDOFF)
 
 
@@ -347,7 +358,7 @@ class TestRunToBlowup:
 
     def test_horizon_stop_keeps_the_run_resolved(self):
         # the default eps = 0.4 run stops before the spike outgrows the
-        # grid (tail 1.06e-7 measured; 5.2e-3 when it ran on to the cap)
+        # grid (tail 1.4e-7 measured; 5.2e-3 when it ran on to the cap)
         cfg = small_config(eps=0.4, grid=Grid(1, 2048, 80.0), t_max=200.0, record_every=4)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         assert rec.status == "blown-up" and rec.t_blow_pointwise == rec.T_eps
@@ -437,9 +448,9 @@ class TestRunToBlowup:
         assert len(rec.diagnostics.snapshots) <= 33
 
     def test_snapshots_stay_evenly_spread(self, monkeypatch):
-        # 245 accepted steps, growing from 0.005 to about 0.03, offer their
-        # fields; the 32 kept span the run with no gap above twice the mean
-        # (1.48 measured)
+        # 117 accepted steps, growing from 0.005 to about 0.1, offer their
+        # midpoint and end fields; the 32 kept span the run with no gap above
+        # twice the mean (1.56 measured)
         monkeypatch.setattr(solver, "_SNAPSHOT_BUDGET", 32)
         cfg = small_config(eps=0.3, grid=Grid(1, 256, 25.0), record_every=1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
@@ -479,20 +490,22 @@ class TestRunToBlowup:
 
 class TestStepLaw:
     def spy_trials(self, monkeypatch):
-        """Record (dt, two, err) of every doubling trial and (field, dt) of every _advance."""
+        """Record (dt, R, mid, err) of every doubling trial and (field, dt, mid) of
+        every _advance."""
         trials, advanced = [], []
         trial, advance = solver._doubling_trial, solver._advance
 
-        def spy_trial(u, dt, config):
-            two, err = trial(u, dt, config)
-            # the field is two Strang steps of dt/2, and err the doubling estimate
-            assert_trial_matches_unfused(u, dt, config, two, err)
-            trials.append((dt, two, err))
-            return two, err
+        def spy_trial(u, abs_b, dt, config):
+            out = trial(u, abs_b, dt, config)
+            # the field is the extrapolation of two Strang steps of dt/2 and one
+            # of dt, the midpoint the first of the two, and err the doubling estimate
+            assert_trial_matches_unfused(u, dt, config, out)
+            trials.append((dt, *out))
+            return out
 
-        def spy_advance(state, u, dt):
-            advanced.append((u, dt))
-            return advance(state, u, dt)
+        def spy_advance(state, u, dt, mid=None):
+            advanced.append((u, dt, mid))
+            return advance(state, u, dt, mid)
 
         monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
         monkeypatch.setattr(solver, "_advance", spy_advance)
@@ -500,12 +513,23 @@ class TestStepLaw:
 
     def test_tolerance_refinement_stays_inside_the_event_bracket(self, monkeypatch):
         # the event bracket has relative half-width 5e-4; a tenfold tighter
-        # step tolerance must move T by less (1.5e-6 measured)
+        # step tolerance must move T by less (3.2e-7 measured)
         cfg = small_config(eps=0.4, grid=Grid(1, 512, 30.0), record_every=8)
         t_a = run_to_blowup(init(cfg, gaussian(cfg.grid))).T_eps
         monkeypatch.setattr(solver, "_STEP_TOLERANCE", solver._STEP_TOLERANCE / 10.0)
         t_b = run_to_blowup(init(cfg, gaussian(cfg.grid))).T_eps
         assert abs(t_a - t_b) / t_b < 5e-4
+
+    def test_default_rung_lands_near_the_converged_lifespan(self, monkeypatch):
+        # the default eps = 0.4 rung lies 7.4e-7 (relative, measured) from the
+        # same run at step tolerance 1e-10; accepting the two-half-step field at
+        # tolerance 1e-7 left it 2.0e-6 from there
+        cfg = ExperimentConfig().solver_config(0.4)
+        phi = gaussian(cfg.grid)
+        t_eps = run_to_blowup(init(cfg, phi)).T_eps
+        monkeypatch.setattr(solver, "_STEP_TOLERANCE", 1e-10)
+        converged = run_to_blowup(init(cfg, phi)).T_eps
+        assert abs(t_eps - converged) / converged < 2.0e-6
 
     def test_rejected_trials_retry_smaller_and_accepted_meet_tolerance(self, monkeypatch):
         trials, advanced = self.spy_trials(monkeypatch)
@@ -515,27 +539,28 @@ class TestStepLaw:
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         assert rec.status == "blown-up"
         tol = solver._STEP_TOLERANCE
-        assert trials[0][0] == pytest.approx(0.2) and trials[0][2] > tol
-        rejected = [k for k, (_, _, err) in enumerate(trials) if not err <= tol]
+        assert trials[0][0] == pytest.approx(0.2) and trials[0][3] > tol
+        rejected = [k for k, (*_, err) in enumerate(trials) if not err <= tol]
         assert rejected
         for k in rejected:
             assert trials[k + 1][0] < trials[k][0]
-        # every accepted field is the two-half-step field of a trial within tolerance
-        by_field = {id(two): (dt, err) for dt, two, err in trials}
-        accepted = [(by_field[id(u)], dt) for u, dt in advanced if id(u) in by_field]
+        # every accepted field is the extrapolated field of a trial within
+        # tolerance, and comes with that trial's midpoint field
+        by_field = {id(got): (dt, mid, err) for dt, got, mid, err in trials}
+        accepted = [(by_field[id(u)], dt, mid) for u, dt, mid in advanced if id(u) in by_field]
         assert len(accepted) == len(advanced) == len(trials) - len(rejected)
-        for (dt_trial, err), dt in accepted:
-            assert err <= tol and dt == dt_trial
+        for (dt_trial, mid_trial, err), dt, mid in accepted:
+            assert err <= tol and dt == dt_trial and mid is mid_trial
 
     def test_half_step_event_halves_the_step(self, monkeypatch):
         dts = []
         trial = solver._doubling_trial
 
-        def first_half_step_blows_up(u, dt, config):
+        def first_half_step_blows_up(u, abs_b, dt, config):
             dts.append(dt)
             if len(dts) == 1:
                 raise PointwiseBlowUp(0.25 * dt)
-            return trial(u, dt, config)
+            return trial(u, abs_b, dt, config)
 
         monkeypatch.setattr(solver, "_doubling_trial", first_half_step_blows_up)
         cfg = small_config(eps=0.4, t_max=0.1)
@@ -557,16 +582,16 @@ class TestStepLaw:
         return paths
 
     def test_full_step_event_alone_halves_the_step(self, monkeypatch):
-        # the first trial's full path meets the singularity, so its half path
-        # is not taken; the event step is wider than the bracket, so the
-        # trial is retried at half length
+        # the first trial's full path meets the singularity, so its half
+        # steps are not taken; the event step is wider than the bracket, so
+        # the trial is retried at half length
         paths = self.spy_paths(monkeypatch, blown_calls={1})
         cfg = small_config(eps=0.4, t_max=0.1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         dt0 = solver._FIRST_STEP
         assert rec.status == "reached-t-max"
-        assert paths[:3] == [(dt0 / 2, dt0 / 2),
-                             (dt0 / 4, dt0 / 4), (dt0 / 8, dt0 / 4, dt0 / 8)]
+        assert paths[:4] == [(dt0 / 2, dt0 / 2),
+                             (dt0 / 4, dt0 / 4), (dt0 / 8, dt0 / 8), (dt0 / 8, dt0 / 8)]
 
     def test_event_that_does_not_recur_is_stepped_past(self, monkeypatch):
         # the full paths of the first two trials meet the singularity, but no
@@ -576,8 +601,8 @@ class TestStepLaw:
         cfg = small_config(eps=0.4, t_max=0.1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         dt0 = solver._FIRST_STEP
-        assert paths[:4] == [(dt0 / 2, dt0 / 2), (dt0 / 4, dt0 / 4),
-                             (dt0 / 8, dt0 / 8), (dt0 / 16, dt0 / 8, dt0 / 16)]
+        assert paths[:5] == [(dt0 / 2, dt0 / 2), (dt0 / 4, dt0 / 4),
+                             (dt0 / 8, dt0 / 8), (dt0 / 16, dt0 / 16), (dt0 / 16, dt0 / 16)]
         assert rec.status == "reached-t-max"
 
     def test_event_in_both_paths_ends_the_run(self, monkeypatch):
@@ -588,14 +613,14 @@ class TestStepLaw:
         clock, dts = [0.0], []
         trial, advance = solver._doubling_trial, solver._advance
 
-        def blows_up_across(u, dt, config):
+        def blows_up_across(u, abs_b, dt, config):
             dts.append(dt)
             if clock[0] + dt > t_event:
                 raise PointwiseBlowUp(t_event - clock[0])
-            return trial(u, dt, config)
+            return trial(u, abs_b, dt, config)
 
-        def spy_advance(state, u, dt):
-            new = advance(state, u, dt)
+        def spy_advance(state, u, dt, mid=None):
+            new = advance(state, u, dt, mid)
             clock[0] = new.t
             return new
 
@@ -609,29 +634,29 @@ class TestStepLaw:
         assert abs(rec.t_blow_pointwise - t_event) <= 5e-4 * t_event
         assert rec.diagnostics.samples[-1].t == clock[0] < t_event
 
-    @pytest.mark.parametrize("blown_path", ["full", "half"])
+    @pytest.mark.parametrize("blown_path", ["full", "first half", "second half"])
     def test_event_in_one_path_ends_the_run(self, monkeypatch, blown_path):
         # every trial that would cross t_event meets the singularity in one
-        # path only, the full step or the half steps; that is an event like
-        # any other, so the last trial's step, at most 1e-3 t wide, is the bracket
+        # path only, the full step or one of the half steps; that is an event
+        # like any other, so the last trial's step, at most 1e-3 t wide, is the bracket
         t_event = 0.0123
         clock, dts, calls = [0.0], [], []
         trial, strang, advance = solver._doubling_trial, solver._strang, solver._advance
 
-        def spy_trial(u, dt, config):
+        def spy_trial(u, abs_b, dt, config):
             dts.append(dt)
             calls.clear()
-            return trial(u, dt, config)
+            return trial(u, abs_b, dt, config)
 
         def spy_strang(u, substeps, *args):
             calls.append(substeps)
-            path = "full" if len(calls) == 1 else "half"
+            path = ("full", "first half", "second half")[len(calls) - 1]
             if path == blown_path and clock[0] + dts[-1] > t_event:
                 raise PointwiseBlowUp(0.5 * substeps[0])
             return strang(u, substeps, *args)
 
-        def spy_advance(state, u, dt):
-            new = advance(state, u, dt)
+        def spy_advance(state, u, dt, mid=None):
+            new = advance(state, u, dt, mid)
             clock[0] = new.t
             return new
 
@@ -662,11 +687,42 @@ class TestDoublingTrial:
                            s=1.0 if d == 1 else 1.2)
         u = cfg.eps * gaussian(grid).values
         for dt in (0.005, 0.05, 0.2):
-            two, err = solver._doubling_trial(u, dt, cfg)
-            assert err > 1e-10
-            assert_trial_matches_unfused(u, dt, cfg, two, err)
+            trial = doubling_trial(u, dt, cfg)
+            assert trial[2] > 1e-10
+            assert_trial_matches_unfused(u, dt, cfg, trial)
 
-    def test_trial_takes_five_substeps_three_fft_pairs_and_one_multiplier(self, monkeypatch):
+    @pytest.mark.parametrize("d, lam", [(1, 1j), (1, 0.5 + 1j), (2, 1j)])
+    def test_extrapolated_field_is_two_orders_more_accurate(self, d, lam):
+        # against a fourth-order reference of 256 Strang steps, each halving
+        # of dt divides the local error of the two-half-step field by 8.19-8.31
+        # (order 3) and that of the extrapolated field R by 31.5-33.0
+        # (order 5), measured at dt = 0.2, 0.1, 0.05; err matches the
+        # former's true error to within 1.6%
+        grid = Grid(1, 256, 20.0) if d == 1 else Grid(2, 32, 12.0)
+        cfg = SolverConfig(grid=grid, params=NonlinearityParams(lam, 0.5, d), eps=0.5,
+                           s=1.0 if d == 1 else 1.2)
+        u = cfg.eps * gaussian(grid).values
+
+        def strang_steps(dt, k):
+            w = u
+            for _ in range(k):
+                w = strang_step(w, dt / k, cfg)
+            return w
+
+        errors = []
+        for dt in (0.2, 0.1, 0.05):
+            coarse, fine = strang_steps(dt, 128), strang_steps(dt, 256)
+            ref = fine + (fine - coarse) / 3.0
+            got, _, err = doubling_trial(u, dt, cfg)
+            two = unfused_trial(u, dt, cfg)[3]
+            e_two, e_got = (np.linalg.norm(f - ref) / np.linalg.norm(ref) for f in (two, got))
+            assert err == pytest.approx(e_two, rel=0.02)
+            errors.append((e_two, e_got))
+        for (two_a, got_a), (two_b, got_b) in zip(errors, errors[1:]):
+            assert 7.5 <= two_a / two_b <= 9.0
+            assert 28.0 <= got_a / got_b <= 36.0
+
+    def test_trial_takes_six_substeps_three_fft_pairs_and_one_multiplier(self, monkeypatch):
         counts = {}
 
         def count(module, name):
@@ -684,8 +740,8 @@ class TestDoublingTrial:
         cfg = small_config(eps=0.4)
         u = cfg.eps * gaussian(cfg.grid).values
         _free_multiplier.cache_clear()
-        solver._doubling_trial(u, 0.0123, cfg)
-        assert counts == {"nonlinear_flow_exact": 5, "dft": 3, "idft": 3,
+        doubling_trial(u, 0.0123, cfg)
+        assert counts == {"nonlinear_flow_exact": 6, "dft": 3, "idft": 3,
                           "_back_propagation_phase": 1}
 
     def test_trial_error_does_not_depend_on_the_blas_thread_count(self):
@@ -697,7 +753,9 @@ class TestDoublingTrial:
             "cfg = solver.SolverConfig(grid=Grid(2, 128, 20.0), s=1.2, eps=0.4,\n"
             "                          params=NonlinearityParams(1j, 0.5, 2))\n"
             "u = cfg.eps * gaussian(cfg.grid).values\n"
-            "print([solver._doubling_trial(u, dt, cfg)[1] for dt in (0.005, 0.01, 0.02, 0.04)])\n"
+            "abs_b = abs(u) ** cfg.params.b\n"
+            "print([solver._doubling_trial(u, abs_b, dt, cfg)[2]\n"
+            "       for dt in (0.005, 0.01, 0.02, 0.04)])\n"
         )
         src = Path(solver.__file__).resolve().parents[1]
         errs = []
@@ -711,7 +769,7 @@ class TestDoublingTrial:
 
 
 def ownership_config(d):
-    # both blow up inside the box, after about 230 accepted steps
+    # both blow up inside the box, after about 110 accepted steps
     if d == 1:
         return small_config(eps=0.4, record_every=1)
     return SolverConfig(grid=Grid(2, 32, 12.0), params=NonlinearityParams(1j, 0.5, 2),
@@ -742,29 +800,68 @@ class TestFieldOwnership:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_run_leaves_every_accepted_field_unchanged(self, monkeypatch, d):
+        # the accepted fields, their midpoint fields and the |u|^b arrays that
+        # the trials from each accepted state read
         cfg = ownership_config(d)
         state = step(init(cfg, gaussian(cfg.grid)), 0.005)
         kept = kept_arrays(state)
         advance = solver._advance
+        steps = []
 
-        def spy_advance(base, u, dt):
-            kept.append((u, u.copy()))
-            return advance(base, u, dt)
+        def spy_advance(base, u, dt, mid=None):
+            steps.append(dt)
+            kept.extend((a, a.copy()) for a in (base.abs_b, u, mid))
+            return advance(base, u, dt, mid)
 
         monkeypatch.setattr(solver, "_advance", spy_advance)
         rec = run_to_blowup(state)
-        assert rec.status == "blown-up" and len(kept) > 200
+        assert rec.status == "blown-up" and len(steps) > 100
         for a, copy in kept:
             assert np.array_equal(a, copy)
 
-    def test_snapshots_are_the_read_only_accepted_fields(self):
-        # a snapshot is no copy: it is the field a state held, and writing into it fails
+    def test_trials_read_the_modulus_pass_of_their_state(self, monkeypatch):
+        # |u|^b comes from the pass that took sup|u|: it is |u|^b bit for bit,
+        # read-only, and one array for every trial from one state
+        cfg = ownership_config(1)
+        trial = solver._doubling_trial
+        read = {}
+
+        def spy_trial(u, abs_b, dt, config):
+            assert np.array_equal(abs_b, np.abs(u) ** config.params.b)
+            assert not abs_b.flags.writeable
+            assert read.setdefault(id(u), (u, abs_b))[1] is abs_b
+            return trial(u, abs_b, dt, config)
+
+        monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
+        state = init(cfg, gaussian(cfg.grid))
+        with pytest.raises(ValueError, match="read-only"):
+            state.abs_b[0] = 0.0
+        assert run_to_blowup(state).status == "blown-up" and len(read) > 100
+
+    def test_snapshots_are_the_read_only_accepted_fields(self, monkeypatch):
+        # a snapshot is no copy: it is the field a state held, or the midpoint
+        # field of the step that led to one, and writing into it fails
         cfg = ownership_config(1)
         state = init(cfg, gaussian(cfg.grid))
         assert state.diagnostics.snapshots[0] is state.u.values
+        offered = {id(state.u.values): (state.u.values, 0.0, "end")}
+        advance = solver._advance
+
+        def spy_advance(base, u, dt, mid=None):
+            offered[id(u)] = (u, base.t + dt, "end")
+            offered[id(mid)] = (mid, base.t + 0.5 * dt, "mid")
+            return advance(base, u, dt, mid)
+
+        monkeypatch.setattr(solver, "_advance", spy_advance)
         rec = run_to_blowup(state)
         snapshots = rec.diagnostics.snapshots
         assert len(snapshots) == solver._SNAPSHOT_BUDGET
+        kinds = []
+        for t, snap in zip(rec.diagnostics.snapshot_times, snapshots):
+            field, t_offered, kind = offered[id(snap)]
+            assert field is snap and t_offered == t
+            kinds.append(kind)
+        assert "mid" in kinds and "end" in kinds
         for snap in snapshots:
             with pytest.raises(ValueError, match="read-only"):
                 snap[0] = 0.0
