@@ -27,7 +27,9 @@ print("\n  eps     T_eps       q_eps     running min   status")
 for rec, q, m in zip(records, summary.q_values, summary.running_min):
     print(f"  {rec.eps:<6} {rec.T_eps:9.4f}   {q:.5f}   {m:.5f}       {rec.status}")
 print(f"\nverdict: {summary.verdict} (tolerance {summary.tolerance})")
-print(f"empirical D0 = min T_eps * eps^2 = {summary.d0_estimate:.4f}")
+# q = eps * sqrt(T) here, so the running minimum q^(1/(1-theta)) = q^2 is min T_eps * eps^2
+d0 = summary.running_min[-1] ** (1.0 / (1.0 - params.theta))
+print(f"empirical D0 = min T_eps * eps^2 = {d0:.4f}")
 print("note: q_eps decreases toward the bound as eps shrinks; the theory only")
 print("promises the liminf stays above bound_value, and it does here.")
 

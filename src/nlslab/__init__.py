@@ -33,7 +33,6 @@ from .solver import (
     make_record,
     mass_balance_residuals,
     run_to_blowup,
-    step,
 )
 from .profile_ode import (
     BoundConstants,

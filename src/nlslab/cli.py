@@ -18,6 +18,7 @@ import numpy as np
 from .harness import ExperimentConfig, persist_run, persist_summary
 from .initial_data import build as build_initial_data
 from .lifespan import (
+    bound_or_none,
     critical_bound,
     critical_pointwise_time,
     decay_ratio_diagnostics,
@@ -25,6 +26,7 @@ from .lifespan import (
     remainder_series,
     stamp_record,
     sweep,
+    t_star_time,
     theoretical_bound,
 )
 from .profile_ode import (
@@ -70,22 +72,26 @@ def _cmd_bounds(args) -> int:
     phi_hat = fourier_forward(phi)
     sup = sup_modulus(phi_hat)
     print(f"sup |phi_hat| = {sup!r}")
+    eps = min(cfg.eps_ladder)
     if cfg.theta < 1.0:
-        rep = theoretical_bound(phi_hat, params, eps=min(cfg.eps_ladder))
+        rep = theoretical_bound(phi_hat, params)
         print(f"bound_value = {rep.bound_value!r}")
         print(f"tau0 = {rep.tau0!r}")
         # the remainder window [t_star, T/2] and its decay rate gamma need
-        # gamma = (2s-d)/8 in (0, 1/2], which a config run outside the hypotheses lacks
+        # gamma = (2s-d)/8 in (0, 1/2], which a config run outside the hypotheses lacks,
+        # and t_star needs eps > 0, which a ladder ending on a zero rung lacks
         try:
             gamma = gamma_exponent(cfg.s, cfg.d)
         except ValueError as e:
             print(f"gamma and t_star are undefined: {e}")
         else:
             print(f"gamma = {gamma!r}")
-            print(f"t_star(eps={min(cfg.eps_ladder)!r}) = {rep.t_star!r}")
+            if eps == 0.0:
+                print("t_star is undefined at eps = 0")
+            else:
+                print(f"t_star(eps={eps!r}) = {t_star_time(eps, cfg.theta, cfg.d)!r}")
     else:
         bound = critical_bound(phi_hat, cfg.d, cfg.lam)
-        eps = min(cfg.eps_ladder)
         print(f"critical bound_value = {bound!r}")
         print(f"heuristic blow-up time at eps*sup = {eps * sup!r}: "
               f"{critical_pointwise_time(eps * sup, cfg.d, cfg.lam)!r}")
@@ -102,14 +108,12 @@ def _out_dir(cfg) -> Path | None:
 
 def _run_configured(cfg, solver_cfg):
     """Check the datum, create the output directory, run the first ladder rung and
-    stamp its record as the sweep does (bound_value None where no bound is defined)."""
+    stamp its record as the sweep does."""
     phi = build_initial_data(cfg.grid(), cfg.initial_data)
     state = init(solver_cfg, phi)
     out = _out_dir(cfg)
-    try:
-        bound_value = theoretical_bound(fourier_forward(phi), solver_cfg.params).bound_value
-    except ValueError:  # theta = 1, Im(lam) <= 0 or a zero datum
-        bound_value = None
+    bound = bound_or_none(fourier_forward(phi), solver_cfg.params)
+    bound_value = None if bound is None else bound.bound_value
     return out, stamp_record(run_to_blowup(state), solver_cfg, bound_value)
 
 
@@ -138,10 +142,9 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     solver_cfg = cfg.solver_config()
     out = _out_dir(cfg)
-    records, summary, bound = sweep(cfg.eps_ladder, solver_cfg,
-                                    cfg.initial_data, tolerance=cfg.tolerance,
-                                    jobs=cfg.jobs)
-    print(f"bound_value = {bound.bound_value!r}")
+    records, summary, _ = sweep(cfg.eps_ladder, solver_cfg, cfg.initial_data,
+                                tolerance=cfg.tolerance, jobs=cfg.jobs)
+    print(f"bound_value = {summary.bound_value!r}")
     for rec, q in zip(records, summary.q_values):
         q_str = "censored/invalid" if q is None else repr(q)
         print(f"eps={rec.eps!r} status={rec.status} T_eps={rec.T_eps!r} q_eps={q_str}")

@@ -86,6 +86,16 @@ def theoretical_bound(phi_hat: ComplexField, params: NonlinearityParams,
     return report
 
 
+def bound_or_none(phi_hat: ComplexField, params: NonlinearityParams) -> BoundReport | None:
+    """The run's bound, :func:`theoretical_bound`, or None where it is undefined:
+    theta = 1, Im(lam) <= 0 or a zero datum.  Every config that runs gets a
+    record; one without a bound gets bound_value None."""
+    try:
+        return theoretical_bound(phi_hat, params)
+    except ValueError:
+        return None
+
+
 def _critical_horizon(amplitude, d: int, lam: complex):
     if not np.imag(lam) > 0:
         raise ValueError(f"the critical case requires Im(lam) > 0, got {lam}")
@@ -241,15 +251,16 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
           tolerance: float = 0.1, jobs: int = 1):
     """Run the eps ladder, stamp bound values, and fold the records into a verdict.
 
+    Returns (records, summary, bound), with bound from :func:`bound_or_none`.
     The ladder must be strictly decreasing.  Censored (reached t_max) and
     boundary-contaminated runs are excluded from the bound verdict; if no
-    usable run remains the verdict is INCONCLUSIVE.
+    usable run remains, or the config has no bound, the verdict is
+    INCONCLUSIVE.
     """
     ladder = decreasing_ladder(eps_ladder)
-    params = base_config.params
     phi = build_initial_data(base_config.grid, data_spec)
-    phi_hat = fourier_forward(phi)
-    bound = theoretical_bound(phi_hat, params)
+    bound = bound_or_none(fourier_forward(phi), base_config.params)
+    bound_value = None if bound is None else bound.bound_value
 
     configs = [replace(base_config, eps=e) for e in ladder]
     if jobs > 1:
@@ -262,23 +273,19 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
 
     q_values, running_min = [], []
     current_min = None
-    d0 = None
     for cfg, rec in zip(configs, records):
-        stamp_record(rec, cfg, bound.bound_value)
+        stamp_record(rec, cfg, bound_value)
         if rec.usable_for_bound():
             q = rec.invariant_quantity
             q_values.append(q)
             current_min = q if current_min is None else min(current_min, q)
-            rough = rec.T_eps * rec.eps ** (2.0 * params.theta / ((1.0 - params.theta) * params.d))
-            d0 = rough if d0 is None else min(d0, rough)
         else:
             q_values.append(None)
         running_min.append(current_min)
 
-    usable = [q for q in q_values if q is not None]
-    if not usable:
+    if current_min is None or bound_value is None:
         verdict = "INCONCLUSIVE"
-    elif min(usable) >= bound.bound_value * (1.0 - tolerance):
+    elif current_min >= bound_value * (1.0 - tolerance):
         verdict = "PASS"
     else:
         verdict = "FAIL"
@@ -286,9 +293,8 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
         eps_ladder=ladder,
         q_values=q_values,
         running_min=running_min,
-        bound_value=bound.bound_value,
+        bound_value=bound_value,
         tolerance=tolerance,
         verdict=verdict,
-        d0_estimate=d0,
     )
     return records, summary, bound

@@ -64,7 +64,6 @@ class SweepSummary:
     eps_ladder: list
     q_values: list          # one entry per rung, None for unusable runs
     running_min: list       # running min over usable rungs (None until one exists)
-    bound_value: float
+    bound_value: float | None   # None where the config has no bound
     tolerance: float
     verdict: str            # PASS / FAIL / INCONCLUSIVE
-    d0_estimate: float | None = None

@@ -1,14 +1,16 @@
 """Strang split-step integration with error-controlled stepping and blow-up time measurement.
 
 One step is: half-step of the exact pointwise nonlinear flow, full spectral
-free propagation, half-step of the nonlinear flow.  Steps and trials are
-paths of one kernel, which alternates exact nonlinear substeps with free
-propagations by a Fourier multiplier.  The run loop sizes its steps by step
-doubling, so the step grows wherever the local error allows: a doubling
-trial takes one step of dt and two of dt/2, squaring the half step's
-multiplier for the full step.  Strang splitting is symmetric, so the
-Richardson extrapolation of the two is a fourth-order field at no extra
-cost, and the run loop accepts it (local extrapolation).
+free propagation, half-step of the nonlinear flow.  The run loop's trials
+and the convergence study's fixed steps are paths of one kernel,
+:func:`_strang`, which alternates exact nonlinear substeps with free
+propagations by a Fourier multiplier.  Every run goes through one loop,
+:func:`run_to_blowup`.  It sizes its steps by step doubling, so the step grows
+wherever the local error allows: a doubling trial takes one step of dt and
+two of dt/2, squaring the half step's multiplier for the full step.  Strang
+splitting is symmetric, so the Richardson extrapolation of the two is a
+fourth-order field at no extra cost, and the run loop accepts it (local
+extrapolation).
 The nonlinear substep's closed form carries its own blow-up detector (a
 pointwise denominator zero).  A run ends when its event is bracketed within
 1e-3 of the elapsed time, in one of two ways.  A trial step meets the event
@@ -17,6 +19,9 @@ the sup-norm cap 1e3/eps; such a step is halved until it is no wider than
 the bracket, and that final step is the bracket.  Or the pointwise blow-up
 horizon of sup|u| falls within the bracket: the pointwise flow's own
 singularity then lies at most that far ahead, and the horizon is the bracket.
+A :class:`SolverState` is a field on the trajectory; how the run ended (its
+status, blow-up time and criterion) is the run loop's own, and goes only
+into the record.
 """
 
 from __future__ import annotations
@@ -66,7 +71,6 @@ _SNAPSHOT_BUDGET = 128  # snapshots a run keeps, thinned to stay evenly spread i
 
 
 class RunStatus(str, Enum):
-    RUNNING = "running"
     BLOWN_UP = "blown-up"
     BOUNDARY_CONTAMINATED = "boundary-contaminated"
     REACHED_TMAX = "reached-t-max"
@@ -136,7 +140,7 @@ class DiagnosticSample:
 class DiagnosticsLog:
     """Diagnostics of one trajectory; every state along it shares this log.
 
-    Samples are only appended, so stepping twice from one state writes both
+    Samples are only appended, so advancing twice from one state writes both
     branches here.  An event step records none.
     Each sample, and each step the run loop accepts, offers its field as a
     snapshot, and each accepted step first offers its trial's midpoint field;
@@ -166,17 +170,15 @@ class DiagnosticsLog:
 
 @dataclass
 class SolverState:
+    """A field on the run's trajectory; how the run ends is the run loop's own."""
+
     t: float
     u: ComplexField
-    status: RunStatus
     config: SolverConfig
     diagnostics: DiagnosticsLog
     sup: float                           # sup|u|, the boundary-shell mass fraction and
     shell: float                         # |u|^b, all from the one |u| pass per field;
     abs_b: np.ndarray                    # every path from u reads this read-only |u|^b
-    t_blow: float | None = None
-    blow_criterion: str | None = None   # "pointwise" (a substep singularity, a non-finite
-                                        # field or the horizon of sup|u|) or "threshold"
     step_count: int = 0
 
 
@@ -232,8 +234,7 @@ def init(config: SolverConfig, phi: ComplexField) -> SolverState:
         raise ValueError(f"sup-norm cap 1e3/eps = {config.threshold!r} must exceed the "
                          f"initial sup|eps*phi| = {sup!r}")
     power = absu**2
-    state = SolverState(t=0.0, u=u0, status=RunStatus.RUNNING, config=config,
-                        diagnostics=DiagnosticsLog(), sup=sup,
+    state = SolverState(t=0.0, u=u0, config=config, diagnostics=DiagnosticsLog(), sup=sup,
                         shell=boundary_shell_fraction(u0, power=power), abs_b=abs_b)
     _sample_diagnostics(state, power)
     return state
@@ -266,22 +267,19 @@ def _strang(u: np.ndarray, substeps: tuple, multipliers: tuple, params: Nonlinea
     return w
 
 
-def _event(state: SolverState, t_blow: float, criterion: str) -> SolverState:
-    return replace(state, status=RunStatus.BLOWN_UP, t_blow=t_blow, blow_criterion=criterion)
-
-
-def _land(state: SolverState, t_blow: float, criterion: str) -> SolverState:
-    """`state` marked BLOWN_UP at t_blow, with a final sample unless it already has one."""
-    state = _event(state, t_blow, criterion)
+def _land(state: SolverState, t_blow: float, criterion: str) -> RunRecord:
+    """The record of a run that blew up at t_blow from `state`, with a final sample
+    unless `state` already has one."""
     if state.diagnostics.samples[-1].t != state.t:
         _sample_diagnostics(state, np.abs(state.u.values) ** 2)
-    return state
+    return make_record(state, RunStatus.BLOWN_UP, t_blow, criterion)
 
 
 def _advance(state: SolverState, u: np.ndarray, dt: float,
-             mid: np.ndarray | None = None) -> SolverState:
-    """The state dt after `state`, carrying the field u, or the base state marked
-    BLOWN_UP when u is non-finite or reaches the sup-norm cap.
+             mid: np.ndarray | None = None) -> SolverState | str:
+    """The state dt after `state`, carrying the field u; or, when u is non-finite
+    or reaches the sup-norm cap, that event's criterion, "pointwise" or
+    "threshold", with nothing recorded.
 
     One pass of |u| gives the finiteness check, sup|u|, the boundary-shell
     fraction and |u|^b, and the sample reuses it.  The field `mid` at
@@ -293,9 +291,9 @@ def _advance(state: SolverState, u: np.ndarray, dt: float,
     sup = float(np.max(absu))
     # a non-finite value has a non-finite modulus, so only then is the field scanned
     if not math.isfinite(sup) and not np.isfinite(u).all():
-        return _event(state, state.t + dt, "pointwise")
+        return "pointwise"
     if sup >= cfg.threshold:
-        return _event(state, state.t + dt, "threshold")
+        return "threshold"
     u_field = ComplexField(cfg.grid, Space.PHYSICAL, u)
     power = absu**2
     new = replace(state, t=state.t + dt, u=u_field, sup=sup,
@@ -306,31 +304,6 @@ def _advance(state: SolverState, u: np.ndarray, dt: float,
     if new.step_count % cfg.record_every == 0:
         _sample_diagnostics(new, power)
     return new
-
-
-def step(state: SolverState, dt: float) -> SolverState:
-    """One Strang step of size dt: the path N(dt/2) F(m_dt) N(dt/2) of :func:`_strang`.
-
-    A step that ends in an event returns the base state marked BLOWN_UP with
-    `t_blow` and `blow_criterion`: "pointwise" for a substep denominator zero
-    or a non-finite field, "threshold" when sup|u| reaches the cap.  An event
-    step records no sample; otherwise the new state carries sup|u| and the
-    boundary-shell fraction, both from one pass of |u| that the sample
-    reuses, shares the append-only diagnostics log and samples it every
-    `record_every` steps.
-    """
-    if state.status is not RunStatus.RUNNING:
-        raise ValueError(f"cannot step a state with status {state.status.value}")
-    if not (dt > 0):
-        raise ValueError(f"step size must be positive, got {dt}")
-    cfg = state.config
-    half = dt / 2.0
-    try:
-        u = _strang(state.u.values, (half, half), (_free_multiplier(cfg.grid, dt),), cfg.params,
-                    abs_b=state.abs_b)
-    except PointwiseBlowUp as e:
-        return _event(state, state.t + e.earliest, "pointwise")
-    return _advance(state, u, dt)
 
 
 def _doubling_trial(u: np.ndarray, abs_b: np.ndarray, dt: float, config: SolverConfig):
@@ -420,20 +393,20 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     t + horizon <= t_max, the pointwise flow's singularity lies within
     [t, t + horizon], and the run ends "pointwise" with t_blow = t + horizon.
     The boundary monitor aborts when the outer-shell mass fraction exceeds
-    1e-6; such runs are invalid for bound checking.
+    1e-6; such runs are invalid for bound checking.  The outcome is the
+    loop's own: each exit returns :func:`make_record` of its last state with
+    the status, and for a blow-up t_blow and its criterion.
     """
     cfg = state.config
     tol = _STEP_TOLERANCE
     h = _FIRST_STEP
-    while state.status is RunStatus.RUNNING:
+    while True:
         remaining = cfg.t_max - state.t
         if remaining <= 1e-12 * cfg.t_max:
-            state = replace(state, status=RunStatus.REACHED_TMAX)
-            break
+            return make_record(state, RunStatus.REACHED_TMAX)
         horizon = blowup_horizon(state.sup, cfg.params)
         if horizon <= _BRACKET * state.t and state.t + horizon <= cfg.t_max:
-            state = _land(state, state.t + horizon, "pointwise")
-            break
+            return _land(state, state.t + horizon, "pointwise")
         dt = min(h, _HORIZON_FRACTION * horizon, remaining)
         if not state.t + dt > state.t:
             raise RuntimeError(f"step size {dt!r} vanishes at t={state.t!r}: the trials "
@@ -441,34 +414,34 @@ def run_to_blowup(state: SolverState) -> RunRecord:
         try:
             u, mid, err = _doubling_trial(state.u.values, state.abs_b, dt, cfg)
         except PointwiseBlowUp:
-            criterion = "pointwise"
+            trial = "pointwise"
         else:
             h = dt * _resize(err, tol)
             if not err <= tol:
                 continue
             trial = _advance(state, u, dt, mid)
-            criterion = trial.blow_criterion
-        if criterion is not None:
+        if isinstance(trial, str):  # the trial met the event by this criterion
             if dt > _BRACKET * max(state.t, dt):
                 h = 0.5 * dt
                 continue
-            state = _land(state, state.t + 0.5 * dt, criterion)
-        elif trial.shell > _SHELL_TOLERANCE:
-            state = replace(trial, status=RunStatus.BOUNDARY_CONTAMINATED)
-        else:
-            state = trial
-            state.diagnostics.record_snapshot(state.t, state.u.values)
-    return make_record(state)
+            return _land(state, state.t + 0.5 * dt, trial)
+        state = trial
+        if state.shell > _SHELL_TOLERANCE:
+            return make_record(state, RunStatus.BOUNDARY_CONTAMINATED)
+        state.diagnostics.record_snapshot(state.t, state.u.values)
 
 
-def make_record(state: SolverState) -> RunRecord:
+def make_record(state: SolverState, status: RunStatus, t_blow: float | None = None,
+                criterion: str | None = None) -> RunRecord:
+    """The record of a run that ended on `state` with `status`.  A BLOWN_UP run
+    blew up at t_blow by `criterion`: "pointwise" (a substep singularity, a
+    non-finite field or the horizon of sup|u|) or "threshold" (the sup-norm cap)."""
     cfg = state.config
     params = cfg.params
-    status = state.status.value
-    censored = state.status is RunStatus.REACHED_TMAX
-    if state.status is RunStatus.BLOWN_UP:
-        T = state.t_blow
-    elif state.status is RunStatus.REACHED_TMAX:
+    censored = status is RunStatus.REACHED_TMAX
+    if status is RunStatus.BLOWN_UP:
+        T = t_blow
+    elif censored:
         T = state.t
     else:
         T = None
@@ -478,11 +451,11 @@ def make_record(state: SolverState) -> RunRecord:
         theta=params.theta,
         d=params.d,
         lam=params.lam,
-        status=status,
+        status=status.value,
         T_eps=T,
         censored=censored,
-        t_blow_pointwise=state.t_blow if state.blow_criterion == "pointwise" else None,
-        t_blow_threshold=state.t_blow if state.blow_criterion == "threshold" else None,
+        t_blow_pointwise=t_blow if criterion == "pointwise" else None,
+        t_blow_threshold=t_blow if criterion == "threshold" else None,
         grid_fingerprint=canonical_fingerprint(asdict(cfg.grid)),
         config_fingerprint=cfg.fingerprint(),
         max_tail_fraction=max((s.tail_fraction for s in samples), default=None),
@@ -507,13 +480,20 @@ class ConvergenceReport:
 
 
 def _fixed_run(config: SolverConfig, phi: ComplexField, t_end: float, dt: float) -> np.ndarray:
-    n_steps = int(round(t_end / dt))
-    state = init(replace(config, record_every=10**9), phi)
-    for _ in range(n_steps):
-        state = step(state, dt)
-        if state.status is not RunStatus.RUNNING:
-            raise RuntimeError(f"fixed-step run ended early with {state.status.value}")
-    return state.u.values
+    """The field after round(t_end/dt) Strang steps of dt from eps*phi; raises
+    RuntimeError when a step meets the pointwise singularity or the final field
+    is not finite."""
+    u = init(config, phi).u.values
+    substeps, multipliers = (dt / 2.0, dt / 2.0), (_free_multiplier(config.grid, dt),)
+    try:
+        for _ in range(int(round(t_end / dt))):
+            u = _strang(u, substeps, multipliers, config.params)
+    except PointwiseBlowUp as e:
+        raise RuntimeError(f"fixed-step run of dt={dt!r} met the pointwise singularity "
+                           f"{e.earliest!r} into a step") from None
+    if not np.isfinite(u).all():
+        raise RuntimeError(f"fixed-step run of dt={dt!r} left a non-finite field")
+    return u
 
 
 def convergence_study(config: SolverConfig, phi: ComplexField, refinements: int = 2,

@@ -36,7 +36,8 @@ from nlslab.profile_ode import (
     make_perturbation,
 )
 from nlslab import solver
-from nlslab.solver import SolverConfig, convergence_study, init, run_to_blowup, step
+from nlslab.solver import SolverConfig, convergence_study, init, run_to_blowup
+from stepping import fixed_step
 
 GAUSS = {"kind": "gaussian", "width": 1.0}
 
@@ -169,7 +170,7 @@ def test_criterion_4_solver_fidelity():
     st = init(cfg_r, phi)
     m0 = st.diagnostics.samples[0].mass
     for _ in range(1000):
-        st = step(st, 0.005)
+        st = fixed_step(st, 0.005)
     drift = max(abs(s.mass - m0) / m0 for s in st.diagnostics.samples)
     checks.append((f"mass drift {drift:.2e} < 1e-10 over 1000 steps", drift < 1e-10))
 

@@ -172,7 +172,6 @@ class TestCli:
         assert "theta" in capsys.readouterr().err
 
     @pytest.mark.parametrize("over, message", [
-        ({"eps_ladder": [0.4, 0.0]}, "eps"),
         ({"initial_data": {"kind": "bump_sum", "bumps": [{"sigma": 1.0}]}}, "['sigma']"),
         ({"initial_data": "gaussian"}, "initial_data must be an object"),
         ({"initial_data": {"kind": "bump_sum", "bumps": [1.0]}}, "list of objects"),
@@ -187,7 +186,7 @@ class TestCli:
         ({"record_every": 2.5}, "config field 'record_every' must be an integer, got 2.5"),
         ({"record_every": True}, "config field 'record_every' must be an integer, got True"),
         ({"enforce_hypotheses": 1}, "config field 'enforce_hypotheses' must be a boolean"),
-    ], ids=["zero-eps-rung", "unknown-bump-key", "non-object-spec", "non-object-bump",
+    ], ids=["unknown-bump-key", "non-object-spec", "non-object-bump",
             "non-object-profile-ode", "string-int", "string-float", "null-float",
             "scalar-ladder", "bool-in-ladder", "null-in-lam", "string-jobs", "float-int",
             "bool-int", "int-bool"])
@@ -263,14 +262,28 @@ class TestCli:
     OUTSIDE = {"d": 1, "n": 512, "L": 40.0, "s": 0.4, "eps_ladder": [0.4],
                "enforce_hypotheses": False}
 
-    def test_sweep_runs_what_simulate_runs_outside_the_hypotheses(self, tmp_path, capsys):
+    # the critical case and a damping lam have no bound: sweep runs them as
+    # simulate does and, with no bound to judge them by, is inconclusive
+    @pytest.mark.parametrize("config, sweep_exit", [
+        (OUTSIDE, 0),
+        ({"d": 1, "n": 256, "L": 25.0, "theta": 1.0, "eps_ladder": [0.6], "t_max": 30.0,
+          "record_every": 8}, 2),
+        ({"d": 1, "n": 256, "L": 25.0, "lam": [0.0, -1.0], "eps_ladder": [0.6], "t_max": 5.0,
+          "record_every": 8}, 2),
+    ], ids=["outside-index-range", "critical-theta", "damping-lam"])
+    def test_sweep_runs_what_simulate_runs_outside_the_hypotheses(
+            self, tmp_path, capsys, config, sweep_exit):
         path = tmp_path / "a.json"
-        path.write_text(json.dumps(self.OUTSIDE))
-        for command in ("simulate", "sweep"):
-            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
-        capsys.readouterr()
-        simulated = (tmp_path / "simulate" / "run_eps0.4.json").read_bytes()
-        assert simulated == (tmp_path / "sweep" / "run_eps0.4.json").read_bytes()
+        path.write_text(json.dumps(config))
+        run = f"run_eps{config['eps_ladder'][0]!r}.json"
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "simulate")]) == 0
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == sweep_exit
+        out = capsys.readouterr().out
+        simulated = (tmp_path / "simulate" / run).read_bytes()
+        assert simulated == (tmp_path / "sweep" / run).read_bytes()
+        if sweep_exit == 2:
+            assert "bound_value = None" in out and "verdict: INCONCLUSIVE" in out
+            assert json.loads(simulated)["bound_value"] is None
 
     def test_simulate_outside_the_hypotheses_leaves_the_scaled_remainder_none(
             self, tmp_path, capsys):
@@ -291,6 +304,15 @@ class TestCli:
         assert "bound_value = 0.4999999999999999" in lines and "tau0 = 0.2499999999999999" in lines
         assert lines[-1].startswith("gamma and t_star are undefined: gamma = (2s-d)/8 = ")
         assert lines[-1].endswith(" outside (0, 1/2]; s = 0.4, d = 1")
+
+    def test_bounds_on_a_ladder_with_a_zero_rung_prints_the_bound(self, tmp_path, capsys):
+        # the bound and gamma need no eps; t_star needs eps > 0
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps(small_config_dict(eps_ladder=[0.4, 0.0])))
+        assert main(["bounds", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["bound_value = 0.5", "tau0 = 0.25", "gamma = 0.125",
+                             "t_star is undefined at eps = 0"]
 
     def test_diagnostics_outside_the_hypotheses_fails_before_the_run(
             self, tmp_path, capsys, monkeypatch):

@@ -15,6 +15,7 @@ from nlslab import (
 )
 from nlslab.initial_data import gaussian
 from nlslab.lifespan import (
+    bound_or_none,
     critical_bound,
     critical_pointwise_time,
     gamma_exponent,
@@ -28,7 +29,8 @@ from nlslab.lifespan import (
 )
 from nlslab.profile_ode import OdeParams
 from nlslab.propagators import g_p
-from nlslab.solver import SolverConfig, init, step
+from nlslab.solver import SolverConfig, init
+from stepping import fixed_step
 
 GAUSS_SPEC = {"kind": "gaussian", "width": 1.0}
 
@@ -82,6 +84,14 @@ class TestTheoreticalBound:
             theoretical_bound(f, NonlinearityParams(lam=1.0 + 0j, theta=0.5, d=1))
         with pytest.raises(ValueError):
             theoretical_bound(f, NonlinearityParams(lam=1j, theta=1.0, d=1))
+
+    def test_bound_or_none_is_the_bound_where_it_is_defined(self):
+        f = unit_peak_datum()
+        params = NonlinearityParams(lam=1j, theta=0.5, d=1)
+        assert bound_or_none(f, params) == theoretical_bound(f, params)
+        zero = ComplexField(f.grid, Space.FREQUENCY, np.zeros_like(f.values))
+        for lam, theta, datum in [(1j, 1.0, f), (-1j, 0.5, f), (0j, 0.5, f), (1j, 0.5, zero)]:
+            assert bound_or_none(datum, NonlinearityParams(lam=lam, theta=theta, d=1)) is None
 
     @pytest.mark.parametrize("eps", [0.0, -0.1])
     def test_nonpositive_eps_rejected(self, eps):
@@ -153,7 +163,7 @@ class TestProfileExtraction:
         state = init(cfg, gaussian(cfg.grid))
         a0 = profile(state.u, state.t)
         for _ in range(40):
-            state = step(state, 0.05)
+            state = fixed_step(state, 0.05)
         a1 = profile(state.u, state.t)
         assert np.max(np.abs(a1.values - a0.values)) < 1e-10
 
@@ -168,13 +178,13 @@ class TestProfileExtraction:
         def run_to(t_target):
             state = init(cfg, gaussian(g))
             while state.t < t_target - 1e-9:
-                state = step(state, dt)
+                state = fixed_step(state, dt)
             return state
 
         mid = run_to(2.0)
         a_mid = profile(mid.u, mid.t)
         r_mid = remainder(mid.u, mid.t, params)
-        a_plus = profile(step(mid, dt).u, mid.t + dt)
+        a_plus = profile(fixed_step(mid, dt).u, mid.t + dt)
         a_minus = profile(run_to(2.0 - dt).u, mid.t - dt)
         lhs = 1j * (a_plus.values - a_minus.values) / (2 * dt)
         rhs = params.lam * mid.t ** (-params.theta) * g_p(a_mid.values, params.p) + r_mid.values
@@ -198,7 +208,7 @@ class TestLemmaDiagnostics:
                            record_every=4)
         state = init(cfg, gaussian(g))
         while state.t < 50.0 - 1e-9:
-            state = step(state, 1.0)
+            state = fixed_step(state, 1.0)
         ratios = decay_ratio_diagnostics(state.diagnostics, state.config)
         r1 = [r.r1 for r in ratios if r.r1 is not None]
         r2 = [r.r2 for r in ratios if r.r2 is not None]
@@ -248,7 +258,9 @@ class TestSweep:
         assert summary.q_values[0] == pytest.approx(0.775, abs=0.01)
         assert summary.q_values[1] == pytest.approx(0.715, abs=0.01)
         assert summary.running_min == sorted(summary.running_min, reverse=True)
-        assert summary.d0_estimate == pytest.approx(
+        # q = eps sqrt(T), so the running minimum squared is the empirical
+        # D0 = min T eps^2 that demo 03 prints
+        assert summary.running_min[-1] ** 2 == pytest.approx(
             min(r.T_eps * r.eps**2 for r in records), rel=1e-12)
         for rec in records:
             assert rec.bound_value == bound.bound_value
@@ -270,6 +282,18 @@ class TestSweep:
         _, summary, _ = sweep([0.2, 0.1], cfg, GAUSS_SPEC)
         assert summary.verdict == "INCONCLUSIVE"
         assert all(q is None for q in summary.q_values)
+
+    @pytest.mark.parametrize("lam, theta", [(1j, 1.0), (-1j, 0.5)], ids=["critical", "damped"])
+    def test_config_without_a_bound_is_inconclusive(self, lam, theta):
+        # the runs are those of any other config; only the verdict needs the bound
+        params = NonlinearityParams(lam=lam, theta=theta, d=1)
+        cfg = SolverConfig(grid=Grid(1, 256, 25.0), params=params, eps=0.4, s=1.0,
+                           t_max=0.5, record_every=8)
+        records, summary, bound = sweep([0.4, 0.3], cfg, GAUSS_SPEC)
+        assert bound is None and summary.bound_value is None
+        assert summary.verdict == "INCONCLUSIVE"
+        assert [r.status for r in records] == ["reached-t-max"] * 2
+        assert all(r.bound_value is None for r in records)
 
     def test_rejects_nonmonotone_ladder(self):
         params = NonlinearityParams(lam=1j, theta=0.5, d=1)

@@ -24,14 +24,13 @@ from nlslab.harness import ExperimentConfig
 from nlslab.initial_data import gaussian
 from nlslab.propagators import PointwiseBlowUp, _free_multiplier, blowup_horizon
 from nlslab.solver import (
-    RunStatus,
     SolverConfig,
     convergence_study,
     init,
     mass_balance_residuals,
     run_to_blowup,
-    step,
 )
+from stepping import fixed_step, strang_step
 
 AMPLIFYING = NonlinearityParams(lam=1j, theta=0.5, d=1)
 CONSERVATIVE = NonlinearityParams(lam=1.0 + 0j, theta=0.5, d=1)
@@ -50,12 +49,6 @@ def small_config(params=AMPLIFYING, **over):
 # (measured over whole 1-D and 2-D runs).  Its midpoint field is theirs bit for bit.
 TRIAL_ROUNDOFF = 1e-15
 TRIAL_ERR_ROUNDOFF = 2e-16
-
-
-def strang_step(u, dt, config):
-    """One Strang step of dt, as :func:`solver.step` takes it."""
-    return solver._strang(u, (dt / 2, dt / 2), (_free_multiplier(config.grid, dt),),
-                          config.params)
 
 
 def doubling_trial(u, dt, config):
@@ -124,7 +117,7 @@ class TestInit:
         cfg = small_config(eps=0.1)
         state = init(cfg, gaussian(cfg.grid))
         assert np.max(np.abs(state.u.values)) == pytest.approx(0.1, rel=1e-14)
-        assert state.t == 0.0 and state.status is RunStatus.RUNNING
+        assert state.t == 0.0
 
     def test_initial_energy_is_linear_in_eps(self):
         cfg = small_config(eps=0.37)
@@ -137,9 +130,8 @@ class TestInit:
         cfg = small_config(eps=0.0)
         state = init(cfg, gaussian(cfg.grid))
         for _ in range(5):
-            state = step(state, 0.01)
+            state = fixed_step(state, 0.01)
         assert np.all(state.u.values == 0)
-        assert state.status is RunStatus.RUNNING
 
     def test_rejects_datum_at_the_threshold(self):
         # sup|eps phi| = 4000 already reaches the cap 1e3/eps = 2500: no step could be
@@ -162,7 +154,7 @@ class TestStep:
         phi = gaussian(cfg.grid)
         state = init(cfg, phi)
         for _ in range(50):
-            state = step(state, 0.02)
+            state = fixed_step(state, 0.02)
         exact = free_propagate(ComplexField(cfg.grid, Space.PHYSICAL,
                                             cfg.eps * phi.values), 1.0)
         assert np.max(np.abs(state.u.values - exact.values)) < 1e-12
@@ -172,7 +164,7 @@ class TestStep:
         state = init(cfg, gaussian(cfg.grid))
         for _ in range(20):
             assert state.sup == np.max(np.abs(state.u.values))
-            state = step(state, 0.05)
+            state = fixed_step(state, 0.05)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_sample_reuses_the_steps_modulus_pass(self, d):
@@ -202,8 +194,7 @@ class TestStep:
                 wx = cfg.grid.h ** d
                 lp1 = wx * np.sum(np.abs(state.u.values) ** (cfg.params.p + 1.0))
                 assert sample.lp1 == pytest.approx(lp1, rel=1e-14)
-            state = step(state, 0.005)
-            assert state.status is RunStatus.RUNNING
+            state = fixed_step(state, 0.005)
         assert state.shell > 0 and len(samples) == 21
 
     def test_real_lambda_conserves_mass(self):
@@ -211,7 +202,7 @@ class TestStep:
         state = init(cfg, gaussian(cfg.grid))
         m0 = state.diagnostics.samples[0].mass
         for _ in range(1000):
-            state = step(state, 0.005)
+            state = fixed_step(state, 0.005)
         drift = max(abs(s.mass - m0) / m0 for s in state.diagnostics.samples)
         assert drift < 1e-10
 
@@ -222,7 +213,7 @@ class TestStep:
             cfg = small_config(eps=0.4)
             state = init(cfg, gaussian(cfg.grid))
             for _ in range(int(round(1.0 / dt))):
-                state = step(state, dt)
+                state = fixed_step(state, dt)
             res = mass_balance_residuals(state.diagnostics.samples, mu=1.0)
             return np.max(np.abs(res))
 
@@ -233,12 +224,15 @@ class TestStep:
         cfg = small_config(eps=0.5, record_every=10**9)
         state = init(cfg, gaussian(cfg.grid))
         # sup |u| = 0.5, so the half-step horizon is 1/0.5 = 2 < dt/2
-        frozen = step(state, 20.0)
-        assert frozen.status is RunStatus.BLOWN_UP
-        assert frozen.blow_criterion == "pointwise"
-        assert frozen.t_blow == pytest.approx(2.0, rel=1e-12)
-        with pytest.raises(ValueError):
-            step(frozen, 0.01)
+        with pytest.raises(PointwiseBlowUp) as blown:
+            strang_step(state.u.values, 20.0, cfg, state.abs_b)
+        assert blown.value.earliest == pytest.approx(2.0, rel=1e-12)
+        # a non-finite field is the same event: _advance reports it to the run
+        # loop, with nothing recorded
+        field = state.u.values.copy()
+        field[0] = np.inf
+        assert solver._advance(state, field, 20.0) == "pointwise"
+        assert len(state.diagnostics.samples) == 1 and state.t == 0.0
 
     def test_threshold_crossing_is_an_event_without_sample(self, monkeypatch):
         # sup |u| starts at 0.4 and grows without bound; the pointwise
@@ -248,19 +242,17 @@ class TestStep:
         state = init(cfg, gaussian(cfg.grid))
         for _ in range(1000):
             n_samples = len(state.diagnostics.samples)
-            nxt = step(state, 0.05)
-            if nxt.status is not RunStatus.RUNNING:
+            u = strang_step(state.u.values, 0.05, cfg, state.abs_b)
+            nxt = solver._advance(state, u, 0.05)
+            if isinstance(nxt, str):
                 break
             state = nxt
-        assert nxt.status is RunStatus.BLOWN_UP
-        assert nxt.blow_criterion == "threshold"
-        assert nxt.t == state.t and nxt.t_blow == state.t + 0.05
-        assert len(nxt.diagnostics.samples) == n_samples
-
-    def test_rejects_nonpositive_dt(self):
-        state = init(small_config(), gaussian(Grid(1, 256, 20.0)))
-        with pytest.raises(ValueError):
-            step(state, 0.0)
+        assert nxt == "threshold"
+        assert len(state.diagnostics.samples) == n_samples
+        # the run loop brackets the same crossing and records it as a threshold blow-up
+        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        assert rec.status == "blown-up" and rec.t_blow_threshold == rec.T_eps
+        assert state.t < rec.T_eps < state.t + 0.05
 
 
 class TestRunToBlowup:
@@ -790,10 +782,10 @@ class TestFieldOwnership:
         cfg = ownership_config(d)
         state = init(cfg, gaussian(cfg.grid))
         for _ in range(3):
-            state = step(state, 0.005)
+            state = fixed_step(state, 0.005)
         kept = kept_arrays(state)
         assert len(kept) == 5
-        new = step(state, 0.005)
+        new = fixed_step(state, 0.005)
         assert new.u.values is not state.u.values
         for a, copy in kept:
             assert np.array_equal(a, copy)
@@ -803,7 +795,7 @@ class TestFieldOwnership:
         # the accepted fields, their midpoint fields and the |u|^b arrays that
         # the trials from each accepted state read
         cfg = ownership_config(d)
-        state = step(init(cfg, gaussian(cfg.grid)), 0.005)
+        state = fixed_step(init(cfg, gaussian(cfg.grid)), 0.005)
         kept = kept_arrays(state)
         advance = solver._advance
         steps = []
@@ -912,3 +904,15 @@ class TestConvergence:
         rep = convergence_study(cfg, gaussian(cfg.grid), refinements=1,
                                 t_end=0.5, dt0=0.02)
         assert max(rep.temporal_errors) < 1e-13
+
+    def test_convergence_study_fails_loudly_on_a_singular_fixed_step(self, monkeypatch):
+        # sup|u| = 0.5 puts the half-step horizon at 2, inside the reference
+        # run's first half step of 2.5
+        cfg = small_config(eps=0.5)
+        phi = gaussian(cfg.grid)
+        with pytest.raises(RuntimeError, match="pointwise singularity"):
+            convergence_study(cfg, phi, refinements=1, t_end=40.0, dt0=40.0)
+        # a step whose field overflows raises too
+        monkeypatch.setattr(solver, "_strang", lambda u, *args: np.full_like(u, np.inf))
+        with pytest.raises(RuntimeError, match="non-finite field"):
+            convergence_study(cfg, phi, refinements=1)
