@@ -34,12 +34,11 @@ for r in shown[:: max(1, len(shown) // 10)]:
 
 gamma = gamma_exponent(config.s, params.d)
 t_star = t_star_time(config.eps, params.theta, params.d)
-times, sups = remainder_series(record.diagnostics, config, t_min=1.0)
+times, sups = remainder_series(record.diagnostics, config, t_min=1.0, t_max=0.75 * T)
 scaled = sups * times ** (params.theta + gamma)
 print(f"\nremainder scaling (gamma = {gamma}, t_star = {t_star}):")
 print("   t        sup|R|      t^(theta+gamma) sup|R|")
-mask = times <= 0.75 * T
-for t, s, sc in list(zip(times[mask], sups[mask], scaled[mask]))[:: max(1, mask.sum() // 8)]:
+for t, s, sc in list(zip(times, sups, scaled))[:: max(1, len(times) // 8)]:
     print(f"  {t:6.2f}   {s:.3e}    {sc:.4f}")
 w = (times >= t_star) & (times <= T / 2)
 print(f"\nover [t_star, T/2]: max scaled = {scaled[w].max():.4f}"

@@ -131,26 +131,32 @@ def profile(u: ComplexField, t: float) -> ComplexField:
 def remainder(u: ComplexField, t: float, params: NonlinearityParams) -> ComplexField:
     """Reduced-ODE remainder R(t) = F[U(t)^{-1} N(u)] - t^(-theta) N(A(t)).
 
-    N(z) = lam |z|^(2 theta/d) z; defined for t > 0.
+    N(z) = lam |z|^(2 theta/d) z; defined for t > 0.  Both profiles share one
+    back-propagation phase, multiplied in as :func:`profile` does, so each
+    term is bit-identical to its :func:`profile`.
     """
     if not (t > 0):
         raise ValueError(f"remainder requires t > 0, got {t}")
     g = u.grid
     nu = ComplexField(g, Space.PHYSICAL, params.lam * g_p(u.values, params.p))
-    lhs = profile(nu, t)
-    a = profile(u, t)
-    rhs = t ** (-params.theta) * params.lam * g_p(a.values, params.p)
-    return ComplexField(g, Space.FREQUENCY, lhs.values - rhs)
+    phase = _back_propagation_phase(g, t)
+    lhs = phase * fourier_forward(nu).values
+    a = phase * fourier_forward(u).values
+    rhs = t ** (-params.theta) * params.lam * g_p(a, params.p)
+    return ComplexField(g, Space.FREQUENCY, lhs - rhs)
 
 
-def remainder_series(diag: DiagnosticsLog, cfg: SolverConfig, t_min: float = 1.0):
-    """sup_xi |R(t, xi)| over the stored snapshots with t >= t_min.
+def remainder_series(diag: DiagnosticsLog, cfg: SolverConfig, t_min: float = 1.0,
+                     t_max: float = np.inf):
+    """sup_xi |R(t, xi)| over the stored snapshots with t_min <= t <= t_max.
 
-    Returns (times, sup_values); the scaled series is sup * t^(theta+gamma).
+    Both ends are inclusive; a snapshot outside them is never transformed.
+    Returns (times, sup_values), two empty arrays when no snapshot is in
+    range; the scaled series is sup * t^(theta+gamma).
     """
     times, sups = [], []
     for t, vals in zip(diag.snapshot_times, diag.snapshots):
-        if t < t_min:
+        if not (t_min <= t <= t_max):
             continue
         u = ComplexField(cfg.grid, Space.PHYSICAL, vals)
         r = remainder(u, t, cfg.params)
@@ -162,8 +168,9 @@ def remainder_series(diag: DiagnosticsLog, cfg: SolverConfig, t_min: float = 1.0
 def max_remainder_scaled(diag: DiagnosticsLog, cfg: SolverConfig, T: float) -> float | None:
     """sup over [t_star, T/2] of sup_xi|R| * t^(theta+gamma).
 
-    None where the window is undefined (theta >= 1, eps = 0, or gamma outside
-    (0, 1/2]) or holds no snapshot.
+    Only the snapshots inside the window are transformed.  None where the
+    window is undefined (theta >= 1, eps = 0, or gamma outside (0, 1/2]) or
+    holds no snapshot.
     """
     params = cfg.params
     try:
@@ -173,12 +180,10 @@ def max_remainder_scaled(diag: DiagnosticsLog, cfg: SolverConfig, T: float) -> f
         return None
     if T is None or T / 2.0 <= t_star:
         return None
-    times, sups = remainder_series(diag, cfg, t_min=t_star)
-    mask = times <= T / 2.0
-    if not np.any(mask):
+    times, sups = remainder_series(diag, cfg, t_min=t_star, t_max=T / 2.0)
+    if not len(times):
         return None
-    scaled = sups[mask] * times[mask] ** (params.theta + gamma)
-    return float(np.max(scaled))
+    return float(np.max(sups * times ** (params.theta + gamma)))
 
 
 @dataclass

@@ -13,6 +13,9 @@ from nlslab import (
     norms,
     sup_modulus,
 )
+from nlslab import lifespan
+from nlslab.harness import ExperimentConfig
+from nlslab.initial_data import build as build_initial_data
 from nlslab.initial_data import gaussian
 from nlslab.lifespan import (
     bound_or_none,
@@ -23,13 +26,14 @@ from nlslab.lifespan import (
     max_remainder_scaled,
     profile,
     remainder,
+    remainder_series,
     sweep,
     t_star_time,
     theoretical_bound,
 )
 from nlslab.profile_ode import OdeParams
 from nlslab.propagators import g_p
-from nlslab.solver import SolverConfig, init
+from nlslab.solver import DiagnosticsLog, SolverConfig, init, run_to_blowup
 from stepping import fixed_step
 
 GAUSS_SPEC = {"kind": "gaussian", "width": 1.0}
@@ -196,6 +200,76 @@ class TestProfileExtraction:
         g = Grid(1, 64, 10.0)
         with pytest.raises(ValueError):
             remainder(gaussian(g), 0.0, params)
+
+
+@pytest.fixture(scope="module")
+def default_rungs():
+    """(config, record) of the default experiment config's runs at eps = 0.2 and 0.15."""
+    base = ExperimentConfig()
+    out = {}
+    for eps in (0.2, 0.15):
+        cfg = base.solver_config(eps=eps)
+        phi = build_initial_data(cfg.grid, base.initial_data)
+        out[eps] = cfg, run_to_blowup(init(cfg, phi))
+    return out
+
+
+def hand_built_log(g, times):
+    """A DiagnosticsLog holding the Gaussian datum as its snapshot at each time."""
+    vals = gaussian(g).values
+    return DiagnosticsLog(snapshot_times=list(times), snapshots=[vals] * len(times))
+
+
+class TestRemainderWindow:
+    @pytest.mark.parametrize("eps, inside", [(0.2, 3), (0.15, 13)])
+    def test_scaled_maximum_transforms_only_the_window(self, default_rungs, monkeypatch,
+                                                        eps, inside):
+        cfg, rec = default_rungs[eps]
+        t_star = t_star_time(eps, cfg.params.theta, cfg.params.d)
+        half = rec.T_eps / 2.0
+        times = np.array(rec.diagnostics.snapshot_times)
+        assert np.any(times < t_star) and np.any(times > half)
+        assert np.count_nonzero((times >= t_star) & (times <= half)) == inside
+        seen = []
+
+        def spy(u, t, params):
+            seen.append(t)
+            return remainder(u, t, params)
+
+        monkeypatch.setattr(lifespan, "remainder", spy)
+        assert max_remainder_scaled(rec.diagnostics, cfg, rec.T_eps) is not None
+        assert len(seen) == inside
+        assert all(t_star <= t <= half for t in seen)
+
+    @pytest.mark.parametrize("eps", [0.2, 0.15])
+    def test_scaled_maximum_equals_the_masked_full_series(self, default_rungs, eps):
+        cfg, rec = default_rungs[eps]
+        params = cfg.params
+        t_star = t_star_time(eps, params.theta, params.d)
+        times, sups = remainder_series(rec.diagnostics, cfg, t_min=t_star)
+        mask = times <= rec.T_eps / 2.0
+        gamma = gamma_exponent(cfg.s, params.d)
+        want = float(np.max(sups[mask] * times[mask] ** (params.theta + gamma)))
+        assert max_remainder_scaled(rec.diagnostics, cfg, rec.T_eps) == want
+
+    def test_series_keeps_both_ends(self):
+        params = NonlinearityParams(lam=1j, theta=0.5, d=1)
+        cfg = SolverConfig(grid=Grid(1, 128, 20.0), params=params, eps=0.2, s=1.0)
+        diag = hand_built_log(cfg.grid, [0.5, 1.0, 2.0, 3.0])
+        times, sups = remainder_series(diag, cfg, t_min=1.0, t_max=2.0)
+        assert times.tolist() == [1.0, 2.0]
+        assert len(sups) == 2 and np.all(sups > 0)
+
+    def test_empty_window(self):
+        params = NonlinearityParams(lam=1j, theta=0.5, d=1)
+        cfg = SolverConfig(grid=Grid(1, 128, 20.0), params=params, eps=0.2, s=1.0)
+        t_star = t_star_time(cfg.eps, params.theta, params.d)
+        T = 4.0 * t_star
+        # snapshots on both sides of [t_star, T/2], none inside it
+        diag = hand_built_log(cfg.grid, [1.0, 0.5 * t_star, 3.0 * t_star])
+        times, sups = remainder_series(diag, cfg, t_min=t_star, t_max=T / 2.0)
+        assert times.shape == (0,) and sups.shape == (0,)
+        assert max_remainder_scaled(diag, cfg, T) is None
 
 
 class TestLemmaDiagnostics:
