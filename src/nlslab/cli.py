@@ -18,13 +18,11 @@ import numpy as np
 from .harness import ExperimentConfig, persist_run, persist_summary
 from .initial_data import build as build_initial_data
 from .lifespan import (
-    bound_or_none,
     critical_bound,
     critical_pointwise_time,
     decay_ratio_diagnostics,
     gamma_exponent,
     remainder_series,
-    stamp_record,
     sweep,
     t_star_time,
     theoretical_bound,
@@ -38,7 +36,7 @@ from .profile_ode import (
     smallness_bound,
     sup_bound_check,
 )
-from .solver import convergence_study, init, run_to_blowup
+from .solver import convergence_study, init
 from .spectral import Grid, fourier_forward, sup_modulus
 
 
@@ -106,20 +104,18 @@ def _out_dir(cfg) -> Path | None:
     return out
 
 
-def _run_configured(cfg, solver_cfg):
-    """Check the datum, create the output directory, run the first ladder rung and
-    stamp its record as the sweep does."""
-    phi = build_initial_data(cfg.grid(), cfg.initial_data)
-    state = init(solver_cfg, phi)
-    out = _out_dir(cfg)
-    bound = bound_or_none(fourier_forward(phi), solver_cfg.params)
-    bound_value = None if bound is None else bound.bound_value
-    return out, stamp_record(run_to_blowup(state), solver_cfg, bound_value)
+def _checked_out_dir(cfg, solver_cfg) -> Path | None:
+    """Check the datum by building it and starting the first rung from it, then
+    create the output directory: a rejected datum leaves none."""
+    init(solver_cfg, build_initial_data(solver_cfg.grid, cfg.initial_data))
+    return _out_dir(cfg)
 
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    out, record = _run_configured(cfg, cfg.solver_config())
+    solver_cfg = cfg.solver_config()
+    out = _checked_out_dir(cfg, solver_cfg)
+    (record,), _, _ = sweep(cfg.eps_ladder[:1], solver_cfg, cfg.initial_data)
     print(f"eps = {record.eps!r}")
     print(f"status = {record.status}")
     if record.T_eps is not None:
@@ -141,7 +137,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     solver_cfg = cfg.solver_config()
-    out = _out_dir(cfg)
+    out = _checked_out_dir(cfg, solver_cfg)
     records, summary, _ = sweep(cfg.eps_ladder, solver_cfg, cfg.initial_data,
                                 tolerance=cfg.tolerance, jobs=cfg.jobs)
     print(f"bound_value = {summary.bound_value!r}")
@@ -195,7 +191,8 @@ def _cmd_diagnostics(args) -> int:
     solver_cfg = cfg.solver_config()
     # the ratios need gamma = (2s-d)/8 in (0, 1/2]: check it before the run
     gamma_exponent(solver_cfg.s, solver_cfg.params.d)
-    out, record = _run_configured(cfg, solver_cfg)
+    out = _checked_out_dir(cfg, solver_cfg)
+    (record,), _, _ = sweep(cfg.eps_ladder[:1], solver_cfg, cfg.initial_data)
     print(f"run status = {record.status}, T_eps = {record.T_eps!r}")
     ratios = decay_ratio_diagnostics(record.diagnostics, solver_cfg)
     for name in ("r1", "r2", "r3"):

@@ -16,7 +16,7 @@ from pathlib import Path
 from .initial_data import check_spec
 from .lifespan import decreasing_ladder
 from .propagators import NonlinearityParams
-from .records import RunRecord, SweepSummary, canonical_fingerprint
+from .records import RunRecord, SweepSummary
 from .solver import DiagnosticSample, SolverConfig
 from .spectral import Grid, NormReport
 
@@ -96,9 +96,6 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         return cls.parse(Path(path).read_text())
-
-    def fingerprint(self) -> str:
-        return canonical_fingerprint(self.to_dict())
 
     def grid(self) -> Grid:
         return Grid(self.d, self.n, self.L)

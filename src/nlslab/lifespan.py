@@ -19,7 +19,7 @@ import numpy as np
 
 from .initial_data import build as build_initial_data
 from .propagators import NonlinearityParams, blowup_horizon, coefficient_time, g_p
-from .records import RunRecord, SweepSummary
+from .records import SweepSummary
 from .solver import DiagnosticsLog, SolverConfig, init, run_to_blowup
 from .spectral import (
     ComplexField,
@@ -231,12 +231,6 @@ def decay_ratio_diagnostics(diag: DiagnosticsLog, cfg: SolverConfig) -> list:
     return out
 
 
-def _run_one(args):
-    cfg, data_spec = args
-    phi = build_initial_data(cfg.grid, data_spec)
-    return run_to_blowup(init(cfg, phi))
-
-
 def decreasing_ladder(eps_ladder) -> list:
     """The eps ladder as floats; raises ValueError unless it is strictly decreasing."""
     ladder = [float(e) for e in eps_ladder]
@@ -245,41 +239,40 @@ def decreasing_ladder(eps_ladder) -> list:
     return ladder
 
 
-def stamp_record(record: RunRecord, cfg: SolverConfig, bound_value: float | None) -> RunRecord:
-    """Stamp a finished run of `cfg` with its bound value and scaled remainder maximum."""
-    record.bound_value = bound_value
-    record.max_remainder_scaled = max_remainder_scaled(record.diagnostics, cfg, record.T_eps)
-    return record
-
-
 def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
           tolerance: float = 0.1, jobs: int = 1):
-    """Run the eps ladder, stamp bound values, and fold the records into a verdict.
+    """Run the eps ladder, stamp each record, and fold the records into a verdict.
 
-    Returns (records, summary, bound), with bound from :func:`bound_or_none`.
-    The ladder must be strictly decreasing.  Censored (reached t_max) and
-    boundary-contaminated runs are excluded from the bound verdict; if no
-    usable run remains, or the config has no bound, the verdict is
-    INCONCLUSIVE.
+    This is the one path from a config to a stamped record: `nlslab simulate`
+    and `nlslab diagnostics` take the first record of a one-rung sweep.  The
+    datum is built once, and every rung's state is initialised from it before
+    the first run, so a datum that no rung can start from raises ValueError
+    before any run.  Each record is stamped with the bound value and its
+    scaled remainder maximum.  Returns (records, summary, bound), with bound
+    from :func:`bound_or_none`.  The ladder must be strictly decreasing.
+    Censored (reached t_max) and boundary-contaminated runs are excluded from
+    the bound verdict; if no usable run remains, or the config has no bound,
+    the verdict is INCONCLUSIVE.
     """
     ladder = decreasing_ladder(eps_ladder)
     phi = build_initial_data(base_config.grid, data_spec)
     bound = bound_or_none(fourier_forward(phi), base_config.params)
     bound_value = None if bound is None else bound.bound_value
 
-    configs = [replace(base_config, eps=e) for e in ladder]
+    states = [init(replace(base_config, eps=e), phi) for e in ladder]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_one, [(c, data_spec) for c in configs]))
+            records = list(pool.map(run_to_blowup, states))
     else:
-        records = [_run_one((c, data_spec)) for c in configs]
+        records = [run_to_blowup(state) for state in states]
 
     q_values, running_min = [], []
     current_min = None
-    for cfg, rec in zip(configs, records):
-        stamp_record(rec, cfg, bound_value)
+    for state, rec in zip(states, records):
+        rec.bound_value = bound_value
+        rec.max_remainder_scaled = max_remainder_scaled(rec.diagnostics, state.config, rec.T_eps)
         if rec.usable_for_bound():
             q = rec.invariant_quantity
             q_values.append(q)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -64,9 +63,8 @@ class NonlinearityParams:
         return complex(self.lam).imag
 
 
-@lru_cache(maxsize=2)
 def _free_multiplier(grid: Grid, t: float) -> np.ndarray:
-    """exp(-i t |xi|^2 / 2), cached per (grid, t).
+    """exp(-i t |xi|^2 / 2), read-only.
 
     Propagation over t is back-propagation over -t, so the values come from
     the same 1-D factor: in d = 1 they equal ``np.exp(-0.5j * t *

@@ -19,9 +19,10 @@ the sup-norm cap 1e3/eps; such a step is halved until it is no wider than
 the bracket, and that final step is the bracket.  Or the pointwise blow-up
 horizon of sup|u| falls within the bracket: the pointwise flow's own
 singularity then lies at most that far ahead, and the horizon is the bracket.
+A run that does not blow up ends on t_max or on boundary contamination.
 A :class:`SolverState` is a field on the trajectory; how the run ended (its
 status, blow-up time and criterion) is the run loop's own, and goes only
-into the record.
+into the record, which ends on a sample of the run's last state at every exit.
 """
 
 from __future__ import annotations
@@ -267,14 +268,6 @@ def _strang(u: np.ndarray, substeps: tuple, multipliers: tuple, params: Nonlinea
     return w
 
 
-def _land(state: SolverState, t_blow: float, criterion: str) -> RunRecord:
-    """The record of a run that blew up at t_blow from `state`, with a final sample
-    unless `state` already has one."""
-    if state.diagnostics.samples[-1].t != state.t:
-        _sample_diagnostics(state, np.abs(state.u.values) ** 2)
-    return make_record(state, RunStatus.BLOWN_UP, t_blow, criterion)
-
-
 def _advance(state: SolverState, u: np.ndarray, dt: float,
              mid: np.ndarray | None = None) -> SolverState | str:
     """The state dt after `state`, carrying the field u; or, when u is non-finite
@@ -381,10 +374,9 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     RuntimeError.
 
     The run ends when its event is bracketed within `_BRACKET` = 1e-3 of the
-    elapsed time, on its base state, which records one final sample unless
-    it was already sampled.  Either a trial brackets it: a trial meets the
-    event when its full step or a half step runs into the singularity, or
-    when the accepted field reaches the sup-norm cap 1e3/eps.  An event step
+    elapsed time, on its base state.  Either a trial brackets it: a trial
+    meets the event when its full step or a half step runs into the
+    singularity, or when the accepted field reaches the sup-norm cap 1e3/eps.  An event step
     wider than 1e-3 max(t, dt) is halved and retried, and the event-free
     steps that follow are accepted as usual, so an event that does not recur
     at the shorter steps does not end the run; an event step within that
@@ -394,8 +386,10 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     [t, t + horizon], and the run ends "pointwise" with t_blow = t + horizon.
     The boundary monitor aborts when the outer-shell mass fraction exceeds
     1e-6; such runs are invalid for bound checking.  The outcome is the
-    loop's own: each exit returns :func:`make_record` of its last state with
-    the status, and for a blow-up t_blow and its criterion.
+    loop's own: each of the four exits (the horizon stop, an event step,
+    contamination and t_max) returns :func:`make_record` of its last state
+    with the status, and for a blow-up t_blow and its criterion, so every
+    record ends on a sample of the state the run stopped on.
     """
     cfg = state.config
     tol = _STEP_TOLERANCE
@@ -406,7 +400,7 @@ def run_to_blowup(state: SolverState) -> RunRecord:
             return make_record(state, RunStatus.REACHED_TMAX)
         horizon = blowup_horizon(state.sup, cfg.params)
         if horizon <= _BRACKET * state.t and state.t + horizon <= cfg.t_max:
-            return _land(state, state.t + horizon, "pointwise")
+            return make_record(state, RunStatus.BLOWN_UP, state.t + horizon, "pointwise")
         dt = min(h, _HORIZON_FRACTION * horizon, remaining)
         if not state.t + dt > state.t:
             raise RuntimeError(f"step size {dt!r} vanishes at t={state.t!r}: the trials "
@@ -424,7 +418,7 @@ def run_to_blowup(state: SolverState) -> RunRecord:
             if dt > _BRACKET * max(state.t, dt):
                 h = 0.5 * dt
                 continue
-            return _land(state, state.t + 0.5 * dt, trial)
+            return make_record(state, RunStatus.BLOWN_UP, state.t + 0.5 * dt, trial)
         state = trial
         if state.shell > _SHELL_TOLERANCE:
             return make_record(state, RunStatus.BOUNDARY_CONTAMINATED)
@@ -433,9 +427,12 @@ def run_to_blowup(state: SolverState) -> RunRecord:
 
 def make_record(state: SolverState, status: RunStatus, t_blow: float | None = None,
                 criterion: str | None = None) -> RunRecord:
-    """The record of a run that ended on `state` with `status`.  A BLOWN_UP run
-    blew up at t_blow by `criterion`: "pointwise" (a substep singularity, a
+    """The record of a run that ended on `state` with `status`, whose last sample
+    is `state`: it is sampled here unless it already was.  A BLOWN_UP run blew
+    up at t_blow by `criterion`: "pointwise" (a substep singularity, a
     non-finite field or the horizon of sup|u|) or "threshold" (the sup-norm cap)."""
+    if state.diagnostics.samples[-1].t != state.t:
+        _sample_diagnostics(state, np.abs(state.u.values) ** 2)
     cfg = state.config
     params = cfg.params
     censored = status is RunStatus.REACHED_TMAX

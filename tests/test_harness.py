@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import pytest
 
-from nlslab import cli
+from nlslab import lifespan
 from nlslab.cli import main
 from nlslab.harness import (
     CSV_COLUMNS,
@@ -70,12 +70,6 @@ class TestConfig:
     def test_parse_error_reports_location(self):
         with pytest.raises(ValueError, match="line"):
             ExperimentConfig.parse('{"d": 1,\n "n": }')
-
-    def test_fingerprint_sensitivity(self):
-        a = ExperimentConfig.from_dict(small_config_dict())
-        b = ExperimentConfig.from_dict(small_config_dict(t_max=31.0))
-        assert a.fingerprint() == ExperimentConfig.from_dict(small_config_dict()).fingerprint()
-        assert a.fingerprint() != b.fingerprint()
 
     def test_solver_config_carries_every_shared_field(self):
         changed = {"s": 1.1, "t_max": 12.0, "enforce_hypotheses": False, "record_every": 3}
@@ -216,13 +210,15 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: unknown config field {key!r}\n"
 
-    def test_simulate_rejects_threshold_below_the_datum(self, tmp_path, capsys):
-        # sup|eps phi| = 4000 already reaches the cap 1e3/eps = 2500
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "diagnostics"])
+    def test_simulate_rejects_threshold_below_the_datum(self, tmp_path, capsys, command):
+        # sup|eps phi| = 4000 already reaches the cap 1e3/eps = 2500: every run
+        # command rejects the datum before it creates the output directory
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config_dict(
             initial_data={"kind": "gaussian", "width": 1.0, "amplitude": 1e4},
             n=256, L=20.0, eps_ladder=[0.4], out_dir=str(tmp_path / "out"))))
-        assert main(["simulate", "--config", str(path)]) == 1
+        assert main([command, "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: sup-norm cap 1e3/eps = 2500.0 ")
         assert not (tmp_path / "out").exists()
 
@@ -319,7 +315,7 @@ class TestCli:
         def no_run(state):
             raise AssertionError("the run started")
 
-        monkeypatch.setattr(cli, "run_to_blowup", no_run)
+        monkeypatch.setattr(lifespan, "run_to_blowup", no_run)
         path = tmp_path / "a.json"
         path.write_text(json.dumps(self.OUTSIDE))
         out = tmp_path / "out"

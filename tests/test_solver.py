@@ -22,7 +22,7 @@ from nlslab import (
 from nlslab import propagators, solver
 from nlslab.harness import ExperimentConfig
 from nlslab.initial_data import gaussian
-from nlslab.propagators import PointwiseBlowUp, _free_multiplier, blowup_horizon
+from nlslab.propagators import PointwiseBlowUp, blowup_horizon
 from nlslab.solver import (
     SolverConfig,
     convergence_study,
@@ -363,6 +363,10 @@ class TestRunToBlowup:
         assert rec.status == "reached-t-max" and rec.censored
         assert rec.t_blow_pointwise is None and rec.t_blow_threshold is None
         assert rec.T_eps == pytest.approx(3.754, rel=1e-12)
+        # the record ends on a sample of the state at t_max, which saw the tail there
+        last = rec.diagnostics.samples[-1]
+        assert last.t == rec.T_eps
+        assert rec.max_tail_fraction == last.tail_fraction
 
     def test_boundary_contamination_flagged(self):
         # a box too small for the dispersive spreading must abort the run
@@ -388,10 +392,12 @@ class TestRunToBlowup:
         abort = accepted[-1]
         assert rec.status == "boundary-contaminated"
         assert abort.shell > solver._SHELL_TOLERANCE
-        # the aborting step took no sample, and no sample saw the shell mass
+        # the aborting step was not due a sample; the record samples it, so
+        # its shell mass shows
         assert abort.step_count % cfg.record_every != 0
-        assert rec.diagnostics.samples[-1].t < abort.t
-        assert rec.max_shell_fraction <= solver._SHELL_TOLERANCE
+        last = rec.diagnostics.samples[-1]
+        assert last.t == abort.t and last.shell_fraction == abort.shell
+        assert rec.max_shell_fraction > solver._SHELL_TOLERANCE
 
     def test_mass_monotone_for_amplifying(self):
         cfg = small_config(eps=0.3, grid=Grid(1, 512, 30.0), record_every=4)
@@ -731,7 +737,6 @@ class TestDoublingTrial:
             count(module, name)
         cfg = small_config(eps=0.4)
         u = cfg.eps * gaussian(cfg.grid).values
-        _free_multiplier.cache_clear()
         doubling_trial(u, 0.0123, cfg)
         assert counts == {"nonlinear_flow_exact": 6, "dft": 3, "idft": 3,
                           "_back_propagation_phase": 1}
