@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -119,8 +120,8 @@ _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a 
 
 
 def _check_type(key: str, value, default) -> None:
-    """Reject a JSON value of another type than the field's default; an integer passes
-    for a number, and a list holds numbers."""
+    """Reject a JSON value of another type than the field's default, or a non-finite number
+    (json reads NaN and Infinity); an integer passes for a number, and a list holds numbers."""
     want, numbers = type(default), (int, float)
     if want is float:
         ok = type(value) in numbers
@@ -128,6 +129,9 @@ def _check_type(key: str, value, default) -> None:
         ok = type(value) is want and (want is not list or all(type(v) in numbers for v in value))
     if not ok:
         raise ValueError(f"config field {key!r} must be {_JSON_TYPES[want]}, got {value!r}")
+    floats = [v for v in (value if want is list else [value]) if type(v) is float]
+    if not all(map(math.isfinite, floats)):
+        raise ValueError(f"config field {key!r} must be finite, got {value!r}")
 
 
 def _diagnostics_to_dict(diag) -> dict:

@@ -232,8 +232,10 @@ def decay_ratio_diagnostics(diag: DiagnosticsLog, cfg: SolverConfig) -> list:
 
 
 def decreasing_ladder(eps_ladder) -> list:
-    """The eps ladder as floats; raises ValueError unless it is strictly decreasing."""
+    """The eps ladder as floats; ValueError unless finite, >= 0 and strictly decreasing."""
     ladder = [float(e) for e in eps_ladder]
+    if not all(0.0 <= e < np.inf for e in ladder):
+        raise ValueError(f"eps ladder rungs must be finite and >= 0, got {ladder}")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError(f"eps ladder must be strictly decreasing, got {ladder}")
     return ladder

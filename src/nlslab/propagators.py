@@ -49,6 +49,8 @@ class NonlinearityParams:
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
         if not (0.0 < self.theta <= 1.0):
             raise ValueError(f"theta must lie in (0, 1], got {self.theta}")
+        if not np.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
 
     @property
     def b(self) -> float:

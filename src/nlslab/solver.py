@@ -97,11 +97,12 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError(f"eps must be >= 0, got {self.eps}")
-        for name in ("t_max", "record_every"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
+        if not self.record_every > 0:
+            raise ValueError(f"record_every must be positive, got {self.record_every}")
         if self.enforce_hypotheses and not self.index_condition_ok:
             raise ValueError(
                 f"Sobolev index s={self.s} violates the admissible range "
@@ -141,13 +142,12 @@ class DiagnosticSample:
 class DiagnosticsLog:
     """Diagnostics of one trajectory; every state along it shares this log.
 
-    Samples are only appended, so advancing twice from one state writes both
-    branches here.  An event step records none.
-    Each sample, and each step the run loop accepts, offers its field as a
-    snapshot, and each accepted step first offers its trial's midpoint field;
-    past the budget the snapshots are thinned so that they stay evenly spread
-    in time.  A snapshot is the state's own field, or a midpoint field, made
-    read-only.
+    Samples and snapshots are only appended, so accepting two fields from one
+    state writes both branches here.  An event step records neither.
+    :func:`_accept` is the one place that offers snapshots: every field it
+    accepts, after the trial's midpoint field for a run loop step; past the
+    budget the snapshots are thinned so that they stay evenly spread in time.
+    A snapshot is the state's own field, or a midpoint field, made read-only.
     """
 
     samples: list = field(default_factory=list)
@@ -183,14 +183,6 @@ class SolverState:
     step_count: int = 0
 
 
-def _modulus_pass(u: np.ndarray, b: float):
-    """(|u|, |u|^b), the second made read-only: every substep from u may read it."""
-    absu = np.abs(u)
-    abs_b = absu**b
-    abs_b.flags.writeable = False
-    return absu, abs_b
-
-
 def _sample_diagnostics(state: SolverState, power: np.ndarray):
     """Append a sample of `state`, whose field has squared modulus `power`."""
     cfg = state.config
@@ -215,11 +207,46 @@ def _sample_diagnostics(state: SolverState, power: np.ndarray):
         tail_fraction=spectral_tail_fraction(state.u, spectral_power=spectral_power),
         shell_fraction=state.shell,
     ))
-    state.diagnostics.record_snapshot(state.t, state.u.values)
+
+
+def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
+            step_count: int, mid: tuple | None = None) -> SolverState | str:
+    """The state at t carrying the field u on the trajectory of `log`; or, when u is
+    non-finite or reaches the sup-norm cap, that event's criterion, "pointwise"
+    or "threshold", with nothing recorded.
+
+    Every field on a trajectory comes through here, the datum and each accepted
+    trial field.  One pass of |u| gives the finiteness check, sup|u|, the
+    boundary-shell fraction and the read-only |u|^b that every path from u
+    reads, and the sample reuses it.  The midpoint `mid` = (t_mid, values),
+    when given, is offered as a snapshot first, then u; the state is sampled
+    every `record_every` steps.
+    """
+    absu = np.abs(u)
+    sup = float(np.max(absu))
+    # a non-finite value has a non-finite modulus, so only then is the field scanned
+    if not math.isfinite(sup) and not np.isfinite(u).all():
+        return "pointwise"
+    if sup >= config.threshold:
+        return "threshold"
+    abs_b = absu**config.params.b
+    abs_b.flags.writeable = False
+    u_field = ComplexField(config.grid, Space.PHYSICAL, u)
+    power = absu**2
+    state = SolverState(t=t, u=u_field, config=config, diagnostics=log, sup=sup,
+                        shell=boundary_shell_fraction(u_field, power=power), abs_b=abs_b,
+                        step_count=step_count)
+    if mid is not None:
+        log.record_snapshot(*mid)
+    log.record_snapshot(t, u_field.values)
+    if step_count % config.record_every == 0:
+        _sample_diagnostics(state, power)
+    return state
 
 
 def init(config: SolverConfig, phi: ComplexField) -> SolverState:
-    """Fresh state u(0) = eps * phi with initial diagnostics recorded.
+    """Fresh state u(0) = eps * phi, accepted as the run loop accepts a field: its
+    first snapshot and first sample are taken.
 
     Raises ValueError when sup|u(0)| already reaches the sup-norm cap 1e3/eps:
     such a run has no event-free step to start from.
@@ -228,16 +255,11 @@ def init(config: SolverConfig, phi: ComplexField) -> SolverState:
         raise ValueError("initial datum must be a physical-space field")
     if not phi.is_finite():
         raise ValueError("initial datum contains non-finite values")
-    u0 = ComplexField(config.grid, Space.PHYSICAL, config.eps * phi.values)
-    absu, abs_b = _modulus_pass(u0.values, config.params.b)
-    sup = float(np.max(absu))
-    if sup >= config.threshold:
+    u0 = config.eps * phi.values
+    state = _accept(config, DiagnosticsLog(), 0.0, u0, 0)
+    if isinstance(state, str):
         raise ValueError(f"sup-norm cap 1e3/eps = {config.threshold!r} must exceed the "
-                         f"initial sup|eps*phi| = {sup!r}")
-    power = absu**2
-    state = SolverState(t=0.0, u=u0, config=config, diagnostics=DiagnosticsLog(), sup=sup,
-                        shell=boundary_shell_fraction(u0, power=power), abs_b=abs_b)
-    _sample_diagnostics(state, power)
+                         f"initial sup|eps*phi| = {float(np.max(np.abs(u0)))!r}")
     return state
 
 
@@ -266,37 +288,6 @@ def _strang(u: np.ndarray, substeps: tuple, multipliers: tuple, params: Nonlinea
     except PointwiseBlowUp as e:
         raise PointwiseBlowUp(elapsed + min(e.earliest, tau)) from None
     return w
-
-
-def _advance(state: SolverState, u: np.ndarray, dt: float,
-             mid: np.ndarray | None = None) -> SolverState | str:
-    """The state dt after `state`, carrying the field u; or, when u is non-finite
-    or reaches the sup-norm cap, that event's criterion, "pointwise" or
-    "threshold", with nothing recorded.
-
-    One pass of |u| gives the finiteness check, sup|u|, the boundary-shell
-    fraction and |u|^b, and the sample reuses it.  The field `mid` at
-    t + dt/2, when given, is offered as a snapshot first; then the new state
-    is sampled every `record_every` steps.
-    """
-    cfg = state.config
-    absu, abs_b = _modulus_pass(u, cfg.params.b)
-    sup = float(np.max(absu))
-    # a non-finite value has a non-finite modulus, so only then is the field scanned
-    if not math.isfinite(sup) and not np.isfinite(u).all():
-        return "pointwise"
-    if sup >= cfg.threshold:
-        return "threshold"
-    u_field = ComplexField(cfg.grid, Space.PHYSICAL, u)
-    power = absu**2
-    new = replace(state, t=state.t + dt, u=u_field, sup=sup,
-                  shell=boundary_shell_fraction(u_field, power=power), abs_b=abs_b,
-                  step_count=state.step_count + 1)
-    if mid is not None:
-        state.diagnostics.record_snapshot(state.t + 0.5 * dt, mid)
-    if new.step_count % cfg.record_every == 0:
-        _sample_diagnostics(new, power)
-    return new
 
 
 def _doubling_trial(u: np.ndarray, abs_b: np.ndarray, dt: float, config: SolverConfig):
@@ -364,14 +355,14 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     inside its own singularity; the first proposal is 0.005.
     A trial takes one Strang step of dt and two of dt/2 (see
     :func:`_doubling_trial`).  If the error estimate err meets the step
-    tolerance `_STEP_TOLERANCE`, the extrapolated field is accepted, and
-    only it gets the |u| pass, the shell check, a snapshot and, every
-    `record_every` accepted steps, a sample; the trial's midpoint field is
-    offered as a snapshot at t + dt/2 just before.  Otherwise, or for a
-    non-finite trial field, the trial is retried.  The next proposal is
-    dt * 0.9 (tol/err)^(1/3), at most 4 dt after an acceptance and at least
-    dt/5 after a rejection.  A step that shrinks to nothing raises
-    RuntimeError.
+    tolerance `_STEP_TOLERANCE`, the extrapolated field is accepted by
+    :func:`_accept`, and only it gets the |u| pass, the shell check, a
+    snapshot and, every `record_every` accepted steps, a sample; the trial's
+    midpoint field is offered as a snapshot at t + dt/2 just before.
+    Otherwise, or for a non-finite trial field, the trial is retried.  The
+    next proposal is dt * 0.9 (tol/err)^(1/3), at most 4 dt after an
+    acceptance and at least dt/5 after a rejection.  A step that shrinks to
+    nothing raises RuntimeError.
 
     The run ends when its event is bracketed within `_BRACKET` = 1e-3 of the
     elapsed time, on its base state.  Either a trial brackets it: a trial
@@ -413,7 +404,8 @@ def run_to_blowup(state: SolverState) -> RunRecord:
             h = dt * _resize(err, tol)
             if not err <= tol:
                 continue
-            trial = _advance(state, u, dt, mid)
+            trial = _accept(cfg, state.diagnostics, state.t + dt, u, state.step_count + 1,
+                            (state.t + 0.5 * dt, mid))
         if isinstance(trial, str):  # the trial met the event by this criterion
             if dt > _BRACKET * max(state.t, dt):
                 h = 0.5 * dt
@@ -422,7 +414,6 @@ def run_to_blowup(state: SolverState) -> RunRecord:
         state = trial
         if state.shell > _SHELL_TOLERANCE:
             return make_record(state, RunStatus.BOUNDARY_CONTAMINATED)
-        state.diagnostics.record_snapshot(state.t, state.u.values)
 
 
 def make_record(state: SolverState, status: RunStatus, t_blow: float | None = None,

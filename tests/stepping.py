@@ -13,9 +13,12 @@ def strang_step(u, dt, config, abs_b=None):
 
 def fixed_step(state, dt):
     """The state one Strang step of dt after `state`, accepted as the run loop accepts
-    a trial's field, so it is sampled every `record_every` steps.  A step that meets
-    the pointwise singularity raises :class:`PointwiseBlowUp`; one whose field is
-    non-finite or reaches the sup-norm cap fails the test."""
-    new = solver._advance(state, strang_step(state.u.values, dt, state.config, state.abs_b), dt)
+    a trial's field, so it is kept as a snapshot and sampled every `record_every`
+    steps.  A step that meets the pointwise singularity raises
+    :class:`PointwiseBlowUp`; one whose field is non-finite or reaches the sup-norm
+    cap fails the test."""
+    cfg = state.config
+    new = solver._accept(cfg, state.diagnostics, state.t + dt,
+                         strang_step(state.u.values, dt, cfg, state.abs_b), state.step_count + 1)
     assert not isinstance(new, str), f"the step of {dt!r} from t={state.t!r} met a {new} event"
     return new

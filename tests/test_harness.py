@@ -20,6 +20,19 @@ from nlslab.lifespan import sweep, t_star_time
 from nlslab.solver import SolverConfig
 
 
+# Python's json reads NaN and Infinity; each of these is rejected when the config loads
+NON_FINITE_CONFIGS = [
+    ({"t_max": float("inf"), "lam": [1.0, 0.0], "eps_ladder": [0.4]},
+     "config field 't_max' must be finite, got inf"),
+    ({"lam": [0.0, float("inf")], "eps_ladder": [0.4]},
+     "config field 'lam' must be finite, got [0.0, inf]"),
+    ({"eps_ladder": [0.4, float("nan")]},
+     "config field 'eps_ladder' must be finite, got [0.4, nan]"),
+    ({"eps_ladder": [0.4, -0.1]}, "eps ladder rungs must be finite and >= 0, got [0.4, -0.1]"),
+]
+NON_FINITE_IDS = ["infinite-t-max", "infinite-lam", "nan-rung", "negative-rung"]
+
+
 def small_config_dict(**over):
     base = {
         "initial_data": {"kind": "gaussian", "width": 1.0},
@@ -62,6 +75,13 @@ class TestConfig:
             ExperimentConfig.from_dict(small_config_dict(profile_ode={"seed": 1, "pizza": 2}))
         cfg = ExperimentConfig.from_dict(small_config_dict(profile_ode={"seed": 1}))
         assert cfg.profile_ode == dict(ExperimentConfig().profile_ode, seed=1)
+
+    @pytest.mark.parametrize("over, message", NON_FINITE_CONFIGS, ids=NON_FINITE_IDS)
+    def test_non_finite_numbers_and_bad_rungs_rejected(self, over, message):
+        text = json.dumps(small_config_dict(**over))
+        with pytest.raises(ValueError) as rejected:
+            ExperimentConfig.parse(text)
+        assert str(rejected.value) == message
 
     def test_lam_must_be_pair(self):
         with pytest.raises(ValueError, match="lam"):
@@ -429,8 +449,12 @@ class TestCli:
         ("profile-ode", {"profile_ode": {"eps": 0.9}}, "eps = 0.9 violates the smallness"),
         ("sweep", {"jobs": "two"}, "config field 'jobs' must be an integer"),
         ("simulate", {"record_every": 2.5}, "config field 'record_every' must be an integer"),
+        *((command, over, message) for over, message in NON_FINITE_CONFIGS
+          for command in ("simulate", "sweep")),
     ], ids=["sweep-ladder", "profile-ode-smallness", "sweep-string-jobs",
-            "simulate-float-record-every"])
+            "simulate-float-record-every",
+            *(f"{command}-{case}" for case in NON_FINITE_IDS
+              for command in ("simulate", "sweep"))])
     def test_rejected_config_leaves_no_out_dir(self, tmp_path, capsys, command, over, message):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(small_config_dict(**over)))
@@ -438,7 +462,22 @@ class TestCli:
         assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
         assert not out.exists()
+
+    def test_run_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # a step that shrinks to nothing, like every RuntimeError, exits 1 with one line
+        def vanishing_step(state):
+            raise RuntimeError("step size 0.0 vanishes at t=1.0")
+
+        monkeypatch.setattr(lifespan, "run_to_blowup", vanishing_step)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config_dict()))
+        for command in ("simulate", "sweep", "diagnostics"):
+            assert main([command, "--config", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: step size 0.0 vanishes at t=1.0\n"
 
     def test_out_flag_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"

@@ -274,8 +274,9 @@ class TestRemainderWindow:
 
 class TestLemmaDiagnostics:
     def test_free_gaussian_ratios_bounded(self):
-        # analytic free evolution on a wide box; caps frozen from a refined
-        # measurement (r1 in [0.325, 0.344], r2 in [-0.003, 0])
+        # analytic free evolution on a wide box, read at every snapshot from
+        # t = 2 on.  Measured there: r1 in [0.328, 0.377] and r2 in
+        # [-0.037, -8.3e-5]; at t = 1, before the decay sets in, r2 = -0.103
         params = NonlinearityParams(lam=0j, theta=0.5, d=1)
         g = Grid(1, 4096, 200.0)
         cfg = SolverConfig(grid=g, params=params, eps=0.3, s=0.75, t_max=50.0,
@@ -283,7 +284,9 @@ class TestLemmaDiagnostics:
         state = init(cfg, gaussian(g))
         while state.t < 50.0 - 1e-9:
             state = fixed_step(state, 1.0)
-        ratios = decay_ratio_diagnostics(state.diagnostics, state.config)
+        ratios = [r for r in decay_ratio_diagnostics(state.diagnostics, state.config)
+                  if r.t >= 2.0]
+        assert len(ratios) == 49
         r1 = [r.r1 for r in ratios if r.r1 is not None]
         r2 = [r.r2 for r in ratios if r.r2 is not None]
         assert 0.2 < min(r1) and max(r1) < 0.5
@@ -322,6 +325,13 @@ class TestLemmaDiagnostics:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("ladder", [[0.4, np.nan], [0.4, -0.1], [np.inf, 0.4]])
+    def test_ladder_rungs_must_be_finite_and_non_negative(self, ladder):
+        cfg = SolverConfig(grid=Grid(1, 64, 20.0), params=NonlinearityParams(1j, 0.5, 1),
+                           eps=0.4, s=1.0)
+        with pytest.raises(ValueError, match="eps ladder rungs must be finite and >= 0"):
+            sweep(ladder, cfg, GAUSS_SPEC)
+
     def test_micro_ladder_passes(self):
         params = NonlinearityParams(lam=1j, theta=0.5, d=1)
         cfg = SolverConfig(grid=Grid(1, 512, 30.0), params=params, eps=0.4, s=1.0,

@@ -504,3 +504,8 @@ class TestParams:
     def test_rejects_out_of_range(self, theta, d):
         with pytest.raises(ValueError):
             NonlinearityParams(lam=1j, theta=theta, d=d)
+
+    @pytest.mark.parametrize("lam", [complex(0.0, np.inf), complex(np.nan, 1.0), np.inf])
+    def test_rejects_non_finite_lam(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            NonlinearityParams(lam=lam, theta=0.5, d=1)

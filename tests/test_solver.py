@@ -91,6 +91,13 @@ class TestConfig:
                            enforce_hypotheses=False)
         assert not cfg.index_condition_ok
 
+    @pytest.mark.parametrize("field, value", [
+        ("eps", np.nan), ("eps", np.inf), ("eps", -0.1),
+        ("t_max", np.inf), ("t_max", np.nan), ("t_max", 0.0)])
+    def test_rejects_non_finite_eps_and_t_max(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            small_config(**{field: value})
+
     @pytest.mark.parametrize("field, value", [("record_every", 0), ("record_every", -3)])
     def test_rejects_bad_sampling_counts(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -197,6 +204,20 @@ class TestStep:
             state = fixed_step(state, 0.005)
         assert state.shell > 0 and len(samples) == 21
 
+    def test_fixed_steps_keep_a_snapshot_of_every_accepted_field(self):
+        # a fixed step is accepted as the run loop accepts a trial's field: its
+        # field is kept as a snapshot whether or not it is due a sample
+        cfg = small_config(eps=0.4, record_every=3)
+        state = init(cfg, gaussian(cfg.grid))
+        states = [state]
+        for _ in range(7):
+            state = fixed_step(state, 0.05)
+            states.append(state)
+        log = state.diagnostics
+        assert log.snapshot_times == [s.t for s in states]
+        assert all(snap is s.u.values for snap, s in zip(log.snapshots, states))
+        assert [s.t for s in log.samples] == [s.t for s in states[::3]]
+
     def test_real_lambda_conserves_mass(self):
         cfg = small_config(params=CONSERVATIVE)
         state = init(cfg, gaussian(cfg.grid))
@@ -227,12 +248,13 @@ class TestStep:
         with pytest.raises(PointwiseBlowUp) as blown:
             strang_step(state.u.values, 20.0, cfg, state.abs_b)
         assert blown.value.earliest == pytest.approx(2.0, rel=1e-12)
-        # a non-finite field is the same event: _advance reports it to the run
+        # a non-finite field is the same event: _accept reports it to the run
         # loop, with nothing recorded
         field = state.u.values.copy()
         field[0] = np.inf
-        assert solver._advance(state, field, 20.0) == "pointwise"
+        assert solver._accept(cfg, state.diagnostics, 20.0, field, 1) == "pointwise"
         assert len(state.diagnostics.samples) == 1 and state.t == 0.0
+        assert state.diagnostics.snapshot_times == [0.0]
 
     def test_threshold_crossing_is_an_event_without_sample(self, monkeypatch):
         # sup |u| starts at 0.4 and grows without bound; the pointwise
@@ -240,15 +262,16 @@ class TestStep:
         monkeypatch.setattr(solver, "_SUP_CAP", 0.4)
         cfg = small_config(eps=0.4)
         state = init(cfg, gaussian(cfg.grid))
+        log = state.diagnostics
         for _ in range(1000):
-            n_samples = len(state.diagnostics.samples)
+            n_samples, n_snapshots = len(log.samples), len(log.snapshots)
             u = strang_step(state.u.values, 0.05, cfg, state.abs_b)
-            nxt = solver._advance(state, u, 0.05)
+            nxt = solver._accept(cfg, log, state.t + 0.05, u, state.step_count + 1)
             if isinstance(nxt, str):
                 break
             state = nxt
         assert nxt == "threshold"
-        assert len(state.diagnostics.samples) == n_samples
+        assert len(log.samples) == n_samples and len(log.snapshots) == n_snapshots
         # the run loop brackets the same crossing and records it as a threshold blow-up
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         assert rec.status == "blown-up" and rec.t_blow_threshold == rec.T_eps
@@ -379,13 +402,13 @@ class TestRunToBlowup:
 
     def test_contamination_detected_on_an_unsampled_step(self, monkeypatch):
         accepted = []
-        original = solver._advance
+        original = solver._accept
 
         def spy(*args, **kwargs):
             accepted.append(original(*args, **kwargs))
             return accepted[-1]
 
-        monkeypatch.setattr(solver, "_advance", spy)
+        monkeypatch.setattr(solver, "_accept", spy)
         cfg = small_config(params=CONSERVATIVE, grid=Grid(1, 64, 6.0),
                            eps=0.3, t_max=40.0, record_every=4)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
@@ -488,10 +511,10 @@ class TestRunToBlowup:
 
 class TestStepLaw:
     def spy_trials(self, monkeypatch):
-        """Record (dt, R, mid, err) of every doubling trial and (field, dt, mid) of
-        every _advance."""
+        """Record (dt, R, mid, err) of every doubling trial and (field, t, mid) of
+        every field _accept takes after the datum."""
         trials, advanced = [], []
-        trial, advance = solver._doubling_trial, solver._advance
+        trial, accept = solver._doubling_trial, solver._accept
 
         def spy_trial(u, abs_b, dt, config):
             out = trial(u, abs_b, dt, config)
@@ -501,12 +524,13 @@ class TestStepLaw:
             trials.append((dt, *out))
             return out
 
-        def spy_advance(state, u, dt, mid=None):
-            advanced.append((u, dt, mid))
-            return advance(state, u, dt, mid)
+        def spy_accept(config, log, t, u, step_count, mid=None):
+            if step_count:
+                advanced.append((u, t, mid))
+            return accept(config, log, t, u, step_count, mid)
 
         monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
-        monkeypatch.setattr(solver, "_advance", spy_advance)
+        monkeypatch.setattr(solver, "_accept", spy_accept)
         return trials, advanced
 
     def test_tolerance_refinement_stays_inside_the_event_bracket(self, monkeypatch):
@@ -545,10 +569,13 @@ class TestStepLaw:
         # every accepted field is the extrapolated field of a trial within
         # tolerance, and comes with that trial's midpoint field
         by_field = {id(got): (dt, mid, err) for dt, got, mid, err in trials}
-        accepted = [(by_field[id(u)], dt, mid) for u, dt, mid in advanced if id(u) in by_field]
+        accepted = [(by_field[id(u)], t, mid) for u, t, mid in advanced if id(u) in by_field]
         assert len(accepted) == len(advanced) == len(trials) - len(rejected)
-        for (dt_trial, mid_trial, err), dt, mid in accepted:
-            assert err <= tol and dt == dt_trial and mid is mid_trial
+        t_base = 0.0
+        for (dt_trial, mid_trial, err), t, (t_mid, mid) in accepted:
+            assert err <= tol and t == t_base + dt_trial and mid is mid_trial
+            assert t_mid == t_base + 0.5 * dt_trial
+            t_base = t
 
     def test_half_step_event_halves_the_step(self, monkeypatch):
         dts = []
@@ -609,7 +636,7 @@ class TestStepLaw:
         # at most 1e-3 t wide, is the bracket whose middle is T_eps
         t_event = 0.0123
         clock, dts = [0.0], []
-        trial, advance = solver._doubling_trial, solver._advance
+        trial, accept = solver._doubling_trial, solver._accept
 
         def blows_up_across(u, abs_b, dt, config):
             dts.append(dt)
@@ -617,13 +644,13 @@ class TestStepLaw:
                 raise PointwiseBlowUp(t_event - clock[0])
             return trial(u, abs_b, dt, config)
 
-        def spy_advance(state, u, dt, mid=None):
-            new = advance(state, u, dt, mid)
+        def spy_accept(*args):
+            new = accept(*args)
             clock[0] = new.t
             return new
 
         monkeypatch.setattr(solver, "_doubling_trial", blows_up_across)
-        monkeypatch.setattr(solver, "_advance", spy_advance)
+        monkeypatch.setattr(solver, "_accept", spy_accept)
         cfg = small_config(eps=0.4, t_max=0.1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         assert rec.status == "blown-up" and rec.t_blow_threshold is None
@@ -639,7 +666,7 @@ class TestStepLaw:
         # like any other, so the last trial's step, at most 1e-3 t wide, is the bracket
         t_event = 0.0123
         clock, dts, calls = [0.0], [], []
-        trial, strang, advance = solver._doubling_trial, solver._strang, solver._advance
+        trial, strang, accept = solver._doubling_trial, solver._strang, solver._accept
 
         def spy_trial(u, abs_b, dt, config):
             dts.append(dt)
@@ -653,14 +680,14 @@ class TestStepLaw:
                 raise PointwiseBlowUp(0.5 * substeps[0])
             return strang(u, substeps, *args)
 
-        def spy_advance(state, u, dt, mid=None):
-            new = advance(state, u, dt, mid)
+        def spy_accept(*args):
+            new = accept(*args)
             clock[0] = new.t
             return new
 
         monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
         monkeypatch.setattr(solver, "_strang", spy_strang)
-        monkeypatch.setattr(solver, "_advance", spy_advance)
+        monkeypatch.setattr(solver, "_accept", spy_accept)
         cfg = small_config(eps=0.4, t_max=0.1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         assert rec.status == "blown-up" and rec.t_blow_threshold is None
@@ -802,17 +829,20 @@ class TestFieldOwnership:
         cfg = ownership_config(d)
         state = fixed_step(init(cfg, gaussian(cfg.grid)), 0.005)
         kept = kept_arrays(state)
-        advance = solver._advance
-        steps = []
+        accept = solver._accept
+        times = []
 
-        def spy_advance(base, u, dt, mid=None):
-            steps.append(dt)
-            kept.extend((a, a.copy()) for a in (base.abs_b, u, mid))
-            return advance(base, u, dt, mid)
+        def spy_accept(config, log, t, u, step_count, mid=None):
+            times.append(t)
+            kept.extend((a, a.copy()) for a in (u, mid[1]))
+            new = accept(config, log, t, u, step_count, mid)
+            if not isinstance(new, str):
+                kept.append((new.abs_b, new.abs_b.copy()))
+            return new
 
-        monkeypatch.setattr(solver, "_advance", spy_advance)
+        monkeypatch.setattr(solver, "_accept", spy_accept)
         rec = run_to_blowup(state)
-        assert rec.status == "blown-up" and len(steps) > 100
+        assert rec.status == "blown-up" and len(times) > 100
         for a, copy in kept:
             assert np.array_equal(a, copy)
 
@@ -842,14 +872,14 @@ class TestFieldOwnership:
         state = init(cfg, gaussian(cfg.grid))
         assert state.diagnostics.snapshots[0] is state.u.values
         offered = {id(state.u.values): (state.u.values, 0.0, "end")}
-        advance = solver._advance
+        accept = solver._accept
 
-        def spy_advance(base, u, dt, mid=None):
-            offered[id(u)] = (u, base.t + dt, "end")
-            offered[id(mid)] = (mid, base.t + 0.5 * dt, "mid")
-            return advance(base, u, dt, mid)
+        def spy_accept(config, log, t, u, step_count, mid=None):
+            offered[id(u)] = (u, t, "end")
+            offered[id(mid[1])] = (mid[1], mid[0], "mid")
+            return accept(config, log, t, u, step_count, mid)
 
-        monkeypatch.setattr(solver, "_advance", spy_advance)
+        monkeypatch.setattr(solver, "_accept", spy_accept)
         rec = run_to_blowup(state)
         snapshots = rec.diagnostics.snapshots
         assert len(snapshots) == solver._SNAPSHOT_BUDGET
