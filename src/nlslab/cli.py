@@ -1,9 +1,11 @@
 """Command-line entry points.
 
 Subcommands: print-config, bounds, simulate, sweep, profile-ode, diagnostics,
-convergence.  Exit status: 0 on success (including a conclusive PASS/FAIL
-sweep verdict), 1 on a domain, configuration or I/O error, 2 on an
-inconclusive verdict.
+convergence.  The config file states the experiment; --out and --jobs change
+only where outputs go and how many processes compute them.  Exit status: 0 on
+success (including a conclusive PASS/FAIL sweep verdict), 1 on a domain,
+configuration, run or I/O error, 2 on an inconclusive verdict (every rung
+censored or contaminated, or a config with no bound: theta = 1 or Im(lam) <= 0).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .lifespan import (
 from .profile_ode import (
     OdeParams,
     bound_constants,
-    check_smallness,
     integrate_perturbed,
     make_perturbation,
     smallness_bound,
@@ -49,10 +50,6 @@ def _load_config(args) -> ExperimentConfig:
         cfg.out_dir = args.out
     if args.jobs is not None:
         cfg.jobs = args.jobs
-    if args.tolerance is not None:
-        cfg.tolerance = args.tolerance
-    if args.enforce_hypotheses is not None:
-        cfg.enforce_hypotheses = args.enforce_hypotheses == "on"
     return cfg
 
 
@@ -155,30 +152,26 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_profile_ode(args) -> int:
+    """The adversarial perturbation (c1 = c2 = 0.3, delta = 1, seed 0) from
+    t_* = 0.5 with sigma = 0.2 tau1, at eps = 0.9 of the smallness bound."""
     cfg = _load_config(args)
-    po = cfg.profile_ode
+    c, delta = 0.3, 1.0
     base = OdeParams(a=cfg.theta, b=cfg.params().b, lam=cfg.lam, eps=1.0,
-                     t_star=po["t_star"], psi0_sup=1.0)
-    sigma = po["sigma_fraction"] * base.tau1
-    params = replace(base, sigma=sigma)
-    eps = po["eps"]
-    if eps is None:
-        consts = bound_constants(params, po["c1"], po["c2"], po["delta"])
-        eps = 0.9 * smallness_bound(params, consts, po["delta"])
+                     t_star=0.5, psi0_sup=1.0)
+    params = replace(base, sigma=0.2 * base.tau1)
+    eps = 0.9 * smallness_bound(params, bound_constants(params, c, c, delta), delta)
     params = replace(params, eps=eps)
-    pert = make_perturbation(po["kind"], po["c1"], po["c2"], po["delta"],
-                             params, seed=po["seed"])
-    check_smallness(params, pert)
+    pert = make_perturbation("adversarial", c, c, delta, params, seed=0)
     out = _out_dir(cfg)
-    traj = integrate_perturbed(params, pert, np.asarray(po["xi_samples"]))
+    traj = integrate_perturbed(params, pert, np.array([0.0, 0.5, 1.0, 1.5]))
     k = traj.constants
-    print(f"eps = {eps!r}, sigma = {sigma!r}, tau1 = {params.tau1!r}")
+    print(f"eps = {eps!r}, sigma = {params.sigma!r}, tau1 = {params.tau1!r}")
     print(f"C0 = {k.c0!r}, C3 = {k.c3!r}, M = {k.m!r}")
     print(f"sup |eta0|/eps over window = {sup_bound_check(params)!r} (<= C0)")
     sup_eta = float(np.max(np.abs(traj.eta)))
     sup_w = float(np.max(np.abs(traj.w)))
     print(f"sup |eta| = {sup_eta!r} (envelope {(k.c0 + 1) * eps!r})")
-    print(f"sup |w| = {sup_w!r} (envelope {k.m * eps ** (1 + po['delta'])!r})")
+    print(f"sup |w| = {sup_w!r} (envelope {k.m * eps ** (1 + delta)!r})")
     if out is not None:
         path = out / "profile_trajectory.csv"
         traj.to_csv(path)
@@ -254,10 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="path to a JSON experiment config")
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--jobs", type=int, default=None, help="parallel runs in a sweep")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="relative tolerance for the bound verdict")
-    parser.add_argument("--enforce-hypotheses", choices=["on", "off"], default=None,
-                        help="reject configurations outside the admissible index range")
     return parser
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -40,11 +40,6 @@ class ExperimentConfig:
     jobs: int = 1
     enforce_hypotheses: bool = True
     record_every: int = 4
-    profile_ode: dict = field(default_factory=lambda: {
-        "kind": "adversarial", "t_star": 0.5, "sigma_fraction": 0.2,
-        "c1": 0.3, "c2": 0.3, "delta": 1.0, "eps": None,
-        "xi_samples": [0.0, 0.5, 1.0, 1.5], "seed": 0,
-    })
     schema_version: int = SCHEMA_VERSION
 
     @classmethod
@@ -63,13 +58,6 @@ class ExperimentConfig:
             if len(lam) != 2:
                 raise ValueError("config field 'lam' must be a [re, im] pair")
             data["lam"] = complex(float(lam[0]), float(lam[1]))
-        if "profile_ode" in data:
-            merged = dict(defaults["profile_ode"])
-            extra = set(data["profile_ode"]) - set(merged)
-            if extra:
-                raise ValueError(f"unknown profile_ode fields: {sorted(extra)}")
-            merged.update(data["profile_ode"])
-            data["profile_ode"] = merged
         cfg = cls(**data)
         decreasing_ladder(cfg.eps_ladder)
         if cfg.schema_version != SCHEMA_VERSION:
@@ -116,12 +104,13 @@ class ExperimentConfig:
 
 
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
-               list: "a list of numbers", dict: "an object"}
+               list: "a list of numbers"}
 
 
 def _check_type(key: str, value, default) -> None:
-    """Reject a JSON value of another type than the field's default, or a non-finite number
-    (json reads NaN and Infinity); an integer passes for a number, and a list holds numbers."""
+    """Reject a JSON value of another type than the field's default, or a number that is
+    not a finite float (json reads NaN, Infinity and integers of any size); an integer
+    passes for a number, and a list holds numbers."""
     want, numbers = type(default), (int, float)
     if want is float:
         ok = type(value) in numbers
@@ -129,8 +118,8 @@ def _check_type(key: str, value, default) -> None:
         ok = type(value) is want and (want is not list or all(type(v) in numbers for v in value))
     if not ok:
         raise ValueError(f"config field {key!r} must be {_JSON_TYPES[want]}, got {value!r}")
-    floats = [v for v in (value if want is list else [value]) if type(v) is float]
-    if not all(map(math.isfinite, floats)):
+    if want in (float, list) and not all(
+            abs(v) <= sys.float_info.max for v in (value if want is list else [value])):
         raise ValueError(f"config field {key!r} must be finite, got {value!r}")
 
 

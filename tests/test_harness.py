@@ -20,7 +20,9 @@ from nlslab.lifespan import sweep, t_star_time
 from nlslab.solver import SolverConfig
 
 
-# Python's json reads NaN and Infinity; each of these is rejected when the config loads
+# Python's json reads NaN, Infinity and integers too large for a float; each of
+# these is rejected when the config loads
+BIG = 10 ** 400
 NON_FINITE_CONFIGS = [
     ({"t_max": float("inf"), "lam": [1.0, 0.0], "eps_ladder": [0.4]},
      "config field 't_max' must be finite, got inf"),
@@ -29,8 +31,13 @@ NON_FINITE_CONFIGS = [
     ({"eps_ladder": [0.4, float("nan")]},
      "config field 'eps_ladder' must be finite, got [0.4, nan]"),
     ({"eps_ladder": [0.4, -0.1]}, "eps ladder rungs must be finite and >= 0, got [0.4, -0.1]"),
+    ({"L": BIG}, f"config field 'L' must be finite, got {BIG}"),
+    ({"eps_ladder": [BIG]}, f"config field 'eps_ladder' must be finite, got [{BIG}]"),
+    ({"lam": [0, BIG]}, f"config field 'lam' must be finite, got [0, {BIG}]"),
+    ({"t_max": BIG}, f"config field 't_max' must be finite, got {BIG}"),
 ]
-NON_FINITE_IDS = ["infinite-t-max", "infinite-lam", "nan-rung", "negative-rung"]
+NON_FINITE_IDS = ["infinite-t-max", "infinite-lam", "nan-rung", "negative-rung",
+                  "huge-L", "huge-rung", "huge-lam", "huge-t-max"]
 
 
 def small_config_dict(**over):
@@ -70,11 +77,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="initial_data"):
             ExperimentConfig.from_dict(bad)
 
-    def test_unknown_profile_ode_key_rejected(self):
-        with pytest.raises(ValueError, match=r"unknown profile_ode fields: \['pizza'\]"):
-            ExperimentConfig.from_dict(small_config_dict(profile_ode={"seed": 1, "pizza": 2}))
-        cfg = ExperimentConfig.from_dict(small_config_dict(profile_ode={"seed": 1}))
-        assert cfg.profile_ode == dict(ExperimentConfig().profile_ode, seed=1)
+    def test_profile_ode_block_is_an_unknown_field(self):
+        # profile-ode fixes its own settings: no config sets them
+        assert "profile_ode" not in ExperimentConfig().to_dict()
+        with pytest.raises(ValueError) as rejected:
+            ExperimentConfig.from_dict(small_config_dict(profile_ode={"seed": 1}))
+        assert str(rejected.value) == "unknown config field 'profile_ode'"
 
     @pytest.mark.parametrize("over, message", NON_FINITE_CONFIGS, ids=NON_FINITE_IDS)
     def test_non_finite_numbers_and_bad_rungs_rejected(self, over, message):
@@ -189,7 +197,7 @@ class TestCli:
         ({"initial_data": {"kind": "bump_sum", "bumps": [{"sigma": 1.0}]}}, "['sigma']"),
         ({"initial_data": "gaussian"}, "initial_data must be an object"),
         ({"initial_data": {"kind": "bump_sum", "bumps": [1.0]}}, "list of objects"),
-        ({"profile_ode": 3}, "'profile_ode' must be an object"),
+        ({"profile_ode": 3}, "unknown config field 'profile_ode'"),
         ({"n": "big"}, "config field 'n' must be an integer, got 'big'"),
         ({"theta": "x"}, "config field 'theta' must be a number, got 'x'"),
         ({"L": None}, "config field 'L' must be a number, got None"),
@@ -201,7 +209,7 @@ class TestCli:
         ({"record_every": True}, "config field 'record_every' must be an integer, got True"),
         ({"enforce_hypotheses": 1}, "config field 'enforce_hypotheses' must be a boolean"),
     ], ids=["unknown-bump-key", "non-object-spec", "non-object-bump",
-            "non-object-profile-ode", "string-int", "string-float", "null-float",
+            "profile-ode-block", "string-int", "string-float", "null-float",
             "scalar-ladder", "bool-in-ladder", "null-in-lam", "string-jobs", "float-int",
             "bool-int", "int-bool"])
     def test_bounds_rejects_bad_config(self, tmp_path, capsys, over, message):
@@ -446,12 +454,12 @@ class TestCli:
 
     @pytest.mark.parametrize("command, over, message", [
         ("sweep", {"eps_ladder": [0.3, 0.4]}, "eps ladder must be strictly decreasing"),
-        ("profile-ode", {"profile_ode": {"eps": 0.9}}, "eps = 0.9 violates the smallness"),
+        ("profile-ode", {"profile_ode": {"eps": 0.9}}, "unknown config field 'profile_ode'"),
         ("sweep", {"jobs": "two"}, "config field 'jobs' must be an integer"),
         ("simulate", {"record_every": 2.5}, "config field 'record_every' must be an integer"),
         *((command, over, message) for over, message in NON_FINITE_CONFIGS
           for command in ("simulate", "sweep")),
-    ], ids=["sweep-ladder", "profile-ode-smallness", "sweep-string-jobs",
+    ], ids=["sweep-ladder", "profile-ode-block", "sweep-string-jobs",
             "simulate-float-record-every",
             *(f"{command}-{case}" for case in NON_FINITE_IDS
               for command in ("simulate", "sweep"))])
@@ -478,6 +486,28 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: step size 0.0 vanishes at t=1.0\n"
+
+    def test_sweep_jobs_leave_the_outputs_unchanged(self, tmp_path, capsys):
+        # --jobs changes how many processes compute a sweep, not what it writes
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config_dict()))
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["sweep", "--config", str(path), "--out", str(out), "--jobs", jobs]) == 0
+        capsys.readouterr()
+        one, two = (sorted(p.name for p in (tmp_path / f"jobs{j}").iterdir()) for j in "12")
+        assert one == two == ["run_eps0.3.json", "run_eps0.4.json", "summary.csv"]
+        for name in one:
+            assert (tmp_path / "jobs1" / name).read_bytes() == (tmp_path / "jobs2" / name).read_bytes()
+
+    @pytest.mark.parametrize("flag, value", [("--tolerance", "0.2"),
+                                             ("--enforce-hypotheses", "off")])
+    def test_removed_flag_is_a_usage_error(self, capsys, flag, value):
+        # the config file alone states what a command computes
+        with pytest.raises(SystemExit) as usage:
+            main(["sweep", flag, value])
+        assert usage.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_out_flag_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"
