@@ -71,13 +71,14 @@ def _free_multiplier(grid: Grid, t: float) -> np.ndarray:
     Propagation over t is back-propagation over -t, so the values come from
     the same 1-D factor: in d = 1 they equal ``np.exp(-0.5j * t *
     grid.abs_xi_sq)`` bit for bit, and every step size costs n/2 + 1
-    complex exponentials, however large the grid.
+    complex exponentials, however large the grid.  The phase's angle grows
+    with |xi|, so the lattice's values are all finite exactly when its angle
+    at the Nyquist frequency is.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = _back_propagation_phase(grid, -t)
-    if not np.isfinite(m).all():
+    nyquist = float(grid.xi_1d[grid.n // 2])
+    if not math.isfinite((0.5 * -float(t)) * (nyquist * nyquist)):  # Python floats: no warning
         raise ValueError(f"free propagation over t={t!r} overflows the phase on the lattice")
-    return _read_only(m)
+    return _read_only(_back_propagation_phase(grid, -t))
 
 
 def _multiply_spectrum(values: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -198,7 +199,8 @@ def nonlinear_flow_exact(z, dt, params: NonlinearityParams, *, out: np.ndarray |
         z = np.broadcast_to(z, np.broadcast_shapes(z.shape, np.shape(dt)))
     if abs_b is None:
         abs_b = np.abs(z, out=scratch)
-        abs_b **= b
+        if b != 1.0:  # numpy spends a pass on the exponent 1
+            abs_b **= b
     if mu == 0.0 and alpha != 0.0:
         # |w| stays |z|, so no denominator can vanish
         w = np.multiply(z, np.exp(-1j * alpha * abs_b * dt), out=out)
@@ -212,7 +214,10 @@ def nonlinear_flow_exact(z, dt, params: NonlinearityParams, *, out: np.ndarray |
         # phase integral: -(alpha / (b mu)) * log(1 / denom); with alpha = 0 the
         # factor would be exp(0j) == 1 exactly, so it is skipped
         phase = None if alpha == 0.0 else np.exp(1j * (alpha / (b * mu)) * np.log(denom))
-        denom **= -1.0 / b
+        # (1/denom)^(1/b): numpy squares for b = 1/2 where denom^(-2) takes a general power
+        denom = np.reciprocal(denom, out=scratch)
+        if b != 1.0:
+            denom **= 1.0 / b
         w = np.multiply(z, denom, out=out)
         if phase is not None:
             w *= phase

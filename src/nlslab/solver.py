@@ -229,7 +229,8 @@ def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
         return "pointwise"
     if sup >= config.threshold:
         return "threshold"
-    abs_b = absu**config.params.b
+    b = config.params.b
+    abs_b = absu if b == 1.0 else absu**b  # numpy spends a pass on the exponent 1
     abs_b.flags.writeable = False
     u_field = ComplexField(config.grid, Space.PHYSICAL, u)
     power = absu**2

@@ -31,7 +31,8 @@ class Grid:
 
     Attributes:
         d: spatial dimension, 1 to 3.
-        n: points per axis, a power of two >= 8.
+        n: points per axis, a power of two >= 8, with at most 2**24 points in all
+            (1024^2 and 256^3 fit).
         L: half-width of the box; spacing is h = 2L/n.
     """
 
@@ -44,6 +45,9 @@ class Grid:
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"points per axis must be a power of two >= 8, got {self.n}")
+        if self.num_points > 2**24:
+            raise ValueError(f"a grid holds at most 2**24 points, got n = "
+                             f"2**{int(self.n).bit_length() - 1} per axis in d = {self.d}")
         if not (self.L > 0):
             raise ValueError(f"box half-width must be positive, got {self.L}")
 
@@ -173,13 +177,20 @@ def dft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Unscaled forward DFT over every axis, in FFT order: ``np.fft.fftn(values)``.
 
     A 1-D array takes ``np.fft.fft``, which gives the same values bit for bit
-    at a lower call cost.  `out` receives the result; it may be `values`.
+    at a lower call cost.  `out` receives the result; it may be `values`, and
+    is a fresh array when not given: ``fftn`` without `out` allocates an array
+    for every axis, and at 128^2 takes about twice as long for the same bits.
     """
+    if out is None:
+        out = np.empty(values.shape, dtype=np.complex128)
     return np.fft.fft(values, out=out) if values.ndim == 1 else np.fft.fftn(values, out=out)
 
 
 def idft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of :func:`dft`: ``np.fft.ifftn(values)``, by ``np.fft.ifft`` in 1-D."""
+    """Inverse of :func:`dft`: ``np.fft.ifftn(values)``, by ``np.fft.ifft`` in 1-D,
+    into `out` as :func:`dft` does."""
+    if out is None:
+        out = np.empty(values.shape, dtype=np.complex128)
     return np.fft.ifft(values, out=out) if values.ndim == 1 else np.fft.ifftn(values, out=out)
 
 

@@ -38,6 +38,14 @@ NON_FINITE_CONFIGS = [
 ]
 NON_FINITE_IDS = ["infinite-t-max", "infinite-lam", "nan-rung", "negative-rung",
                   "huge-L", "huge-rung", "huge-lam", "huge-t-max"]
+# grids beyond 2**24 points: n too large for a float, and one that would take 8 TiB
+OVERSIZED_GRID_CONFIGS = [
+    ({"n": 2**1100, "L": 20.0, "eps_ladder": [0.4]},
+     "a grid holds at most 2**24 points, got n = 2**1100 per axis in d = 1"),
+    ({"n": 2**40, "L": 20.0, "eps_ladder": [0.4]},
+     "a grid holds at most 2**24 points, got n = 2**40 per axis in d = 1"),
+]
+OVERSIZED_GRID_IDS = ["n-beyond-float", "n-8-tib"]
 
 
 def small_config_dict(**over):
@@ -208,10 +216,11 @@ class TestCli:
         ({"record_every": 2.5}, "config field 'record_every' must be an integer, got 2.5"),
         ({"record_every": True}, "config field 'record_every' must be an integer, got True"),
         ({"enforce_hypotheses": 1}, "config field 'enforce_hypotheses' must be a boolean"),
+        *OVERSIZED_GRID_CONFIGS,
     ], ids=["unknown-bump-key", "non-object-spec", "non-object-bump",
             "profile-ode-block", "string-int", "string-float", "null-float",
             "scalar-ladder", "bool-in-ladder", "null-in-lam", "string-jobs", "float-int",
-            "bool-int", "int-bool"])
+            "bool-int", "int-bool", *OVERSIZED_GRID_IDS])
     def test_bounds_rejects_bad_config(self, tmp_path, capsys, over, message):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config_dict(**over)))
@@ -457,11 +466,12 @@ class TestCli:
         ("profile-ode", {"profile_ode": {"eps": 0.9}}, "unknown config field 'profile_ode'"),
         ("sweep", {"jobs": "two"}, "config field 'jobs' must be an integer"),
         ("simulate", {"record_every": 2.5}, "config field 'record_every' must be an integer"),
-        *((command, over, message) for over, message in NON_FINITE_CONFIGS
+        *((command, over, message)
+          for over, message in NON_FINITE_CONFIGS + OVERSIZED_GRID_CONFIGS
           for command in ("simulate", "sweep")),
     ], ids=["sweep-ladder", "profile-ode-block", "sweep-string-jobs",
             "simulate-float-record-every",
-            *(f"{command}-{case}" for case in NON_FINITE_IDS
+            *(f"{command}-{case}" for case in NON_FINITE_IDS + OVERSIZED_GRID_IDS
               for command in ("simulate", "sweep"))])
     def test_rejected_config_leaves_no_out_dir(self, tmp_path, capsys, command, over, message):
         cfg_path = tmp_path / "c.json"

@@ -21,6 +21,7 @@ from nlslab import (
     norms,
 )
 from nlslab.propagators import _free_multiplier, coefficient_integral, coefficient_time
+from nlslab.spectral import _back_propagation_phase
 
 
 def gaussian_field(grid, width=1.0, k0=0.0):
@@ -46,6 +47,13 @@ def apply_multiplier(f, m):
 def params_for(lam, b, d=1):
     # b = 2*theta/d, so theta = b*d/2
     return NonlinearityParams(lam=lam, theta=b * d / 2.0, d=d)
+
+
+def lattice_phase_overflows(grid, t):
+    """Whether some value of the free multiplier over t is not finite, found by
+    building every value on the lattice."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return not np.isfinite(_back_propagation_phase(grid, -t)).all()
 
 
 class TestFreePropagate:
@@ -154,6 +162,33 @@ class TestFreePropagate:
             m[0, 0] = 1
         assert not np.array_equal(_free_multiplier(g, 0.02), m)
         assert not np.array_equal(_free_multiplier(other_L, 0.01), _free_multiplier(g, 0.01))
+
+    @pytest.mark.parametrize("g", [Grid(1, 64, 8.0), Grid(2, 16, 4.0), Grid(3, 8, 0.5)])
+    def test_multiplier_overflow_edge(self, g):
+        # the largest t whose lattice phase is finite, found with the whole-lattice check
+        edge = np.finfo(float).max / float(g.xi_1d[g.n // 2]) ** 2 * 2.0
+        while lattice_phase_overflows(g, edge):
+            edge = np.nextafter(edge, 0.0)
+        while not lattice_phase_overflows(g, np.nextafter(edge, np.inf)):
+            edge = np.nextafter(edge, np.inf)
+        for sign in (1.0, -1.0):
+            assert np.isfinite(_free_multiplier(g, sign * edge)).all()
+            with pytest.raises(ValueError, match="overflows the phase"):
+                _free_multiplier(g, sign * np.nextafter(edge, np.inf))
+
+    @pytest.mark.parametrize("g", [Grid(1, 64, 8.0), Grid(2, 16, 4.0), Grid(1, 8, 1e-300)])
+    def test_multiplier_check_is_the_whole_lattice_check(self, g):
+        # the Nyquist angle decides as the finiteness of every lattice value does,
+        # for an infinite or NaN t too, and on a grid whose |xi|^2 overflows
+        ts = [0.0, *np.geomspace(1e-300, 1.7e308, 400), np.inf, np.nan]
+        for t in [*ts, *(-t for t in ts)]:
+            overflows = lattice_phase_overflows(g, t)
+            try:
+                _free_multiplier(g, t)
+            except ValueError:
+                assert overflows, t
+            else:
+                assert not overflows, t
 
     def test_back_propagation_leaves_the_multiplier_unchanged(self):
         g = Grid(1, 64, 8.0)
@@ -330,7 +365,8 @@ class TestNonlinearFlow:
     @pytest.mark.parametrize("lam", [1j, 0.4j, -1j, 0.3 + 1j, -0.7 - 0.5j, 0.8 + 0j])
     def test_matches_general_closed_form_bit_for_bit(self, b, lam):
         # Re(lam) = 0 skips the phase factor exp(0j) == 1; every other
-        # branch is the closed form as written
+        # branch is the closed form as written, with the modulus factor
+        # denom^(-1/b) taken as (1/denom)^(1/b), and as denom^(-1) at b = 1
         params = params_for(lam, b=b)
         rng = np.random.default_rng(7)
         z = 0.8 * (rng.standard_normal(200) + 1j * rng.standard_normal(200))
@@ -342,7 +378,8 @@ class TestNonlinearFlow:
             want = z * np.exp(-1j * alpha * az_b * dt)
         else:
             denom = 1.0 - b * mu * az_b * dt
-            want = z * denom ** (-1.0 / b) * np.exp(1j * (alpha / (b * mu)) * np.log(denom))
+            modulus = denom**-1.0 if b == 1.0 else (1.0 / denom) ** (1.0 / b)
+            want = z * modulus * np.exp(1j * (alpha / (b * mu)) * np.log(denom))
         assert np.array_equal(nonlinear_flow_exact(z, dt, params), want)
 
     def test_vectorized_matches_scalar(self):

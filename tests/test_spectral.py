@@ -1,5 +1,8 @@
 """Grid, transform convention, and weighted-norm checks."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -43,10 +46,16 @@ class TestGrid:
         assert g.x_mesh[0].shape == (16, 16)
         assert g.num_points == 256
 
-    @pytest.mark.parametrize("bad", [(0, 64, 10.0), (4, 64, 10.0), (1, 48, 10.0), (1, 4, 10.0), (1, 64, 0.0)])
+    @pytest.mark.parametrize("bad", [(0, 64, 10.0), (4, 64, 10.0), (1, 48, 10.0), (1, 4, 10.0), (1, 64, 0.0),
+                                     (1, 2**25, 1.0), (2, 8192, 1.0), (3, 512, 1.0), (1, 2**40, 1.0),
+                                     (1, 2**1100, 1.0)])
     def test_rejects_bad_parameters(self, bad):
         with pytest.raises(ValueError):
             Grid(*bad)
+
+    @pytest.mark.parametrize("d, n", [(1, 2**24), (2, 4096), (3, 256)])
+    def test_admits_2_to_the_24_points(self, d, n):
+        assert Grid(d, n, 1.0).num_points == 2**24
 
     def test_field_shape_mismatch(self):
         g = Grid(1, 16, 2.0)
@@ -101,11 +110,35 @@ class TestFourier:
         l2_hat = np.sqrt(g.dxi**d * np.sum(np.abs(fh.values) ** 2))
         assert abs(l2_hat - l2) / l2 < 1e-12
 
-    @pytest.mark.parametrize("d,n", [(1, 64), (1, 4096), (2, 32), (3, 16)])
+    @pytest.mark.parametrize("d,n", [(1, 64), (1, 4096), (2, 32), (2, 128), (3, 16)])
     def test_dft_is_fftn(self, d, n):
+        # into a fresh array, a caller's buffer or in place: the bits of numpy's own call
         v = random_field(Grid(d, n, 5.0), seed=n).values
-        assert np.array_equal(spectral.dft(v), np.fft.fftn(v))
-        assert np.array_equal(spectral.idft(v), np.fft.ifftn(v))
+        for transform, numpy_transform in ((spectral.dft, np.fft.fftn), (spectral.idft, np.fft.ifftn)):
+            want = numpy_transform(v)
+            assert np.array_equal(transform(v), want)
+            assert np.array_equal(transform(v, out=np.empty_like(v)), want)
+            in_place = v.copy()
+            assert transform(in_place, out=in_place) is in_place
+            assert np.array_equal(in_place, want)
+
+    def test_no_other_module_calls_np_fft(self):
+        # the buffer rule lives in dft/idft alone: any other transform would bypass it
+        def names(node):
+            """The attribute or the modules and names that `node` reads."""
+            if isinstance(node, ast.Attribute):
+                return [node.attr]
+            if isinstance(node, ast.ImportFrom):
+                return [node.module or "", *(a.name for a in node.names)]
+            if isinstance(node, ast.Import):
+                return [a.name for a in node.names]
+            return []
+
+        package = Path(spectral.__file__).parent
+        callers = {path.name for path in package.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if any(name.split(".")[-1] == "fft" for name in names(node))}
+        assert callers == {"spectral.py"}
 
     def test_wrong_space_rejected(self):
         g = Grid(1, 16, 2.0)
