@@ -1,11 +1,13 @@
 """Command-line entry points.
 
 Subcommands: print-config, bounds, simulate, sweep, profile-ode, diagnostics,
-convergence.  The config file states the experiment; --out and --jobs change
-only where outputs go and how many processes compute them.  Exit status: 0 on
-success (including a conclusive PASS/FAIL sweep verdict), 1 on a domain,
-configuration, run or I/O error, 2 on an inconclusive verdict (every rung
-censored or contaminated, or a config with no bound: theta = 1 or Im(lam) <= 0).
+convergence.  The config file states the experiment only; --out (default
+"runs") and --jobs (default 1) change only where outputs go and how many
+processes compute them, and each output is created when it is written, after
+the command has computed it.  Exit status: 0 on success (including a
+conclusive PASS/FAIL sweep verdict), 1 on a domain, configuration, run or I/O
+error, 2 on an inconclusive verdict (every rung censored or contaminated, or a
+config with no bound: theta = 1 or Im(lam) <= 0) or a usage error.
 """
 
 from __future__ import annotations
@@ -37,20 +39,19 @@ from .profile_ode import (
     smallness_bound,
     sup_bound_check,
 )
-from .solver import convergence_study, init
+from .solver import convergence_study
 from .spectral import Grid, fourier_forward, sup_modulus
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config is None:
-        cfg = ExperimentConfig()
-    else:
-        cfg = ExperimentConfig.load(args.config)
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
-    return cfg
+    return ExperimentConfig() if args.config is None else ExperimentConfig.load(args.config)
+
+
+def _output(args, name: str) -> Path:
+    """The path of output file `name` under --out, whose directory is created."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
 
 
 def _cmd_print_config(args) -> int:
@@ -93,26 +94,9 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _out_dir(cfg) -> Path | None:
-    """The output directory, if any, created before the command computes."""
-    out = Path(cfg.out_dir) if cfg.out_dir else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _checked_out_dir(cfg, solver_cfg) -> Path | None:
-    """Check the datum by building it and starting the first rung from it, then
-    create the output directory: a rejected datum leaves none."""
-    init(solver_cfg, build_initial_data(solver_cfg.grid, cfg.initial_data))
-    return _out_dir(cfg)
-
-
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    solver_cfg = cfg.solver_config()
-    out = _checked_out_dir(cfg, solver_cfg)
-    (record,), _, _ = sweep(cfg.eps_ladder[:1], solver_cfg, cfg.initial_data)
+    (record,), _, _ = sweep(cfg.eps_ladder[:1], cfg.solver_config(), cfg.initial_data)
     print(f"eps = {record.eps!r}")
     print(f"status = {record.status}")
     if record.T_eps is not None:
@@ -125,29 +109,23 @@ def _cmd_simulate(args) -> int:
         print(f"unitary run: relative l2 drift = {drift!r}")
     print(f"max tail fraction = {record.max_tail_fraction!r}")
     print(f"max shell fraction = {record.max_shell_fraction!r}")
-    if out is not None:
-        path = persist_run(record, out)
-        print(f"wrote {path}")
+    print(f"wrote {persist_run(record, args.out)}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    solver_cfg = cfg.solver_config()
-    out = _checked_out_dir(cfg, solver_cfg)
-    records, summary, _ = sweep(cfg.eps_ladder, solver_cfg, cfg.initial_data,
-                                tolerance=cfg.tolerance, jobs=cfg.jobs)
+    records, summary, _ = sweep(cfg.eps_ladder, cfg.solver_config(), cfg.initial_data,
+                                tolerance=cfg.tolerance, jobs=args.jobs)
     print(f"bound_value = {summary.bound_value!r}")
     for rec, q in zip(records, summary.q_values):
         q_str = "censored/invalid" if q is None else repr(q)
         print(f"eps={rec.eps!r} status={rec.status} T_eps={rec.T_eps!r} q_eps={q_str}")
     print(f"verdict: {summary.verdict} "
           f"(running min = {summary.running_min[-1]!r}, tolerance = {summary.tolerance!r})")
-    if out is not None:
-        for rec in records:
-            persist_run(rec, out)
-        path = persist_summary(records, summary, out)
-        print(f"wrote {path}")
+    for rec in records:
+        persist_run(rec, args.out)
+    print(f"wrote {persist_summary(records, summary, args.out)}")
     return 2 if summary.verdict == "INCONCLUSIVE" else 0
 
 
@@ -162,7 +140,6 @@ def _cmd_profile_ode(args) -> int:
     eps = 0.9 * smallness_bound(params, bound_constants(params, c, c, delta), delta)
     params = replace(params, eps=eps)
     pert = make_perturbation("adversarial", c, c, delta, params, seed=0)
-    out = _out_dir(cfg)
     traj = integrate_perturbed(params, pert, np.array([0.0, 0.5, 1.0, 1.5]))
     k = traj.constants
     print(f"eps = {eps!r}, sigma = {params.sigma!r}, tau1 = {params.tau1!r}")
@@ -172,10 +149,9 @@ def _cmd_profile_ode(args) -> int:
     sup_w = float(np.max(np.abs(traj.w)))
     print(f"sup |eta| = {sup_eta!r} (envelope {(k.c0 + 1) * eps!r})")
     print(f"sup |w| = {sup_w!r} (envelope {k.m * eps ** (1 + delta)!r})")
-    if out is not None:
-        path = out / "profile_trajectory.csv"
-        traj.to_csv(path)
-        print(f"wrote {path}")
+    path = _output(args, "profile_trajectory.csv")
+    traj.to_csv(path)
+    print(f"wrote {path}")
     return 0
 
 
@@ -184,7 +160,6 @@ def _cmd_diagnostics(args) -> int:
     solver_cfg = cfg.solver_config()
     # the ratios need gamma = (2s-d)/8 in (0, 1/2]: check it before the run
     gamma_exponent(solver_cfg.s, solver_cfg.params.d)
-    out = _checked_out_dir(cfg, solver_cfg)
     (record,), _, _ = sweep(cfg.eps_ladder[:1], solver_cfg, cfg.initial_data)
     print(f"run status = {record.status}, T_eps = {record.T_eps!r}")
     ratios = decay_ratio_diagnostics(record.diagnostics, solver_cfg)
@@ -200,15 +175,14 @@ def _cmd_diagnostics(args) -> int:
               f"first = {float(sups[0])!r}, max = {float(np.max(sups))!r}")
     if record.max_remainder_scaled is not None:
         print(f"max remainder scaled = {record.max_remainder_scaled!r}")
-    if out is not None:
-        path = out / "diagnostics.csv"
-        with open(path, "w") as fh:
-            fh.write("t,r1,r2,r3\n")
-            for r in ratios:
-                row = [repr(float(r.t))] + [
-                    "" if v is None else repr(float(v)) for v in (r.r1, r.r2, r.r3)]
-                fh.write(",".join(row) + "\n")
-        print(f"wrote {path}")
+    path = _output(args, "diagnostics.csv")
+    with open(path, "w") as fh:
+        fh.write("t,r1,r2,r3\n")
+        for r in ratios:
+            row = [repr(float(r.t))] + [
+                "" if v is None else repr(float(v)) for v in (r.r1, r.r2, r.r3)]
+            fh.write(",".join(row) + "\n")
+    print(f"wrote {path}")
     return 0
 
 
@@ -245,13 +219,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", default=None, help="path to a JSON experiment config")
-    parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--jobs", type=int, default=None, help="parallel runs in a sweep")
+    parser.add_argument("--out", default="runs",
+                        help="output directory, created when the first output is written")
+    parser.add_argument("--jobs", type=int, default=1, help="parallel runs in a sweep (>= 1)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be positive, got {args.jobs}")
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, RuntimeError) as e:

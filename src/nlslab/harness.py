@@ -1,9 +1,11 @@
 """Experiment configuration, run persistence, and CSV emission.
 
-One JSON config file drives every entry point.  All quantities are
-nondimensional (the equation is already in normalized units); lam is stored
-as [re, im].  Serialization is canonical: parse(serialize(c)) == c, unknown
-keys are rejected, and identical configs produce byte-identical outputs.
+One JSON config file states the experiment of every entry point; where the
+outputs go and how many processes compute a sweep are CLI flags.  All
+quantities are nondimensional (the equation is already in normalized units);
+lam is stored as [re, im].  Serialization is canonical: parse(serialize(c)) ==
+c, unknown keys are rejected, and identical configs produce byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ class ExperimentConfig:
     eps_ladder: list = field(default_factory=lambda: [0.4, 0.3, 0.2, 0.15])
     t_max: float = 200.0
     tolerance: float = 0.1
-    out_dir: str = "runs"
-    jobs: int = 1
     enforce_hypotheses: bool = True
     record_every: int = 4
     schema_version: int = SCHEMA_VERSION
@@ -92,18 +92,19 @@ class ExperimentConfig:
     def params(self) -> NonlinearityParams:
         return NonlinearityParams(lam=self.lam, theta=self.theta, d=self.d)
 
-    def solver_config(self, eps: float | None = None) -> SolverConfig:
-        """The solver's config; every field the two configs share is passed by name."""
+    def solver_config(self) -> SolverConfig:
+        """The solver's config at the first rung; every field the two configs share is
+        passed by name."""
         shared = {f.name for f in fields(SolverConfig)} & {f.name for f in fields(self)}
         return SolverConfig(
             grid=self.grid(),
             params=self.params(),
-            eps=self.eps_ladder[0] if eps is None else eps,
+            eps=self.eps_ladder[0],
             **{name: getattr(self, name) for name in shared},
         )
 
 
-_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number",
                list: "a list of numbers"}
 
 

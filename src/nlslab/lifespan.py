@@ -232,8 +232,11 @@ def decay_ratio_diagnostics(diag: DiagnosticsLog, cfg: SolverConfig) -> list:
 
 
 def decreasing_ladder(eps_ladder) -> list:
-    """The eps ladder as floats; ValueError unless finite, >= 0 and strictly decreasing."""
+    """The eps ladder as floats; ValueError unless it has a rung and its rungs are
+    finite, >= 0 and strictly decreasing."""
     ladder = [float(e) for e in eps_ladder]
+    if not ladder:
+        raise ValueError("eps ladder must hold at least one rung, got []")
     if not all(0.0 <= e < np.inf for e in ladder):
         raise ValueError(f"eps ladder rungs must be finite and >= 0, got {ladder}")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
@@ -251,7 +254,8 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
     the first run, so a datum that no rung can start from raises ValueError
     before any run.  Each record is stamped with the bound value and its
     scaled remainder maximum.  Returns (records, summary, bound), with bound
-    from :func:`bound_or_none`.  The ladder must be strictly decreasing.
+    from :func:`bound_or_none`.  The ladder must be non-empty and strictly
+    decreasing.
     Censored (reached t_max) and boundary-contaminated runs are excluded from
     the bound verdict; if no usable run remains, or the config has no bound,
     the verdict is INCONCLUSIVE.
@@ -265,7 +269,8 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork-started pool forks all its workers up front: one per rung at most
+        with ProcessPoolExecutor(max_workers=min(jobs, len(states))) as pool:
             records = list(pool.map(run_to_blowup, states))
     else:
         records = [run_to_blowup(state) for state in states]

@@ -309,13 +309,12 @@ def spectral_tail_fraction(f: ComplexField, *, spectral_power: np.ndarray | None
     """Fraction of spectral energy carried by modes with max_i |xi_i| above 2/3 of Nyquist.
 
     The resolution-adequacy monitor: well-resolved fields keep this tiny.
-    `spectral_power` is ``np.abs(dft(f.values)) ** 2`` of a
-    physical-space f when the caller already has it; the values of a
-    frequency-space f serve as the spectrum.
+    `spectral_power` is ``np.abs(dft(f.values)) ** 2`` when the caller
+    already has it.
     """
+    _require_space(f, Space.PHYSICAL, "spectral_tail_fraction")
     if spectral_power is None:
-        spectrum = f.values if f.space is Space.FREQUENCY else dft(f.values)
-        spectral_power = np.abs(spectrum) ** 2
+        spectral_power = np.abs(dft(f.values)) ** 2
     total = np.sum(spectral_power)
     if total == 0.0:
         return 0.0

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import pytest
 
-from nlslab import lifespan
+from nlslab import cli, lifespan
 from nlslab.cli import main
 from nlslab.harness import (
     CSV_COLUMNS,
@@ -35,9 +35,10 @@ NON_FINITE_CONFIGS = [
     ({"eps_ladder": [BIG]}, f"config field 'eps_ladder' must be finite, got [{BIG}]"),
     ({"lam": [0, BIG]}, f"config field 'lam' must be finite, got [0, {BIG}]"),
     ({"t_max": BIG}, f"config field 't_max' must be finite, got {BIG}"),
+    ({"eps_ladder": []}, "eps ladder must hold at least one rung, got []"),
 ]
 NON_FINITE_IDS = ["infinite-t-max", "infinite-lam", "nan-rung", "negative-rung",
-                  "huge-L", "huge-rung", "huge-lam", "huge-t-max"]
+                  "huge-L", "huge-rung", "huge-lam", "huge-t-max", "empty-ladder"]
 # grids beyond 2**24 points: n too large for a float, and one that would take 8 TiB
 OVERSIZED_GRID_CONFIGS = [
     ({"n": 2**1100, "L": 20.0, "eps_ladder": [0.4]},
@@ -55,7 +56,7 @@ def small_config_dict(**over):
         "lam": [0.0, 1.0], "theta": 0.5, "s": 1.0,
         "eps_ladder": [0.4, 0.3],
         "t_max": 30.0,
-        "record_every": 8, "out_dir": "runs",
+        "record_every": 8,
     }
     base.update(over)
     return base
@@ -116,7 +117,6 @@ class TestConfig:
         cfg = ExperimentConfig(eps_ladder=[0.3, 0.2], **changed)
         assert cfg.solver_config() == SolverConfig(grid=cfg.grid(), params=cfg.params(),
                                                    eps=0.3, **changed)
-        assert cfg.solver_config(0.2).eps == 0.2
 
     def test_ladder_must_decrease(self):
         for ladder in ([0.3, 0.4], [0.3, 0.3]):
@@ -212,15 +212,16 @@ class TestCli:
         ({"eps_ladder": 0.4}, "config field 'eps_ladder' must be a list of numbers"),
         ({"eps_ladder": [0.4, True]}, "config field 'eps_ladder' must be a list of numbers"),
         ({"lam": [None, 1]}, "config field 'lam' must be a list of numbers"),
-        ({"jobs": "two"}, "config field 'jobs' must be an integer, got 'two'"),
+        ({"jobs": "two"}, "unknown config field 'jobs'"),
+        ({"eps_ladder": []}, "eps ladder must hold at least one rung, got []"),
         ({"record_every": 2.5}, "config field 'record_every' must be an integer, got 2.5"),
         ({"record_every": True}, "config field 'record_every' must be an integer, got True"),
         ({"enforce_hypotheses": 1}, "config field 'enforce_hypotheses' must be a boolean"),
         *OVERSIZED_GRID_CONFIGS,
     ], ids=["unknown-bump-key", "non-object-spec", "non-object-bump",
             "profile-ode-block", "string-int", "string-float", "null-float",
-            "scalar-ladder", "bool-in-ladder", "null-in-lam", "string-jobs", "float-int",
-            "bool-int", "int-bool", *OVERSIZED_GRID_IDS])
+            "scalar-ladder", "bool-in-ladder", "null-in-lam", "string-jobs", "empty-ladder",
+            "float-int", "bool-int", "int-bool", *OVERSIZED_GRID_IDS])
     def test_bounds_rejects_bad_config(self, tmp_path, capsys, over, message):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config_dict(**over)))
@@ -254,8 +255,8 @@ class TestCli:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config_dict(
             initial_data={"kind": "gaussian", "width": 1.0, "amplitude": 1e4},
-            n=256, L=20.0, eps_ladder=[0.4], out_dir=str(tmp_path / "out"))))
-        assert main([command, "--config", str(path)]) == 1
+            n=256, L=20.0, eps_ladder=[0.4])))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: sup-norm cap 1e3/eps = 2500.0 ")
         assert not (tmp_path / "out").exists()
 
@@ -266,11 +267,10 @@ class TestCli:
         assert "line" in capsys.readouterr().err
 
     def test_simulate_free_case_reports_drift(self, tmp_path, capsys):
-        cfg = small_config_dict(lam=[0.0, 0.0], t_max=0.5, eps_ladder=[0.3],
-                                out_dir=str(tmp_path / "out"))
+        cfg = small_config_dict(lam=[0.0, 0.0], t_max=0.5, eps_ladder=[0.3])
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
-        assert main(["simulate", "--config", str(path)]) == 0
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out
         drift_line = [l for l in out.splitlines() if "l2 drift" in l]
         assert drift_line
@@ -280,11 +280,10 @@ class TestCli:
     def test_simulate_writes_the_one_rung_sweep_record(self, tmp_path, capsys):
         # the first rung of a two-rung ladder against the sweep of that rung alone
         sim_path, sweep_path = tmp_path / "sim.json", tmp_path / "sweep.json"
-        sim_path.write_text(json.dumps(small_config_dict(out_dir=str(tmp_path / "sim"))))
-        sweep_path.write_text(json.dumps(small_config_dict(
-            eps_ladder=[0.4], out_dir=str(tmp_path / "sweep"))))
-        assert main(["simulate", "--config", str(sim_path)]) == 0
-        assert main(["sweep", "--config", str(sweep_path)]) == 0
+        sim_path.write_text(json.dumps(small_config_dict()))
+        sweep_path.write_text(json.dumps(small_config_dict(eps_ladder=[0.4])))
+        assert main(["simulate", "--config", str(sim_path), "--out", str(tmp_path / "sim")]) == 0
+        assert main(["sweep", "--config", str(sweep_path), "--out", str(tmp_path / "sweep")]) == 0
         capsys.readouterr()
         simulated = (tmp_path / "sim" / "run_eps0.4.json").read_bytes()
         assert simulated == (tmp_path / "sweep" / "run_eps0.4.json").read_bytes()
@@ -372,43 +371,40 @@ class TestCli:
     @pytest.mark.parametrize("over", [{"theta": 1.0}, {"lam": [0.0, 0.0]}],
                              ids=["critical", "unitary"])
     def test_simulate_without_a_bound_keeps_it_none(self, tmp_path, capsys, over):
-        cfg = small_config_dict(t_max=0.5, eps_ladder=[0.3], out_dir=str(tmp_path / "out"),
-                                **over)
+        cfg = small_config_dict(t_max=0.5, eps_ladder=[0.3], **over)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
-        assert main(["simulate", "--config", str(path)]) == 0
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         capsys.readouterr()
         record = load_run(tmp_path / "out" / "run_eps0.3.json")
         assert record.bound_value is None and record.max_remainder_scaled is None
 
     def test_sweep_writes_deterministic_outputs(self, tmp_path, capsys):
         cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(small_config_dict(out_dir=str(tmp_path / "o1"))))
-        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        cfg_path.write_text(json.dumps(small_config_dict()))
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o1")]) == 0
         out = capsys.readouterr().out
         assert "verdict: PASS" in out
         csv1 = (tmp_path / "o1" / "summary.csv").read_bytes()
 
         cfg_path2 = tmp_path / "c2.json"
-        cfg_path2.write_text(json.dumps(small_config_dict(out_dir=str(tmp_path / "o2"))))
-        assert main(["sweep", "--config", str(cfg_path2)]) == 0
+        cfg_path2.write_text(json.dumps(small_config_dict()))
+        assert main(["sweep", "--config", str(cfg_path2), "--out", str(tmp_path / "o2")]) == 0
         capsys.readouterr()
         csv2 = (tmp_path / "o2" / "summary.csv").read_bytes()
         assert csv1 == csv2
 
     def test_sweep_inconclusive_exit_code(self, tmp_path, capsys):
-        cfg = small_config_dict(t_max=0.2, eps_ladder=[0.05, 0.02],
-                                out_dir=str(tmp_path / "out"))
+        cfg = small_config_dict(t_max=0.2, eps_ladder=[0.05, 0.02])
         path = tmp_path / "c.json"
         path.write_text(json.dumps(cfg))
-        assert main(["sweep", "--config", str(path)]) == 2
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "INCONCLUSIVE" in capsys.readouterr().out
 
     def test_profile_ode_subcommand(self, tmp_path, capsys):
-        cfg = small_config_dict(out_dir=str(tmp_path / "out"))
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(cfg))
-        assert main(["profile-ode", "--config", str(path)]) == 0
+        path.write_text(json.dumps(small_config_dict()))
+        assert main(["profile-ode", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out
         assert "C0 =" in out and "M =" in out
         assert (tmp_path / "out" / "profile_trajectory.csv").exists()
@@ -419,10 +415,9 @@ class TestCli:
         ({"eps_ladder": [0.2], "n": 512, "L": 50.0}, True),
     ], ids=["eps0.4", "eps0.2"])
     def test_diagnostics_subcommand(self, tmp_path, capsys, over, windowed):
-        cfg = small_config_dict(out_dir=str(tmp_path / "out"), **over)
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(cfg))
-        assert main(["diagnostics", "--config", str(path)]) == 0
+        path.write_text(json.dumps(small_config_dict(**over)))
+        assert main(["diagnostics", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out
         assert "r1:" in out and "r3:" in out
         assert "remainder sup over t in [" in out and "np.float64" not in out
@@ -442,35 +437,32 @@ class TestCli:
         assert 1.8 <= order <= 2.4
 
     def test_out_on_a_regular_file_is_an_error(self, tmp_path, capsys):
+        # every command that writes computes first, then fails on its first write
+        # with one error line, whether --out is a regular file or lies under one
         cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(small_config_dict(
-            lam=[0.0, 0.0], t_max=0.5, eps_ladder=[0.3])))
+        cfg_path.write_text(json.dumps(small_config_dict(t_max=0.5, eps_ladder=[0.3])))
         blocker = tmp_path / "taken"
         blocker.write_text("")
-        assert main(["simulate", "--config", str(cfg_path), "--out", str(blocker)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        for command in ("simulate", "sweep", "diagnostics", "profile-ode"):
+            for out in (blocker, blocker / "x"):
+                assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+                captured = capsys.readouterr()
+                assert captured.out and "wrote" not in captured.out
+                assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert blocker.read_text() == ""
-
-    @pytest.mark.parametrize("command", ["simulate", "sweep", "diagnostics", "profile-ode"])
-    def test_unusable_out_fails_before_the_run(self, tmp_path, capsys, command):
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(small_config_dict()))
-        blocker = tmp_path / "taken"
-        blocker.write_text("")
-        assert main([command, "--config", str(cfg_path), "--out", str(blocker / "x")]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("command, over, message", [
         ("sweep", {"eps_ladder": [0.3, 0.4]}, "eps ladder must be strictly decreasing"),
         ("profile-ode", {"profile_ode": {"eps": 0.9}}, "unknown config field 'profile_ode'"),
-        ("sweep", {"jobs": "two"}, "config field 'jobs' must be an integer"),
+        ("sweep", {"jobs": "two"}, "unknown config field 'jobs'"),
         ("simulate", {"record_every": 2.5}, "config field 'record_every' must be an integer"),
+        *((command, {"eps_ladder": []}, "eps ladder must hold at least one rung")
+          for command in ("diagnostics", "bounds")),
         *((command, over, message)
           for over, message in NON_FINITE_CONFIGS + OVERSIZED_GRID_CONFIGS
           for command in ("simulate", "sweep")),
     ], ids=["sweep-ladder", "profile-ode-block", "sweep-string-jobs",
-            "simulate-float-record-every",
+            "simulate-float-record-every", "diagnostics-empty-ladder", "bounds-empty-ladder",
             *(f"{command}-{case}" for case in NON_FINITE_IDS + OVERSIZED_GRID_IDS
               for command in ("simulate", "sweep"))])
     def test_rejected_config_leaves_no_out_dir(self, tmp_path, capsys, command, over, message):
@@ -491,11 +483,36 @@ class TestCli:
         monkeypatch.setattr(lifespan, "run_to_blowup", vanishing_step)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config_dict()))
+        out = tmp_path / "out"
         for command in ("simulate", "sweep", "diagnostics"):
-            assert main([command, "--config", str(path)]) == 1
+            assert main([command, "--config", str(path), "--out", str(out)]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: step size 0.0 vanishes at t=1.0\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "diagnostics"])
+    def test_datum_is_built_once_per_command(self, tmp_path, capsys, monkeypatch, command):
+        build, calls = lifespan.build_initial_data, []
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        for module in (cli, lifespan):
+            monkeypatch.setattr(module, "build_initial_data", counted)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config_dict(eps_ladder=[0.4])))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_must_be_positive(self, capsys, jobs):
+        with pytest.raises(SystemExit) as usage:
+            main(["sweep", "--jobs", jobs])
+        assert usage.value.code == 2
+        assert f"--jobs must be positive, got {jobs}" in capsys.readouterr().err
 
     def test_sweep_jobs_leave_the_outputs_unchanged(self, tmp_path, capsys):
         # --jobs changes how many processes compute a sweep, not what it writes
@@ -519,11 +536,17 @@ class TestCli:
         assert usage.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
-    def test_out_flag_overrides(self, tmp_path, capsys):
-        cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(small_config_dict(
-            lam=[0.0, 0.0], t_max=0.5, eps_ladder=[0.3], out_dir="ignored")))
-        out_dir = tmp_path / "flagged"
-        assert main(["simulate", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
-        capsys.readouterr()
-        assert any(out_dir.iterdir())
+    def test_out_dir_and_jobs_are_flags_only(self, tmp_path, capsys, monkeypatch):
+        # the config states the experiment; a config that still carries a deployment
+        # setting fails before it creates the default --out, ./runs
+        monkeypatch.chdir(tmp_path)
+        assert main(["print-config"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert "out_dir" not in printed and "jobs" not in printed
+        for key, value in (("out_dir", "elsewhere"), ("jobs", 1)):
+            (tmp_path / "c.json").write_text(json.dumps(small_config_dict(**{key: value})))
+            assert main(["simulate", "--config", "c.json"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: unknown config field {key!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]

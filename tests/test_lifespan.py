@@ -1,5 +1,8 @@
 """Bound constants, profile extraction, diagnostic ratios, and the eps-sweep."""
 
+import concurrent.futures
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -208,7 +211,7 @@ def default_rungs():
     base = ExperimentConfig()
     out = {}
     for eps in (0.2, 0.15):
-        cfg = base.solver_config(eps=eps)
+        cfg = replace(base.solver_config(), eps=eps)
         phi = build_initial_data(cfg.grid, base.initial_data)
         out[eps] = cfg, run_to_blowup(init(cfg, phi))
     return out
@@ -325,11 +328,12 @@ class TestLemmaDiagnostics:
 
 
 class TestSweep:
-    @pytest.mark.parametrize("ladder", [[0.4, np.nan], [0.4, -0.1], [np.inf, 0.4]])
+    @pytest.mark.parametrize("ladder", [[0.4, np.nan], [0.4, -0.1], [np.inf, 0.4], []])
     def test_ladder_rungs_must_be_finite_and_non_negative(self, ladder):
         cfg = SolverConfig(grid=Grid(1, 64, 20.0), params=NonlinearityParams(1j, 0.5, 1),
                            eps=0.4, s=1.0)
-        with pytest.raises(ValueError, match="eps ladder rungs must be finite and >= 0"):
+        with pytest.raises(ValueError, match="eps ladder (rungs must be finite and >= 0|"
+                                             "must hold at least one rung)"):
             sweep(ladder, cfg, GAUSS_SPEC)
 
     def test_micro_ladder_passes(self):
@@ -385,13 +389,22 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep([0.2, 0.3], cfg, GAUSS_SPEC)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        # the pool holds one worker per rung at most, however large jobs is
+        pool_class, sizes = concurrent.futures.ProcessPoolExecutor, []
+
+        def sized_pool(max_workers):
+            sizes.append(max_workers)
+            return pool_class(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", sized_pool)
         params = NonlinearityParams(lam=1j, theta=0.5, d=1)
         cfg = SolverConfig(grid=Grid(1, 256, 25.0), params=params, eps=0.4, s=1.0,
                            t_max=30.0, record_every=8)
         serial, _, _ = sweep([0.4, 0.3], cfg, GAUSS_SPEC, jobs=1)
-        parallel, _, _ = sweep([0.4, 0.3], cfg, GAUSS_SPEC, jobs=2)
+        parallel, _, _ = sweep([0.4, 0.3], cfg, GAUSS_SPEC, jobs=4)
         assert [r.T_eps for r in serial] == [r.T_eps for r in parallel]
+        assert sizes == [2]
 
     def test_profile_follows_reduced_ode(self):
         # end-to-end mechanism check: the extracted |A(t, 0)| along a blow-up

@@ -546,7 +546,7 @@ class TestStepLaw:
         # the default eps = 0.4 rung lies 7.4e-7 (relative, measured) from the
         # same run at step tolerance 1e-10; accepting the two-half-step field at
         # tolerance 1e-7 left it 2.0e-6 from there
-        cfg = ExperimentConfig().solver_config(0.4)
+        cfg = ExperimentConfig().solver_config()
         phi = gaussian(cfg.grid)
         t_eps = run_to_blowup(init(cfg, phi)).T_eps
         monkeypatch.setattr(solver, "_STEP_TOLERANCE", 1e-10)
