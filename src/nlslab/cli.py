@@ -3,11 +3,13 @@
 Subcommands: print-config, bounds, simulate, sweep, profile-ode, diagnostics,
 convergence.  The config file states the experiment only; --out (default
 "runs") and --jobs (default 1) change only where outputs go and how many
-processes compute them, and each output is created when it is written, after
-the command has computed it.  Exit status: 0 on success (including a
-conclusive PASS/FAIL sweep verdict), 1 on a domain, configuration, run or I/O
-error, 2 on an inconclusive verdict (every rung censored or contaminated, or a
-config with no bound: theta = 1 or Im(lam) <= 0) or a usage error.
+processes compute them.  An --out that is or lies under a non-directory is
+refused before any computation; else each output is created when it is
+written, after the command has computed it.  Exit status: 0 on success
+(including a conclusive PASS/FAIL sweep verdict), 1 on a domain,
+configuration, run or I/O error, 2 on an inconclusive verdict (every rung
+censored or contaminated, or a config with no bound: theta = 1 or
+Im(lam) <= 0) or a usage error.
 """
 
 from __future__ import annotations
@@ -45,6 +47,14 @@ from .spectral import Grid, fourier_forward, sup_modulus
 
 def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig() if args.config is None else ExperimentConfig.load(args.config)
+
+
+def _check_out(args) -> None:
+    """Refuse, before any computation, an --out that is or lies under a non-directory."""
+    out = Path(args.out)
+    nearest = next((p for p in (out, *out.parents) if p.exists()), Path("."))
+    if not nearest.is_dir():
+        raise NotADirectoryError(f"--out {str(out)!r}: {str(nearest)!r} is not a directory")
 
 
 def _output(args, name: str) -> Path:
@@ -96,6 +106,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
+    _check_out(args)
     (record,), _, _ = sweep(cfg.eps_ladder[:1], cfg.solver_config(), cfg.initial_data)
     print(f"eps = {record.eps!r}")
     print(f"status = {record.status}")
@@ -115,6 +126,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
+    _check_out(args)
     records, summary, _ = sweep(cfg.eps_ladder, cfg.solver_config(), cfg.initial_data,
                                 tolerance=cfg.tolerance, jobs=args.jobs)
     print(f"bound_value = {summary.bound_value!r}")
@@ -133,6 +145,7 @@ def _cmd_profile_ode(args) -> int:
     """The adversarial perturbation (c1 = c2 = 0.3, delta = 1, seed 0) from
     t_* = 0.5 with sigma = 0.2 tau1, at eps = 0.9 of the smallness bound."""
     cfg = _load_config(args)
+    _check_out(args)
     c, delta = 0.3, 1.0
     base = OdeParams(a=cfg.theta, b=cfg.params().b, lam=cfg.lam, eps=1.0,
                      t_star=0.5, psi0_sup=1.0)
@@ -157,6 +170,7 @@ def _cmd_profile_ode(args) -> int:
 
 def _cmd_diagnostics(args) -> int:
     cfg = _load_config(args)
+    _check_out(args)
     solver_cfg = cfg.solver_config()
     # the ratios need gamma = (2s-d)/8 in (0, 1/2]: check it before the run
     gamma_exponent(solver_cfg.s, solver_cfg.params.d)

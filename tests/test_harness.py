@@ -437,19 +437,29 @@ class TestCli:
         assert 1.8 <= order <= 2.4
 
     def test_out_on_a_regular_file_is_an_error(self, tmp_path, capsys):
-        # every command that writes computes first, then fails on its first write
-        # with one error line, whether --out is a regular file or lies under one
         cfg_path = tmp_path / "c.json"
-        cfg_path.write_text(json.dumps(small_config_dict(t_max=0.5, eps_ladder=[0.3])))
+        cfg_path.write_text(json.dumps(small_config_dict(
+            lam=[0.0, 0.0], t_max=0.5, eps_ladder=[0.3])))
         blocker = tmp_path / "taken"
         blocker.write_text("")
         for command in ("simulate", "sweep", "diagnostics", "profile-ode"):
-            for out in (blocker, blocker / "x"):
-                assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
-                captured = capsys.readouterr()
-                assert captured.out and "wrote" not in captured.out
-                assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert main([command, "--config", str(cfg_path), "--out", str(blocker)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+            assert captured.err.count("\n") == 1
         assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "diagnostics", "profile-ode"])
+    def test_unusable_out_fails_before_the_run(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(small_config_dict()))
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        assert main([command, "--config", str(cfg_path), "--out", str(blocker / "x")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert not (blocker / "x").exists()
 
     @pytest.mark.parametrize("command, over, message", [
         ("sweep", {"eps_ladder": [0.3, 0.4]}, "eps ladder must be strictly decreasing"),
