@@ -7,10 +7,9 @@ sup norm is within 1e-3 of the elapsed time.  The measured T_eps is then
 compared against the theoretical lower bound.
 """
 
-from nlslab import Grid, NonlinearityParams, fourier_forward
-from nlslab.initial_data import gaussian
-from nlslab.lifespan import theoretical_bound
-from nlslab.solver import SolverConfig, init, run_to_blowup
+from nlslab import Grid, NonlinearityParams
+from nlslab.lifespan import sweep
+from nlslab.solver import SolverConfig
 
 grid = Grid(1, 2048, 80.0)
 params = NonlinearityParams(lam=1j, theta=0.5, d=1)
@@ -18,9 +17,8 @@ eps = 0.3
 config = SolverConfig(grid=grid, params=params, eps=eps, s=1.0,
                       t_max=200.0, record_every=4)
 
-phi = gaussian(grid)
 print(f"running d=1, theta=1/2, lam=i, eps={eps} on n={grid.n}, L={grid.L} ...")
-record = run_to_blowup(init(config, phi))
+(record,), _, _ = sweep([eps], config, {"kind": "gaussian", "width": 1.0})
 
 samples = record.diagnostics.samples
 criterion = "pointwise" if record.t_blow_pointwise is not None else "threshold"
@@ -34,10 +32,9 @@ for s in samples[:: max(1, len(samples) // 12)]:
 last = samples[-1]
 print(f"  {last.t:7.3f}   {last.report.l_inf:9.4f}   {last.mass:.6f}   {last.energy:.4f}")
 
-rep = theoretical_bound(fourier_forward(phi), params)
-q = record.invariant_quantity
+q, bound = record.invariant_quantity, record.bound_value
 print(f"\nq_eps = eps * sqrt(T_eps) = {q:.4f}")
-print(f"bound_value               = {rep.bound_value:.4f}")
-print(f"lower bound respected: {q >= rep.bound_value}  (gap = {q - rep.bound_value:+.4f})")
+print(f"bound_value               = {bound:.4f}")
+print(f"lower bound respected: {q >= bound}  (gap = {q - bound:+.4f})")
 print(f"\nmax boundary-shell mass fraction = {record.max_shell_fraction:.2e}")
 print(f"max high-frequency tail fraction = {record.max_tail_fraction:.2e}")

@@ -10,9 +10,14 @@ that t^(theta+gamma) * sup|R| stays essentially flat.
 """
 
 from nlslab import Grid, NonlinearityParams
-from nlslab.initial_data import gaussian
-from nlslab.lifespan import gamma_exponent, decay_ratio_diagnostics, remainder_series, t_star_time
-from nlslab.solver import SolverConfig, init, run_to_blowup
+from nlslab.lifespan import (
+    decay_ratio_diagnostics,
+    gamma_exponent,
+    remainder_series,
+    sweep,
+    t_star_time,
+)
+from nlslab.solver import SolverConfig
 
 grid = Grid(1, 2048, 80.0)
 params = NonlinearityParams(lam=1j, theta=0.5, d=1)
@@ -20,8 +25,7 @@ config = SolverConfig(grid=grid, params=params, eps=0.2, s=1.0,
                       t_max=200.0, record_every=4)
 
 print("running eps = 0.2 to blow-up ...")
-state = init(config, gaussian(grid))
-record = run_to_blowup(state)
+(record,), _, _ = sweep([config.eps], config, {"kind": "gaussian", "width": 1.0})
 T = record.T_eps
 print(f"T_eps = {T:.4f}")
 

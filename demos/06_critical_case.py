@@ -11,9 +11,8 @@ bounded (in fact decaying) residual over t in [1, 100].
 import numpy as np
 
 from nlslab import Grid, NonlinearityParams, ComplexField, Space
-from nlslab.initial_data import gaussian
-from nlslab.lifespan import critical_bound, critical_pointwise_time, remainder_series
-from nlslab.solver import SolverConfig, init, run_to_blowup
+from nlslab.lifespan import critical_bound, critical_pointwise_time, remainder_series, sweep
+from nlslab.solver import SolverConfig
 
 g = Grid(1, 128, 10.0)
 datum = ComplexField(g, Space.FREQUENCY, np.exp(-g.xi_1d**2 / 2))
@@ -28,7 +27,7 @@ params = NonlinearityParams(lam=1j, theta=1.0, d=1)
 grid = Grid(1, 16384, 400.0)
 config = SolverConfig(grid=grid, params=params, eps=0.1, s=1.0, t_max=100.0,
                       record_every=20)
-record = run_to_blowup(init(config, gaussian(grid)))
+(record,), _, _ = sweep([config.eps], config, {"kind": "gaussian", "width": 1.0})
 print(f"status: {record.status} (censored = {record.censored}, as expected)")
 times, sups = remainder_series(record.diagnostics, config, t_min=1.0)
 print("   t      sup_xi |R(t, xi)|")

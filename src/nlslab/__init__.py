@@ -28,7 +28,6 @@ from .solver import (
     SolverConfig,
     SolverState,
     convergence_study,
-    index_condition_holds,
     init,
     make_record,
     mass_balance_residuals,

@@ -64,6 +64,13 @@ def _output(args, name: str) -> Path:
     return out / name
 
 
+def _say_if_outside(cfg: ExperimentConfig, record) -> None:
+    """One line for a run whose s lies outside the paper's index range."""
+    if record.outside_hypotheses:
+        print(f"s = {cfg.s!r} lies outside the admissible range d/2 < s < min(2, 1 + 2 theta/d) "
+              f"for d = {cfg.d}, theta = {cfg.theta!r}: records are flagged outside_hypotheses")
+
+
 def _cmd_print_config(args) -> int:
     cfg = _load_config(args)
     sys.stdout.write(cfg.serialize())
@@ -72,7 +79,7 @@ def _cmd_print_config(args) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg = _load_config(args)
-    params = cfg.params()  # validates theta in (0, 1] and the dimension
+    params = cfg.params()
     grid = cfg.grid()
     phi = build_initial_data(grid, cfg.initial_data)
     phi_hat = fourier_forward(phi)
@@ -108,6 +115,7 @@ def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     _check_out(args)
     (record,), _, _ = sweep(cfg.eps_ladder[:1], cfg.solver_config(), cfg.initial_data)
+    _say_if_outside(cfg, record)
     print(f"eps = {record.eps!r}")
     print(f"status = {record.status}")
     if record.T_eps is not None:
@@ -129,6 +137,7 @@ def _cmd_sweep(args) -> int:
     _check_out(args)
     records, summary, _ = sweep(cfg.eps_ladder, cfg.solver_config(), cfg.initial_data,
                                 tolerance=cfg.tolerance, jobs=args.jobs)
+    _say_if_outside(cfg, records[0])
     print(f"bound_value = {summary.bound_value!r}")
     for rec, q in zip(records, summary.q_values):
         q_str = "censored/invalid" if q is None else repr(q)

@@ -4,19 +4,21 @@ One JSON config file states the experiment of every entry point; where the
 outputs go and how many processes compute a sweep are CLI flags.  All
 quantities are nondimensional (the equation is already in normalized units);
 lam is stored as [re, im].  Serialization is canonical: parse(serialize(c)) ==
-c, unknown keys are rejected, and identical configs produce byte-identical
-outputs.
+c, and identical configs produce byte-identical outputs.  A config is checked
+whole when it loads, so every command refuses the same ones: unknown keys,
+values of the wrong JSON type or not finite, and whatever the grid, the
+nonlinearity or the solver config refuses.  An s outside the paper's index
+range is not refused: the run's record says so in outside_hypotheses.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .initial_data import check_spec
+from .initial_data import _check_type, check_spec
 from .lifespan import decreasing_ladder
 from .propagators import NonlinearityParams
 from .records import RunRecord, SweepSummary
@@ -38,7 +40,6 @@ class ExperimentConfig:
     eps_ladder: list = field(default_factory=lambda: [0.4, 0.3, 0.2, 0.15])
     t_max: float = 200.0
     tolerance: float = 0.1
-    enforce_hypotheses: bool = True
     record_every: int = 4
     schema_version: int = SCHEMA_VERSION
 
@@ -51,7 +52,7 @@ class ExperimentConfig:
             if key == "initial_data":
                 check_spec(value)
             else:
-                _check_type(key, value, defaults[key])
+                _check_type(f"config field {key!r}", value, defaults[key])
         data = dict(data)
         if "lam" in data:
             lam = data["lam"]
@@ -63,6 +64,7 @@ class ExperimentConfig:
         if cfg.schema_version != SCHEMA_VERSION:
             raise ValueError(
                 f"config schema_version {cfg.schema_version} != supported {SCHEMA_VERSION}")
+        cfg.solver_config()  # the grid, the nonlinearity and the run settings check themselves
         return cfg
 
     def to_dict(self) -> dict:
@@ -102,26 +104,6 @@ class ExperimentConfig:
             eps=self.eps_ladder[0],
             **{name: getattr(self, name) for name in shared},
         )
-
-
-_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number",
-               list: "a list of numbers"}
-
-
-def _check_type(key: str, value, default) -> None:
-    """Reject a JSON value of another type than the field's default, or a number that is
-    not a finite float (json reads NaN, Infinity and integers of any size); an integer
-    passes for a number, and a list holds numbers."""
-    want, numbers = type(default), (int, float)
-    if want is float:
-        ok = type(value) in numbers
-    else:
-        ok = type(value) is want and (want is not list or all(type(v) in numbers for v in value))
-    if not ok:
-        raise ValueError(f"config field {key!r} must be {_JSON_TYPES[want]}, got {value!r}")
-    if want in (float, list) and not all(
-            abs(v) <= sys.float_info.max for v in (value if want is list else [value])):
-        raise ValueError(f"config field {key!r} must be finite, got {value!r}")
 
 
 def _diagnostics_to_dict(diag) -> dict:

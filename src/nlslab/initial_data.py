@@ -1,8 +1,10 @@
-"""Built-in initial-data profiles: gaussian, super-gaussian, and sums of bumps."""
+"""Built-in initial-data profiles (gaussian, super-gaussian, sums of bumps) and the
+JSON type rule that every config value obeys."""
 
 from __future__ import annotations
 
 import inspect
+import sys
 
 import numpy as np
 
@@ -61,15 +63,41 @@ def bump_sum(grid: Grid, bumps) -> ComplexField:
 BUILDERS = {"gaussian": gaussian, "super_gaussian": super_gaussian, "bump_sum": bump_sum}
 
 
-def _check_keys(builder, keys, what: str):
-    """Every key must name a parameter of the builder, and every required one must be given."""
+_JSON_TYPES = {int: "an integer", float: "a number", list: "a list of numbers",
+               type(None): "a number or a list of numbers"}
+
+
+def _check_type(name: str, value, default) -> None:
+    """Reject a JSON value of another type than `default`, or a number that is not a
+    finite float (json reads NaN, Infinity and integers of any size); an integer
+    passes for a number, a list holds numbers, and a None default takes either."""
+    want, numbers = type(default), (int, float)
+    items = value if type(value) is list else [value]
+    if want is float:
+        ok = type(value) in numbers
+    elif want is int:
+        ok = type(value) is int
+    else:
+        ok = (type(value) is list or default is None) and all(type(v) in numbers for v in items)
+    if not ok:
+        raise ValueError(f"{name} must be {_JSON_TYPES[want]}, got {value!r}")
+    if want is not int and not all(abs(v) <= sys.float_info.max for v in items):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_fields(builder, spec: dict, what: str):
+    """Every key must name a parameter of the builder, every required one must be given,
+    and every value must have the JSON type of its parameter's default."""
     params = {k: p for k, p in inspect.signature(builder).parameters.items() if k != "grid"}
-    extra = set(keys) - set(params)
+    extra = set(spec) - set(params)
     if extra:
         raise ValueError(f"unknown {what}: {sorted(extra)}")
-    missing = {k for k, p in params.items() if p.default is p.empty} - set(keys)
+    missing = {k for k, p in params.items() if p.default is p.empty} - set(spec)
     if missing:
         raise ValueError(f"missing {what}: {sorted(missing)}")
+    for key, value in spec.items():
+        if params[key].default is not params[key].empty:
+            _check_type(f"initial_data field {key!r}", value, params[key].default)
 
 
 def check_spec(spec: dict) -> None:
@@ -79,13 +107,14 @@ def check_spec(spec: dict) -> None:
     kind = spec.get("kind")
     if kind not in BUILDERS:
         raise ValueError(f"unknown initial-data kind {kind!r}; expected one of {sorted(BUILDERS)}")
-    _check_keys(BUILDERS[kind], set(spec) - {"kind"}, f"initial_data fields for {kind!r}")
+    _check_fields(BUILDERS[kind], {k: v for k, v in spec.items() if k != "kind"},
+                  f"initial_data fields for {kind!r}")
     if kind == "bump_sum":
         bumps = spec["bumps"]
         if not (isinstance(bumps, list) and all(isinstance(b, dict) for b in bumps)):
             raise ValueError(f"initial_data bumps must be a list of objects, got {bumps!r}")
         for bump in bumps:
-            _check_keys(gaussian, bump, "initial_data fields for a bump_sum bump")
+            _check_fields(gaussian, bump, "initial_data fields for a bump_sum bump")
 
 
 def build(grid: Grid, spec: dict) -> ComplexField:

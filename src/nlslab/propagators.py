@@ -12,6 +12,7 @@ from .spectral import (
     Grid,
     Space,
     _back_propagation_phase,
+    _phase_overflows,
     _read_only,
     _require_space,
     dft,
@@ -71,12 +72,9 @@ def _free_multiplier(grid: Grid, t: float) -> np.ndarray:
     Propagation over t is back-propagation over -t, so the values come from
     the same 1-D factor: in d = 1 they equal ``np.exp(-0.5j * t *
     grid.abs_xi_sq)`` bit for bit, and every step size costs n/2 + 1
-    complex exponentials, however large the grid.  The phase's angle grows
-    with |xi|, so the lattice's values are all finite exactly when its angle
-    at the Nyquist frequency is.
+    complex exponentials, however large the grid.
     """
-    nyquist = float(grid.xi_1d[grid.n // 2])
-    if not math.isfinite((0.5 * -float(t)) * (nyquist * nyquist)):  # Python floats: no warning
+    if _phase_overflows(grid, -t):
         raise ValueError(f"free propagation over t={t!r} overflows the phase on the lattice")
     return _read_only(_back_propagation_phase(grid, -t))
 

@@ -77,23 +77,18 @@ class RunStatus(str, Enum):
     REACHED_TMAX = "reached-t-max"
 
 
-def index_condition_holds(d: int, theta: float, s: float) -> bool:
-    """Admissible Sobolev range d/2 < s < min(2, 1 + 2 theta / d)."""
-    return d / 2.0 < s < min(2.0, 1.0 + 2.0 * theta / d)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Everything one run depends on that callers vary; the step tolerance, first
     step, horizon fraction, event bracket, sup-norm cap, shell tolerance and
-    snapshot budget are this module's constants."""
+    snapshot budget are this module's constants.  Any s runs; one outside the
+    paper's range sets the record's outside_hypotheses."""
 
     grid: Grid
     params: NonlinearityParams
     eps: float
     s: float
     t_max: float = 100.0
-    enforce_hypotheses: bool = True
     record_every: int = 1
 
     def __post_init__(self):
@@ -103,16 +98,11 @@ class SolverConfig:
             raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
         if not self.record_every > 0:
             raise ValueError(f"record_every must be positive, got {self.record_every}")
-        if self.enforce_hypotheses and not self.index_condition_ok:
-            raise ValueError(
-                f"Sobolev index s={self.s} violates the admissible range "
-                f"d/2 < s < min(2, 1+2 theta/d) for d={self.params.d}, "
-                f"theta={self.params.theta}; pass enforce_hypotheses=False to run anyway"
-            )
 
     @property
     def index_condition_ok(self) -> bool:
-        return index_condition_holds(self.params.d, self.params.theta, self.s)
+        d = self.params.d
+        return d / 2.0 < self.s < min(2.0, 1.0 + 2.0 * self.params.theta / d)
 
     @property
     def threshold(self) -> float:

@@ -13,6 +13,7 @@ module chooses the numpy transform behind it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -255,6 +256,14 @@ def _back_propagation_phase(grid: Grid, t: float) -> np.ndarray:
     for _ in range(grid.d - 1):
         out = np.multiply.outer(out, factor)
     return out
+
+
+def _phase_overflows(grid: Grid, t: float) -> bool:
+    """Whether :func:`_back_propagation_phase` over t has a non-finite value.  Its angle
+    grows with |xi|, so its values are all finite exactly when its angle at the
+    Nyquist frequency, index n/2 in FFT order, is."""
+    nyquist = float(grid.xi_1d[grid.n // 2])
+    return not math.isfinite((0.5 * float(t)) * (nyquist * nyquist))  # Python floats: no warning
 
 
 def norms(f: ComplexField, t: float, s: float, *, spectrum: np.ndarray | None = None,

@@ -47,6 +47,32 @@ OVERSIZED_GRID_CONFIGS = [
      "a grid holds at most 2**24 points, got n = 2**40 per axis in d = 1"),
 ]
 OVERSIZED_GRID_IDS = ["n-beyond-float", "n-8-tib"]
+# initial-data values obey the rules of the config's own numbers; json reads 1e400 as inf
+INITIAL_DATA_CONFIGS = [
+    ({"initial_data": {"kind": "gaussian", "width": "a"}},
+     "initial_data field 'width' must be a number, got 'a'"),
+    ({"initial_data": {"kind": "gaussian", "width": [1, 2]}},
+     "initial_data field 'width' must be a number, got [1, 2]"),
+    ({"initial_data": {"kind": "gaussian", "width": True}},
+     "initial_data field 'width' must be a number, got True"),
+    ({"initial_data": {"kind": "gaussian", "width": float("inf")}},
+     "initial_data field 'width' must be finite, got inf"),
+    ({"initial_data": {"kind": "super_gaussian", "power": "2"}},
+     "initial_data field 'power' must be an integer, got '2'"),
+    ({"initial_data": {"kind": "super_gaussian", "power": 2.0}},
+     "initial_data field 'power' must be an integer, got 2.0"),
+    ({"initial_data": {"kind": "gaussian", "amplitude": "1"}},
+     "initial_data field 'amplitude' must be a number, got '1'"),
+    ({"initial_data": {"kind": "gaussian", "center": [0.0, "a"]}},
+     "initial_data field 'center' must be a number or a list of numbers, got [0.0, 'a']"),
+    ({"initial_data": {"kind": "gaussian", "modulation": {"k": 1}}},
+     "initial_data field 'modulation' must be a number or a list of numbers, got {'k': 1}"),
+    ({"initial_data": {"kind": "bump_sum", "bumps": [{"width": 1.0}, {"center": BIG}]}},
+     f"initial_data field 'center' must be finite, got {BIG}"),
+]
+INITIAL_DATA_IDS = ["string-width", "list-width", "bool-width", "infinite-width",
+                    "string-power", "float-power", "string-amplitude", "string-in-center",
+                    "object-modulation", "huge-bump-center"]
 
 
 def small_config_dict(**over):
@@ -109,7 +135,7 @@ class TestConfig:
             ExperimentConfig.parse('{"d": 1,\n "n": }')
 
     def test_solver_config_carries_every_shared_field(self):
-        changed = {"s": 1.1, "t_max": 12.0, "enforce_hypotheses": False, "record_every": 3}
+        changed = {"s": 1.1, "t_max": 12.0, "record_every": 3}
         shared = {f.name for f in fields(SolverConfig)} & {f.name for f in fields(ExperimentConfig)}
         assert shared == set(changed)
         default = ExperimentConfig()
@@ -216,12 +242,13 @@ class TestCli:
         ({"eps_ladder": []}, "eps ladder must hold at least one rung, got []"),
         ({"record_every": 2.5}, "config field 'record_every' must be an integer, got 2.5"),
         ({"record_every": True}, "config field 'record_every' must be an integer, got True"),
-        ({"enforce_hypotheses": 1}, "config field 'enforce_hypotheses' must be a boolean"),
+        ({"enforce_hypotheses": False}, "unknown config field 'enforce_hypotheses'"),
         *OVERSIZED_GRID_CONFIGS,
+        *INITIAL_DATA_CONFIGS,
     ], ids=["unknown-bump-key", "non-object-spec", "non-object-bump",
             "profile-ode-block", "string-int", "string-float", "null-float",
             "scalar-ladder", "bool-in-ladder", "null-in-lam", "string-jobs", "empty-ladder",
-            "float-int", "bool-int", "int-bool", *OVERSIZED_GRID_IDS])
+            "float-int", "bool-int", "removed-gate", *OVERSIZED_GRID_IDS, *INITIAL_DATA_IDS])
     def test_bounds_rejects_bad_config(self, tmp_path, capsys, over, message):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(small_config_dict(**over)))
@@ -291,8 +318,7 @@ class TestCli:
 
     # s = 0.4 < d/2 puts gamma = (2s - d)/8 below 0: the runs are defined, the
     # scaled remainder's window is not
-    OUTSIDE = {"d": 1, "n": 512, "L": 40.0, "s": 0.4, "eps_ladder": [0.4],
-               "enforce_hypotheses": False}
+    OUTSIDE = {"d": 1, "n": 512, "L": 40.0, "s": 0.4, "eps_ladder": [0.4]}
 
     # the critical case and a damping lam have no bound: sweep runs them as
     # simulate does and, with no bound to judge them by, is inconclusive
@@ -316,6 +342,39 @@ class TestCli:
         if sweep_exit == 2:
             assert "bound_value = None" in out and "verdict: INCONCLUSIVE" in out
             assert json.loads(simulated)["bound_value"] is None
+
+    # d = 3 with theta <= 3/4 leaves no admissible s at all
+    NO_ADMISSIBLE_S = {"d": 3, "n": 16, "L": 5.0, "theta": 0.7, "s": 1.6, "eps_ladder": [1.0],
+                       "t_max": 20.0}
+
+    @pytest.mark.parametrize("config, theta, sweep_exit", [
+        (OUTSIDE, 0.5, 0), (NO_ADMISSIBLE_S, 0.7, 2)], ids=["s-below-d-half", "no-admissible-s"])
+    def test_config_outside_the_index_range_runs_and_says_so(
+            self, tmp_path, capsys, config, theta, sweep_exit):
+        # the second ends boundary-contaminated, so its sweep is inconclusive
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        line = (f"s = {config['s']!r} lies outside the admissible range d/2 < s < "
+                f"min(2, 1 + 2 theta/d) for d = {config['d']}, theta = {theta!r}: "
+                "records are flagged outside_hypotheses")
+        run = f"run_eps{config['eps_ladder'][0]!r}.json"
+        for command, exit_code in (("simulate", 0), ("sweep", sweep_exit)):
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out)]) == exit_code
+            assert capsys.readouterr().out.splitlines()[0] == line
+            assert load_run(out / run).outside_hypotheses
+
+    def test_s_leaves_the_lifespan_unchanged(self, tmp_path, capsys):
+        # the bound holds no Sobolev index: s picks the tracked norms, not the run
+        records = {}
+        for s in (1.0, 0.4):
+            path = tmp_path / f"s{s}.json"
+            path.write_text(json.dumps(dict(self.OUTSIDE, s=s)))
+            assert main(["simulate", "--config", str(path), "--out", str(tmp_path / f"s{s}")]) == 0
+            assert ("lies outside" in capsys.readouterr().out) == (s == 0.4)
+            records[s] = load_run(tmp_path / f"s{s}" / "run_eps0.4.json")
+        assert records[0.4].T_eps == records[1.0].T_eps
+        assert records[0.4].outside_hypotheses and not records[1.0].outside_hypotheses
 
     def test_simulate_outside_the_hypotheses_leaves_the_scaled_remainder_none(
             self, tmp_path, capsys):
@@ -466,14 +525,17 @@ class TestCli:
         ("profile-ode", {"profile_ode": {"eps": 0.9}}, "unknown config field 'profile_ode'"),
         ("sweep", {"jobs": "two"}, "unknown config field 'jobs'"),
         ("simulate", {"record_every": 2.5}, "config field 'record_every' must be an integer"),
+        ("simulate", {"enforce_hypotheses": False}, "unknown config field 'enforce_hypotheses'"),
         *((command, {"eps_ladder": []}, "eps ladder must hold at least one rung")
           for command in ("diagnostics", "bounds")),
         *((command, over, message)
-          for over, message in NON_FINITE_CONFIGS + OVERSIZED_GRID_CONFIGS
+          for over, message in NON_FINITE_CONFIGS + OVERSIZED_GRID_CONFIGS + INITIAL_DATA_CONFIGS
           for command in ("simulate", "sweep")),
     ], ids=["sweep-ladder", "profile-ode-block", "sweep-string-jobs",
-            "simulate-float-record-every", "diagnostics-empty-ladder", "bounds-empty-ladder",
-            *(f"{command}-{case}" for case in NON_FINITE_IDS + OVERSIZED_GRID_IDS
+            "simulate-float-record-every", "simulate-removed-gate", "diagnostics-empty-ladder",
+            "bounds-empty-ladder",
+            *(f"{command}-{case}"
+              for case in NON_FINITE_IDS + OVERSIZED_GRID_IDS + INITIAL_DATA_IDS
               for command in ("simulate", "sweep"))])
     def test_rejected_config_leaves_no_out_dir(self, tmp_path, capsys, command, over, message):
         cfg_path = tmp_path / "c.json"
@@ -483,6 +545,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["print-config", "bounds", "simulate"])
+    @pytest.mark.parametrize("config, message", [
+        ({"theta": 2.0}, "theta must lie in (0, 1], got 2.0"),
+        ({"n": 100}, "points per axis must be a power of two >= 8, got 100"),
+        ({"t_max": -1.0}, "t_max must be finite and positive, got -1.0"),
+        ({"record_every": 0}, "record_every must be positive, got 0"),
+    ], ids=["theta", "n", "t_max", "record_every"])
+    def test_every_command_refuses_a_config_when_it_loads(
+            self, tmp_path, capsys, command, config, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
         assert not out.exists()
 
     def test_run_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):

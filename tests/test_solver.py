@@ -82,14 +82,16 @@ class TestConfig:
         monkeypatch.setattr(solver, "_SUP_CAP", 1.75)
         assert cfg.threshold == 7.0
 
-    def test_index_condition_enforced(self):
-        # d=3 with theta <= 3/4 leaves no admissible s at all
+    def test_config_outside_the_index_range_runs_flagged(self):
+        # d=3 with theta <= 3/4 leaves no admissible s at all; the run is still defined
         params = NonlinearityParams(lam=1j, theta=0.7, d=3)
-        with pytest.raises(ValueError):
-            SolverConfig(grid=Grid(3, 16, 5.0), params=params, eps=0.1, s=1.6)
-        cfg = SolverConfig(grid=Grid(3, 16, 5.0), params=params, eps=0.1, s=1.6,
-                           enforce_hypotheses=False)
+        cfg = SolverConfig(grid=Grid(3, 16, 5.0), params=params, eps=1.0, s=1.6, t_max=20.0)
         assert not cfg.index_condition_ok
+        record = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        assert record.outside_hypotheses and record.status == "boundary-contaminated"
+        inside = small_config()
+        assert inside.index_condition_ok
+        assert not run_to_blowup(init(inside, gaussian(inside.grid))).outside_hypotheses
 
     @pytest.mark.parametrize("field, value", [
         ("eps", np.nan), ("eps", np.inf), ("eps", -0.1),
@@ -104,14 +106,14 @@ class TestConfig:
             small_config(**{field: value})
 
     def test_fingerprint_changes_with_fields(self):
-        # every field but enforce_hypotheses can change a run's results; a
-        # field added without a value here fails the key check
+        # every field can change a run's results; a field added without a value
+        # here fails the key check
         changed = {
             "grid": Grid(1, 512, 20.0), "params": CONSERVATIVE, "eps": 0.31, "s": 1.5,
             "t_max": 60.0, "record_every": 2,
         }
         names = {f.name for f in dataclasses.fields(SolverConfig)}
-        assert set(changed) == names - {"enforce_hypotheses"}
+        assert set(changed) == names
         base = small_config()
         assert base.fingerprint() == small_config().fingerprint()
         for name, value in changed.items():

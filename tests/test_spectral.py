@@ -123,7 +123,8 @@ class TestFourier:
             assert np.array_equal(in_place, want)
 
     def test_no_other_module_calls_np_fft(self):
-        # the buffer rule lives in dft/idft alone: any other transform would bypass it
+        # the buffer rule lives in dft/idft alone: any other transform would bypass it;
+        # and the FFT index order too: no other module indexes the xi lattice
         def names(node):
             """The attribute or the modules and names that `node` reads."""
             if isinstance(node, ast.Attribute):
@@ -139,6 +140,10 @@ class TestFourier:
                    for node in ast.walk(ast.parse(path.read_text()))
                    if any(name.split(".")[-1] == "fft" for name in names(node))}
         assert callers == {"spectral.py"}
+        indexers = {path.name for path in package.glob("*.py")
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Subscript) and names(node.value) == ["xi_1d"]}
+        assert indexers == {"spectral.py"}
 
     def test_wrong_space_rejected(self):
         g = Grid(1, 16, 2.0)
