@@ -100,8 +100,23 @@ def _check_fields(builder, spec: dict, what: str):
             _check_type(f"initial_data field {key!r}", value, params[key].default)
 
 
+def _check_ranges(spec: dict) -> None:
+    """Reject a width that is not positive (the builders read only width**2) and a
+    super-gaussian power below 1 or too large to convert to a float."""
+    width = spec.get("width", 1.0)
+    if not width > 0:
+        raise ValueError(f"initial_data field 'width' must be positive, got {width!r}")
+    power = spec.get("power", 1)
+    if power < 1:
+        raise ValueError(f"initial_data field 'power' must be >= 1, got {power!r}")
+    if power > sys.float_info.max:
+        raise ValueError("initial_data field 'power' must convert to a float, got an "
+                         f"integer of {len(str(power))} digits")
+
+
 def check_spec(spec: dict) -> None:
-    """Reject an initial-data spec that its kind's builder would not accept."""
+    """Reject an initial-data spec that its kind's builder would not accept, or whose
+    width or power lies out of range."""
     if not isinstance(spec, dict):
         raise ValueError(f"initial_data must be an object, got {spec!r}")
     kind = spec.get("kind")
@@ -115,6 +130,9 @@ def check_spec(spec: dict) -> None:
             raise ValueError(f"initial_data bumps must be a list of objects, got {bumps!r}")
         for bump in bumps:
             _check_fields(gaussian, bump, "initial_data fields for a bump_sum bump")
+            _check_ranges(bump)
+    else:
+        _check_ranges(spec)
 
 
 def build(grid: Grid, spec: dict) -> ComplexField:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .initial_data import build as build_initial_data
-from .propagators import NonlinearityParams, blowup_horizon, coefficient_time, g_p
+from .propagators import NonlinearityParams, blowup_horizon, coefficient_time, g_p, t_star_time
 from .records import SweepSummary
 from .solver import DiagnosticsLog, SolverConfig, init, run_to_blowup
 from .spectral import (
@@ -37,15 +37,6 @@ def gamma_exponent(s: float, d: int) -> float:
     if not (0.0 < gamma <= 0.5):
         raise ValueError(f"gamma = (2s-d)/8 = {gamma} outside (0, 1/2]; s = {s}, d = {d}")
     return gamma
-
-
-def t_star_time(eps: float, theta: float, d: int) -> float:
-    """Hand-off time eps^(-theta/((1-theta) d)) where the profile ODE takes over."""
-    if not (0.0 < theta < 1.0):
-        raise ValueError(f"t_star is defined for theta in (0,1), got {theta}")
-    if not (eps > 0.0):
-        raise ValueError(f"t_star is defined for eps > 0, got {eps}")
-    return float(eps ** (-theta / ((1.0 - theta) * d)))
 
 
 @dataclass

@@ -173,6 +173,20 @@ def coefficient_time(t0: float, tau, a: float):
     return t0 * np.exp(np.log1p(ex * tau / t0**ex) / ex)
 
 
+def t_star_time(eps: float, theta: float, d: int) -> float:
+    """Hand-off time eps^(-theta/((1-theta) d)) where the profile ODE takes over;
+    inf where the power overflows a float.  The solver's snapshot grid is
+    dense from here on, and the remainder criterion is read from here to T/2."""
+    if not (0.0 < theta < 1.0):
+        raise ValueError(f"t_star is defined for theta in (0,1), got {theta}")
+    if not (eps > 0.0):
+        raise ValueError(f"t_star is defined for eps > 0, got {eps}")
+    try:
+        return float(eps ** (-theta / ((1.0 - theta) * d)))
+    except OverflowError:
+        return math.inf
+
+
 def nonlinear_flow_exact(z, dt, params: NonlinearityParams, *, out: np.ndarray | None = None,
                          scratch: np.ndarray | None = None, abs_b: np.ndarray | None = None):
     """Exact flow of i w' = lam |w|^b w over time dt, applied pointwise.

@@ -23,6 +23,9 @@ A run that does not blow up ends on t_max or on boundary contamination.
 A :class:`SolverState` is a field on the trajectory; how the run ended (its
 status, blow-up time and criterion) is the run loop's own, and goes only
 into the record, which ends on a sample of the run's last state at every exit.
+The run's :class:`DiagnosticsLog` keeps its samples and, for the remainder
+criterion read after the run, a bounded set of its fields: the first offered
+at or after each time of a grid geometric in 1 + t, dense from t_star on.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .propagators import (
     _multiply_spectrum,
     blowup_horizon,
     nonlinear_flow_exact,
+    t_star_time,
 )
 from .records import RunRecord, canonical_fingerprint
 from .spectral import (
@@ -68,7 +72,10 @@ _BRACKET = 1e-3  # an event is bracketed within this fraction of the elapsed tim
 _FIRST_STEP = 0.1 * 0.05  # 0.005000000000000001: a literal 0.005 would move every run's bits
 _SUP_CAP = 1e3  # sup|u| >= _SUP_CAP / eps is an event; there is no cap at eps = 0
 _SHELL_TOLERANCE = 1e-6  # outer-shell mass fraction above which a run is contaminated
-_SNAPSHOT_BUDGET = 128  # snapshots a run keeps, thinned to stay evenly spread in time
+_SNAPSHOT_BUDGET = 128  # the most snapshots a run keeps; more coarsen the snapshot grid
+_SPARSE_PER_DECADE = 16  # snapshot grid times per decade of 1 + t before t_star
+_DENSE_PER_DECADE = 160  # from t_star on: the eps = 0.2 rung keeps its 3 offers in [t_star, T/2]
+_DENSE_INDEX = 2**32  # grid index of t_star: every coarsening keeps it a grid time
 
 
 class RunStatus(str, Enum):
@@ -80,9 +87,9 @@ class RunStatus(str, Enum):
 @dataclass(frozen=True)
 class SolverConfig:
     """Everything one run depends on that callers vary; the step tolerance, first
-    step, horizon fraction, event bracket, sup-norm cap, shell tolerance and
-    snapshot budget are this module's constants.  Any s runs; one outside the
-    paper's range sets the record's outside_hypotheses."""
+    step, horizon fraction, event bracket, sup-norm cap, shell tolerance,
+    snapshot grid and snapshot budget are this module's constants.  Any s
+    runs; one outside the paper's range sets the record's outside_hypotheses."""
 
     grid: Grid
     params: NonlinearityParams
@@ -132,31 +139,53 @@ class DiagnosticSample:
 class DiagnosticsLog:
     """Diagnostics of one trajectory; every state along it shares this log.
 
-    Samples and snapshots are only appended, so accepting two fields from one
-    state writes both branches here.  An event step records neither.
-    :func:`_accept` is the one place that offers snapshots: every field it
-    accepts, after the trial's midpoint field for a run loop step; past the
-    budget the snapshots are thinned so that they stay evenly spread in time.
-    A snapshot is the state's own field, or a midpoint field, made read-only.
+    Samples are only appended, so accepting two fields from one state writes
+    both branches here.  An event step records nothing.  :func:`_accept` is
+    the one place that offers snapshots: every field it accepts, after the
+    trial's midpoint field for a run loop step, in time order.  The log keeps
+    the first field offered at or after each time of its snapshot grid and
+    nothing else.  The grid is geometric in 1 + t: `_SPARSE_PER_DECADE`
+    times per decade from t = 0, and `_DENSE_PER_DECADE` from `dense_from`
+    on, the run's t_star, where the remainder criterion is read.  An offer
+    that would make the snapshots more than `_SNAPSHOT_BUDGET` coarsens the
+    grid to every second time, as often as it takes, and drops what is no
+    longer the first offer at or after a grid time; `dense_from` stays a grid
+    time.  Every offer is made read-only, and a snapshot is the state's own
+    field, or a midpoint field, not a copy.
     """
 
     samples: list = field(default_factory=list)
     snapshot_times: list = field(default_factory=list)
     snapshots: list = field(default_factory=list)
+    dense_from: float = 1.0
+    _coarsening: int = field(default=0, init=False, repr=False)  # the grid keeps every 2**this time
+    _indices: list = field(default_factory=list, init=False, repr=False)  # of the snapshots
+    _last_offer: int = field(default=-1, init=False, repr=False)  # index of the last offer
+
+    def _grid_index(self, t: float) -> int:
+        """Index of the last time at or before t on the uncoarsened grid."""
+        if t < self.dense_from:
+            return math.floor(_SPARSE_PER_DECADE * math.log10(1.0 + t))
+        return _DENSE_INDEX + math.floor(
+            _DENSE_PER_DECADE * math.log10((1.0 + t) / (1.0 + self.dense_from)))
 
     def record_snapshot(self, t: float, values: np.ndarray):
-        times = self.snapshot_times
-        if times and times[-1] == t:
+        values.flags.writeable = False  # kept or not: no field on a trajectory changes
+        index, last = self._grid_index(t), self._last_offer
+        self._last_offer = index
+        if index >> self._coarsening <= last >> self._coarsening:
             return
-        times.append(t)
-        values.flags.writeable = False
+        self.snapshot_times.append(t)
         self.snapshots.append(values)
-        if len(times) > _SNAPSHOT_BUDGET:
-            # drop the first interior snapshot whose neighbours lie closest in
-            # time, or the older of two
-            t = np.array(times)
-            i = int(np.argmin(t[2:] - t[:-2])) + 1 if len(times) > 2 else 0
-            del times[i], self.snapshots[i]
+        self._indices.append(index)
+        while len(self.snapshots) > _SNAPSHOT_BUDGET:
+            self._coarsening += 1
+            cells = [i >> self._coarsening for i in self._indices]
+            # a snapshot stays when a coarser grid time lies after its predecessor, at or before it
+            keep = [k for k in range(len(cells)) if k == 0 or cells[k] != cells[k - 1]]
+            self.snapshot_times = [self.snapshot_times[k] for k in keep]
+            self.snapshots = [self.snapshots[k] for k in keep]
+            self._indices = [self._indices[k] for k in keep]
 
 
 @dataclass
@@ -209,8 +238,9 @@ def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
     trial field.  One pass of |u| gives the finiteness check, sup|u|, the
     boundary-shell fraction and the read-only |u|^b that every path from u
     reads, and the sample reuses it.  The midpoint `mid` = (t_mid, values),
-    when given, is offered as a snapshot first, then u; the state is sampled
-    every `record_every` steps.
+    when given, is offered as a snapshot first, then u (the log keeps the
+    first offer at or after each time of its snapshot grid); the state is
+    sampled every `record_every` steps.
     """
     absu = np.abs(u)
     sup = float(np.max(absu))
@@ -235,9 +265,20 @@ def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
     return state
 
 
+def _dense_from(config: SolverConfig) -> float:
+    """Where the snapshot grid turns dense: t_star, or t = 1 where t_star is
+    undefined (theta outside (0, 1) or eps = 0), the default start of
+    remainder_series."""
+    try:
+        return t_star_time(config.eps, config.params.theta, config.params.d)
+    except ValueError:
+        return 1.0
+
+
 def init(config: SolverConfig, phi: ComplexField) -> SolverState:
     """Fresh state u(0) = eps * phi, accepted as the run loop accepts a field: its
-    first snapshot and first sample are taken.
+    first snapshot and first sample are taken, in a log whose snapshot grid is
+    dense from t_star on.
 
     Raises ValueError when sup|u(0)| already reaches the sup-norm cap 1e3/eps:
     such a run has no event-free step to start from.
@@ -247,7 +288,7 @@ def init(config: SolverConfig, phi: ComplexField) -> SolverState:
     if not phi.is_finite():
         raise ValueError("initial datum contains non-finite values")
     u0 = config.eps * phi.values
-    state = _accept(config, DiagnosticsLog(), 0.0, u0, 0)
+    state = _accept(config, DiagnosticsLog(dense_from=_dense_from(config)), 0.0, u0, 0)
     if isinstance(state, str):
         raise ValueError(f"sup-norm cap 1e3/eps = {config.threshold!r} must exceed the "
                          f"initial sup|eps*phi| = {float(np.max(np.abs(u0)))!r}")
@@ -348,8 +389,8 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     :func:`_doubling_trial`).  If the error estimate err meets the step
     tolerance `_STEP_TOLERANCE`, the extrapolated field is accepted by
     :func:`_accept`, and only it gets the |u| pass, the shell check, a
-    snapshot and, every `record_every` accepted steps, a sample; the trial's
-    midpoint field is offered as a snapshot at t + dt/2 just before.
+    snapshot offer and, every `record_every` accepted steps, a sample; the
+    trial's midpoint field is offered as a snapshot at t + dt/2 just before.
     Otherwise, or for a non-finite trial field, the trial is retried.  The
     next proposal is dt * 0.9 (tol/err)^(1/3), at most 4 dt after an
     acceptance and at least dt/5 after a rejection.  A step that shrinks to

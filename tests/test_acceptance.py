@@ -193,17 +193,27 @@ LADDER = [0.4, 0.3, 0.2, 0.15]
 
 @pytest.fixture(scope="module")
 def ladder_runs():
-    """Shared runs: lam = i and lam = 2i ladders, plus an eps = 0.2 refinement."""
-    out = {}
-    for lam in (1j, 2j):
-        params = NonlinearityParams(lam=lam, theta=0.5, d=1)
-        cfg = SolverConfig(grid=Grid(1, 2048, 80.0), params=params, eps=0.4, s=1.0,
-                           t_max=200.0, record_every=4)
-        out[lam] = sweep(LADDER, cfg, GAUSS, tolerance=0.1)
-    params = NonlinearityParams(lam=1j, theta=0.5, d=1)
-    cfg_fine = SolverConfig(grid=Grid(1, 4096, 80.0), params=params, eps=0.2, s=1.0,
-                            t_max=200.0, record_every=4)
-    out["fine"] = sweep([0.2], cfg_fine, GAUSS, tolerance=0.1)
+    """Shared runs: lam = i and lam = 2i ladders, plus an eps = 0.2 refinement.
+    out["offers"] maps the id of each run's diagnostics log to the times of
+    every snapshot offered to it."""
+    out = {"offers": {}}
+    record = solver.DiagnosticsLog.record_snapshot
+
+    def noting(log, t, values):
+        out["offers"].setdefault(id(log), []).append(t)
+        record(log, t, values)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver.DiagnosticsLog, "record_snapshot", noting)
+        for lam in (1j, 2j):
+            params = NonlinearityParams(lam=lam, theta=0.5, d=1)
+            cfg = SolverConfig(grid=Grid(1, 2048, 80.0), params=params, eps=0.4, s=1.0,
+                               t_max=200.0, record_every=4)
+            out[lam] = sweep(LADDER, cfg, GAUSS, tolerance=0.1)
+        params = NonlinearityParams(lam=1j, theta=0.5, d=1)
+        cfg_fine = SolverConfig(grid=Grid(1, 4096, 80.0), params=params, eps=0.2, s=1.0,
+                                t_max=200.0, record_every=4)
+        out["fine"] = sweep([0.2], cfg_fine, GAUSS, tolerance=0.1)
     return out
 
 
@@ -255,6 +265,25 @@ def test_criterion_6_remainder_decay(ladder_runs):
     checks.append((f"n -> 2n stability: ratio {ratio:.3f} within [0.5, 2]",
                    0.5 <= ratio <= 2.0))
     report("6 remainder-decay", checks)
+
+
+def test_criterion_6_window_keeps_every_offer(ladder_runs):
+    # the snapshot grid is dense from t_star on, so no field offered in the
+    # remainder window [t_star, T/2] is dropped: 3 at eps = 0.2, 13 at 0.15
+    records, _, _ = ladder_runs[1j]
+    checks = []
+    for eps, want in ((0.2, 3), (0.15, 13)):
+        rec = next(r for r in records if r.eps == eps)
+        t_star = t_star_time(eps, 0.5, 1)
+
+        def window(times):
+            return [t for t in times if t_star <= t <= rec.T_eps / 2.0]
+
+        offered = window(ladder_runs["offers"][id(rec.diagnostics)])
+        kept = window(rec.diagnostics.snapshot_times)
+        checks.append((f"eps={eps}: {len(kept)} of {len(offered)} window offers kept, all {want}",
+                       kept == offered and len(kept) == want))
+    report("6 remainder-window offers", checks)
 
 
 def test_criterion_7_monotone_in_gain(ladder_runs):

@@ -47,6 +47,22 @@ OVERSIZED_GRID_CONFIGS = [
      "a grid holds at most 2**24 points, got n = 2**40 per axis in d = 1"),
 ]
 OVERSIZED_GRID_IDS = ["n-beyond-float", "n-8-tib"]
+# a datum width must be positive (only width**2 is used, so -1.0 would run as 1.0), and a
+# super-gaussian power at least 1 and small enough to convert to a float
+DATUM_RANGE_CONFIGS = [
+    ({"initial_data": {"kind": "gaussian", "width": 0}},
+     "initial_data field 'width' must be positive, got 0"),
+    ({"initial_data": {"kind": "super_gaussian", "width": -1.0}},
+     "initial_data field 'width' must be positive, got -1.0"),
+    ({"initial_data": {"kind": "bump_sum", "bumps": [{"width": 1.0}, {"width": -0.5}]}},
+     "initial_data field 'width' must be positive, got -0.5"),
+    ({"initial_data": {"kind": "super_gaussian", "power": 0}},
+     "initial_data field 'power' must be >= 1, got 0"),
+    ({"initial_data": {"kind": "super_gaussian", "power": 10**400}},
+     "initial_data field 'power' must convert to a float, got an integer of 401 digits"),
+]
+DATUM_RANGE_IDS = ["zero-width", "negative-super-gaussian-width", "negative-bump-width",
+                   "zero-power", "huge-power"]
 # initial-data values obey the rules of the config's own numbers; json reads 1e400 as inf
 INITIAL_DATA_CONFIGS = [
     ({"initial_data": {"kind": "gaussian", "width": "a"}},
@@ -69,10 +85,11 @@ INITIAL_DATA_CONFIGS = [
      "initial_data field 'modulation' must be a number or a list of numbers, got {'k': 1}"),
     ({"initial_data": {"kind": "bump_sum", "bumps": [{"width": 1.0}, {"center": BIG}]}},
      f"initial_data field 'center' must be finite, got {BIG}"),
+    *DATUM_RANGE_CONFIGS,
 ]
 INITIAL_DATA_IDS = ["string-width", "list-width", "bool-width", "infinite-width",
                     "string-power", "float-power", "string-amplitude", "string-in-center",
-                    "object-modulation", "huge-bump-center"]
+                    "object-modulation", "huge-bump-center", *DATUM_RANGE_IDS]
 
 
 def small_config_dict(**over):
@@ -553,7 +570,8 @@ class TestCli:
         ({"n": 100}, "points per axis must be a power of two >= 8, got 100"),
         ({"t_max": -1.0}, "t_max must be finite and positive, got -1.0"),
         ({"record_every": 0}, "record_every must be positive, got 0"),
-    ], ids=["theta", "n", "t_max", "record_every"])
+        *DATUM_RANGE_CONFIGS,
+    ], ids=["theta", "n", "t_max", "record_every", *DATUM_RANGE_IDS])
     def test_every_command_refuses_a_config_when_it_loads(
             self, tmp_path, capsys, command, config, message):
         path = tmp_path / "c.json"

@@ -100,6 +100,13 @@ class TestTheoreticalBound:
         for lam, theta, datum in [(1j, 1.0, f), (-1j, 0.5, f), (0j, 0.5, f), (1j, 0.5, zero)]:
             assert bound_or_none(datum, NonlinearityParams(lam=lam, theta=theta, d=1)) is None
 
+    def test_t_star_beyond_a_float_is_infinite(self):
+        # eps^(-99) overflows a float: t_star is inf, and the remainder window empty
+        assert t_star_time(1e-10, 0.99, 1) == np.inf
+        cfg = SolverConfig(grid=Grid(1, 64, 10.0), params=NonlinearityParams(1j, 0.99, 1),
+                           eps=1e-10, s=0.75)
+        assert max_remainder_scaled(DiagnosticsLog(), cfg, 1e300) is None
+
     @pytest.mark.parametrize("eps", [0.0, -0.1])
     def test_nonpositive_eps_rejected(self, eps):
         with pytest.raises(ValueError, match="eps > 0"):

@@ -206,9 +206,11 @@ class TestStep:
             state = fixed_step(state, 0.005)
         assert state.shell > 0 and len(samples) == 21
 
-    def test_fixed_steps_keep_a_snapshot_of_every_accepted_field(self):
-        # a fixed step is accepted as the run loop accepts a trial's field: its
-        # field is kept as a snapshot whether or not it is due a sample
+    def test_fixed_steps_keep_the_first_field_at_each_grid_time(self):
+        # a fixed step is accepted as the run loop accepts a trial's field: it is
+        # offered as a snapshot whether or not it is due a sample, and kept when
+        # it is the first at or after a time of the grid, 16 per decade of 1 + t
+        # before t_star = 2.5: 0, 0.155 and 0.334 up to t = 0.35
         cfg = small_config(eps=0.4, record_every=3)
         state = init(cfg, gaussian(cfg.grid))
         states = [state]
@@ -216,8 +218,9 @@ class TestStep:
             state = fixed_step(state, 0.05)
             states.append(state)
         log = state.diagnostics
-        assert log.snapshot_times == [s.t for s in states]
-        assert all(snap is s.u.values for snap, s in zip(log.snapshots, states))
+        assert log.dense_from == 2.5
+        assert log.snapshot_times == [states[k].t for k in (0, 4, 7)]
+        assert all(snap is states[k].u.values for snap, k in zip(log.snapshots, (0, 4, 7)))
         assert [s.t for s in log.samples] == [s.t for s in states[::3]]
 
     def test_real_lambda_conserves_mass(self):
@@ -465,50 +468,105 @@ class TestRunToBlowup:
         assert np.all(np.isfinite(res))
 
     def test_snapshot_budget_respected(self, monkeypatch):
-        monkeypatch.setattr(solver, "_SNAPSHOT_BUDGET", 32)
-        cfg = small_config(eps=0.2, grid=Grid(1, 256, 25.0), record_every=1)
-        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
-        assert len(rec.diagnostics.snapshots) <= 33
+        # the eps = 0.3 run keeps 42 snapshots under the budget of 128; under 8 its
+        # grid coarsens, no offer leaves more than 8, and t_star stays a grid time
+        monkeypatch.setattr(solver, "_SNAPSHOT_BUDGET", 8)
+        record, counts, offered = solver.DiagnosticsLog.record_snapshot, [], []
 
-    def test_snapshots_stay_evenly_spread(self, monkeypatch):
-        # 117 accepted steps, growing from 0.005 to about 0.1, offer their
-        # midpoint and end fields; the 32 kept span the run with no gap above
-        # twice the mean (1.56 measured)
-        monkeypatch.setattr(solver, "_SNAPSHOT_BUDGET", 32)
+        def spy(log, t, values):
+            offered.append(t)
+            record(log, t, values)
+            counts.append(len(log.snapshots))
+
+        monkeypatch.setattr(solver.DiagnosticsLog, "record_snapshot", spy)
         cfg = small_config(eps=0.3, grid=Grid(1, 256, 25.0), record_every=1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
-        times = np.array(rec.diagnostics.snapshot_times)
-        assert rec.status == "blown-up" and len(times) == 32
-        assert times[0] == 0.0 and times[-1] == rec.diagnostics.samples[-1].t
-        assert np.diff(times).max() < 2.0 * times[-1] / (len(times) - 1)
+        log = rec.diagnostics
+        assert rec.status == "blown-up" and len(offered) > 200
+        assert max(counts) == 8 and counts[-1] == len(log.snapshots) <= 8
+        assert log.snapshot_times[0] == 0.0
+        assert min(t for t in offered if t >= log.dense_from) in log.snapshot_times
+
+    def test_run_keeps_the_first_offer_at_or_after_each_grid_time(self, monkeypatch):
+        # the grid is 16 times per decade of 1 + t from t = 0 and 160 from
+        # t_star = 1/0.3 on; every offer is an accepted field or a trial's midpoint
+        record, offered = solver.DiagnosticsLog.record_snapshot, []
+
+        def spy(log, t, values):
+            offered.append(t)
+            record(log, t, values)
+
+        monkeypatch.setattr(solver.DiagnosticsLog, "record_snapshot", spy)
+        cfg = small_config(eps=0.3, grid=Grid(1, 256, 25.0), record_every=1)
+        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        log = rec.diagnostics
+        t_star = log.dense_from
+        assert rec.status == "blown-up" and t_star == 0.3**-1.0
+        assert log.snapshot_times == first_offers(offered, grid_times(t_star, offered[-1], 0))
+        assert len(log.snapshots) < solver._SNAPSHOT_BUDGET
+        # 31 of the 42 from t_star on, one at each grid time up to T_eps = 5.69
+        assert len([t for t in log.snapshot_times if t >= t_star]) > 20
+
+    @pytest.mark.parametrize("eps, theta, dense_from", [
+        (0.2, 0.5, 5.0), (0.0, 0.5, 1.0), (0.2, 1.0, 1.0), (1e-10, 0.99, np.inf),
+    ], ids=["t-star", "eps-0", "theta-1", "t-star-beyond-a-float"])
+    def test_snapshot_grid_is_dense_from_t_star_or_one(self, eps, theta, dense_from):
+        cfg = small_config(params=NonlinearityParams(1j, theta, 1), eps=eps)
+        assert init(cfg, gaussian(cfg.grid)).diagnostics.dense_from == dense_from
 
     @pytest.mark.parametrize("budget", [1, 2, 3, 32, 128])
-    def test_thinning_keeps_what_the_pairwise_rule_kept(self, monkeypatch, budget):
-        def thinned(times):
-            """The rule as a loop: past the budget, drop the first interior time whose
-            neighbours lie closest, or the older of two."""
-            kept = []
-            for t in times:
-                if kept and kept[-1] == t:
-                    continue
-                kept.append(t)
-                if len(kept) > budget:
-                    i = min(range(1, len(kept) - 1), key=lambda j: kept[j + 1] - kept[j - 1],
-                            default=0)
-                    del kept[i]
-            return kept
-
+    def test_kept_offers_are_the_first_at_or_after_each_grid_time(self, monkeypatch, budget):
+        # random offer sequences, in time order: what is kept is the first offer at
+        # or after each time of the grid that keeps every 2**c-th time, for the
+        # least c that leaves no more than the budget
         monkeypatch.setattr(solver, "_SNAPSHOT_BUDGET", budget)
         rng = np.random.default_rng(budget)
         for k in range(20):
-            # integer gaps give ties between candidates, and a repeated time is offered twice
-            gaps = rng.integers(0, 4, 300) if k % 2 else rng.exponential(size=300)
+            dense_from = np.inf if k % 5 == 4 else float(rng.uniform(0.2, 8.0))
+            # gaps of 0 offer a time twice
+            gaps = rng.integers(0, 3, 300) * 0.05 if k % 2 else rng.exponential(0.05, 300)
             times = [float(t) for t in np.cumsum(gaps)]
-            log = solver.DiagnosticsLog()
+            log = solver.DiagnosticsLog(dense_from=dense_from)
+            arrays = {}
             for t in times:
-                log.record_snapshot(t, np.array([t]))
-            assert log.snapshot_times == thinned(times)
-            assert [float(v[0]) for v in log.snapshots] == log.snapshot_times
+                arrays.setdefault(t, np.array([t]))
+                log.record_snapshot(t, arrays[t])
+                assert len(log.snapshots) <= budget
+            for c in range(40):
+                want = first_offers(times, grid_times(dense_from, times[-1], c))
+                if len(want) <= budget:
+                    break
+            assert log.snapshot_times == want
+            assert all(snap is arrays[t] and not snap.flags.writeable
+                       for t, snap in zip(log.snapshot_times, log.snapshots))
+
+
+def grid_times(dense_from, t_end, coarsening):
+    """The snapshot grid's times up to t_end, every 2**coarsening-th of them: 16 per
+    decade of 1 + t from t = 0, then 160 per decade from dense_from on, which is the
+    2**32-th time of the uncoarsened grid."""
+    step = 2**coarsening
+    times = []
+    k = 0
+    while k / 16 <= np.log10(1.0 + t_end) and 10.0 ** (k / 16) - 1.0 < dense_from:
+        times.append(10.0 ** (k / 16) - 1.0)
+        k += step
+    j = 0
+    while (coarsening <= 32 and dense_from <= t_end
+           and j / 160 <= np.log10((1.0 + t_end) / (1.0 + dense_from))):
+        times.append((1.0 + dense_from) * 10.0 ** (j / 160) - 1.0)
+        j += step
+    return times
+
+
+def first_offers(offers, times):
+    """The first of the time-ordered offers at or after each time, each once."""
+    kept = []
+    for g in times:
+        first = next((t for t in offers if t >= g), None)
+        if first is not None and (not kept or kept[-1] != first):
+            kept.append(first)
+    return kept
 
 
 class TestStepLaw:
@@ -813,12 +871,13 @@ class TestFieldOwnership:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_step_leaves_its_input_and_the_snapshots_unchanged(self, d):
+        # steps of 0.2 reach a new time of the grid each, 16 per decade of 1 + t
         cfg = ownership_config(d)
         state = init(cfg, gaussian(cfg.grid))
         for _ in range(3):
-            state = fixed_step(state, 0.005)
+            state = fixed_step(state, 0.2)
         kept = kept_arrays(state)
-        assert len(kept) == 5
+        assert len(kept) == 5 and kept[0][0] is kept[-1][0]
         new = fixed_step(state, 0.005)
         assert new.u.values is not state.u.values
         for a, copy in kept:
@@ -884,7 +943,7 @@ class TestFieldOwnership:
         monkeypatch.setattr(solver, "_accept", spy_accept)
         rec = run_to_blowup(state)
         snapshots = rec.diagnostics.snapshots
-        assert len(snapshots) == solver._SNAPSHOT_BUDGET
+        assert 20 < len(snapshots) < solver._SNAPSHOT_BUDGET
         kinds = []
         for t, snap in zip(rec.diagnostics.snapshot_times, snapshots):
             field, t_offered, kind = offered[id(snap)]
