@@ -25,11 +25,13 @@ config = SolverConfig(grid=grid, params=params, eps=0.2, s=1.0,
                       t_max=200.0, record_every=4)
 
 print("running eps = 0.2 to blow-up ...")
-(record,), _, _ = sweep([config.eps], config, {"kind": "gaussian", "width": 1.0})
+# diagnostics=True: the run computes the ratios and sup|R| at every kept grid time
+(record,), _, _ = sweep([config.eps], config, {"kind": "gaussian", "width": 1.0},
+                        diagnostics=True)
 T = record.T_eps
 print(f"T_eps = {T:.4f}")
 
-ratios = decay_ratio_diagnostics(record.diagnostics, config)
+ratios = decay_ratio_diagnostics(record.diagnostics)
 print("\n   t        r1        r2        r3")
 shown = [r for r in ratios if r.t <= 0.75 * T]
 for r in shown[:: max(1, len(shown) // 10)]:
@@ -38,7 +40,7 @@ for r in shown[:: max(1, len(shown) // 10)]:
 
 gamma = gamma_exponent(config.s, params.d)
 t_star = t_star_time(config.eps, params.theta, params.d)
-times, sups = remainder_series(record.diagnostics, config, t_min=1.0, t_max=0.75 * T)
+times, sups = remainder_series(record.diagnostics, t_min=1.0, t_max=0.75 * T)
 scaled = sups * times ** (params.theta + gamma)
 print(f"\nremainder scaling (gamma = {gamma}, t_star = {t_star}):")
 print("   t        sup|R|      t^(theta+gamma) sup|R|")

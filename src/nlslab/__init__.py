@@ -23,6 +23,7 @@ from .propagators import (
 )
 from .solver import (
     ConvergenceReport,
+    DiagnosticRow,
     DiagnosticsLog,
     RunStatus,
     SolverConfig,
@@ -50,7 +51,6 @@ from .profile_ode import (
 )
 from .lifespan import (
     BoundReport,
-    RatioSample,
     critical_bound,
     critical_pointwise_time,
     gamma_exponent,

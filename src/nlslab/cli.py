@@ -180,19 +180,18 @@ def _cmd_profile_ode(args) -> int:
 def _cmd_diagnostics(args) -> int:
     cfg = _load_config(args)
     _check_out(args)
-    solver_cfg = cfg.solver_config()
-    # the ratios need gamma = (2s-d)/8 in (0, 1/2]: check it before the run
-    gamma_exponent(solver_cfg.s, solver_cfg.params.d)
-    (record,), _, _ = sweep(cfg.eps_ladder[:1], solver_cfg, cfg.initial_data)
+    # the ratios need gamma = (2s-d)/8 in (0, 1/2]: init refuses the config before the run
+    (record,), _, _ = sweep(cfg.eps_ladder[:1], cfg.solver_config(), cfg.initial_data,
+                            diagnostics=True)
     print(f"run status = {record.status}, T_eps = {record.T_eps!r}")
-    ratios = decay_ratio_diagnostics(record.diagnostics, solver_cfg)
+    ratios = decay_ratio_diagnostics(record.diagnostics)
     for name in ("r1", "r2", "r3"):
         vals = [getattr(r, name) for r in ratios if getattr(r, name) is not None]
         if vals:
             print(f"{name}: min = {min(vals)!r}, max = {max(vals)!r}  ({len(vals)} samples)")
         else:
             print(f"{name}: no valid samples")
-    times, sups = remainder_series(record.diagnostics, solver_cfg)
+    times, sups = remainder_series(record.diagnostics)
     if len(times):
         print(f"remainder sup over t in [{float(times[0])!r}, {float(times[-1])!r}]: "
               f"first = {float(sups[0])!r}, max = {float(np.max(sups))!r}")

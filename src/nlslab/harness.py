@@ -120,7 +120,7 @@ def _diagnostics_to_dict(diag) -> dict:
 
 
 def run_record_to_dict(record: RunRecord) -> dict:
-    """JSON form of a run record; field snapshots are not serialized."""
+    """JSON form of a run record: its samples, not its log's rows, are serialized."""
     out = {f.name: getattr(record, f.name) for f in fields(RunRecord)}
     out["lam"] = [record.lam.real, record.lam.imag]
     out["diagnostics"] = _diagnostics_to_dict(record.diagnostics)

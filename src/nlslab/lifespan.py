@@ -1,4 +1,4 @@
-"""Lifespan bound constants, scattering-profile extraction, diagnostic ratios, and the eps-sweep.
+"""Lifespan bound constants, the remainder criterion and diagnostic ratios of a run, and the eps-sweep.
 
 The headline quantity is the explicit lower-bound value for the rescaled
 lifespan: with 0 < theta < 1, Im(lam) > 0 and datum eps*phi,
@@ -18,25 +18,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .initial_data import build as build_initial_data
-from .propagators import NonlinearityParams, blowup_horizon, coefficient_time, g_p, t_star_time
+from .propagators import (  # profile and remainder are re-exported
+    NonlinearityParams,
+    blowup_horizon,
+    coefficient_time,
+    gamma_exponent,
+    profile,
+    remainder,
+    t_star_time,
+)
 from .records import SweepSummary
 from .solver import DiagnosticsLog, SolverConfig, init, run_to_blowup
-from .spectral import (
-    ComplexField,
-    Space,
-    _back_propagation_phase,
-    fourier_forward,
-    norms,
-    sup_modulus,
-)
-
-
-def gamma_exponent(s: float, d: int) -> float:
-    """Remainder-decay exponent gamma = (2s - d)/8; lies in (0, 1/2] on the admissible range."""
-    gamma = (2.0 * s - d) / 8.0
-    if not (0.0 < gamma <= 0.5):
-        raise ValueError(f"gamma = (2s-d)/8 = {gamma} outside (0, 1/2]; s = {s}, d = {d}")
-    return gamma
+from .spectral import ComplexField, Space, fourier_forward, sup_modulus
 
 
 @dataclass
@@ -112,56 +105,25 @@ def critical_pointwise_time(amplitude, d: int, lam: complex):
     return float(out) if out.ndim == 0 else out
 
 
-def profile(u: ComplexField, t: float) -> ComplexField:
-    """Scattering profile A(t) = F[U(t)^{-1} u(t)] on the frequency lattice."""
-    fhat = fourier_forward(u)
-    vals = _back_propagation_phase(u.grid, t) * fhat.values
-    return ComplexField(u.grid, Space.FREQUENCY, vals)
+def remainder_series(diag: DiagnosticsLog, t_min: float = 1.0, t_max: float = np.inf):
+    """sup_xi |R(t, xi)| over the log's rows with t_min <= t <= t_max.
 
-
-def remainder(u: ComplexField, t: float, params: NonlinearityParams) -> ComplexField:
-    """Reduced-ODE remainder R(t) = F[U(t)^{-1} N(u)] - t^(-theta) N(A(t)).
-
-    N(z) = lam |z|^(2 theta/d) z; defined for t > 0.  Both profiles share one
-    back-propagation phase, multiplied in as :func:`profile` does, so each
-    term is bit-identical to its :func:`profile`.
+    Both ends are inclusive.  A default run's rows cover only [t_star, T/2];
+    one started with `diagnostics` has a row at every kept grid time.
+    Returns (times, sup_values), two empty arrays when no row is in range;
+    the scaled series is sup * t^(theta+gamma).
     """
-    if not (t > 0):
-        raise ValueError(f"remainder requires t > 0, got {t}")
-    g = u.grid
-    nu = ComplexField(g, Space.PHYSICAL, params.lam * g_p(u.values, params.p))
-    phase = _back_propagation_phase(g, t)
-    lhs = phase * fourier_forward(nu).values
-    a = phase * fourier_forward(u).values
-    rhs = t ** (-params.theta) * params.lam * g_p(a, params.p)
-    return ComplexField(g, Space.FREQUENCY, lhs - rhs)
-
-
-def remainder_series(diag: DiagnosticsLog, cfg: SolverConfig, t_min: float = 1.0,
-                     t_max: float = np.inf):
-    """sup_xi |R(t, xi)| over the stored snapshots with t_min <= t <= t_max.
-
-    Both ends are inclusive; a snapshot outside them is never transformed.
-    Returns (times, sup_values), two empty arrays when no snapshot is in
-    range; the scaled series is sup * t^(theta+gamma).
-    """
-    times, sups = [], []
-    for t, vals in zip(diag.snapshot_times, diag.snapshots):
-        if not (t_min <= t <= t_max):
-            continue
-        u = ComplexField(cfg.grid, Space.PHYSICAL, vals)
-        r = remainder(u, t, cfg.params)
-        times.append(t)
-        sups.append(sup_modulus(r))
-    return np.array(times), np.array(sups)
+    rows = [r for r in diag.rows if r.remainder_sup is not None and t_min <= r.t <= t_max]
+    return np.array([r.t for r in rows]), np.array([r.remainder_sup for r in rows])
 
 
 def max_remainder_scaled(diag: DiagnosticsLog, cfg: SolverConfig, T: float) -> float | None:
-    """sup over [t_star, T/2] of sup_xi|R| * t^(theta+gamma).
+    """sup over [t_star, T/2] of sup_xi|R| * t^(theta+gamma), read from the log's rows.
 
-    Only the snapshots inside the window are transformed.  None where the
-    window is undefined (theta >= 1, eps = 0, or gamma outside (0, 1/2]) or
-    holds no snapshot.
+    The run computed them; nothing is transformed here.  None where the
+    window is undefined (theta >= 1, eps = 0, or gamma outside (0, 1/2]),
+    where the run has no T (boundary contamination), or where the window
+    holds no row.
     """
     params = cfg.params
     try:
@@ -171,55 +133,22 @@ def max_remainder_scaled(diag: DiagnosticsLog, cfg: SolverConfig, T: float) -> f
         return None
     if T is None or T / 2.0 <= t_star:
         return None
-    times, sups = remainder_series(diag, cfg, t_min=t_star, t_max=T / 2.0)
+    times, sups = remainder_series(diag, t_min=t_star, t_max=T / 2.0)
     if not len(times):
         return None
     return float(np.max(sups * times ** (params.theta + gamma)))
 
 
-@dataclass
-class RatioSample:
-    """Scale-invariant diagnostic ratios at one time; None marks a vanishing denominator.
+def decay_ratio_diagnostics(diag: DiagnosticsLog) -> list:
+    """The rows of a run started with `diagnostics`, one per kept grid time from t = 0:
+    each carries the ratios r1-r3 at the run's index s, which must stay bounded
+    (see :class:`nlslab.solver.DiagnosticRow`).
 
-    r1: (1+t)^(d/2) ||u||_inf / ||U(-t)u||_{Sigma^s}         (dispersive decay)
-    r2: (||u||_inf - t^(-d/2) ||A||_inf) t^(d/2+gamma) / ||U(-t)u||_{H^{0,s}}
-        (profile dominance of the sup norm, t >= 1 only)
-    r3: (1+t)^(d(p-1)/2) ||U(-t)N(u)||_{Sigma^s} / ||U(-t)u||_{Sigma^s}^p
-        (nonlinear composition decay)
+    Raises ValueError for a default run's log, whose rows carry no ratios.
     """
-
-    t: float
-    r1: float | None
-    r2: float | None
-    r3: float | None
-
-
-def decay_ratio_diagnostics(diag: DiagnosticsLog, cfg: SolverConfig) -> list:
-    """Diagnostic ratios at index cfg.s sampled over a run's snapshots; each must stay bounded.
-
-    Callers holding a solver state pass (state.diagnostics, state.config).
-    Raises ValueError unless gamma = (2s-d)/8 lies in (0, 1/2], so s > d/2.
-    """
-    params = cfg.params
-    s = cfg.s
-    gamma = gamma_exponent(s, params.d)
-    d, p = params.d, params.p
-    out = []
-    for t, vals in zip(diag.snapshot_times, diag.snapshots):
-        u = ComplexField(cfg.grid, Space.PHYSICAL, vals)
-        rep = norms(u, t, s)
-        nu = ComplexField(cfg.grid, Space.PHYSICAL, params.lam * g_p(vals, p))
-        rep_nu = norms(nu, t, s)
-        r1 = (1 + t) ** (d / 2.0) * rep.l_inf / rep.sigma_s if rep.sigma_s > 0 else None
-        r2 = None
-        if t >= 1.0 and rep.h_0s > 0:
-            sup_a = sup_modulus(profile(u, t))
-            r2 = (rep.l_inf - t ** (-d / 2.0) * sup_a) * t ** (d / 2.0 + gamma) / rep.h_0s
-        r3 = None
-        if rep.sigma_s > 0:
-            r3 = (1 + t) ** (d * (p - 1) / 2.0) * rep_nu.sigma_s / rep.sigma_s**p
-        out.append(RatioSample(t=t, r1=r1, r2=r2, r3=r3))
-    return out
+    if not diag.full:
+        raise ValueError("the ratios are computed only in a run started with diagnostics=True")
+    return list(diag.rows)
 
 
 def decreasing_ladder(eps_ladder) -> list:
@@ -236,7 +165,7 @@ def decreasing_ladder(eps_ladder) -> list:
 
 
 def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
-          tolerance: float = 0.1, jobs: int = 1):
+          tolerance: float = 0.1, jobs: int = 1, diagnostics: bool = False):
     """Run the eps ladder, stamp each record, and fold the records into a verdict.
 
     This is the one path from a config to a stamped record: `nlslab simulate`
@@ -244,8 +173,12 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
     datum is built once, and every rung's state is initialised from it before
     the first run, so a datum that no rung can start from raises ValueError
     before any run.  Each record is stamped with the bound value and its
-    scaled remainder maximum.  Returns (records, summary, bound), with bound
-    from :func:`bound_or_none`.  The ladder must be non-empty and strictly
+    scaled remainder maximum, read from the rows its run computed.
+    `diagnostics` reaches :func:`nlslab.solver.init`: each run then computes
+    a full row at every kept grid time, for :func:`decay_ratio_diagnostics`
+    and :func:`remainder_series` over the whole run, and the stamped values
+    do not change.  Returns (records, summary, bound), with bound from
+    :func:`bound_or_none`.  The ladder must be non-empty and strictly
     decreasing.
     Censored (reached t_max) and boundary-contaminated runs are excluded from
     the bound verdict; if no usable run remains, or the config has no bound,
@@ -256,7 +189,7 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
     bound = bound_or_none(fourier_forward(phi), base_config.params)
     bound_value = None if bound is None else bound.bound_value
 
-    states = [init(replace(base_config, eps=e), phi) for e in ladder]
+    states = [init(replace(base_config, eps=e), phi, diagnostics) for e in ladder]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -1,4 +1,11 @@
-"""Free Schrodinger flow, quadratic gauge factor, power nonlinearity, and its exact pointwise flow."""
+"""Free Schrodinger flow, quadratic gauge factor, power nonlinearity, and its exact pointwise flow.
+
+Also the quantities that the run's diagnostics read off a field: the remainder
+window's exponents (t_star and gamma), the scattering profile A(t) and the
+reduced-ODE remainder R(t).  They live here because the solver computes them
+during a run, and :mod:`nlslab.lifespan`, which imports the solver, re-exports
+them.
+"""
 
 from __future__ import annotations
 
@@ -16,6 +23,7 @@ from .spectral import (
     _read_only,
     _require_space,
     dft,
+    fourier_forward,
     idft,
 )
 
@@ -175,7 +183,7 @@ def coefficient_time(t0: float, tau, a: float):
 
 def t_star_time(eps: float, theta: float, d: int) -> float:
     """Hand-off time eps^(-theta/((1-theta) d)) where the profile ODE takes over;
-    inf where the power overflows a float.  The solver's snapshot grid is
+    inf where the power overflows a float.  The solver's grid of kept fields is
     dense from here on, and the remainder criterion is read from here to T/2."""
     if not (0.0 < theta < 1.0):
         raise ValueError(f"t_star is defined for theta in (0,1), got {theta}")
@@ -185,6 +193,39 @@ def t_star_time(eps: float, theta: float, d: int) -> float:
         return float(eps ** (-theta / ((1.0 - theta) * d)))
     except OverflowError:
         return math.inf
+
+
+def gamma_exponent(s: float, d: int) -> float:
+    """Remainder-decay exponent gamma = (2s - d)/8; lies in (0, 1/2] on the admissible range."""
+    gamma = (2.0 * s - d) / 8.0
+    if not (0.0 < gamma <= 0.5):
+        raise ValueError(f"gamma = (2s-d)/8 = {gamma} outside (0, 1/2]; s = {s}, d = {d}")
+    return gamma
+
+
+def profile(u: ComplexField, t: float) -> ComplexField:
+    """Scattering profile A(t) = F[U(t)^{-1} u(t)] on the frequency lattice."""
+    fhat = fourier_forward(u)
+    vals = _back_propagation_phase(u.grid, t) * fhat.values
+    return ComplexField(u.grid, Space.FREQUENCY, vals)
+
+
+def remainder(u: ComplexField, t: float, params: NonlinearityParams) -> ComplexField:
+    """Reduced-ODE remainder R(t) = F[U(t)^{-1} N(u)] - t^(-theta) N(A(t)).
+
+    N(z) = lam |z|^(2 theta/d) z; defined for t > 0.  Both profiles share one
+    back-propagation phase, multiplied in as :func:`profile` does, so each
+    term is bit-identical to its :func:`profile`.
+    """
+    if not (t > 0):
+        raise ValueError(f"remainder requires t > 0, got {t}")
+    g = u.grid
+    nu = ComplexField(g, Space.PHYSICAL, params.lam * g_p(u.values, params.p))
+    phase = _back_propagation_phase(g, t)
+    lhs = phase * fourier_forward(nu).values
+    a = phase * fourier_forward(u).values
+    rhs = t ** (-params.theta) * params.lam * g_p(a, params.p)
+    return ComplexField(g, Space.FREQUENCY, lhs - rhs)
 
 
 def nonlinear_flow_exact(z, dt, params: NonlinearityParams, *, out: np.ndarray | None = None,

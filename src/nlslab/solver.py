@@ -23,9 +23,11 @@ A run that does not blow up ends on t_max or on boundary contamination.
 A :class:`SolverState` is a field on the trajectory; how the run ended (its
 status, blow-up time and criterion) is the run loop's own, and goes only
 into the record, which ends on a sample of the run's last state at every exit.
-The run's :class:`DiagnosticsLog` keeps its samples and, for the remainder
-criterion read after the run, a bounded set of its fields: the first offered
-at or after each time of a grid geometric in 1 + t, dense from t_star on.
+The run's :class:`DiagnosticsLog` keeps its samples and its rows: what the
+diagnostics read off the first field offered at or after each time of a grid
+geometric in 1 + t, dense from t_star on.  The log holds a field only until
+the run can tell whether the remainder criterion's window [t_star, T/2] holds
+it, so a run holds at most the dense grid times in (t/2, t] at once.
 """
 
 from __future__ import annotations
@@ -42,7 +44,11 @@ from .propagators import (
     _free_multiplier,
     _multiply_spectrum,
     blowup_horizon,
+    g_p,
+    gamma_exponent,
     nonlinear_flow_exact,
+    profile,
+    remainder,
     t_star_time,
 )
 from .records import RunRecord, canonical_fingerprint
@@ -56,6 +62,7 @@ from .spectral import (
     dft,
     norms,
     spectral_tail_fraction,
+    sup_modulus,
 )
 
 
@@ -72,10 +79,9 @@ _BRACKET = 1e-3  # an event is bracketed within this fraction of the elapsed tim
 _FIRST_STEP = 0.1 * 0.05  # 0.005000000000000001: a literal 0.005 would move every run's bits
 _SUP_CAP = 1e3  # sup|u| >= _SUP_CAP / eps is an event; there is no cap at eps = 0
 _SHELL_TOLERANCE = 1e-6  # outer-shell mass fraction above which a run is contaminated
-_SNAPSHOT_BUDGET = 128  # the most snapshots a run keeps; more coarsen the snapshot grid
-_SPARSE_PER_DECADE = 16  # snapshot grid times per decade of 1 + t before t_star
+_SPARSE_PER_DECADE = 16  # grid times per decade of 1 + t before t_star
 _DENSE_PER_DECADE = 160  # from t_star on: the eps = 0.2 rung keeps its 3 offers in [t_star, T/2]
-_DENSE_INDEX = 2**32  # grid index of t_star: every coarsening keeps it a grid time
+_DENSE_INDEX = 2**32  # grid index of t_star, above every index before it
 
 
 class RunStatus(str, Enum):
@@ -87,9 +93,9 @@ class RunStatus(str, Enum):
 @dataclass(frozen=True)
 class SolverConfig:
     """Everything one run depends on that callers vary; the step tolerance, first
-    step, horizon fraction, event bracket, sup-norm cap, shell tolerance,
-    snapshot grid and snapshot budget are this module's constants.  Any s
-    runs; one outside the paper's range sets the record's outside_hypotheses."""
+    step, horizon fraction, event bracket, sup-norm cap, shell tolerance and
+    the grid of kept fields are this module's constants.  Any s runs; one
+    outside the paper's range sets the record's outside_hypotheses."""
 
     grid: Grid
     params: NonlinearityParams
@@ -136,56 +142,109 @@ class DiagnosticSample:
 
 
 @dataclass
+class DiagnosticRow:
+    """What the diagnostics read off one kept field at t.
+
+    remainder_sup is sup_xi |R(t, xi)|, None at t = 0.  A log that computes full
+    rows also fills the scale-invariant ratios at the run's index s, each None
+    where its denominator vanishes (and r2 before t = 1):
+
+    r1: (1+t)^(d/2) ||u||_inf / ||U(-t)u||_{Sigma^s}         (dispersive decay)
+    r2: (||u||_inf - t^(-d/2) ||A||_inf) t^(d/2+gamma) / ||U(-t)u||_{H^{0,s}}
+        (profile dominance of the sup norm, t >= 1 only)
+    r3: (1+t)^(d(p-1)/2) ||U(-t)N(u)||_{Sigma^s} / ||U(-t)u||_{Sigma^s}^p
+        (nonlinear composition decay)
+    """
+
+    t: float
+    remainder_sup: float | None
+    r1: float | None = None
+    r2: float | None = None
+    r3: float | None = None
+
+
+def _row(config: SolverConfig, t: float, values: np.ndarray, full: bool) -> DiagnosticRow:
+    """The row of the field `values` at t: sup|R(t)| where t > 0, and with `full` the
+    ratios r1-r3 too."""
+    params = config.params
+    u = ComplexField(config.grid, Space.PHYSICAL, values)
+    row = DiagnosticRow(t, sup_modulus(remainder(u, t, params)) if t > 0 else None)
+    if not full:
+        return row
+    s, d, p = config.s, params.d, params.p
+    rep = norms(u, t, s)
+    nu = ComplexField(config.grid, Space.PHYSICAL, params.lam * g_p(values, p))
+    rep_nu = norms(nu, t, s)
+    if rep.sigma_s > 0:
+        row.r1 = (1 + t) ** (d / 2.0) * rep.l_inf / rep.sigma_s
+        row.r3 = (1 + t) ** (d * (p - 1) / 2.0) * rep_nu.sigma_s / rep.sigma_s**p
+    if t >= 1.0 and rep.h_0s > 0:
+        sup_a = sup_modulus(profile(u, t))
+        row.r2 = ((rep.l_inf - t ** (-d / 2.0) * sup_a) * t ** (d / 2.0 + gamma_exponent(s, d))
+                  / rep.h_0s)
+    return row
+
+
+@dataclass
 class DiagnosticsLog:
     """Diagnostics of one trajectory; every state along it shares this log.
 
     Samples are only appended, so accepting two fields from one state writes
     both branches here.  An event step records nothing.  :func:`_accept` is
-    the one place that offers snapshots: every field it accepts, after the
-    trial's midpoint field for a run loop step, in time order.  The log keeps
-    the first field offered at or after each time of its snapshot grid and
+    the one place that offers fields (:meth:`offer`): every field it accepts,
+    after the trial's midpoint field for a run loop step, in time order.  The
+    log keeps the first field offered at or after each time of its grid and
     nothing else.  The grid is geometric in 1 + t: `_SPARSE_PER_DECADE`
     times per decade from t = 0, and `_DENSE_PER_DECADE` from `dense_from`
-    on, the run's t_star, where the remainder criterion is read.  An offer
-    that would make the snapshots more than `_SNAPSHOT_BUDGET` coarsens the
-    grid to every second time, as often as it takes, and drops what is no
-    longer the first offer at or after a grid time; `dense_from` stays a grid
-    time.  Every offer is made read-only, and a snapshot is the state's own
-    field, or a midpoint field, not a copy.
+    on, the run's t_star, where the remainder criterion is read.
+
+    A kept field becomes a row (:class:`DiagnosticRow`).  With `full`, every
+    kept field's full row is computed as it is kept, and no field is held.
+    Otherwise only the criterion's rows are computed: a kept field at
+    t_k >= `window_from` (the run's t_star, or inf where the criterion is
+    undefined) is `held`, and becomes a sup|R| row once an offer at 2 t_k or
+    later shows that t_k <= T/2, for no run ends before its last offer.
+    :meth:`close` turns the rest that lie at or before T/2 into rows and
+    drops every held field.  A held field is the offered read-only array
+    itself, not a copy; every offer is made read-only, held or not.
     """
 
     samples: list = field(default_factory=list)
-    snapshot_times: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)
+    rows: list = field(default_factory=list)
+    held: list = field(default_factory=list)  # (t, values) of each kept field awaiting its row
     dense_from: float = 1.0
-    _coarsening: int = field(default=0, init=False, repr=False)  # the grid keeps every 2**this time
-    _indices: list = field(default_factory=list, init=False, repr=False)  # of the snapshots
-    _last_offer: int = field(default=-1, init=False, repr=False)  # index of the last offer
+    window_from: float = math.inf
+    full: bool = False
+    _last_offer: int = field(default=-1, init=False, repr=False)  # grid index of the last offer
 
     def _grid_index(self, t: float) -> int:
-        """Index of the last time at or before t on the uncoarsened grid."""
+        """Index of the last grid time at or before t."""
         if t < self.dense_from:
             return math.floor(_SPARSE_PER_DECADE * math.log10(1.0 + t))
         return _DENSE_INDEX + math.floor(
             _DENSE_PER_DECADE * math.log10((1.0 + t) / (1.0 + self.dense_from)))
 
-    def record_snapshot(self, t: float, values: np.ndarray):
+    def offer(self, config: SolverConfig, t: float, values: np.ndarray):
+        """Offer the field `values` at t, no earlier than every earlier offer."""
         values.flags.writeable = False  # kept or not: no field on a trajectory changes
+        while self.held and 2.0 * self.held[0][0] <= t:
+            self.rows.append(_row(config, *self.held.pop(0), full=False))
         index, last = self._grid_index(t), self._last_offer
         self._last_offer = index
-        if index >> self._coarsening <= last >> self._coarsening:
+        if index <= last:
             return
-        self.snapshot_times.append(t)
-        self.snapshots.append(values)
-        self._indices.append(index)
-        while len(self.snapshots) > _SNAPSHOT_BUDGET:
-            self._coarsening += 1
-            cells = [i >> self._coarsening for i in self._indices]
-            # a snapshot stays when a coarser grid time lies after its predecessor, at or before it
-            keep = [k for k in range(len(cells)) if k == 0 or cells[k] != cells[k - 1]]
-            self.snapshot_times = [self.snapshot_times[k] for k in keep]
-            self.snapshots = [self.snapshots[k] for k in keep]
-            self._indices = [self._indices[k] for k in keep]
+        if self.full:
+            self.rows.append(_row(config, t, values, full=True))
+        elif t >= self.window_from:
+            self.held.append((t, values))
+
+    def close(self, config: SolverConfig, T: float | None):
+        """End the run at T: the held fields at or before T/2 become rows, and none is
+        held after.  A run without a T (contaminated) gets no more rows."""
+        if T is not None:
+            self.rows.extend(_row(config, t, values, full=False)
+                             for t, values in self.held if 2.0 * t <= T)
+        self.held.clear()
 
 
 @dataclass
@@ -238,9 +297,9 @@ def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
     trial field.  One pass of |u| gives the finiteness check, sup|u|, the
     boundary-shell fraction and the read-only |u|^b that every path from u
     reads, and the sample reuses it.  The midpoint `mid` = (t_mid, values),
-    when given, is offered as a snapshot first, then u (the log keeps the
-    first offer at or after each time of its snapshot grid); the state is
-    sampled every `record_every` steps.
+    when given, is offered to the log first, then u (see
+    :meth:`DiagnosticsLog.offer`); the state is sampled every `record_every`
+    steps.
     """
     absu = np.abs(u)
     sup = float(np.max(absu))
@@ -258,15 +317,15 @@ def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
                         shell=boundary_shell_fraction(u_field, power=power), abs_b=abs_b,
                         step_count=step_count)
     if mid is not None:
-        log.record_snapshot(*mid)
-    log.record_snapshot(t, u_field.values)
+        log.offer(config, *mid)
+    log.offer(config, t, u_field.values)
     if step_count % config.record_every == 0:
         _sample_diagnostics(state, power)
     return state
 
 
 def _dense_from(config: SolverConfig) -> float:
-    """Where the snapshot grid turns dense: t_star, or t = 1 where t_star is
+    """Where the grid of kept fields turns dense: t_star, or t = 1 where t_star is
     undefined (theta outside (0, 1) or eps = 0), the default start of
     remainder_series."""
     try:
@@ -275,20 +334,37 @@ def _dense_from(config: SolverConfig) -> float:
         return 1.0
 
 
-def init(config: SolverConfig, phi: ComplexField) -> SolverState:
-    """Fresh state u(0) = eps * phi, accepted as the run loop accepts a field: its
-    first snapshot and first sample are taken, in a log whose snapshot grid is
-    dense from t_star on.
+def _window_from(config: SolverConfig) -> float:
+    """Where the remainder criterion's window [t_star, T/2] starts: t_star, or inf
+    where the criterion is undefined (theta = 1, eps = 0, or gamma outside (0, 1/2])."""
+    try:
+        gamma_exponent(config.s, config.params.d)
+        return t_star_time(config.eps, config.params.theta, config.params.d)
+    except ValueError:
+        return math.inf
 
-    Raises ValueError when sup|u(0)| already reaches the sup-norm cap 1e3/eps:
-    such a run has no event-free step to start from.
+
+def init(config: SolverConfig, phi: ComplexField, diagnostics: bool = False) -> SolverState:
+    """Fresh state u(0) = eps * phi, accepted as the run loop accepts a field: it is
+    offered and sampled first, in a log whose grid is dense from t_star on.
+
+    By default the log computes only the rows that the remainder criterion
+    reads, over [t_star, T/2].  With `diagnostics`, it computes a full row
+    (sup|R| and the ratios r1-r3) for every kept field, t = 0 included, which
+    needs gamma = (2s-d)/8 in (0, 1/2].  Raises ValueError when it is not, and
+    when sup|u(0)| already reaches the sup-norm cap 1e3/eps: such a run has
+    no event-free step to start from.
     """
+    if diagnostics:
+        gamma_exponent(config.s, config.params.d)
     if phi.space is not Space.PHYSICAL:
         raise ValueError("initial datum must be a physical-space field")
     if not phi.is_finite():
         raise ValueError("initial datum contains non-finite values")
     u0 = config.eps * phi.values
-    state = _accept(config, DiagnosticsLog(dense_from=_dense_from(config)), 0.0, u0, 0)
+    log = DiagnosticsLog(dense_from=_dense_from(config), window_from=_window_from(config),
+                         full=diagnostics)
+    state = _accept(config, log, 0.0, u0, 0)
     if isinstance(state, str):
         raise ValueError(f"sup-norm cap 1e3/eps = {config.threshold!r} must exceed the "
                          f"initial sup|eps*phi| = {float(np.max(np.abs(u0)))!r}")
@@ -388,9 +464,9 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     A trial takes one Strang step of dt and two of dt/2 (see
     :func:`_doubling_trial`).  If the error estimate err meets the step
     tolerance `_STEP_TOLERANCE`, the extrapolated field is accepted by
-    :func:`_accept`, and only it gets the |u| pass, the shell check, a
-    snapshot offer and, every `record_every` accepted steps, a sample; the
-    trial's midpoint field is offered as a snapshot at t + dt/2 just before.
+    :func:`_accept`, and only it gets the |u| pass, the shell check, an
+    offer to the log and, every `record_every` accepted steps, a sample; the
+    trial's midpoint field is offered at t + dt/2 just before.
     Otherwise, or for a non-finite trial field, the trial is retried.  The
     next proposal is dt * 0.9 (tol/err)^(1/3), at most 4 dt after an
     acceptance and at least dt/5 after a rejection.  A step that shrinks to
@@ -412,7 +488,9 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     loop's own: each of the four exits (the horizon stop, an event step,
     contamination and t_max) returns :func:`make_record` of its last state
     with the status, and for a blow-up t_blow and its criterion, so every
-    record ends on a sample of the state the run stopped on.
+    record ends on a sample of the state the run stopped on.  Every exit with
+    a T_eps has T_eps >= the last offer's t, so the log's rows are the
+    criterion's once :func:`make_record` closes it.
     """
     cfg = state.config
     tol = _STEP_TOLERANCE
@@ -453,7 +531,8 @@ def make_record(state: SolverState, status: RunStatus, t_blow: float | None = No
     """The record of a run that ended on `state` with `status`, whose last sample
     is `state`: it is sampled here unless it already was.  A BLOWN_UP run blew
     up at t_blow by `criterion`: "pointwise" (a substep singularity, a
-    non-finite field or the horizon of sup|u|) or "threshold" (the sup-norm cap)."""
+    non-finite field or the horizon of sup|u|) or "threshold" (the sup-norm cap).
+    The log is closed at the record's T_eps, so it holds no field after."""
     if state.diagnostics.samples[-1].t != state.t:
         _sample_diagnostics(state, np.abs(state.u.values) ** 2)
     cfg = state.config
@@ -465,6 +544,7 @@ def make_record(state: SolverState, status: RunStatus, t_blow: float | None = No
         T = state.t
     else:
         T = None
+    state.diagnostics.close(cfg, T)
     samples = state.diagnostics.samples
     record = RunRecord(
         eps=cfg.eps,

@@ -13,7 +13,7 @@ def strang_step(u, dt, config, abs_b=None):
 
 def fixed_step(state, dt):
     """The state one Strang step of dt after `state`, accepted as the run loop accepts
-    a trial's field, so it is offered as a snapshot and sampled every `record_every`
+    a trial's field, so it is offered to the log and sampled every `record_every`
     steps.  A step that meets the pointwise singularity raises
     :class:`PointwiseBlowUp`; one whose field is non-finite or reaches the sup-norm
     cap fails the test."""

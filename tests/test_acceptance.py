@@ -146,7 +146,7 @@ def test_criterion_3_growth_bound_property_suite():
 
 # ---------------------------------------------------------------- criterion 4
 
-def test_criterion_4_solver_fidelity():
+def test_criterion_4_solver_fidelity(monkeypatch):
     checks = []
     # (a) lam = 0 equals the exact free propagator
     params0 = NonlinearityParams(lam=0j, theta=0.5, d=1)
@@ -154,14 +154,21 @@ def test_criterion_4_solver_fidelity():
     cfg = SolverConfig(grid=g, params=params0, eps=0.3, s=1.0, t_max=1.0,
                        record_every=1)
     phi = gaussian(g)
-    # advance with the run loop's own step law and compare the snapshot of
-    # the step that lands on t_max
+    # advance with the run loop's own step law and compare the field of the
+    # last accepted step, which lands on t_max
+    accept, accepted = solver._accept, []
+
+    def spy(*args, **kwargs):
+        accepted.append(accept(*args, **kwargs))
+        return accepted[-1]
+
+    monkeypatch.setattr(solver, "_accept", spy)
     rec = run_to_blowup(init(cfg, phi))
-    checks.append(("free run reaches t_max with its last snapshot there",
-                   rec.status == "reached-t-max"
-                   and rec.diagnostics.snapshot_times[-1] == rec.T_eps))
+    last = accepted[-1]
+    checks.append(("free run reaches t_max with its last accepted field there",
+                   rec.status == "reached-t-max" and last.t == rec.T_eps))
     exact = free_propagate(ComplexField(g, Space.PHYSICAL, 0.3 * phi.values), 1.0)
-    err_a = float(np.max(np.abs(rec.diagnostics.snapshots[-1] - exact.values)))
+    err_a = float(np.max(np.abs(last.u.values - exact.values)))
     checks.append((f"free-case error {err_a:.2e} < 1e-12", err_a < 1e-12))
 
     # (b) real lam conserves mass over 1e3 steps
@@ -195,16 +202,16 @@ LADDER = [0.4, 0.3, 0.2, 0.15]
 def ladder_runs():
     """Shared runs: lam = i and lam = 2i ladders, plus an eps = 0.2 refinement.
     out["offers"] maps the id of each run's diagnostics log to the times of
-    every snapshot offered to it."""
+    every field offered to it."""
     out = {"offers": {}}
-    record = solver.DiagnosticsLog.record_snapshot
+    offer = solver.DiagnosticsLog.offer
 
-    def noting(log, t, values):
+    def noting(log, config, t, values):
         out["offers"].setdefault(id(log), []).append(t)
-        record(log, t, values)
+        offer(log, config, t, values)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver.DiagnosticsLog, "record_snapshot", noting)
+        mp.setattr(solver.DiagnosticsLog, "offer", noting)
         for lam in (1j, 2j):
             params = NonlinearityParams(lam=lam, theta=0.5, d=1)
             cfg = SolverConfig(grid=Grid(1, 2048, 80.0), params=params, eps=0.4, s=1.0,
@@ -250,7 +257,7 @@ def test_criterion_6_remainder_decay(ladder_runs):
                        t_max=200.0, record_every=4)
     t_star = t_star_time(0.2, 0.5, 1)
     gamma = gamma_exponent(1.0, 1)
-    times, sups = remainder_series(rec.diagnostics, cfg, t_min=t_star)
+    times, sups = remainder_series(rec.diagnostics, t_min=t_star)
     window = times <= rec.T_eps / 2.0
     scaled = sups[window] * times[window] ** (0.5 + gamma)
     checks = [
@@ -268,8 +275,8 @@ def test_criterion_6_remainder_decay(ladder_runs):
 
 
 def test_criterion_6_window_keeps_every_offer(ladder_runs):
-    # the snapshot grid is dense from t_star on, so no field offered in the
-    # remainder window [t_star, T/2] is dropped: 3 at eps = 0.2, 13 at 0.15
+    # the grid of kept fields is dense from t_star on, so every field offered in
+    # the remainder window [t_star, T/2] becomes a row: 3 at eps = 0.2, 13 at 0.15
     records, _, _ = ladder_runs[1j]
     checks = []
     for eps, want in ((0.2, 3), (0.15, 13)):
@@ -280,7 +287,7 @@ def test_criterion_6_window_keeps_every_offer(ladder_runs):
             return [t for t in times if t_star <= t <= rec.T_eps / 2.0]
 
         offered = window(ladder_runs["offers"][id(rec.diagnostics)])
-        kept = window(rec.diagnostics.snapshot_times)
+        kept = window([row.t for row in rec.diagnostics.rows])
         checks.append((f"eps={eps}: {len(kept)} of {len(offered)} window offers kept, all {want}",
                        kept == offered and len(kept) == want))
     report("6 remainder-window offers", checks)
@@ -314,15 +321,16 @@ def test_criterion_8_critical_case(monkeypatch):
     ]
     # short-time profile consistency: residual of i dA/dt = (lam/t)|A|^2 A
     # stays bounded over t in [1, 100] (the full e^(c/eps^2) lifespan is out
-    # of desk-scale reach by design)
+    # of desk-scale reach by design); theta = 1 has no remainder window, so
+    # the run computes its rows with diagnostics=True
     params = NonlinearityParams(lam=1j, theta=1.0, d=1)
     gc = Grid(1, 16384, 400.0)
     monkeypatch.setattr(solver, "_FIRST_STEP", 0.1 * 0.5)
     cfg = SolverConfig(grid=gc, params=params, eps=0.1, s=1.0, t_max=100.0,
                        record_every=20)
-    rec = run_to_blowup(init(cfg, gaussian(gc)))
+    rec = run_to_blowup(init(cfg, gaussian(gc), diagnostics=True))
     checks.append(("run censored at t_max (no blow-up by t=100)", rec.censored))
-    times, sups = remainder_series(rec.diagnostics, cfg, t_min=1.0)
+    times, sups = remainder_series(rec.diagnostics, t_min=1.0)
     checks.append((
         f"residual bounded: max {sups.max():.2e} <= 3x first {sups[0]:.2e}",
         sups.max() <= 3.0 * sups[0]))

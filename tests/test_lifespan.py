@@ -16,7 +16,7 @@ from nlslab import (
     norms,
     sup_modulus,
 )
-from nlslab import lifespan
+from nlslab import lifespan, solver
 from nlslab.harness import ExperimentConfig
 from nlslab.initial_data import build as build_initial_data
 from nlslab.initial_data import gaussian
@@ -36,7 +36,7 @@ from nlslab.lifespan import (
 )
 from nlslab.profile_ode import OdeParams
 from nlslab.propagators import g_p
-from nlslab.solver import DiagnosticsLog, SolverConfig, init, run_to_blowup
+from nlslab.solver import DiagnosticRow, DiagnosticsLog, SolverConfig, init, run_to_blowup
 from stepping import fixed_step
 
 GAUSS_SPEC = {"kind": "gaussian", "width": 1.0}
@@ -214,49 +214,65 @@ class TestProfileExtraction:
 
 @pytest.fixture(scope="module")
 def default_rungs():
-    """(config, record) of the default experiment config's runs at eps = 0.2 and 0.15."""
+    """(config, record, offered, transformed) of the default experiment config's runs at
+    eps = 0.2 and 0.15: the times of every field offered to the run's log, and the
+    times at which the run called remainder."""
     base = ExperimentConfig()
     out = {}
+    offer, transform = solver.DiagnosticsLog.offer, solver.remainder
     for eps in (0.2, 0.15):
+        offered, transformed = [], []
+
+        def noting(log, config, t, values):
+            offered.append(t)
+            offer(log, config, t, values)
+
+        def spy(u, t, params):
+            transformed.append(t)
+            return transform(u, t, params)
+
         cfg = replace(base.solver_config(), eps=eps)
         phi = build_initial_data(cfg.grid, base.initial_data)
-        out[eps] = cfg, run_to_blowup(init(cfg, phi))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver.DiagnosticsLog, "offer", noting)
+            mp.setattr(solver, "remainder", spy)
+            out[eps] = cfg, run_to_blowup(init(cfg, phi)), offered, transformed
     return out
 
 
-def hand_built_log(g, times):
-    """A DiagnosticsLog holding the Gaussian datum as its snapshot at each time."""
-    vals = gaussian(g).values
-    return DiagnosticsLog(snapshot_times=list(times), snapshots=[vals] * len(times))
+def hand_built_log(cfg, times):
+    """A DiagnosticsLog with the Gaussian datum's sup|R| row at each time."""
+    u = gaussian(cfg.grid)
+    return DiagnosticsLog(rows=[DiagnosticRow(t, sup_modulus(remainder(u, t, cfg.params)))
+                                for t in times])
 
 
 class TestRemainderWindow:
     @pytest.mark.parametrize("eps, inside", [(0.2, 3), (0.15, 13)])
     def test_scaled_maximum_transforms_only_the_window(self, default_rungs, monkeypatch,
                                                         eps, inside):
-        cfg, rec = default_rungs[eps]
+        # the run transforms the fields it kept in [t_star, T/2], and only them;
+        # the scaled maximum reads their rows and transforms nothing
+        cfg, rec, offered, transformed = default_rungs[eps]
         t_star = t_star_time(eps, cfg.params.theta, cfg.params.d)
         half = rec.T_eps / 2.0
-        times = np.array(rec.diagnostics.snapshot_times)
+        times = np.array(offered)
         assert np.any(times < t_star) and np.any(times > half)
-        assert np.count_nonzero((times >= t_star) & (times <= half)) == inside
+        assert len(transformed) == inside
+        assert all(t_star <= t <= half for t in transformed)
+        assert [row.t for row in rec.diagnostics.rows] == transformed
         seen = []
-
-        def spy(u, t, params):
-            seen.append(t)
-            return remainder(u, t, params)
-
-        monkeypatch.setattr(lifespan, "remainder", spy)
+        monkeypatch.setattr(solver, "remainder", lambda *args: seen.append(args))
+        monkeypatch.setattr(lifespan, "remainder", lambda *args: seen.append(args))
         assert max_remainder_scaled(rec.diagnostics, cfg, rec.T_eps) is not None
-        assert len(seen) == inside
-        assert all(t_star <= t <= half for t in seen)
+        assert seen == []
 
     @pytest.mark.parametrize("eps", [0.2, 0.15])
     def test_scaled_maximum_equals_the_masked_full_series(self, default_rungs, eps):
-        cfg, rec = default_rungs[eps]
+        cfg, rec, _, _ = default_rungs[eps]
         params = cfg.params
         t_star = t_star_time(eps, params.theta, params.d)
-        times, sups = remainder_series(rec.diagnostics, cfg, t_min=t_star)
+        times, sups = remainder_series(rec.diagnostics, t_min=t_star)
         mask = times <= rec.T_eps / 2.0
         gamma = gamma_exponent(cfg.s, params.d)
         want = float(np.max(sups[mask] * times[mask] ** (params.theta + gamma)))
@@ -265,8 +281,8 @@ class TestRemainderWindow:
     def test_series_keeps_both_ends(self):
         params = NonlinearityParams(lam=1j, theta=0.5, d=1)
         cfg = SolverConfig(grid=Grid(1, 128, 20.0), params=params, eps=0.2, s=1.0)
-        diag = hand_built_log(cfg.grid, [0.5, 1.0, 2.0, 3.0])
-        times, sups = remainder_series(diag, cfg, t_min=1.0, t_max=2.0)
+        diag = hand_built_log(cfg, [0.5, 1.0, 2.0, 3.0])
+        times, sups = remainder_series(diag, t_min=1.0, t_max=2.0)
         assert times.tolist() == [1.0, 2.0]
         assert len(sups) == 2 and np.all(sups > 0)
 
@@ -275,27 +291,82 @@ class TestRemainderWindow:
         cfg = SolverConfig(grid=Grid(1, 128, 20.0), params=params, eps=0.2, s=1.0)
         t_star = t_star_time(cfg.eps, params.theta, params.d)
         T = 4.0 * t_star
-        # snapshots on both sides of [t_star, T/2], none inside it
-        diag = hand_built_log(cfg.grid, [1.0, 0.5 * t_star, 3.0 * t_star])
-        times, sups = remainder_series(diag, cfg, t_min=t_star, t_max=T / 2.0)
+        # rows on both sides of [t_star, T/2], none inside it
+        diag = hand_built_log(cfg, [1.0, 0.5 * t_star, 3.0 * t_star])
+        times, sups = remainder_series(diag, t_min=t_star, t_max=T / 2.0)
         assert times.shape == (0,) and sups.shape == (0,)
         assert max_remainder_scaled(diag, cfg, T) is None
 
 
+    def test_contaminated_run_has_rows_but_no_scaled_maximum(self):
+        # damped on a box too small for t_max = 100: the run turns its fields
+        # from t_star = 1/0.3 on into rows until the shell monitor aborts it at
+        # t, and an aborted run has no T to read them against: the fields kept
+        # after t/2 are dropped without a row
+        params = NonlinearityParams(lam=-1j, theta=0.5, d=1)
+        cfg = SolverConfig(grid=Grid(1, 1024, 400.0), params=params, eps=0.3, s=1.0,
+                           t_max=100.0, record_every=1)
+        (rec,), _, _ = sweep([0.3], cfg, GAUSS_SPEC)
+        rows, t_abort = rec.diagnostics.rows, rec.diagnostics.samples[-1].t
+        assert rec.status == "boundary-contaminated" and rec.T_eps is None
+        assert len(rows) > 50 and 2.0 * rows[-1].t <= t_abort
+        assert rec.diagnostics.held == []
+        assert rec.max_remainder_scaled is None
+
+    def test_run_ending_before_twice_t_star_transforms_nothing(self, monkeypatch):
+        # the default eps = 0.4 rung: t_star = 2.5 > T/2 = 1.88, so the fields it
+        # holds from t_star on are dropped untransformed when the run ends
+        offer, transform, held, calls = solver.DiagnosticsLog.offer, solver.remainder, [], []
+
+        def noting(log, config, t, values):
+            offer(log, config, t, values)
+            held.append(len(log.held))
+
+        def spy(u, t, params):
+            calls.append(t)
+            return transform(u, t, params)
+
+        monkeypatch.setattr(solver.DiagnosticsLog, "offer", noting)
+        monkeypatch.setattr(solver, "remainder", spy)
+        base = ExperimentConfig()
+        (rec,), _, _ = sweep([0.4], base.solver_config(), base.initial_data)
+        assert rec.status == "blown-up" and rec.T_eps / 2.0 < 2.5 and max(held) > 5
+        assert calls == [] and rec.diagnostics.rows == [] and rec.diagnostics.held == []
+        assert rec.max_remainder_scaled is None
+
+    @pytest.mark.parametrize("theta, s", [(1.0, 1.0), (0.5, 0.4)], ids=["theta-1", "gamma-outside"])
+    def test_run_without_a_window_holds_no_field_and_computes_no_row(self, monkeypatch,
+                                                                      theta, s):
+        # theta = 1, or gamma = (2s-d)/8 <= 0, leaves the remainder criterion
+        # undefined, so nothing reads a row
+        offer, held = solver.DiagnosticsLog.offer, []
+
+        def noting(log, config, t, values):
+            offer(log, config, t, values)
+            held.append(len(log.held))
+
+        monkeypatch.setattr(solver.DiagnosticsLog, "offer", noting)
+        params = NonlinearityParams(lam=1j, theta=theta, d=1)
+        cfg = SolverConfig(grid=Grid(1, 256, 25.0), params=params, eps=0.6, s=s,
+                           t_max=30.0, record_every=8)
+        (rec,), _, _ = sweep([0.6], cfg, GAUSS_SPEC)
+        assert len(held) > 20 and max(held) == 0
+        assert rec.diagnostics.rows == [] and rec.max_remainder_scaled is None
+
+
 class TestLemmaDiagnostics:
     def test_free_gaussian_ratios_bounded(self):
-        # analytic free evolution on a wide box, read at every snapshot from
+        # analytic free evolution on a wide box, read at every kept field from
         # t = 2 on.  Measured there: r1 in [0.328, 0.377] and r2 in
         # [-0.037, -8.3e-5]; at t = 1, before the decay sets in, r2 = -0.103
         params = NonlinearityParams(lam=0j, theta=0.5, d=1)
         g = Grid(1, 4096, 200.0)
         cfg = SolverConfig(grid=g, params=params, eps=0.3, s=0.75, t_max=50.0,
                            record_every=4)
-        state = init(cfg, gaussian(g))
+        state = init(cfg, gaussian(g), diagnostics=True)
         while state.t < 50.0 - 1e-9:
             state = fixed_step(state, 1.0)
-        ratios = [r for r in decay_ratio_diagnostics(state.diagnostics, state.config)
-                  if r.t >= 2.0]
+        ratios = [r for r in decay_ratio_diagnostics(state.diagnostics) if r.t >= 2.0]
         assert len(ratios) == 49
         r1 = [r.r1 for r in ratios if r.r1 is not None]
         r2 = [r.r2 for r in ratios if r.r2 is not None]
@@ -305,17 +376,20 @@ class TestLemmaDiagnostics:
     def test_r1_at_time_zero_is_direct_quotient(self):
         params = NonlinearityParams(lam=1j, theta=0.5, d=1)
         cfg = SolverConfig(grid=Grid(1, 256, 20.0), params=params, eps=0.2, s=1.0)
-        state = init(cfg, gaussian(cfg.grid))
-        ratios = decay_ratio_diagnostics(state.diagnostics, state.config)
+        state = init(cfg, gaussian(cfg.grid), diagnostics=True)
+        ratios = decay_ratio_diagnostics(state.diagnostics)
         rep = norms(state.u, 0.0, 1.0)
         assert ratios[0].r1 == pytest.approx(rep.l_inf / rep.sigma_s, rel=1e-12)
+        # a default run's log carries no ratios
+        with pytest.raises(ValueError, match="diagnostics=True"):
+            decay_ratio_diagnostics(init(cfg, gaussian(cfg.grid)).diagnostics)
 
     def test_vanishing_norms_reported_absent(self):
         # the zero field has no meaningful ratios: every denominator vanishes
         params = NonlinearityParams(lam=1j, theta=0.5, d=1)
         cfg = SolverConfig(grid=Grid(1, 64, 10.0), params=params, eps=0.0, s=1.0)
-        state = init(cfg, gaussian(cfg.grid))
-        ratios = decay_ratio_diagnostics(state.diagnostics, state.config)
+        state = init(cfg, gaussian(cfg.grid), diagnostics=True)
+        ratios = decay_ratio_diagnostics(state.diagnostics)
         assert ratios and ratios[0].r1 is None and ratios[0].r3 is None
 
     def test_r3_bounded_on_random_smooth_fields(self):
@@ -416,7 +490,8 @@ class TestSweep:
     def test_profile_follows_reduced_ode(self):
         # end-to-end mechanism check: the extracted |A(t, 0)| along a blow-up
         # run follows the diagonal ODE's closed form, anchored at the first
-        # snapshot past t_star, to 0.42% measured (assert 2% with margin)
+        # kept field past t_star, to 0.42% measured (assert 2% with margin).
+        # The kept fields are the offers that got a row in a diagnostics=True run.
         from nlslab.profile_ode import OdeParams, eta0_modulus
 
         params = NonlinearityParams(lam=1j, theta=0.5, d=1)
@@ -424,12 +499,19 @@ class TestSweep:
         eps = 0.2
         cfg = SolverConfig(grid=g, params=params, eps=eps, s=1.0,
                            t_max=200.0, record_every=4)
-        records, _, _ = sweep([eps], cfg, GAUSS_SPEC)
+        offer, offered = solver.DiagnosticsLog.offer, {}
+
+        def noting(log, config, t, values):
+            offered[t] = values
+            offer(log, config, t, values)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver.DiagnosticsLog, "offer", noting)
+            records, _, _ = sweep([eps], cfg, GAUSS_SPEC, diagnostics=True)
         rec = records[0]
-        diag = rec.diagnostics
         ts = t_star_time(eps, 0.5, 1)
-        snaps = [(t, v) for t, v in zip(diag.snapshot_times, diag.snapshots)
-                 if ts <= t <= 0.9 * rec.T_eps]
+        snaps = [(row.t, offered[row.t]) for row in rec.diagnostics.rows
+                 if ts <= row.t <= 0.9 * rec.T_eps]
         assert len(snaps) > 5
         j0 = np.flatnonzero(g.xi_1d == 0)[0]
         t0, v0 = snaps[0]

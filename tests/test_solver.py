@@ -1,6 +1,7 @@
 """Split-step solver: linear limit, conservation, blow-up measurement, convergence."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -19,10 +20,17 @@ from nlslab import (
     norms,
     sup_modulus,
 )
-from nlslab import propagators, solver
+from nlslab import initial_data, propagators, solver
 from nlslab.harness import ExperimentConfig
 from nlslab.initial_data import gaussian
-from nlslab.propagators import PointwiseBlowUp, blowup_horizon
+from nlslab.propagators import (
+    PointwiseBlowUp,
+    blowup_horizon,
+    g_p,
+    profile,
+    remainder,
+    t_star_time,
+)
 from nlslab.solver import (
     SolverConfig,
     convergence_study,
@@ -208,19 +216,23 @@ class TestStep:
 
     def test_fixed_steps_keep_the_first_field_at_each_grid_time(self):
         # a fixed step is accepted as the run loop accepts a trial's field: it is
-        # offered as a snapshot whether or not it is due a sample, and kept when
+        # offered to the log whether or not it is due a sample, and kept when
         # it is the first at or after a time of the grid, 16 per decade of 1 + t
-        # before t_star = 2.5: 0, 0.155 and 0.334 up to t = 0.35
+        # before t_star = 2.5: 0, 0.155 and 0.334 up to t = 0.35.  A full log
+        # turns each kept field into its row at once and holds none
         cfg = small_config(eps=0.4, record_every=3)
-        state = init(cfg, gaussian(cfg.grid))
+        state = init(cfg, gaussian(cfg.grid), diagnostics=True)
         states = [state]
         for _ in range(7):
             state = fixed_step(state, 0.05)
             states.append(state)
         log = state.diagnostics
         assert log.dense_from == 2.5
-        assert log.snapshot_times == [states[k].t for k in (0, 4, 7)]
-        assert all(snap is states[k].u.values for snap, k in zip(log.snapshots, (0, 4, 7)))
+        assert [row.t for row in log.rows] == [states[k].t for k in (0, 4, 7)]
+        assert log.rows[0].remainder_sup is None
+        assert [row.remainder_sup for row in log.rows[1:]] == [
+            sup_modulus(remainder(states[k].u, states[k].t, cfg.params)) for k in (4, 7)]
+        assert log.held == []
         assert [s.t for s in log.samples] == [s.t for s in states[::3]]
 
     def test_real_lambda_conserves_mass(self):
@@ -257,26 +269,28 @@ class TestStep:
         # loop, with nothing recorded
         field = state.u.values.copy()
         field[0] = np.inf
-        assert solver._accept(cfg, state.diagnostics, 20.0, field, 1) == "pointwise"
-        assert len(state.diagnostics.samples) == 1 and state.t == 0.0
-        assert state.diagnostics.snapshot_times == [0.0]
+        log = state.diagnostics
+        assert solver._accept(cfg, log, 20.0, field, 1) == "pointwise"
+        assert len(log.samples) == 1 and state.t == 0.0
+        # offered at t = 20, past t_star = 2, the field would be held
+        assert log.held == [] and log.rows == []
 
     def test_threshold_crossing_is_an_event_without_sample(self, monkeypatch):
         # sup |u| starts at 0.4 and grows without bound; the pointwise
         # horizon stays far beyond dt/2 while sup |u| < 1, the cap 0.4/eps
         monkeypatch.setattr(solver, "_SUP_CAP", 0.4)
         cfg = small_config(eps=0.4)
-        state = init(cfg, gaussian(cfg.grid))
+        state = init(cfg, gaussian(cfg.grid), diagnostics=True)
         log = state.diagnostics
         for _ in range(1000):
-            n_samples, n_snapshots = len(log.samples), len(log.snapshots)
+            n_samples, n_rows = len(log.samples), len(log.rows)
             u = strang_step(state.u.values, 0.05, cfg, state.abs_b)
             nxt = solver._accept(cfg, log, state.t + 0.05, u, state.step_count + 1)
             if isinstance(nxt, str):
                 break
             state = nxt
         assert nxt == "threshold"
-        assert len(log.samples) == n_samples and len(log.snapshots) == n_snapshots
+        assert len(log.samples) == n_samples and len(log.rows) == n_rows
         # the run loop brackets the same crossing and records it as a threshold blow-up
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         assert rec.status == "blown-up" and rec.t_blow_threshold == rec.T_eps
@@ -467,45 +481,51 @@ class TestRunToBlowup:
             res = mass_balance_residuals(rec.diagnostics.samples, mu=1.0)
         assert np.all(np.isfinite(res))
 
-    def test_snapshot_budget_respected(self, monkeypatch):
-        # the eps = 0.3 run keeps 42 snapshots under the budget of 128; under 8 its
-        # grid coarsens, no offer leaves more than 8, and t_star stays a grid time
-        monkeypatch.setattr(solver, "_SNAPSHOT_BUDGET", 8)
-        record, counts, offered = solver.DiagnosticsLog.record_snapshot, [], []
+    def test_held_fields_stay_within_the_half_time_bound(self, monkeypatch):
+        # a field kept at t_k >= t_star is held until an offer at 2 t_k or later, so
+        # after an offer at t the held fields lie in (t/2, t], each the first at its
+        # own dense grid time.  Their indices span less than 160 log10 2 (for
+        # (1 + t)/(1 + t/2) < 2), so at most floor(160 log10 2) + 2 = 50 are held
+        bound = math.floor(solver._DENSE_PER_DECADE * math.log10(2.0)) + 2
+        offer, held = solver.DiagnosticsLog.offer, []
 
-        def spy(log, t, values):
-            offered.append(t)
-            record(log, t, values)
-            counts.append(len(log.snapshots))
+        def spy(log, config, t, values):
+            offer(log, config, t, values)
+            held.append(len(log.held))
+            assert all(log.dense_from <= t_k and t < 2.0 * t_k for t_k, _ in log.held)
 
-        monkeypatch.setattr(solver.DiagnosticsLog, "record_snapshot", spy)
-        cfg = small_config(eps=0.3, grid=Grid(1, 256, 25.0), record_every=1)
+        monkeypatch.setattr(solver.DiagnosticsLog, "offer", spy)
+        # damped and censored at t_max = 100, t_star = 1/0.3: it keeps 154 fields,
+        # which a store bounded at 128 fields would have had to coarsen
+        cfg = small_config(params=NonlinearityParams(-1j, 0.5, 1), grid=Grid(1, 2048, 800.0),
+                           t_max=100.0, record_every=1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         log = rec.diagnostics
-        assert rec.status == "blown-up" and len(offered) > 200
-        assert max(counts) == 8 and counts[-1] == len(log.snapshots) <= 8
-        assert log.snapshot_times[0] == 0.0
-        assert min(t for t in offered if t >= log.dense_from) in log.snapshot_times
+        assert rec.status == "reached-t-max" and len(held) > 200
+        assert bound == 50 and 20 < max(held) <= bound
+        assert log.held == []
+        times = [row.t for row in log.rows]
+        assert len(times) > 100 and log.dense_from <= times[0] and times[-1] <= 50.0
 
     def test_run_keeps_the_first_offer_at_or_after_each_grid_time(self, monkeypatch):
         # the grid is 16 times per decade of 1 + t from t = 0 and 160 from
         # t_star = 1/0.3 on; every offer is an accepted field or a trial's midpoint
-        record, offered = solver.DiagnosticsLog.record_snapshot, []
+        offer, offered = solver.DiagnosticsLog.offer, []
 
-        def spy(log, t, values):
+        def spy(log, config, t, values):
             offered.append(t)
-            record(log, t, values)
+            offer(log, config, t, values)
 
-        monkeypatch.setattr(solver.DiagnosticsLog, "record_snapshot", spy)
+        monkeypatch.setattr(solver.DiagnosticsLog, "offer", spy)
         cfg = small_config(eps=0.3, grid=Grid(1, 256, 25.0), record_every=1)
-        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        rec = run_to_blowup(init(cfg, gaussian(cfg.grid), diagnostics=True))
         log = rec.diagnostics
         t_star = log.dense_from
+        times = [row.t for row in log.rows]
         assert rec.status == "blown-up" and t_star == 0.3**-1.0
-        assert log.snapshot_times == first_offers(offered, grid_times(t_star, offered[-1], 0))
-        assert len(log.snapshots) < solver._SNAPSHOT_BUDGET
+        assert times == first_offers(offered, grid_times(t_star, offered[-1]))
         # 31 of the 42 from t_star on, one at each grid time up to T_eps = 5.69
-        assert len([t for t in log.snapshot_times if t >= t_star]) > 20
+        assert len([t for t in times if t >= t_star]) > 20
 
     @pytest.mark.parametrize("eps, theta, dense_from", [
         (0.2, 0.5, 5.0), (0.0, 0.5, 1.0), (0.2, 1.0, 1.0), (1e-10, 0.99, np.inf),
@@ -514,48 +534,53 @@ class TestRunToBlowup:
         cfg = small_config(params=NonlinearityParams(1j, theta, 1), eps=eps)
         assert init(cfg, gaussian(cfg.grid)).diagnostics.dense_from == dense_from
 
-    @pytest.mark.parametrize("budget", [1, 2, 3, 32, 128])
-    def test_kept_offers_are_the_first_at_or_after_each_grid_time(self, monkeypatch, budget):
+    @pytest.mark.parametrize("seed", [1, 2, 3, 32, 128])
+    def test_kept_offers_are_the_first_at_or_after_each_grid_time(self, monkeypatch, seed):
         # random offer sequences, in time order: what is kept is the first offer at
-        # or after each time of the grid that keeps every 2**c-th time, for the
-        # least c that leaves no more than the budget
-        monkeypatch.setattr(solver, "_SNAPSHOT_BUDGET", budget)
-        rng = np.random.default_rng(budget)
+        # or after each time of the grid.  A full log makes each kept offer a row
+        # as it comes; a default log holds those from window_from on until an
+        # offer at twice their time, and closing at T makes rows of those at or
+        # before T/2.  _row is stubbed: this is the log's bookkeeping alone
+        monkeypatch.setattr(solver, "_row", lambda config, t, values, full: (t, values, full))
+        rng = np.random.default_rng(seed)
         for k in range(20):
             dense_from = np.inf if k % 5 == 4 else float(rng.uniform(0.2, 8.0))
+            window_from = 0.01 if k % 3 == 0 else dense_from
             # gaps of 0 offer a time twice
             gaps = rng.integers(0, 3, 300) * 0.05 if k % 2 else rng.exponential(0.05, 300)
             times = [float(t) for t in np.cumsum(gaps)]
-            log = solver.DiagnosticsLog(dense_from=dense_from)
+            full = solver.DiagnosticsLog(dense_from=dense_from, full=True)
+            held = solver.DiagnosticsLog(dense_from=dense_from, window_from=window_from)
             arrays = {}
             for t in times:
                 arrays.setdefault(t, np.array([t]))
-                log.record_snapshot(t, arrays[t])
-                assert len(log.snapshots) <= budget
-            for c in range(40):
-                want = first_offers(times, grid_times(dense_from, times[-1], c))
-                if len(want) <= budget:
-                    break
-            assert log.snapshot_times == want
-            assert all(snap is arrays[t] and not snap.flags.writeable
-                       for t, snap in zip(log.snapshot_times, log.snapshots))
+                full.offer(None, t, arrays[t])
+                held.offer(None, t, arrays[t])
+                assert full.held == []
+                assert all(window_from <= t_k and t < 2.0 * t_k for t_k, _ in held.held)
+            T = times[-1]
+            held.close(None, T)
+            want = first_offers(times, grid_times(dense_from, T))
+            assert [t for t, _, _ in full.rows] == want
+            assert [t for t, _, _ in held.rows] == [t for t in want if window_from <= t <= T / 2]
+            assert held.held == []
+            for log, is_full in ((full, True), (held, False)):
+                assert all(values is arrays[t] and not values.flags.writeable and f is is_full
+                           for t, values, f in log.rows)
 
 
-def grid_times(dense_from, t_end, coarsening):
-    """The snapshot grid's times up to t_end, every 2**coarsening-th of them: 16 per
-    decade of 1 + t from t = 0, then 160 per decade from dense_from on, which is the
-    2**32-th time of the uncoarsened grid."""
-    step = 2**coarsening
+def grid_times(dense_from, t_end):
+    """The grid's times up to t_end: 16 per decade of 1 + t from t = 0, then 160 per
+    decade from dense_from on."""
     times = []
     k = 0
     while k / 16 <= np.log10(1.0 + t_end) and 10.0 ** (k / 16) - 1.0 < dense_from:
         times.append(10.0 ** (k / 16) - 1.0)
-        k += step
+        k += 1
     j = 0
-    while (coarsening <= 32 and dense_from <= t_end
-           and j / 160 <= np.log10((1.0 + t_end) / (1.0 + dense_from))):
+    while dense_from <= t_end and j / 160 <= np.log10((1.0 + t_end) / (1.0 + dense_from)):
         times.append((1.0 + dense_from) * 10.0 ** (j / 160) - 1.0)
-        j += step
+        j += 1
     return times
 
 
@@ -861,8 +886,8 @@ def ownership_config(d):
 
 
 def kept_arrays(state):
-    """The state's field and every snapshot in its log, each with a copy of its values."""
-    return [(a, a.copy()) for a in (state.u.values, *state.diagnostics.snapshots)]
+    """The state's field and every field its log holds, each with a copy of its values."""
+    return [(a, a.copy()) for a in (state.u.values, *(v for _, v in state.diagnostics.held))]
 
 
 class TestFieldOwnership:
@@ -871,13 +896,15 @@ class TestFieldOwnership:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_step_leaves_its_input_and_the_snapshots_unchanged(self, d):
-        # steps of 0.2 reach a new time of the grid each, 16 per decade of 1 + t
+        # the log holds the fields it kept from t_star on (2.5 in 1-D, 2**0.5 in
+        # 2-D); past it, steps of 0.2 reach a new time of the grid each, 160 per
+        # decade of 1 + t, until three are held, the state's own field the last
         cfg = ownership_config(d)
         state = init(cfg, gaussian(cfg.grid))
-        for _ in range(3):
+        while len(state.diagnostics.held) < 3:
             state = fixed_step(state, 0.2)
         kept = kept_arrays(state)
-        assert len(kept) == 5 and kept[0][0] is kept[-1][0]
+        assert len(kept) == 4 and kept[0][0] is kept[-1][0]
         new = fixed_step(state, 0.005)
         assert new.u.values is not state.u.values
         for a, copy in kept:
@@ -927,34 +954,110 @@ class TestFieldOwnership:
         assert run_to_blowup(state).status == "blown-up" and len(read) > 100
 
     def test_snapshots_are_the_read_only_accepted_fields(self, monkeypatch):
-        # a snapshot is no copy: it is the field a state held, or the midpoint
+        # a held field is no copy: it is the field a state held, or the midpoint
         # field of the step that led to one, and writing into it fails
         cfg = ownership_config(1)
         state = init(cfg, gaussian(cfg.grid))
-        assert state.diagnostics.snapshots[0] is state.u.values
-        offered = {id(state.u.values): (state.u.values, 0.0, "end")}
-        accept = solver._accept
+        assert not state.u.values.flags.writeable
+        offered, held = {}, {}
+        accept, close = solver._accept, solver.DiagnosticsLog.close
 
         def spy_accept(config, log, t, u, step_count, mid=None):
             offered[id(u)] = (u, t, "end")
             offered[id(mid[1])] = (mid[1], mid[0], "mid")
-            return accept(config, log, t, u, step_count, mid)
+            new = accept(config, log, t, u, step_count, mid)
+            held.update((id(values), (t_k, values)) for t_k, values in log.held)
+            return new
+
+        def spy_close(log, config, T):
+            held.update((id(values), (t_k, values)) for t_k, values in log.held)
+            close(log, config, T)
 
         monkeypatch.setattr(solver, "_accept", spy_accept)
+        monkeypatch.setattr(solver.DiagnosticsLog, "close", spy_close)
         rec = run_to_blowup(state)
-        snapshots = rec.diagnostics.snapshots
-        assert 20 < len(snapshots) < solver._SNAPSHOT_BUDGET
+        assert rec.diagnostics.held == [] and len(held) > 20
         kinds = []
-        for t, snap in zip(rec.diagnostics.snapshot_times, snapshots):
+        for t, snap in held.values():
             field, t_offered, kind = offered[id(snap)]
             assert field is snap and t_offered == t
             kinds.append(kind)
         assert "mid" in kinds and "end" in kinds
-        for snap in snapshots:
+        for _, snap in held.values():
             with pytest.raises(ValueError, match="read-only"):
                 snap[0] = 0.0
             with pytest.raises(ValueError, match="read-only"):
                 snap *= 2.0
+
+
+def field_functions(u, t, cfg):
+    """(t, sup|R|, r1, r2, r3) of the field u at t, from remainder, norms and profile
+    directly, as the ratios were computed from stored fields after the run."""
+    params, s = cfg.params, cfg.s
+    d, p = params.d, params.p
+    gamma = (2.0 * s - d) / 8.0
+    rep = norms(u, t, s)
+    nu = ComplexField(cfg.grid, Space.PHYSICAL, params.lam * g_p(u.values, p))
+    rep_nu = norms(nu, t, s)
+    r1 = (1 + t) ** (d / 2.0) * rep.l_inf / rep.sigma_s if rep.sigma_s > 0 else None
+    r2 = None
+    if t >= 1.0 and rep.h_0s > 0:
+        sup_a = sup_modulus(profile(u, t))
+        r2 = (rep.l_inf - t ** (-d / 2.0) * sup_a) * t ** (d / 2.0 + gamma) / rep.h_0s
+    r3 = None
+    if rep.sigma_s > 0:
+        r3 = (1 + t) ** (d * (p - 1) / 2.0) * rep_nu.sigma_s / rep.sigma_s**p
+    sup_r = sup_modulus(remainder(u, t, params)) if t > 0 else None
+    return t, sup_r, r1, r2, r3
+
+
+@pytest.fixture(scope="module", params=["1d", "2d"])
+def two_mode_runs(request):
+    """(config, full record, {t: field offered}, default record) of one run started
+    with diagnostics=True and again without: the default config's eps = 0.2 rung,
+    or one 2-D rung (128**2, L = 20, s = 1.2, eps = 0.4)."""
+    over = {"eps_ladder": [0.2]}
+    if request.param == "2d":
+        over = {"d": 2, "n": 128, "L": 20.0, "s": 1.2, "eps_ladder": [0.4]}
+    base = ExperimentConfig(**over)
+    cfg = base.solver_config()
+    phi = initial_data.build(cfg.grid, base.initial_data)
+    offer, offered = solver.DiagnosticsLog.offer, {}
+
+    def noting(log, config, t, values):
+        offered[t] = values
+        offer(log, config, t, values)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver.DiagnosticsLog, "offer", noting)
+        full = run_to_blowup(init(cfg, phi, diagnostics=True))
+    return cfg, full, offered, run_to_blowup(init(cfg, phi))
+
+
+class TestRows:
+    def test_full_rows_are_the_field_functions_of_the_kept_offers(self, two_mode_runs):
+        cfg, full, offered, _ = two_mode_runs
+        rows = full.diagnostics.rows
+        assert rows[0].t == 0.0 and len(rows) > 50 and full.diagnostics.held == []
+        for row in rows:
+            u = ComplexField(cfg.grid, Space.PHYSICAL, offered[row.t])
+            assert (row.t, row.remainder_sup, row.r1, row.r2, row.r3) == field_functions(
+                u, row.t, cfg)
+
+    def test_default_rows_are_the_window_rows_of_a_full_run(self, two_mode_runs):
+        from nlslab.lifespan import max_remainder_scaled
+
+        cfg, full, _, default = two_mode_runs
+        t_star = t_star_time(cfg.eps, cfg.params.theta, cfg.params.d)
+        assert default.T_eps == full.T_eps
+        window = [(row.t, row.remainder_sup) for row in full.diagnostics.rows
+                  if t_star <= row.t <= full.T_eps / 2.0]
+        rows = default.diagnostics.rows
+        assert len(window) >= 3 and [(row.t, row.remainder_sup) for row in rows] == window
+        assert all(row.r1 is row.r2 is row.r3 is None for row in rows)
+        assert default.diagnostics.held == []
+        assert (max_remainder_scaled(default.diagnostics, cfg, default.T_eps)
+                == max_remainder_scaled(full.diagnostics, cfg, full.T_eps))
 
 
 class TestHigherDimensions:
