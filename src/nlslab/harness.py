@@ -4,11 +4,13 @@ One JSON config file states the experiment of every entry point; where the
 outputs go and how many processes compute a sweep are CLI flags.  All
 quantities are nondimensional (the equation is already in normalized units);
 lam is stored as [re, im].  Serialization is canonical: parse(serialize(c)) ==
-c, and identical configs produce byte-identical outputs.  A config is checked
-whole when it loads, so every command refuses the same ones: unknown keys,
-values of the wrong JSON type or not finite, and whatever the grid, the
-nonlinearity or the solver config refuses.  An s outside the paper's index
-range is not refused: the run's record says so in outside_hypotheses.
+c, and identical configs produce byte-identical outputs.  A number field holds
+a float however the file spells it, so "L": 80 and "L": 80.0 are one config
+with one fingerprint.  A config is checked whole when it loads, so every
+command refuses the same ones: unknown keys, values of the wrong JSON type or
+not finite, and whatever the grid, the nonlinearity or the solver config
+refuses.  An s outside the paper's index range is not refused: the run's
+record says so in outside_hypotheses.
 """
 
 from __future__ import annotations
@@ -46,19 +48,25 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         defaults = cls().to_dict()
+        data = dict(data)
         for key, value in data.items():
             if key not in defaults:
                 raise ValueError(f"unknown config field {key!r}")
             if key == "initial_data":
                 check_spec(value)
-            else:
-                _check_type(f"config field {key!r}", value, defaults[key])
-        data = dict(data)
+                continue
+            _check_type(f"config field {key!r}", value, defaults[key])
+            # 80 and 80.0 state one experiment: a number field holds a float, so both
+            # spellings give one config, one fingerprint and the same output bytes
+            if type(defaults[key]) is float:
+                data[key] = float(value)
+            elif type(defaults[key]) is list:
+                data[key] = [float(v) for v in value]
         if "lam" in data:
             lam = data["lam"]
             if len(lam) != 2:
                 raise ValueError("config field 'lam' must be a [re, im] pair")
-            data["lam"] = complex(float(lam[0]), float(lam[1]))
+            data["lam"] = complex(lam[0], lam[1])
         cfg = cls(**data)
         decreasing_ladder(cfg.eps_ladder)
         if cfg.schema_version != SCHEMA_VERSION:

@@ -2,17 +2,32 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 
 def canonical_fingerprint(mapping: dict) -> str:
-    """Short stable hash of a JSON-serializable mapping; changes iff a field changes."""
+    """Short stable hash of a JSON-serializable mapping; changes iff a field changes.
+
+    The first 16 hex digits of the SHA-256 of the mapping's sorted, compact JSON.
+    The digest comes from the interpreter's built-in SHA-256 module (`_sha2`, or
+    `_sha256` before Python 3.12), as the standard library's `random` takes its
+    SHA-512: `hashlib` would load OpenSSL's libcrypto through `_hashlib`, 3.6 MB of
+    every run's peak memory for two digests.  Both give the same digest; `hashlib`
+    is the fallback where the interpreter has no built-in module.
+    """
     blob = json.dumps(mapping, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    return sha256(blob.encode()).hexdigest()[:16]
 
 
 @dataclass

@@ -1,5 +1,7 @@
-"""What a fresh interpreter loads: the package and its CLI need only numpy and the stdlib."""
+"""What a fresh interpreter loads: the package and its CLI need only numpy and the stdlib,
+and a run on one process loads no OpenSSL (its fingerprints use the built-in SHA-256)."""
 
+import json
 import os
 import subprocess
 import sys
@@ -28,6 +30,29 @@ def test_import_loads_no_scipy_and_no_process_pool():
     where, loaded = out.splitlines()
     assert Path(where).resolve().is_relative_to(SRC)
     assert loaded == "[]"
+
+
+def test_runs_on_one_process_load_no_openssl(tmp_path):
+    # hashlib's _hashlib links OpenSSL's libcrypto: 3.6 MB of every run's peak memory
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 256, "L": 25.0, "eps_ladder": [0.4, 0.3], "t_max": 30.0,
+                                  "record_every": 8}))
+    commands = [[command, "--config", str(config), "--out", str(tmp_path / command)]
+                for command in ("simulate", "sweep", "diagnostics")]
+    out = run_fresh(
+        "import sys\n"
+        "import nlslab, nlslab.cli\n"
+        "print('after import, _hashlib loaded:', '_hashlib' in sys.modules)\n"
+        f"for argv in {commands!r}:\n"
+        "    assert nlslab.cli.main(argv) == 0, argv\n"
+        "    print(f'after {argv[0]}, _hashlib loaded:', '_hashlib' in sys.modules)\n"
+    )
+    loaded = [line for line in out.splitlines() if ", _hashlib loaded: " in line]
+    assert loaded == [f"after {step}, _hashlib loaded: False"
+                      for step in ("import", "simulate", "sweep", "diagnostics")]
+    assert (tmp_path / "simulate" / "run_eps0.4.json").exists()
+    assert (tmp_path / "sweep" / "summary.csv").exists()
+    assert (tmp_path / "diagnostics" / "diagnostics.csv").exists()
 
 
 def test_profile_integration_loads_scipy_on_first_call():

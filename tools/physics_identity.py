@@ -11,9 +11,14 @@ the sweep verdict, the sample count, the persisted T_eps and the persisted
 byte count.  Timings are ignored.  For each run whose T_eps differs it also
 prints the relative shift (got - want) / want, the working tree against <rev>.
 
-Exit status: 0 when every workload is identical, 1 when one differs, 2 when a
-worker or git fails.  `perfbench/run.py` accepts T_eps within 1e-3 of its
-reference, so its `correct: true` cannot show bit-identity; this can.
+It then runs the default `nlslab sweep` in both trees and compares every file
+it writes (the run JSONs and summary.csv) byte for byte: a changed fingerprint
+or number format keeps the persisted byte count, so only the bytes show it.
+
+Exit status: 0 when every workload and the sweep's outputs are identical, 1
+when one differs, 2 when a worker, the sweep or git fails.  `perfbench/run.py`
+accepts T_eps within 1e-3 of its reference, so its `correct: true` cannot show
+bit-identity; this can.
 """
 
 from __future__ import annotations
@@ -41,14 +46,27 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
 
 
+def single_threaded_env(**extra) -> dict:
+    return dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
+                **extra)
+
+
 def physics(tree: Path, workload: str) -> dict:
     """The physics keys of one full worker repetition in `tree`."""
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, str(tree / "perfbench" / "worker.py"), "--workload", workload,
-         "--mode", "full"], cwd=tree, env=env, capture_output=True, text=True, check=True)
+         "--mode", "full"], cwd=tree, env=single_threaded_env(), capture_output=True, text=True,
+        check=True)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     return {key: result.get(key) for key in PHYSICS_KEYS}
+
+
+def sweep_outputs(tree: Path, out: Path) -> dict:
+    """The bytes of each file the default `nlslab sweep` of `tree`'s src/ writes, by name."""
+    subprocess.run([sys.executable, "-m", "nlslab.cli", "sweep", "--out", str(out)], cwd=tree,
+                   env=single_threaded_env(PYTHONPATH=str(tree / "src")), capture_output=True,
+                   text=True, check=True)
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
 def t_eps_shifts(want: list, got: list) -> list:
@@ -68,7 +86,8 @@ def main(argv=None) -> int:
         ap.error(f"unknown workloads {unknown}")
     differ = False
     with tempfile.TemporaryDirectory(prefix="physics-identity-") as tmp:
-        base = Path(tmp)
+        base = Path(tmp) / "rev"
+        base.mkdir()
         try:
             export(args.rev, base)
             for workload in args.workloads or sorted(WORKLOADS):
@@ -81,6 +100,16 @@ def main(argv=None) -> int:
                 for eps, shift in t_eps_shifts(want["runs"], got["runs"]):
                     print(f"  T_eps at eps = {eps}: relative shift {shift:+.3e}")
                 differ = differ or bool(changed)
+            want = sweep_outputs(base, Path(tmp) / "sweep-rev")
+            got = sweep_outputs(ROOT, Path(tmp) / "sweep-tree")
+            changed = sorted(name for name in want.keys() | got.keys()
+                             if want.get(name) != got.get(name))
+            print("default sweep outputs: " + ("identical" if not changed else "differ"))
+            for name in changed:
+                print(f"  {name}: " + ("only in " + args.rev if name not in got else
+                                       "only in the working tree" if name not in want else
+                                       "bytes differ"))
+            differ = differ or bool(changed)
         except subprocess.CalledProcessError as e:
             stderr = e.stderr if isinstance(e.stderr, str) else (e.stderr or b"").decode()
             print(f"error: {' '.join(map(str, e.cmd))} failed: {stderr.strip()}", file=sys.stderr)
