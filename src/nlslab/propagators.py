@@ -21,6 +21,7 @@ from .spectral import (
     _back_propagation_phase,
     _phase_overflows,
     _read_only,
+    _real_fields,
     _require_space,
     dft,
     fourier_forward,
@@ -54,6 +55,7 @@ class NonlinearityParams:
     d: int
 
     def __post_init__(self):
+        _real_fields(self, "theta")
         if self.d not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
         if not (0.0 < self.theta <= 1.0):

@@ -11,14 +11,14 @@ two of dt/2, squaring the half step's multiplier for the full step.  Strang
 splitting is symmetric, so the Richardson extrapolation of the two is a
 fourth-order field at no extra cost, and the run loop accepts it (local
 extrapolation).
-The nonlinear substep's closed form carries its own blow-up detector (a
-pointwise denominator zero).  A run ends when its event is bracketed within
-1e-3 of the elapsed time, in one of two ways.  A trial step meets the event
-when the detector fires in either of its paths, or when its field reaches
-the sup-norm cap 1e3/eps; such a step is halved until it is no wider than
-the bracket, and that final step is the bracket.  Or the pointwise blow-up
-horizon of sup|u| falls within the bracket: the pointwise flow's own
-singularity then lies at most that far ahead, and the horizon is the bracket.
+A run ends when its blow-up is bracketed within 1e-3 of the elapsed time, in
+one of two ways.  The pointwise blow-up horizon of sup|u| falls within the
+bracket: the pointwise flow's own singularity then lies at most that far
+ahead, and the horizon is the bracket.  Or a trial's field reaches the
+sup-norm cap 1e3/eps, the one event: that step is halved until it is no wider
+than the bracket, and that final step is the bracket.  A trial that meets the
+nonlinear substep's own singularity (a pointwise denominator zero) is not an
+event but a rejected trial, retried at most a fifth as long.
 A run that does not blow up ends on t_max or on boundary contamination.
 A :class:`SolverState` is a field on the trajectory; how the run ended (its
 status, blow-up time and criterion) is the run loop's own, and goes only
@@ -57,6 +57,7 @@ from .spectral import (
     Grid,
     NormReport,
     Space,
+    _real_fields,
     _resample,
     boundary_shell_fraction,
     dft,
@@ -75,7 +76,7 @@ from .spectral import (
 # bracket's half-width 5e-4.
 _STEP_TOLERANCE = 1e-6
 _HORIZON_FRACTION = 0.1  # every step is at most this fraction of the blow-up horizon of sup|u|
-_BRACKET = 1e-3  # an event is bracketed within this fraction of the elapsed time
+_BRACKET = 1e-3  # a blow-up is bracketed within this fraction of the elapsed time
 _FIRST_STEP = 0.1 * 0.05  # 0.005000000000000001: a literal 0.005 would move every run's bits
 _SUP_CAP = 1e3  # sup|u| >= _SUP_CAP / eps is an event; there is no cap at eps = 0
 _SHELL_TOLERANCE = 1e-6  # outer-shell mass fraction above which a run is contaminated
@@ -94,7 +95,7 @@ class RunStatus(str, Enum):
 class SolverConfig:
     """Everything one run depends on that callers vary; the step tolerance, first
     step, horizon fraction, event bracket, sup-norm cap, shell tolerance and
-    the grid of kept fields are this module's constants.  Any s runs; one
+    the grid of kept fields are this module's constants.  Any finite s runs; one
     outside the paper's range sets the record's outside_hypotheses."""
 
     grid: Grid
@@ -105,8 +106,11 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        _real_fields(self, "eps", "s", "t_max")
         if not 0 <= self.eps < math.inf:
             raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
+        if not math.isfinite(self.s):
+            raise ValueError(f"s must be finite, got {self.s}")
         if not 0 < self.t_max < math.inf:
             raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
         if not self.record_every > 0:
@@ -288,26 +292,22 @@ def _sample_diagnostics(state: SolverState, power: np.ndarray):
 
 
 def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
-            step_count: int, mid: tuple | None = None) -> SolverState | str:
-    """The state at t carrying the field u on the trajectory of `log`; or, when u is
-    non-finite or reaches the sup-norm cap, that event's criterion, "pointwise"
-    or "threshold", with nothing recorded.
+            step_count: int, mid: tuple | None = None) -> SolverState | None:
+    """The state at t carrying the field u on the trajectory of `log`; or None, with
+    nothing recorded, when sup|u| is not below the sup-norm cap 1e3/eps, as a
+    non-finite field's is not.
 
     Every field on a trajectory comes through here, the datum and each accepted
-    trial field.  One pass of |u| gives the finiteness check, sup|u|, the
-    boundary-shell fraction and the read-only |u|^b that every path from u
-    reads, and the sample reuses it.  The midpoint `mid` = (t_mid, values),
-    when given, is offered to the log first, then u (see
-    :meth:`DiagnosticsLog.offer`); the state is sampled every `record_every`
-    steps.
+    trial field.  One pass of |u| gives sup|u|, the boundary-shell fraction and
+    the read-only |u|^b that every path from u reads, and the sample reuses
+    it.  The midpoint `mid` = (t_mid, values), when given, is offered to the
+    log first, then u (see :meth:`DiagnosticsLog.offer`); the state is sampled
+    every `record_every` steps.
     """
     absu = np.abs(u)
     sup = float(np.max(absu))
-    # a non-finite value has a non-finite modulus, so only then is the field scanned
-    if not math.isfinite(sup) and not np.isfinite(u).all():
-        return "pointwise"
-    if sup >= config.threshold:
-        return "threshold"
+    if not sup < config.threshold:  # NaN and inf too
+        return None
     b = config.params.b
     abs_b = absu if b == 1.0 else absu**b  # numpy spends a pass on the exponent 1
     abs_b.flags.writeable = False
@@ -365,7 +365,7 @@ def init(config: SolverConfig, phi: ComplexField, diagnostics: bool = False) -> 
     log = DiagnosticsLog(dense_from=_dense_from(config), window_from=_window_from(config),
                          full=diagnostics)
     state = _accept(config, log, 0.0, u0, 0)
-    if isinstance(state, str):
+    if state is None:
         raise ValueError(f"sup-norm cap 1e3/eps = {config.threshold!r} must exceed the "
                          f"initial sup|eps*phi| = {float(np.max(np.abs(u0)))!r}")
     return state
@@ -378,23 +378,17 @@ def _strang(u: np.ndarray, substeps: tuple, multipliers: tuple, params: Nonlinea
 
     N(tau) is the exact nonlinear substep over tau, F(m) the free propagation
     by the Fourier multiplier m; there is one multiplier fewer than substeps.
-    A :class:`PointwiseBlowUp` carries `earliest` from the start of the path,
-    on the clock of the nonlinear substeps.  The first substep reads u and
-    `abs_b` = |u|^b when given, and writes into `out` (a fresh array when not
-    given; it may be u); the rest work in place there, with the float
-    `scratch`.
+    A substep's :class:`PointwiseBlowUp` propagates and ends the path.  The
+    first substep reads u and `abs_b` = |u|^b when given, and writes into
+    `out` (a fresh array when not given; it may be u); the rest work in place
+    there, with the float `scratch`.
     """
     if scratch is None:
         scratch = np.empty(u.shape)
-    elapsed, tau = 0.0, substeps[0]
-    try:
-        w = nonlinear_flow_exact(u, tau, params, out=out, scratch=scratch, abs_b=abs_b)
-        for m, following in zip(multipliers, substeps[1:]):
-            elapsed, tau = elapsed + tau, following
-            _multiply_spectrum(w, m, w)
-            w = nonlinear_flow_exact(w, tau, params, out=w, scratch=scratch)
-    except PointwiseBlowUp as e:
-        raise PointwiseBlowUp(elapsed + min(e.earliest, tau)) from None
+    w = nonlinear_flow_exact(u, substeps[0], params, out=out, scratch=scratch, abs_b=abs_b)
+    for m, tau in zip(multipliers, substeps[1:]):
+        _multiply_spectrum(w, m, w)
+        w = nonlinear_flow_exact(w, tau, params, out=w, scratch=scratch)
     return w
 
 
@@ -416,10 +410,9 @@ def _doubling_trial(u: np.ndarray, abs_b: np.ndarray, dt: float, config: SolverC
     at dt/2.  err is not finite when u_dt or two is not.  The norms are
     numpy's own sums of products (einsum calls no BLAS), so err does not
     depend on the BLAS thread count.  A :class:`PointwiseBlowUp` in any
-    path propagates, with `earliest` counted from that path's start, and the
-    paths after it are not taken.  The trial allocates its three fields, m_dt
-    and one float scratch array, and every substep writes into them; u and
-    abs_b are only read.
+    path propagates, and the paths after it are not taken.  The trial
+    allocates its three fields, m_dt and one float scratch array, and every
+    substep writes into them; u and abs_b are only read.
     """
     params = config.params
     half, quarter = 0.5 * dt, 0.25 * dt
@@ -467,22 +460,23 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     :func:`_accept`, and only it gets the |u| pass, the shell check, an
     offer to the log and, every `record_every` accepted steps, a sample; the
     trial's midpoint field is offered at t + dt/2 just before.
-    Otherwise, or for a non-finite trial field, the trial is retried.  The
-    next proposal is dt * 0.9 (tol/err)^(1/3), at most 4 dt after an
-    acceptance and at least dt/5 after a rejection.  A step that shrinks to
-    nothing raises RuntimeError.
+    Otherwise the trial is rejected and retried: its err is over tolerance or
+    not finite, or a path met the nonlinear substep's singularity, which
+    counts as err = inf.  The next proposal is dt * 0.9 (tol/err)^(1/3) in
+    [dt/5, 4 dt], and dt/5 for a non-finite err.  A step that shrinks to
+    nothing, under a tolerance that cannot be met or a singularity that
+    recurs at every step length, raises RuntimeError.
 
-    The run ends when its event is bracketed within `_BRACKET` = 1e-3 of the
-    elapsed time, on its base state.  Either a trial brackets it: a trial
-    meets the event when its full step or a half step runs into the
-    singularity, or when the accepted field reaches the sup-norm cap 1e3/eps.  An event step
-    wider than 1e-3 max(t, dt) is halved and retried, and the event-free
-    steps that follow are accepted as usual, so an event that does not recur
-    at the shorter steps does not end the run; an event step within that
-    width is the bracket, and t_blow = t + dt/2.  Or the horizon of sup|u|
-    brackets it: before each trial, once horizon <= 1e-3 t and
-    t + horizon <= t_max, the pointwise flow's singularity lies within
-    [t, t + horizon], and the run ends "pointwise" with t_blow = t + horizon.
+    The run ends when its blow-up is bracketed within `_BRACKET` = 1e-3 of the
+    elapsed time, on its base state.  Either the horizon of sup|u| brackets
+    it: before each trial, once horizon <= 1e-3 t and t + horizon <= t_max,
+    the pointwise flow's singularity lies within [t, t + horizon], and the
+    run ends "pointwise" with t_blow = t + horizon.  Or a trial within
+    tolerance brackets the one event, a field that reaches the sup-norm cap
+    1e3/eps: an event step wider than 1e-3 max(t, dt) is halved and retried,
+    so a crossing that does not recur at the shorter steps does not end the
+    run; one within that width is the bracket, and the run ends "threshold"
+    with t_blow = t + dt/2.
     The boundary monitor aborts when the outer-shell mass fraction exceeds
     1e-6; such runs are invalid for bound checking.  The outcome is the
     loop's own: each of the four exits (the horizon stop, an event step,
@@ -505,23 +499,23 @@ def run_to_blowup(state: SolverState) -> RunRecord:
         dt = min(h, _HORIZON_FRACTION * horizon, remaining)
         if not state.t + dt > state.t:
             raise RuntimeError(f"step size {dt!r} vanishes at t={state.t!r}: the trials "
-                               f"cannot meet the step tolerance {tol!r}")
+                               f"cannot meet the step tolerance {tol!r}, or keep meeting "
+                               f"a pointwise singularity")
         try:
             u, mid, err = _doubling_trial(state.u.values, state.abs_b, dt, cfg)
         except PointwiseBlowUp:
-            trial = "pointwise"
-        else:
-            h = dt * _resize(err, tol)
-            if not err <= tol:
-                continue
-            trial = _accept(cfg, state.diagnostics, state.t + dt, u, state.step_count + 1,
-                            (state.t + 0.5 * dt, mid))
-        if isinstance(trial, str):  # the trial met the event by this criterion
+            err = math.inf
+        h = dt * _resize(err, tol)
+        if not err <= tol:
+            continue
+        new = _accept(cfg, state.diagnostics, state.t + dt, u, state.step_count + 1,
+                      (state.t + 0.5 * dt, mid))
+        if new is None:  # the field reaches the sup-norm cap
             if dt > _BRACKET * max(state.t, dt):
                 h = 0.5 * dt
                 continue
-            return make_record(state, RunStatus.BLOWN_UP, state.t + 0.5 * dt, trial)
-        state = trial
+            return make_record(state, RunStatus.BLOWN_UP, state.t + 0.5 * dt, "threshold")
+        state = new
         if state.shell > _SHELL_TOLERANCE:
             return make_record(state, RunStatus.BOUNDARY_CONTAMINATED)
 
@@ -530,8 +524,8 @@ def make_record(state: SolverState, status: RunStatus, t_blow: float | None = No
                 criterion: str | None = None) -> RunRecord:
     """The record of a run that ended on `state` with `status`, whose last sample
     is `state`: it is sampled here unless it already was.  A BLOWN_UP run blew
-    up at t_blow by `criterion`: "pointwise" (a substep singularity, a
-    non-finite field or the horizon of sup|u|) or "threshold" (the sup-norm cap).
+    up at t_blow by `criterion`: "pointwise" (the horizon of sup|u|) or
+    "threshold" (the sup-norm cap).
     The log is closed at the record's T_eps, so it holds no field after."""
     if state.diagnostics.samples[-1].t != state.t:
         _sample_diagnostics(state, np.abs(state.u.values) ** 2)
@@ -586,11 +580,11 @@ def _fixed_run(config: SolverConfig, phi: ComplexField, t_end: float, dt: float)
     u = init(config, phi).u.values
     substeps, multipliers = (dt / 2.0, dt / 2.0), (_free_multiplier(config.grid, dt),)
     try:
-        for _ in range(int(round(t_end / dt))):
+        for k in range(int(round(t_end / dt))):
             u = _strang(u, substeps, multipliers, config.params)
-    except PointwiseBlowUp as e:
-        raise RuntimeError(f"fixed-step run of dt={dt!r} met the pointwise singularity "
-                           f"{e.earliest!r} into a step") from None
+    except PointwiseBlowUp:
+        raise RuntimeError(f"fixed-step run of dt={dt!r} met a pointwise singularity "
+                           f"in the step from t={k * dt!r}") from None
     if not np.isfinite(u).all():
         raise RuntimeError(f"fixed-step run of dt={dt!r} left a non-finite field")
     return u

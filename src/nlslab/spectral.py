@@ -14,11 +14,24 @@ module chooses the numpy transform behind it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+
+def _real_fields(obj, *names):
+    """Make each named integer field of the frozen dataclass `obj` its float, so 80 and
+    80.0 state one experiment with one fingerprint; refuse a field that is no real
+    number, such as a string or a bool, rather than convert it."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"{type(obj).__name__}.{name} must be a real number, got {value!r}")
+        if isinstance(value, numbers.Integral):
+            object.__setattr__(obj, name, float(value))
 
 
 class Space(Enum):
@@ -42,6 +55,7 @@ class Grid:
     L: float
 
     def __post_init__(self):
+        _real_fields(self, "L")
         if self.d not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:

@@ -10,7 +10,9 @@ import pytest
 from nlslab import records
 from nlslab.cli import main
 from nlslab.harness import ExperimentConfig
+from nlslab.propagators import NonlinearityParams
 from nlslab.records import canonical_fingerprint
+from nlslab.solver import SolverConfig
 from nlslab.spectral import Grid
 
 
@@ -79,3 +81,33 @@ class TestOneFingerprintPerExperiment:
         capsys.readouterr()
         assert "run_eps1.0.json" in outs[0]
         assert outs[0] == outs[1]
+
+
+def library_config(**over):
+    """The default config's SolverConfig, built from the library's own classes; `over`
+    sets L, theta, eps, s or t_max."""
+    kw = {"L": 80.0, "theta": 0.5, "eps": 0.4, "s": 1.0, "t_max": 200.0, "record_every": 4,
+          **over}
+    return SolverConfig(grid=Grid(1, 2048, kw.pop("L")),
+                        params=NonlinearityParams(1j, kw.pop("theta"), 1), **kw)
+
+
+class TestOneFingerprintPerLibraryExperiment:
+    @pytest.mark.parametrize("key, spelled", [("L", 80), ("theta", 1), ("eps", 1), ("s", 1),
+                                               ("t_max", 200)])
+    def test_an_integer_field_holds_its_float(self, key, spelled):
+        as_int, as_float = library_config(**{key: spelled}), library_config(**{key: float(spelled)})
+        holder = {"L": as_int.grid, "theta": as_int.params}.get(key, as_int)
+        assert type(getattr(holder, key)) is float
+        assert as_int == as_float and as_int.fingerprint() == as_float.fingerprint()
+
+    def test_the_default_fingerprints_on_the_library_path(self):
+        cfg = library_config(L=80, t_max=200)
+        assert canonical_fingerprint(asdict(cfg.grid)) == "e7298b3a0fd80eb8"
+        assert cfg.fingerprint() == "9ff5044c4c354f10"
+
+    @pytest.mark.parametrize("value", ["1", True])
+    @pytest.mark.parametrize("key", ["L", "theta", "eps", "s", "t_max"])
+    def test_a_string_or_bool_is_refused_not_converted(self, key, value):
+        with pytest.raises(TypeError, match=f"{key} must be a real number"):
+            library_config(**{key: value})

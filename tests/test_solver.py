@@ -108,6 +108,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             small_config(**{field: value})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_s(self, value):
+        # a NaN s would run, with every sample's sigma_s NaN and E(t) reading 0
+        with pytest.raises(ValueError, match="^s must be finite"):
+            small_config(s=value)
+
     @pytest.mark.parametrize("field, value", [("record_every", 0), ("record_every", -3)])
     def test_rejects_bad_sampling_counts(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -265,12 +271,18 @@ class TestStep:
         with pytest.raises(PointwiseBlowUp) as blown:
             strang_step(state.u.values, 20.0, cfg, state.abs_b)
         assert blown.value.earliest == pytest.approx(2.0, rel=1e-12)
-        # a non-finite field is the same event: _accept reports it to the run
-        # loop, with nothing recorded
+
+    @pytest.mark.parametrize("eps", [0.5, 0.0], ids=["capped", "no cap"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_is_not_accepted(self, eps, value):
+        # sup|u| of a non-finite field is not below the cap, even at eps = 0
+        # where the cap is inf: _accept takes no state from it and records nothing
+        cfg = small_config(eps=eps, record_every=10**9)
+        state = init(cfg, gaussian(cfg.grid))
         field = state.u.values.copy()
-        field[0] = np.inf
+        field[0] = value
         log = state.diagnostics
-        assert solver._accept(cfg, log, 20.0, field, 1) == "pointwise"
+        assert solver._accept(cfg, log, 20.0, field, 1) is None
         assert len(log.samples) == 1 and state.t == 0.0
         # offered at t = 20, past t_star = 2, the field would be held
         assert log.held == [] and log.rows == []
@@ -286,10 +298,10 @@ class TestStep:
             n_samples, n_rows = len(log.samples), len(log.rows)
             u = strang_step(state.u.values, 0.05, cfg, state.abs_b)
             nxt = solver._accept(cfg, log, state.t + 0.05, u, state.step_count + 1)
-            if isinstance(nxt, str):
+            if nxt is None:
                 break
             state = nxt
-        assert nxt == "threshold"
+        assert nxt is None
         assert len(log.samples) == n_samples and len(log.rows) == n_rows
         # the run loop brackets the same crossing and records it as a threshold blow-up
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
@@ -662,21 +674,6 @@ class TestStepLaw:
             assert t_mid == t_base + 0.5 * dt_trial
             t_base = t
 
-    def test_half_step_event_halves_the_step(self, monkeypatch):
-        dts = []
-        trial = solver._doubling_trial
-
-        def first_half_step_blows_up(u, abs_b, dt, config):
-            dts.append(dt)
-            if len(dts) == 1:
-                raise PointwiseBlowUp(0.25 * dt)
-            return trial(u, abs_b, dt, config)
-
-        monkeypatch.setattr(solver, "_doubling_trial", first_half_step_blows_up)
-        cfg = small_config(eps=0.4, t_max=0.1)
-        run_to_blowup(init(cfg, gaussian(cfg.grid)))
-        assert dts[0] == solver._FIRST_STEP and dts[1] == dts[0] / 2
-
     def spy_paths(self, monkeypatch, blown_calls):
         """Record the substeps of every Strang path; the calls numbered in `blown_calls` raise."""
         paths = []
@@ -691,64 +688,31 @@ class TestStepLaw:
         monkeypatch.setattr(solver, "_strang", spy)
         return paths
 
-    def test_full_step_event_alone_halves_the_step(self, monkeypatch):
-        # the first trial's full path meets the singularity, so its half
-        # steps are not taken; the event step is wider than the bracket, so
-        # the trial is retried at half length
-        paths = self.spy_paths(monkeypatch, blown_calls={1})
+    @staticmethod
+    def trial_paths(dt):
+        """The substeps of a doubling trial's three paths: the full step and the two halves."""
+        return [(dt / 2, dt / 2), (dt / 4, dt / 4), (dt / 4, dt / 4)]
+
+    @pytest.mark.parametrize("blown_call", [1, 2, 3], ids=["full", "first half", "second half"])
+    def test_singularity_that_does_not_recur_is_stepped_past(self, monkeypatch, blown_call):
+        # one path of the first trial meets the singularity: the trial is
+        # rejected as if its err were inf, the paths after that one are not
+        # taken, and the retry at a fifth of the step meets none, so the run
+        # goes on to t_max
+        paths = self.spy_paths(monkeypatch, blown_calls={blown_call})
         cfg = small_config(eps=0.4, t_max=0.1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         dt0 = solver._FIRST_STEP
+        assert paths[:blown_call] == self.trial_paths(dt0)[:blown_call]
+        assert paths[blown_call:blown_call + 3] == self.trial_paths(dt0 * 0.2)
         assert rec.status == "reached-t-max"
-        assert paths[:4] == [(dt0 / 2, dt0 / 2),
-                             (dt0 / 4, dt0 / 4), (dt0 / 8, dt0 / 8), (dt0 / 8, dt0 / 8)]
-
-    def test_event_that_does_not_recur_is_stepped_past(self, monkeypatch):
-        # the full paths of the first two trials meet the singularity, but no
-        # shorter step does: each event step is wider than the bracket, so it
-        # is halved and the run goes on to t_max
-        paths = self.spy_paths(monkeypatch, blown_calls={1, 2})
-        cfg = small_config(eps=0.4, t_max=0.1)
-        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
-        dt0 = solver._FIRST_STEP
-        assert paths[:5] == [(dt0 / 2, dt0 / 2), (dt0 / 4, dt0 / 4),
-                             (dt0 / 8, dt0 / 8), (dt0 / 16, dt0 / 16), (dt0 / 16, dt0 / 16)]
-        assert rec.status == "reached-t-max"
-
-    def test_event_in_both_paths_ends_the_run(self, monkeypatch):
-        # every trial that would cross t_event meets the singularity in both
-        # paths; the step law closes in on it, and the last trial's step,
-        # at most 1e-3 t wide, is the bracket whose middle is T_eps
-        t_event = 0.0123
-        clock, dts = [0.0], []
-        trial, accept = solver._doubling_trial, solver._accept
-
-        def blows_up_across(u, abs_b, dt, config):
-            dts.append(dt)
-            if clock[0] + dt > t_event:
-                raise PointwiseBlowUp(t_event - clock[0])
-            return trial(u, abs_b, dt, config)
-
-        def spy_accept(*args):
-            new = accept(*args)
-            clock[0] = new.t
-            return new
-
-        monkeypatch.setattr(solver, "_doubling_trial", blows_up_across)
-        monkeypatch.setattr(solver, "_accept", spy_accept)
-        cfg = small_config(eps=0.4, t_max=0.1)
-        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
-        assert rec.status == "blown-up" and rec.t_blow_threshold is None
-        assert dts[-1] <= 1e-3 * clock[0]
-        assert rec.t_blow_pointwise == clock[0] + 0.5 * dts[-1]
-        assert abs(rec.t_blow_pointwise - t_event) <= 5e-4 * t_event
-        assert rec.diagnostics.samples[-1].t == clock[0] < t_event
 
     @pytest.mark.parametrize("blown_path", ["full", "first half", "second half"])
-    def test_event_in_one_path_ends_the_run(self, monkeypatch, blown_path):
+    def test_recurring_singularity_fails_loudly(self, monkeypatch, blown_path):
         # every trial that would cross t_event meets the singularity in one
-        # path only, the full step or one of the half steps; that is an event
-        # like any other, so the last trial's step, at most 1e-3 t wide, is the bracket
+        # path; each is rejected, so the accepted steps close in on t_event
+        # until the step vanishes, and the run raises rather than report a
+        # blow-up time
         t_event = 0.0123
         clock, dts, calls = [0.0], [], []
         trial, strang, accept = solver._doubling_trial, solver._strang, solver._accept
@@ -774,11 +738,43 @@ class TestStepLaw:
         monkeypatch.setattr(solver, "_strang", spy_strang)
         monkeypatch.setattr(solver, "_accept", spy_accept)
         cfg = small_config(eps=0.4, t_max=0.1)
-        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
-        assert rec.status == "blown-up" and rec.t_blow_threshold is None
-        assert dts[-1] <= 1e-3 * clock[0]
-        assert rec.t_blow_pointwise == clock[0] + 0.5 * dts[-1]
-        assert abs(rec.t_blow_pointwise - t_event) <= 5e-4 * t_event
+        with pytest.raises(RuntimeError, match="step tolerance.*pointwise singularity"):
+            run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        assert clock[0] <= t_event < clock[0] + dts[-1]
+        assert t_event - clock[0] <= 1e-15 * t_event
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad_call", [1, 2, 3], ids=["full", "first half", "second half"])
+    def test_non_finite_trial_field_is_never_accepted(self, monkeypatch, value, bad_call):
+        # one path of the first trial leaves a NaN or inf in its field: the
+        # trial's err is not finite (or the next path meets the singularity),
+        # so it is rejected and retried at a fifth of its step, and every
+        # field the run accepts is finite
+        paths, accepted = [], []
+        strang, accept = solver._strang, solver._accept
+
+        def spy_strang(u, substeps, *args):
+            paths.append(substeps)
+            w = strang(u, substeps, *args)
+            if len(paths) == bad_call:
+                w[len(w) // 2] = value
+            return w
+
+        def spy_accept(config, log, t, u, *args):
+            accepted.append(u)
+            return accept(config, log, t, u, *args)
+
+        monkeypatch.setattr(solver, "_strang", spy_strang)
+        monkeypatch.setattr(solver, "_accept", spy_accept)
+        cfg = small_config(eps=0.4, t_max=0.1)
+        with np.errstate(invalid="ignore"):  # complex arithmetic on an inf gives NaNs
+            rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        assert rec.status == "reached-t-max"
+        dt0 = solver._FIRST_STEP
+        retry = paths.index(self.trial_paths(dt0 * 0.2)[0])
+        assert paths[:retry] == self.trial_paths(dt0)[:retry]
+        assert paths[retry:retry + 3] == self.trial_paths(dt0 * 0.2)
+        assert len(accepted) > 1 and all(np.isfinite(u).all() for u in accepted)
 
     def test_unattainable_tolerance_fails_loudly(self, monkeypatch):
         # roundoff alone keeps err above 1e-300, so the step shrinks to nothing
@@ -924,7 +920,7 @@ class TestFieldOwnership:
             times.append(t)
             kept.extend((a, a.copy()) for a in (u, mid[1]))
             new = accept(config, log, t, u, step_count, mid)
-            if not isinstance(new, str):
+            if new is not None:
                 kept.append((new.abs_b, new.abs_b.copy()))
             return new
 
