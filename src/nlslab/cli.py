@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import ExperimentConfig, persist_run, persist_summary
+from .harness import (ExperimentConfig, persist_diagnostics, persist_run, persist_summary,
+                      persist_trajectory)
 from .initial_data import build as build_initial_data
 from .lifespan import (
     critical_bound,
@@ -55,13 +56,6 @@ def _check_out(args) -> None:
     nearest = next((p for p in (out, *out.parents) if p.exists()), Path("."))
     if not nearest.is_dir():
         raise NotADirectoryError(f"--out {str(out)!r}: {str(nearest)!r} is not a directory")
-
-
-def _output(args, name: str) -> Path:
-    """The path of output file `name` under --out, whose directory is created."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out / name
 
 
 def _say_if_outside(cfg: ExperimentConfig, record) -> None:
@@ -171,9 +165,7 @@ def _cmd_profile_ode(args) -> int:
     sup_w = float(np.max(np.abs(traj.w)))
     print(f"sup |eta| = {sup_eta!r} (envelope {(k.c0 + 1) * eps!r})")
     print(f"sup |w| = {sup_w!r} (envelope {k.m * eps ** (1 + delta)!r})")
-    path = _output(args, "profile_trajectory.csv")
-    traj.to_csv(path)
-    print(f"wrote {path}")
+    print(f"wrote {persist_trajectory(traj, args.out)}")
     return 0
 
 
@@ -197,14 +189,7 @@ def _cmd_diagnostics(args) -> int:
               f"first = {float(sups[0])!r}, max = {float(np.max(sups))!r}")
     if record.max_remainder_scaled is not None:
         print(f"max remainder scaled = {record.max_remainder_scaled!r}")
-    path = _output(args, "diagnostics.csv")
-    with open(path, "w") as fh:
-        fh.write("t,r1,r2,r3\n")
-        for r in ratios:
-            row = [repr(float(r.t))] + [
-                "" if v is None else repr(float(v)) for v in (r.r1, r.r2, r.r3)]
-            fh.write(",".join(row) + "\n")
-    print(f"wrote {path}")
+    print(f"wrote {persist_diagnostics(ratios, args.out)}")
     return 0
 
 

@@ -1,4 +1,6 @@
-"""Experiment configuration, run persistence, and CSV emission.
+"""Experiment configuration and every file the lab writes: no other module creates
+a directory or writes a file.  The three CSVs share one writer, the csv module's
+default dialect (CRLF line ends) and one number format, repr(float(v)) or "" for None.
 
 One JSON config file states the experiment of every entry point; where the
 outputs go and how many processes compute a sweep are CLI flags.  All
@@ -19,6 +21,8 @@ import csv
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+
+import numpy as np
 
 from .initial_data import _check_type, check_spec
 from .lifespan import decreasing_ladder
@@ -149,13 +153,27 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def persist_run(record: RunRecord, out_dir) -> Path:
-    """One JSON document per run; rewriting with the same record is byte-identical."""
+def _out_path(out_dir, name: str) -> Path:
+    """The path of output file `name` under out_dir, which is created with its parents."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"run_eps{record.eps!r}.json"
-    blob = json.dumps(run_record_to_dict(record), indent=2, sort_keys=True) + "\n"
-    path.write_text(blob)
+    return out / name
+
+
+def _write_csv(out_dir, name: str, rows) -> Path:
+    """Write `rows` to the CSV `name` under out_dir in the csv module's default dialect:
+    a string cell as it is, any other through _fmt."""
+    path = _out_path(out_dir, name)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [cell if isinstance(cell, str) else _fmt(cell) for cell in row] for row in rows)
+    return path
+
+
+def persist_run(record: RunRecord, out_dir) -> Path:
+    """One JSON document per run; rewriting with the same record is byte-identical."""
+    path = _out_path(out_dir, f"run_eps{record.eps!r}.json")
+    path.write_text(json.dumps(run_record_to_dict(record), indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -168,22 +186,30 @@ CSV_COLUMNS = ["eps", "T_eps", "q_eps", "bound_value", "status", "grid_fingerpri
 
 def persist_summary(records, summary: SweepSummary, out_dir) -> Path:
     """Summary CSV: one row per ladder rung plus a trailing verdict line."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "summary.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow([
-                _fmt(rec.eps),
-                _fmt(rec.T_eps),
-                _fmt(rec.invariant_quantity),
-                _fmt(rec.bound_value),
-                rec.status,
-                rec.grid_fingerprint,
-            ])
-        writer.writerow(["verdict", summary.verdict, "running_min",
-                         _fmt(summary.running_min[-1] if summary.running_min else None),
-                         "tolerance", _fmt(summary.tolerance)])
-    return path
+    rows = [CSV_COLUMNS]
+    rows += [[rec.eps, rec.T_eps, rec.invariant_quantity, rec.bound_value, rec.status,
+              rec.grid_fingerprint] for rec in records]
+    rows.append(["verdict", summary.verdict, "running_min",
+                 summary.running_min[-1] if summary.running_min else None,
+                 "tolerance", summary.tolerance])
+    return _write_csv(out_dir, "summary.csv", rows)
+
+
+def persist_diagnostics(rows, out_dir) -> Path:
+    """diagnostics.csv: t and the ratios r1-r3 of each row of
+    :func:`nlslab.lifespan.decay_ratio_diagnostics`, an empty cell for a None ratio."""
+    return _write_csv(out_dir, "diagnostics.csv",
+                      [["t", "r1", "r2", "r3"], *([r.t, r.r1, r.r2, r.r3] for r in rows)])
+
+
+def persist_trajectory(traj, out_dir) -> Path:
+    """profile_trajectory.csv: one row per (xi, t) of a profile-ODE trajectory, xi by xi;
+    a vector xi is one cell, the list of its components."""
+    rows = [["t", "xi", "re_eta", "im_eta", "abs_eta0", "abs_w", "f"]]
+    for i, xi in enumerate(traj.xi):
+        xi_cell = xi if xi.ndim == 0 else repr(list(map(float, xi)))
+        # np.abs, not abs: numpy's scalar abs of a complex rounds differently in the last bit
+        rows += [[t, xi_cell, traj.eta[i, k].real, traj.eta[i, k].imag, np.abs(traj.eta0[i, k]),
+                  np.abs(traj.eta[i, k] - traj.eta0[i, k]), traj.f[i, k]]
+                 for k, t in enumerate(traj.t)]
+    return _write_csv(out_dir, "profile_trajectory.csv", rows)

@@ -10,7 +10,6 @@ diagonal in xi, so samples integrate independently.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -254,22 +253,6 @@ class ProfileTrajectory:
         tau = coefficient_integral(p.t_star, self.t, p.a)
         growth = np.exp(self.constants.c3 * p.eps**p.b * tau)
         return self.f[:, :1] * growth[None, :]
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "xi", "re_eta", "im_eta", "abs_eta0", "abs_w", "f"])
-            for i, xi in enumerate(np.atleast_1d(self.xi)):
-                for k, t in enumerate(self.t):
-                    writer.writerow([
-                        repr(float(t)),
-                        repr(float(np.real(xi))) if np.ndim(xi) == 0 else repr(list(map(float, xi))),
-                        repr(float(self.eta[i, k].real)),
-                        repr(float(self.eta[i, k].imag)),
-                        repr(float(np.abs(self.eta0[i, k]))),
-                        repr(float(np.abs(self.eta[i, k] - self.eta0[i, k]))),
-                        repr(float(self.f[i, k])),
-                    ])
 
 
 def integrate_perturbed(params: OdeParams, pert: PerturbationSpec, xi_samples,

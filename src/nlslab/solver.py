@@ -407,12 +407,12 @@ def _doubling_trial(u: np.ndarray, abs_b: np.ndarray, dt: float, config: SolverC
     two's local error, O(dt^3), and R = two - (u_dt - two)/3 cancels its
     leading term: Strang splitting is symmetric, so R's local error is
     O(dt^5) and err bounds it.  mid is the field after the first half step,
-    at dt/2.  err is not finite when u_dt or two is not.  The norms are
-    numpy's own sums of products (einsum calls no BLAS), so err does not
-    depend on the BLAS thread count.  A :class:`PointwiseBlowUp` in any
-    path propagates, and the paths after it are not taken.  The trial
-    allocates its three fields, m_dt and one float scratch array, and every
-    substep writes into them; u and abs_b are only read.
+    at dt/2.  err is not finite when u_dt or two is not; R is then two.  The
+    norms are numpy's own sums of products (einsum calls no BLAS), so err does
+    not depend on the BLAS thread count.  A :class:`PointwiseBlowUp` in any
+    path propagates, and the paths after it are not taken.  The trial allocates
+    its three fields, m_dt and one float scratch array, and every substep
+    writes into them; u and abs_b are only read.
     """
     params = config.params
     half, quarter = 0.5 * dt, 0.25 * dt
@@ -430,7 +430,8 @@ def _doubling_trial(u: np.ndarray, abs_b: np.ndarray, dt: float, config: SolverC
         err = math.sqrt(num / den) / 3.0
     else:
         err = 0.0 if num == 0 else math.nan
-    two -= np.divide(diff, 3.0, out=diff)
+    if math.isfinite(err):  # the run rejects any other trial: extrapolate no inf or NaN
+        two -= np.divide(diff, 3.0, out=diff)
     return two, mid, err
 
 

@@ -1,22 +1,31 @@
 """Config round trips, persistence, CSV schema, and CLI behavior."""
 
+import ast
+import csv
+import io
 import json
 from dataclasses import fields
+from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from nlslab import cli, lifespan
+from nlslab import cli, harness, lifespan
 from nlslab.cli import main
 from nlslab.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     load_run,
+    persist_diagnostics,
     persist_run,
     persist_summary,
+    persist_trajectory,
     run_record_from_dict,
     run_record_to_dict,
 )
 from nlslab.lifespan import sweep, t_star_time
+from nlslab.profile_ode import OdeParams, integrate_perturbed, make_perturbation
 from nlslab.solver import SolverConfig
 
 
@@ -219,6 +228,132 @@ class TestPersistence:
         first = p1.read_bytes()
         p2 = persist_summary(records, summary, tmp_path)
         assert p2.read_bytes() == first
+
+
+def ends_every_line_in_crlf(data: bytes) -> bool:
+    return data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n")
+
+
+def old_trajectory_rows(traj):
+    """The cells that ProfileTrajectory.to_csv wrote before persist_trajectory replaced it."""
+    yield ["t", "xi", "re_eta", "im_eta", "abs_eta0", "abs_w", "f"]
+    for i, xi in enumerate(np.atleast_1d(traj.xi)):
+        for k, t in enumerate(traj.t):
+            yield [
+                repr(float(t)),
+                repr(float(np.real(xi))) if np.ndim(xi) == 0 else repr(list(map(float, xi))),
+                repr(float(traj.eta[i, k].real)),
+                repr(float(traj.eta[i, k].imag)),
+                repr(float(np.abs(traj.eta0[i, k]))),
+                repr(float(np.abs(traj.eta[i, k] - traj.eta0[i, k]))),
+                repr(float(traj.f[i, k])),
+            ]
+
+
+SCALAR_XI = np.array([0.0, 1.0])
+VECTOR_XI = np.array([[0.0, 0.5], [1.0, -1.0]])
+
+
+def trajectory(xi):
+    p = OdeParams(a=0.5, b=1.0, lam=1j, eps=0.02, t_star=0.5, psi0_sup=1.0, sigma=0.05)
+    pert = make_perturbation("oscillatory", c1=0.3, c2=0.3, delta=1.0, params=p, seed=2)
+    return integrate_perturbed(p, pert, xi_samples=xi, n_output=20)
+
+
+class TestWriters:
+    @pytest.mark.parametrize("xi", [SCALAR_XI, VECTOR_XI], ids=["scalar xi", "vector xi"])
+    def test_trajectory_has_one_crlf_line_per_xi_and_t(self, tmp_path, xi):
+        traj = trajectory(xi)
+        path = persist_trajectory(traj, tmp_path / "out")
+        assert path == tmp_path / "out" / "profile_trajectory.csv"
+        data = path.read_bytes()
+        assert ends_every_line_in_crlf(data)
+        lines = data.decode().splitlines()
+        assert lines[0] == "t,xi,re_eta,im_eta,abs_eta0,abs_w,f"
+        assert len(lines) == 1 + len(xi) * len(traj.t) and len(traj.t) == 20
+        rows = list(csv.reader(lines[1:]))
+        assert all(len(row) == 7 for row in rows)
+        assert [row[0] for row in rows] == [repr(float(t)) for t in traj.t] * len(xi)
+
+    def test_vector_xi_is_one_quoted_list_cell(self, tmp_path):
+        traj = trajectory(VECTOR_XI)
+        lines = persist_trajectory(traj, tmp_path).read_text().splitlines()
+        assert lines[1].split(",", 1)[1].startswith('"[0.0, 0.5]",')
+        assert lines[-1].split(",", 1)[1].startswith('"[1.0, -1.0]",')
+
+    @pytest.mark.parametrize("xi", [SCALAR_XI, VECTOR_XI], ids=["scalar xi", "vector xi"])
+    def test_trajectory_bytes_are_those_of_the_old_writer(self, tmp_path, xi):
+        traj = trajectory(xi)
+        want = io.StringIO(newline="")
+        csv.writer(want).writerows(old_trajectory_rows(traj))
+        assert persist_trajectory(traj, tmp_path).read_bytes() == want.getvalue().encode()
+
+    def test_diagnostics_leave_a_none_ratio_empty(self, tmp_path):
+        rows = [SimpleNamespace(t=0.0, r1=0.25, r2=None, r3=1.5),
+                SimpleNamespace(t=1.0, r1=None, r2=2.0, r3=None),
+                SimpleNamespace(t=np.float64(2.5), r1=np.float64(0.1), r2=3, r3=None)]
+        path = persist_diagnostics(rows, tmp_path / "out")
+        assert path == tmp_path / "out" / "diagnostics.csv"
+        assert path.read_bytes() == (b"t,r1,r2,r3\r\n"
+                                     b"0.0,0.25,,1.5\r\n"
+                                     b"1.0,,2.0,\r\n"
+                                     b"2.5,0.1,3.0,\r\n")
+
+    def test_diagnostics_of_a_run_keep_every_row(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(small_config_dict(eps_ladder=[0.4]))
+        (record,), _, _ = sweep(cfg.eps_ladder, cfg.solver_config(), cfg.initial_data,
+                                diagnostics=True)
+        ratios = lifespan.decay_ratio_diagnostics(record.diagnostics)
+        data = persist_diagnostics(ratios, tmp_path).read_bytes()
+        assert ends_every_line_in_crlf(data)
+        lines = data.decode().splitlines()
+        assert lines[0] == "t,r1,r2,r3" and len(lines) == 1 + len(ratios) > 2
+        assert [float(line.split(",")[0]) for line in lines[1:]] == [r.t for r in ratios]
+
+    def test_summary_is_in_the_same_dialect(self, micro_sweep, tmp_path):
+        _, records, summary, _ = micro_sweep
+        assert ends_every_line_in_crlf(persist_summary(records, summary, tmp_path).read_bytes())
+
+
+def writes_or_makes_directories(node) -> bool:
+    """Whether `node` imports csv, opens a file for writing, or calls write_text,
+    write_bytes, mkdir or makedirs."""
+    if isinstance(node, ast.Import):
+        return any(a.name == "csv" for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "csv"
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes", "mkdir", "makedirs"):
+        return True
+    if name != "open":
+        return False
+    # open(path, mode) or path.open(mode): the mode is the first string argument
+    modes = [a.value for a in (*node.args, *(k.value for k in node.keywords if k.arg == "mode"))
+             if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+    return any(set(mode) & set("wax+") for mode in modes)
+
+
+def test_no_other_module_writes_files():
+    # one writer, one dialect and one number format for every output: only harness
+    # creates an output directory or writes a file
+    package = Path(harness.__file__).parent
+    writers = {path.name for path in package.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if writes_or_makes_directories(node)}
+    assert writers == {"harness.py"}
+
+
+def test_the_scan_sees_each_kind_of_write():
+    writes = ["import csv", "from csv import writer", "open(p, 'w')", "open(p, mode='a')",
+              "p.open('w')", "p.write_text(s)", "p.write_bytes(b)", "p.mkdir()",
+              "os.makedirs(p)"]
+    reads = ["import json", "open(p)", "open(p, 'rb')", "p.read_text()", "p.open()"]
+    for code, want in [*((c, True) for c in writes), *((c, False) for c in reads)]:
+        found = any(writes_or_makes_directories(n) for n in ast.walk(ast.parse(code)))
+        assert found is want, code
 
 
 class TestCli:

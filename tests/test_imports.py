@@ -32,6 +32,12 @@ def test_import_loads_no_scipy_and_no_process_pool():
     assert loaded == "[]"
 
 
+def test_import_loads_no_csv():
+    # only harness writes files, and the package's own imports do not load it
+    out = run_fresh("import sys\nimport nlslab\nprint('csv' in sys.modules)\n")
+    assert out.split() == ["False"]
+
+
 def test_runs_on_one_process_load_no_openssl(tmp_path):
     # hashlib's _hashlib links OpenSSL's libcrypto: 3.6 MB of every run's peak memory
     config = tmp_path / "config.json"

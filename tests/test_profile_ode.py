@@ -261,13 +261,3 @@ class TestPerturbedIntegration:
         )
         with pytest.raises(ValueError):
             integrate_perturbed(p, lying, xi_samples=np.array([0.0]))
-
-    def test_trajectory_csv_round_trip(self, tmp_path):
-        p = pert_params()
-        pert = make_perturbation("oscillatory", **PERT, params=p, seed=2)
-        traj = integrate_perturbed(p, pert, xi_samples=np.array([0.0, 1.0]), n_output=20)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "t,xi,re_eta,im_eta,abs_eta0,abs_w,f"
-        assert len(rows) == 1 + 2 * len(traj.t)

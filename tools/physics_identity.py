@@ -11,12 +11,15 @@ the sweep verdict, the sample count, the persisted T_eps and the persisted
 byte count.  Timings are ignored.  For each run whose T_eps differs it also
 prints the relative shift (got - want) / want, the working tree against <rev>.
 
-It then runs the default `nlslab sweep` in both trees and compares every file
-it writes (the run JSONs and summary.csv) byte for byte: a changed fingerprint
-or number format keeps the persisted byte count, so only the bytes show it.
+It then runs `nlslab sweep`, `nlslab profile-ode` and `nlslab diagnostics` on
+the default config in both trees and compares every file each writes (the run
+JSONs and summary.csv, profile_trajectory.csv, diagnostics.csv) byte for
+byte: a changed fingerprint or number format keeps the persisted byte count,
+and the ratios and the profile ODE are not in the workloads, so only the
+bytes show it.  A file whose bytes differ only in its line ends says so.
 
-Exit status: 0 when every workload and the sweep's outputs are identical, 1
-when one differs, 2 when a worker, the sweep or git fails.  `perfbench/run.py`
+Exit status: 0 when every workload and every command's outputs are identical,
+1 when one differs, 2 when a worker, a command or git fails.  `perfbench/run.py`
 accepts T_eps within 1e-3 of its reference, so its `correct: true` cannot show
 bit-identity; this can.
 """
@@ -61,9 +64,13 @@ def physics(tree: Path, workload: str) -> dict:
     return {key: result.get(key) for key in PHYSICS_KEYS}
 
 
-def sweep_outputs(tree: Path, out: Path) -> dict:
-    """The bytes of each file the default `nlslab sweep` of `tree`'s src/ writes, by name."""
-    subprocess.run([sys.executable, "-m", "nlslab.cli", "sweep", "--out", str(out)], cwd=tree,
+COMMANDS = ("sweep", "profile-ode", "diagnostics")
+
+
+def outputs(tree: Path, command: str, out: Path) -> dict:
+    """The bytes of each file `nlslab <command>` of `tree`'s src/ writes on the default
+    config, by name."""
+    subprocess.run([sys.executable, "-m", "nlslab.cli", command, "--out", str(out)], cwd=tree,
                    env=single_threaded_env(PYTHONPATH=str(tree / "src")), capture_output=True,
                    text=True, check=True)
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
@@ -100,16 +107,19 @@ def main(argv=None) -> int:
                 for eps, shift in t_eps_shifts(want["runs"], got["runs"]):
                     print(f"  T_eps at eps = {eps}: relative shift {shift:+.3e}")
                 differ = differ or bool(changed)
-            want = sweep_outputs(base, Path(tmp) / "sweep-rev")
-            got = sweep_outputs(ROOT, Path(tmp) / "sweep-tree")
-            changed = sorted(name for name in want.keys() | got.keys()
-                             if want.get(name) != got.get(name))
-            print("default sweep outputs: " + ("identical" if not changed else "differ"))
-            for name in changed:
-                print(f"  {name}: " + ("only in " + args.rev if name not in got else
-                                       "only in the working tree" if name not in want else
-                                       "bytes differ"))
-            differ = differ or bool(changed)
+            for command in COMMANDS:
+                want = outputs(base, command, Path(tmp) / f"{command}-rev")
+                got = outputs(ROOT, command, Path(tmp) / f"{command}-tree")
+                changed = sorted(name for name in want.keys() | got.keys()
+                                 if want.get(name) != got.get(name))
+                print(f"default {command} outputs: " + ("identical" if not changed else "differ"))
+                for name in changed:
+                    print(f"  {name}: " + (
+                        "only in " + args.rev if name not in got else
+                        "only in the working tree" if name not in want else
+                        "bytes differ" + (" only in line ends" if want[name].replace(b"\r", b"")
+                                          == got[name].replace(b"\r", b"") else "")))
+                differ = differ or bool(changed)
         except subprocess.CalledProcessError as e:
             stderr = e.stderr if isinstance(e.stderr, str) else (e.stderr or b"").decode()
             print(f"error: {' '.join(map(str, e.cmd))} failed: {stderr.strip()}", file=sys.stderr)
