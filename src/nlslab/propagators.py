@@ -1,10 +1,10 @@
 """Free Schrodinger flow, quadratic gauge factor, power nonlinearity, and its exact pointwise flow.
 
 Also the quantities that the run's diagnostics read off a field: the remainder
-window's exponents (t_star and gamma), the scattering profile A(t) and the
-reduced-ODE remainder R(t).  They live here because the solver computes them
-during a run, and :mod:`nlslab.lifespan`, which imports the solver, re-exports
-them.
+window's exponents (t_star and gamma), the scattering profile A(t), the
+reduced-ODE remainder R(t) and its sup-norm.  They live here because the solver
+computes them during a run, and :mod:`nlslab.lifespan`, which imports the
+solver, re-exports them.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .spectral import (
     Grid,
     Space,
     _back_propagation_phase,
+    _int_fields,
     _phase_overflows,
     _read_only,
     _real_fields,
@@ -55,6 +56,7 @@ class NonlinearityParams:
     d: int
 
     def __post_init__(self):
+        _int_fields(self, "d")
         _real_fields(self, "theta")
         if self.d not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
@@ -228,6 +230,34 @@ def remainder(u: ComplexField, t: float, params: NonlinearityParams) -> ComplexF
     a = phase * fourier_forward(u).values
     rhs = t ** (-params.theta) * params.lam * g_p(a, params.p)
     return ComplexField(g, Space.FREQUENCY, lhs - rhs)
+
+
+def remainder_sup(u: ComplexField, t: float, params: NonlinearityParams) -> float:
+    """sup_xi |R(t, xi)| of :func:`remainder`, without building R.
+
+    R is lam c (phase) (sign) [dft(G(u)) - t^(-theta) c^b G(dft(u))], with G(z) =
+    |z|^b z, c the unitary transform's scale, `phase` the back-propagation
+    phase and `sign` the (-1)^k vector; the last two and lam's phase have
+    modulus 1, and G commutes with them.  So sup|R| = c |lam| max|dft(G(u)) -
+    t^(-theta) c^b G(dft(u))|: two transforms and no phase.  It agrees with
+    ``sup_modulus(remainder(u, t, params))`` to roundoff.  Defined for t > 0.
+    """
+    if not (t > 0):
+        raise ValueError(f"remainder requires t > 0, got {t}")
+    g, b = u.grid, params.b
+    scale = g.h**g.d / (2.0 * np.pi) ** (g.d / 2.0)
+    values = u.values
+    mod = np.abs(values)
+    if b != 1.0:  # numpy spends a pass on the exponent 1
+        mod **= b
+    diff = dft(mod * values)
+    spectrum = dft(values)
+    mod = np.abs(spectrum, out=mod)
+    if b != 1.0:
+        mod **= b
+    mod *= t ** (-params.theta) * scale**b
+    diff -= np.multiply(spectrum, mod, out=spectrum)
+    return scale * abs(params.lam) * float(np.max(np.abs(diff, out=mod)))
 
 
 def nonlinear_flow_exact(z, dt, params: NonlinearityParams, *, out: np.ndarray | None = None,

@@ -25,9 +25,10 @@ status, blow-up time and criterion) is the run loop's own, and goes only
 into the record, which ends on a sample of the run's last state at every exit.
 The run's :class:`DiagnosticsLog` keeps its samples and its rows: what the
 diagnostics read off the first field offered at or after each time of a grid
-geometric in 1 + t, dense from t_star on.  The log holds a field only until
-the run can tell whether the remainder criterion's window [t_star, T/2] holds
-it, so a run holds at most the dense grid times in (t/2, t] at once.
+geometric in 1 + t, dense from t_star on.  A field's row is computed as the
+field is kept, so the log holds no field; the rows past half the run's end
+fall outside the remainder criterion's window [t_star, T/2] and are dropped
+when the run ends.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .propagators import (
     gamma_exponent,
     nonlinear_flow_exact,
     profile,
-    remainder,
+    remainder_sup,
     t_star_time,
 )
 from .records import RunRecord, canonical_fingerprint
@@ -57,6 +58,7 @@ from .spectral import (
     Grid,
     NormReport,
     Space,
+    _int_fields,
     _real_fields,
     _resample,
     boundary_shell_fraction,
@@ -106,6 +108,7 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        _int_fields(self, "record_every")
         _real_fields(self, "eps", "s", "t_max")
         if not 0 <= self.eps < math.inf:
             raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
@@ -168,11 +171,12 @@ class DiagnosticRow:
 
 
 def _row(config: SolverConfig, t: float, values: np.ndarray, full: bool) -> DiagnosticRow:
-    """The row of the field `values` at t: sup|R(t)| where t > 0, and with `full` the
-    ratios r1-r3 too."""
+    """The row of the field `values` at t, computed as :meth:`DiagnosticsLog.offer`
+    keeps it: sup|R(t)| by :func:`remainder_sup` where t > 0, and with `full`
+    the ratios r1-r3 too."""
     params = config.params
     u = ComplexField(config.grid, Space.PHYSICAL, values)
-    row = DiagnosticRow(t, sup_modulus(remainder(u, t, params)) if t > 0 else None)
+    row = DiagnosticRow(t, remainder_sup(u, t, params) if t > 0 else None)
     if not full:
         return row
     s, d, p = config.s, params.d, params.p
@@ -202,20 +206,17 @@ class DiagnosticsLog:
     times per decade from t = 0, and `_DENSE_PER_DECADE` from `dense_from`
     on, the run's t_star, where the remainder criterion is read.
 
-    A kept field becomes a row (:class:`DiagnosticRow`).  With `full`, every
-    kept field's full row is computed as it is kept, and no field is held.
-    Otherwise only the criterion's rows are computed: a kept field at
-    t_k >= `window_from` (the run's t_star, or inf where the criterion is
-    undefined) is `held`, and becomes a sup|R| row once an offer at 2 t_k or
-    later shows that t_k <= T/2, for no run ends before its last offer.
-    :meth:`close` turns the rest that lie at or before T/2 into rows and
-    drops every held field.  A held field is the offered read-only array
-    itself, not a copy; every offer is made read-only, held or not.
+    A kept field becomes a row (:class:`DiagnosticRow`) as it is kept, and the
+    log holds no field.  With `full`, every kept field gets its full row.
+    Otherwise only the criterion's rows are computed: a sup|R| row for each
+    field kept at t >= `window_from` (the run's t_star, or inf where the
+    criterion is undefined).  :meth:`close` then drops those after half the
+    run's end, for the criterion reads [t_star, T/2].  Every offer is made
+    read-only, kept or not.
     """
 
     samples: list = field(default_factory=list)
     rows: list = field(default_factory=list)
-    held: list = field(default_factory=list)  # (t, values) of each kept field awaiting its row
     dense_from: float = 1.0
     window_from: float = math.inf
     full: bool = False
@@ -231,24 +232,16 @@ class DiagnosticsLog:
     def offer(self, config: SolverConfig, t: float, values: np.ndarray):
         """Offer the field `values` at t, no earlier than every earlier offer."""
         values.flags.writeable = False  # kept or not: no field on a trajectory changes
-        while self.held and 2.0 * self.held[0][0] <= t:
-            self.rows.append(_row(config, *self.held.pop(0), full=False))
         index, last = self._grid_index(t), self._last_offer
         self._last_offer = index
-        if index <= last:
-            return
-        if self.full:
-            self.rows.append(_row(config, t, values, full=True))
-        elif t >= self.window_from:
-            self.held.append((t, values))
+        if index > last and (self.full or t >= self.window_from):
+            self.rows.append(_row(config, t, values, self.full))
 
-    def close(self, config: SolverConfig, T: float | None):
-        """End the run at T: the held fields at or before T/2 become rows, and none is
-        held after.  A run without a T (contaminated) gets no more rows."""
-        if T is not None:
-            self.rows.extend(_row(config, t, values, full=False)
-                             for t, values in self.held if 2.0 * t <= T)
-        self.held.clear()
+    def close(self, end: float):
+        """End the run at `end`, its T or, without one, its last offer's t: a log
+        without `full` keeps only the rows at or before end/2."""
+        if not self.full:
+            self.rows = [row for row in self.rows if 2.0 * row.t <= end]
 
 
 @dataclass
@@ -527,7 +520,8 @@ def make_record(state: SolverState, status: RunStatus, t_blow: float | None = No
     is `state`: it is sampled here unless it already was.  A BLOWN_UP run blew
     up at t_blow by `criterion`: "pointwise" (the horizon of sup|u|) or
     "threshold" (the sup-norm cap).
-    The log is closed at the record's T_eps, so it holds no field after."""
+    The log is closed at the record's T_eps, or at the last state's t for a run
+    without one (contaminated), whose rows then end at half that t."""
     if state.diagnostics.samples[-1].t != state.t:
         _sample_diagnostics(state, np.abs(state.u.values) ** 2)
     cfg = state.config
@@ -539,7 +533,7 @@ def make_record(state: SolverState, status: RunStatus, t_blow: float | None = No
         T = state.t
     else:
         T = None
-    state.diagnostics.close(cfg, T)
+    state.diagnostics.close(state.t if T is None else T)
     samples = state.diagnostics.samples
     record = RunRecord(
         eps=cfg.eps,

@@ -34,6 +34,18 @@ def _real_fields(obj, *names):
             object.__setattr__(obj, name, float(value))
 
 
+def _int_fields(obj, *names):
+    """Refuse each named field of the dataclass `obj` that is no integer, such as a
+    float, a string or a bool, rather than convert it: 1.0 or True would state the
+    d = 1 or record_every = 1 experiment under another fingerprint, and 2.5 would
+    pass for no experiment at all.  A numpy integer becomes its int."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{type(obj).__name__}.{name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, int(value))
+
+
 class Space(Enum):
     PHYSICAL = "physical"
     FREQUENCY = "frequency"
@@ -55,6 +67,7 @@ class Grid:
     L: float
 
     def __post_init__(self):
+        _int_fields(self, "d", "n")
         _real_fields(self, "L")
         if self.d not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")

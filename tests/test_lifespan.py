@@ -16,7 +16,7 @@ from nlslab import (
     norms,
     sup_modulus,
 )
-from nlslab import lifespan, solver
+from nlslab import lifespan, propagators, solver
 from nlslab.harness import ExperimentConfig
 from nlslab.initial_data import build as build_initial_data
 from nlslab.initial_data import gaussian
@@ -212,31 +212,45 @@ class TestProfileExtraction:
             remainder(gaussian(g), 0.0, params)
 
 
+def spying_on_rows(mp, offered=None):
+    """Note each remainder_sup call of the runs started under the monkeypatch `mp` as
+    (t, sup|R|, whether it came from the offer of its own field at t), and each
+    offered t in `offered`; returns the list of calls."""
+    offer, transform, calls, open_offers = solver.DiagnosticsLog.offer, solver.remainder_sup, [], []
+
+    def noting(log, config, t, values):
+        if offered is not None:
+            offered.append(t)
+        open_offers.append(t)
+        try:
+            offer(log, config, t, values)
+        finally:
+            open_offers.pop()
+
+    def spy(u, t, params):
+        value = transform(u, t, params)
+        calls.append((t, value, open_offers == [t]))
+        return value
+
+    mp.setattr(solver.DiagnosticsLog, "offer", noting)
+    mp.setattr(solver, "remainder_sup", spy)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def default_rungs():
-    """(config, record, offered, transformed) of the default experiment config's runs at
-    eps = 0.2 and 0.15: the times of every field offered to the run's log, and the
-    times at which the run called remainder."""
+    """(config, record, offered, calls) of the default experiment config's runs at
+    eps = 0.2 and 0.15: the times of every field offered to the run's log, and
+    the remainder_sup calls the run made (see :func:`spying_on_rows`)."""
     base = ExperimentConfig()
     out = {}
-    offer, transform = solver.DiagnosticsLog.offer, solver.remainder
     for eps in (0.2, 0.15):
-        offered, transformed = [], []
-
-        def noting(log, config, t, values):
-            offered.append(t)
-            offer(log, config, t, values)
-
-        def spy(u, t, params):
-            transformed.append(t)
-            return transform(u, t, params)
-
         cfg = replace(base.solver_config(), eps=eps)
         phi = build_initial_data(cfg.grid, base.initial_data)
+        offered = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver.DiagnosticsLog, "offer", noting)
-            mp.setattr(solver, "remainder", spy)
-            out[eps] = cfg, run_to_blowup(init(cfg, phi)), offered, transformed
+            calls = spying_on_rows(mp, offered)
+            out[eps] = cfg, run_to_blowup(init(cfg, phi)), offered, calls
     return out
 
 
@@ -249,21 +263,25 @@ def hand_built_log(cfg, times):
 
 class TestRemainderWindow:
     @pytest.mark.parametrize("eps, inside", [(0.2, 3), (0.15, 13)])
-    def test_scaled_maximum_transforms_only_the_window(self, default_rungs, monkeypatch,
-                                                        eps, inside):
-        # the run transforms the fields it kept in [t_star, T/2], and only them;
-        # the scaled maximum reads their rows and transforms nothing
-        cfg, rec, offered, transformed = default_rungs[eps]
+    def test_rows_are_the_kept_offers_in_the_window(self, default_rungs, monkeypatch,
+                                                    eps, inside):
+        # the run computes the row of each field it keeps from t_star on as the
+        # field is offered, and keeps the rows in [t_star, T/2]; the scaled maximum
+        # reads them and transforms nothing
+        cfg, rec, offered, calls = default_rungs[eps]
         t_star = t_star_time(eps, cfg.params.theta, cfg.params.d)
         half = rec.T_eps / 2.0
         times = np.array(offered)
         assert np.any(times < t_star) and np.any(times > half)
-        assert len(transformed) == inside
-        assert all(t_star <= t <= half for t in transformed)
-        assert [row.t for row in rec.diagnostics.rows] == transformed
+        assert all(t_star <= t and t in offered and in_offer for t, _, in_offer in calls)
+        assert any(t > half for t, _, _ in calls)
+        rows = [(row.t, row.remainder_sup) for row in rec.diagnostics.rows]
+        assert len(rows) == inside
+        assert rows == [(t, value) for t, value, _ in calls if t <= half]
         seen = []
-        monkeypatch.setattr(solver, "remainder", lambda *args: seen.append(args))
-        monkeypatch.setattr(lifespan, "remainder", lambda *args: seen.append(args))
+        for module, name in ((solver, "remainder_sup"), (lifespan, "remainder"),
+                             (propagators, "remainder_sup"), (propagators, "remainder")):
+            monkeypatch.setattr(module, name, lambda *args: seen.append(args))
         assert max_remainder_scaled(rec.diagnostics, cfg, rec.T_eps) is not None
         assert seen == []
 
@@ -298,59 +316,45 @@ class TestRemainderWindow:
         assert max_remainder_scaled(diag, cfg, T) is None
 
 
-    def test_contaminated_run_has_rows_but_no_scaled_maximum(self):
-        # damped on a box too small for t_max = 100: the run turns its fields
-        # from t_star = 1/0.3 on into rows until the shell monitor aborts it at
-        # t, and an aborted run has no T to read them against: the fields kept
-        # after t/2 are dropped without a row
+    def test_contaminated_run_has_rows_but_no_scaled_maximum(self, monkeypatch):
+        # damped on a box too small for t_max = 100: the run computes the rows of
+        # the fields it keeps from t_star = 1/0.3 on until the shell monitor aborts
+        # it at t, and an aborted run has no T to read them against: the rows of
+        # the fields kept after t/2 are dropped
         params = NonlinearityParams(lam=-1j, theta=0.5, d=1)
         cfg = SolverConfig(grid=Grid(1, 1024, 400.0), params=params, eps=0.3, s=1.0,
                            t_max=100.0, record_every=1)
+        calls = spying_on_rows(monkeypatch)
         (rec,), _, _ = sweep([0.3], cfg, GAUSS_SPEC)
         rows, t_abort = rec.diagnostics.rows, rec.diagnostics.samples[-1].t
         assert rec.status == "boundary-contaminated" and rec.T_eps is None
-        assert len(rows) > 50 and 2.0 * rows[-1].t <= t_abort
-        assert rec.diagnostics.held == []
+        assert len(rows) > 50 and any(2.0 * t > t_abort for t, _, _ in calls)
+        assert [(row.t, row.remainder_sup) for row in rows] == [
+            (t, value) for t, value, _ in calls if 2.0 * t <= t_abort]
         assert rec.max_remainder_scaled is None
 
-    def test_run_ending_before_twice_t_star_transforms_nothing(self, monkeypatch):
-        # the default eps = 0.4 rung: t_star = 2.5 > T/2 = 1.88, so the fields it
-        # holds from t_star on are dropped untransformed when the run ends
-        offer, transform, held, calls = solver.DiagnosticsLog.offer, solver.remainder, [], []
-
-        def noting(log, config, t, values):
-            offer(log, config, t, values)
-            held.append(len(log.held))
-
-        def spy(u, t, params):
-            calls.append(t)
-            return transform(u, t, params)
-
-        monkeypatch.setattr(solver.DiagnosticsLog, "offer", noting)
-        monkeypatch.setattr(solver, "remainder", spy)
+    def test_run_ending_before_twice_t_star_keeps_no_row(self, monkeypatch):
+        # the default eps = 0.4 rung: t_star = 2.5 > T/2 = 1.88, so the rows of the
+        # fields it keeps from t_star on all lie past T/2 and are dropped when the
+        # run ends
+        calls = spying_on_rows(monkeypatch)
         base = ExperimentConfig()
         (rec,), _, _ = sweep([0.4], base.solver_config(), base.initial_data)
-        assert rec.status == "blown-up" and rec.T_eps / 2.0 < 2.5 and max(held) > 5
-        assert calls == [] and rec.diagnostics.rows == [] and rec.diagnostics.held == []
-        assert rec.max_remainder_scaled is None
+        assert rec.status == "blown-up" and rec.T_eps / 2.0 < 2.5 and len(calls) > 5
+        assert all(2.5 <= t <= rec.T_eps and in_offer for t, _, in_offer in calls)
+        assert rec.diagnostics.rows == [] and rec.max_remainder_scaled is None
 
     @pytest.mark.parametrize("theta, s", [(1.0, 1.0), (0.5, 0.4)], ids=["theta-1", "gamma-outside"])
-    def test_run_without_a_window_holds_no_field_and_computes_no_row(self, monkeypatch,
-                                                                      theta, s):
+    def test_run_without_a_window_computes_no_row(self, monkeypatch, theta, s):
         # theta = 1, or gamma = (2s-d)/8 <= 0, leaves the remainder criterion
         # undefined, so nothing reads a row
-        offer, held = solver.DiagnosticsLog.offer, []
-
-        def noting(log, config, t, values):
-            offer(log, config, t, values)
-            held.append(len(log.held))
-
-        monkeypatch.setattr(solver.DiagnosticsLog, "offer", noting)
+        offered = []
+        calls = spying_on_rows(monkeypatch, offered)
         params = NonlinearityParams(lam=1j, theta=theta, d=1)
         cfg = SolverConfig(grid=Grid(1, 256, 25.0), params=params, eps=0.6, s=s,
                            t_max=30.0, record_every=8)
         (rec,), _, _ = sweep([0.6], cfg, GAUSS_SPEC)
-        assert len(held) > 20 and max(held) == 0
+        assert len(offered) > 20 and calls == []
         assert rec.diagnostics.rows == [] and rec.max_remainder_scaled is None
 
 

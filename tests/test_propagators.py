@@ -19,8 +19,15 @@ from nlslab import (
     gauge_multiply,
     nonlinear_flow_exact,
     norms,
+    sup_modulus,
 )
-from nlslab.propagators import _free_multiplier, coefficient_integral, coefficient_time
+from nlslab.propagators import (
+    _free_multiplier,
+    coefficient_integral,
+    coefficient_time,
+    remainder,
+    remainder_sup,
+)
 from nlslab.spectral import _back_propagation_phase
 
 
@@ -546,3 +553,48 @@ class TestParams:
     def test_rejects_non_finite_lam(self, lam):
         with pytest.raises(ValueError, match="lam must be finite"):
             NonlinearityParams(lam=lam, theta=0.5, d=1)
+
+
+REMAINDER_GRIDS = {1: Grid(1, 256, 20.0), 2: Grid(2, 32, 8.0), 3: Grid(3, 16, 6.0)}
+
+
+class TestRemainderSup:
+    """remainder_sup is sup|R| of the complex remainder with its unit-modulus factors
+    (the back-propagation phase, the sign vector and lam's phase) taken out."""
+
+    @pytest.mark.parametrize("theta", [0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("lam", [1j, -3 + 1j, 3 + 1j, 1.0], ids=["i", "-3+i", "3+i", "1"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_equals_the_sup_of_the_remainder(self, d, lam, theta):
+        grid = REMAINDER_GRIDS[d]
+        params = NonlinearityParams(lam=lam, theta=theta, d=d)
+        # a moving Gaussian plus noise: every mode of R is nonzero
+        u = ComplexField(grid, Space.PHYSICAL, 0.5 * gaussian_field(grid, k0=0.7).values
+                         + 0.05 * random_field(grid, seed=d).values)
+        for t in (0.3, 2.5, 40.0):
+            want = sup_modulus(remainder(u, t, params))
+            assert want > 0
+            assert remainder_sup(u, t, params) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_zero_field_gives_zero_without_a_warning(self, d):
+        # tier-1 turns a RuntimeWarning into an error: 0^b and the max raise none
+        grid = REMAINDER_GRIDS[d]
+        zero = ComplexField(grid, Space.PHYSICAL, np.zeros(grid.shape, dtype=complex))
+        assert remainder_sup(zero, 1.0, NonlinearityParams(lam=1j, theta=0.5, d=d)) == 0.0
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan])
+    def test_requires_positive_time(self, t):
+        grid = REMAINDER_GRIDS[1]
+        params = NonlinearityParams(lam=1j, theta=0.5, d=1)
+        for fn in (remainder, remainder_sup):
+            with pytest.raises(ValueError, match="remainder requires t > 0"):
+                fn(gaussian_field(grid), t, params)
+
+    def test_reads_its_field_without_writing_it(self):
+        grid = REMAINDER_GRIDS[2]
+        u = gaussian_field(grid, k0=0.7)
+        u.values.flags.writeable = False
+        before = u.values.copy()
+        remainder_sup(u, 2.0, NonlinearityParams(lam=1j, theta=0.5, d=2))
+        assert np.array_equal(u.values, before)

@@ -111,3 +111,28 @@ class TestOneFingerprintPerLibraryExperiment:
     def test_a_string_or_bool_is_refused_not_converted(self, key, value):
         with pytest.raises(TypeError, match=f"{key} must be a real number"):
             library_config(**{key: value})
+
+    # an integer field refuses what is no integer: True would state the d = 1 or
+    # record_every = 1 experiment under another fingerprint, 2.5 would sample every
+    # 5th step, and a float n would fail on its power-of-two test
+    @pytest.mark.parametrize("value", [True, 1.0, 2.5, "1"], ids=["bool", "float", "fraction", "str"])
+    @pytest.mark.parametrize("key", ["Grid.d", "Grid.n", "NonlinearityParams.d",
+                                     "SolverConfig.record_every"])
+    def test_an_integer_field_refuses_a_non_integer(self, key, value):
+        owner, name = key.split(".")
+        grid = {"d": 1, "n": 2048, "L": 80.0}
+        params = {"lam": 1j, "theta": 0.5, "d": 1}
+        {"Grid": grid, "NonlinearityParams": params}.get(owner, {})[name] = value
+        with pytest.raises(TypeError, match=f"{owner}.{name} must be an integer"):
+            SolverConfig(grid=Grid(**grid), params=NonlinearityParams(**params), eps=0.4, s=1.0,
+                         t_max=200.0, record_every=value if owner == "SolverConfig" else 4)
+
+    def test_a_numpy_integer_field_holds_its_int(self):
+        import numpy as np
+
+        cfg = SolverConfig(grid=Grid(np.int64(1), np.int64(2048), 80.0),
+                           params=NonlinearityParams(1j, 0.5, np.int32(1)), eps=0.4, s=1.0,
+                           t_max=200.0, record_every=np.int64(4))
+        assert [type(v) for v in (cfg.grid.d, cfg.grid.n, cfg.params.d, cfg.record_every)] \
+            == [int] * 4
+        assert cfg.fingerprint() == "9ff5044c4c354f10"

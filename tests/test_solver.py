@@ -1,5 +1,6 @@
 """Split-step solver: linear limit, conservation, blow-up measurement, convergence."""
 
+import collections
 import dataclasses
 import math
 import os
@@ -28,7 +29,7 @@ from nlslab.propagators import (
     blowup_horizon,
     g_p,
     profile,
-    remainder,
+    remainder_sup,
     t_star_time,
 )
 from nlslab.solver import (
@@ -225,7 +226,7 @@ class TestStep:
         # offered to the log whether or not it is due a sample, and kept when
         # it is the first at or after a time of the grid, 16 per decade of 1 + t
         # before t_star = 2.5: 0, 0.155 and 0.334 up to t = 0.35.  A full log
-        # turns each kept field into its row at once and holds none
+        # turns each kept field into its row as it is kept, by remainder_sup
         cfg = small_config(eps=0.4, record_every=3)
         state = init(cfg, gaussian(cfg.grid), diagnostics=True)
         states = [state]
@@ -237,8 +238,7 @@ class TestStep:
         assert [row.t for row in log.rows] == [states[k].t for k in (0, 4, 7)]
         assert log.rows[0].remainder_sup is None
         assert [row.remainder_sup for row in log.rows[1:]] == [
-            sup_modulus(remainder(states[k].u, states[k].t, cfg.params)) for k in (4, 7)]
-        assert log.held == []
+            remainder_sup(states[k].u, states[k].t, cfg.params) for k in (4, 7)]
         assert [s.t for s in log.samples] == [s.t for s in states[::3]]
 
     def test_real_lambda_conserves_mass(self):
@@ -284,8 +284,8 @@ class TestStep:
         log = state.diagnostics
         assert solver._accept(cfg, log, 20.0, field, 1) is None
         assert len(log.samples) == 1 and state.t == 0.0
-        # offered at t = 20, past t_star = 2, the field would be held
-        assert log.held == [] and log.rows == []
+        # offered at t = 20, past t_star = 2, the field would get a row
+        assert log.rows == []
 
     def test_threshold_crossing_is_an_event_without_sample(self, monkeypatch):
         # sup |u| starts at 0.4 and grows without bound; the pointwise
@@ -493,31 +493,26 @@ class TestRunToBlowup:
             res = mass_balance_residuals(rec.diagnostics.samples, mu=1.0)
         assert np.all(np.isfinite(res))
 
-    def test_held_fields_stay_within_the_half_time_bound(self, monkeypatch):
-        # a field kept at t_k >= t_star is held until an offer at 2 t_k or later, so
-        # after an offer at t the held fields lie in (t/2, t], each the first at its
-        # own dense grid time.  Their indices span less than 160 log10 2 (for
-        # (1 + t)/(1 + t/2) < 2), so at most floor(160 log10 2) + 2 = 50 are held
-        bound = math.floor(solver._DENSE_PER_DECADE * math.log10(2.0)) + 2
-        offer, held = solver.DiagnosticsLog.offer, []
+    def test_censored_run_keeps_the_rows_at_or_before_half_its_end(self, monkeypatch):
+        # the log computes the row of each field it keeps from t_star on as the field
+        # is offered, and the record keeps those at or before T/2 = 50, T = t_max
+        transform, computed = solver.remainder_sup, []
 
-        def spy(log, config, t, values):
-            offer(log, config, t, values)
-            held.append(len(log.held))
-            assert all(log.dense_from <= t_k and t < 2.0 * t_k for t_k, _ in log.held)
+        def spy(u, t, params):
+            computed.append((t, transform(u, t, params)))
+            return computed[-1][1]
 
-        monkeypatch.setattr(solver.DiagnosticsLog, "offer", spy)
+        monkeypatch.setattr(solver, "remainder_sup", spy)
         # damped and censored at t_max = 100, t_star = 1/0.3: it keeps 154 fields,
         # which a store bounded at 128 fields would have had to coarsen
         cfg = small_config(params=NonlinearityParams(-1j, 0.5, 1), grid=Grid(1, 2048, 800.0),
                            t_max=100.0, record_every=1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         log = rec.diagnostics
-        assert rec.status == "reached-t-max" and len(held) > 200
-        assert bound == 50 and 20 < max(held) <= bound
-        assert log.held == []
-        times = [row.t for row in log.rows]
-        assert len(times) > 100 and log.dense_from <= times[0] and times[-1] <= 50.0
+        assert rec.status == "reached-t-max" and rec.T_eps == 100.0
+        assert len(computed) > len(log.rows) > 100 and log.dense_from <= computed[0][0]
+        assert [(row.t, row.remainder_sup) for row in log.rows] == [
+            (t, value) for t, value in computed if t <= 50.0]
 
     def test_run_keeps_the_first_offer_at_or_after_each_grid_time(self, monkeypatch):
         # the grid is 16 times per decade of 1 + t from t = 0 and 160 from
@@ -549,11 +544,11 @@ class TestRunToBlowup:
     @pytest.mark.parametrize("seed", [1, 2, 3, 32, 128])
     def test_kept_offers_are_the_first_at_or_after_each_grid_time(self, monkeypatch, seed):
         # random offer sequences, in time order: what is kept is the first offer at
-        # or after each time of the grid.  A full log makes each kept offer a row
-        # as it comes; a default log holds those from window_from on until an
-        # offer at twice their time, and closing at T makes rows of those at or
-        # before T/2.  _row is stubbed: this is the log's bookkeeping alone
-        monkeypatch.setattr(solver, "_row", lambda config, t, values, full: (t, values, full))
+        # or after each time of the grid.  A full log makes each kept offer a row as
+        # it comes; a default log does so for those from window_from on, and closing
+        # at T keeps the rows at or before T/2.  _row is stubbed: this is the log's
+        # bookkeeping alone
+        monkeypatch.setattr(solver, "_row", StubRow)
         rng = np.random.default_rng(seed)
         for k in range(20):
             dense_from = np.inf if k % 5 == 4 else float(rng.uniform(0.2, 8.0))
@@ -562,23 +557,27 @@ class TestRunToBlowup:
             gaps = rng.integers(0, 3, 300) * 0.05 if k % 2 else rng.exponential(0.05, 300)
             times = [float(t) for t in np.cumsum(gaps)]
             full = solver.DiagnosticsLog(dense_from=dense_from, full=True)
-            held = solver.DiagnosticsLog(dense_from=dense_from, window_from=window_from)
+            window = solver.DiagnosticsLog(dense_from=dense_from, window_from=window_from)
             arrays = {}
             for t in times:
                 arrays.setdefault(t, np.array([t]))
                 full.offer(None, t, arrays[t])
-                held.offer(None, t, arrays[t])
-                assert full.held == []
-                assert all(window_from <= t_k and t < 2.0 * t_k for t_k, _ in held.held)
+                window.offer(None, t, arrays[t])
+                assert [row.t for row in window.rows] == [row.t for row in full.rows
+                                                          if row.t >= window_from]
             T = times[-1]
-            held.close(None, T)
+            full.close(T)
+            window.close(T)
             want = first_offers(times, grid_times(dense_from, T))
-            assert [t for t, _, _ in full.rows] == want
-            assert [t for t, _, _ in held.rows] == [t for t in want if window_from <= t <= T / 2]
-            assert held.held == []
-            for log, is_full in ((full, True), (held, False)):
-                assert all(values is arrays[t] and not values.flags.writeable and f is is_full
-                           for t, values, f in log.rows)
+            assert [row.t for row in full.rows] == want
+            assert [row.t for row in window.rows] == [t for t in want
+                                                      if window_from <= t <= T / 2]
+            for log, is_full in ((full, True), (window, False)):
+                assert all(row.values is arrays[row.t] and not row.values.flags.writeable
+                           and row.full is is_full for row in log.rows)
+
+
+StubRow = collections.namedtuple("StubRow", "config t values full")
 
 
 def grid_times(dense_from, t_end):
@@ -880,26 +879,23 @@ def ownership_config(d):
                         eps=0.5, s=1.2, record_every=1)
 
 
-def kept_arrays(state):
-    """The state's field and every field its log holds, each with a copy of its values."""
-    return [(a, a.copy()) for a in (state.u.values, *(v for _, v in state.diagnostics.held))]
-
-
 class TestFieldOwnership:
     """The Strang substeps write into buffers of their own trial: no field that a
     state or the diagnostics log already holds changes."""
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_step_leaves_its_input_and_the_snapshots_unchanged(self, d):
-        # the log holds the fields it kept from t_star on (2.5 in 1-D, 2**0.5 in
-        # 2-D); past it, steps of 0.2 reach a new time of the grid each, 160 per
-        # decade of 1 + t, until three are held, the state's own field the last
+    def test_step_leaves_its_input_and_the_earlier_fields_unchanged(self, d):
+        # the log computes the rows of the fields it keeps from t_star on (2.5 in
+        # 1-D, 2**0.5 in 2-D); past it, steps of 0.2 reach a new time of the grid
+        # each, 160 per decade of 1 + t, until three fields have their rows, the
+        # state's own field the last
         cfg = ownership_config(d)
-        state = init(cfg, gaussian(cfg.grid))
-        while len(state.diagnostics.held) < 3:
-            state = fixed_step(state, 0.2)
-        kept = kept_arrays(state)
-        assert len(kept) == 4 and kept[0][0] is kept[-1][0]
+        states = [init(cfg, gaussian(cfg.grid))]
+        while len(states[-1].diagnostics.rows) < 3:
+            states.append(fixed_step(states[-1], 0.2))
+        state = states[-1]
+        assert [row.t for row in state.diagnostics.rows] == [s.t for s in states[-3:]]
+        kept = [(s.u.values, s.u.values.copy()) for s in states]
         new = fixed_step(state, 0.005)
         assert new.u.values is not state.u.values
         for a, copy in kept:
@@ -911,7 +907,7 @@ class TestFieldOwnership:
         # the trials from each accepted state read
         cfg = ownership_config(d)
         state = fixed_step(init(cfg, gaussian(cfg.grid)), 0.005)
-        kept = kept_arrays(state)
+        kept = [(state.u.values, state.u.values.copy())]
         accept = solver._accept
         times = []
 
@@ -948,46 +944,82 @@ class TestFieldOwnership:
             state.abs_b[0] = 0.0
         assert run_to_blowup(state).status == "blown-up" and len(read) > 100
 
-    def test_snapshots_are_the_read_only_accepted_fields(self, monkeypatch):
-        # a held field is no copy: it is the field a state held, or the midpoint
-        # field of the step that led to one, and writing into it fails
+    def test_rows_read_the_offered_read_only_fields_during_their_offer(self, monkeypatch):
+        # a row is computed from no copy: from the field a state holds, or the
+        # midpoint field of the step that led to one, while it is offered; writing
+        # into a field fails, and the log holds none once the offer returns
         cfg = ownership_config(1)
         state = init(cfg, gaussian(cfg.grid))
         assert not state.u.values.flags.writeable
-        offered, held = {}, {}
-        accept, close = solver._accept, solver.DiagnosticsLog.close
+        offered, read, open_offers = {}, {}, []
+        accept, offer, row = solver._accept, solver.DiagnosticsLog.offer, solver._row
 
         def spy_accept(config, log, t, u, step_count, mid=None):
             offered[id(u)] = (u, t, "end")
             offered[id(mid[1])] = (mid[1], mid[0], "mid")
-            new = accept(config, log, t, u, step_count, mid)
-            held.update((id(values), (t_k, values)) for t_k, values in log.held)
-            return new
+            return accept(config, log, t, u, step_count, mid)
 
-        def spy_close(log, config, T):
-            held.update((id(values), (t_k, values)) for t_k, values in log.held)
-            close(log, config, T)
+        def spy_offer(log, config, t, values):
+            open_offers.append((t, values))
+            offer(log, config, t, values)
+            open_offers.pop()
+
+        def spy_row(config, t, values, full):
+            assert open_offers == [(t, values)]
+            read[id(values)] = (t, values)
+            return row(config, t, values, full)
 
         monkeypatch.setattr(solver, "_accept", spy_accept)
-        monkeypatch.setattr(solver.DiagnosticsLog, "close", spy_close)
+        monkeypatch.setattr(solver.DiagnosticsLog, "offer", spy_offer)
+        monkeypatch.setattr(solver, "_row", spy_row)
         rec = run_to_blowup(state)
-        assert rec.diagnostics.held == [] and len(held) > 20
+        assert len(read) > 20 and len(rec.diagnostics.rows) < len(read)
+        assert [f.name for f in dataclasses.fields(rec.diagnostics)] == [
+            "samples", "rows", "dense_from", "window_from", "full", "_last_offer"]
         kinds = []
-        for t, snap in held.values():
+        for t, snap in read.values():
             field, t_offered, kind = offered[id(snap)]
             assert field is snap and t_offered == t
             kinds.append(kind)
         assert "mid" in kinds and "end" in kinds
-        for _, snap in held.values():
+        for _, snap in read.values():
             with pytest.raises(ValueError, match="read-only"):
                 snap[0] = 0.0
             with pytest.raises(ValueError, match="read-only"):
                 snap *= 2.0
 
 
+# A run's traced peak in fields of its grid.  The trial's three fields, the state's
+# field and its |u|^b and |u|^2 passes, and one remainder_sup's transients come to
+# 10.0 fields on the 64**2 run below; a log that held each field kept from t_star
+# on until it could tell t <= T/2 peaked at 50.7 there, holding 38 at once.
+RUN_PEAK_FIELDS = 16
+
+
+class TestMemory:
+    def test_run_peak_is_a_few_fields_however_many_rows_it_keeps(self):
+        # the blowup-2d rung at 64**2: 62 fields kept from t_star = 1.58 to
+        # T = 5.25, 24 of them in [t_star, T/2]; numpy's buffers are traced, so the
+        # peak in fields does not depend on the machine
+        import tracemalloc
+
+        cfg = SolverConfig(grid=Grid(2, 64, 20.0), params=NonlinearityParams(1j, 0.5, 2),
+                           eps=0.4, s=1.2, record_every=4)
+        state = init(cfg, gaussian(cfg.grid))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rec = run_to_blowup(state)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rec.status == "blown-up" and len(rec.diagnostics.rows) == 24
+        assert peak / state.u.values.nbytes < RUN_PEAK_FIELDS
+
+
 def field_functions(u, t, cfg):
-    """(t, sup|R|, r1, r2, r3) of the field u at t, from remainder, norms and profile
-    directly, as the ratios were computed from stored fields after the run."""
+    """(t, sup|R|, r1, r2, r3) of the field u at t, from remainder_sup, norms and
+    profile directly, as the ratios were computed from stored fields after the run."""
     params, s = cfg.params, cfg.s
     d, p = params.d, params.p
     gamma = (2.0 * s - d) / 8.0
@@ -1002,7 +1034,7 @@ def field_functions(u, t, cfg):
     r3 = None
     if rep.sigma_s > 0:
         r3 = (1 + t) ** (d * (p - 1) / 2.0) * rep_nu.sigma_s / rep.sigma_s**p
-    sup_r = sup_modulus(remainder(u, t, params)) if t > 0 else None
+    sup_r = remainder_sup(u, t, params) if t > 0 else None
     return t, sup_r, r1, r2, r3
 
 
@@ -1033,7 +1065,7 @@ class TestRows:
     def test_full_rows_are_the_field_functions_of_the_kept_offers(self, two_mode_runs):
         cfg, full, offered, _ = two_mode_runs
         rows = full.diagnostics.rows
-        assert rows[0].t == 0.0 and len(rows) > 50 and full.diagnostics.held == []
+        assert rows[0].t == 0.0 and len(rows) > 50
         for row in rows:
             u = ComplexField(cfg.grid, Space.PHYSICAL, offered[row.t])
             assert (row.t, row.remainder_sup, row.r1, row.r2, row.r3) == field_functions(
@@ -1050,7 +1082,6 @@ class TestRows:
         rows = default.diagnostics.rows
         assert len(window) >= 3 and [(row.t, row.remainder_sup) for row in rows] == window
         assert all(row.r1 is row.r2 is row.r3 is None for row in rows)
-        assert default.diagnostics.held == []
         assert (max_remainder_scaled(default.diagnostics, cfg, default.T_eps)
                 == max_remainder_scaled(full.diagnostics, cfg, full.T_eps))
 

@@ -8,15 +8,19 @@ default) once in that export and once in the working tree, each with its own
 worker and its own `src/`.  The physics keys of the two JSON results must be
 equal: the runs (status, T_eps, q_eps, max_remainder_scaled), bound_value,
 the sweep verdict, the sample count, the persisted T_eps and the persisted
-byte count.  Timings are ignored.  For each run whose T_eps differs it also
-prints the relative shift (got - want) / want, the working tree against <rev>.
+byte count.  Timings are ignored.  For each run whose T_eps, q_eps or
+max_remainder_scaled differs it also prints the relative shift
+(got - want) / want, the working tree against <rev>.
 
 It then runs `nlslab sweep`, `nlslab profile-ode` and `nlslab diagnostics` on
 the default config in both trees and compares every file each writes (the run
 JSONs and summary.csv, profile_trajectory.csv, diagnostics.csv) byte for
 byte: a changed fingerprint or number format keeps the persisted byte count,
 and the ratios and the profile ODE are not in the workloads, so only the
-bytes show it.  A file whose bytes differ only in its line ends says so.
+bytes show it.  A file whose bytes differ only in its line ends says so; for a
+JSON file whose bytes differ it names each key whose numbers moved, a list's
+entries under one key, with the largest relative shift |got - want| / |want|
+among them.
 
 Exit status: 0 when every workload and every command's outputs are identical,
 1 when one differs, 2 when a worker, a command or git fails.  `perfbench/run.py`
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -76,11 +81,51 @@ def outputs(tree: Path, command: str, out: Path) -> dict:
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
-def t_eps_shifts(want: list, got: list) -> list:
-    """(eps, (got - want) / want) for each run, paired in order, whose T_eps differs."""
-    return [(w["eps"], (g["T_eps"] - w["T_eps"]) / w["T_eps"])
+SHIFTED_KEYS = ("T_eps", "q_eps", "max_remainder_scaled")
+
+
+def run_shifts(want: list, got: list, key: str) -> list:
+    """(eps, (got - want) / want) for each run, paired in order, whose number `key`
+    differs."""
+    return [(w["eps"], (g[key] - w[key]) / w[key])
             for w, g in zip(want, got)
-            if w["T_eps"] and g["T_eps"] is not None and g["T_eps"] != w["T_eps"]]
+            if w[key] and g[key] is not None and g[key] != w[key]]
+
+
+def numbers(value, key: str = ""):
+    """(key path, number) for every number in the JSON `value`, the entries of a list
+    under one path, such as "diagnostics.samples[].t".  A bool is no number."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            yield from numbers(item, f"{key}.{name}" if key else name)
+    elif isinstance(value, list):
+        for item in value:
+            yield from numbers(item, f"{key}[]")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield key, value
+
+
+def moved_numbers(want: bytes, got: bytes) -> list:
+    """(key path, largest |got - want| / |want|) of each key whose numbers differ
+    between two JSON documents, in key order; inf where a number left 0, nan where
+    the two hold different counts of numbers under the key."""
+    by_key = []
+    for doc in (want, got):
+        found = {}
+        for path, x in numbers(json.loads(doc)):
+            found.setdefault(path, []).append(x)
+        by_key.append(found)
+    moved = []
+    for path in sorted(by_key[0].keys() | by_key[1].keys()):
+        a, b = by_key[0].get(path, []), by_key[1].get(path, [])
+        if a == b:
+            continue
+        if len(a) != len(b):
+            moved.append((path, math.nan))
+            continue
+        moved.append((path, max(abs(y - x) / abs(x) if x else math.inf
+                                for x, y in zip(a, b) if x != y)))
+    return moved
 
 
 def main(argv=None) -> int:
@@ -104,8 +149,9 @@ def main(argv=None) -> int:
                 for key in changed:
                     print(f"  {key}: {args.rev} {json.dumps(want[key])}")
                     print(f"  {key}: working tree {json.dumps(got[key])}")
-                for eps, shift in t_eps_shifts(want["runs"], got["runs"]):
-                    print(f"  T_eps at eps = {eps}: relative shift {shift:+.3e}")
+                for key in SHIFTED_KEYS:
+                    for eps, shift in run_shifts(want["runs"], got["runs"], key):
+                        print(f"  {key} at eps = {eps}: relative shift {shift:+.3e}")
                 differ = differ or bool(changed)
             for command in COMMANDS:
                 want = outputs(base, command, Path(tmp) / f"{command}-rev")
@@ -119,6 +165,9 @@ def main(argv=None) -> int:
                         "only in the working tree" if name not in want else
                         "bytes differ" + (" only in line ends" if want[name].replace(b"\r", b"")
                                           == got[name].replace(b"\r", b"") else "")))
+                    if name.endswith(".json") and name in want and name in got:
+                        for path, shift in moved_numbers(want[name], got[name]):
+                            print(f"    {path}: largest relative shift {shift:.3e}")
                 differ = differ or bool(changed)
         except subprocess.CalledProcessError as e:
             stderr = e.stderr if isinstance(e.stderr, str) else (e.stderr or b"").decode()
