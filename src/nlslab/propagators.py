@@ -207,11 +207,14 @@ def gamma_exponent(s: float, d: int) -> float:
     return gamma
 
 
-def profile(u: ComplexField, t: float) -> ComplexField:
-    """Scattering profile A(t) = F[U(t)^{-1} u(t)] on the frequency lattice."""
-    fhat = fourier_forward(u)
-    vals = _back_propagation_phase(u.grid, t) * fhat.values
-    return ComplexField(u.grid, Space.FREQUENCY, vals)
+def profile(u: ComplexField, t: float, *, spectrum: np.ndarray | None = None) -> ComplexField:
+    """Scattering profile A(t) = F[U(t)^{-1} u(t)] on the frequency lattice.
+
+    `spectrum` is ``dft(u.values)`` when the caller already has it; it is only read.
+    """
+    vals = fourier_forward(u, spectrum=spectrum).values
+    return ComplexField(u.grid, Space.FREQUENCY,
+                        np.multiply(_back_propagation_phase(u.grid, t), vals, out=vals))
 
 
 def remainder(u: ComplexField, t: float, params: NonlinearityParams) -> ComplexField:
@@ -232,7 +235,8 @@ def remainder(u: ComplexField, t: float, params: NonlinearityParams) -> ComplexF
     return ComplexField(g, Space.FREQUENCY, lhs - rhs)
 
 
-def remainder_sup(u: ComplexField, t: float, params: NonlinearityParams) -> float:
+def remainder_sup(u: ComplexField, t: float, params: NonlinearityParams, *,
+                  spectrum: np.ndarray | None = None) -> float:
     """sup_xi |R(t, xi)| of :func:`remainder`, without building R.
 
     R is lam c (phase) (sign) [dft(G(u)) - t^(-theta) c^b G(dft(u))], with G(z) =
@@ -241,6 +245,9 @@ def remainder_sup(u: ComplexField, t: float, params: NonlinearityParams) -> floa
     modulus 1, and G commutes with them.  So sup|R| = c |lam| max|dft(G(u)) -
     t^(-theta) c^b G(dft(u))|: two transforms and no phase.  It agrees with
     ``sup_modulus(remainder(u, t, params))`` to roundoff.  Defined for t > 0.
+    `spectrum` is ``dft(u.values)`` when the caller already has it; it is only
+    read.  G(u) is transformed in place, and a spectrum of its own is
+    overwritten, so the remainder takes two complex arrays and one float.
     """
     if not (t > 0):
         raise ValueError(f"remainder requires t > 0, got {t}")
@@ -250,13 +257,16 @@ def remainder_sup(u: ComplexField, t: float, params: NonlinearityParams) -> floa
     mod = np.abs(values)
     if b != 1.0:  # numpy spends a pass on the exponent 1
         mod **= b
-    diff = dft(mod * values)
-    spectrum = dft(values)
+    diff = np.multiply(mod, values)
+    diff = dft(diff, out=diff)
+    own = spectrum is None
+    if own:
+        spectrum = dft(values)
     mod = np.abs(spectrum, out=mod)
     if b != 1.0:
         mod **= b
     mod *= t ** (-params.theta) * scale**b
-    diff -= np.multiply(spectrum, mod, out=spectrum)
+    diff -= np.multiply(spectrum, mod, out=spectrum if own else None)
     return scale * abs(params.lam) * float(np.max(np.abs(diff, out=mod)))
 
 

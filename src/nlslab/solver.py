@@ -6,11 +6,11 @@ and the convergence study's fixed steps are paths of one kernel,
 :func:`_strang`, which alternates exact nonlinear substeps with free
 propagations by a Fourier multiplier.  Every run goes through one loop,
 :func:`run_to_blowup`.  It sizes its steps by step doubling, so the step grows
-wherever the local error allows: a doubling trial takes one step of dt and
-two of dt/2, squaring the half step's multiplier for the full step.  Strang
-splitting is symmetric, so the Richardson extrapolation of the two is a
-fourth-order field at no extra cost, and the run loop accepts it (local
-extrapolation).
+wherever the local error allows: a doubling trial takes two steps of dt/2,
+then one of dt, squaring the half step's multiplier in place for the full
+step.  Strang splitting is symmetric, so the Richardson extrapolation of the
+two is a fourth-order field at no extra cost, and the run loop accepts it
+(local extrapolation).
 A run ends when its blow-up is bracketed within 1e-3 of the elapsed time, in
 one of two ways.  The pointwise blow-up horizon of sup|u| falls within the
 bracket: the pointwise flow's own singularity then lies at most that far
@@ -58,6 +58,7 @@ from .spectral import (
     Grid,
     NormReport,
     Space,
+    _abs_sq,
     _int_fields,
     _real_fields,
     _resample,
@@ -176,18 +177,20 @@ def _row(config: SolverConfig, t: float, values: np.ndarray, full: bool) -> Diag
     the ratios r1-r3 too."""
     params = config.params
     u = ComplexField(config.grid, Space.PHYSICAL, values)
-    row = DiagnosticRow(t, remainder_sup(u, t, params) if t > 0 else None)
     if not full:
-        return row
+        return DiagnosticRow(t, remainder_sup(u, t, params) if t > 0 else None)
+    # one forward transform of u serves the remainder, the norms and the profile
+    spectrum = dft(values)
+    row = DiagnosticRow(t, remainder_sup(u, t, params, spectrum=spectrum) if t > 0 else None)
     s, d, p = config.s, params.d, params.p
-    rep = norms(u, t, s)
+    rep = norms(u, t, s, spectrum=spectrum)
     nu = ComplexField(config.grid, Space.PHYSICAL, params.lam * g_p(values, p))
     rep_nu = norms(nu, t, s)
     if rep.sigma_s > 0:
         row.r1 = (1 + t) ** (d / 2.0) * rep.l_inf / rep.sigma_s
         row.r3 = (1 + t) ** (d * (p - 1) / 2.0) * rep_nu.sigma_s / rep.sigma_s**p
     if t >= 1.0 and rep.h_0s > 0:
-        sup_a = sup_modulus(profile(u, t))
+        sup_a = sup_modulus(profile(u, t, spectrum=spectrum))
         row.r2 = ((rep.l_inf - t ** (-d / 2.0) * sup_a) * t ** (d / 2.0 + gamma_exponent(s, d))
                   / rep.h_0s)
     return row
@@ -266,7 +269,7 @@ def _sample_diagnostics(state: SolverState, power: np.ndarray):
     mass = float(wx * np.sum(power))
     # one forward transform and its |spectrum|^2 serve the norms and the tail monitor
     spectrum = dft(state.u.values)
-    spectral_power = np.abs(spectrum) ** 2
+    spectral_power = _abs_sq(spectrum)
     rep = norms(state.u, state.t, cfg.s, spectrum=spectrum, spectral_power=spectral_power,
                 l2=math.sqrt(mass), sup=state.sup)
     # |u|^(p+1) as |u|^2 |u|^b: numpy takes b = 1 and 0.5 without a general power
@@ -303,9 +306,10 @@ def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
         return None
     b = config.params.b
     abs_b = absu if b == 1.0 else absu**b  # numpy spends a pass on the exponent 1
+    # |u|^2 in place, unless |u| is the state's |u|^b itself
+    power = absu**2 if abs_b is absu else np.square(absu, out=absu)
     abs_b.flags.writeable = False
     u_field = ComplexField(config.grid, Space.PHYSICAL, u)
-    power = absu**2
     state = SolverState(t=t, u=u_field, config=config, diagnostics=log, sup=sup,
                         shell=boundary_shell_fraction(u_field, power=power), abs_b=abs_b,
                         step_count=step_count)
@@ -386,7 +390,7 @@ def _strang(u: np.ndarray, substeps: tuple, multipliers: tuple, params: Nonlinea
 
 
 def _doubling_trial(u: np.ndarray, abs_b: np.ndarray, dt: float, config: SolverConfig):
-    """One Strang step of dt and two of dt/2 from the field u, extrapolated.
+    """Two Strang steps of dt/2 and then one of dt from the field u, extrapolated.
 
     The full path is N(dt/2) F(m_dt) N(dt/2) and each half step is
     N(dt/4) F(m_{dt/2}) N(dt/4), where N is the exact nonlinear substep and
@@ -404,17 +408,20 @@ def _doubling_trial(u: np.ndarray, abs_b: np.ndarray, dt: float, config: SolverC
     norms are numpy's own sums of products (einsum calls no BLAS), so err does
     not depend on the BLAS thread count.  A :class:`PointwiseBlowUp` in any
     path propagates, and the paths after it are not taken.  The trial allocates
-    its three fields, m_dt and one float scratch array, and every substep
+    its three fields, one multiplier (m_{dt/2}, squared in place into m_dt once
+    the half steps are done) and one float scratch array, and every substep
     writes into them; u and abs_b are only read.
     """
     params = config.params
     half, quarter = 0.5 * dt, 0.25 * dt
-    m_half = _free_multiplier(config.grid, half)
+    m = _free_multiplier(config.grid, half)
     scratch = np.empty(u.shape)
-    full = _strang(u, (half, half), (np.multiply(m_half, m_half),), params,
-                   np.empty_like(u), scratch, abs_b)
-    mid = _strang(u, (quarter, quarter), (m_half,), params, np.empty_like(u), scratch, abs_b)
-    two = _strang(mid, (quarter, quarter), (m_half,), params, np.empty_like(u), scratch)
+    mid = _strang(u, (quarter, quarter), (m,), params, np.empty_like(u), scratch, abs_b)
+    two = _strang(mid, (quarter, quarter), (m,), params, np.empty_like(u), scratch)
+    # the half steps are done with the trial's own multiplier: square it in place
+    m.flags.writeable = True
+    m = np.multiply(m, m, out=m)
+    full = _strang(u, (half, half), (m,), params, np.empty_like(u), scratch, abs_b)
     # each squared norm is the sum of squares of the real and imaginary parts
     diff = np.subtract(full, two, out=full)
     flat_diff, flat = diff.ravel().view(np.float64), two.ravel().view(np.float64)
@@ -448,7 +455,7 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     Each proposed step h is cut to dt = min(h, 0.1 * pointwise blow-up
     horizon of sup|u|, t_max - t), so the nonlinear substep stays well
     inside its own singularity; the first proposal is 0.005.
-    A trial takes one Strang step of dt and two of dt/2 (see
+    A trial takes two Strang steps of dt/2 and then one of dt (see
     :func:`_doubling_trial`).  If the error estimate err meets the step
     tolerance `_STEP_TOLERANCE`, the extrapolated field is accepted by
     :func:`_accept`, and only it gets the |u| pass, the shell check, an
@@ -523,7 +530,7 @@ def make_record(state: SolverState, status: RunStatus, t_blow: float | None = No
     The log is closed at the record's T_eps, or at the last state's t for a run
     without one (contaminated), whose rows then end at half that t."""
     if state.diagnostics.samples[-1].t != state.t:
-        _sample_diagnostics(state, np.abs(state.u.values) ** 2)
+        _sample_diagnostics(state, _abs_sq(state.u.values))
     cfg = state.config
     params = cfg.params
     censored = status is RunStatus.REACHED_TMAX

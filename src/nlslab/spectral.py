@@ -6,9 +6,14 @@ Nyquist frequency pi/h is the largest |xi| component on the grid.  Every
 frequency-space array (field values, the xi lattice, |xi|^2, weights, masks)
 is stored in ``np.fft.fftn`` index order, k = 0, ..., n/2-1, -n/2, ..., -1
 along each axis; no other module knows that layout.  The hot path (free
-propagation, norms, monitors) works on the unscaled transform :func:`dft`
-with the grid's frequency weights and masks cached read-only; only this
-module chooses the numpy transform behind it.
+propagation, norms, monitors) works on the unscaled transform :func:`dft`;
+only this module chooses the numpy transform behind it.
+
+A :class:`Grid` keeps no array of its full size but the tail and shell masks,
+which every sample reads.  Its meshes and the (-1)^k sign are one axis each,
+broadcast against one another; |x|^2 and |xi|^2 are built on each access.  The
+weights (1+|xi|^2)^s and (1+|x|^2)^s are cached read-only per (grid, s).  At
+256^3 a grid and one s so keep two float arrays and two masks, 288 MiB.
 """
 
 from __future__ import annotations
@@ -106,30 +111,33 @@ class Grid:
 
     @cached_property
     def x_mesh(self) -> tuple:
-        return np.meshgrid(*([self.x_1d] * self.d), indexing="ij")
+        """The d coordinate arrays x_i, of length n along axis i and 1 along the
+        others: they broadcast against one another to the grid's shape, and hold
+        d n values, not d n^d."""
+        return _sparse_mesh(self.x_1d, self.d)
 
     @cached_property
     def xi_mesh(self) -> tuple:
-        return np.meshgrid(*([self.xi_1d] * self.d), indexing="ij")
+        """The d frequency arrays xi_i in FFT order, broadcastable as ``x_mesh``."""
+        return _sparse_mesh(self.xi_1d, self.d)
 
-    @cached_property
+    @property
     def abs_x_sq(self) -> np.ndarray:
+        """|x|^2, a fresh array on each access."""
         return sum(x**2 for x in self.x_mesh)
 
-    @cached_property
+    @property
     def abs_xi_sq(self) -> np.ndarray:
-        """|xi|^2, read-only."""
+        """|xi|^2, a fresh read-only array on each access."""
         return _read_only(sum(xi**2 for xi in self.xi_mesh))
 
     @cached_property
-    def _sign(self) -> np.ndarray:
-        # (-1)^k relates samples on [-L, L) to the DFT's [0, 2L) convention;
-        # n is even, so the array index and the wavenumber k have one parity.
-        s1 = (-1.0) ** np.arange(self.n)
-        out = s1
-        for _ in range(self.d - 1):
-            out = np.multiply.outer(out, s1)
-        return out
+    def _sign(self) -> tuple:
+        """(-1)^k along each axis, broadcastable as ``x_mesh``: their product
+        (-1)^(k_1 + ... + k_d) relates samples on [-L, L) to the DFT's [0, 2L)
+        convention; n is even, so the array index and the wavenumber k have one
+        parity."""
+        return _sparse_mesh((-1.0) ** np.arange(self.n), self.d)
 
     @cached_property
     def _mirror_index(self) -> np.ndarray:
@@ -222,15 +230,31 @@ def idft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.ifft(values, out=out) if values.ndim == 1 else np.fft.ifftn(values, out=out)
 
 
-def fourier_forward(f: ComplexField) -> ComplexField:
+def _flip_signs(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(-1)^(k_1 + ... + k_d) values into `out`, a fresh array when not given; it may
+    be `values`.  Each axis's sign vector broadcasts in turn, and a sign flip is
+    exact, so no grid-sized sign array is built."""
+    for sign in grid._sign:
+        values = out = np.multiply(values, sign, out=out)
+    return values
+
+
+def fourier_forward(f: ComplexField, *, spectrum: np.ndarray | None = None) -> ComplexField:
     """Unitary continuous-convention transform: DFT scaled by h^d/(2*pi)^{d/2}.
 
     Output frequencies are on the xi_k = pi*k/L lattice of ``grid.xi_mesh``.
+    `spectrum` is ``dft(f.values)`` when the caller already has it; it is only
+    read.  Otherwise the transform is scaled in place.
     """
     _require_space(f, Space.PHYSICAL, "fourier_forward")
     g = f.grid
     scale = g.h**g.d / (2.0 * np.pi) ** (g.d / 2.0)
-    return ComplexField(g, Space.FREQUENCY, scale * g._sign * dft(f.values))
+    out = None
+    if spectrum is None:
+        spectrum = out = dft(f.values)
+    values = _flip_signs(g, spectrum, out)
+    values *= scale
+    return ComplexField(g, Space.FREQUENCY, values)
 
 
 def fourier_inverse(f: ComplexField) -> ComplexField:
@@ -238,7 +262,16 @@ def fourier_inverse(f: ComplexField) -> ComplexField:
     _require_space(f, Space.FREQUENCY, "fourier_inverse")
     g = f.grid
     scale = (2.0 * np.pi) ** (g.d / 2.0) / g.h**g.d
-    return ComplexField(g, Space.PHYSICAL, scale * idft(g._sign * f.values))
+    values = _flip_signs(g, f.values)
+    values = idft(values, out=values)
+    values *= scale
+    return ComplexField(g, Space.PHYSICAL, values)
+
+
+def _abs_sq(values: np.ndarray) -> np.ndarray:
+    """|values|^2 in one float array: ``np.abs(values) ** 2``, squared in place."""
+    power = np.abs(values)
+    return np.square(power, out=power)
 
 
 def sup_modulus(f: ComplexField) -> float:
@@ -249,6 +282,12 @@ def sup_modulus(f: ComplexField) -> float:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _sparse_mesh(axis: np.ndarray, d: int) -> tuple:
+    """``np.meshgrid`` of d copies of `axis` with indexing="ij", sparse and
+    read-only: the i-th array holds the axis along dimension i."""
+    return tuple(_read_only(a) for a in np.meshgrid(*([axis] * d), indexing="ij", sparse=True))
 
 
 # Sobolev weights of the hot path, bounded caches keyed by (grid, s).
@@ -325,13 +364,16 @@ def norms(f: ComplexField, t: float, s: float, *, spectrum: np.ndarray | None = 
         spectrum = dft(f.values)
     wx = g.h**g.d
     if spectral_power is None:
-        spectral_power = np.abs(spectrum) ** 2
+        spectral_power = _abs_sq(spectrum)
     # the unitary transform's |scale|^2 times the dxi^d quadrature weight is h^d / n^d
     h_s0 = float(np.sqrt(wx / g.num_points * np.sum(_xi_weight(g, s) * spectral_power)))
-    back = idft(_back_propagation_phase(g, t) * spectrum)
-    h_0s = float(np.sqrt(wx * np.sum(_x_weight(g, s) * np.abs(back) ** 2)))
+    # U(t)^{-1} f back-propagated inside the fresh phase array
+    back = _back_propagation_phase(g, t)
+    back = idft(np.multiply(back, spectrum, out=back), out=back)
+    back_power = _abs_sq(back)
+    h_0s = float(np.sqrt(wx * np.sum(np.multiply(_x_weight(g, s), back_power, out=back_power))))
     if l2 is None:
-        l2 = float(np.sqrt(wx * np.sum(np.abs(f.values) ** 2)))
+        l2 = float(np.sqrt(wx * np.sum(_abs_sq(f.values))))
     return NormReport(
         l2=l2,
         l_inf=sup,
@@ -350,7 +392,7 @@ def spectral_tail_fraction(f: ComplexField, *, spectral_power: np.ndarray | None
     """
     _require_space(f, Space.PHYSICAL, "spectral_tail_fraction")
     if spectral_power is None:
-        spectral_power = np.abs(dft(f.values)) ** 2
+        spectral_power = _abs_sq(dft(f.values))
     total = np.sum(spectral_power)
     if total == 0.0:
         return 0.0
@@ -364,7 +406,7 @@ def boundary_shell_fraction(f: ComplexField, *, power: np.ndarray | None = None)
     """
     _require_space(f, Space.PHYSICAL, "boundary_shell_fraction")
     if power is None:
-        power = np.abs(f.values) ** 2
+        power = _abs_sq(f.values)
     total = np.sum(power)
     if total == 0.0:
         return 0.0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nlslab import spectral
+from nlslab.initial_data import gaussian
 from nlslab import (
     ComplexField,
     Grid,
@@ -43,8 +44,41 @@ class TestGrid:
     def test_lattice_sizes_multi_d(self):
         g = Grid(2, 16, 5.0)
         assert g.shape == (16, 16)
-        assert g.x_mesh[0].shape == (16, 16)
+        # the meshes are sparse: each holds its axis and broadcasts to the grid's shape
+        assert [x.shape for x in g.x_mesh] == [(16, 1), (1, 16)]
+        assert np.broadcast_shapes(*(x.shape for x in g.x_mesh)) == g.shape
         assert g.num_points == 256
+
+    @pytest.mark.parametrize("g", [Grid(1, 32, 3.0), Grid(2, 16, 4.0), Grid(3, 8, 2.5)],
+                             ids=lambda g: f"d{g.d}")
+    def test_sparse_meshes_give_the_full_meshgrid_values_bit_for_bit(self, g):
+        # every value built on the broadcast meshes and the per-axis sign equals the
+        # one built on full meshgrid arrays and a grid-sized (-1)^(k_1+...+k_d)
+        x = np.meshgrid(*[g.x_1d] * g.d, indexing="ij")
+        xi = np.meshgrid(*[g.xi_1d] * g.d, indexing="ij")
+        k = np.meshgrid(*[np.arange(g.n)] * g.d, indexing="ij")
+        sign = (-1.0) ** sum(k)
+
+        def same(got, want):
+            return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+        assert same(g.abs_x_sq, sum(c**2 for c in x))
+        assert same(g.abs_xi_sq, sum(c**2 for c in xi))
+        tail, shell = np.zeros(g.shape, dtype=bool), np.zeros(g.shape, dtype=bool)
+        for c, ci in zip(x, xi):
+            tail |= np.abs(ci) > (2.0 / 3.0) * np.pi / g.h
+            shell |= np.abs(c) >= 0.9 * g.L
+        assert same(g._tail_mask, tail) and same(g._shell_mask, shell)
+        f = random_field(g, seed=g.d)
+        scale = g.h**g.d / (2.0 * np.pi) ** (g.d / 2.0)
+        assert same(fourier_forward(f).values, scale * sign * np.fft.fftn(f.values))
+        fh = ComplexField(g, Space.FREQUENCY, f.values)
+        inverse_scale = (2.0 * np.pi) ** (g.d / 2.0) / g.h**g.d
+        assert same(fourier_inverse(fh).values, inverse_scale * np.fft.ifftn(sign * fh.values))
+        center, k0, width = 0.4, [0.7, -0.3, 1.1][:g.d], 1.3
+        env = 1.0 * np.exp(-sum((c - center) ** 2 for c in x) / (2.0 * width**2))
+        want = env * np.exp(1j * sum(kc * c for kc, c in zip(k0, x)))
+        assert same(gaussian(g, width, center=center, modulation=k0).values, want)
 
     @pytest.mark.parametrize("bad", [(0, 64, 10.0), (4, 64, 10.0), (1, 48, 10.0), (1, 4, 10.0), (1, 64, 0.0),
                                      (1, 2**25, 1.0), (2, 8192, 1.0), (3, 512, 1.0), (1, 2**40, 1.0),
@@ -422,6 +456,38 @@ class TestGridCaches:
         for arr in [g.abs_xi_sq, g._tail_mask, g._shell_mask] + self.weights(g, 0.3):
             with pytest.raises(ValueError):
                 arr[(0,) * g.d] = 1
+
+    def test_a_grid_keeps_two_weights_and_two_masks_after_init(self):
+        # a run reads the tail and shell masks and the (grid, s) weights at every
+        # sample; nothing else of the grid's size stays.  The meshes, |x|^2, |xi|^2
+        # and the sign kept 9 more float arrays (n^d each) until they became
+        # broadcast axes and values built on access
+        import gc
+        import tracemalloc
+
+        from nlslab import NonlinearityParams
+        from nlslab.solver import SolverConfig, init
+
+        def start(g):
+            cfg = SolverConfig(grid=g, params=NonlinearityParams(1j, 0.9, 3), eps=0.4, s=1.55)
+            fourier_inverse(fourier_forward(init(cfg, gaussian(g)).u))
+
+        start(Grid(3, 8, 6.0))  # the lazy imports (numpy.fft among them) are not the grid's
+        spectral._xi_weight.cache_clear()
+        spectral._x_weight.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            g = Grid(3, 32, 6.0)
+            start(g)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        floats, masks = 2 * 8 * g.num_points, 2 * g.num_points
+        # the 1-D axes, the sparse meshes and sign vectors and the objects come to a few KiB
+        assert floats + masks <= kept <= floats + masks + 16 * 1024
 
     def test_masks_are_built_once_per_grid(self):
         g = Grid(2, 16, 4.0)
