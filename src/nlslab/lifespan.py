@@ -170,10 +170,19 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
 
     This is the one path from a config to a stamped record: `nlslab simulate`
     and `nlslab diagnostics` take the first record of a one-rung sweep.  The
-    datum is built once, and every rung's state is initialised from it before
-    the first run, so a datum that no rung can start from raises ValueError
-    before any run.  Each record is stamped with the bound value and its
-    scaled remainder maximum, read from the rows its run computed.
+    datum is built once.  With `jobs` = 1 each rung is initialised from it
+    just before it runs, the sweep holds no rung's state while that rung
+    runs (the run releases each of its states once it has a newer one), and
+    the datum goes once the last rung has started: a sweep holds one rung.
+    A datum that no rung can start from still raises ValueError before any
+    run, for the first rung is initialised first and is the only one that
+    can fail: the ladder is strictly decreasing, so the first rung has the
+    largest eps, and the cap check sup|eps*phi| < 1e3/eps is monotone in eps
+    under rounding (every other check of :func:`nlslab.solver.init` does not
+    depend on eps).  With `jobs` > 1 every rung is initialised before the
+    pool starts, and the records are those of `jobs` = 1.  Each record is
+    stamped with the bound value and its scaled remainder maximum, read from
+    the rows its run computed.
     `diagnostics` reaches :func:`nlslab.solver.init`: each run then computes
     a full row at every kept grid time, for :func:`decay_ratio_diagnostics`
     and :func:`remainder_series` over the whole run, and the stamped values
@@ -189,21 +198,29 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
     bound = bound_or_none(fourier_forward(phi), base_config.params)
     bound_value = None if bound is None else bound.bound_value
 
-    states = [init(replace(base_config, eps=e), phi, diagnostics) for e in ladder]
+    configs = [replace(base_config, eps=e) for e in ladder]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        states = [init(config, phi, diagnostics) for config in configs]
         # a fork-started pool forks all its workers up front: one per rung at most
         with ProcessPoolExecutor(max_workers=min(jobs, len(states))) as pool:
             records = list(pool.map(run_to_blowup, states))
     else:
-        records = [run_to_blowup(state) for state in states]
+        records = []
+        for k, config in enumerate(configs, 1):
+            # the first init is the one that can fail, and it comes before any run
+            start = [init(config, phi, diagnostics)]
+            if k == len(configs):
+                phi = None  # the last rung has started
+            # the run takes the only reference to its state, and so can release it
+            records.append(run_to_blowup(start.pop()))
 
     q_values, running_min = [], []
     current_min = None
-    for state, rec in zip(states, records):
+    for config, rec in zip(configs, records):
         rec.bound_value = bound_value
-        rec.max_remainder_scaled = max_remainder_scaled(rec.diagnostics, state.config, rec.T_eps)
+        rec.max_remainder_scaled = max_remainder_scaled(rec.diagnostics, config, rec.T_eps)
         if rec.usable_for_bound():
             q = rec.invariant_quantity
             q_values.append(q)

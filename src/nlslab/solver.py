@@ -287,34 +287,40 @@ def _sample_diagnostics(state: SolverState, power: np.ndarray):
     ))
 
 
-def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
-            step_count: int, mid: tuple | None = None) -> SolverState | None:
-    """The state at t carrying the field u on the trajectory of `log`; or None, with
-    nothing recorded, when sup|u| is not below the sup-norm cap 1e3/eps, as a
-    non-finite field's is not.
-
-    Every field on a trajectory comes through here, the datum and each accepted
-    trial field.  One pass of |u| gives sup|u|, the boundary-shell fraction and
-    the read-only |u|^b that every path from u reads, and the sample reuses
-    it.  The midpoint `mid` = (t_mid, values), when given, is offered to the
-    log first, then u (see :meth:`DiagnosticsLog.offer`); the state is sampled
-    every `record_every` steps.
-    """
+def _modulus(config: SolverConfig, u: np.ndarray):
+    """One pass of |u| over the field u: (|u|, sup|u|), or None when sup|u| is not
+    below the sup-norm cap 1e3/eps, as a non-finite field's is not."""
     absu = np.abs(u)
     sup = float(np.max(absu))
-    if not sup < config.threshold:  # NaN and inf too
-        return None
-    b = config.params.b
-    abs_b = absu if b == 1.0 else absu**b  # numpy spends a pass on the exponent 1
-    # |u|^2 in place, unless |u| is the state's |u|^b itself
-    power = absu**2 if abs_b is absu else np.square(absu, out=absu)
-    abs_b.flags.writeable = False
+    return (absu, sup) if sup < config.threshold else None  # NaN and inf fail too
+
+
+def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
+            absu: np.ndarray, sup: float, step_count: int, mid: list | None = None) -> SolverState:
+    """The state at t carrying the field u on the trajectory of `log`.
+
+    Every field on a trajectory comes through here, the datum and each accepted
+    trial field, with the |u| pass of :func:`_modulus`, `absu` and `sup`, that
+    found it below the sup-norm cap.  That one pass gives sup|u|, the
+    boundary-shell fraction, the |u|^2 the sample reuses and the read-only
+    |u|^b that every path from u reads, taken in place in `absu`: a caller
+    that keeps `absu` keeps only the state's own |u|^b.  The midpoint `mid`,
+    when given, is a one-item list [(t_mid, values)] that holds the only
+    reference to the trial's midpoint field: it is offered to the log first
+    and taken out of the list, so the field is gone before |u|^2 and |u|^b
+    are built.  Then u is offered (see :meth:`DiagnosticsLog.offer`), and
+    the state is sampled every `record_every` steps.
+    """
+    if mid:
+        log.offer(config, *mid.pop())
+    power = np.square(absu)
+    if config.params.b != 1.0:  # numpy spends a pass on the exponent 1
+        absu **= config.params.b
+    absu.flags.writeable = False
     u_field = ComplexField(config.grid, Space.PHYSICAL, u)
     state = SolverState(t=t, u=u_field, config=config, diagnostics=log, sup=sup,
-                        shell=boundary_shell_fraction(u_field, power=power), abs_b=abs_b,
+                        shell=boundary_shell_fraction(u_field, power=power), abs_b=absu,
                         step_count=step_count)
-    if mid is not None:
-        log.offer(config, *mid)
     log.offer(config, t, u_field.values)
     if step_count % config.record_every == 0:
         _sample_diagnostics(state, power)
@@ -361,11 +367,11 @@ def init(config: SolverConfig, phi: ComplexField, diagnostics: bool = False) -> 
     u0 = config.eps * phi.values
     log = DiagnosticsLog(dense_from=_dense_from(config), window_from=_window_from(config),
                          full=diagnostics)
-    state = _accept(config, log, 0.0, u0, 0)
-    if state is None:
+    modulus = _modulus(config, u0)
+    if modulus is None:
         raise ValueError(f"sup-norm cap 1e3/eps = {config.threshold!r} must exceed the "
                          f"initial sup|eps*phi| = {float(np.max(np.abs(u0)))!r}")
-    return state
+    return _accept(config, log, 0.0, u0, *modulus, 0)
 
 
 def _strang(u: np.ndarray, substeps: tuple, multipliers: tuple, params: NonlinearityParams,
@@ -457,10 +463,11 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     inside its own singularity; the first proposal is 0.005.
     A trial takes two Strang steps of dt/2 and then one of dt (see
     :func:`_doubling_trial`).  If the error estimate err meets the step
-    tolerance `_STEP_TOLERANCE`, the extrapolated field is accepted by
-    :func:`_accept`, and only it gets the |u| pass, the shell check, an
-    offer to the log and, every `record_every` accepted steps, a sample; the
-    trial's midpoint field is offered at t + dt/2 just before.
+    tolerance `_STEP_TOLERANCE`, only the extrapolated field gets the |u|
+    pass and the cap check (:func:`_modulus`), and one below the cap is
+    accepted by :func:`_accept`: the shell check, an offer to the log and,
+    every `record_every` accepted steps, a sample; the trial's midpoint field
+    is offered at t + dt/2 just before.
     Otherwise the trial is rejected and retried: its err is over tolerance or
     not finite, or a path met the nonlinear substep's singularity, which
     counts as err = inf.  The next proposal is dt * 0.9 (tol/err)^(1/3) in
@@ -486,20 +493,31 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     record ends on a sample of the state the run stopped on.  Every exit with
     a T_eps has T_eps >= the last offer's t, so the log's rows are the
     criterion's once :func:`make_record` closes it.
+
+    A run holds one state and one trial.  A rejected trial's fields, and a
+    capped one's, go before the retry makes its own; a capped trial keeps
+    the state it started from for the halving retry and the "threshold"
+    record.  Once an accepted trial's field has passed the cap check, the
+    old state goes before the new one is built, and :func:`_accept` releases
+    the midpoint field once it is offered.  The loop holds the only
+    reference to `state` that it is given: a caller that keeps its own keeps
+    that state alive through the run.
     """
     cfg = state.config
+    log = state.diagnostics
     tol = _STEP_TOLERANCE
     h = _FIRST_STEP
     while True:
-        remaining = cfg.t_max - state.t
+        t = state.t
+        remaining = cfg.t_max - t
         if remaining <= 1e-12 * cfg.t_max:
             return make_record(state, RunStatus.REACHED_TMAX)
         horizon = blowup_horizon(state.sup, cfg.params)
-        if horizon <= _BRACKET * state.t and state.t + horizon <= cfg.t_max:
-            return make_record(state, RunStatus.BLOWN_UP, state.t + horizon, "pointwise")
+        if horizon <= _BRACKET * t and t + horizon <= cfg.t_max:
+            return make_record(state, RunStatus.BLOWN_UP, t + horizon, "pointwise")
         dt = min(h, _HORIZON_FRACTION * horizon, remaining)
-        if not state.t + dt > state.t:
-            raise RuntimeError(f"step size {dt!r} vanishes at t={state.t!r}: the trials "
+        if not t + dt > t:
+            raise RuntimeError(f"step size {dt!r} vanishes at t={t!r}: the trials "
                                f"cannot meet the step tolerance {tol!r}, or keep meeting "
                                f"a pointwise singularity")
         try:
@@ -508,15 +526,20 @@ def run_to_blowup(state: SolverState) -> RunRecord:
             err = math.inf
         h = dt * _resize(err, tol)
         if not err <= tol:
+            u = mid = None  # the rejected trial's fields go before the retry makes its own
             continue
-        new = _accept(cfg, state.diagnostics, state.t + dt, u, state.step_count + 1,
-                      (state.t + 0.5 * dt, mid))
-        if new is None:  # the field reaches the sup-norm cap
-            if dt > _BRACKET * max(state.t, dt):
+        modulus = _modulus(cfg, u)
+        if modulus is None:  # the field reaches the sup-norm cap: the state stays for
+            # the halving retry or the record
+            u = mid = None
+            if dt > _BRACKET * max(t, dt):
                 h = 0.5 * dt
                 continue
-            return make_record(state, RunStatus.BLOWN_UP, state.t + 0.5 * dt, "threshold")
-        state = new
+            return make_record(state, RunStatus.BLOWN_UP, t + 0.5 * dt, "threshold")
+        step_count = state.step_count + 1
+        state = None  # nothing reads the old state past the cap check
+        mid = [(t + 0.5 * dt, mid)]  # the only reference, which _accept releases once offered
+        state = _accept(cfg, log, t + dt, u, *modulus, step_count, mid)
         if state.shell > _SHELL_TOLERANCE:
             return make_record(state, RunStatus.BOUNDARY_CONTAMINATED)
 

@@ -18,7 +18,7 @@ def fixed_step(state, dt):
     :class:`PointwiseBlowUp`; one whose field reaches the sup-norm cap fails the
     test."""
     cfg = state.config
-    new = solver._accept(cfg, state.diagnostics, state.t + dt,
-                         strang_step(state.u.values, dt, cfg, state.abs_b), state.step_count + 1)
-    assert new is not None, f"the step of {dt!r} from t={state.t!r} reached the sup-norm cap"
-    return new
+    u = strang_step(state.u.values, dt, cfg, state.abs_b)
+    modulus = solver._modulus(cfg, u)
+    assert modulus is not None, f"the step of {dt!r} from t={state.t!r} reached the sup-norm cap"
+    return solver._accept(cfg, state.diagnostics, state.t + dt, u, *modulus, state.step_count + 1)

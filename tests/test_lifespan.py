@@ -1,10 +1,12 @@
 """Bound constants, profile extraction, diagnostic ratios, and the eps-sweep."""
 
 import concurrent.futures
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlslab import (
     ComplexField,
@@ -26,6 +28,7 @@ from nlslab.lifespan import (
     critical_pointwise_time,
     gamma_exponent,
     decay_ratio_diagnostics,
+    decreasing_ladder,
     max_remainder_scaled,
     profile,
     remainder,
@@ -490,6 +493,76 @@ class TestSweep:
         parallel, _, _ = sweep([0.4, 0.3], cfg, GAUSS_SPEC, jobs=4)
         assert [r.T_eps for r in serial] == [r.T_eps for r in parallel]
         assert sizes == [2]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_datum_at_the_first_rungs_cap_fails_before_any_run(self, monkeypatch, jobs):
+        # sup|0.4 phi| = 4000 reaches the first rung's cap 2500, while the second
+        # rung, sup|0.3 phi| = 3000 below its cap 3333, could start: no run starts
+        runs = []
+        monkeypatch.setattr(lifespan, "run_to_blowup", runs.append)
+        cfg = SolverConfig(grid=Grid(1, 256, 20.0), params=NonlinearityParams(1j, 0.5, 1),
+                           eps=0.4, s=1.0)
+        with pytest.raises(ValueError, match=r"sup-norm cap 1e3/eps = 2500\.0"):
+            sweep([0.4, 0.3], cfg, dict(GAUSS_SPEC, amplitude=1e4), jobs=jobs)
+        assert runs == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(head=st.floats(0.01, 2.0),
+           scale=st.one_of(st.floats(0.25, 4.0),
+                           st.sampled_from([1.0 - 2**-53, 1.0, 1.0 + 2**-52])),
+           fractions=st.lists(st.floats(0.0, 1.0), max_size=4),
+           next_rung=st.booleans())
+    def test_first_rung_starts_exactly_when_every_rung_does(self, head, scale, fractions,
+                                                             next_rung):
+        # a datum whose sup|head phi| lies within a factor 4 of the first rung's cap
+        # 1e3/head, on a strictly decreasing ladder from head, with the float just
+        # below head as its second rung when next_rung
+        rungs = {head * f for f in fractions} | ({np.nextafter(head, 0.0)} if next_rung else set())
+        ladder = [head] + sorted((e for e in rungs if e < head), reverse=True)
+        cfg = SolverConfig(grid=Grid(1, 64, 10.0), params=NonlinearityParams(1j, 0.5, 1),
+                           eps=head, s=1.0)
+        phi = gaussian(cfg.grid, amplitude=scale * 1e3 / head**2)
+        starts = []
+        for eps in decreasing_ladder(ladder):
+            try:
+                init(replace(cfg, eps=eps), phi)
+            except ValueError:
+                starts.append(False)
+            else:
+                starts.append(True)
+        assert starts[0] == all(starts)
+
+    def test_a_sweep_holds_one_rung(self):
+        # what a three-rung sweep holds beyond a one-rung sweep of its first rung
+        # is what it must: the datum until its last rung starts, and the records of
+        # the rungs it has run; no rung's state outlives its run, and none is made
+        # before it runs.  Peaks are traced in fields of the 64**2 grid; each
+        # record's share is what deleting it frees
+        cfg = SolverConfig(grid=Grid(2, 64, 20.0), params=NonlinearityParams(1j, 0.5, 2),
+                           eps=0.4, s=1.2, record_every=4)
+        field = 16 * 64**2
+
+        def traced(ladder):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                records = sweep(ladder, cfg, GAUSS_SPEC)[0]
+                peak = tracemalloc.get_traced_memory()[1] - base
+                held = []
+                for k in range(len(records)):
+                    before = tracemalloc.get_traced_memory()[0]
+                    records[k] = None
+                    held.append(before - tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+            return peak / field, [h / field for h in held]
+
+        traced([0.4])  # the grid's weights and masks, and numpy's first buffers
+        one, _ = traced([0.4])
+        three, (first, second, _) = traced([0.4, 0.35, 0.3])
+        # the second rung runs beside the datum and the first record, the third
+        # beside both records
+        assert three - one <= max(1.0 + first, first + second) + 0.25
 
     def test_profile_follows_reduced_ode(self):
         # end-to-end mechanism check: the extracted |A(t, 0)| along a blow-up

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -276,13 +277,14 @@ class TestStep:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_field_is_not_accepted(self, eps, value):
         # sup|u| of a non-finite field is not below the cap, even at eps = 0
-        # where the cap is inf: _accept takes no state from it and records nothing
+        # where the cap is inf: the cap check refuses it, so no state is taken
+        # from it and nothing is recorded
         cfg = small_config(eps=eps, record_every=10**9)
         state = init(cfg, gaussian(cfg.grid))
         field = state.u.values.copy()
         field[0] = value
         log = state.diagnostics
-        assert solver._accept(cfg, log, 20.0, field, 1) is None
+        assert solver._modulus(cfg, field) is None
         assert len(log.samples) == 1 and state.t == 0.0
         # offered at t = 20, past t_star = 2, the field would get a row
         assert log.rows == []
@@ -297,11 +299,11 @@ class TestStep:
         for _ in range(1000):
             n_samples, n_rows = len(log.samples), len(log.rows)
             u = strang_step(state.u.values, 0.05, cfg, state.abs_b)
-            nxt = solver._accept(cfg, log, state.t + 0.05, u, state.step_count + 1)
-            if nxt is None:
+            modulus = solver._modulus(cfg, u)
+            if modulus is None:
                 break
-            state = nxt
-        assert nxt is None
+            state = solver._accept(cfg, log, state.t + 0.05, u, *modulus, state.step_count + 1)
+        assert modulus is None
         assert len(log.samples) == n_samples and len(log.rows) == n_rows
         # the run loop brackets the same crossing and records it as a threshold blow-up
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
@@ -620,10 +622,10 @@ class TestStepLaw:
             trials.append((dt, *out))
             return out
 
-        def spy_accept(config, log, t, u, step_count, mid=None):
-            if step_count:
-                advanced.append((u, t, mid))
-            return accept(config, log, t, u, step_count, mid)
+        def spy_accept(config, log, t, u, absu, sup, step_count, mid=None):
+            if step_count:  # _accept takes the midpoint out of its list
+                advanced.append((u, t, mid[0]))
+            return accept(config, log, t, u, absu, sup, step_count, mid)
 
         monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
         monkeypatch.setattr(solver, "_accept", spy_accept)
@@ -774,6 +776,50 @@ class TestStepLaw:
         assert paths[retry:retry + 3] == self.trial_paths(dt0 * 0.2)
         assert len(accepted) > 1 and all(np.isfinite(u).all() for u in accepted)
 
+    def test_capped_trial_keeps_its_state_for_the_halving_retry(self, monkeypatch):
+        # sup|u| starts at 0.4 below the cap 0.4/eps = 1: every trial within
+        # tolerance whose field reaches the cap is refused, and the retry at half
+        # its step starts from the same state, its field and |u|^b unchanged, with
+        # nothing offered or sampled in between; the last refused trial, as narrow
+        # as the bracket, ends the run on that state
+        monkeypatch.setattr(solver, "_SUP_CAP", 0.4)
+        cfg = small_config(eps=0.4)
+        state = init(cfg, gaussian(cfg.grid))
+        log = state.diagnostics
+        offer, offers = solver.DiagnosticsLog.offer, []
+        trial, trials = solver._doubling_trial, []
+
+        def spy_offer(log, config, t, values):
+            offers.append(t)
+            offer(log, config, t, values)
+
+        def spy_trial(u, abs_b, dt, config):
+            out = trial(u, abs_b, dt, config)
+            trials.append(dict(
+                fields=(u, abs_b), copies=(u.copy(), abs_b.copy()), dt=dt,
+                recorded=(len(offers), len(log.samples)),
+                capped=out[2] <= solver._STEP_TOLERANCE
+                and not np.max(np.abs(out[0])) < config.threshold))
+            return out
+
+        monkeypatch.setattr(solver.DiagnosticsLog, "offer", spy_offer)
+        monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
+        rec = run_to_blowup(state)
+        capped = [k for k, tried in enumerate(trials) if tried["capped"]]
+        assert len(capped) >= 2 and capped[-1] == len(trials) - 1
+        for k in capped:
+            tried = trials[k]
+            assert all(map(np.array_equal, tried["fields"], tried["copies"]))
+        for k in capped[:-1]:
+            tried, retry = trials[k], trials[k + 1]
+            assert all(a is b for a, b in zip(retry["fields"], tried["fields"]))
+            assert retry["dt"] == 0.5 * tried["dt"]
+            assert retry["recorded"] == tried["recorded"]
+        last = trials[-1]
+        assert rec.status == "blown-up" and rec.t_blow_threshold == rec.T_eps
+        assert len(offers) == last["recorded"][0] and rec.T_eps == offers[-1] + 0.5 * last["dt"]
+        assert rec.diagnostics.samples[-1].t == offers[-1]
+
     def test_unattainable_tolerance_fails_loudly(self, monkeypatch):
         # roundoff alone keeps err above 1e-300, so the step shrinks to nothing
         monkeypatch.setattr(solver, "_STEP_TOLERANCE", 1e-300)
@@ -911,12 +957,11 @@ class TestFieldOwnership:
         accept = solver._accept
         times = []
 
-        def spy_accept(config, log, t, u, step_count, mid=None):
+        def spy_accept(config, log, t, u, absu, sup, step_count, mid=None):
             times.append(t)
-            kept.extend((a, a.copy()) for a in (u, mid[1]))
-            new = accept(config, log, t, u, step_count, mid)
-            if new is not None:
-                kept.append((new.abs_b, new.abs_b.copy()))
+            kept.extend((a, a.copy()) for a in (u, mid[0][1]))
+            new = accept(config, log, t, u, absu, sup, step_count, mid)
+            kept.append((new.abs_b, new.abs_b.copy()))
             return new
 
         monkeypatch.setattr(solver, "_accept", spy_accept)
@@ -954,10 +999,11 @@ class TestFieldOwnership:
         offered, read, open_offers = {}, {}, []
         accept, offer, row = solver._accept, solver.DiagnosticsLog.offer, solver._row
 
-        def spy_accept(config, log, t, u, step_count, mid=None):
+        def spy_accept(config, log, t, u, absu, sup, step_count, mid=None):
+            (t_mid, values), = mid
             offered[id(u)] = (u, t, "end")
-            offered[id(mid[1])] = (mid[1], mid[0], "mid")
-            return accept(config, log, t, u, step_count, mid)
+            offered[id(values)] = (values, t_mid, "mid")
+            return accept(config, log, t, u, absu, sup, step_count, mid)
 
         def spy_offer(log, config, t, values):
             open_offers.append((t, values))
@@ -989,13 +1035,33 @@ class TestFieldOwnership:
                 snap *= 2.0
 
 
-# A run's traced peak in fields of its grid.  The trial's three fields, the state's
-# field and its |u|^b and |u|^2 passes, and one remainder_sup's transients come to
-# 9.69 fields on the 64**2 run below, at an accepted field's sample; the bound
-# leaves 0.31 field (20 KiB there) for numpy's own buffers.  Squaring |u| in place
-# for |u|^2 took the peak down from 10.18 fields; a log that held each field kept
-# from t_star on until it could tell t <= T/2 peaked at 50.7 there, holding 38 at once.
-RUN_PEAK_FIELDS = 10.0
+# What a run allocates at its peak, traced, in fields of its grid.  At
+# 64**2 one numpy iterator buffer (8192 elements) is a whole field, so this bound
+# counts numpy's buffers as much as the run's arrays: the run below peaks at
+# 7.45-7.66 fields measured (the higher as the first 2-D run of a process), and the
+# bound leaves 0.34 field (22 KiB there) above that.  It peaked at 9.46-9.67 fields
+# when the loop kept the previous state, and the previous trial's midpoint field,
+# through the next accepted field's sample; a log that held each field kept from
+# t_star on until it could tell t <= T/2 peaked at 50.7 there, holding 38 at once.
+RUN_PEAK_FIELDS = 8.0
+# At 256**2 the buffers are a small part of a field, so the bound is what the run
+# holds: one state (its field and |u|^b, 1.5 fields) and one trial (its three
+# fields, its multiplier and its float scratch, 4.5 fields).  Measured 6.14 fields;
+# keeping the previous state and midpoint field measured 7.52.
+STATE_AND_TRIAL_FIELDS = 6.5
+
+
+def traced_run(state):
+    """(record, peak of what run_to_blowup(state) allocates, in fields of its grid):
+    tracing starts after `state` is made, so the state it starts from is not counted."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rec = run_to_blowup(state)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return rec, peak / state.u.values.nbytes
 
 
 class TestMemory:
@@ -1003,20 +1069,28 @@ class TestMemory:
         # the blowup-2d rung at 64**2: 62 fields kept from t_star = 1.58 to
         # T = 5.25, 24 of them in [t_star, T/2]; numpy's buffers are traced, so the
         # peak in fields does not depend on the machine
-        import tracemalloc
-
         cfg = SolverConfig(grid=Grid(2, 64, 20.0), params=NonlinearityParams(1j, 0.5, 2),
                            eps=0.4, s=1.2, record_every=4)
-        state = init(cfg, gaussian(cfg.grid))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            rec = run_to_blowup(state)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        rec, peak = traced_run(init(cfg, gaussian(cfg.grid)))
         assert rec.status == "blown-up" and len(rec.diagnostics.rows) == 24
-        assert peak / state.u.values.nbytes < RUN_PEAK_FIELDS
+        assert peak < RUN_PEAK_FIELDS
+
+    def test_run_holds_one_state_and_one_trial(self, monkeypatch):
+        # the blowup-2d rung at 256**2 up to t_max = 2.2, past t_star = 1.58: the
+        # run samples every fourth field and computes the rows of the fields it
+        # keeps from t_star on (none lies in the empty window [t_star, t_max/2])
+        row, rows = solver._row, []
+
+        def counted(config, t, values, full):
+            rows.append(t)
+            return row(config, t, values, full)
+
+        monkeypatch.setattr(solver, "_row", counted)
+        cfg = SolverConfig(grid=Grid(2, 256, 20.0), params=NonlinearityParams(1j, 0.5, 2),
+                           eps=0.4, s=1.2, t_max=2.2, record_every=4)
+        rec, peak = traced_run(init(cfg, gaussian(cfg.grid)))
+        assert rec.status == "reached-t-max" and rows and len(rec.diagnostics.samples) > 5
+        assert peak <= STATE_AND_TRIAL_FIELDS
 
 
 def field_functions(u, t, cfg):
