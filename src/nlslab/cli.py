@@ -34,15 +34,6 @@ from .lifespan import (
     t_star_time,
     theoretical_bound,
 )
-from .profile_ode import (
-    OdeParams,
-    bound_constants,
-    integrate_perturbed,
-    make_perturbation,
-    smallness_bound,
-    sup_bound_check,
-)
-from .solver import convergence_study
 from .spectral import Grid, fourier_forward, sup_modulus
 
 
@@ -147,6 +138,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_profile_ode(args) -> int:
     """The adversarial perturbation (c1 = c2 = 0.3, delta = 1, seed 0) from
     t_* = 0.5 with sigma = 0.2 tau1, at eps = 0.9 of the smallness bound."""
+    # only this command loads the profile ODE
+    from .profile_ode import (OdeParams, bound_constants, integrate_perturbed,
+                              make_perturbation, smallness_bound, sup_bound_check)
+
     cfg = _load_config(args)
     _check_out(args)
     c, delta = 0.3, 1.0
@@ -194,6 +189,9 @@ def _cmd_diagnostics(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
+    # only this command loads the convergence study
+    from .convergence import convergence_study
+
     cfg = _load_config(args)
     grid = Grid(cfg.d, min(cfg.n, 64), min(cfg.L, 10.0))
     solver_cfg = replace(cfg.solver_config(), grid=grid)

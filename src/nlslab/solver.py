@@ -28,14 +28,18 @@ diagnostics read off the first field offered at or after each time of a grid
 geometric in 1 + t, dense from t_star on.  A field's row is computed as the
 field is kept, so the log holds no field; the rows past half the run's end
 fall outside the remainder criterion's window [t_star, T/2] and are dropped
-when the run ends.
+when the run ends.  A trial's midpoint field is one of the trial's buffers:
+the trial computes its row, when the log keeps it, before the second half
+step runs over that buffer, and the row is committed to the log only if the
+trial is accepted.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -61,7 +65,6 @@ from .spectral import (
     _abs_sq,
     _int_fields,
     _real_fields,
-    _resample,
     boundary_shell_fraction,
     dft,
     norms,
@@ -202,20 +205,23 @@ class DiagnosticsLog:
 
     Samples are only appended, so accepting two fields from one state writes
     both branches here.  An event step records nothing.  :func:`_accept` is
-    the one place that offers fields (:meth:`offer`): every field it accepts,
-    after the trial's midpoint field for a run loop step, in time order.  The
-    log keeps the first field offered at or after each time of its grid and
-    nothing else.  The grid is geometric in 1 + t: `_SPARSE_PER_DECADE`
-    times per decade from t = 0, and `_DENSE_PER_DECADE` from `dense_from`
-    on, the run's t_star, where the remainder criterion is read.
+    the one place that offers fields, in time order: for a run loop step, it
+    commits the accepted trial's midpoint (:meth:`commit`), then offers the
+    field it accepts (:meth:`offer`).  The log keeps the first field offered
+    at or after each time of its grid (:meth:`keeps`) and nothing else.  The
+    grid is geometric in 1 + t: `_SPARSE_PER_DECADE` times per decade from
+    t = 0, and `_DENSE_PER_DECADE` from `dense_from` on, the run's t_star,
+    where the remainder criterion is read.
 
     A kept field becomes a row (:class:`DiagnosticRow`) as it is kept, and the
     log holds no field.  With `full`, every kept field gets its full row.
     Otherwise only the criterion's rows are computed: a sup|R| row for each
     field kept at t >= `window_from` (the run's t_star, or inf where the
     criterion is undefined).  :meth:`close` then drops those after half the
-    run's end, for the criterion reads [t_star, T/2].  Every offer is made
-    read-only, kept or not.
+    run's end, for the criterion reads [t_star, T/2].  An offered field is
+    made read-only, kept or not.  A midpoint is a buffer of its trial, which
+    computes the midpoint's row when the log keeps it and then writes the
+    second half step over it; the row reaches the log only by :meth:`commit`.
     """
 
     samples: list = field(default_factory=list)
@@ -232,13 +238,23 @@ class DiagnosticsLog:
         return _DENSE_INDEX + math.floor(
             _DENSE_PER_DECADE * math.log10((1.0 + t) / (1.0 + self.dense_from)))
 
+    def keeps(self, t: float) -> bool:
+        """Whether the log keeps a field offered at t next: the first offer at or
+        after a time of its grid that gets a row (every one with `full`, else
+        those from `window_from` on)."""
+        return self._grid_index(t) > self._last_offer and (self.full or t >= self.window_from)
+
+    def commit(self, t: float, row: DiagnosticRow | None):
+        """Take the offer at t, no earlier than every earlier offer, with its row
+        when the log keeps it and None when not."""
+        self._last_offer = self._grid_index(t)
+        if row is not None:
+            self.rows.append(row)
+
     def offer(self, config: SolverConfig, t: float, values: np.ndarray):
         """Offer the field `values` at t, no earlier than every earlier offer."""
         values.flags.writeable = False  # kept or not: no field on a trajectory changes
-        index, last = self._grid_index(t), self._last_offer
-        self._last_offer = index
-        if index > last and (self.full or t >= self.window_from):
-            self.rows.append(_row(config, t, values, self.full))
+        self.commit(t, _row(config, t, values, self.full) if self.keeps(t) else None)
 
     def close(self, end: float):
         """End the run at `end`, its T or, without one, its last offer's t: a log
@@ -296,7 +312,8 @@ def _modulus(config: SolverConfig, u: np.ndarray):
 
 
 def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
-            absu: np.ndarray, sup: float, step_count: int, mid: list | None = None) -> SolverState:
+            absu: np.ndarray, sup: float, step_count: int,
+            mid: tuple | None = None) -> SolverState:
     """The state at t carrying the field u on the trajectory of `log`.
 
     Every field on a trajectory comes through here, the datum and each accepted
@@ -305,14 +322,13 @@ def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
     boundary-shell fraction, the |u|^2 the sample reuses and the read-only
     |u|^b that every path from u reads, taken in place in `absu`: a caller
     that keeps `absu` keeps only the state's own |u|^b.  The midpoint `mid`,
-    when given, is a one-item list [(t_mid, values)] that holds the only
-    reference to the trial's midpoint field: it is offered to the log first
-    and taken out of the list, so the field is gone before |u|^2 and |u|^b
-    are built.  Then u is offered (see :meth:`DiagnosticsLog.offer`), and
-    the state is sampled every `record_every` steps.
+    when given, is (t_mid, row) of the accepted trial: its row is committed
+    to the log first (:meth:`DiagnosticsLog.commit`; None where the log does
+    not keep t_mid).  Then u is offered (see :meth:`DiagnosticsLog.offer`),
+    and the state is sampled every `record_every` steps.
     """
-    if mid:
-        log.offer(config, *mid.pop())
+    if mid is not None:
+        log.commit(*mid)
     power = np.square(absu)
     if config.params.b != 1.0:  # numpy spends a pass on the exponent 1
         absu **= config.params.b
@@ -395,7 +411,8 @@ def _strang(u: np.ndarray, substeps: tuple, multipliers: tuple, params: Nonlinea
     return w
 
 
-def _doubling_trial(u: np.ndarray, abs_b: np.ndarray, dt: float, config: SolverConfig):
+def _doubling_trial(u: np.ndarray, abs_b: np.ndarray, dt: float, config: SolverConfig,
+                    mid_row=None):
     """Two Strang steps of dt/2 and then one of dt from the field u, extrapolated.
 
     The full path is N(dt/2) F(m_dt) N(dt/2) and each half step is
@@ -405,25 +422,37 @@ def _doubling_trial(u: np.ndarray, abs_b: np.ndarray, dt: float, config: SolverC
     first substep of the full path and of the first half step reads
     `abs_b` = |u|^b, which the caller took with sup|u|.
 
-    Returns (R, mid, err).  With u_dt the full-step field and two the
+    Returns (R, row, err).  With u_dt the full-step field and two the
     two-half-step field, err = ||u_dt - two||_2 / (3 ||two||_2) estimates
     two's local error, O(dt^3), and R = two - (u_dt - two)/3 cancels its
     leading term: Strang splitting is symmetric, so R's local error is
-    O(dt^5) and err bounds it.  mid is the field after the first half step,
-    at dt/2.  err is not finite when u_dt or two is not; R is then two.  The
-    norms are numpy's own sums of products (einsum calls no BLAS), so err does
-    not depend on the BLAS thread count.  A :class:`PointwiseBlowUp` in any
-    path propagates, and the paths after it are not taken.  The trial allocates
-    its three fields, one multiplier (m_{dt/2}, squared in place into m_dt once
-    the half steps are done) and one float scratch array, and every substep
-    writes into them; u and abs_b are only read.
+    O(dt^5) and err bounds it.  err is not finite when u_dt or two is not;
+    R is then two.  The norms are numpy's own sums of products (einsum calls
+    no BLAS), so err does not depend on the BLAS thread count.  A
+    :class:`PointwiseBlowUp` in any path propagates, and the paths after it
+    are not taken.
+
+    `mid_row`, when given, maps the midpoint field, the field after the first
+    half step at dt/2, to its :class:`DiagnosticRow`, and row is what it
+    returns; row is None without it.  The trial holds two fields, one
+    multiplier (m_{dt/2}, squared in place into m_dt once the half steps are
+    done) and one float scratch array, and every substep writes into them;
+    u and abs_b are only read.  The midpoint is the first field: the second
+    half step runs over it in place, so two and then R take its buffer.  To
+    compute row, the trial releases its multiplier and scratch, so the row's
+    transients take their place, and builds them again after.
     """
     params = config.params
     half, quarter = 0.5 * dt, 0.25 * dt
     m = _free_multiplier(config.grid, half)
     scratch = np.empty(u.shape)
     mid = _strang(u, (quarter, quarter), (m,), params, np.empty_like(u), scratch, abs_b)
-    two = _strang(mid, (quarter, quarter), (m,), params, np.empty_like(u), scratch)
+    row = None
+    if mid_row is not None:
+        m = scratch = None
+        row = mid_row(mid)
+        m, scratch = _free_multiplier(config.grid, half), np.empty(u.shape)
+    two = _strang(mid, (quarter, quarter), (m,), params, mid, scratch)
     # the half steps are done with the trial's own multiplier: square it in place
     m.flags.writeable = True
     m = np.multiply(m, m, out=m)
@@ -438,7 +467,7 @@ def _doubling_trial(u: np.ndarray, abs_b: np.ndarray, dt: float, config: SolverC
         err = 0.0 if num == 0 else math.nan
     if math.isfinite(err):  # the run rejects any other trial: extrapolate no inf or NaN
         two -= np.divide(diff, 3.0, out=diff)
-    return two, mid, err
+    return two, row, err
 
 
 def _resize(err: float, tol: float) -> float:
@@ -466,8 +495,12 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     tolerance `_STEP_TOLERANCE`, only the extrapolated field gets the |u|
     pass and the cap check (:func:`_modulus`), and one below the cap is
     accepted by :func:`_accept`: the shell check, an offer to the log and,
-    every `record_every` accepted steps, a sample; the trial's midpoint field
-    is offered at t + dt/2 just before.
+    every `record_every` accepted steps, a sample; the trial's midpoint at
+    t + dt/2 is committed to the log just before.  The loop asks the log
+    before each trial whether it keeps t + dt/2 (:meth:`DiagnosticsLog.keeps`;
+    no offer comes between the trial and its acceptance), and if so the
+    trial computes the midpoint's row; only an accepted trial's row is
+    committed.
     Otherwise the trial is rejected and retried: its err is over tolerance or
     not finite, or a path met the nonlinear substep's singularity, which
     counts as err = inf.  The next proposal is dt * 0.9 (tol/err)^(1/3) in
@@ -494,14 +527,14 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     a T_eps has T_eps >= the last offer's t, so the log's rows are the
     criterion's once :func:`make_record` closes it.
 
-    A run holds one state and one trial.  A rejected trial's fields, and a
-    capped one's, go before the retry makes its own; a capped trial keeps
-    the state it started from for the halving retry and the "threshold"
-    record.  Once an accepted trial's field has passed the cap check, the
-    old state goes before the new one is built, and :func:`_accept` releases
-    the midpoint field once it is offered.  The loop holds the only
-    reference to `state` that it is given: a caller that keeps its own keeps
-    that state alive through the run.
+    A run holds one state (its field and |u|^b, 1.5 fields) and one trial
+    (3.5 fields: see :func:`_doubling_trial`), 5 fields at its peak.  A
+    rejected trial's field, and a capped one's, go before the retry makes
+    its own; a capped trial keeps the state it started from for the halving
+    retry and the "threshold" record.  Once an accepted trial's field has
+    passed the cap check, the old state goes before the new one is built.
+    The loop holds the only reference to `state` that it is given: a caller
+    that keeps its own keeps that state alive through the run.
     """
     cfg = state.config
     log = state.diagnostics
@@ -520,26 +553,27 @@ def run_to_blowup(state: SolverState) -> RunRecord:
             raise RuntimeError(f"step size {dt!r} vanishes at t={t!r}: the trials "
                                f"cannot meet the step tolerance {tol!r}, or keep meeting "
                                f"a pointwise singularity")
+        t_mid = t + 0.5 * dt
+        mid_row = partial(_row, cfg, t_mid, full=log.full) if log.keeps(t_mid) else None
         try:
-            u, mid, err = _doubling_trial(state.u.values, state.abs_b, dt, cfg)
+            u, row, err = _doubling_trial(state.u.values, state.abs_b, dt, cfg, mid_row)
         except PointwiseBlowUp:
             err = math.inf
         h = dt * _resize(err, tol)
         if not err <= tol:
-            u = mid = None  # the rejected trial's fields go before the retry makes its own
+            u = None  # the rejected trial's field goes before the retry makes its own
             continue
         modulus = _modulus(cfg, u)
         if modulus is None:  # the field reaches the sup-norm cap: the state stays for
             # the halving retry or the record
-            u = mid = None
+            u = None
             if dt > _BRACKET * max(t, dt):
                 h = 0.5 * dt
                 continue
             return make_record(state, RunStatus.BLOWN_UP, t + 0.5 * dt, "threshold")
         step_count = state.step_count + 1
         state = None  # nothing reads the old state past the cap check
-        mid = [(t + 0.5 * dt, mid)]  # the only reference, which _accept releases once offered
-        state = _accept(cfg, log, t + dt, u, *modulus, step_count, mid)
+        state = _accept(cfg, log, t + dt, u, *modulus, step_count, (t_mid, row))
         if state.shell > _SHELL_TOLERANCE:
             return make_record(state, RunStatus.BOUNDARY_CONTAMINATED)
 
@@ -585,63 +619,6 @@ def make_record(state: SolverState, status: RunStatus, t_blow: float | None = No
     if T is not None and T > 0:
         record.invariant_quantity = record.q_value()
     return record
-
-
-@dataclass
-class ConvergenceReport:
-    dts: list
-    temporal_errors: list
-    temporal_ratios: list
-    measured_orders: list
-    spatial_ns: list
-    spatial_errors: list
-    spatial_drops: list
-
-
-def _fixed_run(config: SolverConfig, phi: ComplexField, t_end: float, dt: float) -> np.ndarray:
-    """The field after round(t_end/dt) Strang steps of dt from eps*phi; raises
-    RuntimeError when a step meets the pointwise singularity or the final field
-    is not finite."""
-    u = init(config, phi).u.values
-    substeps, multipliers = (dt / 2.0, dt / 2.0), (_free_multiplier(config.grid, dt),)
-    try:
-        for k in range(int(round(t_end / dt))):
-            u = _strang(u, substeps, multipliers, config.params)
-    except PointwiseBlowUp:
-        raise RuntimeError(f"fixed-step run of dt={dt!r} met a pointwise singularity "
-                           f"in the step from t={k * dt!r}") from None
-    if not np.isfinite(u).all():
-        raise RuntimeError(f"fixed-step run of dt={dt!r} left a non-finite field")
-    return u
-
-
-def convergence_study(config: SolverConfig, phi: ComplexField, refinements: int = 2,
-                      t_end: float = 0.5, dt0: float = 0.02) -> ConvergenceReport:
-    """Temporal self-convergence against a dt0/8 reference plus a spatial doubling check."""
-    ref = _fixed_run(config, phi, t_end, dt0 / 8.0)
-    dts = [dt0 / 2**k for k in range(refinements + 1)]
-    errors = []
-    for dt in dts:
-        u = _fixed_run(config, phi, t_end, dt)
-        errors.append(float(np.sqrt(np.sum(np.abs(u - ref) ** 2) / np.sum(np.abs(ref) ** 2))))
-    ratios = [errors[k] / errors[k + 1] for k in range(len(errors) - 1)]
-    orders = [float(np.log2(r)) for r in ratios]
-
-    # spatial: double n at fixed data and dt, compare on the shared coarse points
-    base = config.grid
-    fields = []
-    for k in range(3):
-        g_k = Grid(base.d, base.n * 2**k, base.L)
-        cfg_k = replace(config, grid=g_k)
-        fields.append(_fixed_run(cfg_k, _resample(phi, g_k), t_end, dt0))
-    stride = (slice(None, None, 2),) * base.d
-    sp_errors = [float(np.max(np.abs(fields[k] - fields[k + 1][stride]))) for k in range(2)]
-    drops = [sp_errors[0] / max(sp_errors[1], 1e-300)]
-    return ConvergenceReport(
-        dts=dts, temporal_errors=errors, temporal_ratios=ratios,
-        measured_orders=orders, spatial_ns=[base.n, base.n * 2],
-        spatial_errors=sp_errors, spatial_drops=drops,
-    )
 
 
 def mass_balance_residuals(samples, mu: float) -> np.ndarray:

@@ -290,17 +290,26 @@ def _sparse_mesh(axis: np.ndarray, d: int) -> tuple:
     return tuple(_read_only(a) for a in np.meshgrid(*([axis] * d), indexing="ij", sparse=True))
 
 
+def _weight(mesh: tuple, s: float) -> np.ndarray:
+    """(1 + |y|^2)^s on the grid of the broadcast axes `mesh`, built in one
+    array: the values of ``(1.0 + |y|^2) ** s`` bit for bit."""
+    w = sum(y**2 for y in mesh)
+    w += 1.0
+    w **= s
+    return _read_only(w)
+
+
 # Sobolev weights of the hot path, bounded caches keyed by (grid, s).
 @lru_cache(maxsize=4)
 def _xi_weight(grid: Grid, s: float) -> np.ndarray:
     """(1 + |xi|^2)^s."""
-    return _read_only((1.0 + grid.abs_xi_sq) ** s)
+    return _weight(grid.xi_mesh, s)
 
 
 @lru_cache(maxsize=4)
 def _x_weight(grid: Grid, s: float) -> np.ndarray:
     """(1 + |x|^2)^s on the physical grid."""
-    return _read_only((1.0 + grid.abs_x_sq) ** s)
+    return _weight(grid.x_mesh, s)
 
 
 def _back_propagation_phase(grid: Grid, t: float) -> np.ndarray:

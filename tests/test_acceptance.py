@@ -36,7 +36,8 @@ from nlslab.profile_ode import (
     make_perturbation,
 )
 from nlslab import solver
-from nlslab.solver import SolverConfig, convergence_study, init, run_to_blowup
+from nlslab.convergence import convergence_study
+from nlslab.solver import SolverConfig, init, run_to_blowup
 from stepping import fixed_step
 
 GAUSS = {"kind": "gaussian", "width": 1.0}
@@ -202,16 +203,17 @@ LADDER = [0.4, 0.3, 0.2, 0.15]
 def ladder_runs():
     """Shared runs: lam = i and lam = 2i ladders, plus an eps = 0.2 refinement.
     out["offers"] maps the id of each run's diagnostics log to the times of
-    every field offered to it."""
+    every field offered to it: each accepted field and its trial's midpoint,
+    as the log commits them."""
     out = {"offers": {}}
-    offer = solver.DiagnosticsLog.offer
+    commit = solver.DiagnosticsLog.commit
 
-    def noting(log, config, t, values):
+    def noting(log, t, row):
         out["offers"].setdefault(id(log), []).append(t)
-        offer(log, config, t, values)
+        commit(log, t, row)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver.DiagnosticsLog, "offer", noting)
+        mp.setattr(solver.DiagnosticsLog, "commit", noting)
         for lam in (1j, 2j):
             params = NonlinearityParams(lam=lam, theta=0.5, d=1)
             cfg = SolverConfig(grid=Grid(1, 2048, 80.0), params=params, eps=0.4, s=1.0,

@@ -73,3 +73,41 @@ def test_profile_integration_loads_scipy_on_first_call():
         "print(before, 'scipy.integrate' in sys.modules, len(traj.t))\n"
     )
     assert out.split() == ["False", "True", "20"]
+
+
+def test_a_run_loads_neither_the_profile_ode_nor_the_convergence_study(tmp_path):
+    # only `nlslab profile-ode` and `nlslab convergence` need them; the package
+    # resolves their names on first use
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 256, "L": 25.0, "eps_ladder": [0.4], "t_max": 30.0}))
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "simulate")]
+    out = run_fresh(
+        "import sys\n"
+        "import nlslab, nlslab.cli\n"
+        f"assert nlslab.cli.main({argv!r}) == 0\n"
+        "print('loaded:', *(f'nlslab.{m}' in sys.modules for m in ('profile_ode', 'convergence')))\n"
+    )
+    assert out.splitlines()[-1] == "loaded: False False"
+
+
+def test_lazy_names_resolve_on_first_use():
+    out = run_fresh(
+        "import nlslab\n"
+        "from nlslab import bound_constants, convergence_study\n"
+        "from nlslab.profile_ode import OdeParams\n"
+        "print(nlslab.OdeParams is OdeParams, bound_constants.__module__,\n"
+        "      convergence_study.__module__, nlslab.ConvergenceReport.__module__)\n"
+    )
+    assert out.split() == ["True", "nlslab.profile_ode", "nlslab.convergence", "nlslab.convergence"]
+
+
+def test_dir_lists_the_lazy_names():
+    out = run_fresh(
+        "import sys\n"
+        "import nlslab\n"
+        "names = dir(nlslab)\n"
+        "print(all(n in names for n in ('OdeParams', 'bound_constants', 'convergence_study',\n"
+        "                               'run_to_blowup')),\n"
+        "      'nlslab.profile_ode' in sys.modules, 'nlslab.convergence' in sys.modules)\n"
+    )
+    assert out.split() == ["True", "False", "False"]

@@ -217,34 +217,54 @@ class TestProfileExtraction:
 
 def spying_on_rows(mp, offered=None):
     """Note each remainder_sup call of the runs started under the monkeypatch `mp` as
-    (t, sup|R|, whether it came from the offer of its own field at t), and each
-    offered t in `offered`; returns the list of calls."""
-    offer, transform, calls, open_offers = solver.DiagnosticsLog.offer, solver.remainder_sup, [], []
+    (t, sup|R|, whether it came from the offer of its own field at t or from a
+    trial, which computes its midpoint's row), each row committed to a log as
+    (t, sup|R|), and each offered t (every committed one) in `offered`; returns
+    (calls, committed)."""
+    offer, commit = solver.DiagnosticsLog.offer, solver.DiagnosticsLog.commit
+    trial, transform = solver._doubling_trial, solver.remainder_sup
+    calls, committed, open_offers, open_trials = [], [], [], []
 
     def noting(log, config, t, values):
-        if offered is not None:
-            offered.append(t)
         open_offers.append(t)
         try:
             offer(log, config, t, values)
         finally:
             open_offers.pop()
 
+    def committing(log, t, row):
+        if offered is not None:
+            offered.append(t)
+        if row is not None:
+            committed.append((t, row.remainder_sup))
+        commit(log, t, row)
+
+    def trying(*args):
+        open_trials.append(None)
+        try:
+            return trial(*args)
+        finally:
+            open_trials.pop()
+
     def spy(u, t, params):
         value = transform(u, t, params)
-        calls.append((t, value, open_offers == [t]))
+        in_trial = open_trials == [None] and not open_offers
+        calls.append((t, value, open_offers == [t] or in_trial))
         return value
 
     mp.setattr(solver.DiagnosticsLog, "offer", noting)
+    mp.setattr(solver.DiagnosticsLog, "commit", committing)
+    mp.setattr(solver, "_doubling_trial", trying)
     mp.setattr(solver, "remainder_sup", spy)
-    return calls
+    return calls, committed
 
 
 @pytest.fixture(scope="module")
 def default_rungs():
-    """(config, record, offered, calls) of the default experiment config's runs at
-    eps = 0.2 and 0.15: the times of every field offered to the run's log, and
-    the remainder_sup calls the run made (see :func:`spying_on_rows`)."""
+    """(config, record, offered, calls, committed) of the default experiment config's
+    runs at eps = 0.2 and 0.15: the times of every field offered to the run's log,
+    the remainder_sup calls the run made and the rows it committed (see
+    :func:`spying_on_rows`)."""
     base = ExperimentConfig()
     out = {}
     for eps in (0.2, 0.15):
@@ -252,8 +272,8 @@ def default_rungs():
         phi = build_initial_data(cfg.grid, base.initial_data)
         offered = []
         with pytest.MonkeyPatch.context() as mp:
-            calls = spying_on_rows(mp, offered)
-            out[eps] = cfg, run_to_blowup(init(cfg, phi)), offered, calls
+            calls, committed = spying_on_rows(mp, offered)
+            out[eps] = cfg, run_to_blowup(init(cfg, phi)), offered, calls, committed
     return out
 
 
@@ -269,18 +289,20 @@ class TestRemainderWindow:
     def test_rows_are_the_kept_offers_in_the_window(self, default_rungs, monkeypatch,
                                                     eps, inside):
         # the run computes the row of each field it keeps from t_star on as the
-        # field is offered, and keeps the rows in [t_star, T/2]; the scaled maximum
-        # reads them and transforms nothing
-        cfg, rec, offered, calls = default_rungs[eps]
+        # field is offered, or in its trial for a midpoint, commits those of the
+        # fields it accepts, and keeps the rows in [t_star, T/2]; the scaled
+        # maximum reads them and transforms nothing
+        cfg, rec, offered, calls, committed = default_rungs[eps]
         t_star = t_star_time(eps, cfg.params.theta, cfg.params.d)
         half = rec.T_eps / 2.0
         times = np.array(offered)
         assert np.any(times < t_star) and np.any(times > half)
-        assert all(t_star <= t and t in offered and in_offer for t, _, in_offer in calls)
-        assert any(t > half for t, _, _ in calls)
+        assert all(t_star <= t and in_own for t, _, in_own in calls)
+        assert set(committed) <= {(t, value) for t, value, _ in calls}
+        assert all(t in offered for t, _ in committed) and any(t > half for t, _ in committed)
         rows = [(row.t, row.remainder_sup) for row in rec.diagnostics.rows]
         assert len(rows) == inside
-        assert rows == [(t, value) for t, value, _ in calls if t <= half]
+        assert rows == [(t, value) for t, value in committed if t <= half]
         seen = []
         for module, name in ((solver, "remainder_sup"), (lifespan, "remainder"),
                              (propagators, "remainder_sup"), (propagators, "remainder")):
@@ -290,7 +312,7 @@ class TestRemainderWindow:
 
     @pytest.mark.parametrize("eps", [0.2, 0.15])
     def test_scaled_maximum_equals_the_masked_full_series(self, default_rungs, eps):
-        cfg, rec, _, _ = default_rungs[eps]
+        cfg, rec, *_ = default_rungs[eps]
         params = cfg.params
         t_star = t_star_time(eps, params.theta, params.d)
         times, sups = remainder_series(rec.diagnostics, t_min=t_star)
@@ -327,24 +349,24 @@ class TestRemainderWindow:
         params = NonlinearityParams(lam=-1j, theta=0.5, d=1)
         cfg = SolverConfig(grid=Grid(1, 1024, 400.0), params=params, eps=0.3, s=1.0,
                            t_max=100.0, record_every=1)
-        calls = spying_on_rows(monkeypatch)
+        _, committed = spying_on_rows(monkeypatch)
         (rec,), _, _ = sweep([0.3], cfg, GAUSS_SPEC)
         rows, t_abort = rec.diagnostics.rows, rec.diagnostics.samples[-1].t
         assert rec.status == "boundary-contaminated" and rec.T_eps is None
-        assert len(rows) > 50 and any(2.0 * t > t_abort for t, _, _ in calls)
+        assert len(rows) > 50 and any(2.0 * t > t_abort for t, _ in committed)
         assert [(row.t, row.remainder_sup) for row in rows] == [
-            (t, value) for t, value, _ in calls if 2.0 * t <= t_abort]
+            (t, value) for t, value in committed if 2.0 * t <= t_abort]
         assert rec.max_remainder_scaled is None
 
     def test_run_ending_before_twice_t_star_keeps_no_row(self, monkeypatch):
         # the default eps = 0.4 rung: t_star = 2.5 > T/2 = 1.88, so the rows of the
         # fields it keeps from t_star on all lie past T/2 and are dropped when the
         # run ends
-        calls = spying_on_rows(monkeypatch)
+        calls, _ = spying_on_rows(monkeypatch)
         base = ExperimentConfig()
         (rec,), _, _ = sweep([0.4], base.solver_config(), base.initial_data)
         assert rec.status == "blown-up" and rec.T_eps / 2.0 < 2.5 and len(calls) > 5
-        assert all(2.5 <= t <= rec.T_eps and in_offer for t, _, in_offer in calls)
+        assert all(2.5 <= t <= rec.T_eps and in_own for t, _, in_own in calls)
         assert rec.diagnostics.rows == [] and rec.max_remainder_scaled is None
 
     @pytest.mark.parametrize("theta, s", [(1.0, 1.0), (0.5, 0.4)], ids=["theta-1", "gamma-outside"])
@@ -352,7 +374,7 @@ class TestRemainderWindow:
         # theta = 1, or gamma = (2s-d)/8 <= 0, leaves the remainder criterion
         # undefined, so nothing reads a row
         offered = []
-        calls = spying_on_rows(monkeypatch, offered)
+        calls, _ = spying_on_rows(monkeypatch, offered)
         params = NonlinearityParams(lam=1j, theta=theta, d=1)
         cfg = SolverConfig(grid=Grid(1, 256, 25.0), params=params, eps=0.6, s=s,
                            t_max=30.0, record_every=8)
@@ -568,7 +590,9 @@ class TestSweep:
         # end-to-end mechanism check: the extracted |A(t, 0)| along a blow-up
         # run follows the diagonal ODE's closed form, anchored at the first
         # kept field past t_star, to 0.42% measured (assert 2% with margin).
-        # The kept fields are the offers that got a row in a diagnostics=True run.
+        # The kept fields are those whose rows a diagnostics=True run keeps; each
+        # is copied as its row is computed, since a midpoint's trial then writes
+        # over it.
         from nlslab.profile_ode import OdeParams, eta0_modulus
 
         params = NonlinearityParams(lam=1j, theta=0.5, d=1)
@@ -576,14 +600,14 @@ class TestSweep:
         eps = 0.2
         cfg = SolverConfig(grid=g, params=params, eps=eps, s=1.0,
                            t_max=200.0, record_every=4)
-        offer, offered = solver.DiagnosticsLog.offer, {}
+        row, offered = solver._row, {}
 
-        def noting(log, config, t, values):
-            offered[t] = values
-            offer(log, config, t, values)
+        def noting(config, t, values, full):
+            offered[t] = values.copy()
+            return row(config, t, values, full)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver.DiagnosticsLog, "offer", noting)
+            mp.setattr(solver, "_row", noting)
             records, _, _ = sweep([eps], cfg, GAUSS_SPEC, diagnostics=True)
         rec = records[0]
         ts = t_star_time(eps, 0.5, 1)

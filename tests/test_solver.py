@@ -22,7 +22,7 @@ from nlslab import (
     norms,
     sup_modulus,
 )
-from nlslab import initial_data, propagators, solver
+from nlslab import convergence, initial_data, propagators, solver
 from nlslab.harness import ExperimentConfig
 from nlslab.initial_data import gaussian
 from nlslab.propagators import (
@@ -33,9 +33,9 @@ from nlslab.propagators import (
     remainder_sup,
     t_star_time,
 )
+from nlslab.convergence import convergence_study
 from nlslab.solver import (
     SolverConfig,
-    convergence_study,
     init,
     mass_balance_residuals,
     run_to_blowup,
@@ -62,8 +62,9 @@ TRIAL_ERR_ROUNDOFF = 2e-16
 
 
 def doubling_trial(u, dt, config):
-    """(R, mid, err) of :func:`solver._doubling_trial` from u, with |u|^b taken here."""
-    return solver._doubling_trial(u, np.abs(u) ** config.params.b, dt, config)
+    """(R, mid, err) of :func:`solver._doubling_trial` from u, with |u|^b taken here:
+    the trial's row callable is np.copy, so its row is a copy of its midpoint field."""
+    return solver._doubling_trial(u, np.abs(u) ** config.params.b, dt, config, np.copy)
 
 
 def unfused_trial(u, dt, config):
@@ -518,14 +519,15 @@ class TestRunToBlowup:
 
     def test_run_keeps_the_first_offer_at_or_after_each_grid_time(self, monkeypatch):
         # the grid is 16 times per decade of 1 + t from t = 0 and 160 from
-        # t_star = 1/0.3 on; every offer is an accepted field or a trial's midpoint
-        offer, offered = solver.DiagnosticsLog.offer, []
+        # t_star = 1/0.3 on; every offer is an accepted field or the midpoint of
+        # its trial, each committed to the log as it is accepted
+        commit, offered = solver.DiagnosticsLog.commit, []
 
-        def spy(log, config, t, values):
+        def spy(log, t, row):
             offered.append(t)
-            offer(log, config, t, values)
+            commit(log, t, row)
 
-        monkeypatch.setattr(solver.DiagnosticsLog, "offer", spy)
+        monkeypatch.setattr(solver.DiagnosticsLog, "commit", spy)
         cfg = small_config(eps=0.3, grid=Grid(1, 256, 25.0), record_every=1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid), diagnostics=True))
         log = rec.diagnostics
@@ -609,22 +611,28 @@ def first_offers(offers, times):
 
 class TestStepLaw:
     def spy_trials(self, monkeypatch):
-        """Record (dt, R, mid, err) of every doubling trial and (field, t, mid) of
+        """Record (dt, R, row, err) of every doubling trial and (field, t, mid) of
         every field _accept takes after the datum."""
         trials, advanced = [], []
         trial, accept = solver._doubling_trial, solver._accept
 
-        def spy_trial(u, abs_b, dt, config):
-            out = trial(u, abs_b, dt, config)
+        def spy_trial(u, abs_b, dt, config, mid_row=None):
+            mids = []
+
+            def noting(values):  # every trial shows its midpoint field here
+                mids.append(values.copy())
+                return None if mid_row is None else mid_row(values)
+
+            field, row, err = trial(u, abs_b, dt, config, noting)
             # the field is the extrapolation of two Strang steps of dt/2 and one
             # of dt, the midpoint the first of the two, and err the doubling estimate
-            assert_trial_matches_unfused(u, dt, config, out)
-            trials.append((dt, *out))
-            return out
+            assert_trial_matches_unfused(u, dt, config, (field, *mids, err))
+            trials.append((dt, field, row, err))
+            return field, row, err
 
         def spy_accept(config, log, t, u, absu, sup, step_count, mid=None):
-            if step_count:  # _accept takes the midpoint out of its list
-                advanced.append((u, t, mid[0]))
+            if step_count:
+                advanced.append((u, t, mid))
             return accept(config, log, t, u, absu, sup, step_count, mid)
 
         monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
@@ -665,13 +673,14 @@ class TestStepLaw:
         for k in rejected:
             assert trials[k + 1][0] < trials[k][0]
         # every accepted field is the extrapolated field of a trial within
-        # tolerance, and comes with that trial's midpoint field
-        by_field = {id(got): (dt, mid, err) for dt, got, mid, err in trials}
+        # tolerance, and comes with that trial's midpoint row (None for a midpoint
+        # the log does not keep)
+        by_field = {id(got): (dt, row, err) for dt, got, row, err in trials}
         accepted = [(by_field[id(u)], t, mid) for u, t, mid in advanced if id(u) in by_field]
         assert len(accepted) == len(advanced) == len(trials) - len(rejected)
         t_base = 0.0
-        for (dt_trial, mid_trial, err), t, (t_mid, mid) in accepted:
-            assert err <= tol and t == t_base + dt_trial and mid is mid_trial
+        for (dt_trial, row_trial, err), t, (t_mid, row) in accepted:
+            assert err <= tol and t == t_base + dt_trial and row is row_trial
             assert t_mid == t_base + 0.5 * dt_trial
             t_base = t
 
@@ -718,10 +727,10 @@ class TestStepLaw:
         clock, dts, calls = [0.0], [], []
         trial, strang, accept = solver._doubling_trial, solver._strang, solver._accept
 
-        def spy_trial(u, abs_b, dt, config):
+        def spy_trial(u, abs_b, dt, config, mid_row=None):
             dts.append(dt)
             calls.clear()
-            return trial(u, abs_b, dt, config)
+            return trial(u, abs_b, dt, config, mid_row)
 
         def spy_strang(u, substeps, *args):
             calls.append(substeps)
@@ -786,15 +795,15 @@ class TestStepLaw:
         cfg = small_config(eps=0.4)
         state = init(cfg, gaussian(cfg.grid))
         log = state.diagnostics
-        offer, offers = solver.DiagnosticsLog.offer, []
+        commit, offers = solver.DiagnosticsLog.commit, []
         trial, trials = solver._doubling_trial, []
 
-        def spy_offer(log, config, t, values):
+        def spy_commit(log, t, row):
             offers.append(t)
-            offer(log, config, t, values)
+            commit(log, t, row)
 
-        def spy_trial(u, abs_b, dt, config):
-            out = trial(u, abs_b, dt, config)
+        def spy_trial(u, abs_b, dt, config, mid_row=None):
+            out = trial(u, abs_b, dt, config, mid_row)
             trials.append(dict(
                 fields=(u, abs_b), copies=(u.copy(), abs_b.copy()), dt=dt,
                 recorded=(len(offers), len(log.samples)),
@@ -802,7 +811,7 @@ class TestStepLaw:
                 and not np.max(np.abs(out[0])) < config.threshold))
             return out
 
-        monkeypatch.setattr(solver.DiagnosticsLog, "offer", spy_offer)
+        monkeypatch.setattr(solver.DiagnosticsLog, "commit", spy_commit)
         monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
         rec = run_to_blowup(state)
         capped = [k for k, tried in enumerate(trials) if tried["capped"]]
@@ -819,6 +828,86 @@ class TestStepLaw:
         assert rec.status == "blown-up" and rec.t_blow_threshold == rec.T_eps
         assert len(offers) == last["recorded"][0] and rec.T_eps == offers[-1] + 0.5 * last["dt"]
         assert rec.diagnostics.samples[-1].t == offers[-1]
+
+    @pytest.mark.parametrize("diagnostics", [False, True], ids=["default", "full"])
+    def test_committed_midpoint_rows_are_those_of_the_unfused_midpoints(self, monkeypatch,
+                                                                        diagnostics):
+        # a kept midpoint's row, computed inside its trial before the second half
+        # step runs over the midpoint field, is the row of the first of two separate
+        # Strang steps of dt/2, bit for bit, and is committed at t + dt/2
+        trial, commit = solver._doubling_trial, solver.DiagnosticsLog.commit
+        expected, committed = [], []
+
+        def spy_trial(u, abs_b, dt, config, mid_row=None):
+            out = trial(u, abs_b, dt, config, mid_row)
+            if mid_row is not None:
+                expected.append((out[1], mid_row(unfused_trial(u, dt, config)[1])))
+            return out
+
+        def spy_commit(log, t, row):
+            committed.append((t, row))
+            commit(log, t, row)
+
+        monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
+        monkeypatch.setattr(solver.DiagnosticsLog, "commit", spy_commit)
+        cfg = small_config(eps=0.3, grid=Grid(1, 256, 25.0), record_every=1)
+        rec = run_to_blowup(init(cfg, gaussian(cfg.grid), diagnostics=diagnostics))
+        assert rec.status == "blown-up"
+        mid_rows = [(t, row, want) for t, row in committed for got, want in expected
+                    if row is got]
+        assert len(mid_rows) > 10 and all((row.r1 is not None) is diagnostics
+                                          for _, row, _ in mid_rows)
+        for t, row, want in mid_rows:
+            assert row.t == t and row == want
+
+    @pytest.mark.parametrize("refusal", ["rejected", "capped", "blown"])
+    def test_a_refused_trial_commits_nothing(self, monkeypatch, refusal):
+        # the first trial that computes its midpoint's row at each time of the grid
+        # is refused: its err is over tolerance, its field reaches the sup-norm cap,
+        # or its second half step meets the pointwise singularity after the row.
+        # The retry then sees the log's rows and last offer as they were
+        trial, strang, modulus = solver._doubling_trial, solver._strang, solver._modulus
+        cfg = small_config(eps=0.4, t_max=3.0)
+        state = init(cfg, gaussian(cfg.grid), diagnostics=True)
+        log = state.diagnostics
+        seen, refused, computed, current = [], [], [], {}
+
+        def spy_trial(u, abs_b, dt, config, mid_row=None):
+            k = len(seen)
+            seen.append((list(log.rows), log._last_offer))
+            refuse = mid_row is not None and k - 1 not in refused
+            current.update(refuse=refuse, paths=0)
+            if refuse:
+                refused.append(k)
+
+            def noting(values):
+                computed.append(k)
+                return mid_row(values)
+
+            field, row, err = trial(u, abs_b, dt, config, None if mid_row is None else noting)
+            if refuse and refusal == "rejected":
+                err = math.inf
+            if refuse and refusal == "capped":
+                current["capped"] = field
+            return field, row, err
+
+        def spy_strang(u, substeps, *args):
+            current["paths"] += 1
+            if refusal == "blown" and current["refuse"] and current["paths"] == 2:
+                raise PointwiseBlowUp(0.5 * substeps[0])
+            return strang(u, substeps, *args)
+
+        def spy_modulus(config, u):
+            return None if u is current.pop("capped", None) else modulus(config, u)
+
+        monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
+        monkeypatch.setattr(solver, "_strang", spy_strang)
+        monkeypatch.setattr(solver, "_modulus", spy_modulus)
+        rec = run_to_blowup(state)
+        assert rec.status == "reached-t-max" and len(rec.diagnostics.rows) > 5
+        assert len(refused) >= 5 and set(refused) <= set(computed)
+        for k in refused:
+            assert seen[k + 1] == seen[k]
 
     def test_unattainable_tolerance_fails_loudly(self, monkeypatch):
         # roundoff alone keeps err above 1e-300, so the step shrinks to nothing
@@ -840,6 +929,9 @@ class TestDoublingTrial:
             trial = doubling_trial(u, dt, cfg)
             assert trial[2] > 1e-10
             assert_trial_matches_unfused(u, dt, cfg, trial)
+            # a trial without a row keeps its multiplier through: the same bits
+            field, row, err = solver._doubling_trial(u, np.abs(u) ** cfg.params.b, dt, cfg)
+            assert row is None and np.array_equal(field, trial[0]) and err == trial[2]
 
     @pytest.mark.parametrize("d, lam", [(1, 1j), (1, 0.5 + 1j), (2, 1j)])
     def test_extrapolated_field_is_two_orders_more_accurate(self, d, lam):
@@ -872,7 +964,11 @@ class TestDoublingTrial:
             assert 7.5 <= two_a / two_b <= 9.0
             assert 28.0 <= got_a / got_b <= 36.0
 
-    def test_trial_takes_six_substeps_three_fft_pairs_and_one_multiplier(self, monkeypatch):
+    @pytest.mark.parametrize("mid_row, builds", [(None, 1), (np.copy, 2)],
+                             ids=["no row", "row"])
+    def test_trial_takes_six_substeps_three_fft_pairs_and_one_multiplier(self, monkeypatch,
+                                                                         mid_row, builds):
+        # a trial that computes its midpoint's row builds its multiplier again after
         counts = {}
 
         def count(module, name):
@@ -889,9 +985,9 @@ class TestDoublingTrial:
             count(module, name)
         cfg = small_config(eps=0.4)
         u = cfg.eps * gaussian(cfg.grid).values
-        doubling_trial(u, 0.0123, cfg)
+        solver._doubling_trial(u, np.abs(u) ** cfg.params.b, 0.0123, cfg, mid_row)
         assert counts == {"nonlinear_flow_exact": 6, "dft": 3, "idft": 3,
-                          "_back_propagation_phase": 1}
+                          "_back_propagation_phase": builds}
 
     def test_trial_error_does_not_depend_on_the_blas_thread_count(self):
         # OpenBLAS splits a complex dot product over its threads on a 128^2 field,
@@ -949,8 +1045,9 @@ class TestFieldOwnership:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_run_leaves_every_accepted_field_unchanged(self, monkeypatch, d):
-        # the accepted fields, their midpoint fields and the |u|^b arrays that
-        # the trials from each accepted state read
+        # the accepted fields and the |u|^b arrays that the trials from each
+        # accepted state read; a midpoint field is its trial's buffer, which the
+        # second half step turns into the trial's field
         cfg = ownership_config(d)
         state = fixed_step(init(cfg, gaussian(cfg.grid)), 0.005)
         kept = [(state.u.values, state.u.values.copy())]
@@ -959,7 +1056,7 @@ class TestFieldOwnership:
 
         def spy_accept(config, log, t, u, absu, sup, step_count, mid=None):
             times.append(t)
-            kept.extend((a, a.copy()) for a in (u, mid[0][1]))
+            kept.append((u, u.copy()))
             new = accept(config, log, t, u, absu, sup, step_count, mid)
             kept.append((new.abs_b, new.abs_b.copy()))
             return new
@@ -977,11 +1074,11 @@ class TestFieldOwnership:
         trial = solver._doubling_trial
         read = {}
 
-        def spy_trial(u, abs_b, dt, config):
+        def spy_trial(u, abs_b, dt, config, mid_row=None):
             assert np.array_equal(abs_b, np.abs(u) ** config.params.b)
             assert not abs_b.flags.writeable
             assert read.setdefault(id(u), (u, abs_b))[1] is abs_b
-            return trial(u, abs_b, dt, config)
+            return trial(u, abs_b, dt, config, mid_row)
 
         monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
         state = init(cfg, gaussian(cfg.grid))
@@ -989,66 +1086,77 @@ class TestFieldOwnership:
             state.abs_b[0] = 0.0
         assert run_to_blowup(state).status == "blown-up" and len(read) > 100
 
-    def test_rows_read_the_offered_read_only_fields_during_their_offer(self, monkeypatch):
-        # a row is computed from no copy: from the field a state holds, or the
-        # midpoint field of the step that led to one, while it is offered; writing
-        # into a field fails, and the log holds none once the offer returns
+    def test_rows_read_their_fields_from_no_copy(self, monkeypatch):
+        # a row is computed from no copy: from the field a state holds, read-only,
+        # while it is offered, or inside a trial from its midpoint field, in the
+        # trial's own buffer, which the second half step then turns into the
+        # trial's field; writing into an offered field fails, and the log holds
+        # none once the offer returns
         cfg = ownership_config(1)
         state = init(cfg, gaussian(cfg.grid))
         assert not state.u.values.flags.writeable
-        offered, read, open_offers = {}, {}, []
-        accept, offer, row = solver._accept, solver.DiagnosticsLog.offer, solver._row
+        offered, kinds, open_offers, open_trials = [], [], [], []
+        trial, offer, row = solver._doubling_trial, solver.DiagnosticsLog.offer, solver._row
 
-        def spy_accept(config, log, t, u, absu, sup, step_count, mid=None):
-            (t_mid, values), = mid
-            offered[id(u)] = (u, t, "end")
-            offered[id(values)] = (values, t_mid, "mid")
-            return accept(config, log, t, u, absu, sup, step_count, mid)
+        def spy_trial(u, abs_b, dt, config, mid_row=None):
+            open_trials.append([])
+            try:
+                out = trial(u, abs_b, dt, config, mid_row)
+            finally:
+                read = open_trials.pop()
+            assert len(read) == (mid_row is not None) and all(v is out[0] for v in read)
+            return out
 
         def spy_offer(log, config, t, values):
             open_offers.append((t, values))
             offer(log, config, t, values)
             open_offers.pop()
+            offered.append(values)
 
         def spy_row(config, t, values, full):
-            assert open_offers == [(t, values)]
-            read[id(values)] = (t, values)
+            if open_offers:
+                assert open_offers == [(t, values)] and not values.flags.writeable
+                kinds.append("end")
+            else:
+                open_trials[-1].append(values)
+                kinds.append("mid")
             return row(config, t, values, full)
 
-        monkeypatch.setattr(solver, "_accept", spy_accept)
+        monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
         monkeypatch.setattr(solver.DiagnosticsLog, "offer", spy_offer)
         monkeypatch.setattr(solver, "_row", spy_row)
         rec = run_to_blowup(state)
-        assert len(read) > 20 and len(rec.diagnostics.rows) < len(read)
+        assert len(kinds) > 20 and len(rec.diagnostics.rows) < len(kinds)
+        assert "mid" in kinds and "end" in kinds
         assert [f.name for f in dataclasses.fields(rec.diagnostics)] == [
             "samples", "rows", "dense_from", "window_from", "full", "_last_offer"]
-        kinds = []
-        for t, snap in read.values():
-            field, t_offered, kind = offered[id(snap)]
-            assert field is snap and t_offered == t
-            kinds.append(kind)
-        assert "mid" in kinds and "end" in kinds
-        for _, snap in read.values():
+        for values in offered:
             with pytest.raises(ValueError, match="read-only"):
-                snap[0] = 0.0
+                values[0] = 0.0
             with pytest.raises(ValueError, match="read-only"):
-                snap *= 2.0
+                values *= 2.0
 
 
 # What a run allocates at its peak, traced, in fields of its grid.  At
 # 64**2 one numpy iterator buffer (8192 elements) is a whole field, so this bound
 # counts numpy's buffers as much as the run's arrays: the run below peaks at
-# 7.45-7.66 fields measured (the higher as the first 2-D run of a process), and the
-# bound leaves 0.34 field (22 KiB there) above that.  It peaked at 9.46-9.67 fields
-# when the loop kept the previous state, and the previous trial's midpoint field,
-# through the next accepted field's sample; a log that held each field kept from
-# t_star on until it could tell t <= T/2 peaked at 50.7 there, holding 38 at once.
-RUN_PEAK_FIELDS = 8.0
+# 6.94-7.23 fields measured (the higher as the first 2-D run of a process), and the
+# bound leaves 0.17 field (11 KiB there) above that.  It peaked at 7.45-7.74 fields
+# when each trial kept its midpoint field until its acceptance offered it, at
+# 9.46-9.67 when the loop also kept the previous state through the next accepted
+# field's sample; a log that held each field kept from t_star on until it could
+# tell t <= T/2 peaked at 50.7 there, holding 38 at once.
+RUN_PEAK_FIELDS = 7.4
 # At 256**2 the buffers are a small part of a field, so the bound is what the run
-# holds: one state (its field and |u|^b, 1.5 fields) and one trial (its three
-# fields, its multiplier and its float scratch, 4.5 fields).  Measured 6.14 fields;
-# keeping the previous state and midpoint field measured 7.52.
-STATE_AND_TRIAL_FIELDS = 6.5
+# holds: one state (its field and |u|^b, 1.5 fields) and one trial (its two
+# fields, its multiplier and its float scratch, 3.5 fields).  Measured 5.15 fields;
+# a trial that kept its midpoint field as a third field measured 6.14, and keeping
+# the previous state and midpoint field too measured 7.52.
+STATE_AND_TRIAL_FIELDS = 5.5
+# A cold init builds the grid's (grid, s) weights and masks: measured 6.32 fields
+# above its start at 256**2, 5.00 for a warm one; building each weight through
+# |xi|^2 and two more temporaries measured 6.69.
+COLD_INIT_FIELDS = 6.5
 
 
 def traced_run(state):
@@ -1092,6 +1200,57 @@ class TestMemory:
         assert rec.status == "reached-t-max" and rows and len(rec.diagnostics.samples) > 5
         assert peak <= STATE_AND_TRIAL_FIELDS
 
+    def test_a_trial_computes_its_midpoints_row_beside_its_midpoint_alone(self):
+        # a default row at 256**2 takes 2.63 fields of its own (two complex arrays,
+        # one float and numpy's transform buffers); in the trial it runs beside the
+        # state (1.5 fields) and the midpoint (1 field) alone, for the trial
+        # releases its multiplier and float scratch (1.5 fields) before the row
+        cfg = SolverConfig(grid=Grid(2, 256, 20.0), params=NonlinearityParams(1j, 0.5, 2),
+                           eps=0.4, s=1.2)
+        phi = gaussian(cfg.grid)
+        solver._row(cfg, 1.7, phi.values, False)  # the grid's caches and numpy's plans
+        peaks = []
+
+        def mid_row(values):
+            tracemalloc.reset_peak()
+            row = solver._row(cfg, 1.7, values, False)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return row
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            u = cfg.eps * phi.values
+            abs_b = np.abs(u) ** cfg.params.b
+            state = tracemalloc.get_traced_memory()[0] - base
+            solver._row(cfg, 1.7, u, False)
+            row_alone = tracemalloc.get_traced_memory()[1] - base - state
+            _, row, _ = solver._doubling_trial(u, abs_b, 0.01, cfg, mid_row)
+        finally:
+            tracemalloc.stop()
+        field = u.nbytes
+        assert row is not None and 1.5 * field <= state <= 1.55 * field
+        assert 2.5 * field <= row_alone <= 2.75 * field
+        assert peaks[0] - state - row_alone <= 1.05 * field
+
+    def test_a_cold_init_builds_each_weight_in_one_array(self):
+        # a fresh grid has no masks, and clearing the caches drops its weights
+        from nlslab import spectral
+
+        spectral._xi_weight.cache_clear()
+        spectral._x_weight.cache_clear()
+        cfg = SolverConfig(grid=Grid(2, 256, 20.0), params=NonlinearityParams(1j, 0.5, 2),
+                           eps=0.4, s=1.2)
+        phi = gaussian(cfg.grid)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            state = init(cfg, phi)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / state.u.values.nbytes <= COLD_INIT_FIELDS
+
 
 def field_functions(u, t, cfg):
     """(t, sup|R|, r1, r2, r3) of the field u at t, from remainder_sup, norms and
@@ -1116,23 +1275,25 @@ def field_functions(u, t, cfg):
 
 @pytest.fixture(scope="module", params=["1d", "2d"])
 def two_mode_runs(request):
-    """(config, full record, {t: field offered}, default record) of one run started
-    with diagnostics=True and again without: the default config's eps = 0.2 rung,
-    or one 2-D rung (128**2, L = 20, s = 1.2, eps = 0.4)."""
+    """(config, full record, {t: a copy of each field whose row it computed}, default
+    record) of one run started with diagnostics=True and again without: the
+    default config's eps = 0.2 rung, or one 2-D rung (128**2, L = 20, s = 1.2,
+    eps = 0.4)."""
     over = {"eps_ladder": [0.2]}
     if request.param == "2d":
         over = {"d": 2, "n": 128, "L": 20.0, "s": 1.2, "eps_ladder": [0.4]}
     base = ExperimentConfig(**over)
     cfg = base.solver_config()
     phi = initial_data.build(cfg.grid, base.initial_data)
-    offer, offered = solver.DiagnosticsLog.offer, {}
+    row, offered = solver._row, {}
 
-    def noting(log, config, t, values):
-        offered[t] = values
-        offer(log, config, t, values)
+    def noting(config, t, values, full):
+        # a midpoint's field is then overwritten in its trial's buffer
+        offered[t] = values.copy()
+        return row(config, t, values, full)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver.DiagnosticsLog, "offer", noting)
+        mp.setattr(solver, "_row", noting)
         full = run_to_blowup(init(cfg, phi, diagnostics=True))
     return cfg, full, offered, run_to_blowup(init(cfg, phi))
 
@@ -1236,6 +1397,6 @@ class TestConvergence:
         with pytest.raises(RuntimeError, match="pointwise singularity"):
             convergence_study(cfg, phi, refinements=1, t_end=40.0, dt0=40.0)
         # a step whose field overflows raises too
-        monkeypatch.setattr(solver, "_strang", lambda u, *args: np.full_like(u, np.inf))
+        monkeypatch.setattr(convergence, "_strang", lambda u, *args: np.full_like(u, np.inf))
         with pytest.raises(RuntimeError, match="non-finite field"):
             convergence_study(cfg, phi, refinements=1)
