@@ -238,23 +238,25 @@ class DiagnosticsLog:
         return _DENSE_INDEX + math.floor(
             _DENSE_PER_DECADE * math.log10((1.0 + t) / (1.0 + self.dense_from)))
 
-    def keeps(self, t: float) -> bool:
-        """Whether the log keeps a field offered at t next: the first offer at or
-        after a time of its grid that gets a row (every one with `full`, else
-        those from `window_from` on)."""
-        return self._grid_index(t) > self._last_offer and (self.full or t >= self.window_from)
+    def keeps(self, t: float) -> tuple[int, bool]:
+        """(index, kept) for a field offered at t next: t's grid index, and whether
+        the log keeps it with a row, as the first offer at or after a time of
+        its grid (every one with `full`, else those from `window_from` on)."""
+        index = self._grid_index(t)
+        return index, index > self._last_offer and (self.full or t >= self.window_from)
 
-    def commit(self, t: float, row: DiagnosticRow | None):
-        """Take the offer at t, no earlier than every earlier offer, with its row
-        when the log keeps it and None when not."""
-        self._last_offer = self._grid_index(t)
+    def commit(self, index: int, row: DiagnosticRow | None):
+        """Take the offer of grid index `index` (:meth:`keeps`), no earlier than
+        every earlier offer, with its row when the log keeps it and None when not."""
+        self._last_offer = index
         if row is not None:
             self.rows.append(row)
 
     def offer(self, config: SolverConfig, t: float, values: np.ndarray):
         """Offer the field `values` at t, no earlier than every earlier offer."""
         values.flags.writeable = False  # kept or not: no field on a trajectory changes
-        self.commit(t, _row(config, t, values, self.full) if self.keeps(t) else None)
+        index, kept = self.keeps(t)
+        self.commit(index, _row(config, t, values, self.full) if kept else None)
 
     def close(self, end: float):
         """End the run at `end`, its T or, without one, its last offer's t: a log
@@ -322,10 +324,11 @@ def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
     boundary-shell fraction, the |u|^2 the sample reuses and the read-only
     |u|^b that every path from u reads, taken in place in `absu`: a caller
     that keeps `absu` keeps only the state's own |u|^b.  The midpoint `mid`,
-    when given, is (t_mid, row) of the accepted trial: its row is committed
-    to the log first (:meth:`DiagnosticsLog.commit`; None where the log does
-    not keep t_mid).  Then u is offered (see :meth:`DiagnosticsLog.offer`),
-    and the state is sampled every `record_every` steps.
+    when given, is (index, row) of the accepted trial, its grid index and row
+    (None where the log does not keep it): both are committed to the log first
+    (:meth:`DiagnosticsLog.commit`).  Then u is offered (see
+    :meth:`DiagnosticsLog.offer`), and the state is sampled every
+    `record_every` steps.
     """
     if mid is not None:
         log.commit(*mid)
@@ -434,7 +437,8 @@ def _doubling_trial(u: np.ndarray, abs_b: np.ndarray, dt: float, config: SolverC
 
     `mid_row`, when given, maps the midpoint field, the field after the first
     half step at dt/2, to its :class:`DiagnosticRow`, and row is what it
-    returns; row is None without it.  The trial holds two fields, one
+    returns; row is None without it.  The midpoint is read-only while
+    `mid_row` reads it.  The trial holds two fields, one
     multiplier (m_{dt/2}, squared in place into m_dt once the half steps are
     done) and one float scratch array, and every substep writes into them;
     u and abs_b are only read.  The midpoint is the first field: the second
@@ -450,7 +454,9 @@ def _doubling_trial(u: np.ndarray, abs_b: np.ndarray, dt: float, config: SolverC
     row = None
     if mid_row is not None:
         m = scratch = None
+        mid.flags.writeable = False  # the row only reads it
         row = mid_row(mid)
+        mid.flags.writeable = True
         m, scratch = _free_multiplier(config.grid, half), np.empty(u.shape)
     two = _strang(mid, (quarter, quarter), (m,), params, mid, scratch)
     # the half steps are done with the trial's own multiplier: square it in place
@@ -497,10 +503,10 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     accepted by :func:`_accept`: the shell check, an offer to the log and,
     every `record_every` accepted steps, a sample; the trial's midpoint at
     t + dt/2 is committed to the log just before.  The loop asks the log
-    before each trial whether it keeps t + dt/2 (:meth:`DiagnosticsLog.keeps`;
-    no offer comes between the trial and its acceptance), and if so the
-    trial computes the midpoint's row; only an accepted trial's row is
-    committed.
+    before each trial for the grid index of t + dt/2 and whether it keeps it
+    (:meth:`DiagnosticsLog.keeps`; no offer comes between the trial and its
+    acceptance), and if so the trial computes the midpoint's row; only an
+    accepted trial's index and row are committed.
     Otherwise the trial is rejected and retried: its err is over tolerance or
     not finite, or a path met the nonlinear substep's singularity, which
     counts as err = inf.  The next proposal is dt * 0.9 (tol/err)^(1/3) in
@@ -554,7 +560,8 @@ def run_to_blowup(state: SolverState) -> RunRecord:
                                f"cannot meet the step tolerance {tol!r}, or keep meeting "
                                f"a pointwise singularity")
         t_mid = t + 0.5 * dt
-        mid_row = partial(_row, cfg, t_mid, full=log.full) if log.keeps(t_mid) else None
+        index, kept = log.keeps(t_mid)
+        mid_row = partial(_row, cfg, t_mid, full=log.full) if kept else None
         try:
             u, row, err = _doubling_trial(state.u.values, state.abs_b, dt, cfg, mid_row)
         except PointwiseBlowUp:
@@ -573,7 +580,7 @@ def run_to_blowup(state: SolverState) -> RunRecord:
             return make_record(state, RunStatus.BLOWN_UP, t + 0.5 * dt, "threshold")
         step_count = state.step_count + 1
         state = None  # nothing reads the old state past the cap check
-        state = _accept(cfg, log, t + dt, u, *modulus, step_count, (t_mid, row))
+        state = _accept(cfg, log, t + dt, u, *modulus, step_count, (index, row))
         if state.shell > _SHELL_TOLERANCE:
             return make_record(state, RunStatus.BOUNDARY_CONTAMINATED)
 

@@ -22,3 +22,27 @@ def fixed_step(state, dt):
     modulus = solver._modulus(cfg, u)
     assert modulus is not None, f"the step of {dt!r} from t={state.t!r} reached the sup-norm cap"
     return solver._accept(cfg, state.diagnostics, state.t + dt, u, *modulus, state.step_count + 1)
+
+
+def noting_offers(mp, note):
+    """Call note(log, t, row) for each offer a log takes, under the monkeypatch `mp`,
+    just before the log commits it: t is the offer's time and row its row, None
+    where the log keeps none.  Every commit follows the :meth:`keeps` call that
+    gave its grid index with no other call between on that log: an accepted
+    field's in its offer, a midpoint's before its trial.  t is read from that
+    call."""
+    keeps, commit = solver.DiagnosticsLog.keeps, solver.DiagnosticsLog.commit
+    asked = {}
+
+    def asking(log, t):
+        asked[id(log)] = t
+        return keeps(log, t)
+
+    def committing(log, index, row):
+        t = asked.pop(id(log))
+        assert index == log._grid_index(t) and (row is None or row.t == t)
+        note(log, t, row)
+        commit(log, index, row)
+
+    mp.setattr(solver.DiagnosticsLog, "keeps", asking)
+    mp.setattr(solver.DiagnosticsLog, "commit", committing)

@@ -38,7 +38,7 @@ from nlslab.profile_ode import (
 from nlslab import solver
 from nlslab.convergence import convergence_study
 from nlslab.solver import SolverConfig, init, run_to_blowup
-from stepping import fixed_step
+from stepping import fixed_step, noting_offers
 
 GAUSS = {"kind": "gaussian", "width": 1.0}
 
@@ -206,14 +206,12 @@ def ladder_runs():
     every field offered to it: each accepted field and its trial's midpoint,
     as the log commits them."""
     out = {"offers": {}}
-    commit = solver.DiagnosticsLog.commit
 
     def noting(log, t, row):
         out["offers"].setdefault(id(log), []).append(t)
-        commit(log, t, row)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver.DiagnosticsLog, "commit", noting)
+        noting_offers(mp, noting)
         for lam in (1j, 2j):
             params = NonlinearityParams(lam=lam, theta=0.5, d=1)
             cfg = SolverConfig(grid=Grid(1, 2048, 80.0), params=params, eps=0.4, s=1.0,

@@ -40,7 +40,7 @@ from nlslab.lifespan import (
 from nlslab.profile_ode import OdeParams
 from nlslab.propagators import g_p
 from nlslab.solver import DiagnosticRow, DiagnosticsLog, SolverConfig, init, run_to_blowup
-from stepping import fixed_step
+from stepping import fixed_step, noting_offers
 
 GAUSS_SPEC = {"kind": "gaussian", "width": 1.0}
 
@@ -216,14 +216,19 @@ class TestProfileExtraction:
 
 
 def spying_on_rows(mp, offered=None):
-    """Note each remainder_sup call of the runs started under the monkeypatch `mp` as
-    (t, sup|R|, whether it came from the offer of its own field at t or from a
-    trial, which computes its midpoint's row), each row committed to a log as
-    (t, sup|R|), and each offered t (every committed one) in `offered`; returns
-    (calls, committed)."""
-    offer, commit = solver.DiagnosticsLog.offer, solver.DiagnosticsLog.commit
-    trial, transform = solver._doubling_trial, solver.remainder_sup
-    calls, committed, open_offers, open_trials = [], [], [], []
+    """Note the rows of the runs started under the monkeypatch `mp`: returns
+    (calls, committed, trials), and notes each offered t in `offered`.
+
+    calls holds each remainder_sup call as (t, sup|R|, source): source is
+    "offer" for a call in the offer of its own field at t, the trial's number
+    for one inside a doubling trial (its midpoint's row), and None otherwise.
+    committed holds each row committed to a log as (t, sup|R|).  trials holds a
+    dict per trial: the row it returned ("row"; None without one, and when it
+    raised), why the run loop must refuse it ("why": "blown", "rejected",
+    "capped", or None when it must accept it), and the rows committed as its
+    midpoint's ("commits")."""
+    offer, trial, transform = solver.DiagnosticsLog.offer, solver._doubling_trial, solver.remainder_sup
+    calls, committed, trials, open_offers, open_trials = [], [], [], [], []
 
     def noting(log, config, t, values):
         open_offers.append(t)
@@ -237,34 +242,66 @@ def spying_on_rows(mp, offered=None):
             offered.append(t)
         if row is not None:
             committed.append((t, row.remainder_sup))
-        commit(log, t, row)
+        if not open_offers:  # a midpoint's, after the trial that computed it
+            trials[-1]["commits"].append(row)
 
-    def trying(*args):
-        open_trials.append(None)
+    def trying(u, abs_b, dt, config, mid_row=None):
+        tried = dict(row=None, why="blown", commits=[])
+        trials.append(tried)
+        open_trials.append(len(trials) - 1)
         try:
-            return trial(*args)
+            out = trial(u, abs_b, dt, config, mid_row)
         finally:
             open_trials.pop()
+        field, tried["row"], err = out
+        if not err <= solver._STEP_TOLERANCE:
+            tried["why"] = "rejected"
+        elif solver._modulus(config, field) is None:
+            tried["why"] = "capped"
+        else:
+            tried["why"] = None
+        return out
 
     def spy(u, t, params):
         value = transform(u, t, params)
-        in_trial = open_trials == [None] and not open_offers
-        calls.append((t, value, open_offers == [t] or in_trial))
+        source = None
+        if open_offers == [t]:
+            source = "offer"
+        elif len(open_trials) == 1 and not open_offers:
+            source = open_trials[0]
+        calls.append((t, value, source))
         return value
 
     mp.setattr(solver.DiagnosticsLog, "offer", noting)
-    mp.setattr(solver.DiagnosticsLog, "commit", committing)
+    noting_offers(mp, committing)
     mp.setattr(solver, "_doubling_trial", trying)
     mp.setattr(solver, "remainder_sup", spy)
-    return calls, committed
+    return calls, committed, trials
+
+
+def assert_rows_are_committed_unless_refused(calls, committed, trials):
+    """Every row the runs computed was committed, but a refused trial's midpoint's:
+    each remainder_sup call came from its own field's offer or from a trial,
+    which computed at most one row, the one it returned; each trial the run loop
+    accepted had its row committed once, and no refused trial's was."""
+    assert all(source is not None for _, _, source in calls)
+    in_trials = [source for _, _, source in calls if source != "offer"]
+    assert len(in_trials) == len(set(in_trials))
+    for t, value, source in calls:
+        if source != "offer" and trials[source]["why"] != "blown":
+            row = trials[source]["row"]
+            assert (row.t, row.remainder_sup) == (t, value)
+    assert all(len(tried["commits"]) == (tried["why"] is None) for tried in trials)
+    assert all(tried["commits"][0] is tried["row"] for tried in trials if tried["commits"])
+    assert committed == [(t, value) for t, value, source in calls
+                         if source == "offer" or trials[source]["why"] is None]
 
 
 @pytest.fixture(scope="module")
 def default_rungs():
-    """(config, record, offered, calls, committed) of the default experiment config's
-    runs at eps = 0.2 and 0.15: the times of every field offered to the run's log,
-    the remainder_sup calls the run made and the rows it committed (see
-    :func:`spying_on_rows`)."""
+    """(config, record, offered, calls, committed, trials) of the default experiment
+    config's runs at eps = 0.2 and 0.15: the times of every field offered to the
+    run's log, and what :func:`spying_on_rows` notes of the run."""
     base = ExperimentConfig()
     out = {}
     for eps in (0.2, 0.15):
@@ -272,8 +309,8 @@ def default_rungs():
         phi = build_initial_data(cfg.grid, base.initial_data)
         offered = []
         with pytest.MonkeyPatch.context() as mp:
-            calls, committed = spying_on_rows(mp, offered)
-            out[eps] = cfg, run_to_blowup(init(cfg, phi)), offered, calls, committed
+            spied = spying_on_rows(mp, offered)
+            out[eps] = cfg, run_to_blowup(init(cfg, phi)), offered, *spied
     return out
 
 
@@ -289,16 +326,17 @@ class TestRemainderWindow:
     def test_rows_are_the_kept_offers_in_the_window(self, default_rungs, monkeypatch,
                                                     eps, inside):
         # the run computes the row of each field it keeps from t_star on as the
-        # field is offered, or in its trial for a midpoint, commits those of the
-        # fields it accepts, and keeps the rows in [t_star, T/2]; the scaled
-        # maximum reads them and transforms nothing
-        cfg, rec, offered, calls, committed = default_rungs[eps]
+        # field is offered, or in its trial for a midpoint, commits all of them but
+        # those of the trials it refuses, and keeps the rows in [t_star, T/2]; the
+        # scaled maximum reads them and transforms nothing
+        cfg, rec, offered, calls, committed, trials = default_rungs[eps]
         t_star = t_star_time(eps, cfg.params.theta, cfg.params.d)
         half = rec.T_eps / 2.0
         times = np.array(offered)
         assert np.any(times < t_star) and np.any(times > half)
-        assert all(t_star <= t and in_own for t, _, in_own in calls)
-        assert set(committed) <= {(t, value) for t, value, _ in calls}
+        assert all(t_star <= t for t, _, _ in calls)
+        assert_rows_are_committed_unless_refused(calls, committed, trials)
+        assert any(tried["why"] is None and tried["row"] for tried in trials)
         assert all(t in offered for t, _ in committed) and any(t > half for t, _ in committed)
         rows = [(row.t, row.remainder_sup) for row in rec.diagnostics.rows]
         assert len(rows) == inside
@@ -349,8 +387,9 @@ class TestRemainderWindow:
         params = NonlinearityParams(lam=-1j, theta=0.5, d=1)
         cfg = SolverConfig(grid=Grid(1, 1024, 400.0), params=params, eps=0.3, s=1.0,
                            t_max=100.0, record_every=1)
-        _, committed = spying_on_rows(monkeypatch)
+        calls, committed, trials = spying_on_rows(monkeypatch)
         (rec,), _, _ = sweep([0.3], cfg, GAUSS_SPEC)
+        assert_rows_are_committed_unless_refused(calls, committed, trials)
         rows, t_abort = rec.diagnostics.rows, rec.diagnostics.samples[-1].t
         assert rec.status == "boundary-contaminated" and rec.T_eps is None
         assert len(rows) > 50 and any(2.0 * t > t_abort for t, _ in committed)
@@ -362,11 +401,12 @@ class TestRemainderWindow:
         # the default eps = 0.4 rung: t_star = 2.5 > T/2 = 1.88, so the rows of the
         # fields it keeps from t_star on all lie past T/2 and are dropped when the
         # run ends
-        calls, _ = spying_on_rows(monkeypatch)
+        calls, committed, trials = spying_on_rows(monkeypatch)
         base = ExperimentConfig()
         (rec,), _, _ = sweep([0.4], base.solver_config(), base.initial_data)
         assert rec.status == "blown-up" and rec.T_eps / 2.0 < 2.5 and len(calls) > 5
-        assert all(2.5 <= t <= rec.T_eps and in_own for t, _, in_own in calls)
+        assert all(2.5 <= t <= rec.T_eps for t, _, _ in calls)
+        assert_rows_are_committed_unless_refused(calls, committed, trials)
         assert rec.diagnostics.rows == [] and rec.max_remainder_scaled is None
 
     @pytest.mark.parametrize("theta, s", [(1.0, 1.0), (0.5, 0.4)], ids=["theta-1", "gamma-outside"])
@@ -374,12 +414,12 @@ class TestRemainderWindow:
         # theta = 1, or gamma = (2s-d)/8 <= 0, leaves the remainder criterion
         # undefined, so nothing reads a row
         offered = []
-        calls, _ = spying_on_rows(monkeypatch, offered)
+        calls, committed, _ = spying_on_rows(monkeypatch, offered)
         params = NonlinearityParams(lam=1j, theta=theta, d=1)
         cfg = SolverConfig(grid=Grid(1, 256, 25.0), params=params, eps=0.6, s=s,
                            t_max=30.0, record_every=8)
         (rec,), _, _ = sweep([0.6], cfg, GAUSS_SPEC)
-        assert len(offered) > 20 and calls == []
+        assert len(offered) > 20 and calls == committed == []
         assert rec.diagnostics.rows == [] and rec.max_remainder_scaled is None
 
 
