@@ -31,10 +31,10 @@ def _fixed_run(config: SolverConfig, phi: ComplexField, t_end: float, dt: float)
     RuntimeError when a step meets the pointwise singularity or the final field
     is not finite."""
     u = init(config, phi).u.values
-    substeps, multipliers = (dt / 2.0, dt / 2.0), (_free_multiplier(config.grid, dt),)
+    m = _free_multiplier(config.grid, dt)
     try:
         for k in range(int(round(t_end / dt))):
-            u = _strang(u, substeps, multipliers, config.params)
+            u = _strang(u, dt / 2.0, m, config.params)
     except PointwiseBlowUp:
         raise RuntimeError(f"fixed-step run of dt={dt!r} met a pointwise singularity "
                            f"in the step from t={k * dt!r}") from None

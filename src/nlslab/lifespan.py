@@ -108,8 +108,9 @@ def critical_pointwise_time(amplitude, d: int, lam: complex):
 def remainder_series(diag: DiagnosticsLog, t_min: float = 1.0, t_max: float = np.inf):
     """sup_xi |R(t, xi)| over the log's rows with t_min <= t <= t_max.
 
-    Both ends are inclusive.  A default run's rows cover only [t_star, T/2];
-    one started with `diagnostics` has a row at every kept grid time.
+    Both ends are inclusive.  A default run's rows run from t_star to its
+    last kept field, past T/2; one started with `diagnostics` has a row at
+    every kept grid time.
     Returns (times, sup_values), two empty arrays when no row is in range;
     the scaled series is sup * t^(theta+gamma).
     """
@@ -120,7 +121,8 @@ def remainder_series(diag: DiagnosticsLog, t_min: float = 1.0, t_max: float = np
 def max_remainder_scaled(diag: DiagnosticsLog, cfg: SolverConfig, T: float) -> float | None:
     """sup over [t_star, T/2] of sup_xi|R| * t^(theta+gamma), read from the log's rows.
 
-    The run computed them; nothing is transformed here.  None where the
+    The run computed them and kept those past T/2 too; the window is cut
+    here alone, and nothing is transformed.  None where the
     window is undefined (theta >= 1, eps = 0, or gamma outside (0, 1/2]),
     where the run has no T (boundary contamination), or where the window
     holds no row.

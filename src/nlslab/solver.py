@@ -2,9 +2,9 @@
 
 One step is: half-step of the exact pointwise nonlinear flow, full spectral
 free propagation, half-step of the nonlinear flow.  The run loop's trials
-and the convergence study's fixed steps are paths of one kernel,
-:func:`_strang`, which alternates exact nonlinear substeps with free
-propagations by a Fourier multiplier.  Every run goes through one loop,
+and the convergence study's fixed steps take it through one kernel,
+:func:`_strang`: an exact nonlinear substep on either side of a free
+propagation by a Fourier multiplier.  Every run goes through one loop,
 :func:`run_to_blowup`.  It sizes its steps by step doubling, so the step grows
 wherever the local error allows: a doubling trial takes two steps of dt/2,
 then one of dt, squaring the half step's multiplier in place for the full
@@ -19,19 +19,20 @@ sup-norm cap 1e3/eps, the one event: that step is halved until it is no wider
 than the bracket, and that final step is the bracket.  A trial that meets the
 nonlinear substep's own singularity (a pointwise denominator zero) is not an
 event but a rejected trial, retried at most a fifth as long.
-A run that does not blow up ends on t_max or on boundary contamination.
+A run that does not blow up ends on t_max or on boundary contamination; so
+does one whose t_max falls inside the horizon's bracket, censored where the
+bracket is reached rather than stepped on into the spike.
 A :class:`SolverState` is a field on the trajectory; how the run ended (its
 status, blow-up time and criterion) is the run loop's own, and goes only
 into the record, which ends on a sample of the run's last state at every exit.
 The run's :class:`DiagnosticsLog` keeps its samples and its rows: what the
 diagnostics read off the first field offered at or after each time of a grid
 geometric in 1 + t, dense from t_star on.  A field's row is computed as the
-field is kept, so the log holds no field; the rows past half the run's end
-fall outside the remainder criterion's window [t_star, T/2] and are dropped
-when the run ends.  A trial's midpoint field is one of the trial's buffers:
-the trial computes its row, when the log keeps it, before the second half
-step runs over that buffer, and the row is committed to the log only if the
-trial is accepted.
+field is kept, so the log holds no field, and the rows are all it records of
+what it kept.  A trial's midpoint field is one of the trial's buffers: the
+trial computes its row, when the log keeps it, before the second half step
+runs over that buffer, and the run loop appends the row to the log only if
+it accepts the trial.
 """
 
 from __future__ import annotations
@@ -204,32 +205,31 @@ class DiagnosticsLog:
     """Diagnostics of one trajectory; every state along it shares this log.
 
     Samples are only appended, so accepting two fields from one state writes
-    both branches here.  An event step records nothing.  :func:`_accept` is
-    the one place that offers fields, in time order: for a run loop step, it
-    commits the accepted trial's midpoint (:meth:`commit`), then offers the
-    field it accepts (:meth:`offer`).  The log keeps the first field offered
-    at or after each time of its grid (:meth:`keeps`) and nothing else.  The
-    grid is geometric in 1 + t: `_SPARSE_PER_DECADE` times per decade from
-    t = 0, and `_DENSE_PER_DECADE` from `dense_from` on, the run's t_star,
-    where the remainder criterion is read.
+    both branches here.  An event step records nothing.  Fields reach the log
+    in time order: each field the run accepts through :meth:`offer`, in
+    :func:`_accept`, and just before it the midpoint of its trial, whose row
+    the run loop appends.  The log keeps the first field offered at or after
+    each time of its grid (:meth:`keeps`) and nothing else.  The grid is
+    geometric in 1 + t: `_SPARSE_PER_DECADE` times per decade from t = 0, and
+    `_DENSE_PER_DECADE` from `dense_from` on, the run's t_star, where the
+    remainder criterion is read.
 
-    A kept field becomes a row (:class:`DiagnosticRow`) as it is kept, and the
-    log holds no field.  With `full`, every kept field gets its full row.
-    Otherwise only the criterion's rows are computed: a sup|R| row for each
-    field kept at t >= `window_from` (the run's t_star, or inf where the
-    criterion is undefined).  :meth:`close` then drops those after half the
-    run's end, for the criterion reads [t_star, T/2].  An offered field is
-    made read-only, kept or not.  A midpoint is a buffer of its trial, which
-    computes the midpoint's row when the log keeps it and then writes the
-    second half step over it; the row reaches the log only by :meth:`commit`.
+    A kept field becomes a row (:class:`DiagnosticRow`) as it is kept; the
+    log holds no field, and its rows are its only record of what it kept.
+    With `full`, every kept field gets its full row.  Otherwise only the
+    criterion's rows are computed, with `window`: a sup|R| row for each field
+    kept from `dense_from` on, up to the run's end.  The criterion reads
+    those in [t_star, T/2] (:func:`nlslab.lifespan.max_remainder_scaled`).
+    An offered field is made read-only, kept or not.  A midpoint is a buffer
+    of its trial, which computes the midpoint's row when the log keeps it and
+    then writes the second half step over it.
     """
 
     samples: list = field(default_factory=list)
     rows: list = field(default_factory=list)
     dense_from: float = 1.0
-    window_from: float = math.inf
+    window: bool = False
     full: bool = False
-    _last_offer: int = field(default=-1, init=False, repr=False)  # grid index of the last offer
 
     def _grid_index(self, t: float) -> int:
         """Index of the last grid time at or before t."""
@@ -238,31 +238,20 @@ class DiagnosticsLog:
         return _DENSE_INDEX + math.floor(
             _DENSE_PER_DECADE * math.log10((1.0 + t) / (1.0 + self.dense_from)))
 
-    def keeps(self, t: float) -> tuple[int, bool]:
-        """(index, kept) for a field offered at t next: t's grid index, and whether
-        the log keeps it with a row, as the first offer at or after a time of
-        its grid (every one with `full`, else those from `window_from` on)."""
-        index = self._grid_index(t)
-        return index, index > self._last_offer and (self.full or t >= self.window_from)
-
-    def commit(self, index: int, row: DiagnosticRow | None):
-        """Take the offer of grid index `index` (:meth:`keeps`), no earlier than
-        every earlier offer, with its row when the log keeps it and None when not."""
-        self._last_offer = index
-        if row is not None:
-            self.rows.append(row)
+    def keeps(self, t: float) -> bool:
+        """Whether the log keeps a row of a field offered at t, no earlier than
+        every earlier offer: it computes rows at t (every t with `full`, else
+        from `dense_from` on with `window`), and t's grid index is above its
+        last row's."""
+        if not (self.full or self.window and t >= self.dense_from):
+            return False
+        return not self.rows or self._grid_index(t) > self._grid_index(self.rows[-1].t)
 
     def offer(self, config: SolverConfig, t: float, values: np.ndarray):
         """Offer the field `values` at t, no earlier than every earlier offer."""
         values.flags.writeable = False  # kept or not: no field on a trajectory changes
-        index, kept = self.keeps(t)
-        self.commit(index, _row(config, t, values, self.full) if kept else None)
-
-    def close(self, end: float):
-        """End the run at `end`, its T or, without one, its last offer's t: a log
-        without `full` keeps only the rows at or before end/2."""
-        if not self.full:
-            self.rows = [row for row in self.rows if 2.0 * row.t <= end]
+        if self.keeps(t):
+            self.rows.append(_row(config, t, values, self.full))
 
 
 @dataclass
@@ -314,8 +303,7 @@ def _modulus(config: SolverConfig, u: np.ndarray):
 
 
 def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
-            absu: np.ndarray, sup: float, step_count: int,
-            mid: tuple | None = None) -> SolverState:
+            absu: np.ndarray, sup: float, step_count: int) -> SolverState:
     """The state at t carrying the field u on the trajectory of `log`.
 
     Every field on a trajectory comes through here, the datum and each accepted
@@ -323,15 +311,10 @@ def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
     found it below the sup-norm cap.  That one pass gives sup|u|, the
     boundary-shell fraction, the |u|^2 the sample reuses and the read-only
     |u|^b that every path from u reads, taken in place in `absu`: a caller
-    that keeps `absu` keeps only the state's own |u|^b.  The midpoint `mid`,
-    when given, is (index, row) of the accepted trial, its grid index and row
-    (None where the log does not keep it): both are committed to the log first
-    (:meth:`DiagnosticsLog.commit`).  Then u is offered (see
-    :meth:`DiagnosticsLog.offer`), and the state is sampled every
+    that keeps `absu` keeps only the state's own |u|^b.  Then u is offered
+    (see :meth:`DiagnosticsLog.offer`), and the state is sampled every
     `record_every` steps.
     """
-    if mid is not None:
-        log.commit(*mid)
     power = np.square(absu)
     if config.params.b != 1.0:  # numpy spends a pass on the exponent 1
         absu **= config.params.b
@@ -356,26 +339,28 @@ def _dense_from(config: SolverConfig) -> float:
         return 1.0
 
 
-def _window_from(config: SolverConfig) -> float:
-    """Where the remainder criterion's window [t_star, T/2] starts: t_star, or inf
-    where the criterion is undefined (theta = 1, eps = 0, or gamma outside (0, 1/2])."""
+def _has_window(config: SolverConfig) -> bool:
+    """Whether the remainder criterion's window [t_star, T/2] is defined: not where
+    theta = 1, eps = 0, or gamma lies outside (0, 1/2]."""
     try:
         gamma_exponent(config.s, config.params.d)
-        return t_star_time(config.eps, config.params.theta, config.params.d)
+        t_star_time(config.eps, config.params.theta, config.params.d)
     except ValueError:
-        return math.inf
+        return False
+    return True
 
 
 def init(config: SolverConfig, phi: ComplexField, diagnostics: bool = False) -> SolverState:
     """Fresh state u(0) = eps * phi, accepted as the run loop accepts a field: it is
     offered and sampled first, in a log whose grid is dense from t_star on.
 
-    By default the log computes only the rows that the remainder criterion
-    reads, over [t_star, T/2].  With `diagnostics`, it computes a full row
-    (sup|R| and the ratios r1-r3) for every kept field, t = 0 included, which
-    needs gamma = (2s-d)/8 in (0, 1/2].  Raises ValueError when it is not, and
-    when sup|u(0)| already reaches the sup-norm cap 1e3/eps: such a run has
-    no event-free step to start from.
+    By default the log computes only the sup|R| rows of the fields it keeps
+    from t_star on, which hold the remainder criterion's window [t_star, T/2].
+    With `diagnostics`, it computes a full row (sup|R| and the ratios r1-r3)
+    for every kept field, t = 0 included, which needs gamma = (2s-d)/8 in
+    (0, 1/2].  Raises ValueError when it is not, and when sup|u(0)| already
+    reaches the sup-norm cap 1e3/eps: such a run has no event-free step to
+    start from.
     """
     if diagnostics:
         gamma_exponent(config.s, config.params.d)
@@ -384,7 +369,7 @@ def init(config: SolverConfig, phi: ComplexField, diagnostics: bool = False) -> 
     if not phi.is_finite():
         raise ValueError("initial datum contains non-finite values")
     u0 = config.eps * phi.values
-    log = DiagnosticsLog(dense_from=_dense_from(config), window_from=_window_from(config),
+    log = DiagnosticsLog(dense_from=_dense_from(config), window=_has_window(config),
                          full=diagnostics)
     modulus = _modulus(config, u0)
     if modulus is None:
@@ -393,25 +378,23 @@ def init(config: SolverConfig, phi: ComplexField, diagnostics: bool = False) -> 
     return _accept(config, log, 0.0, u0, *modulus, 0)
 
 
-def _strang(u: np.ndarray, substeps: tuple, multipliers: tuple, params: NonlinearityParams,
+def _strang(u: np.ndarray, tau: float, m: np.ndarray, params: NonlinearityParams,
             out: np.ndarray | None = None, scratch: np.ndarray | None = None,
             abs_b: np.ndarray | None = None) -> np.ndarray:
-    """The Strang path N(substeps[0]) F(multipliers[0]) N(substeps[1]) ... from the field u.
+    """The Strang step N(tau) F(m) N(tau) from the field u.
 
     N(tau) is the exact nonlinear substep over tau, F(m) the free propagation
-    by the Fourier multiplier m; there is one multiplier fewer than substeps.
-    A substep's :class:`PointwiseBlowUp` propagates and ends the path.  The
-    first substep reads u and `abs_b` = |u|^b when given, and writes into
-    `out` (a fresh array when not given; it may be u); the rest work in place
-    there, with the float `scratch`.
+    by the Fourier multiplier m (that of a step of 2 tau).  A substep's
+    :class:`PointwiseBlowUp` propagates and ends the step.  The first substep
+    reads u and `abs_b` = |u|^b when given, and writes into `out` (a fresh
+    array when not given; it may be u); the free propagation and the second
+    substep work in place there, with the float `scratch`.
     """
     if scratch is None:
         scratch = np.empty(u.shape)
-    w = nonlinear_flow_exact(u, substeps[0], params, out=out, scratch=scratch, abs_b=abs_b)
-    for m, tau in zip(multipliers, substeps[1:]):
-        _multiply_spectrum(w, m, w)
-        w = nonlinear_flow_exact(w, tau, params, out=w, scratch=scratch)
-    return w
+    w = nonlinear_flow_exact(u, tau, params, out=out, scratch=scratch, abs_b=abs_b)
+    _multiply_spectrum(w, m, w)
+    return nonlinear_flow_exact(w, tau, params, out=w, scratch=scratch)
 
 
 def _doubling_trial(u: np.ndarray, abs_b: np.ndarray, dt: float, config: SolverConfig,
@@ -450,7 +433,7 @@ def _doubling_trial(u: np.ndarray, abs_b: np.ndarray, dt: float, config: SolverC
     half, quarter = 0.5 * dt, 0.25 * dt
     m = _free_multiplier(config.grid, half)
     scratch = np.empty(u.shape)
-    mid = _strang(u, (quarter, quarter), (m,), params, np.empty_like(u), scratch, abs_b)
+    mid = _strang(u, quarter, m, params, np.empty_like(u), scratch, abs_b)
     row = None
     if mid_row is not None:
         m = scratch = None
@@ -458,11 +441,11 @@ def _doubling_trial(u: np.ndarray, abs_b: np.ndarray, dt: float, config: SolverC
         row = mid_row(mid)
         mid.flags.writeable = True
         m, scratch = _free_multiplier(config.grid, half), np.empty(u.shape)
-    two = _strang(mid, (quarter, quarter), (m,), params, mid, scratch)
+    two = _strang(mid, quarter, m, params, mid, scratch)
     # the half steps are done with the trial's own multiplier: square it in place
     m.flags.writeable = True
     m = np.multiply(m, m, out=m)
-    full = _strang(u, (half, half), (m,), params, np.empty_like(u), scratch, abs_b)
+    full = _strang(u, half, m, params, np.empty_like(u), scratch, abs_b)
     # each squared norm is the sum of squares of the real and imaginary parts
     diff = np.subtract(full, two, out=full)
     flat_diff, flat = diff.ravel().view(np.float64), two.ravel().view(np.float64)
@@ -501,12 +484,12 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     tolerance `_STEP_TOLERANCE`, only the extrapolated field gets the |u|
     pass and the cap check (:func:`_modulus`), and one below the cap is
     accepted by :func:`_accept`: the shell check, an offer to the log and,
-    every `record_every` accepted steps, a sample; the trial's midpoint at
-    t + dt/2 is committed to the log just before.  The loop asks the log
-    before each trial for the grid index of t + dt/2 and whether it keeps it
-    (:meth:`DiagnosticsLog.keeps`; no offer comes between the trial and its
-    acceptance), and if so the trial computes the midpoint's row; only an
-    accepted trial's index and row are committed.
+    every `record_every` accepted steps, a sample.  Before each trial the
+    loop asks the log whether it keeps the midpoint at t + dt/2
+    (:meth:`DiagnosticsLog.keeps`), and if so the trial computes the
+    midpoint's row.  The loop appends an accepted trial's row to the log just
+    before it accepts the trial's field (no offer comes between the trial and
+    its acceptance); a refused trial's row goes with the trial.
     Otherwise the trial is rejected and retried: its err is over tolerance or
     not finite, or a path met the nonlinear substep's singularity, which
     counts as err = inf.  The next proposal is dt * 0.9 (tol/err)^(1/3) in
@@ -516,9 +499,11 @@ def run_to_blowup(state: SolverState) -> RunRecord:
 
     The run ends when its blow-up is bracketed within `_BRACKET` = 1e-3 of the
     elapsed time, on its base state.  Either the horizon of sup|u| brackets
-    it: before each trial, once horizon <= 1e-3 t and t + horizon <= t_max,
-    the pointwise flow's singularity lies within [t, t + horizon], and the
-    run ends "pointwise" with t_blow = t + horizon.  Or a trial within
+    it: before each trial, once horizon <= 1e-3 t, the pointwise flow's
+    singularity lies within [t, t + horizon], and the run ends "pointwise"
+    with t_blow = t + horizon.  Where t + horizon > t_max instead, t_max may
+    come first: the run ends censored on that state (reached-t-max, T_eps =
+    t) rather than step on into the spike.  Or a trial within
     tolerance brackets the one event, a field that reaches the sup-norm cap
     1e3/eps: an event step wider than 1e-3 max(t, dt) is halved and retried,
     so a crossing that does not recur at the shorter steps does not end the
@@ -526,12 +511,11 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     with t_blow = t + dt/2.
     The boundary monitor aborts when the outer-shell mass fraction exceeds
     1e-6; such runs are invalid for bound checking.  The outcome is the
-    loop's own: each of the four exits (the horizon stop, an event step,
-    contamination and t_max) returns :func:`make_record` of its last state
-    with the status, and for a blow-up t_blow and its criterion, so every
-    record ends on a sample of the state the run stopped on.  Every exit with
-    a T_eps has T_eps >= the last offer's t, so the log's rows are the
-    criterion's once :func:`make_record` closes it.
+    loop's own: each exit (the horizon stop, the horizon past t_max, an event
+    step, contamination and t_max) returns :func:`make_record` of its last
+    state with the status, and for a blow-up t_blow and its criterion, so
+    every record ends on a sample of the state the run stopped on.  The log
+    keeps every row the run computed, past T/2 too.
 
     A run holds one state (its field and |u|^b, 1.5 fields) and one trial
     (3.5 fields: see :func:`_doubling_trial`), 5 fields at its peak.  A
@@ -552,16 +536,17 @@ def run_to_blowup(state: SolverState) -> RunRecord:
         if remaining <= 1e-12 * cfg.t_max:
             return make_record(state, RunStatus.REACHED_TMAX)
         horizon = blowup_horizon(state.sup, cfg.params)
-        if horizon <= _BRACKET * t and t + horizon <= cfg.t_max:
-            return make_record(state, RunStatus.BLOWN_UP, t + horizon, "pointwise")
+        if horizon <= _BRACKET * t:
+            if t + horizon <= cfg.t_max:
+                return make_record(state, RunStatus.BLOWN_UP, t + horizon, "pointwise")
+            return make_record(state, RunStatus.REACHED_TMAX)  # t_max may come first
         dt = min(h, _HORIZON_FRACTION * horizon, remaining)
         if not t + dt > t:
             raise RuntimeError(f"step size {dt!r} vanishes at t={t!r}: the trials "
                                f"cannot meet the step tolerance {tol!r}, or keep meeting "
                                f"a pointwise singularity")
         t_mid = t + 0.5 * dt
-        index, kept = log.keeps(t_mid)
-        mid_row = partial(_row, cfg, t_mid, full=log.full) if kept else None
+        mid_row = partial(_row, cfg, t_mid, full=log.full) if log.keeps(t_mid) else None
         try:
             u, row, err = _doubling_trial(state.u.values, state.abs_b, dt, cfg, mid_row)
         except PointwiseBlowUp:
@@ -580,7 +565,9 @@ def run_to_blowup(state: SolverState) -> RunRecord:
             return make_record(state, RunStatus.BLOWN_UP, t + 0.5 * dt, "threshold")
         step_count = state.step_count + 1
         state = None  # nothing reads the old state past the cap check
-        state = _accept(cfg, log, t + dt, u, *modulus, step_count, (index, row))
+        if row is not None:
+            log.rows.append(row)
+        state = _accept(cfg, log, t + dt, u, *modulus, step_count)
         if state.shell > _SHELL_TOLERANCE:
             return make_record(state, RunStatus.BOUNDARY_CONTAMINATED)
 
@@ -590,9 +577,8 @@ def make_record(state: SolverState, status: RunStatus, t_blow: float | None = No
     """The record of a run that ended on `state` with `status`, whose last sample
     is `state`: it is sampled here unless it already was.  A BLOWN_UP run blew
     up at t_blow by `criterion`: "pointwise" (the horizon of sup|u|) or
-    "threshold" (the sup-norm cap).
-    The log is closed at the record's T_eps, or at the last state's t for a run
-    without one (contaminated), whose rows then end at half that t."""
+    "threshold" (the sup-norm cap).  The record carries the log as the run left
+    it, with every row it kept."""
     if state.diagnostics.samples[-1].t != state.t:
         _sample_diagnostics(state, _abs_sq(state.u.values))
     cfg = state.config
@@ -604,7 +590,6 @@ def make_record(state: SolverState, status: RunStatus, t_blow: float | None = No
         T = state.t
     else:
         T = None
-    state.diagnostics.close(state.t if T is None else T)
     samples = state.diagnostics.samples
     record = RunRecord(
         eps=cfg.eps,

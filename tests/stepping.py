@@ -5,10 +5,10 @@ from nlslab.propagators import _free_multiplier
 
 
 def strang_step(u, dt, config, abs_b=None):
-    """One Strang step of dt from the field u: the path N(dt/2) F(m_dt) N(dt/2) of
-    :func:`solver._strang`, whose first substep reads `abs_b` = |u|^b when given."""
-    return solver._strang(u, (dt / 2, dt / 2), (_free_multiplier(config.grid, dt),),
-                          config.params, abs_b=abs_b)
+    """One Strang step of dt from the field u: :func:`solver._strang`'s
+    N(dt/2) F(m_dt) N(dt/2), whose first substep reads `abs_b` = |u|^b when given."""
+    return solver._strang(u, dt / 2, _free_multiplier(config.grid, dt), config.params,
+                          abs_b=abs_b)
 
 
 def fixed_step(state, dt):
@@ -25,24 +25,31 @@ def fixed_step(state, dt):
 
 
 def noting_offers(mp, note):
-    """Call note(log, t, row) for each offer a log takes, under the monkeypatch `mp`,
-    just before the log commits it: t is the offer's time and row its row, None
-    where the log keeps none.  Every commit follows the :meth:`keeps` call that
-    gave its grid index with no other call between on that log: an accepted
-    field's in its offer, a midpoint's before its trial.  t is read from that
-    call."""
-    keeps, commit = solver.DiagnosticsLog.keeps, solver.DiagnosticsLog.commit
-    asked = {}
+    """Call note(log, t) for each field offered to a log, under the monkeypatch `mp`,
+    in time order and before the log takes it: each field :meth:`offer` takes,
+    and just before an accepted trial's field, that trial's midpoint.  The run
+    loop asks :meth:`keeps` about each trial's midpoint before the trial, and
+    no offer comes between a trial and its acceptance, so the midpoint is the
+    last time asked about outside an offer, when that was asked of the same log."""
+    keeps, offer = solver.DiagnosticsLog.keeps, solver.DiagnosticsLog.offer
+    asked, offering = [], []
 
     def asking(log, t):
-        asked[id(log)] = t
+        if not offering:
+            asked[:] = [(log, t)]
         return keeps(log, t)
 
-    def committing(log, index, row):
-        t = asked.pop(id(log))
-        assert index == log._grid_index(t) and (row is None or row.t == t)
-        note(log, t, row)
-        commit(log, index, row)
+    def offered(log, config, t, values):
+        for asker, t_mid in asked:
+            if asker is log:
+                note(log, t_mid)
+        asked.clear()
+        note(log, t)
+        offering.append(t)
+        try:
+            offer(log, config, t, values)
+        finally:
+            offering.pop()
 
     mp.setattr(solver.DiagnosticsLog, "keeps", asking)
-    mp.setattr(solver.DiagnosticsLog, "commit", committing)
+    mp.setattr(solver.DiagnosticsLog, "offer", offered)

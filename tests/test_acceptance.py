@@ -204,10 +204,10 @@ def ladder_runs():
     """Shared runs: lam = i and lam = 2i ladders, plus an eps = 0.2 refinement.
     out["offers"] maps the id of each run's diagnostics log to the times of
     every field offered to it: each accepted field and its trial's midpoint,
-    as the log commits them."""
+    as the log is offered them."""
     out = {"offers": {}}
 
-    def noting(log, t, row):
+    def noting(log, t):
         out["offers"].setdefault(id(log), []).append(t)
 
     with pytest.MonkeyPatch.context() as mp:

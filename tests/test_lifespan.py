@@ -216,19 +216,19 @@ class TestProfileExtraction:
 
 
 def spying_on_rows(mp, offered=None):
-    """Note the rows of the runs started under the monkeypatch `mp`: returns
-    (calls, committed, trials), and notes each offered t in `offered`.
+    """Note the rows computed in the runs started under the monkeypatch `mp`:
+    returns (calls, trials), and notes each offered t in `offered`.
 
     calls holds each remainder_sup call as (t, sup|R|, source): source is
     "offer" for a call in the offer of its own field at t, the trial's number
     for one inside a doubling trial (its midpoint's row), and None otherwise.
-    committed holds each row committed to a log as (t, sup|R|).  trials holds a
-    dict per trial: the row it returned ("row"; None without one, and when it
-    raised), why the run loop must refuse it ("why": "blown", "rejected",
-    "capped", or None when it must accept it), and the rows committed as its
-    midpoint's ("commits")."""
+    trials holds a dict per trial: the row it returned ("row"; None without
+    one, and when it raised), and why the run loop must refuse it ("why":
+    "blown", "rejected", "capped", or None when it must accept it)."""
+    if offered is not None:
+        noting_offers(mp, lambda log, t: offered.append(t))
     offer, trial, transform = solver.DiagnosticsLog.offer, solver._doubling_trial, solver.remainder_sup
-    calls, committed, trials, open_offers, open_trials = [], [], [], [], []
+    calls, trials, open_offers, open_trials = [], [], [], []
 
     def noting(log, config, t, values):
         open_offers.append(t)
@@ -237,16 +237,8 @@ def spying_on_rows(mp, offered=None):
         finally:
             open_offers.pop()
 
-    def committing(log, t, row):
-        if offered is not None:
-            offered.append(t)
-        if row is not None:
-            committed.append((t, row.remainder_sup))
-        if not open_offers:  # a midpoint's, after the trial that computed it
-            trials[-1]["commits"].append(row)
-
     def trying(u, abs_b, dt, config, mid_row=None):
-        tried = dict(row=None, why="blown", commits=[])
+        tried = dict(row=None, why="blown")
         trials.append(tried)
         open_trials.append(len(trials) - 1)
         try:
@@ -262,8 +254,8 @@ def spying_on_rows(mp, offered=None):
             tried["why"] = None
         return out
 
-    def spy(u, t, params):
-        value = transform(u, t, params)
+    def spy(u, t, params, **kwargs):
+        value = transform(u, t, params, **kwargs)
         source = None
         if open_offers == [t]:
             source = "offer"
@@ -273,17 +265,17 @@ def spying_on_rows(mp, offered=None):
         return value
 
     mp.setattr(solver.DiagnosticsLog, "offer", noting)
-    noting_offers(mp, committing)
     mp.setattr(solver, "_doubling_trial", trying)
     mp.setattr(solver, "remainder_sup", spy)
-    return calls, committed, trials
+    return calls, trials
 
 
-def assert_rows_are_committed_unless_refused(calls, committed, trials):
-    """Every row the runs computed was committed, but a refused trial's midpoint's:
+def assert_rows_are_kept_unless_refused(rows, calls, trials):
+    """The run's rows are every row it computed but a refused trial's midpoint's:
     each remainder_sup call came from its own field's offer or from a trial,
-    which computed at most one row, the one it returned; each trial the run loop
-    accepted had its row committed once, and no refused trial's was."""
+    which computed at most one row, the one it returned; the rows are the
+    calls, in order, less those of refused trials; each trial the run loop
+    accepted has its row kept once, and no refused trial's is kept."""
     assert all(source is not None for _, _, source in calls)
     in_trials = [source for _, _, source in calls if source != "offer"]
     assert len(in_trials) == len(set(in_trials))
@@ -291,15 +283,18 @@ def assert_rows_are_committed_unless_refused(calls, committed, trials):
         if source != "offer" and trials[source]["why"] != "blown":
             row = trials[source]["row"]
             assert (row.t, row.remainder_sup) == (t, value)
-    assert all(len(tried["commits"]) == (tried["why"] is None) for tried in trials)
-    assert all(tried["commits"][0] is tried["row"] for tried in trials if tried["commits"])
-    assert committed == [(t, value) for t, value, source in calls
-                         if source == "offer" or trials[source]["why"] is None]
+    assert [(row.t, row.remainder_sup) for row in rows] == [
+        (t, value) for t, value, source in calls
+        if source == "offer" or trials[source]["why"] is None]
+    for tried in trials:
+        if tried["row"] is not None:
+            kept = sum(row is tried["row"] for row in rows)
+            assert kept == (tried["why"] is None)
 
 
 @pytest.fixture(scope="module")
 def default_rungs():
-    """(config, record, offered, calls, committed, trials) of the default experiment
+    """(config, record, offered, calls, trials) of the default experiment
     config's runs at eps = 0.2 and 0.15: the times of every field offered to the
     run's log, and what :func:`spying_on_rows` notes of the run."""
     base = ExperimentConfig()
@@ -326,21 +321,20 @@ class TestRemainderWindow:
     def test_rows_are_the_kept_offers_in_the_window(self, default_rungs, monkeypatch,
                                                     eps, inside):
         # the run computes the row of each field it keeps from t_star on as the
-        # field is offered, or in its trial for a midpoint, commits all of them but
-        # those of the trials it refuses, and keeps the rows in [t_star, T/2]; the
-        # scaled maximum reads them and transforms nothing
-        cfg, rec, offered, calls, committed, trials = default_rungs[eps]
+        # field is offered, or in its trial for a midpoint, and keeps all of them but
+        # those of the trials it refuses, past T/2 too; the scaled maximum reads
+        # those in [t_star, T/2] and transforms nothing
+        cfg, rec, offered, calls, trials = default_rungs[eps]
         t_star = t_star_time(eps, cfg.params.theta, cfg.params.d)
         half = rec.T_eps / 2.0
         times = np.array(offered)
         assert np.any(times < t_star) and np.any(times > half)
         assert all(t_star <= t for t, _, _ in calls)
-        assert_rows_are_committed_unless_refused(calls, committed, trials)
+        rows = rec.diagnostics.rows
+        assert_rows_are_kept_unless_refused(rows, calls, trials)
         assert any(tried["why"] is None and tried["row"] for tried in trials)
-        assert all(t in offered for t, _ in committed) and any(t > half for t, _ in committed)
-        rows = [(row.t, row.remainder_sup) for row in rec.diagnostics.rows]
-        assert len(rows) == inside
-        assert rows == [(t, value) for t, value in committed if t <= half]
+        assert all(row.t in offered for row in rows) and any(row.t > half for row in rows)
+        assert len([row for row in rows if row.t <= half]) == inside
         seen = []
         for module, name in ((solver, "remainder_sup"), (lifespan, "remainder"),
                              (propagators, "remainder_sup"), (propagators, "remainder")):
@@ -382,44 +376,57 @@ class TestRemainderWindow:
     def test_contaminated_run_has_rows_but_no_scaled_maximum(self, monkeypatch):
         # damped on a box too small for t_max = 100: the run computes the rows of
         # the fields it keeps from t_star = 1/0.3 on until the shell monitor aborts
-        # it at t, and an aborted run has no T to read them against: the rows of
-        # the fields kept after t/2 are dropped
+        # it at t, and keeps them all, but an aborted run has no T to read them
+        # against
         params = NonlinearityParams(lam=-1j, theta=0.5, d=1)
         cfg = SolverConfig(grid=Grid(1, 1024, 400.0), params=params, eps=0.3, s=1.0,
                            t_max=100.0, record_every=1)
-        calls, committed, trials = spying_on_rows(monkeypatch)
+        calls, trials = spying_on_rows(monkeypatch)
         (rec,), _, _ = sweep([0.3], cfg, GAUSS_SPEC)
-        assert_rows_are_committed_unless_refused(calls, committed, trials)
         rows, t_abort = rec.diagnostics.rows, rec.diagnostics.samples[-1].t
+        assert_rows_are_kept_unless_refused(rows, calls, trials)
         assert rec.status == "boundary-contaminated" and rec.T_eps is None
-        assert len(rows) > 50 and any(2.0 * t > t_abort for t, _ in committed)
-        assert [(row.t, row.remainder_sup) for row in rows] == [
-            (t, value) for t, value in committed if 2.0 * t <= t_abort]
+        assert len(rows) > 50 and any(2.0 * row.t > t_abort for row in rows)
+        assert rows[-1].t <= t_abort
         assert rec.max_remainder_scaled is None
 
-    def test_run_ending_before_twice_t_star_keeps_no_row(self, monkeypatch):
+    def test_full_run_keeps_every_row_it_computes(self, monkeypatch):
+        # a diagnostics=True run of the default eps = 0.2 rung computes a full row
+        # for every field it keeps from t = 0 on (sup|R| from t > 0), and keeps all
+        # of them but those of the trials it refuses
+        calls, trials = spying_on_rows(monkeypatch)
+        base = ExperimentConfig()
+        (rec,), _, _ = sweep([0.2], base.solver_config(), base.initial_data, diagnostics=True)
+        rows = rec.diagnostics.rows
+        assert rows[0].t == 0.0 and rows[0].remainder_sup is None
+        assert_rows_are_kept_unless_refused(rows[1:], calls, trials)
+        assert len(rows) > 40 and all(row.r1 is not None for row in rows)
+        assert any(tried["why"] is None and tried["row"] for tried in trials)
+
+    def test_run_ending_before_twice_t_star_has_no_row_in_its_window(self, monkeypatch):
         # the default eps = 0.4 rung: t_star = 2.5 > T/2 = 1.88, so the rows of the
-        # fields it keeps from t_star on all lie past T/2 and are dropped when the
-        # run ends
-        calls, committed, trials = spying_on_rows(monkeypatch)
+        # fields it keeps from t_star on all lie past T/2, and the scaled maximum
+        # reads none of them
+        calls, trials = spying_on_rows(monkeypatch)
         base = ExperimentConfig()
         (rec,), _, _ = sweep([0.4], base.solver_config(), base.initial_data)
+        rows = rec.diagnostics.rows
         assert rec.status == "blown-up" and rec.T_eps / 2.0 < 2.5 and len(calls) > 5
         assert all(2.5 <= t <= rec.T_eps for t, _, _ in calls)
-        assert_rows_are_committed_unless_refused(calls, committed, trials)
-        assert rec.diagnostics.rows == [] and rec.max_remainder_scaled is None
+        assert_rows_are_kept_unless_refused(rows, calls, trials)
+        assert len(rows) > 5 and rec.max_remainder_scaled is None
 
     @pytest.mark.parametrize("theta, s", [(1.0, 1.0), (0.5, 0.4)], ids=["theta-1", "gamma-outside"])
     def test_run_without_a_window_computes_no_row(self, monkeypatch, theta, s):
         # theta = 1, or gamma = (2s-d)/8 <= 0, leaves the remainder criterion
         # undefined, so nothing reads a row
         offered = []
-        calls, committed, _ = spying_on_rows(monkeypatch, offered)
+        calls, _ = spying_on_rows(monkeypatch, offered)
         params = NonlinearityParams(lam=1j, theta=theta, d=1)
         cfg = SolverConfig(grid=Grid(1, 256, 25.0), params=params, eps=0.6, s=s,
                            t_max=30.0, record_every=8)
         (rec,), _, _ = sweep([0.6], cfg, GAUSS_SPEC)
-        assert len(offered) > 20 and calls == committed == []
+        assert len(offered) > 20 and calls == []
         assert rec.diagnostics.rows == [] and rec.max_remainder_scaled is None
 
 

@@ -414,13 +414,17 @@ class TestRunToBlowup:
         assert rec.max_tail_fraction < 1e-6
 
     def test_singularity_past_t_max_is_censored(self):
-        # the predicted singularity, 3.75446, lies past t_max: no stop
+        # the predicted singularity, 3.75446, lies past t_max = 3.754, which falls
+        # inside the horizon's bracket: the run ends censored where the bracket is
+        # reached, at 3.750993, and does not step on into the spike (tail 1.4e-7
+        # there, 3.4e-3 when it ran on to t_max)
         cfg = small_config(eps=0.4, grid=Grid(1, 2048, 80.0), t_max=3.754, record_every=4)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         assert rec.status == "reached-t-max" and rec.censored
         assert rec.t_blow_pointwise is None and rec.t_blow_threshold is None
-        assert rec.T_eps == pytest.approx(3.754, rel=1e-12)
-        # the record ends on a sample of the state at t_max, which saw the tail there
+        assert 0 < cfg.t_max - rec.T_eps <= solver._BRACKET * rec.T_eps
+        assert rec.max_tail_fraction < 1e-6
+        # the record ends on a sample of the state it stopped on
         last = rec.diagnostics.samples[-1]
         assert last.t == rec.T_eps
         assert rec.max_tail_fraction == last.tail_fraction
@@ -496,9 +500,9 @@ class TestRunToBlowup:
             res = mass_balance_residuals(rec.diagnostics.samples, mu=1.0)
         assert np.all(np.isfinite(res))
 
-    def test_censored_run_keeps_the_rows_at_or_before_half_its_end(self, monkeypatch):
+    def test_censored_run_keeps_every_row_it_computes(self, monkeypatch):
         # the log computes the row of each field it keeps from t_star on as the field
-        # is offered, and the record keeps those at or before T/2 = 50, T = t_max
+        # is offered, and the record keeps them all, past T/2 = 50 (T = t_max) too
         transform, computed = solver.remainder_sup, []
 
         def spy(u, t, params):
@@ -513,16 +517,16 @@ class TestRunToBlowup:
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         log = rec.diagnostics
         assert rec.status == "reached-t-max" and rec.T_eps == 100.0
-        assert len(computed) > len(log.rows) > 100 and log.dense_from <= computed[0][0]
-        assert [(row.t, row.remainder_sup) for row in log.rows] == [
-            (t, value) for t, value in computed if t <= 50.0]
+        assert len(computed) > 100 and log.dense_from <= computed[0][0]
+        assert any(t > 50.0 for t, _ in computed)
+        assert [(row.t, row.remainder_sup) for row in log.rows] == computed
 
     def test_run_keeps_the_first_offer_at_or_after_each_grid_time(self, monkeypatch):
         # the grid is 16 times per decade of 1 + t from t = 0 and 160 from
         # t_star = 1/0.3 on; every offer is an accepted field or the midpoint of
-        # its trial, each committed to the log as it is accepted
+        # its trial, each offered to the log as it is accepted
         offered = []
-        noting_offers(monkeypatch, lambda log, t, row: offered.append(t))
+        noting_offers(monkeypatch, lambda log, t: offered.append(t))
         cfg = small_config(eps=0.3, grid=Grid(1, 256, 25.0), record_every=1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid), diagnostics=True))
         log = rec.diagnostics
@@ -544,33 +548,32 @@ class TestRunToBlowup:
     def test_kept_offers_are_the_first_at_or_after_each_grid_time(self, monkeypatch, seed):
         # random offer sequences, in time order: what is kept is the first offer at
         # or after each time of the grid.  A full log makes each kept offer a row as
-        # it comes; a default log does so for those from window_from on, and closing
-        # at T keeps the rows at or before T/2.  _row is stubbed: this is the log's
-        # bookkeeping alone
+        # it comes, with `window` or without; a default log does so for those from
+        # dense_from on with `window`, and for none without.  _row is stubbed: this
+        # is the log's bookkeeping alone
         monkeypatch.setattr(solver, "_row", StubRow)
         rng = np.random.default_rng(seed)
         for k in range(20):
             dense_from = np.inf if k % 5 == 4 else float(rng.uniform(0.2, 8.0))
-            window_from = 0.01 if k % 3 == 0 else dense_from
+            has_window = k % 3 != 0
             # gaps of 0 offer a time twice
             gaps = rng.integers(0, 3, 300) * 0.05 if k % 2 else rng.exponential(0.05, 300)
             times = [float(t) for t in np.cumsum(gaps)]
-            full = solver.DiagnosticsLog(dense_from=dense_from, full=True)
-            window = solver.DiagnosticsLog(dense_from=dense_from, window_from=window_from)
+            full = solver.DiagnosticsLog(dense_from=dense_from, window=has_window, full=True)
+            window = solver.DiagnosticsLog(dense_from=dense_from, window=has_window)
             arrays = {}
             for t in times:
                 arrays.setdefault(t, np.array([t]))
-                full.offer(None, t, arrays[t])
-                window.offer(None, t, arrays[t])
-                assert [row.t for row in window.rows] == [row.t for row in full.rows
-                                                          if row.t >= window_from]
-            T = times[-1]
-            full.close(T)
-            window.close(T)
-            want = first_offers(times, grid_times(dense_from, T))
+                for log in (full, window):
+                    kept, before = log.keeps(t), len(log.rows)
+                    log.offer(None, t, arrays[t])
+                    assert isinstance(kept, bool) and len(log.rows) == before + kept
+                assert [row.t for row in window.rows] == [
+                    row.t for row in full.rows if has_window and row.t >= dense_from]
+            want = first_offers(times, grid_times(dense_from, times[-1]))
             assert [row.t for row in full.rows] == want
             assert [row.t for row in window.rows] == [t for t in want
-                                                      if window_from <= t <= T / 2]
+                                                      if has_window and t >= dense_from]
             for log, is_full in ((full, True), (window, False)):
                 assert all(row.values is arrays[row.t] and not row.values.flags.writeable
                            and row.full is is_full for row in log.rows)
@@ -606,8 +609,9 @@ def first_offers(offers, times):
 
 class TestStepLaw:
     def spy_trials(self, monkeypatch):
-        """Record (dt, R, row, err) of every doubling trial and (field, t, mid, log)
-        of every field _accept takes after the datum."""
+        """Record (dt, R, row, err) of every doubling trial and (field, t, rows) of
+        every field _accept takes after the datum, with the log's rows as _accept
+        finds them."""
         trials, advanced = [], []
         trial, accept = solver._doubling_trial, solver._accept
 
@@ -625,10 +629,10 @@ class TestStepLaw:
             trials.append((dt, field, row, err))
             return field, row, err
 
-        def spy_accept(config, log, t, u, absu, sup, step_count, mid=None):
+        def spy_accept(config, log, t, u, absu, sup, step_count):
             if step_count:
-                advanced.append((u, t, mid, log))
-            return accept(config, log, t, u, absu, sup, step_count, mid)
+                advanced.append((u, t, list(log.rows)))
+            return accept(config, log, t, u, absu, sup, step_count)
 
         monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
         monkeypatch.setattr(solver, "_accept", spy_accept)
@@ -668,36 +672,43 @@ class TestStepLaw:
         for k in rejected:
             assert trials[k + 1][0] < trials[k][0]
         # every accepted field is the extrapolated field of a trial within
-        # tolerance, and comes with that trial's midpoint row (None for a midpoint
-        # the log does not keep)
+        # tolerance, and the loop has just kept that trial's midpoint row (where the
+        # trial computed one) and no other: the rows are those before the trial,
+        # from the offer of the field it started from, and the midpoint's
         by_field = {id(got): (dt, row, err) for dt, got, row, err in trials}
-        accepted = [(by_field[id(u)], t, mid, log) for u, t, mid, log in advanced
-                    if id(u) in by_field]
+        accepted = [(by_field[id(u)], t, rows) for u, t, rows in advanced if id(u) in by_field]
         assert len(accepted) == len(advanced) == len(trials) - len(rejected)
-        t_base = 0.0
-        for (dt_trial, row_trial, err), t, (index, row), log in accepted:
-            assert err <= tol and t == t_base + dt_trial and row is row_trial
-            assert index == log._grid_index(t_base + 0.5 * dt_trial)
+        t_base, kept, mids = 0.0, [], 0
+        for (dt_trial, row_trial, err), t, rows in accepted:
+            assert err <= tol and t == t_base + dt_trial
+            if row_trial is not None:
+                assert row_trial.t == t_base + 0.5 * dt_trial and rows[-1] is row_trial
+                rows, mids = rows[:-1], mids + 1
+            assert rows[:len(kept)] == kept and len(rows) - len(kept) <= 1
+            assert all(row.t == t_base for row in rows[len(kept):])
+            kept = rows + [row_trial] * (row_trial is not None)
             t_base = t
+        assert mids > 5 and kept == rec.diagnostics.rows[:len(kept)]
 
     def spy_paths(self, monkeypatch, blown_calls):
-        """Record the substeps of every Strang path; the calls numbered in `blown_calls` raise."""
+        """Record the substep of every Strang step; the calls numbered in `blown_calls` raise."""
         paths = []
         strang = solver._strang
 
-        def spy(u, substeps, *args):
-            paths.append(substeps)
+        def spy(u, tau, *args):
+            paths.append(tau)
             if len(paths) in blown_calls:
-                raise PointwiseBlowUp(0.5 * substeps[0])
-            return strang(u, substeps, *args)
+                raise PointwiseBlowUp(0.5 * tau)
+            return strang(u, tau, *args)
 
         monkeypatch.setattr(solver, "_strang", spy)
         return paths
 
     @staticmethod
     def trial_paths(dt):
-        """The substeps of a doubling trial's three paths: the two halves, then the full step."""
-        return [(dt / 4, dt / 4), (dt / 4, dt / 4), (dt / 2, dt / 2)]
+        """The substeps of a doubling trial's three Strang steps: the two halves, then the
+        full step."""
+        return [dt / 4, dt / 4, dt / 2]
 
     @pytest.mark.parametrize("blown_call", [1, 2, 3], ids=["first half", "second half", "full"])
     def test_singularity_that_does_not_recur_is_stepped_past(self, monkeypatch, blown_call):
@@ -728,12 +739,12 @@ class TestStepLaw:
             calls.clear()
             return trial(u, abs_b, dt, config, mid_row)
 
-        def spy_strang(u, substeps, *args):
-            calls.append(substeps)
+        def spy_strang(u, tau, *args):
+            calls.append(tau)
             path = ("first half", "second half", "full")[len(calls) - 1]
             if path == blown_path and clock[0] + dts[-1] > t_event:
-                raise PointwiseBlowUp(0.5 * substeps[0])
-            return strang(u, substeps, *args)
+                raise PointwiseBlowUp(0.5 * tau)
+            return strang(u, tau, *args)
 
         def spy_accept(*args):
             new = accept(*args)
@@ -759,9 +770,9 @@ class TestStepLaw:
         paths, accepted = [], []
         strang, accept = solver._strang, solver._accept
 
-        def spy_strang(u, substeps, *args):
-            paths.append(substeps)
-            w = strang(u, substeps, *args)
+        def spy_strang(u, tau, *args):
+            paths.append(tau)
+            w = strang(u, tau, *args)
             if len(paths) == bad_call:
                 w[len(w) // 2] = value
             return w
@@ -802,7 +813,7 @@ class TestStepLaw:
                 and not np.max(np.abs(out[0])) < config.threshold))
             return out
 
-        noting_offers(monkeypatch, lambda log, t, row: offers.append(t))
+        noting_offers(monkeypatch, lambda log, t: offers.append(t))
         monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
         rec = run_to_blowup(state)
         capped = [k for k, tried in enumerate(trials) if tried["capped"]]
@@ -821,46 +832,49 @@ class TestStepLaw:
         assert rec.diagnostics.samples[-1].t == offers[-1]
 
     @pytest.mark.parametrize("diagnostics", [False, True], ids=["default", "full"])
-    def test_committed_midpoint_rows_are_those_of_the_unfused_midpoints(self, monkeypatch,
-                                                                        diagnostics):
+    def test_kept_midpoint_rows_are_those_of_the_unfused_midpoints(self, monkeypatch,
+                                                                   diagnostics):
         # a kept midpoint's row, computed inside its trial before the second half
         # step runs over the midpoint field, is the row of the first of two separate
-        # Strang steps of dt/2, bit for bit, and is committed at t + dt/2
-        trial, expected, committed = solver._doubling_trial, [], []
+        # Strang steps of dt/2 from the trial's state at t, bit for bit, and is kept
+        # at t + dt/2
+        trial, expected, offers = solver._doubling_trial, [], []
 
         def spy_trial(u, abs_b, dt, config, mid_row=None):
             out = trial(u, abs_b, dt, config, mid_row)
             if mid_row is not None:
-                expected.append((out[1], mid_row(unfused_trial(u, dt, config)[1])))
+                want = mid_row(unfused_trial(u, dt, config)[1])
+                expected.append((out[1], want, offers[-1] + 0.5 * dt))
             return out
 
         monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
-        noting_offers(monkeypatch, lambda log, t, row: committed.append((t, row)))
+        noting_offers(monkeypatch, lambda log, t: offers.append(t))
         cfg = small_config(eps=0.3, grid=Grid(1, 256, 25.0), record_every=1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid), diagnostics=diagnostics))
         assert rec.status == "blown-up"
-        mid_rows = [(t, row, want) for t, row in committed for got, want in expected
-                    if row is got]
+        mid_rows = [(row, want, t) for row in rec.diagnostics.rows
+                    for got, want, t in expected if row is got]
         assert len(mid_rows) > 10 and all((row.r1 is not None) is diagnostics
-                                          for _, row, _ in mid_rows)
-        for t, row, want in mid_rows:
-            assert row.t == t and row == want
+                                          for row, _, _ in mid_rows)
+        for row, want, t in mid_rows:
+            assert row.t == t and row == want and t in offers
 
     @pytest.mark.parametrize("refusal", ["rejected", "capped", "blown"])
-    def test_a_refused_trial_commits_nothing(self, monkeypatch, refusal):
+    def test_a_refused_trial_keeps_no_row(self, monkeypatch, refusal):
         # the first trial that computes its midpoint's row at each time of the grid
         # is refused: its err is over tolerance, its field reaches the sup-norm cap,
         # or its second half step meets the pointwise singularity after the row.
-        # The retry then sees the log's rows and last offer as they were
+        # The retry then sees the log's rows as they were, and the refused trial's
+        # row is in none of them
         trial, strang, modulus = solver._doubling_trial, solver._strang, solver._modulus
         cfg = small_config(eps=0.4, t_max=3.0)
         state = init(cfg, gaussian(cfg.grid), diagnostics=True)
         log = state.diagnostics
-        seen, refused, computed, current = [], [], [], {}
+        seen, refused, computed, current, thrown = [], [], [], {}, []
 
         def spy_trial(u, abs_b, dt, config, mid_row=None):
             k = len(seen)
-            seen.append((list(log.rows), log._last_offer))
+            seen.append(list(log.rows))
             refuse = mid_row is not None and k - 1 not in refused
             current.update(refuse=refuse, paths=0)
             if refuse:
@@ -868,7 +882,10 @@ class TestStepLaw:
 
             def noting(values):
                 computed.append(k)
-                return mid_row(values)
+                row = mid_row(values)
+                if refuse:
+                    thrown.append(row)
+                return row
 
             field, row, err = trial(u, abs_b, dt, config, None if mid_row is None else noting)
             if refuse and refusal == "rejected":
@@ -877,11 +894,11 @@ class TestStepLaw:
                 current["capped"] = field
             return field, row, err
 
-        def spy_strang(u, substeps, *args):
+        def spy_strang(u, tau, *args):
             current["paths"] += 1
             if refusal == "blown" and current["refuse"] and current["paths"] == 2:
-                raise PointwiseBlowUp(0.5 * substeps[0])
-            return strang(u, substeps, *args)
+                raise PointwiseBlowUp(0.5 * tau)
+            return strang(u, tau, *args)
 
         def spy_modulus(config, u):
             return None if u is current.pop("capped", None) else modulus(config, u)
@@ -891,9 +908,10 @@ class TestStepLaw:
         monkeypatch.setattr(solver, "_modulus", spy_modulus)
         rec = run_to_blowup(state)
         assert rec.status == "reached-t-max" and len(rec.diagnostics.rows) > 5
-        assert len(refused) >= 5 and set(refused) <= set(computed)
+        assert len(refused) >= 5 and set(refused) <= set(computed) and len(thrown) == len(refused)
         for k in refused:
             assert seen[k + 1] == seen[k]
+        assert not any(row is gone for row in rec.diagnostics.rows for gone in thrown)
 
     def test_unattainable_tolerance_fails_loudly(self, monkeypatch):
         # roundoff alone keeps err above 1e-300, so the step shrinks to nothing
@@ -1040,10 +1058,10 @@ class TestFieldOwnership:
         accept = solver._accept
         times = []
 
-        def spy_accept(config, log, t, u, absu, sup, step_count, mid=None):
+        def spy_accept(config, log, t, u, absu, sup, step_count):
             times.append(t)
             kept.append((u, u.copy()))
-            new = accept(config, log, t, u, absu, sup, step_count, mid)
+            new = accept(config, log, t, u, absu, sup, step_count)
             kept.append((new.abs_b, new.abs_b.copy()))
             return new
 
@@ -1113,10 +1131,10 @@ class TestFieldOwnership:
         monkeypatch.setattr(solver.DiagnosticsLog, "offer", spy_offer)
         monkeypatch.setattr(solver, "_row", spy_row)
         rec = run_to_blowup(state)
-        assert len(kinds) > 20 and len(rec.diagnostics.rows) < len(kinds)
+        assert len(kinds) > 20 and len(rec.diagnostics.rows) == len(kinds)
         assert "mid" in kinds and "end" in kinds
         assert [f.name for f in dataclasses.fields(rec.diagnostics)] == [
-            "samples", "rows", "dense_from", "window_from", "full", "_last_offer"]
+            "samples", "rows", "dense_from", "window", "full"]
         for values in offered:
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 0.0
@@ -1165,18 +1183,18 @@ def traced_run(state):
 class TestMemory:
     def test_run_peak_is_a_few_fields_however_many_rows_it_keeps(self):
         # the blowup-2d rung at 64**2: 62 fields kept from t_star = 1.58 to
-        # T = 5.25, 24 of them in [t_star, T/2]; numpy's buffers are traced, so the
-        # peak in fields does not depend on the machine
+        # T = 5.25, each as its row; numpy's buffers are traced, so the peak in
+        # fields does not depend on the machine
         cfg = SolverConfig(grid=Grid(2, 64, 20.0), params=NonlinearityParams(1j, 0.5, 2),
                            eps=0.4, s=1.2, record_every=4)
         rec, peak = traced_run(init(cfg, gaussian(cfg.grid)))
-        assert rec.status == "blown-up" and len(rec.diagnostics.rows) == 24
+        assert rec.status == "blown-up" and len(rec.diagnostics.rows) == 62
         assert peak < RUN_PEAK_FIELDS
 
     def test_run_holds_one_state_and_one_trial(self, monkeypatch):
         # the blowup-2d rung at 256**2 up to t_max = 2.2, past t_star = 1.58: the
-        # run samples every fourth field and computes the rows of the fields it
-        # keeps from t_star on (none lies in the empty window [t_star, t_max/2])
+        # run samples every fourth field and keeps the rows of the fields it keeps
+        # from t_star on
         row, rows = solver._row, []
 
         def counted(config, t, values, full):
@@ -1188,6 +1206,7 @@ class TestMemory:
                            eps=0.4, s=1.2, t_max=2.2, record_every=4)
         rec, peak = traced_run(init(cfg, gaussian(cfg.grid)))
         assert rec.status == "reached-t-max" and rows and len(rec.diagnostics.samples) > 5
+        assert [row.t for row in rec.diagnostics.rows] == rows
         assert peak <= STATE_AND_TRIAL_FIELDS
 
     def test_a_trial_computes_its_midpoints_row_beside_its_midpoint_alone(self):
@@ -1298,16 +1317,17 @@ class TestRows:
             assert (row.t, row.remainder_sup, row.r1, row.r2, row.r3) == field_functions(
                 u, row.t, cfg)
 
-    def test_default_rows_are_the_window_rows_of_a_full_run(self, two_mode_runs):
+    def test_default_rows_are_the_rows_of_a_full_run_from_t_star_on(self, two_mode_runs):
         from nlslab.lifespan import max_remainder_scaled
 
         cfg, full, _, default = two_mode_runs
         t_star = t_star_time(cfg.eps, cfg.params.theta, cfg.params.d)
         assert default.T_eps == full.T_eps
-        window = [(row.t, row.remainder_sup) for row in full.diagnostics.rows
-                  if t_star <= row.t <= full.T_eps / 2.0]
+        late = [(row.t, row.remainder_sup) for row in full.diagnostics.rows if t_star <= row.t]
         rows = default.diagnostics.rows
-        assert len(window) >= 3 and [(row.t, row.remainder_sup) for row in rows] == window
+        assert len([t for t, _ in late if t <= full.T_eps / 2.0]) >= 3
+        assert any(t > full.T_eps / 2.0 for t, _ in late)
+        assert [(row.t, row.remainder_sup) for row in rows] == late
         assert all(row.r1 is row.r2 is row.r3 is None for row in rows)
         assert (max_remainder_scaled(default.diagnostics, cfg, default.T_eps)
                 == max_remainder_scaled(full.diagnostics, cfg, full.T_eps))
