@@ -27,12 +27,12 @@ status, blow-up time and criterion) is the run loop's own, and goes only
 into the record, which ends on a sample of the run's last state at every exit.
 The run's :class:`DiagnosticsLog` keeps its samples and its rows: what the
 diagnostics read off the first field offered at or after each time of a grid
-geometric in 1 + t, dense from t_star on.  A field's row is computed as the
-field is kept, so the log holds no field, and the rows are all it records of
-what it kept.  A trial's midpoint field is one of the trial's buffers: the
-trial computes its row, when the log keeps it, before the second half step
-runs over that buffer, and the run loop appends the row to the log only if
-it accepts the trial.
+geometric in 1 + t, dense from t_star on, where every run lands.  A field's
+row is computed as the field is kept, so the log holds no field, and the
+rows are all it records of what it kept.  A trial's midpoint field is one of
+the trial's buffers: the trial computes its row, when the log keeps it,
+before the second half step runs over that buffer, and the run loop appends
+the row to the log only if it accepts the trial.
 """
 
 from __future__ import annotations
@@ -76,19 +76,23 @@ from .spectral import (
 
 # Relative local error of the two-half-step field that the run loop's step
 # doubling accepts per step; the extrapolated field it accepts is more accurate
-# still.  Chosen on the benchmark runs: every 1-D rung's T_eps lies within
-# 7.2e-7 relative of the same run at 1e-10 (the two-half-step field accepted at
-# 1e-7 lay up to 5.9e-6 away, after twice the trials), and the 2-D run, which
-# ends on the sup-norm cap, moved by 3.1e-4 from that, inside the event
-# bracket's half-width 5e-4.
-_STEP_TOLERANCE = 1e-6
+# still.  Trials and relative T_eps moves against 1e-6, landing on t_star:
+#   sweep-1d, eps .4/.3/.2/.15   484 -> 355  -7.4e-7/+4.4e-7/+1.4e-7/+1.1e-8
+#   long-1d-dense                136 -> 96   -1.0e-7
+#   blowup-2d, on the cap        111 -> 70   -1.5e-4 (half-bracket 5e-4)
+#   lam = -3+i, eps .4/.15       945 -> 437  -8.2e-8/-1.2e-6 (n = 8192)
+#   theta = 1/4, eps .8/.6, cap  168 -> 109  -9.9e-5/-2.9e-4
+#   lam = 3+i, eps .2            167 -> 108  +4.9e-7
+# No trial was rejected.  The 1-D moves are the stop's jitter: at eps .4 the
+# run lies 5.7e-9 from itself at 1e-10, and 7.4e-7 at 1e-6.
+_STEP_TOLERANCE = 1e-5
 _HORIZON_FRACTION = 0.1  # every step is at most this fraction of the blow-up horizon of sup|u|
 _BRACKET = 1e-3  # a blow-up is bracketed within this fraction of the elapsed time
 _FIRST_STEP = 0.1 * 0.05  # 0.005000000000000001: a literal 0.005 would move every run's bits
 _SUP_CAP = 1e3  # sup|u| >= _SUP_CAP / eps is an event; there is no cap at eps = 0
 _SHELL_TOLERANCE = 1e-6  # outer-shell mass fraction above which a run is contaminated
 _SPARSE_PER_DECADE = 16  # grid times per decade of 1 + t before t_star
-_DENSE_PER_DECADE = 160  # from t_star on: the eps = 0.2 rung keeps its 3 offers in [t_star, T/2]
+_DENSE_PER_DECADE = 160  # from t_star on: the benchmark runs keep every offer in [t_star, T/2]
 _DENSE_INDEX = 2**32  # grid index of t_star, above every index before it
 
 
@@ -478,7 +482,10 @@ def run_to_blowup(state: SolverState) -> RunRecord:
 
     Each proposed step h is cut to dt = min(h, 0.1 * pointwise blow-up
     horizon of sup|u|, t_max - t), so the nonlinear substep stays well
-    inside its own singularity; the first proposal is 0.005.
+    inside its own singularity; the first proposal is 0.005.  Before the
+    log's `dense_from` (t_star, or 1), dt is cut to dense_from - t too: that
+    trial lands at exactly dense_from, and the next proposal is at least h.
+    dense_from depends on eps, theta and d alone.
     A trial takes two Strang steps of dt/2 and then one of dt (see
     :func:`_doubling_trial`).  If the error estimate err meets the step
     tolerance `_STEP_TOLERANCE`, only the extrapolated field gets the |u|
@@ -541,6 +548,9 @@ def run_to_blowup(state: SolverState) -> RunRecord:
                 return make_record(state, RunStatus.BLOWN_UP, t + horizon, "pointwise")
             return make_record(state, RunStatus.REACHED_TMAX)  # t_max may come first
         dt = min(h, _HORIZON_FRACTION * horizon, remaining)
+        lands = 0 < log.dense_from - t <= dt
+        if lands:
+            dt = log.dense_from - t
         if not t + dt > t:
             raise RuntimeError(f"step size {dt!r} vanishes at t={t!r}: the trials "
                                f"cannot meet the step tolerance {tol!r}, or keep meeting "
@@ -551,7 +561,7 @@ def run_to_blowup(state: SolverState) -> RunRecord:
             u, row, err = _doubling_trial(state.u.values, state.abs_b, dt, cfg, mid_row)
         except PointwiseBlowUp:
             err = math.inf
-        h = dt * _resize(err, tol)
+        proposal, h = h, dt * _resize(err, tol)
         if not err <= tol:
             u = None  # the rejected trial's field goes before the retry makes its own
             continue
@@ -563,11 +573,14 @@ def run_to_blowup(state: SolverState) -> RunRecord:
                 h = 0.5 * dt
                 continue
             return make_record(state, RunStatus.BLOWN_UP, t + 0.5 * dt, "threshold")
+        t_new = t + dt
+        if lands:  # the cut does not shrink the next proposal
+            t_new, h = log.dense_from, max(h, proposal)
         step_count = state.step_count + 1
         state = None  # nothing reads the old state past the cap check
         if row is not None:
             log.rows.append(row)
-        state = _accept(cfg, log, t + dt, u, *modulus, step_count)
+        state = _accept(cfg, log, t_new, u, *modulus, step_count)
         if state.shell > _SHELL_TOLERANCE:
             return make_record(state, RunStatus.BOUNDARY_CONTAMINATED)
 

@@ -276,10 +276,11 @@ def test_criterion_6_remainder_decay(ladder_runs):
 
 def test_criterion_6_window_keeps_every_offer(ladder_runs):
     # the grid of kept fields is dense from t_star on, so every field offered in
-    # the remainder window [t_star, T/2] becomes a row: 3 at eps = 0.2, 13 at 0.15
+    # the remainder window [t_star, T/2] becomes a row: 2 at eps = 0.2, 7 at 0.15.
+    # Each run lands on t_star, so the first is read there
     records, _, _ = ladder_runs[1j]
     checks = []
-    for eps, want in ((0.2, 3), (0.15, 13)):
+    for eps, want in ((0.2, 2), (0.15, 7)):
         rec = next(r for r in records if r.eps == eps)
         t_star = t_star_time(eps, 0.5, 1)
 
@@ -290,6 +291,7 @@ def test_criterion_6_window_keeps_every_offer(ladder_runs):
         kept = window([row.t for row in rec.diagnostics.rows])
         checks.append((f"eps={eps}: {len(kept)} of {len(offered)} window offers kept, all {want}",
                        kept == offered and len(kept) == want))
+        checks.append((f"eps={eps}: the first kept at t_star = {t_star}", kept[0] == t_star))
     report("6 remainder-window offers", checks)
 
 

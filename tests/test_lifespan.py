@@ -317,7 +317,7 @@ def hand_built_log(cfg, times):
 
 
 class TestRemainderWindow:
-    @pytest.mark.parametrize("eps, inside", [(0.2, 3), (0.15, 13)])
+    @pytest.mark.parametrize("eps, inside", [(0.2, 2), (0.15, 7)])
     def test_rows_are_the_kept_offers_in_the_window(self, default_rungs, monkeypatch,
                                                     eps, inside):
         # the run computes the row of each field it keeps from t_star on as the

@@ -502,7 +502,7 @@ class TestRunToBlowup:
 
     def test_censored_run_keeps_every_row_it_computes(self, monkeypatch):
         # the log computes the row of each field it keeps from t_star on as the field
-        # is offered, and the record keeps them all, past T/2 = 50 (T = t_max) too
+        # is offered, and the record keeps them all, past T/2 = 100 (T = t_max) too
         transform, computed = solver.remainder_sup, []
 
         def spy(u, t, params):
@@ -510,21 +510,21 @@ class TestRunToBlowup:
             return computed[-1][1]
 
         monkeypatch.setattr(solver, "remainder_sup", spy)
-        # damped and censored at t_max = 100, t_star = 1/0.3: it keeps 154 fields,
-        # which a store bounded at 128 fields would have had to coarsen
-        cfg = small_config(params=NonlinearityParams(-1j, 0.5, 1), grid=Grid(1, 2048, 800.0),
-                           t_max=100.0, record_every=1)
+        # damped and censored at t_max = 200, t_star = 1: it keeps 117 fields
+        cfg = small_config(params=NonlinearityParams(-1j, 0.5, 1), grid=Grid(1, 4096, 1600.0),
+                           eps=1.0, t_max=200.0, record_every=1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         log = rec.diagnostics
-        assert rec.status == "reached-t-max" and rec.T_eps == 100.0
+        assert rec.status == "reached-t-max" and rec.T_eps == 200.0
         assert len(computed) > 100 and log.dense_from <= computed[0][0]
-        assert any(t > 50.0 for t, _ in computed)
+        assert any(t > 100.0 for t, _ in computed)
         assert [(row.t, row.remainder_sup) for row in log.rows] == computed
 
     def test_run_keeps_the_first_offer_at_or_after_each_grid_time(self, monkeypatch):
         # the grid is 16 times per decade of 1 + t from t = 0 and 160 from
         # t_star = 1/0.3 on; every offer is an accepted field or the midpoint of
-        # its trial, each offered to the log as it is accepted
+        # its trial, each offered to the log as it is accepted.  The run lands on
+        # t_star, so its first row from there on is at t_star
         offered = []
         noting_offers(monkeypatch, lambda log, t: offered.append(t))
         cfg = small_config(eps=0.3, grid=Grid(1, 256, 25.0), record_every=1)
@@ -534,8 +534,9 @@ class TestRunToBlowup:
         times = [row.t for row in log.rows]
         assert rec.status == "blown-up" and t_star == 0.3**-1.0
         assert times == first_offers(offered, grid_times(t_star, offered[-1]))
-        # 31 of the 42 from t_star on, one at each grid time up to T_eps = 5.69
-        assert len([t for t in times if t >= t_star]) > 20
+        # 29 of the 40 from t_star on, one at each grid time up to T_eps = 5.69
+        late = [t for t in times if t >= t_star]
+        assert len(late) > 20 and late[0] == t_star
 
     @pytest.mark.parametrize("eps, theta, dense_from", [
         (0.2, 0.5, 5.0), (0.0, 0.5, 1.0), (0.2, 1.0, 1.0), (1e-10, 0.99, np.inf),
@@ -592,7 +593,8 @@ def grid_times(dense_from, t_end):
         k += 1
     j = 0
     while dense_from <= t_end and j / 160 <= np.log10((1.0 + t_end) / (1.0 + dense_from)):
-        times.append((1.0 + dense_from) * 10.0 ** (j / 160) - 1.0)
+        # the first is dense_from itself, which (1 + t) - 1 may round away from
+        times.append((1.0 + dense_from) * 10.0 ** (j / 160) - 1.0 if j else dense_from)
         j += 1
     return times
 
@@ -640,7 +642,7 @@ class TestStepLaw:
 
     def test_tolerance_refinement_stays_inside_the_event_bracket(self, monkeypatch):
         # the event bracket has relative half-width 5e-4; a tenfold tighter
-        # step tolerance must move T by less (3.2e-7 measured)
+        # step tolerance must move T by less (3.1e-7 measured)
         cfg = small_config(eps=0.4, grid=Grid(1, 512, 30.0), record_every=8)
         t_a = run_to_blowup(init(cfg, gaussian(cfg.grid))).T_eps
         monkeypatch.setattr(solver, "_STEP_TOLERANCE", solver._STEP_TOLERANCE / 10.0)
@@ -648,15 +650,57 @@ class TestStepLaw:
         assert abs(t_a - t_b) / t_b < 5e-4
 
     def test_default_rung_lands_near_the_converged_lifespan(self, monkeypatch):
-        # the default eps = 0.4 rung lies 7.4e-7 (relative, measured) from the
-        # same run at step tolerance 1e-10; accepting the two-half-step field at
-        # tolerance 1e-7 left it 2.0e-6 from there
+        # the default eps = 0.4 rung lies 5.7e-9 (relative, measured) from the
+        # same run at step tolerance 1e-10; at tolerance 1e-6, before runs landed
+        # on t_star, it lay 7.4e-7 from there, and accepting the two-half-step
+        # field at tolerance 1e-7 left it 2.0e-6 away
         cfg = ExperimentConfig().solver_config()
         phi = gaussian(cfg.grid)
         t_eps = run_to_blowup(init(cfg, phi)).T_eps
         monkeypatch.setattr(solver, "_STEP_TOLERANCE", 1e-10)
         converged = run_to_blowup(init(cfg, phi)).T_eps
         assert abs(t_eps - converged) / converged < 2.0e-6
+
+    def test_every_run_of_a_rung_lands_on_t_star_at_the_same_times(self, monkeypatch):
+        # the default eps = 0.2 rung as it is, with diagnostics=True and at s = 0.4,
+        # where it has no remainder window: the landing on t_star = 5.0 depends on
+        # eps, theta and d alone, so the three accept the same times bit for bit
+        _, advanced = self.spy_trials(monkeypatch)
+        base = ExperimentConfig(eps_ladder=[0.2])
+        cfg = base.solver_config()
+        phi = initial_data.build(cfg.grid, base.initial_data)
+        runs = {}
+        for name, run_cfg, diagnostics in (("default", cfg, False), ("full", cfg, True),
+                                           ("s=0.4", dataclasses.replace(cfg, s=0.4), False)):
+            advanced.clear()
+            rec = run_to_blowup(init(run_cfg, phi, diagnostics=diagnostics))
+            runs[name] = rec, [t for _, t, _ in advanced]
+        times = runs["default"][1]
+        assert 5.0 == t_star_time(0.2, 0.5, 1) and 5.0 in times
+        assert all(rec.status == "blown-up" for rec, _ in runs.values())
+        assert runs["full"][1] == times and runs["s=0.4"][1] == times
+        assert len({rec.T_eps for rec, _ in runs.values()}) == 1
+        # the three differ in what they compute at the times they share
+        assert runs["s=0.4"][0].diagnostics.rows == []
+        assert len(runs["full"][0].diagnostics.rows) > len(runs["default"][0].diagnostics.rows) > 0
+
+    def test_a_landing_cut_does_not_shrink_the_next_trial(self, monkeypatch):
+        # the default eps = 0.2 rung cuts its trial to land on t_star = 5.0; the next
+        # trial is as long as the proposal made before that cut, where the step law
+        # alone would have made it dt * 0.9 (tol/err)^(1/3) from the cut step's dt
+        trials, advanced = self.spy_trials(monkeypatch)
+        base = ExperimentConfig(eps_ladder=[0.2])
+        cfg = base.solver_config()
+        rec = run_to_blowup(init(cfg, initial_data.build(cfg.grid, base.initial_data)))
+        tol = solver._STEP_TOLERANCE
+        assert rec.status == "blown-up" and len(advanced) == len(trials)  # none rejected
+        times = [t for _, t, _ in advanced]
+        k = times.index(5.0)  # trials[k] is the cut trial that lands there
+        (dt_before, *_, err_before), (dt_cut, *_, err_cut), (dt_next, *_) = trials[k - 1:k + 2]
+        proposal = dt_before * solver._resize(err_before, tol)
+        assert times[k - 1] + dt_cut == 5.0 and dt_cut < proposal
+        assert dt_cut * solver._resize(err_cut, tol) < proposal
+        assert dt_next == proposal
 
     def test_rejected_trials_retry_smaller_and_accepted_meet_tolerance(self, monkeypatch):
         trials, advanced = self.spy_trials(monkeypatch)
@@ -1018,11 +1062,21 @@ class TestDoublingTrial:
 
 
 def ownership_config(d):
-    # both blow up inside the box, after about 110 accepted steps
+    # both blow up inside the box, after 85 (1-D) and 67 (2-D) accepted steps
     if d == 1:
         return small_config(eps=0.4, record_every=1)
     return SolverConfig(grid=Grid(2, 32, 12.0), params=NonlinearityParams(1j, 0.5, 2),
                         eps=0.5, s=1.2, record_every=1)
+
+
+def long_run_config(d):
+    # at lam = -3+i a run's end-game takes more steps than at lam = i: both blow up
+    # inside the box after more than 100 accepted steps, 225 (1-D) and 152 (2-D)
+    if d == 1:
+        return small_config(params=NonlinearityParams(-3 + 1j, 0.5, 1), grid=Grid(1, 1024, 20.0),
+                            eps=0.4, record_every=1)
+    return SolverConfig(grid=Grid(2, 64, 20.0), params=NonlinearityParams(-3 + 1j, 0.5, 2),
+                        eps=0.4, s=1.2, record_every=1)
 
 
 class TestFieldOwnership:
@@ -1052,7 +1106,7 @@ class TestFieldOwnership:
         # the accepted fields and the |u|^b arrays that the trials from each
         # accepted state read; a midpoint field is its trial's buffer, which the
         # second half step turns into the trial's field
-        cfg = ownership_config(d)
+        cfg = long_run_config(d)
         state = fixed_step(init(cfg, gaussian(cfg.grid)), 0.005)
         kept = [(state.u.values, state.u.values.copy())]
         accept = solver._accept
@@ -1074,7 +1128,7 @@ class TestFieldOwnership:
     def test_trials_read_the_modulus_pass_of_their_state(self, monkeypatch):
         # |u|^b comes from the pass that took sup|u|: it is |u|^b bit for bit,
         # read-only, and one array for every trial from one state
-        cfg = ownership_config(1)
+        cfg = long_run_config(1)
         trial = solver._doubling_trial
         read = {}
 
@@ -1182,13 +1236,13 @@ def traced_run(state):
 
 class TestMemory:
     def test_run_peak_is_a_few_fields_however_many_rows_it_keeps(self):
-        # the blowup-2d rung at 64**2: 62 fields kept from t_star = 1.58 to
+        # the blowup-2d rung at 64**2: 49 fields kept from t_star = 1.58 to
         # T = 5.25, each as its row; numpy's buffers are traced, so the peak in
         # fields does not depend on the machine
         cfg = SolverConfig(grid=Grid(2, 64, 20.0), params=NonlinearityParams(1j, 0.5, 2),
                            eps=0.4, s=1.2, record_every=4)
         rec, peak = traced_run(init(cfg, gaussian(cfg.grid)))
-        assert rec.status == "blown-up" and len(rec.diagnostics.rows) == 62
+        assert rec.status == "blown-up" and len(rec.diagnostics.rows) == 49
         assert peak < RUN_PEAK_FIELDS
 
     def test_run_holds_one_state_and_one_trial(self, monkeypatch):
@@ -1286,9 +1340,9 @@ def field_functions(u, t, cfg):
 def two_mode_runs(request):
     """(config, full record, {t: a copy of each field whose row it computed}, default
     record) of one run started with diagnostics=True and again without: the
-    default config's eps = 0.2 rung, or one 2-D rung (128**2, L = 20, s = 1.2,
+    default config's eps = 0.15 rung, or one 2-D rung (128**2, L = 20, s = 1.2,
     eps = 0.4)."""
-    over = {"eps_ladder": [0.2]}
+    over = {"eps_ladder": [0.15]}
     if request.param == "2d":
         over = {"d": 2, "n": 128, "L": 20.0, "s": 1.2, "eps_ladder": [0.4]}
     base = ExperimentConfig(**over)
