@@ -113,6 +113,7 @@ def _cmd_simulate(args) -> int:
         print(f"unitary run: relative l2 drift = {drift!r}")
     print(f"max tail fraction = {record.max_tail_fraction!r}")
     print(f"max shell fraction = {record.max_shell_fraction!r}")
+    print(record.diagnostics.stats)
     print(f"wrote {persist_run(record, args.out)}")
     return 0
 

@@ -73,6 +73,36 @@ class RunRecord:
 
 
 @dataclass
+class RunStats:
+    """What one run did, counted by its run loop and kept in memory only: its doubling
+    trials by fate (a refused one `rejected`, its err over tolerance or not finite;
+    `singular`; or `capped`), the diagnostics rows computed, those of refused trials,
+    and the range of the accepted steps.  It counts nothing its log states itself."""
+
+    accepted: int = 0
+    rejected: int = 0
+    singular: int = 0
+    capped: int = 0
+    rows: int = 0
+    rows_refused: int = 0
+    dt_min: float = float("inf")
+    dt_max: float = 0.0
+
+    def accept(self, dt: float):
+        self.accepted += 1
+        self.dt_min, self.dt_max = min(self.dt_min, dt), max(self.dt_max, dt)
+
+    def refuse(self, outcome: str, rows: int):
+        setattr(self, outcome, getattr(self, outcome) + 1)
+        self.rows_refused += rows
+
+    def __str__(self) -> str:
+        return (f"trials: {self.accepted} accepted, {self.rejected} rejected, "
+                f"{self.singular} singular, {self.capped} capped; rows: {self.rows} computed, "
+                f"{self.rows_refused} refused; dt in [{self.dt_min:.3g}, {self.dt_max:.3g}]")
+
+
+@dataclass
 class SweepSummary:
     """Ladder-level verdict: running minimum of q_eps against the theoretical bound."""
 

@@ -57,7 +57,7 @@ from .propagators import (
     remainder_sup,
     t_star_time,
 )
-from .records import RunRecord, canonical_fingerprint
+from .records import RunRecord, RunStats, canonical_fingerprint
 from .spectral import (
     ComplexField,
     Grid,
@@ -226,7 +226,9 @@ class DiagnosticsLog:
     those in [t_star, T/2] (:func:`nlslab.lifespan.max_remainder_scaled`).
     An offered field is made read-only, kept or not.  A midpoint is a buffer
     of its trial, which computes the midpoint's row when the log keeps it and
-    then writes the second half step over it.
+    then writes the second half step over it.  `stats` is what the run did
+    (:class:`~nlslab.records.RunStats`): the run loop counts its trials, and
+    :meth:`row` each row computed.
     """
 
     samples: list = field(default_factory=list)
@@ -234,6 +236,7 @@ class DiagnosticsLog:
     dense_from: float = 1.0
     window: bool = False
     full: bool = False
+    stats: RunStats = field(default_factory=RunStats)
 
     def _grid_index(self, t: float) -> int:
         """Index of the last grid time at or before t."""
@@ -251,11 +254,16 @@ class DiagnosticsLog:
             return False
         return not self.rows or self._grid_index(t) > self._grid_index(self.rows[-1].t)
 
+    def row(self, config: SolverConfig, t: float, values: np.ndarray) -> DiagnosticRow:
+        """The row of the field `values` at t, counted as computed in `stats.rows`."""
+        self.stats.rows += 1
+        return _row(config, t, values, self.full)
+
     def offer(self, config: SolverConfig, t: float, values: np.ndarray):
         """Offer the field `values` at t, no earlier than every earlier offer."""
         values.flags.writeable = False  # kept or not: no field on a trajectory changes
         if self.keeps(t):
-            self.rows.append(_row(config, t, values, self.full))
+            self.rows.append(self.row(config, t, values))
 
 
 @dataclass
@@ -269,7 +277,6 @@ class SolverState:
     sup: float                           # sup|u|, the boundary-shell mass fraction and
     shell: float                         # |u|^b, all from the one |u| pass per field;
     abs_b: np.ndarray                    # every path from u reads this read-only |u|^b
-    step_count: int = 0
 
 
 def _sample_diagnostics(state: SolverState, power: np.ndarray):
@@ -307,7 +314,7 @@ def _modulus(config: SolverConfig, u: np.ndarray):
 
 
 def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
-            absu: np.ndarray, sup: float, step_count: int) -> SolverState:
+            absu: np.ndarray, sup: float) -> SolverState:
     """The state at t carrying the field u on the trajectory of `log`.
 
     Every field on a trajectory comes through here, the datum and each accepted
@@ -317,7 +324,7 @@ def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
     |u|^b that every path from u reads, taken in place in `absu`: a caller
     that keeps `absu` keeps only the state's own |u|^b.  Then u is offered
     (see :meth:`DiagnosticsLog.offer`), and the state is sampled every
-    `record_every` steps.
+    `record_every` accepted trials, as the log's `stats.accepted` counts them.
     """
     power = np.square(absu)
     if config.params.b != 1.0:  # numpy spends a pass on the exponent 1
@@ -325,10 +332,9 @@ def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
     absu.flags.writeable = False
     u_field = ComplexField(config.grid, Space.PHYSICAL, u)
     state = SolverState(t=t, u=u_field, config=config, diagnostics=log, sup=sup,
-                        shell=boundary_shell_fraction(u_field, power=power), abs_b=absu,
-                        step_count=step_count)
+                        shell=boundary_shell_fraction(u_field, power=power), abs_b=absu)
     log.offer(config, t, u_field.values)
-    if step_count % config.record_every == 0:
+    if log.stats.accepted % config.record_every == 0:
         _sample_diagnostics(state, power)
     return state
 
@@ -379,7 +385,7 @@ def init(config: SolverConfig, phi: ComplexField, diagnostics: bool = False) -> 
     if modulus is None:
         raise ValueError(f"sup-norm cap 1e3/eps = {config.threshold!r} must exceed the "
                          f"initial sup|eps*phi| = {float(np.max(np.abs(u0)))!r}")
-    return _accept(config, log, 0.0, u0, *modulus, 0)
+    return _accept(config, log, 0.0, u0, *modulus)
 
 
 def _strang(u: np.ndarray, tau: float, m: np.ndarray, params: NonlinearityParams,
@@ -522,7 +528,8 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     step, contamination and t_max) returns :func:`make_record` of its last
     state with the status, and for a blow-up t_blow and its criterion, so
     every record ends on a sample of the state the run stopped on.  The log
-    keeps every row the run computed, past T/2 too.
+    keeps every row the run computed, past T/2 too, and its `stats` counts
+    each trial by its fate and the rows that each refused trial computed.
 
     A run holds one state (its field and |u|^b, 1.5 fields) and one trial
     (3.5 fields: see :func:`_doubling_trial`), 5 fields at its peak.  A
@@ -535,6 +542,7 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     """
     cfg = state.config
     log = state.diagnostics
+    stats = log.stats
     tol = _STEP_TOLERANCE
     h = _FIRST_STEP
     while True:
@@ -556,19 +564,22 @@ def run_to_blowup(state: SolverState) -> RunRecord:
                                f"cannot meet the step tolerance {tol!r}, or keep meeting "
                                f"a pointwise singularity")
         t_mid = t + 0.5 * dt
-        mid_row = partial(_row, cfg, t_mid, full=log.full) if log.keeps(t_mid) else None
+        mid_row = partial(log.row, cfg, t_mid) if log.keeps(t_mid) else None
+        computed = stats.rows
         try:
             u, row, err = _doubling_trial(state.u.values, state.abs_b, dt, cfg, mid_row)
         except PointwiseBlowUp:
-            err = math.inf
+            u, err = None, math.inf
         proposal, h = h, dt * _resize(err, tol)
         if not err <= tol:
+            stats.refuse("rejected" if u is not None else "singular", stats.rows - computed)
             u = None  # the rejected trial's field goes before the retry makes its own
             continue
         modulus = _modulus(cfg, u)
         if modulus is None:  # the field reaches the sup-norm cap: the state stays for
             # the halving retry or the record
             u = None
+            stats.refuse("capped", stats.rows - computed)
             if dt > _BRACKET * max(t, dt):
                 h = 0.5 * dt
                 continue
@@ -576,11 +587,11 @@ def run_to_blowup(state: SolverState) -> RunRecord:
         t_new = t + dt
         if lands:  # the cut does not shrink the next proposal
             t_new, h = log.dense_from, max(h, proposal)
-        step_count = state.step_count + 1
         state = None  # nothing reads the old state past the cap check
         if row is not None:
             log.rows.append(row)
-        state = _accept(cfg, log, t_new, u, *modulus, step_count)
+        stats.accept(dt)
+        state = _accept(cfg, log, t_new, u, *modulus)
         if state.shell > _SHELL_TOLERANCE:
             return make_record(state, RunStatus.BOUNDARY_CONTAMINATED)
 

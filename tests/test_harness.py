@@ -468,6 +468,17 @@ class TestCli:
         assert simulated == (tmp_path / "sweep" / "run_eps0.4.json").read_bytes()
         assert json.loads(simulated)["bound_value"] == pytest.approx(0.5, rel=1e-12)
 
+    def test_simulate_prints_what_the_run_did_and_persists_none_of_it(self, tmp_path, capsys):
+        # one line of the run's counts, as the library's run has them; no file has them
+        cfg = ExperimentConfig.from_dict(small_config_dict())
+        (rec,), _, _ = sweep([0.4], cfg.solver_config(), cfg.initial_data)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(small_config_dict()))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("trials: ")] == [str(rec.diagnostics.stats)]
+        assert "accepted" not in (tmp_path / "out" / "run_eps0.4.json").read_text()
+
     # s = 0.4 < d/2 puts gamma = (2s - d)/8 below 0: the runs are defined, the
     # scaled remainder's window is not
     OUTSIDE = {"d": 1, "n": 512, "L": 40.0, "s": 0.4, "eps_ladder": [0.4]}

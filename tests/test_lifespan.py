@@ -40,7 +40,7 @@ from nlslab.lifespan import (
 from nlslab.profile_ode import OdeParams
 from nlslab.propagators import g_p
 from nlslab.solver import DiagnosticRow, DiagnosticsLog, SolverConfig, init, run_to_blowup
-from stepping import fixed_step, noting_offers
+from stepping import assert_log_matches_its_counts, fixed_step, noting_offers
 
 GAUSS_SPEC = {"kind": "gaussian", "width": 1.0}
 
@@ -215,88 +215,10 @@ class TestProfileExtraction:
             remainder(gaussian(g), 0.0, params)
 
 
-def spying_on_rows(mp, offered=None):
-    """Note the rows computed in the runs started under the monkeypatch `mp`:
-    returns (calls, trials), and notes each offered t in `offered`.
-
-    calls holds each remainder_sup call as (t, sup|R|, source): source is
-    "offer" for a call in the offer of its own field at t, the trial's number
-    for one inside a doubling trial (its midpoint's row), and None otherwise.
-    trials holds a dict per trial: the row it returned ("row"; None without
-    one, and when it raised), and why the run loop must refuse it ("why":
-    "blown", "rejected", "capped", or None when it must accept it)."""
-    if offered is not None:
-        noting_offers(mp, lambda log, t: offered.append(t))
-    offer, trial, transform = solver.DiagnosticsLog.offer, solver._doubling_trial, solver.remainder_sup
-    calls, trials, open_offers, open_trials = [], [], [], []
-
-    def noting(log, config, t, values):
-        open_offers.append(t)
-        try:
-            offer(log, config, t, values)
-        finally:
-            open_offers.pop()
-
-    def trying(u, abs_b, dt, config, mid_row=None):
-        tried = dict(row=None, why="blown")
-        trials.append(tried)
-        open_trials.append(len(trials) - 1)
-        try:
-            out = trial(u, abs_b, dt, config, mid_row)
-        finally:
-            open_trials.pop()
-        field, tried["row"], err = out
-        if not err <= solver._STEP_TOLERANCE:
-            tried["why"] = "rejected"
-        elif solver._modulus(config, field) is None:
-            tried["why"] = "capped"
-        else:
-            tried["why"] = None
-        return out
-
-    def spy(u, t, params, **kwargs):
-        value = transform(u, t, params, **kwargs)
-        source = None
-        if open_offers == [t]:
-            source = "offer"
-        elif len(open_trials) == 1 and not open_offers:
-            source = open_trials[0]
-        calls.append((t, value, source))
-        return value
-
-    mp.setattr(solver.DiagnosticsLog, "offer", noting)
-    mp.setattr(solver, "_doubling_trial", trying)
-    mp.setattr(solver, "remainder_sup", spy)
-    return calls, trials
-
-
-def assert_rows_are_kept_unless_refused(rows, calls, trials):
-    """The run's rows are every row it computed but a refused trial's midpoint's:
-    each remainder_sup call came from its own field's offer or from a trial,
-    which computed at most one row, the one it returned; the rows are the
-    calls, in order, less those of refused trials; each trial the run loop
-    accepted has its row kept once, and no refused trial's is kept."""
-    assert all(source is not None for _, _, source in calls)
-    in_trials = [source for _, _, source in calls if source != "offer"]
-    assert len(in_trials) == len(set(in_trials))
-    for t, value, source in calls:
-        if source != "offer" and trials[source]["why"] != "blown":
-            row = trials[source]["row"]
-            assert (row.t, row.remainder_sup) == (t, value)
-    assert [(row.t, row.remainder_sup) for row in rows] == [
-        (t, value) for t, value, source in calls
-        if source == "offer" or trials[source]["why"] is None]
-    for tried in trials:
-        if tried["row"] is not None:
-            kept = sum(row is tried["row"] for row in rows)
-            assert kept == (tried["why"] is None)
-
-
 @pytest.fixture(scope="module")
 def default_rungs():
-    """(config, record, offered, calls, trials) of the default experiment
-    config's runs at eps = 0.2 and 0.15: the times of every field offered to the
-    run's log, and what :func:`spying_on_rows` notes of the run."""
+    """(config, record, offered) of the default experiment config's runs at eps = 0.2
+    and 0.15, with the times of every field offered to the run's log."""
     base = ExperimentConfig()
     out = {}
     for eps in (0.2, 0.15):
@@ -304,8 +226,8 @@ def default_rungs():
         phi = build_initial_data(cfg.grid, base.initial_data)
         offered = []
         with pytest.MonkeyPatch.context() as mp:
-            spied = spying_on_rows(mp, offered)
-            out[eps] = cfg, run_to_blowup(init(cfg, phi)), offered, *spied
+            noting_offers(mp, lambda log, t: offered.append(t))
+            out[eps] = cfg, run_to_blowup(init(cfg, phi)), offered
     return out
 
 
@@ -324,15 +246,20 @@ class TestRemainderWindow:
         # field is offered, or in its trial for a midpoint, and keeps all of them but
         # those of the trials it refuses, past T/2 too; the scaled maximum reads
         # those in [t_star, T/2] and transforms nothing
-        cfg, rec, offered, calls, trials = default_rungs[eps]
+        cfg, rec, offered = default_rungs[eps]
         t_star = t_star_time(eps, cfg.params.theta, cfg.params.d)
         half = rec.T_eps / 2.0
         times = np.array(offered)
         assert np.any(times < t_star) and np.any(times > half)
-        assert all(t_star <= t for t, _, _ in calls)
-        rows = rec.diagnostics.rows
-        assert_rows_are_kept_unless_refused(rows, calls, trials)
-        assert any(tried["why"] is None and tried["row"] for tried in trials)
+        log = rec.diagnostics
+        rows, stats = log.rows, log.stats
+        assert_log_matches_its_counts(log, cfg.record_every)
+        assert stats.rows_refused == 0
+        # no trial is refused, so the offers are the datum and then each accepted
+        # trial's midpoint and field, and a midpoint's row is among the rows
+        assert stats.rejected == stats.singular == stats.capped == 0
+        assert stats.accepted == len(offered) // 2 and any(row.t in offered[1::2] for row in rows)
+        assert rows[0].t == t_star  # every run lands on t_star
         assert all(row.t in offered for row in rows) and any(row.t > half for row in rows)
         assert len([row for row in rows if row.t <= half]) == inside
         seen = []
@@ -344,7 +271,7 @@ class TestRemainderWindow:
 
     @pytest.mark.parametrize("eps", [0.2, 0.15])
     def test_scaled_maximum_equals_the_masked_full_series(self, default_rungs, eps):
-        cfg, rec, *_ = default_rungs[eps]
+        cfg, rec, _ = default_rungs[eps]
         params = cfg.params
         t_star = t_star_time(eps, params.theta, params.d)
         times, sups = remainder_series(rec.diagnostics, t_min=t_star)
@@ -373,7 +300,7 @@ class TestRemainderWindow:
         assert max_remainder_scaled(diag, cfg, T) is None
 
 
-    def test_contaminated_run_has_rows_but_no_scaled_maximum(self, monkeypatch):
+    def test_contaminated_run_has_rows_but_no_scaled_maximum(self):
         # damped on a box too small for t_max = 100: the run computes the rows of
         # the fields it keeps from t_star = 1/0.3 on until the shell monitor aborts
         # it at t, and keeps them all, but an aborted run has no T to read them
@@ -381,52 +308,55 @@ class TestRemainderWindow:
         params = NonlinearityParams(lam=-1j, theta=0.5, d=1)
         cfg = SolverConfig(grid=Grid(1, 1024, 400.0), params=params, eps=0.3, s=1.0,
                            t_max=100.0, record_every=1)
-        calls, trials = spying_on_rows(monkeypatch)
         (rec,), _, _ = sweep([0.3], cfg, GAUSS_SPEC)
         rows, t_abort = rec.diagnostics.rows, rec.diagnostics.samples[-1].t
-        assert_rows_are_kept_unless_refused(rows, calls, trials)
+        assert_log_matches_its_counts(rec.diagnostics, cfg.record_every)
+        assert rec.diagnostics.stats.rows_refused == 0
         assert rec.status == "boundary-contaminated" and rec.T_eps is None
         assert len(rows) > 50 and any(2.0 * row.t > t_abort for row in rows)
         assert rows[-1].t <= t_abort
         assert rec.max_remainder_scaled is None
 
-    def test_full_run_keeps_every_row_it_computes(self, monkeypatch):
+    def test_full_run_keeps_every_row_it_computes(self):
         # a diagnostics=True run of the default eps = 0.2 rung computes a full row
         # for every field it keeps from t = 0 on (sup|R| from t > 0), and keeps all
-        # of them but those of the trials it refuses
-        calls, trials = spying_on_rows(monkeypatch)
+        # of them but those of the trials it refuses; sampled at every accepted
+        # field, it shows a midpoint's row as one at no sample's time
         base = ExperimentConfig()
-        (rec,), _, _ = sweep([0.2], base.solver_config(), base.initial_data, diagnostics=True)
-        rows = rec.diagnostics.rows
+        cfg = replace(base.solver_config(), record_every=1)
+        (rec,), _, _ = sweep([0.2], cfg, base.initial_data, diagnostics=True)
+        log = rec.diagnostics
+        rows = log.rows
         assert rows[0].t == 0.0 and rows[0].remainder_sup is None
-        assert_rows_are_kept_unless_refused(rows[1:], calls, trials)
+        assert_log_matches_its_counts(log, cfg.record_every)
+        assert log.stats.rows_refused == 0
         assert len(rows) > 40 and all(row.r1 is not None for row in rows)
-        assert any(tried["why"] is None and tried["row"] for tried in trials)
+        sampled = {sample.t for sample in log.samples}
+        assert any(row.t not in sampled for row in rows)
 
-    def test_run_ending_before_twice_t_star_has_no_row_in_its_window(self, monkeypatch):
+    def test_run_ending_before_twice_t_star_has_no_row_in_its_window(self):
         # the default eps = 0.4 rung: t_star = 2.5 > T/2 = 1.88, so the rows of the
         # fields it keeps from t_star on all lie past T/2, and the scaled maximum
         # reads none of them
-        calls, trials = spying_on_rows(monkeypatch)
         base = ExperimentConfig()
         (rec,), _, _ = sweep([0.4], base.solver_config(), base.initial_data)
-        rows = rec.diagnostics.rows
-        assert rec.status == "blown-up" and rec.T_eps / 2.0 < 2.5 and len(calls) > 5
-        assert all(2.5 <= t <= rec.T_eps for t, _, _ in calls)
-        assert_rows_are_kept_unless_refused(rows, calls, trials)
-        assert len(rows) > 5 and rec.max_remainder_scaled is None
+        log = rec.diagnostics
+        rows = log.rows
+        assert rec.status == "blown-up" and rec.T_eps / 2.0 < 2.5 and log.dense_from == 2.5
+        assert_log_matches_its_counts(log, base.record_every)
+        assert len(rows) > 5 and log.stats.rows_refused == 0
+        assert rows[-1].t <= rec.T_eps and rec.max_remainder_scaled is None
 
     @pytest.mark.parametrize("theta, s", [(1.0, 1.0), (0.5, 0.4)], ids=["theta-1", "gamma-outside"])
-    def test_run_without_a_window_computes_no_row(self, monkeypatch, theta, s):
+    def test_run_without_a_window_computes_no_row(self, theta, s):
         # theta = 1, or gamma = (2s-d)/8 <= 0, leaves the remainder criterion
         # undefined, so nothing reads a row
-        offered = []
-        calls, _ = spying_on_rows(monkeypatch, offered)
         params = NonlinearityParams(lam=1j, theta=theta, d=1)
         cfg = SolverConfig(grid=Grid(1, 256, 25.0), params=params, eps=0.6, s=s,
                            t_max=30.0, record_every=8)
         (rec,), _, _ = sweep([0.6], cfg, GAUSS_SPEC)
-        assert len(offered) > 20 and calls == []
+        stats = rec.diagnostics.stats
+        assert stats.accepted > 10 and stats.rows == 0
         assert rec.diagnostics.rows == [] and rec.max_remainder_scaled is None
 
 

@@ -1,4 +1,5 @@
-"""Run fingerprints: pinned digests, the interpreter's own SHA-256, one fingerprint per experiment."""
+"""Run fingerprints (pinned digests, the interpreter's own SHA-256, one fingerprint per
+experiment) and a run's counts."""
 
 import hashlib
 import json
@@ -11,7 +12,7 @@ from nlslab import records
 from nlslab.cli import main
 from nlslab.harness import ExperimentConfig
 from nlslab.propagators import NonlinearityParams
-from nlslab.records import canonical_fingerprint
+from nlslab.records import RunStats, canonical_fingerprint
 from nlslab.solver import SolverConfig
 from nlslab.spectral import Grid
 
@@ -136,3 +137,17 @@ class TestOneFingerprintPerLibraryExperiment:
         assert [type(v) for v in (cfg.grid.d, cfg.grid.n, cfg.params.d, cfg.record_every)] \
             == [int] * 4
         assert cfg.fingerprint() == "9ff5044c4c354f10"
+
+
+class TestRunStats:
+    def test_a_run_is_counted_and_printed_in_one_line(self):
+        stats = RunStats(rows=7)
+        assert (stats.dt_min, stats.dt_max) == (float("inf"), 0.0)
+        for dt in (0.0045678, 0.16666, 0.125):
+            stats.accept(dt)
+        for outcome, rows in (("rejected", 1), ("singular", 1), ("capped", 0), ("capped", 1)):
+            stats.refuse(outcome, rows)
+        assert (stats.accepted, stats.rejected, stats.singular, stats.capped) == (3, 1, 1, 2)
+        assert (stats.rows_refused, stats.dt_min, stats.dt_max) == (3, 0.0045678, 0.16666)
+        assert str(stats) == ("trials: 3 accepted, 1 rejected, 1 singular, 2 capped; "
+                              "rows: 7 computed, 3 refused; dt in [0.00457, 0.167]")

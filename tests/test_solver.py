@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -40,7 +41,7 @@ from nlslab.solver import (
     mass_balance_residuals,
     run_to_blowup,
 )
-from stepping import fixed_step, noting_offers, strang_step
+from stepping import assert_log_matches_its_counts, fixed_step, noting_offers, strang_step
 
 AMPLIFYING = NonlinearityParams(lam=1j, theta=0.5, d=1)
 CONSERVATIVE = NonlinearityParams(lam=1.0 + 0j, theta=0.5, d=1)
@@ -74,6 +75,15 @@ def unfused_trial(u, dt, config):
     full = strang_step(u, dt, config)
     err = np.linalg.norm(full - two) / (3.0 * np.linalg.norm(two))
     return two - (full - two) / 3.0, mid, err, two
+
+
+def fresh_env(**extra):
+    """The environment, with `extra` set, of a fresh interpreter that imports this
+    checkout's nlslab and these tests' modules."""
+    env = dict(os.environ, **extra)
+    paths = (Path(solver.__file__).resolve().parents[1], Path(__file__).resolve().parent)
+    env["PYTHONPATH"] = os.pathsep.join([*map(str, paths), *filter(None, [env.get("PYTHONPATH")])])
+    return env
 
 
 def assert_trial_matches_unfused(u, dt, config, trial):
@@ -206,7 +216,7 @@ class TestStep:
         for _ in range(60):
             assert state.shell == boundary_shell_fraction(state.u)
             assert state.sup == sup_modulus(state.u)
-            if state.step_count % cfg.record_every == 0:
+            if state.diagnostics.stats.accepted % cfg.record_every == 0:
                 sample = samples[-1]
                 assert sample.t == state.t
                 assert sample.shell_fraction == state.shell
@@ -303,7 +313,8 @@ class TestStep:
             modulus = solver._modulus(cfg, u)
             if modulus is None:
                 break
-            state = solver._accept(cfg, log, state.t + 0.05, u, *modulus, state.step_count + 1)
+            log.stats.accept(0.05)
+            state = solver._accept(cfg, log, state.t + 0.05, u, *modulus)
         assert modulus is None
         assert len(log.samples) == n_samples and len(log.rows) == n_rows
         # the run loop brackets the same crossing and records it as a threshold blow-up
@@ -314,12 +325,13 @@ class TestStep:
 
 class TestRunToBlowup:
     def test_reference_blowup_time(self):
-        # frozen from two independent grids (n=1024/L=40 and n=2048/L=80),
-        # which agree on T to 2e-8 relative
+        # the converged lifespan of this datum is 3.7544805 (the blow-up bracketed
+        # within 1e-6 of t, no sup-norm cap); the horizon stop reads 3.754451197
+        # here, 7.8e-6 low, which is the stop's known bias
         cfg = small_config(eps=0.4, grid=Grid(1, 512, 30.0), record_every=8)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         assert rec.status == "blown-up"
-        assert rec.T_eps == pytest.approx(3.754098, abs=5e-3)
+        assert rec.T_eps == pytest.approx(3.7544805, rel=2e-5)
         assert rec.t_blow_pointwise is not None
         assert rec.invariant_quantity == pytest.approx(0.4 * np.sqrt(rec.T_eps), rel=1e-12)
 
@@ -438,27 +450,20 @@ class TestRunToBlowup:
         assert rec.T_eps is None
         assert rec.invariant_quantity is None
 
-    def test_contamination_detected_on_an_unsampled_step(self, monkeypatch):
-        accepted = []
-        original = solver._accept
-
-        def spy(*args, **kwargs):
-            accepted.append(original(*args, **kwargs))
-            return accepted[-1]
-
-        monkeypatch.setattr(solver, "_accept", spy)
+    def test_contamination_detected_on_an_unsampled_step(self):
         cfg = small_config(params=CONSERVATIVE, grid=Grid(1, 64, 6.0),
                            eps=0.3, t_max=40.0, record_every=4)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
-        abort = accepted[-1]
+        log = rec.diagnostics
         assert rec.status == "boundary-contaminated"
-        assert abort.shell > solver._SHELL_TOLERANCE
         # the aborting step was not due a sample; the record samples it, so
-        # its shell mass shows
-        assert abort.step_count % cfg.record_every != 0
-        last = rec.diagnostics.samples[-1]
-        assert last.t == abort.t and last.shell_fraction == abort.shell
-        assert rec.max_shell_fraction > solver._SHELL_TOLERANCE
+        # its shell mass shows, and only there
+        assert log.stats.accepted % cfg.record_every != 0
+        assert_log_matches_its_counts(log, cfg.record_every)
+        *before, last = log.samples
+        assert last.shell_fraction > solver._SHELL_TOLERANCE
+        assert all(sample.shell_fraction <= solver._SHELL_TOLERANCE for sample in before)
+        assert rec.max_shell_fraction == last.shell_fraction
 
     def test_mass_monotone_for_amplifying(self):
         cfg = small_config(eps=0.3, grid=Grid(1, 512, 30.0), record_every=4)
@@ -500,25 +505,18 @@ class TestRunToBlowup:
             res = mass_balance_residuals(rec.diagnostics.samples, mu=1.0)
         assert np.all(np.isfinite(res))
 
-    def test_censored_run_keeps_every_row_it_computes(self, monkeypatch):
+    def test_censored_run_keeps_every_row_it_computes(self):
         # the log computes the row of each field it keeps from t_star on as the field
         # is offered, and the record keeps them all, past T/2 = 100 (T = t_max) too
-        transform, computed = solver.remainder_sup, []
-
-        def spy(u, t, params):
-            computed.append((t, transform(u, t, params)))
-            return computed[-1][1]
-
-        monkeypatch.setattr(solver, "remainder_sup", spy)
         # damped and censored at t_max = 200, t_star = 1: it keeps 117 fields
         cfg = small_config(params=NonlinearityParams(-1j, 0.5, 1), grid=Grid(1, 4096, 1600.0),
                            eps=1.0, t_max=200.0, record_every=1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         log = rec.diagnostics
         assert rec.status == "reached-t-max" and rec.T_eps == 200.0
-        assert len(computed) > 100 and log.dense_from <= computed[0][0]
-        assert any(t > 100.0 for t, _ in computed)
-        assert [(row.t, row.remainder_sup) for row in log.rows] == computed
+        assert_log_matches_its_counts(log, cfg.record_every)
+        assert len(log.rows) > 100 and log.stats.rows_refused == 0
+        assert log.dense_from == 1.0 and any(row.t > 100.0 for row in log.rows)
 
     def test_run_keeps_the_first_offer_at_or_after_each_grid_time(self, monkeypatch):
         # the grid is 16 times per decade of 1 + t from t = 0 and 160 from
@@ -609,13 +607,31 @@ def first_offers(offers, times):
     return kept
 
 
+@pytest.fixture(scope="module")
+def rung_three_ways():
+    """The records of the default config's eps = 0.2 rung as it is, with
+    diagnostics=True and at s = 0.4, where it has no remainder window, each
+    sampled at every accepted field."""
+    base = ExperimentConfig(eps_ladder=[0.2])
+    cfg = dataclasses.replace(base.solver_config(), record_every=1)
+    phi = initial_data.build(cfg.grid, base.initial_data)
+    return {name: run_to_blowup(init(run_cfg, phi, diagnostics=diagnostics))
+            for name, run_cfg, diagnostics in (("default", cfg, False), ("full", cfg, True),
+                                               ("s=0.4", dataclasses.replace(cfg, s=0.4), False))}
+
+
+def amplified_gaussian(cfg, amplitude):
+    return initial_data.build(cfg.grid, {"kind": "gaussian", "width": 1.0,
+                                         "amplitude": amplitude})
+
+
 class TestStepLaw:
     def spy_trials(self, monkeypatch):
-        """Record (dt, R, row, err) of every doubling trial and (field, t, rows) of
-        every field _accept takes after the datum, with the log's rows as _accept
-        finds them."""
-        trials, advanced = [], []
-        trial, accept = solver._doubling_trial, solver._accept
+        """Record (dt, R, row, err) of every doubling trial, each checked against the
+        unfused composition, and (dt, None, None, inf) of one that meets the
+        pointwise singularity."""
+        trials = []
+        trial = solver._doubling_trial
 
         def spy_trial(u, abs_b, dt, config, mid_row=None):
             mids = []
@@ -624,21 +640,19 @@ class TestStepLaw:
                 mids.append(values.copy())
                 return None if mid_row is None else mid_row(values)
 
-            field, row, err = trial(u, abs_b, dt, config, noting)
+            try:
+                field, row, err = trial(u, abs_b, dt, config, noting)
+            except PointwiseBlowUp:
+                trials.append((dt, None, None, math.inf))
+                raise
             # the field is the extrapolation of two Strang steps of dt/2 and one
             # of dt, the midpoint the first of the two, and err the doubling estimate
             assert_trial_matches_unfused(u, dt, config, (field, *mids, err))
             trials.append((dt, field, row, err))
             return field, row, err
 
-        def spy_accept(config, log, t, u, absu, sup, step_count):
-            if step_count:
-                advanced.append((u, t, list(log.rows)))
-            return accept(config, log, t, u, absu, sup, step_count)
-
         monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
-        monkeypatch.setattr(solver, "_accept", spy_accept)
-        return trials, advanced
+        return trials
 
     def test_tolerance_refinement_stays_inside_the_event_bracket(self, monkeypatch):
         # the event bracket has relative half-width 5e-4; a tenfold tighter
@@ -661,40 +675,46 @@ class TestStepLaw:
         converged = run_to_blowup(init(cfg, phi)).T_eps
         assert abs(t_eps - converged) / converged < 2.0e-6
 
-    def test_every_run_of_a_rung_lands_on_t_star_at_the_same_times(self, monkeypatch):
-        # the default eps = 0.2 rung as it is, with diagnostics=True and at s = 0.4,
-        # where it has no remainder window: the landing on t_star = 5.0 depends on
-        # eps, theta and d alone, so the three accept the same times bit for bit
-        _, advanced = self.spy_trials(monkeypatch)
-        base = ExperimentConfig(eps_ladder=[0.2])
-        cfg = base.solver_config()
-        phi = initial_data.build(cfg.grid, base.initial_data)
-        runs = {}
-        for name, run_cfg, diagnostics in (("default", cfg, False), ("full", cfg, True),
-                                           ("s=0.4", dataclasses.replace(cfg, s=0.4), False)):
-            advanced.clear()
-            rec = run_to_blowup(init(run_cfg, phi, diagnostics=diagnostics))
-            runs[name] = rec, [t for _, t, _ in advanced]
-        times = runs["default"][1]
+    def test_every_run_of_a_rung_lands_on_t_star_at_the_same_times(self, rung_three_ways):
+        # the landing on t_star = 5.0 depends on eps, theta and d alone, so the three
+        # runs of the rung accept the same times bit for bit, which their samples
+        # show, one for each accepted field
+        runs = rung_three_ways
+        times = [sample.t for sample in runs["default"].diagnostics.samples]
         assert 5.0 == t_star_time(0.2, 0.5, 1) and 5.0 in times
-        assert all(rec.status == "blown-up" for rec, _ in runs.values())
-        assert runs["full"][1] == times and runs["s=0.4"][1] == times
-        assert len({rec.T_eps for rec, _ in runs.values()}) == 1
+        assert all(rec.status == "blown-up" for rec in runs.values())
+        assert all([sample.t for sample in rec.diagnostics.samples] == times
+                   for rec in runs.values())
+        assert len({rec.T_eps for rec in runs.values()}) == 1
         # the three differ in what they compute at the times they share
-        assert runs["s=0.4"][0].diagnostics.rows == []
-        assert len(runs["full"][0].diagnostics.rows) > len(runs["default"][0].diagnostics.rows) > 0
+        assert runs["s=0.4"].diagnostics.rows == []
+        assert len(runs["full"].diagnostics.rows) > len(runs["default"].diagnostics.rows) > 0
+
+    def test_counts_do_not_depend_on_what_the_log_computes(self, rung_three_ways):
+        # the three runs of the rung take the same trials, with the same fates and
+        # steps; their rows differ as their logs do: none at s = 0.4, a sup|R| row
+        # per field kept from t_star on, and a full row per field kept from t = 0 on
+        stats = {name: rec.diagnostics.stats for name, rec in rung_three_ways.items()}
+        for name, rec in rung_three_ways.items():
+            assert_log_matches_its_counts(rec.diagnostics, 1)
+            assert dataclasses.replace(stats[name], rows=0) == dataclasses.replace(
+                stats["default"], rows=0)
+        default = stats["default"]
+        assert default.accepted > 50 and default.rejected == default.singular == default.capped == 0
+        assert default.rows_refused == 0 and 0 < default.dt_min < default.dt_max
+        assert stats["s=0.4"].rows == 0 < default.rows < stats["full"].rows
 
     def test_a_landing_cut_does_not_shrink_the_next_trial(self, monkeypatch):
         # the default eps = 0.2 rung cuts its trial to land on t_star = 5.0; the next
         # trial is as long as the proposal made before that cut, where the step law
         # alone would have made it dt * 0.9 (tol/err)^(1/3) from the cut step's dt
-        trials, advanced = self.spy_trials(monkeypatch)
+        trials = self.spy_trials(monkeypatch)
         base = ExperimentConfig(eps_ladder=[0.2])
-        cfg = base.solver_config()
+        cfg = dataclasses.replace(base.solver_config(), record_every=1)
         rec = run_to_blowup(init(cfg, initial_data.build(cfg.grid, base.initial_data)))
         tol = solver._STEP_TOLERANCE
-        assert rec.status == "blown-up" and len(advanced) == len(trials)  # none rejected
-        times = [t for _, t, _ in advanced]
+        assert rec.status == "blown-up" and rec.diagnostics.stats.accepted == len(trials)
+        times = [sample.t for sample in rec.diagnostics.samples[1:]]  # one per trial
         k = times.index(5.0)  # trials[k] is the cut trial that lands there
         (dt_before, *_, err_before), (dt_cut, *_, err_cut), (dt_next, *_) = trials[k - 1:k + 2]
         proposal = dt_before * solver._resize(err_before, tol)
@@ -703,50 +723,53 @@ class TestStepLaw:
         assert dt_next == proposal
 
     def test_rejected_trials_retry_smaller_and_accepted_meet_tolerance(self, monkeypatch):
-        trials, advanced = self.spy_trials(monkeypatch)
+        trials = self.spy_trials(monkeypatch)
         # a first step of 0.2 is far too long for the tolerance
         monkeypatch.setattr(solver, "_FIRST_STEP", 0.1 * 2.0)
-        cfg = small_config(eps=0.4, record_every=8)
+        cfg = small_config(eps=0.4, record_every=1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
-        assert rec.status == "blown-up"
+        log = rec.diagnostics
+        stats = log.stats
+        assert rec.status == "blown-up" and stats.singular == stats.capped == 0
         tol = solver._STEP_TOLERANCE
         assert trials[0][0] == pytest.approx(0.2) and trials[0][3] > tol
         rejected = [k for k, (*_, err) in enumerate(trials) if not err <= tol]
-        assert rejected
+        assert rejected and stats.rejected == len(rejected)
         for k in rejected:
             assert trials[k + 1][0] < trials[k][0]
-        # every accepted field is the extrapolated field of a trial within
-        # tolerance, and the loop has just kept that trial's midpoint row (where the
-        # trial computed one) and no other: the rows are those before the trial,
-        # from the offer of the field it started from, and the midpoint's
-        by_field = {id(got): (dt, row, err) for dt, got, row, err in trials}
-        accepted = [(by_field[id(u)], t, rows) for u, t, rows in advanced if id(u) in by_field]
-        assert len(accepted) == len(advanced) == len(trials) - len(rejected)
-        t_base, kept, mids = 0.0, [], 0
-        for (dt_trial, row_trial, err), t, rows in accepted:
-            assert err <= tol and t == t_base + dt_trial
-            if row_trial is not None:
-                assert row_trial.t == t_base + 0.5 * dt_trial and rows[-1] is row_trial
-                rows, mids = rows[:-1], mids + 1
-            assert rows[:len(kept)] == kept and len(rows) - len(kept) <= 1
-            assert all(row.t == t_base for row in rows[len(kept):])
-            kept = rows + [row_trial] * (row_trial is not None)
-            t_base = t
-        assert mids > 5 and kept == rec.diagnostics.rows[:len(kept)]
+        # every accepted field is the extrapolated field of a trial within tolerance,
+        # sampled as it is accepted (its time and sup|u|), and the trial's midpoint
+        # row, where it computed one, is kept at its midpoint; a rejected trial's
+        # row is counted as refused, and kept nowhere
+        accepted = [trial for trial in trials if trial[3] <= tol]
+        assert stats.accepted == len(accepted) == len(log.samples) - 1
+        assert_log_matches_its_counts(log, cfg.record_every)
+        t_base, mids = 0.0, 0
+        for (dt, field, row, _), sample in zip(accepted, log.samples[1:]):
+            assert sample.t == t_base + dt and sample.report.l_inf == np.max(np.abs(field))
+            if row is not None:
+                assert row.t == t_base + 0.5 * dt
+                assert sum(kept is row for kept in log.rows) == 1
+                mids += 1
+            t_base = sample.t
+        thrown = [row for _, _, row, err in trials if row is not None and not err <= tol]
+        assert mids > 5 and stats.rows_refused == len(thrown)
+        assert not any(kept is row for kept in log.rows for row in thrown)
 
-    def spy_paths(self, monkeypatch, blown_calls):
-        """Record the substep of every Strang step; the calls numbered in `blown_calls` raise."""
-        paths = []
-        strang = solver._strang
-
-        def spy(u, tau, *args):
-            paths.append(tau)
-            if len(paths) in blown_calls:
-                raise PointwiseBlowUp(0.5 * tau)
-            return strang(u, tau, *args)
-
-        monkeypatch.setattr(solver, "_strang", spy)
-        return paths
+    def test_singularity_that_does_not_recur_is_stepped_past(self, monkeypatch):
+        # steps of up to 10 horizons from a first proposal of 10: from twice the
+        # datum, sup|u| = 0.8 with horizon 1.25, the first trial is cut to land on
+        # t_star = 2.5 and meets the pointwise singularity.  It is refused as if its
+        # err were inf, the retry takes a fifth of its step, and the run blows up
+        trials = self.spy_trials(monkeypatch)
+        monkeypatch.setattr(solver, "_HORIZON_FRACTION", 10.0)
+        monkeypatch.setattr(solver, "_FIRST_STEP", 10.0)
+        cfg = small_config(eps=0.4, record_every=1)
+        rec = run_to_blowup(init(cfg, amplified_gaussian(cfg, 2.0)))
+        assert rec.status == "blown-up" and rec.diagnostics.stats.singular == 1
+        assert trials[0][0] == 2.5 and trials[0][3] == math.inf
+        assert trials[1][0] == 2.5 * 0.2
+        assert_log_matches_its_counts(rec.diagnostics, cfg.record_every)
 
     @staticmethod
     def trial_paths(dt):
@@ -754,65 +777,53 @@ class TestStepLaw:
         full step."""
         return [dt / 4, dt / 4, dt / 2]
 
-    @pytest.mark.parametrize("blown_call", [1, 2, 3], ids=["first half", "second half", "full"])
-    def test_singularity_that_does_not_recur_is_stepped_past(self, monkeypatch, blown_call):
-        # one path of the first trial meets the singularity: the trial is
-        # rejected as if its err were inf, the paths after that one are not
-        # taken, and the retry at a fifth of the step meets none, so the run
-        # goes on to t_max
-        paths = self.spy_paths(monkeypatch, blown_calls={blown_call})
-        cfg = small_config(eps=0.4, t_max=0.1)
-        rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
-        dt0 = solver._FIRST_STEP
-        assert paths[:blown_call] == self.trial_paths(dt0)[:blown_call]
-        assert paths[blown_call:blown_call + 3] == self.trial_paths(dt0 * 0.2)
-        assert rec.status == "reached-t-max"
-
     @pytest.mark.parametrize("blown_path", ["full", "first half", "second half"])
     def test_recurring_singularity_fails_loudly(self, monkeypatch, blown_path):
         # every trial that would cross t_event meets the singularity in one
-        # path; each is rejected, so the accepted steps close in on t_event
-        # until the step vanishes, and the run raises rather than report a
-        # blow-up time
+        # path, and the paths after it are not taken; each is rejected, so the
+        # accepted steps, each sampled, close in on t_event until the step
+        # vanishes, and the run raises rather than report a blow-up time
         t_event = 0.0123
-        clock, dts, calls = [0.0], [], []
-        trial, strang, accept = solver._doubling_trial, solver._strang, solver._accept
+        paths = ("first half", "second half", "full")
+        dts, calls = [], []
+        trial, strang = solver._doubling_trial, solver._strang
+        cfg = small_config(eps=0.4, t_max=0.1, record_every=1)
+        state = init(cfg, gaussian(cfg.grid))
+        log = state.diagnostics
 
         def spy_trial(u, abs_b, dt, config, mid_row=None):
             dts.append(dt)
             calls.clear()
-            return trial(u, abs_b, dt, config, mid_row)
+            try:
+                return trial(u, abs_b, dt, config, mid_row)
+            except PointwiseBlowUp:
+                assert len(calls) == paths.index(blown_path) + 1
+                raise
 
         def spy_strang(u, tau, *args):
             calls.append(tau)
-            path = ("first half", "second half", "full")[len(calls) - 1]
-            if path == blown_path and clock[0] + dts[-1] > t_event:
+            if paths[len(calls) - 1] == blown_path and log.samples[-1].t + dts[-1] > t_event:
                 raise PointwiseBlowUp(0.5 * tau)
             return strang(u, tau, *args)
 
-        def spy_accept(*args):
-            new = accept(*args)
-            clock[0] = new.t
-            return new
-
         monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
         monkeypatch.setattr(solver, "_strang", spy_strang)
-        monkeypatch.setattr(solver, "_accept", spy_accept)
-        cfg = small_config(eps=0.4, t_max=0.1)
         with pytest.raises(RuntimeError, match="step tolerance.*pointwise singularity"):
-            run_to_blowup(init(cfg, gaussian(cfg.grid)))
-        assert clock[0] <= t_event < clock[0] + dts[-1]
-        assert t_event - clock[0] <= 1e-15 * t_event
+            run_to_blowup(state)
+        clock = log.samples[-1].t
+        assert clock <= t_event < clock + dts[-1]
+        assert t_event - clock <= 1e-15 * t_event
+        assert log.stats.singular > 10 and log.stats.accepted == len(log.samples) - 1
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("bad_call", [1, 2, 3], ids=["first half", "second half", "full"])
     def test_non_finite_trial_field_is_never_accepted(self, monkeypatch, value, bad_call):
         # one path of the first trial leaves a NaN or inf in its field: the
         # trial's err is not finite (or the next path meets the singularity),
-        # so it is rejected and retried at a fifth of its step, and every
-        # field the run accepts is finite
-        paths, accepted = [], []
-        strang, accept = solver._strang, solver._accept
+        # so it is refused and retried at a fifth of its step, and every field
+        # the run accepts, each sampled, is finite
+        paths = []
+        strang = solver._strang
 
         def spy_strang(u, tau, *args):
             paths.append(tau)
@@ -821,59 +832,58 @@ class TestStepLaw:
                 w[len(w) // 2] = value
             return w
 
-        def spy_accept(config, log, t, u, *args):
-            accepted.append(u)
-            return accept(config, log, t, u, *args)
-
         monkeypatch.setattr(solver, "_strang", spy_strang)
-        monkeypatch.setattr(solver, "_accept", spy_accept)
-        cfg = small_config(eps=0.4, t_max=0.1)
+        cfg = small_config(eps=0.4, t_max=0.1, record_every=1)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))  # and warns of no invalid value
         assert rec.status == "reached-t-max"
         dt0 = solver._FIRST_STEP
         retry = paths.index(self.trial_paths(dt0 * 0.2)[0])
         assert paths[:retry] == self.trial_paths(dt0)[:retry]
         assert paths[retry:retry + 3] == self.trial_paths(dt0 * 0.2)
-        assert len(accepted) > 1 and all(np.isfinite(u).all() for u in accepted)
+        log = rec.diagnostics
+        assert log.stats.rejected + log.stats.singular == 1
+        assert_log_matches_its_counts(log, cfg.record_every)
+        # a sample's mass is finite only where its whole field is
+        assert len(log.samples) > 2 and all(math.isfinite(sample.mass) for sample in log.samples)
 
     def test_capped_trial_keeps_its_state_for_the_halving_retry(self, monkeypatch):
         # sup|u| starts at 0.4 below the cap 0.4/eps = 1: every trial within
         # tolerance whose field reaches the cap is refused, and the retry at half
         # its step starts from the same state, its field and |u|^b unchanged, with
-        # nothing offered or sampled in between; the last refused trial, as narrow
+        # nothing sampled or kept in between; the last refused trial, as narrow
         # as the bracket, ends the run on that state
         monkeypatch.setattr(solver, "_SUP_CAP", 0.4)
-        cfg = small_config(eps=0.4)
+        cfg = small_config(eps=0.4, record_every=1)
         state = init(cfg, gaussian(cfg.grid))
         log = state.diagnostics
-        offers, trial, trials = [], solver._doubling_trial, []
+        trial, trials = solver._doubling_trial, []
 
         def spy_trial(u, abs_b, dt, config, mid_row=None):
-            out = trial(u, abs_b, dt, config, mid_row)
-            trials.append(dict(
-                fields=(u, abs_b), copies=(u.copy(), abs_b.copy()), dt=dt,
-                recorded=(len(offers), len(log.samples)),
-                capped=out[2] <= solver._STEP_TOLERANCE
-                and not np.max(np.abs(out[0])) < config.threshold))
-            return out
+            trials.append(dict(fields=(u, abs_b), copies=(u.copy(), abs_b.copy()), dt=dt,
+                               recorded=(len(log.samples), len(log.rows))))
+            return trial(u, abs_b, dt, config, mid_row)
 
-        noting_offers(monkeypatch, lambda log, t: offers.append(t))
         monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
         rec = run_to_blowup(state)
-        capped = [k for k, tried in enumerate(trials) if tried["capped"]]
-        assert len(capped) >= 2 and capped[-1] == len(trials) - 1
+        # no trial is rejected, so a trial retried from its own state is capped,
+        # and so is the last
+        assert log.stats.rejected == log.stats.singular == 0
+        capped = [k for k, (tried, retry) in enumerate(zip(trials, trials[1:]))
+                  if retry["fields"][0] is tried["fields"][0]] + [len(trials) - 1]
+        assert log.stats.capped == len(capped) >= 2
         for k in capped:
             tried = trials[k]
             assert all(map(np.array_equal, tried["fields"], tried["copies"]))
         for k in capped[:-1]:
             tried, retry = trials[k], trials[k + 1]
-            assert all(a is b for a, b in zip(retry["fields"], tried["fields"]))
+            assert retry["fields"][1] is tried["fields"][1]
             assert retry["dt"] == 0.5 * tried["dt"]
             assert retry["recorded"] == tried["recorded"]
         last = trials[-1]
         assert rec.status == "blown-up" and rec.t_blow_threshold == rec.T_eps
-        assert len(offers) == last["recorded"][0] and rec.T_eps == offers[-1] + 0.5 * last["dt"]
-        assert rec.diagnostics.samples[-1].t == offers[-1]
+        assert (len(log.samples), len(log.rows)) == last["recorded"]
+        assert rec.T_eps == log.samples[-1].t + 0.5 * last["dt"]
+        assert_log_matches_its_counts(log, cfg.record_every)
 
     @pytest.mark.parametrize("diagnostics", [False, True], ids=["default", "full"])
     def test_kept_midpoint_rows_are_those_of_the_unfused_midpoints(self, monkeypatch,
@@ -882,80 +892,49 @@ class TestStepLaw:
         # step runs over the midpoint field, is the row of the first of two separate
         # Strang steps of dt/2 from the trial's state at t, bit for bit, and is kept
         # at t + dt/2
-        trial, expected, offers = solver._doubling_trial, [], []
+        cfg = small_config(eps=0.3, grid=Grid(1, 256, 25.0), record_every=1)
+        state = init(cfg, gaussian(cfg.grid), diagnostics=diagnostics)
+        log = state.diagnostics
+        trial, expected = solver._doubling_trial, []
 
         def spy_trial(u, abs_b, dt, config, mid_row=None):
             out = trial(u, abs_b, dt, config, mid_row)
             if mid_row is not None:
-                want = mid_row(unfused_trial(u, dt, config)[1])
-                expected.append((out[1], want, offers[-1] + 0.5 * dt))
+                t_mid = log.samples[-1].t + 0.5 * dt
+                mid = unfused_trial(u, dt, config)[1]
+                expected.append((out[1], solver._row(config, t_mid, mid, log.full), t_mid))
             return out
 
         monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
-        noting_offers(monkeypatch, lambda log, t: offers.append(t))
-        cfg = small_config(eps=0.3, grid=Grid(1, 256, 25.0), record_every=1)
-        rec = run_to_blowup(init(cfg, gaussian(cfg.grid), diagnostics=diagnostics))
+        rec = run_to_blowup(state)
         assert rec.status == "blown-up"
         mid_rows = [(row, want, t) for row in rec.diagnostics.rows
                     for got, want, t in expected if row is got]
         assert len(mid_rows) > 10 and all((row.r1 is not None) is diagnostics
                                           for row, _, _ in mid_rows)
         for row, want, t in mid_rows:
-            assert row.t == t and row == want and t in offers
+            assert row.t == t and row == want
 
-    @pytest.mark.parametrize("refusal", ["rejected", "capped", "blown"])
+    @pytest.mark.parametrize("refusal", ["rejected", "capped", "singular"])
     def test_a_refused_trial_keeps_no_row(self, monkeypatch, refusal):
-        # the first trial that computes its midpoint's row at each time of the grid
-        # is refused: its err is over tolerance, its field reaches the sup-norm cap,
-        # or its second half step meets the pointwise singularity after the row.
-        # The retry then sees the log's rows as they were, and the refused trial's
-        # row is in none of them
-        trial, strang, modulus = solver._doubling_trial, solver._strang, solver._modulus
-        cfg = small_config(eps=0.4, t_max=3.0)
-        state = init(cfg, gaussian(cfg.grid), diagnostics=True)
-        log = state.diagnostics
-        seen, refused, computed, current, thrown = [], [], [], {}, []
-
-        def spy_trial(u, abs_b, dt, config, mid_row=None):
-            k = len(seen)
-            seen.append(list(log.rows))
-            refuse = mid_row is not None and k - 1 not in refused
-            current.update(refuse=refuse, paths=0)
-            if refuse:
-                refused.append(k)
-
-            def noting(values):
-                computed.append(k)
-                row = mid_row(values)
-                if refuse:
-                    thrown.append(row)
-                return row
-
-            field, row, err = trial(u, abs_b, dt, config, None if mid_row is None else noting)
-            if refuse and refusal == "rejected":
-                err = math.inf
-            if refuse and refusal == "capped":
-                current["capped"] = field
-            return field, row, err
-
-        def spy_strang(u, tau, *args):
-            current["paths"] += 1
-            if refusal == "blown" and current["refuse"] and current["paths"] == 2:
-                raise PointwiseBlowUp(0.5 * tau)
-            return strang(u, tau, *args)
-
-        def spy_modulus(config, u):
-            return None if u is current.pop("capped", None) else modulus(config, u)
-
-        monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
-        monkeypatch.setattr(solver, "_strang", spy_strang)
-        monkeypatch.setattr(solver, "_modulus", spy_modulus)
-        rec = run_to_blowup(state)
-        assert rec.status == "reached-t-max" and len(rec.diagnostics.rows) > 5
-        assert len(refused) >= 5 and set(refused) <= set(computed) and len(thrown) == len(refused)
-        for k in refused:
-            assert seen[k + 1] == seen[k]
-        assert not any(row is gone for row in rec.diagnostics.rows for gone in thrown)
+        # trials that compute their midpoints' rows in a full log, then are refused.
+        # Steps of up to 10 horizons from a first proposal of 10 cut the first trial
+        # to land on t_star = 2.5: from the datum its err is over tolerance, as is
+        # its retry's; from twice the datum it meets the pointwise singularity after
+        # its midpoint's row.  A cap of 0.4/eps = 1 refuses the trials that reach
+        # it.  Each refused trial's row is counted as refused, and none is kept
+        if refusal == "capped":
+            monkeypatch.setattr(solver, "_SUP_CAP", 0.4)
+        else:
+            monkeypatch.setattr(solver, "_HORIZON_FRACTION", 10.0)
+            monkeypatch.setattr(solver, "_FIRST_STEP", 10.0)
+        cfg = small_config(eps=0.4, t_max=3.0, record_every=1)
+        datum = amplified_gaussian(cfg, 2.0 if refusal == "singular" else 1.0)
+        rec = run_to_blowup(init(cfg, datum, diagnostics=True))
+        log = rec.diagnostics
+        assert getattr(log.stats, refusal) >= 1 and log.stats.rows_refused >= 1
+        assert len(log.rows) > 5
+        assert_log_matches_its_counts(log, cfg.record_every)
 
     def test_unattainable_tolerance_fails_loudly(self, monkeypatch):
         # roundoff alone keeps err above 1e-300, so the step shrinks to nothing
@@ -1050,13 +1029,11 @@ class TestDoublingTrial:
             "print([solver._doubling_trial(u, abs_b, dt, cfg)[2]\n"
             "       for dt in (0.005, 0.01, 0.02, 0.04)])\n"
         )
-        src = Path(solver.__file__).resolve().parents[1]
         errs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                  text=True, check=True)
+            done = subprocess.run([sys.executable, "-c", code],
+                                  env=fresh_env(OPENBLAS_NUM_THREADS=threads),
+                                  capture_output=True, text=True, check=True)
             errs.append(done.stdout)
         assert errs[0] == errs[1]
 
@@ -1112,10 +1089,10 @@ class TestFieldOwnership:
         accept = solver._accept
         times = []
 
-        def spy_accept(config, log, t, u, absu, sup, step_count):
+        def spy_accept(config, log, t, u, absu, sup):
             times.append(t)
             kept.append((u, u.copy()))
-            new = accept(config, log, t, u, absu, sup, step_count)
+            new = accept(config, log, t, u, absu, sup)
             kept.append((new.abs_b, new.abs_b.copy()))
             return new
 
@@ -1153,42 +1130,34 @@ class TestFieldOwnership:
         cfg = ownership_config(1)
         state = init(cfg, gaussian(cfg.grid))
         assert not state.u.values.flags.writeable
-        offered, kinds, open_offers, open_trials = [], [], [], []
+        offered, kinds, read = [], [], []
         trial, offer, row = solver._doubling_trial, solver.DiagnosticsLog.offer, solver._row
 
         def spy_trial(u, abs_b, dt, config, mid_row=None):
-            open_trials.append([])
-            try:
-                out = trial(u, abs_b, dt, config, mid_row)
-            finally:
-                read = open_trials.pop()
+            read.clear()
+            out = trial(u, abs_b, dt, config, mid_row)
             assert len(read) == (mid_row is not None) and all(v is out[0] for v in read)
             return out
 
         def spy_offer(log, config, t, values):
-            open_offers.append((t, values))
-            offer(log, config, t, values)
-            open_offers.pop()
             offered.append(values)
+            offer(log, config, t, values)
 
         def spy_row(config, t, values, full):
             assert not values.flags.writeable
-            if open_offers:
-                assert open_offers == [(t, values)] and not values.flags.writeable
-                kinds.append("end")
-            else:
-                open_trials[-1].append(values)
-                kinds.append("mid")
+            kinds.append("end" if values is offered[-1] else "mid")
+            if kinds[-1] == "mid":
+                read.append(values)
             return row(config, t, values, full)
 
         monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
         monkeypatch.setattr(solver.DiagnosticsLog, "offer", spy_offer)
         monkeypatch.setattr(solver, "_row", spy_row)
         rec = run_to_blowup(state)
-        assert len(kinds) > 20 and len(rec.diagnostics.rows) == len(kinds)
+        assert len(kinds) > 20 and len(kinds) == rec.diagnostics.stats.rows
         assert "mid" in kinds and "end" in kinds
         assert [f.name for f in dataclasses.fields(rec.diagnostics)] == [
-            "samples", "rows", "dense_from", "window", "full"]
+            "samples", "rows", "dense_from", "window", "full", "stats"]
         for values in offered:
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 0.0
@@ -1196,29 +1165,42 @@ class TestFieldOwnership:
                 values *= 2.0
 
 
-# What a run allocates at its peak, traced, in fields of its grid.  At
-# 64**2 one numpy iterator buffer (8192 elements) is a whole field, so this bound
-# counts numpy's buffers as much as the run's arrays, and the peak depends on what
-# ran before it in the process.  The run below peaked at 7.23-7.37 fields as the
-# only test of a pytest process (18 processes), 7.22-7.28 after the rest of this
-# class, 6.97-6.99 after the rest of this file, and 7.07-7.19 in a plain script;
-# the bound leaves 0.33 field above the highest.  Run alone it peaked at 7.63-7.69
-# when each trial kept its midpoint field until its acceptance offered it, so the
-# trial's saving is gated at 256**2 below, where the buffers are a small part of a
-# field.  It peaked at 9.46-9.67 when the loop also kept the previous state through
-# the next accepted field's sample; a log that held each field kept from t_star on
-# until it could tell t <= T/2 peaked at 50.7 there, holding 38 at once.
+# What a run allocates at its peak, traced, in fields of its grid.  Each reading
+# is taken in a fresh interpreter (see :func:`in_fresh_process`).  At 64**2 one
+# numpy iterator buffer (8192 elements) is a whole field, so this bound counts
+# numpy's buffers as much as the run's arrays, and in a shared process the peak
+# depended on what ran before it: 6.97-7.37 fields.  In a fresh interpreter it
+# peaks at 7.08-7.09 (8 processes); the bound leaves 0.6 field above that.  Run
+# alone it peaked at 7.63-7.69 when each trial kept its midpoint field until its
+# acceptance offered it, so the trial's saving is gated at 256**2 below, where the
+# buffers are a small part of a field.  It peaked at 9.46-9.67 when the loop also
+# kept the previous state through the next accepted field's sample; a log that
+# held each field kept from t_star on until it could tell t <= T/2 peaked at 50.7
+# there, holding 38 at once.
 RUN_PEAK_FIELDS = 7.7
 # At 256**2 the buffers are a small part of a field, so the bound is what the run
 # holds: one state (its field and |u|^b, 1.5 fields) and one trial (its two
-# fields, its multiplier and its float scratch, 3.5 fields).  Measured 5.15 fields;
-# a trial that kept its midpoint field as a third field measured 6.14, and keeping
-# the previous state and midpoint field too measured 7.52.
+# fields, its multiplier and its float scratch, 3.5 fields).  Measured 5.14 fields
+# in a fresh interpreter (8 processes); a trial that kept its midpoint field as a
+# third field measured 6.14, and keeping the previous state and midpoint field too
+# measured 7.52.
 STATE_AND_TRIAL_FIELDS = 5.5
 # A cold init builds the grid's (grid, s) weights and masks: measured 6.32 fields
-# above its start at 256**2, 5.00 for a warm one; building each weight through
-# |xi|^2 and two more temporaries measured 6.69.
+# above its start at 256**2 in a fresh interpreter (8 processes), 5.00 for a warm
+# one; building each weight through |xi|^2 and two more temporaries measured 6.69.
 COLD_INIT_FIELDS = 6.5
+
+
+def in_fresh_process(test):
+    """The test method `test`, run in a fresh interpreter, where a traced peak depends
+    on no test that ran before it; it fails with the error that fails there."""
+    def run(self):
+        code = f"import {__name__} as m; m.TestMemory.{test.__name__}.__wrapped__(None)"
+        done = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
+                              text=True)
+        assert done.returncode == 0, done.stderr
+
+    return functools.wraps(test)(run)
 
 
 def traced_run(state):
@@ -1235,6 +1217,7 @@ def traced_run(state):
 
 
 class TestMemory:
+    @in_fresh_process
     def test_run_peak_is_a_few_fields_however_many_rows_it_keeps(self):
         # the blowup-2d rung at 64**2: 49 fields kept from t_star = 1.58 to
         # T = 5.25, each as its row; numpy's buffers are traced, so the peak in
@@ -1245,24 +1228,20 @@ class TestMemory:
         assert rec.status == "blown-up" and len(rec.diagnostics.rows) == 49
         assert peak < RUN_PEAK_FIELDS
 
-    def test_run_holds_one_state_and_one_trial(self, monkeypatch):
+    @in_fresh_process
+    def test_run_holds_one_state_and_one_trial(self):
         # the blowup-2d rung at 256**2 up to t_max = 2.2, past t_star = 1.58: the
-        # run samples every fourth field and keeps the rows of the fields it keeps
-        # from t_star on
-        row, rows = solver._row, []
-
-        def counted(config, t, values, full):
-            rows.append(t)
-            return row(config, t, values, full)
-
-        monkeypatch.setattr(solver, "_row", counted)
+        # run samples every fourth field and keeps every row it computes, those of
+        # the fields it keeps from t_star on
         cfg = SolverConfig(grid=Grid(2, 256, 20.0), params=NonlinearityParams(1j, 0.5, 2),
                            eps=0.4, s=1.2, t_max=2.2, record_every=4)
         rec, peak = traced_run(init(cfg, gaussian(cfg.grid)))
-        assert rec.status == "reached-t-max" and rows and len(rec.diagnostics.samples) > 5
-        assert [row.t for row in rec.diagnostics.rows] == rows
+        log = rec.diagnostics
+        assert rec.status == "reached-t-max" and len(log.samples) > 5
+        assert log.stats.rows == len(log.rows) > 0 and log.stats.rows_refused == 0
         assert peak <= STATE_AND_TRIAL_FIELDS
 
+    @in_fresh_process
     def test_a_trial_computes_its_midpoints_row_beside_its_midpoint_alone(self):
         # a default row at 256**2 takes 2.63 fields of its own (two complex arrays,
         # one float and numpy's transform buffers); in the trial it runs beside the
@@ -1296,12 +1275,9 @@ class TestMemory:
         assert 2.5 * field <= row_alone <= 2.75 * field
         assert peaks[0] - state - row_alone <= 1.05 * field
 
+    @in_fresh_process
     def test_a_cold_init_builds_each_weight_in_one_array(self):
-        # a fresh grid has no masks, and clearing the caches drops its weights
-        from nlslab import spectral
-
-        spectral._xi_weight.cache_clear()
-        spectral._x_weight.cache_clear()
+        # a fresh interpreter has built no grid's weights or masks
         cfg = SolverConfig(grid=Grid(2, 256, 20.0), params=NonlinearityParams(1j, 0.5, 2),
                            eps=0.4, s=1.2)
         phi = gaussian(cfg.grid)
