@@ -179,31 +179,6 @@ class DiagnosticRow:
     r3: float | None = None
 
 
-def _row(config: SolverConfig, t: float, values: np.ndarray, full: bool) -> DiagnosticRow:
-    """The row of the field `values` at t, computed as :meth:`DiagnosticsLog.offer`
-    keeps it: sup|R(t)| by :func:`remainder_sup` where t > 0, and with `full`
-    the ratios r1-r3 too."""
-    params = config.params
-    u = ComplexField(config.grid, Space.PHYSICAL, values)
-    if not full:
-        return DiagnosticRow(t, remainder_sup(u, t, params) if t > 0 else None)
-    # one forward transform of u serves the remainder, the norms and the profile
-    spectrum = dft(values)
-    row = DiagnosticRow(t, remainder_sup(u, t, params, spectrum=spectrum) if t > 0 else None)
-    s, d, p = config.s, params.d, params.p
-    rep = norms(u, t, s, spectrum=spectrum)
-    nu = ComplexField(config.grid, Space.PHYSICAL, params.lam * g_p(values, p))
-    rep_nu = norms(nu, t, s)
-    if rep.sigma_s > 0:
-        row.r1 = (1 + t) ** (d / 2.0) * rep.l_inf / rep.sigma_s
-        row.r3 = (1 + t) ** (d * (p - 1) / 2.0) * rep_nu.sigma_s / rep.sigma_s**p
-    if t >= 1.0 and rep.h_0s > 0:
-        sup_a = sup_modulus(profile(u, t, spectrum=spectrum))
-        row.r2 = ((rep.l_inf - t ** (-d / 2.0) * sup_a) * t ** (d / 2.0 + gamma_exponent(s, d))
-                  / rep.h_0s)
-    return row
-
-
 @dataclass
 class DiagnosticsLog:
     """Diagnostics of one trajectory; every state along it shares this log.
@@ -227,8 +202,8 @@ class DiagnosticsLog:
     An offered field is made read-only, kept or not.  A midpoint is a buffer
     of its trial, which computes the midpoint's row when the log keeps it and
     then writes the second half step over it.  `stats` is what the run did
-    (:class:`~nlslab.records.RunStats`): the run loop counts its trials, and
-    :meth:`row` each row computed.
+    (:class:`~nlslab.records.RunStats`): the run loop counts its refused
+    trials, :func:`_accept` the accepted ones, and :meth:`row` each row computed.
     """
 
     samples: list = field(default_factory=list)
@@ -255,9 +230,29 @@ class DiagnosticsLog:
         return not self.rows or self._grid_index(t) > self._grid_index(self.rows[-1].t)
 
     def row(self, config: SolverConfig, t: float, values: np.ndarray) -> DiagnosticRow:
-        """The row of the field `values` at t, counted as computed in `stats.rows`."""
+        """The row of the field `values` at t, counted in `stats.rows`, as :meth:`offer`
+        keeps it: sup|R(t)| by :func:`remainder_sup` where t > 0, and with `full`
+        the ratios r1-r3 too."""
         self.stats.rows += 1
-        return _row(config, t, values, self.full)
+        params = config.params
+        u = ComplexField(config.grid, Space.PHYSICAL, values)
+        if not self.full:
+            return DiagnosticRow(t, remainder_sup(u, t, params) if t > 0 else None)
+        # one forward transform of u serves the remainder, the norms and the profile
+        spectrum = dft(values)
+        row = DiagnosticRow(t, remainder_sup(u, t, params, spectrum=spectrum) if t > 0 else None)
+        s, d, p = config.s, params.d, params.p
+        rep = norms(u, t, s, spectrum=spectrum)
+        nu = ComplexField(config.grid, Space.PHYSICAL, params.lam * g_p(values, p))
+        rep_nu = norms(nu, t, s)
+        if rep.sigma_s > 0:
+            row.r1 = (1 + t) ** (d / 2.0) * rep.l_inf / rep.sigma_s
+            row.r3 = (1 + t) ** (d * (p - 1) / 2.0) * rep_nu.sigma_s / rep.sigma_s**p
+        if t >= 1.0 and rep.h_0s > 0:
+            sup_a = sup_modulus(profile(u, t, spectrum=spectrum))
+            row.r2 = ((rep.l_inf - t ** (-d / 2.0) * sup_a) * t ** (d / 2.0 + gamma_exponent(s, d))
+                      / rep.h_0s)
+        return row
 
     def offer(self, config: SolverConfig, t: float, values: np.ndarray):
         """Offer the field `values` at t, no earlier than every earlier offer."""
@@ -314,18 +309,21 @@ def _modulus(config: SolverConfig, u: np.ndarray):
 
 
 def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
-            absu: np.ndarray, sup: float) -> SolverState:
+            absu: np.ndarray, sup: float, dt: float | None) -> SolverState:
     """The state at t carrying the field u on the trajectory of `log`.
 
     Every field on a trajectory comes through here, the datum and each accepted
     trial field, with the |u| pass of :func:`_modulus`, `absu` and `sup`, that
-    found it below the sup-norm cap.  That one pass gives sup|u|, the
+    found it below the sup-norm cap, and the trial's step dt, which the log's
+    `stats` counts (None for the datum).  That one pass gives sup|u|, the
     boundary-shell fraction, the |u|^2 the sample reuses and the read-only
     |u|^b that every path from u reads, taken in place in `absu`: a caller
     that keeps `absu` keeps only the state's own |u|^b.  Then u is offered
     (see :meth:`DiagnosticsLog.offer`), and the state is sampled every
     `record_every` accepted trials, as the log's `stats.accepted` counts them.
     """
+    if dt is not None:
+        log.stats.accept(dt)
     power = np.square(absu)
     if config.params.b != 1.0:  # numpy spends a pass on the exponent 1
         absu **= config.params.b
@@ -385,7 +383,7 @@ def init(config: SolverConfig, phi: ComplexField, diagnostics: bool = False) -> 
     if modulus is None:
         raise ValueError(f"sup-norm cap 1e3/eps = {config.threshold!r} must exceed the "
                          f"initial sup|eps*phi| = {float(np.max(np.abs(u0)))!r}")
-    return _accept(config, log, 0.0, u0, *modulus)
+    return _accept(config, log, 0.0, u0, *modulus, None)
 
 
 def _strang(u: np.ndarray, tau: float, m: np.ndarray, params: NonlinearityParams,
@@ -590,8 +588,7 @@ def run_to_blowup(state: SolverState) -> RunRecord:
         state = None  # nothing reads the old state past the cap check
         if row is not None:
             log.rows.append(row)
-        stats.accept(dt)
-        state = _accept(cfg, log, t_new, u, *modulus)
+        state = _accept(cfg, log, t_new, u, *modulus, dt)
         if state.shell > _SHELL_TOLERANCE:
             return make_record(state, RunStatus.BOUNDARY_CONTAMINATED)
 

@@ -24,8 +24,7 @@ def fixed_step(state, dt):
     u = strang_step(state.u.values, dt, cfg, state.abs_b)
     modulus = solver._modulus(cfg, u)
     assert modulus is not None, f"the step of {dt!r} from t={state.t!r} reached the sup-norm cap"
-    log.stats.accept(dt)
-    return solver._accept(cfg, log, state.t + dt, u, *modulus)
+    return solver._accept(cfg, log, state.t + dt, u, *modulus, dt)
 
 
 def noting_offers(mp, note):

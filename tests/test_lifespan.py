@@ -577,14 +577,14 @@ class TestSweep:
         eps = 0.2
         cfg = SolverConfig(grid=g, params=params, eps=eps, s=1.0,
                            t_max=200.0, record_every=4)
-        row, offered = solver._row, {}
+        row, offered = solver.DiagnosticsLog.row, {}
 
-        def noting(config, t, values, full):
+        def noting(log, config, t, values):
             offered[t] = values.copy()
-            return row(config, t, values, full)
+            return row(log, config, t, values)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_row", noting)
+            mp.setattr(solver.DiagnosticsLog, "row", noting)
             records, _, _ = sweep([eps], cfg, GAUSS_SPEC, diagnostics=True)
         rec = records[0]
         ts = t_star_time(eps, 0.5, 1)

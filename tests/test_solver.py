@@ -313,8 +313,7 @@ class TestStep:
             modulus = solver._modulus(cfg, u)
             if modulus is None:
                 break
-            log.stats.accept(0.05)
-            state = solver._accept(cfg, log, state.t + 0.05, u, *modulus)
+            state = solver._accept(cfg, log, state.t + 0.05, u, *modulus, 0.05)
         assert modulus is None
         assert len(log.samples) == n_samples and len(log.rows) == n_rows
         # the run loop brackets the same crossing and records it as a threshold blow-up
@@ -548,9 +547,10 @@ class TestRunToBlowup:
         # random offer sequences, in time order: what is kept is the first offer at
         # or after each time of the grid.  A full log makes each kept offer a row as
         # it comes, with `window` or without; a default log does so for those from
-        # dense_from on with `window`, and for none without.  _row is stubbed: this
-        # is the log's bookkeeping alone
-        monkeypatch.setattr(solver, "_row", StubRow)
+        # dense_from on with `window`, and for none without.  The row is stubbed:
+        # this is the log's bookkeeping alone
+        monkeypatch.setattr(solver.DiagnosticsLog, "row", lambda log, config, t, values:
+                            StubRow(config, t, values, log.full))
         rng = np.random.default_rng(seed)
         for k in range(20):
             dense_from = np.inf if k % 5 == 4 else float(rng.uniform(0.2, 8.0))
@@ -902,7 +902,8 @@ class TestStepLaw:
             if mid_row is not None:
                 t_mid = log.samples[-1].t + 0.5 * dt
                 mid = unfused_trial(u, dt, config)[1]
-                expected.append((out[1], solver._row(config, t_mid, mid, log.full), t_mid))
+                want = solver.DiagnosticsLog(full=log.full).row(config, t_mid, mid)
+                expected.append((out[1], want, t_mid))
             return out
 
         monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
@@ -1089,10 +1090,10 @@ class TestFieldOwnership:
         accept = solver._accept
         times = []
 
-        def spy_accept(config, log, t, u, absu, sup):
+        def spy_accept(config, log, t, u, absu, sup, dt):
             times.append(t)
             kept.append((u, u.copy()))
-            new = accept(config, log, t, u, absu, sup)
+            new = accept(config, log, t, u, absu, sup, dt)
             kept.append((new.abs_b, new.abs_b.copy()))
             return new
 
@@ -1131,7 +1132,8 @@ class TestFieldOwnership:
         state = init(cfg, gaussian(cfg.grid))
         assert not state.u.values.flags.writeable
         offered, kinds, read = [], [], []
-        trial, offer, row = solver._doubling_trial, solver.DiagnosticsLog.offer, solver._row
+        trial, offer = solver._doubling_trial, solver.DiagnosticsLog.offer
+        row = solver.DiagnosticsLog.row
 
         def spy_trial(u, abs_b, dt, config, mid_row=None):
             read.clear()
@@ -1143,16 +1145,16 @@ class TestFieldOwnership:
             offered.append(values)
             offer(log, config, t, values)
 
-        def spy_row(config, t, values, full):
+        def spy_row(log, config, t, values):
             assert not values.flags.writeable
             kinds.append("end" if values is offered[-1] else "mid")
             if kinds[-1] == "mid":
                 read.append(values)
-            return row(config, t, values, full)
+            return row(log, config, t, values)
 
         monkeypatch.setattr(solver, "_doubling_trial", spy_trial)
         monkeypatch.setattr(solver.DiagnosticsLog, "offer", spy_offer)
-        monkeypatch.setattr(solver, "_row", spy_row)
+        monkeypatch.setattr(solver.DiagnosticsLog, "row", spy_row)
         rec = run_to_blowup(state)
         assert len(kinds) > 20 and len(kinds) == rec.diagnostics.stats.rows
         assert "mid" in kinds and "end" in kinds
@@ -1193,11 +1195,12 @@ COLD_INIT_FIELDS = 6.5
 
 def in_fresh_process(test):
     """The test method `test`, run in a fresh interpreter, where a traced peak depends
-    on no test that ran before it; it fails with the error that fails there."""
+    on no test that ran before it; it fails with the error that fails there, a
+    RuntimeWarning too, as pyproject's `filterwarnings` makes it fail under pytest."""
     def run(self):
         code = f"import {__name__} as m; m.TestMemory.{test.__name__}.__wrapped__(None)"
-        done = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
-                              text=True)
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                              env=fresh_env(), capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
 
     return functools.wraps(test)(run)
@@ -1249,13 +1252,13 @@ class TestMemory:
         # releases its multiplier and float scratch (1.5 fields) before the row
         cfg = SolverConfig(grid=Grid(2, 256, 20.0), params=NonlinearityParams(1j, 0.5, 2),
                            eps=0.4, s=1.2)
-        phi = gaussian(cfg.grid)
-        solver._row(cfg, 1.7, phi.values, False)  # the grid's caches and numpy's plans
+        phi, log = gaussian(cfg.grid), solver.DiagnosticsLog()
+        log.row(cfg, 1.7, phi.values)  # the grid's caches and numpy's plans
         peaks = []
 
         def mid_row(values):
             tracemalloc.reset_peak()
-            row = solver._row(cfg, 1.7, values, False)
+            row = log.row(cfg, 1.7, values)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
             return row
 
@@ -1265,7 +1268,7 @@ class TestMemory:
             u = cfg.eps * phi.values
             abs_b = np.abs(u) ** cfg.params.b
             state = tracemalloc.get_traced_memory()[0] - base
-            solver._row(cfg, 1.7, u, False)
+            log.row(cfg, 1.7, u)
             row_alone = tracemalloc.get_traced_memory()[1] - base - state
             _, row, _ = solver._doubling_trial(u, abs_b, 0.01, cfg, mid_row)
         finally:
@@ -1324,15 +1327,15 @@ def two_mode_runs(request):
     base = ExperimentConfig(**over)
     cfg = base.solver_config()
     phi = initial_data.build(cfg.grid, base.initial_data)
-    row, offered = solver._row, {}
+    row, offered = solver.DiagnosticsLog.row, {}
 
-    def noting(config, t, values, full):
+    def noting(log, config, t, values):
         # a midpoint's field is then overwritten in its trial's buffer
         offered[t] = values.copy()
-        return row(config, t, values, full)
+        return row(log, config, t, values)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_row", noting)
+        mp.setattr(solver.DiagnosticsLog, "row", noting)
         full = run_to_blowup(init(cfg, phi, diagnostics=True))
     return cfg, full, offered, run_to_blowup(init(cfg, phi))
 
@@ -1380,7 +1383,7 @@ class TestRows:
             monkeypatch.setattr(module, "dft", spy)
         cfg = SolverConfig(grid=Grid(2, 32, 12.0), params=NonlinearityParams(1j, 0.5, 2),
                            eps=0.4, s=1.2)
-        row = solver._row(cfg, 1.5, cfg.eps * gaussian(cfg.grid).values, full)
+        row = solver.DiagnosticsLog(full=full).row(cfg, 1.5, cfg.eps * gaussian(cfg.grid).values)
         assert row.remainder_sup is not None and (row.r2 is not None) is full
         assert len(calls) == transforms
 
