@@ -10,7 +10,9 @@ wherever the local error allows: a doubling trial takes two steps of dt/2,
 then one of dt, squaring the half step's multiplier in place for the full
 step.  Strang splitting is symmetric, so the Richardson extrapolation of the
 two is a fourth-order field at no extra cost, and the run loop accepts it
-(local extrapolation).
+(local extrapolation).  The tolerance alone sizes the steps, into the
+end-game too: each proposal shrinks with the pointwise blow-up horizon of
+sup|u|, the solution's own time scale there.
 A run ends when its blow-up is bracketed within 1e-3 of the elapsed time, in
 one of two ways.  The pointwise blow-up horizon of sup|u| falls within the
 bracket: the pointwise flow's own singularity then lies at most that far
@@ -77,16 +79,16 @@ from .spectral import (
 # Relative local error of the two-half-step field that the run loop's step
 # doubling accepts per step; the extrapolated field it accepts is more accurate
 # still.  Trials and relative T_eps moves against 1e-6, landing on t_star:
-#   sweep-1d, eps .4/.3/.2/.15   484 -> 355  -7.4e-7/+4.4e-7/+1.4e-7/+1.1e-8
-#   long-1d-dense                136 -> 96   -1.0e-7
-#   blowup-2d, on the cap        111 -> 70   -1.5e-4 (half-bracket 5e-4)
-#   lam = -3+i, eps .4/.15       945 -> 437  -8.2e-8/-1.2e-6 (n = 8192)
-#   theta = 1/4, eps .8/.6, cap  168 -> 109  -9.9e-5/-2.9e-4
-#   lam = 3+i, eps .2            167 -> 108  +4.9e-7
-# No trial was rejected.  The 1-D moves are the stop's jitter: at eps .4 the
-# run lies 5.7e-9 from itself at 1e-10, and 7.4e-7 at 1e-6.
+#   sweep-1d, eps .4/.3/.2/.15   484 -> 236  +8.1e-7/-1.9e-7/+3.7e-7/-2.7e-7
+#   long-1d-dense                124 -> 61   -1.1e-8
+#   blowup-2d, on the cap        115 -> 59   +6.8e-4 (the cap's bracket 1e-3)
+#   lam = -3+i, eps .4/.15       958 -> 451  -6.2e-7/-5.5e-7 (n = 8192)
+#   theta = 1/4, eps .8/.6, cap  180 -> 96   -3.5e-4/+5.4e-5
+#   lam = 3+i, eps .2            171 -> 83   +1.8e-6
+# No trial was rejected, and the end-game's err runs at about 0.72 tol.  The
+# 1-D moves are the horizon stop's jitter, inside its bias: at eps .4 the run
+# lies 1.5e-6 from itself at 1e-10, where the stop reads 7.8e-6 low.
 _STEP_TOLERANCE = 1e-5
-_HORIZON_FRACTION = 0.1  # every step is at most this fraction of the blow-up horizon of sup|u|
 _BRACKET = 1e-3  # a blow-up is bracketed within this fraction of the elapsed time
 _FIRST_STEP = 0.1 * 0.05  # 0.005000000000000001: a literal 0.005 would move every run's bits
 _SUP_CAP = 1e3  # sup|u| >= _SUP_CAP / eps is an event; there is no cap at eps = 0
@@ -105,9 +107,9 @@ class RunStatus(str, Enum):
 @dataclass(frozen=True)
 class SolverConfig:
     """Everything one run depends on that callers vary; the step tolerance, first
-    step, horizon fraction, event bracket, sup-norm cap, shell tolerance and
-    the grid of kept fields are this module's constants.  Any finite s runs; one
-    outside the paper's range sets the record's outside_hypotheses."""
+    step, event bracket, sup-norm cap, shell tolerance and the grid of kept
+    fields are this module's constants.  Any finite s runs; one outside the
+    paper's range sets the record's outside_hypotheses."""
 
     grid: Grid
     params: NonlinearityParams
@@ -484,11 +486,14 @@ def _resize(err: float, tol: float) -> float:
 def run_to_blowup(state: SolverState) -> RunRecord:
     """Advance with the error-controlled step law until blow-up, contamination, or t_max.
 
-    Each proposed step h is cut to dt = min(h, 0.1 * pointwise blow-up
-    horizon of sup|u|, t_max - t), so the nonlinear substep stays well
-    inside its own singularity; the first proposal is 0.005.  Before the
-    log's `dense_from` (t_star, or 1), dt is cut to dense_from - t too: that
-    trial lands at exactly dense_from, and the next proposal is at least h.
+    Each proposed step h is cut to dt = min(h, t_max - t); the first
+    proposal is 0.005.  Before each trial, where the pointwise blow-up
+    horizon H of sup|u| is finite and below the last state's H_prev, h is
+    first scaled by H/H_prev: in the end-game H is the solution's time scale
+    and shrinks by about a fifth per step, faster than a proposal made from
+    the last dt alone can follow without rejected trials.  Before the log's
+    `dense_from` (t_star, or 1), dt is cut to dense_from - t too: that trial
+    lands at exactly dense_from, and the next proposal is at least h.
     dense_from depends on eps, theta and d alone.
     A trial takes two Strang steps of dt/2 and then one of dt (see
     :func:`_doubling_trial`).  If the error estimate err meets the step
@@ -504,7 +509,8 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     Otherwise the trial is rejected and retried: its err is over tolerance or
     not finite, or a path met the nonlinear substep's singularity, which
     counts as err = inf.  The next proposal is dt * 0.9 (tol/err)^(1/3) in
-    [dt/5, 4 dt], and dt/5 for a non-finite err.  A step that shrinks to
+    [dt/5, 4 dt], and dt/5 for a non-finite err; nothing bounds dt by H, so
+    a step longer than H may meet the singularity.  A step that shrinks to
     nothing, under a tolerance that cannot be met or a singularity that
     recurs at every step length, raises RuntimeError.
 
@@ -542,7 +548,7 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     log = state.diagnostics
     stats = log.stats
     tol = _STEP_TOLERANCE
-    h = _FIRST_STEP
+    h, last_horizon = _FIRST_STEP, math.inf
     while True:
         t = state.t
         remaining = cfg.t_max - t
@@ -553,7 +559,10 @@ def run_to_blowup(state: SolverState) -> RunRecord:
             if t + horizon <= cfg.t_max:
                 return make_record(state, RunStatus.BLOWN_UP, t + horizon, "pointwise")
             return make_record(state, RunStatus.REACHED_TMAX)  # t_max may come first
-        dt = min(h, _HORIZON_FRACTION * horizon, remaining)
+        if horizon < last_horizon < math.inf:  # the solution's time scale shrank: so does h
+            h *= horizon / last_horizon
+        last_horizon = horizon
+        dt = min(h, remaining)
         lands = 0 < log.dense_from - t <= dt
         if lands:
             dt = log.dense_from - t

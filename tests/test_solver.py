@@ -325,8 +325,8 @@ class TestStep:
 class TestRunToBlowup:
     def test_reference_blowup_time(self):
         # the converged lifespan of this datum is 3.7544805 (the blow-up bracketed
-        # within 1e-6 of t, no sup-norm cap); the horizon stop reads 3.754451197
-        # here, 7.8e-6 low, which is the stop's known bias
+        # within 1e-6 of t, no sup-norm cap); the horizon stop reads 3.754456669
+        # here, 6.3e-6 low, which is the stop's known bias
         cfg = small_config(eps=0.4, grid=Grid(1, 512, 30.0), record_every=8)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         assert rec.status == "blown-up"
@@ -418,7 +418,7 @@ class TestRunToBlowup:
 
     def test_horizon_stop_keeps_the_run_resolved(self):
         # the default eps = 0.4 run stops before the spike outgrows the
-        # grid (tail 1.4e-7 measured; 5.2e-3 when it ran on to the cap)
+        # grid (tail 2.9e-7 measured; 5.2e-3 when it ran on to the cap)
         cfg = small_config(eps=0.4, grid=Grid(1, 2048, 80.0), t_max=200.0, record_every=4)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         assert rec.status == "blown-up" and rec.t_blow_pointwise == rec.T_eps
@@ -427,7 +427,7 @@ class TestRunToBlowup:
     def test_singularity_past_t_max_is_censored(self):
         # the predicted singularity, 3.75446, lies past t_max = 3.754, which falls
         # inside the horizon's bracket: the run ends censored where the bracket is
-        # reached, at 3.750993, and does not step on into the spike (tail 1.4e-7
+        # reached, at 3.751304, and does not step on into the spike (tail 2.9e-7
         # there, 3.4e-3 when it ran on to t_max)
         cfg = small_config(eps=0.4, grid=Grid(1, 2048, 80.0), t_max=3.754, record_every=4)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
@@ -620,6 +620,17 @@ def rung_three_ways():
                                                ("s=0.4", dataclasses.replace(cfg, s=0.4), False))}
 
 
+def sampled_horizons(rec, params):
+    """The blow-up horizon of sup|u| at each sample of the record `rec`."""
+    return [blowup_horizon(sample.report.l_inf, params) for sample in rec.diagnostics.samples]
+
+
+def follows_the_horizon(h, horizon, last):
+    """The proposal h carried from a state whose horizon of sup|u| is `last` to one
+    whose horizon is `horizon`: scaled by horizon/last where the horizon shrank."""
+    return h * (horizon / last) if horizon < last else h
+
+
 def amplified_gaussian(cfg, amplitude):
     return initial_data.build(cfg.grid, {"kind": "gaussian", "width": 1.0,
                                          "amplitude": amplitude})
@@ -656,7 +667,7 @@ class TestStepLaw:
 
     def test_tolerance_refinement_stays_inside_the_event_bracket(self, monkeypatch):
         # the event bracket has relative half-width 5e-4; a tenfold tighter
-        # step tolerance must move T by less (3.1e-7 measured)
+        # step tolerance must move T by less (7.9e-7 measured)
         cfg = small_config(eps=0.4, grid=Grid(1, 512, 30.0), record_every=8)
         t_a = run_to_blowup(init(cfg, gaussian(cfg.grid))).T_eps
         monkeypatch.setattr(solver, "_STEP_TOLERANCE", solver._STEP_TOLERANCE / 10.0)
@@ -664,10 +675,11 @@ class TestStepLaw:
         assert abs(t_a - t_b) / t_b < 5e-4
 
     def test_default_rung_lands_near_the_converged_lifespan(self, monkeypatch):
-        # the default eps = 0.4 rung lies 5.7e-9 (relative, measured) from the
-        # same run at step tolerance 1e-10; at tolerance 1e-6, before runs landed
-        # on t_star, it lay 7.4e-7 from there, and accepting the two-half-step
-        # field at tolerance 1e-7 left it 2.0e-6 away
+        # the default eps = 0.4 rung lies 1.5e-6 (relative, measured) from the
+        # same run at step tolerance 1e-10: the horizon stop lands on another
+        # state, inside its bias of 6.3e-6.  With steps capped at 0.1 horizon it
+        # lay 5.7e-9 from there; at tolerance 1e-6, before runs landed on t_star,
+        # 7.4e-7; and accepting the two-half-step field at tolerance 1e-7, 2.0e-6
         cfg = ExperimentConfig().solver_config()
         phi = gaussian(cfg.grid)
         t_eps = run_to_blowup(init(cfg, phi)).T_eps
@@ -705,22 +717,79 @@ class TestStepLaw:
         assert stats["s=0.4"].rows == 0 < default.rows < stats["full"].rows
 
     def test_a_landing_cut_does_not_shrink_the_next_trial(self, monkeypatch):
-        # the default eps = 0.2 rung cuts its trial to land on t_star = 5.0; the next
-        # trial is as long as the proposal made before that cut, where the step law
-        # alone would have made it dt * 0.9 (tol/err)^(1/3) from the cut step's dt
+        # the default config's eps = 0.24 rung cuts its trial to land on t_star = 1/0.24;
+        # the next trial is as long as the proposal made before that cut, carried on
+        # to the next state as every proposal is (:func:`follows_the_horizon`), where
+        # the step law alone would have made it dt * 0.9 (tol/err)^(1/3) from the
+        # cut step's dt
         trials = self.spy_trials(monkeypatch)
-        base = ExperimentConfig(eps_ladder=[0.2])
+        base = ExperimentConfig(eps_ladder=[0.24])
         cfg = dataclasses.replace(base.solver_config(), record_every=1)
         rec = run_to_blowup(init(cfg, initial_data.build(cfg.grid, base.initial_data)))
-        tol = solver._STEP_TOLERANCE
+        tol, t_star = solver._STEP_TOLERANCE, t_star_time(0.24, 0.5, 1)
         assert rec.status == "blown-up" and rec.diagnostics.stats.accepted == len(trials)
+        horizons = sampled_horizons(rec, cfg.params)  # one per trial's state
         times = [sample.t for sample in rec.diagnostics.samples[1:]]  # one per trial
-        k = times.index(5.0)  # trials[k] is the cut trial that lands there
+        k = times.index(t_star)  # trials[k] is the cut trial that lands there
         (dt_before, *_, err_before), (dt_cut, *_, err_cut), (dt_next, *_) = trials[k - 1:k + 2]
-        proposal = dt_before * solver._resize(err_before, tol)
-        assert times[k - 1] + dt_cut == 5.0 and dt_cut < proposal
+        proposal = follows_the_horizon(dt_before * solver._resize(err_before, tol),
+                                       horizons[k], horizons[k - 1])
+        assert times[k - 1] + dt_cut == t_star and dt_cut < proposal
         assert dt_cut * solver._resize(err_cut, tol) < proposal
-        assert dt_next == proposal
+        assert dt_next == follows_the_horizon(proposal, horizons[k + 1], horizons[k])
+
+    def test_each_step_follows_the_shrinking_horizon(self, monkeypatch):
+        # on the default eps = 0.4 rung every trial that is neither cut to land on
+        # t_star nor the one after that cut takes the step law's proposal from the
+        # trial before, dt * 0.9 (tol/err)^(1/3), times H/H_prev wherever the horizon
+        # H of sup|u| shrank from the state before, bit for bit: nothing else caps a
+        # step, and no trial nears t_max
+        trials = self.spy_trials(monkeypatch)
+        base = ExperimentConfig()
+        cfg = dataclasses.replace(base.solver_config(), record_every=1)
+        rec = run_to_blowup(init(cfg, initial_data.build(cfg.grid, base.initial_data)))
+        tol, t_star = solver._STEP_TOLERANCE, rec.diagnostics.dense_from
+        assert cfg.eps == 0.4 and rec.status == "blown-up"
+        assert rec.diagnostics.stats.accepted == len(trials)  # none refused
+        horizons = sampled_horizons(rec, cfg.params)  # one per trial's state
+        times = [sample.t for sample in rec.diagnostics.samples]
+        followed = shrank = 0
+        for k in range(1, len(trials)):
+            if t_star in times[k:k + 2]:  # the cut trial, or the one after it
+                continue
+            (dt_prev, *_, err_prev), dt = trials[k - 1], trials[k][0]
+            assert dt == follows_the_horizon(dt_prev * solver._resize(err_prev, tol),
+                                             horizons[k], horizons[k - 1])
+            followed += 1
+            shrank += horizons[k] < horizons[k - 1]
+        assert followed == len(trials) - 3 and shrank > 50
+
+    def test_benchmark_runs_refuse_no_trial_and_spend_the_tolerance(self, monkeypatch):
+        # the benchmark's configs (sweep-1d's four rungs, blowup-2d and long-1d-dense)
+        # reject no trial and meet no singularity: each proposal follows the horizon
+        # as it shrinks.  The end-game is sized by the tolerance: at eps = 0.4 the
+        # median err of the last 20 trials is 0.72 tol (0.077 tol under a cap of
+        # 0.1 horizon; without the proposal following the horizon sweep-1d rejects
+        # 94 trials)
+        trials = self.spy_trials(monkeypatch)
+        workloads = [ExperimentConfig(),
+                     ExperimentConfig(d=2, n=128, L=20.0, s=1.2, eps_ladder=[0.4], record_every=4),
+                     ExperimentConfig(n=4096, L=160.0, eps_ladder=[0.1], record_every=1)]
+        last_errs, rejected, singular = None, 0, 0
+        for base in workloads:
+            cfg = base.solver_config()
+            phi = initial_data.build(cfg.grid, base.initial_data)
+            for eps in base.eps_ladder:
+                trials.clear()
+                rec = run_to_blowup(init(dataclasses.replace(cfg, eps=eps), phi))
+                assert rec.status == "blown-up"
+                rejected += rec.diagnostics.stats.rejected
+                singular += rec.diagnostics.stats.singular
+                if last_errs is None:
+                    last_errs = [err for *_, err in trials[-20:]]
+        assert (rejected, singular) == (0, 0)
+        tol = solver._STEP_TOLERANCE
+        assert 0.5 * tol <= float(np.median(last_errs)) <= tol
 
     def test_rejected_trials_retry_smaller_and_accepted_meet_tolerance(self, monkeypatch):
         trials = self.spy_trials(monkeypatch)
@@ -757,12 +826,11 @@ class TestStepLaw:
         assert not any(kept is row for kept in log.rows for row in thrown)
 
     def test_singularity_that_does_not_recur_is_stepped_past(self, monkeypatch):
-        # steps of up to 10 horizons from a first proposal of 10: from twice the
-        # datum, sup|u| = 0.8 with horizon 1.25, the first trial is cut to land on
-        # t_star = 2.5 and meets the pointwise singularity.  It is refused as if its
-        # err were inf, the retry takes a fifth of its step, and the run blows up
+        # a first proposal of 10: from twice the datum, sup|u| = 0.8 with horizon
+        # 1.25, the first trial is cut to land on t_star = 2.5, twice the horizon,
+        # and meets the pointwise singularity.  It is refused as if its err were
+        # inf, the retry takes a fifth of its step, and the run blows up
         trials = self.spy_trials(monkeypatch)
-        monkeypatch.setattr(solver, "_HORIZON_FRACTION", 10.0)
         monkeypatch.setattr(solver, "_FIRST_STEP", 10.0)
         cfg = small_config(eps=0.4, record_every=1)
         rec = run_to_blowup(init(cfg, amplified_gaussian(cfg, 2.0)))
@@ -891,8 +959,8 @@ class TestStepLaw:
         # a kept midpoint's row, computed inside its trial before the second half
         # step runs over the midpoint field, is the row of the first of two separate
         # Strang steps of dt/2 from the trial's state at t, bit for bit, and is kept
-        # at t + dt/2
-        cfg = small_config(eps=0.3, grid=Grid(1, 256, 25.0), record_every=1)
+        # at t + dt/2.  The eps = 0.25 rung keeps 15 midpoint rows by default
+        cfg = small_config(eps=0.25, grid=Grid(1, 256, 25.0), record_every=1)
         state = init(cfg, gaussian(cfg.grid), diagnostics=diagnostics)
         log = state.diagnostics
         trial, expected = solver._doubling_trial, []
@@ -919,15 +987,14 @@ class TestStepLaw:
     @pytest.mark.parametrize("refusal", ["rejected", "capped", "singular"])
     def test_a_refused_trial_keeps_no_row(self, monkeypatch, refusal):
         # trials that compute their midpoints' rows in a full log, then are refused.
-        # Steps of up to 10 horizons from a first proposal of 10 cut the first trial
-        # to land on t_star = 2.5: from the datum its err is over tolerance, as is
-        # its retry's; from twice the datum it meets the pointwise singularity after
-        # its midpoint's row.  A cap of 0.4/eps = 1 refuses the trials that reach
-        # it.  Each refused trial's row is counted as refused, and none is kept
+        # A first proposal of 10 cuts the first trial to land on t_star = 2.5: from
+        # the datum its err is over tolerance, as is its retry's; from twice the
+        # datum it meets the pointwise singularity after its midpoint's row.  A cap
+        # of 0.4/eps = 1 refuses the trials that reach it.  Each refused trial's row
+        # is counted as refused, and none is kept
         if refusal == "capped":
             monkeypatch.setattr(solver, "_SUP_CAP", 0.4)
         else:
-            monkeypatch.setattr(solver, "_HORIZON_FRACTION", 10.0)
             monkeypatch.setattr(solver, "_FIRST_STEP", 10.0)
         cfg = small_config(eps=0.4, t_max=3.0, record_every=1)
         datum = amplified_gaussian(cfg, 2.0 if refusal == "singular" else 1.0)
