@@ -48,7 +48,7 @@ from .lifespan import (
     t_star_time,
     theoretical_bound,
 )
-from .records import RunRecord, RunStats, SweepSummary, canonical_fingerprint
+from .records import RunRecord, RunStats, SweepSummary
 from .initial_data import bump_sum, gaussian, super_gaussian
 from . import initial_data
 

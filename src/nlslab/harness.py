@@ -7,12 +7,12 @@ outputs go and how many processes compute a sweep are CLI flags.  All
 quantities are nondimensional (the equation is already in normalized units);
 lam is stored as [re, im].  Serialization is canonical: parse(serialize(c)) ==
 c, and identical configs produce byte-identical outputs.  A number field holds
-a float however the file spells it, so "L": 80 and "L": 80.0 are one config
-with one fingerprint.  A config is checked whole when it loads, so every
-command refuses the same ones: unknown keys, values of the wrong JSON type or
-not finite, and whatever the grid, the nonlinearity or the solver config
-refuses.  An s outside the paper's index range is not refused: the run's
-record says so in outside_hypotheses.
+a float however the file spells it, the datum's numbers included, so "L": 80
+and "L": 80.0 are one config with one experiment block.  A config is checked
+whole when it loads, so every command refuses the same ones: unknown keys,
+values of the wrong JSON type or not finite, and whatever the grid, the
+nonlinearity or the solver config refuses.  An s outside the paper's index
+range is not refused: the run's record says so in outside_hypotheses.
 """
 
 from __future__ import annotations
@@ -56,16 +56,10 @@ class ExperimentConfig:
         for key, value in data.items():
             if key not in defaults:
                 raise ValueError(f"unknown config field {key!r}")
-            if key == "initial_data":
-                check_spec(value)
-                continue
-            _check_type(f"config field {key!r}", value, defaults[key])
             # 80 and 80.0 state one experiment: a number field holds a float, so both
-            # spellings give one config, one fingerprint and the same output bytes
-            if type(defaults[key]) is float:
-                data[key] = float(value)
-            elif type(defaults[key]) is list:
-                data[key] = [float(v) for v in value]
+            # spellings give one config, one experiment block and the same output bytes
+            data[key] = (check_spec(value) if key == "initial_data"
+                         else _check_type(f"config field {key!r}", value, defaults[key]))
         if "lam" in data:
             lam = data["lam"]
             if len(lam) != 2:
@@ -181,14 +175,14 @@ def load_run(path) -> RunRecord:
     return run_record_from_dict(json.loads(Path(path).read_text()))
 
 
-CSV_COLUMNS = ["eps", "T_eps", "q_eps", "bound_value", "status", "grid_fingerprint"]
+CSV_COLUMNS = ["eps", "T_eps", "q_eps", "bound_value", "status"]
 
 
 def persist_summary(records, summary: SweepSummary, out_dir) -> Path:
     """Summary CSV: one row per ladder rung plus a trailing verdict line."""
     rows = [CSV_COLUMNS]
-    rows += [[rec.eps, rec.T_eps, rec.invariant_quantity, rec.bound_value, rec.status,
-              rec.grid_fingerprint] for rec in records]
+    rows += [[rec.eps, rec.T_eps, rec.invariant_quantity, rec.bound_value, rec.status]
+             for rec in records]
     rows.append(["verdict", summary.verdict, "running_min",
                  summary.running_min[-1] if summary.running_min else None,
                  "tolerance", summary.tolerance])

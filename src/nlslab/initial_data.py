@@ -67,10 +67,12 @@ _JSON_TYPES = {int: "an integer", float: "a number", list: "a list of numbers",
                type(None): "a number or a list of numbers"}
 
 
-def _check_type(name: str, value, default) -> None:
-    """Reject a JSON value of another type than `default`, or a number that is not a
-    finite float (json reads NaN, Infinity and integers of any size); an integer
-    passes for a number, a list holds numbers, and a None default takes either."""
+def _check_type(name: str, value, default):
+    """`value` as its parameter reads it: a float for a number, a list of floats for a
+    list, an integer as it is.  Reject a JSON value of another type than `default`, or
+    a number that is not a finite float (json reads NaN, Infinity and integers of any
+    size); an integer passes for a number, a list holds numbers, and a None default
+    takes either."""
     want, numbers = type(default), (int, float)
     items = value if type(value) is list else [value]
     if want is float:
@@ -81,13 +83,17 @@ def _check_type(name: str, value, default) -> None:
         ok = (type(value) is list or default is None) and all(type(v) in numbers for v in items)
     if not ok:
         raise ValueError(f"{name} must be {_JSON_TYPES[want]}, got {value!r}")
-    if want is not int and not all(abs(v) <= sys.float_info.max for v in items):
+    if want is int:
+        return value
+    if not all(abs(v) <= sys.float_info.max for v in items):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    return [float(v) for v in value] if type(value) is list else float(value)
 
 
-def _check_fields(builder, spec: dict, what: str):
-    """Every key must name a parameter of the builder, every required one must be given,
-    and every value must have the JSON type of its parameter's default."""
+def _check_fields(builder, spec: dict, what: str) -> dict:
+    """A copy of spec with each value as :func:`_check_type` reads it: every key must
+    name a parameter of the builder, every required one must be given, and every
+    value must have the JSON type of its parameter's default."""
     params = {k: p for k, p in inspect.signature(builder).parameters.items() if k != "grid"}
     extra = set(spec) - set(params)
     if extra:
@@ -95,9 +101,9 @@ def _check_fields(builder, spec: dict, what: str):
     missing = {k for k, p in params.items() if p.default is p.empty} - set(spec)
     if missing:
         raise ValueError(f"missing {what}: {sorted(missing)}")
-    for key, value in spec.items():
-        if params[key].default is not params[key].empty:
-            _check_type(f"initial_data field {key!r}", value, params[key].default)
+    return {key: value if params[key].default is params[key].empty
+            else _check_type(f"initial_data field {key!r}", value, params[key].default)
+            for key, value in spec.items()}
 
 
 def _check_ranges(spec: dict) -> None:
@@ -114,25 +120,30 @@ def _check_ranges(spec: dict) -> None:
                          f"integer of {len(str(power))} digits")
 
 
-def check_spec(spec: dict) -> None:
-    """Reject an initial-data spec that its kind's builder would not accept, or whose
-    width or power lies out of range."""
+def check_spec(spec: dict) -> dict:
+    """A copy of the initial-data spec with each number as its builder reads it, so
+    "width": 1 and "width": 1.0 are one datum: width, amplitude and the components of
+    center and modulation are floats, and an integer power stays an integer.  Reject
+    a spec that its kind's builder would not accept, or whose width or power lies
+    out of range."""
     if not isinstance(spec, dict):
         raise ValueError(f"initial_data must be an object, got {spec!r}")
     kind = spec.get("kind")
     if kind not in BUILDERS:
         raise ValueError(f"unknown initial-data kind {kind!r}; expected one of {sorted(BUILDERS)}")
-    _check_fields(BUILDERS[kind], {k: v for k, v in spec.items() if k != "kind"},
-                  f"initial_data fields for {kind!r}")
+    fields = {k: v for k, v in spec.items() if k != "kind"}
+    checked = _check_fields(BUILDERS[kind], fields, f"initial_data fields for {kind!r}")
     if kind == "bump_sum":
-        bumps = spec["bumps"]
+        bumps = fields["bumps"]
         if not (isinstance(bumps, list) and all(isinstance(b, dict) for b in bumps)):
             raise ValueError(f"initial_data bumps must be a list of objects, got {bumps!r}")
+        checked["bumps"] = [_check_fields(gaussian, bump, "initial_data fields for a bump_sum bump")
+                            for bump in bumps]
         for bump in bumps:
-            _check_fields(gaussian, bump, "initial_data fields for a bump_sum bump")
             _check_ranges(bump)
     else:
-        _check_ranges(spec)
+        _check_ranges(fields)
+    return {"kind": kind, **checked}
 
 
 def build(grid: Grid, spec: dict) -> ComplexField:

@@ -13,11 +13,12 @@ the running minimum of the left side against bound_value with a tolerance.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .initial_data import build as build_initial_data
+from .initial_data import build as build_initial_data, check_spec
 from .propagators import (  # profile and remainder are re-exported
     NonlinearityParams,
     blowup_horizon,
@@ -183,8 +184,10 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
     under rounding (every other check of :func:`nlslab.solver.init` does not
     depend on eps).  With `jobs` > 1 every rung is initialised before the
     pool starts, and the records are those of `jobs` = 1.  Each record is
-    stamped with the bound value and its scaled remainder maximum, read from
-    the rows its run computed.
+    stamped with the bound value, its scaled remainder maximum, read from
+    the rows its run computed, and its own copy of the experiment (see
+    :class:`nlslab.records.RunRecord`), whose datum is as
+    :func:`nlslab.initial_data.check_spec` reads it.
     `diagnostics` reaches :func:`nlslab.solver.init`: each run then computes
     a full row at every kept grid time, for :func:`decay_ratio_diagnostics`
     and :func:`remainder_series` over the whole run, and the stamped values
@@ -196,9 +199,15 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
     the verdict is INCONCLUSIVE.
     """
     ladder = decreasing_ladder(eps_ladder)
+    data_spec = check_spec(data_spec)
     phi = build_initial_data(base_config.grid, data_spec)
     bound = bound_or_none(fourier_forward(phi), base_config.params)
     bound_value = None if bound is None else bound.bound_value
+    grid, params = base_config.grid, base_config.params
+    experiment = {"initial_data": data_spec, "d": grid.d, "n": grid.n, "L": grid.L,
+                  "lam": [float(params.lam.real), float(params.lam.imag)], "theta": params.theta,
+                  "s": base_config.s, "t_max": base_config.t_max,
+                  "record_every": base_config.record_every}
 
     configs = [replace(base_config, eps=e) for e in ladder]
     if jobs > 1:
@@ -222,6 +231,7 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
     current_min = None
     for config, rec in zip(configs, records):
         rec.bound_value = bound_value
+        rec.experiment = deepcopy(experiment)
         rec.max_remainder_scaled = max_remainder_scaled(rec.diagnostics, config, rec.T_eps)
         if rec.usable_for_bound():
             q = rec.invariant_quantity

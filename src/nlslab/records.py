@@ -2,32 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
-
-try:
-    from _sha2 import sha256  # Python >= 3.12
-except ImportError:
-    try:
-        from _sha256 import sha256  # Python 3.10 and 3.11
-    except ImportError:
-        from hashlib import sha256
-
-
-def canonical_fingerprint(mapping: dict) -> str:
-    """Short stable hash of a JSON-serializable mapping; changes iff a field changes.
-
-    The first 16 hex digits of the SHA-256 of the mapping's sorted, compact JSON.
-    The digest comes from the interpreter's built-in SHA-256 module (`_sha2`, or
-    `_sha256` before Python 3.12), as the standard library's `random` takes its
-    SHA-512: `hashlib` would load OpenSSL's libcrypto through `_hashlib`, 3.6 MB of
-    every run's peak memory for two digests.  Both give the same digest; `hashlib`
-    is the fallback where the interpreter has no built-in module.
-    """
-    blob = json.dumps(mapping, sort_keys=True, separators=(",", ":"))
-    return sha256(blob.encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -38,7 +15,11 @@ class RunRecord:
     bound-checking); `censored` marks runs that reached t_max without blowing
     up, so their T_eps is only a lower bound.  invariant_quantity is
     eps^(2 theta / d) * T_eps^(1 - theta) in the subcritical range and
-    eps^(2/d) * log(T_eps) in the critical case theta = 1.
+    eps^(2/d) * log(T_eps) in the critical case theta = 1.  `experiment` holds
+    the run's settings but eps, keyed as in the config file, so that a config
+    made of it and the ladder [eps] runs the same rung again; only
+    :func:`nlslab.lifespan.sweep` stamps it, and a record made outside a sweep
+    has None.
     """
 
     eps: float
@@ -52,8 +33,7 @@ class RunRecord:
     t_blow_threshold: float | None = None
     invariant_quantity: float | None = None
     bound_value: float | None = None
-    grid_fingerprint: str = ""
-    config_fingerprint: str = ""
+    experiment: dict | None = None
     max_remainder_scaled: float | None = None
     max_tail_fraction: float | None = None
     max_shell_fraction: float | None = None

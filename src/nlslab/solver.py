@@ -40,7 +40,7 @@ the row to the log only if it accepts the trial.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 
@@ -59,7 +59,7 @@ from .propagators import (
     remainder_sup,
     t_star_time,
 )
-from .records import RunRecord, RunStats, canonical_fingerprint
+from .records import RunRecord, RunStats
 from .spectral import (
     ComplexField,
     Grid,
@@ -129,6 +129,8 @@ class SolverConfig:
             raise ValueError(f"t_max must be finite and positive, got {self.t_max}")
         if not self.record_every > 0:
             raise ValueError(f"record_every must be positive, got {self.record_every}")
+        if self.grid.d != self.params.d:
+            raise ValueError(f"grid is {self.grid.d}-dimensional, params.d is {self.params.d}")
 
     @property
     def index_condition_ok(self) -> bool:
@@ -138,14 +140,6 @@ class SolverConfig:
     @property
     def threshold(self) -> float:
         return _SUP_CAP / self.eps if self.eps > 0 else math.inf
-
-    def fingerprint(self) -> str:
-        return canonical_fingerprint({
-            **asdict(self.grid),
-            "lam": [self.params.lam.real, self.params.lam.imag],
-            "theta": self.params.theta, "eps": self.eps, "s": self.s,
-            "t_max": self.t_max, "record_every": self.record_every,
-        })
 
 
 @dataclass
@@ -631,8 +625,6 @@ def make_record(state: SolverState, status: RunStatus, t_blow: float | None = No
         censored=censored,
         t_blow_pointwise=t_blow if criterion == "pointwise" else None,
         t_blow_threshold=t_blow if criterion == "threshold" else None,
-        grid_fingerprint=canonical_fingerprint(asdict(cfg.grid)),
-        config_fingerprint=cfg.fingerprint(),
         max_tail_fraction=max((s.tail_fraction for s in samples), default=None),
         max_shell_fraction=max((s.shell_fraction for s in samples), default=None),
         outside_hypotheses=not cfg.index_condition_ok,

@@ -28,22 +28,23 @@ import numpy as np
 
 
 def _real_fields(obj, *names):
-    """Make each named integer field of the frozen dataclass `obj` its float, so 80 and
-    80.0 state one experiment with one fingerprint; refuse a field that is no real
-    number, such as a string or a bool, rather than convert it."""
+    """Make each named field of the frozen dataclass `obj` a Python float, so 80, 80.0
+    and a numpy 80.0 state one experiment, with one experiment block (which json can
+    write) and the same bytes; refuse a field that is no real number, such as a string
+    or a bool, rather than convert it."""
     for name in names:
         value = getattr(obj, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise TypeError(f"{type(obj).__name__}.{name} must be a real number, got {value!r}")
-        if isinstance(value, numbers.Integral):
+        if type(value) is not float:
             object.__setattr__(obj, name, float(value))
 
 
 def _int_fields(obj, *names):
     """Refuse each named field of the dataclass `obj` that is no integer, such as a
     float, a string or a bool, rather than convert it: 1.0 or True would state the
-    d = 1 or record_every = 1 experiment under another fingerprint, and 2.5 would
-    pass for no experiment at all.  A numpy integer becomes its int."""
+    d = 1 or record_every = 1 experiment in another experiment block and other bytes,
+    and 2.5 would pass for no experiment at all.  A numpy integer becomes its int."""
     for name in names:
         value = getattr(obj, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):

@@ -1,5 +1,6 @@
 """What a fresh interpreter loads: the package and its CLI need only numpy and the stdlib,
-and a run on one process loads no OpenSSL (its fingerprints use the built-in SHA-256)."""
+and a run on one process loads no hash module (a run file carries its experiment, not a
+digest of it)."""
 
 import json
 import os
@@ -39,7 +40,8 @@ def test_import_loads_no_csv():
 
 
 def test_runs_on_one_process_load_no_openssl(tmp_path):
-    # hashlib's _hashlib links OpenSSL's libcrypto: 3.6 MB of every run's peak memory
+    # hashlib's _hashlib links OpenSSL's libcrypto: 3.6 MB of every run's peak memory;
+    # the built-in SHA-256 (_sha2, or _sha256 before Python 3.12) has nothing to hash
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n": 256, "L": 25.0, "eps_ladder": [0.4, 0.3], "t_max": 30.0,
                                   "record_every": 8}))
@@ -48,13 +50,14 @@ def test_runs_on_one_process_load_no_openssl(tmp_path):
     out = run_fresh(
         "import sys\n"
         "import nlslab, nlslab.cli\n"
-        "print('after import, _hashlib loaded:', '_hashlib' in sys.modules)\n"
+        "hashes = ('_hashlib', '_sha2', '_sha256')\n"
+        "print('after import, loaded:', [m for m in hashes if m in sys.modules])\n"
         f"for argv in {commands!r}:\n"
         "    assert nlslab.cli.main(argv) == 0, argv\n"
-        "    print(f'after {argv[0]}, _hashlib loaded:', '_hashlib' in sys.modules)\n"
+        "    print(f'after {argv[0]}, loaded:', [m for m in hashes if m in sys.modules])\n"
     )
-    loaded = [line for line in out.splitlines() if ", _hashlib loaded: " in line]
-    assert loaded == [f"after {step}, _hashlib loaded: False"
+    loaded = [line for line in out.splitlines() if ", loaded: " in line]
+    assert loaded == [f"after {step}, loaded: []"
                       for step in ("import", "simulate", "sweep", "diagnostics")]
     assert (tmp_path / "simulate" / "run_eps0.4.json").exists()
     assert (tmp_path / "sweep" / "summary.csv").exists()

@@ -1,74 +1,61 @@
-"""Run fingerprints (pinned digests, the interpreter's own SHA-256, one fingerprint per
-experiment) and a run's counts."""
+"""A run file names its experiment (one experiment block per experiment, however its
+numbers are spelled, and enough to run the rung again) and a run's counts."""
 
-import hashlib
 import json
-import sys
-from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
-from nlslab import records
 from nlslab.cli import main
-from nlslab.harness import ExperimentConfig
+from nlslab.harness import ExperimentConfig, load_run, persist_run
+from nlslab.initial_data import gaussian
+from nlslab.lifespan import sweep
 from nlslab.propagators import NonlinearityParams
-from nlslab.records import RunStats, canonical_fingerprint
-from nlslab.solver import SolverConfig
+from nlslab.records import RunStats
+from nlslab.solver import SolverConfig, init, run_to_blowup
 from nlslab.spectral import Grid
 
 
-def hashlib_fingerprint(mapping: dict) -> str:
-    blob = json.dumps(mapping, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-class TestDigest:
-    # the default config's digests, as every summary.csv and run JSON has carried them
-    def test_default_grid_fingerprint_is_pinned(self):
-        assert canonical_fingerprint(asdict(Grid(1, 2048, 80.0))) == "e7298b3a0fd80eb8"
-
-    def test_default_config_fingerprint_is_pinned(self):
-        assert ExperimentConfig().solver_config().fingerprint() == "9ff5044c4c354f10"
-
-    # empty, nested, non-ASCII (escaped by json), blobs of 55 and 56 bytes (the longest
-    # that pads into one SHA-256 block and the shortest that needs two), and a long one
-    @pytest.mark.parametrize("mapping", [
-        {},
-        {"d": 2, "n": 128, "L": 20.0},
-        {"lam": [0.0, 1.0], "nested": {"b": [1, 2.5, None], "a": True}},
-        {"kind": "λ-ü"},
-        {"x": "y" * 47},
-        {"x": "y" * 48},
-        {f"k{i}": i / 7 for i in range(200)},
-    ], ids=["empty", "grid", "nested", "non-ascii", "one-block", "two-blocks", "many-blocks"])
-    def test_digest_is_hashlibs(self, mapping):
-        assert canonical_fingerprint(mapping) == hashlib_fingerprint(mapping)
-
-    def test_digest_comes_from_the_interpreters_own_module(self):
-        builtin = pytest.importorskip("_sha2" if sys.version_info >= (3, 12) else "_sha256")
-        assert records.sha256 is builtin.sha256
-
-
-# every number field of the config, and the ladder and lam, spelled as integers
-INT_SPELLING = {"n": 256, "L": 25, "s": 1, "t_max": 30, "tolerance": 1, "lam": [0, 1],
+# every number field of the config, the datum's among them (a 1-D center and
+# modulation included), and the ladder and lam, spelled as integers
+INT_SPELLING = {"initial_data": {"kind": "gaussian", "width": 1, "amplitude": 1, "center": [1],
+                                 "modulation": [0]},
+                "n": 256, "L": 25, "s": 1, "t_max": 30, "tolerance": 1, "lam": [0, 1],
                 "eps_ladder": [1, 0.5], "record_every": 8}
-FLOAT_SPELLING = {"n": 256, "L": 25.0, "s": 1.0, "t_max": 30.0, "tolerance": 1.0,
+FLOAT_SPELLING = {"initial_data": {"kind": "gaussian", "width": 1.0, "amplitude": 1.0,
+                                   "center": [1.0], "modulation": [0.0]},
+                  "n": 256, "L": 25.0, "s": 1.0, "t_max": 30.0, "tolerance": 1.0,
                   "lam": [0.0, 1.0], "eps_ladder": [1.0, 0.5], "record_every": 8}
+# the settings of INT_SPELLING's rungs, keyed as in the config file
+SPELLED_EXPERIMENT = {"initial_data": FLOAT_SPELLING["initial_data"], "d": 1, "n": 256,
+                      "L": 25.0, "lam": [0.0, 1.0], "theta": 0.5, "s": 1.0, "t_max": 30.0,
+                      "record_every": 8}
 
 
-class TestOneFingerprintPerExperiment:
-    @pytest.mark.parametrize("key, spelled", [("L", 80), ("t_max", 200), ("s", 1),
-                                               ("theta", 1), ("eps_ladder", [1, 0])],
-                             ids=["L", "t_max", "s", "theta", "eps_ladder"])
+def as_floats(spelled):
+    return json.loads(json.dumps(spelled), parse_int=float)
+
+
+class TestOneExperimentPerSpelling:
+    @pytest.mark.parametrize("key, spelled", [
+        ("L", 80), ("t_max", 200), ("s", 1), ("theta", 1), ("eps_ladder", [1, 0]),
+        ("initial_data", {"kind": "gaussian", "width": 2, "center": 1, "modulation": [0]}),
+        ("initial_data", {"kind": "bump_sum", "bumps": [{"width": 1, "center": [1]},
+                                                        {"amplitude": 2}]}),
+    ], ids=["L", "t_max", "s", "theta", "eps_ladder", "gaussian", "bump_sum"])
     def test_an_integer_loads_as_its_float(self, key, spelled):
         as_int = ExperimentConfig.from_dict({key: spelled})
-        as_float = ExperimentConfig.from_dict({key: json.loads(json.dumps(spelled),
-                                                              parse_int=float)})
+        as_float = ExperimentConfig.from_dict({key: as_floats(spelled)})
         assert as_int == as_float
         assert as_int.serialize() == as_float.serialize()
-        assert as_int.solver_config().fingerprint() == as_float.solver_config().fingerprint()
-        assert (canonical_fingerprint(asdict(as_int.grid()))
-                == canonical_fingerprint(asdict(as_float.grid())))
+
+    def test_an_integer_power_stays_an_integer(self):
+        spec = {"kind": "super_gaussian", "width": 2, "power": 3, "center": [1]}
+        cfg = ExperimentConfig.from_dict({"initial_data": spec})
+        assert cfg.initial_data == {"kind": "super_gaussian", "width": 2.0, "power": 3,
+                                    "center": [1.0]}
+        assert [type(cfg.initial_data[k]) for k in ("width", "power")] == [float, int]
+        assert spec["width"] == 2 and type(spec["width"]) is int  # the caller's spec is kept
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_both_spellings_write_the_same_bytes(self, tmp_path, capsys, command):
@@ -82,6 +69,7 @@ class TestOneFingerprintPerExperiment:
         capsys.readouterr()
         assert "run_eps1.0.json" in outs[0]
         assert outs[0] == outs[1]
+        assert json.loads(outs[0]["run_eps1.0.json"])["experiment"] == SPELLED_EXPERIMENT
 
 
 def library_config(**over):
@@ -93,19 +81,35 @@ def library_config(**over):
                         params=NonlinearityParams(1j, kw.pop("theta"), 1), **kw)
 
 
-class TestOneFingerprintPerLibraryExperiment:
+DEFAULT_DATUM = {"kind": "gaussian", "width": 1.0}
+
+
+def stamped(cfg, spec=DEFAULT_DATUM):
+    """The record of a one-rung sweep at cfg.eps, as the sweep stamps it."""
+    (record,), _, _ = sweep([cfg.eps], cfg, spec)
+    return record
+
+
+class TestOneExperimentPerLibrarySpelling:
     @pytest.mark.parametrize("key, spelled", [("L", 80), ("theta", 1), ("eps", 1), ("s", 1),
                                                ("t_max", 200)])
     def test_an_integer_field_holds_its_float(self, key, spelled):
         as_int, as_float = library_config(**{key: spelled}), library_config(**{key: float(spelled)})
         holder = {"L": as_int.grid, "theta": as_int.params}.get(key, as_int)
         assert type(getattr(holder, key)) is float
-        assert as_int == as_float and as_int.fingerprint() == as_float.fingerprint()
+        assert as_int == as_float
 
-    def test_the_default_fingerprints_on_the_library_path(self):
-        cfg = library_config(L=80, t_max=200)
-        assert canonical_fingerprint(asdict(cfg.grid)) == "e7298b3a0fd80eb8"
-        assert cfg.fingerprint() == "9ff5044c4c354f10"
+    def test_the_library_path_stamps_the_config_paths_experiment(self, tmp_path):
+        # an integer-spelled config and datum, and the default file config's rung
+        records = [stamped(library_config(L=80, t_max=200), {"kind": "gaussian", "width": 1}),
+                   stamped(library_config(), DEFAULT_DATUM)]
+        default = ExperimentConfig().to_dict()
+        assert set(default) - set(records[0].experiment) == {"eps_ladder", "tolerance",
+                                                             "schema_version"}
+        assert records[0].experiment == {key: default[key] for key in records[0].experiment}
+        first, second = (persist_run(rec, tmp_path / name).read_bytes()
+                         for rec, name in zip(records, "ab"))
+        assert first == second
 
     @pytest.mark.parametrize("value", ["1", True])
     @pytest.mark.parametrize("key", ["L", "theta", "eps", "s", "t_max"])
@@ -114,7 +118,7 @@ class TestOneFingerprintPerLibraryExperiment:
             library_config(**{key: value})
 
     # an integer field refuses what is no integer: True would state the d = 1 or
-    # record_every = 1 experiment under another fingerprint, 2.5 would sample every
+    # record_every = 1 experiment in another experiment block, 2.5 would sample every
     # 5th step, and a float n would fail on its power-of-two test
     @pytest.mark.parametrize("value", [True, 1.0, 2.5, "1"], ids=["bool", "float", "fraction", "str"])
     @pytest.mark.parametrize("key", ["Grid.d", "Grid.n", "NonlinearityParams.d",
@@ -128,15 +132,96 @@ class TestOneFingerprintPerLibraryExperiment:
             SolverConfig(grid=Grid(**grid), params=NonlinearityParams(**params), eps=0.4, s=1.0,
                          t_max=200.0, record_every=value if owner == "SolverConfig" else 4)
 
-    def test_a_numpy_integer_field_holds_its_int(self):
+    def test_a_numpy_number_field_holds_its_int_or_float(self, tmp_path):
         import numpy as np
 
-        cfg = SolverConfig(grid=Grid(np.int64(1), np.int64(2048), 80.0),
-                           params=NonlinearityParams(1j, 0.5, np.int32(1)), eps=0.4, s=1.0,
-                           t_max=200.0, record_every=np.int64(4))
+        # json writes neither a numpy integer nor a float32 into the experiment block
+        cfg = SolverConfig(grid=Grid(np.int64(1), np.int64(2048), np.float32(80.0)),
+                           params=NonlinearityParams(1j, np.float64(0.5), np.int32(1)),
+                           eps=np.float32(0.5), s=np.float64(1.0), t_max=np.int64(1),
+                           record_every=np.int64(4))
         assert [type(v) for v in (cfg.grid.d, cfg.grid.n, cfg.params.d, cfg.record_every)] \
             == [int] * 4
-        assert cfg.fingerprint() == "9ff5044c4c354f10"
+        assert [type(v) for v in (cfg.grid.L, cfg.params.theta, cfg.eps, cfg.s, cfg.t_max)] \
+            == [float] * 5
+        assert cfg == library_config(eps=0.5, t_max=1.0)
+        records = [stamped(cfg), stamped(library_config(eps=0.5, t_max=1.0))]
+        assert records[0].experiment == records[1].experiment
+        first, second = (persist_run(rec, tmp_path / name).read_bytes()
+                         for rec, name in zip(records, "ab"))
+        assert first == second
+
+
+def simulate(tmp_path, name: str, config: dict, capsys) -> Path:
+    """Run `nlslab simulate` on `config` into tmp_path/name; the path of its run file."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    (run,) = (tmp_path / name).iterdir()
+    return run
+
+
+# one rung in 2-D: two bumps, one centred by a scalar and one by a vector
+BUMPS_2D = {"initial_data": {"kind": "bump_sum", "bumps": [
+                {"width": 1, "center": [1, 0]}, {"width": 0.5, "center": -1, "amplitude": 0.5}]},
+            "d": 2, "n": 64, "L": 20, "s": 1.2, "eps_ladder": [0.5], "t_max": 30}
+
+
+class TestARunFileNamesItsExperiment:
+    def test_two_widths_give_two_experiments(self, tmp_path, capsys):
+        # the solver's fields alone, which the run files used to hash, are the same
+        runs = [json.loads(simulate(tmp_path, f"w{w}", {
+            "initial_data": {"kind": "gaussian", "width": w}, "n": 256, "L": 25.0,
+            "t_max": 30.0, "eps_ladder": [0.4]}, capsys).read_text()) for w in (1.0, 2.0)]
+        assert runs[0]["T_eps"] != runs[1]["T_eps"]
+        assert runs[0]["experiment"] != runs[1]["experiment"]
+        runs[1]["experiment"]["initial_data"]["width"] = 1.0
+        assert runs[0]["experiment"] == runs[1]["experiment"]
+
+    @pytest.mark.parametrize("config", [INT_SPELLING, BUMPS_2D], ids=["1d", "2d-bump-sum"])
+    def test_a_rung_runs_again_from_its_files_experiment(self, tmp_path, capsys, config):
+        first = simulate(tmp_path, "first", config, capsys)
+        run = json.loads(first.read_text())
+        again = simulate(tmp_path, "again", {**run["experiment"], "eps_ladder": [run["eps"]]},
+                         capsys)
+        assert again.name == first.name
+        assert again.read_bytes() == first.read_bytes()
+
+    def test_two_jobs_stamp_the_experiment_of_one(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**FLOAT_SPELLING, "eps_ladder": [1.0, 0.8]}))
+        experiments = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["sweep", "--config", str(path), "--out", str(out), "--jobs", jobs]) == 0
+            experiments.append([load_run(out / f"run_eps{eps}.json").experiment
+                                for eps in (1.0, 0.8)])
+        capsys.readouterr()
+        assert experiments[0] == experiments[1] == [SPELLED_EXPERIMENT] * 2
+
+    def test_each_record_holds_its_own_copy(self):
+        records, _, _ = sweep([1.0, 0.8], library_config(t_max=1.0), INT_SPELLING["initial_data"])
+        first, second = (rec.experiment for rec in records)
+        assert first == second
+        first["initial_data"]["center"].append(2.0)
+        assert second["initial_data"]["center"] == [1.0]
+
+    def test_a_record_made_outside_a_sweep_names_no_experiment(self, tmp_path):
+        cfg = library_config(t_max=1.0)
+        record = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        assert record.experiment is None
+        path = persist_run(record, tmp_path)
+        assert json.loads(path.read_text())["experiment"] is None
+        assert load_run(path).experiment is None
+
+    def test_a_run_file_without_an_experiment_does_not_load(self, tmp_path):
+        path = persist_run(stamped(library_config(t_max=1.0)), tmp_path)
+        data = json.loads(path.read_text())
+        del data["experiment"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(KeyError, match="experiment"):
+            load_run(path)
 
 
 class TestRunStats:

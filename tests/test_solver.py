@@ -26,6 +26,7 @@ from nlslab import (
 from nlslab import convergence, initial_data, propagators, solver
 from nlslab.harness import ExperimentConfig
 from nlslab.initial_data import gaussian
+from nlslab.lifespan import sweep
 from nlslab.propagators import (
     PointwiseBlowUp,
     blowup_horizon,
@@ -132,20 +133,34 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             small_config(**{field: value})
 
-    def test_fingerprint_changes_with_fields(self):
-        # every field can change a run's results; a field added without a value
-        # here fails the key check
+    def test_a_grid_and_params_of_two_dimensions_are_refused(self):
+        # the run's experiment names one d, which the grid and the nonlinearity share
+        with pytest.raises(ValueError, match="grid is 1-dimensional, params.d is 2"):
+            small_config(params=NonlinearityParams(lam=1j, theta=0.5, d=2))
+
+    def test_experiment_changes_with_every_field_but_eps_and_with_the_datum(self):
+        # every field but eps, which the record holds apart, can change a run's
+        # results; a field added without a value here fails the key check, and one
+        # that does not reach the record's experiment fails the comparison
         changed = {
             "grid": Grid(1, 512, 20.0), "params": CONSERVATIVE, "eps": 0.31, "s": 1.5,
-            "t_max": 60.0, "record_every": 2,
+            "t_max": 0.25, "record_every": 2,
         }
         names = {f.name for f in dataclasses.fields(SolverConfig)}
         assert set(changed) == names
-        base = small_config()
-        assert base.fingerprint() == small_config().fingerprint()
+        datum = {"kind": "gaussian", "width": 1.0}
+
+        def experiment(cfg, spec=datum):
+            (record,), _, _ = sweep([cfg.eps], cfg, spec)
+            return record.experiment
+
+        base = small_config(t_max=0.5)
+        assert experiment(base) == experiment(small_config(t_max=0.5))
+        assert experiment(base, {**datum, "width": 2.0}) != experiment(base)
         for name, value in changed.items():
             assert getattr(base, name) != value
-            assert small_config(**{name: value}).fingerprint() != base.fingerprint(), name
+            moved = experiment(dataclasses.replace(base, **{name: value})) != experiment(base)
+            assert moved is (name != "eps"), name
 
 
 class TestInit:
@@ -336,10 +351,10 @@ class TestRunToBlowup:
 
     def test_deterministic(self):
         cfg = small_config(eps=0.4, grid=Grid(1, 256, 25.0), record_every=8)
-        rec1 = run_to_blowup(init(cfg, gaussian(cfg.grid)))
-        rec2 = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        (rec1,), _, _ = sweep([0.4], cfg, {"kind": "gaussian"})
+        (rec2,), _, _ = sweep([0.4], cfg, {"kind": "gaussian"})
         assert rec1.T_eps == rec2.T_eps
-        assert rec1.config_fingerprint == rec2.config_fingerprint
+        assert rec1.experiment == rec2.experiment
         m1 = [s.mass for s in rec1.diagnostics.samples]
         m2 = [s.mass for s in rec2.diagnostics.samples]
         assert m1 == m2

@@ -15,8 +15,8 @@ max_remainder_scaled differs it also prints the relative shift
 It then runs `nlslab sweep`, `nlslab profile-ode` and `nlslab diagnostics` on
 the default config in both trees and compares every file each writes (the run
 JSONs and summary.csv, profile_trajectory.csv, diagnostics.csv) byte for
-byte: a changed fingerprint or number format keeps the persisted byte count,
-and the ratios and the profile ODE are not in the workloads, so only the
+byte: a changed setting in a run's experiment block or a changed number format
+can keep the persisted byte count, and the ratios and the profile ODE are not in the workloads, so only the
 bytes show it.  A file whose bytes differ only in its line ends says so; for a
 JSON file whose bytes differ it names each key whose numbers moved, a list's
 entries under one key, with the largest relative shift |got - want| / |want|
