@@ -21,9 +21,8 @@ print(f"running d=1, theta=1/2, lam=i, eps={eps} on n={grid.n}, L={grid.L} ...")
 (record,), _, _ = sweep([eps], config, {"kind": "gaussian", "width": 1.0})
 
 samples = record.diagnostics.samples
-criterion = "pointwise" if record.t_blow_pointwise is not None else "threshold"
 print(f"\nstatus = {record.status}")
-print(f"T_eps = {record.T_eps:.6f} ({criterion} criterion, "
+print(f"T_eps = {record.T_eps:.6f} ({record.criterion} criterion, "
       f"last sample at sup|u| = {samples[-1].report.l_inf:.0f})")
 
 print("\n   t        sup|u|      ||u||_2^2    E(t)")

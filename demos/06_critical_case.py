@@ -30,7 +30,7 @@ config = SolverConfig(grid=grid, params=params, eps=0.1, s=1.0, t_max=100.0,
 # theta = 1 has no remainder window: diagnostics=True has the run compute sup|R| throughout
 (record,), _, _ = sweep([config.eps], config, {"kind": "gaussian", "width": 1.0},
                         diagnostics=True)
-print(f"status: {record.status} (censored = {record.censored}, as expected)")
+print(f"status: {record.status} (no blow-up by t_max, as expected)")
 times, sups = remainder_series(record.diagnostics, t_min=1.0)
 print("   t      sup_xi |R(t, xi)|")
 for t, s in list(zip(times, sups))[:: max(1, len(times) // 8)]:

@@ -1,4 +1,4 @@
-"""Lifespan bound constants, the remainder criterion and diagnostic ratios of a run, and the eps-sweep.
+"""Lifespan bound constants, the diagnostic ratios of a run, and the eps-sweep.
 
 The headline quantity is the explicit lower-bound value for the rescaled
 lifespan: with 0 < theta < 1, Im(lam) > 0 and datum eps*phi,
@@ -29,7 +29,8 @@ from .propagators import (  # profile and remainder are re-exported
     t_star_time,
 )
 from .records import SweepSummary
-from .solver import DiagnosticsLog, SolverConfig, init, run_to_blowup
+from .solver import (  # max_remainder_scaled and remainder_series are re-exported
+    DiagnosticsLog, SolverConfig, init, max_remainder_scaled, remainder_series, run_to_blowup)
 from .spectral import ComplexField, Space, fourier_forward, sup_modulus
 
 
@@ -106,42 +107,6 @@ def critical_pointwise_time(amplitude, d: int, lam: complex):
     return float(out) if out.ndim == 0 else out
 
 
-def remainder_series(diag: DiagnosticsLog, t_min: float = 1.0, t_max: float = np.inf):
-    """sup_xi |R(t, xi)| over the log's rows with t_min <= t <= t_max.
-
-    Both ends are inclusive.  A default run's rows run from t_star to its
-    last kept field, past T/2; one started with `diagnostics` has a row at
-    every kept grid time.
-    Returns (times, sup_values), two empty arrays when no row is in range;
-    the scaled series is sup * t^(theta+gamma).
-    """
-    rows = [r for r in diag.rows if r.remainder_sup is not None and t_min <= r.t <= t_max]
-    return np.array([r.t for r in rows]), np.array([r.remainder_sup for r in rows])
-
-
-def max_remainder_scaled(diag: DiagnosticsLog, cfg: SolverConfig, T: float) -> float | None:
-    """sup over [t_star, T/2] of sup_xi|R| * t^(theta+gamma), read from the log's rows.
-
-    The run computed them and kept those past T/2 too; the window is cut
-    here alone, and nothing is transformed.  None where the
-    window is undefined (theta >= 1, eps = 0, or gamma outside (0, 1/2]),
-    where the run has no T (boundary contamination), or where the window
-    holds no row.
-    """
-    params = cfg.params
-    try:
-        t_star = t_star_time(cfg.eps, params.theta, params.d)
-        gamma = gamma_exponent(cfg.s, params.d)
-    except ValueError:
-        return None
-    if T is None or T / 2.0 <= t_star:
-        return None
-    times, sups = remainder_series(diag, t_min=t_star, t_max=T / 2.0)
-    if not len(times):
-        return None
-    return float(np.max(sups * times ** (params.theta + gamma)))
-
-
 def decay_ratio_diagnostics(diag: DiagnosticsLog) -> list:
     """The rows of a run started with `diagnostics`, one per kept grid time from t = 0:
     each carries the ratios r1-r3 at the run's index s, which must stay bounded
@@ -183,20 +148,20 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
     largest eps, and the cap check sup|eps*phi| < 1e3/eps is monotone in eps
     under rounding (every other check of :func:`nlslab.solver.init` does not
     depend on eps).  With `jobs` > 1 every rung is initialised before the
-    pool starts, and the records are those of `jobs` = 1.  Each record is
-    stamped with the bound value, its scaled remainder maximum, read from
-    the rows its run computed, and its own copy of the experiment (see
-    :class:`nlslab.records.RunRecord`), whose datum is as
-    :func:`nlslab.initial_data.check_spec` reads it.
+    pool starts, and the records are those of `jobs` = 1.  Each run's record
+    comes from :func:`nlslab.solver.make_record` with every measurement of
+    the run; the sweep stamps only the datum-level facts, the bound value
+    and its own copy of the experiment (see :class:`nlslab.records.RunRecord`),
+    whose datum is as :func:`nlslab.initial_data.check_spec` reads it.
     `diagnostics` reaches :func:`nlslab.solver.init`: each run then computes
     a full row at every kept grid time, for :func:`decay_ratio_diagnostics`
-    and :func:`remainder_series` over the whole run, and the stamped values
+    and :func:`remainder_series` over the whole run, and the record's values
     do not change.  Returns (records, summary, bound), with bound from
     :func:`bound_or_none`.  The ladder must be non-empty and strictly
     decreasing.
-    Censored (reached t_max) and boundary-contaminated runs are excluded from
-    the bound verdict; if no usable run remains, or the config has no bound,
-    the verdict is INCONCLUSIVE.
+    Only the runs that blew up enter the bound verdict; those that reached
+    t_max or were contaminated do not.  If no run blew up, or the config has
+    no bound, the verdict is INCONCLUSIVE.
     """
     ladder = decreasing_ladder(eps_ladder)
     data_spec = check_spec(data_spec)
@@ -229,10 +194,9 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
 
     q_values, running_min = [], []
     current_min = None
-    for config, rec in zip(configs, records):
+    for rec in records:
         rec.bound_value = bound_value
         rec.experiment = deepcopy(experiment)
-        rec.max_remainder_scaled = max_remainder_scaled(rec.diagnostics, config, rec.T_eps)
         if rec.usable_for_bound():
             q = rec.invariant_quantity
             q_values.append(q)

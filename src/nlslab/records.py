@@ -9,17 +9,19 @@ import numpy as np
 
 @dataclass
 class RunRecord:
-    """Per-run summary of a blow-up measurement.
+    """Per-run summary of a blow-up measurement, made as the run ends by
+    :func:`nlslab.solver.make_record`.
 
-    T_eps is the measured lifespan (None when the run is invalid for
-    bound-checking); `censored` marks runs that reached t_max without blowing
-    up, so their T_eps is only a lower bound.  invariant_quantity is
+    T_eps is the measured lifespan, the time reached where the run reached
+    t_max (so only a lower bound), and None where it was contaminated.
+    `criterion` is what bracketed a blow-up, "pointwise" or "threshold", and
+    None where there was none.  invariant_quantity is
     eps^(2 theta / d) * T_eps^(1 - theta) in the subcritical range and
     eps^(2/d) * log(T_eps) in the critical case theta = 1.  `experiment` holds
     the run's settings but eps, keyed as in the config file, so that a config
-    made of it and the ladder [eps] runs the same rung again; only
-    :func:`nlslab.lifespan.sweep` stamps it, and a record made outside a sweep
-    has None.
+    made of it and the ladder [eps] runs the same rung again.  Only
+    :func:`nlslab.lifespan.sweep` stamps it and `bound_value`: a record made
+    outside a sweep has None in both, and is the sweep's in every other field.
     """
 
     eps: float
@@ -28,9 +30,7 @@ class RunRecord:
     lam: complex
     status: str
     T_eps: float | None = None
-    censored: bool = False
-    t_blow_pointwise: float | None = None
-    t_blow_threshold: float | None = None
+    criterion: str | None = None
     invariant_quantity: float | None = None
     bound_value: float | None = None
     experiment: dict | None = None
@@ -49,7 +49,8 @@ class RunRecord:
         return self.eps ** (2.0 / self.d) * float(np.log(self.T_eps))
 
     def usable_for_bound(self) -> bool:
-        return self.T_eps is not None and not self.censored and self.status == "blown-up"
+        """Whether the run blew up, so that its T_eps is a lifespan."""
+        return self.status == "blown-up"
 
 
 @dataclass

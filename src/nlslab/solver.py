@@ -91,6 +91,7 @@ from .spectral import (
 _STEP_TOLERANCE = 1e-5
 _BRACKET = 1e-3  # a blow-up is bracketed within this fraction of the elapsed time
 _FIRST_STEP = 0.1 * 0.05  # 0.005000000000000001: a literal 0.005 would move every run's bits
+_FIRST_STEP_HORIZONS = 0.2  # and at most this many of the datum's blow-up horizons
 _SUP_CAP = 1e3  # sup|u| >= _SUP_CAP / eps is an event; there is no cap at eps = 0
 _SHELL_TOLERANCE = 1e-6  # outer-shell mass fraction above which a run is contaminated
 _SPARSE_PER_DECADE = 16  # grid times per decade of 1 + t before t_star
@@ -194,7 +195,7 @@ class DiagnosticsLog:
     With `full`, every kept field gets its full row.  Otherwise only the
     criterion's rows are computed, with `window`: a sup|R| row for each field
     kept from `dense_from` on, up to the run's end.  The criterion reads
-    those in [t_star, T/2] (:func:`nlslab.lifespan.max_remainder_scaled`).
+    those in [t_star, T/2] (:func:`max_remainder_scaled`).
     An offered field is made read-only, kept or not.  A midpoint is a buffer
     of its trial, which computes the midpoint's row when the log keeps it and
     then writes the second half step over it.  `stats` is what the run did
@@ -343,15 +344,45 @@ def _dense_from(config: SolverConfig) -> float:
         return 1.0
 
 
-def _has_window(config: SolverConfig) -> bool:
-    """Whether the remainder criterion's window [t_star, T/2] is defined: not where
-    theta = 1, eps = 0, or gamma lies outside (0, 1/2]."""
+def _window(config: SolverConfig) -> tuple[float, float] | None:
+    """(t_star, theta + gamma) of the remainder criterion's window [t_star, T/2], or None
+    where it is undefined: theta outside (0, 1), eps = 0, or gamma outside (0, 1/2]."""
+    params = config.params
     try:
-        gamma_exponent(config.s, config.params.d)
-        t_star_time(config.eps, config.params.theta, config.params.d)
+        t_star = t_star_time(config.eps, params.theta, params.d)
+        gamma = gamma_exponent(config.s, params.d)
     except ValueError:
-        return False
-    return True
+        return None
+    return t_star, params.theta + gamma
+
+
+def remainder_series(diag: DiagnosticsLog, t_min: float = 1.0, t_max: float = math.inf):
+    """sup_xi |R(t, xi)| over the log's rows with t_min <= t <= t_max.
+
+    Both ends are inclusive.  A default run's rows run from t_star to its
+    last kept field, past T/2; one started with `diagnostics` has a row at
+    every kept grid time.
+    Returns (times, sup_values), two empty arrays when no row is in range;
+    the scaled series is sup * t^(theta+gamma).
+    """
+    rows = [r for r in diag.rows if r.remainder_sup is not None and t_min <= r.t <= t_max]
+    return np.array([r.t for r in rows]), np.array([r.remainder_sup for r in rows])
+
+
+def max_remainder_scaled(diag: DiagnosticsLog, cfg: SolverConfig, T: float | None) -> float | None:
+    """sup over [t_star, T/2] of sup_xi|R| * t^(theta+gamma), read from the log's rows.
+
+    The run computed them and kept those past T/2 too; the window is cut
+    here alone, and nothing is transformed.  None where the window is
+    undefined (:func:`_window`), where the run has no T (boundary
+    contamination), or where the window holds no row.
+    """
+    window = _window(cfg)
+    if window is None or T is None:
+        return None
+    t_star, exponent = window
+    times, sups = remainder_series(diag, t_min=t_star, t_max=T / 2.0)
+    return float(np.max(sups * times ** exponent)) if len(times) else None
 
 
 def init(config: SolverConfig, phi: ComplexField, diagnostics: bool = False) -> SolverState:
@@ -373,7 +404,7 @@ def init(config: SolverConfig, phi: ComplexField, diagnostics: bool = False) -> 
     if not phi.is_finite():
         raise ValueError("initial datum contains non-finite values")
     u0 = config.eps * phi.values
-    log = DiagnosticsLog(dense_from=_dense_from(config), window=_has_window(config),
+    log = DiagnosticsLog(dense_from=_dense_from(config), window=_window(config) is not None,
                          full=diagnostics)
     modulus = _modulus(config, u0)
     if modulus is None:
@@ -481,7 +512,9 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     """Advance with the error-controlled step law until blow-up, contamination, or t_max.
 
     Each proposed step h is cut to dt = min(h, t_max - t); the first
-    proposal is 0.005.  Before each trial, where the pointwise blow-up
+    proposal is 0.005, or a fifth of the datum's pointwise blow-up horizon
+    where that is shorter, so that a large datum's first trial does not meet
+    the pointwise singularity.  Before each trial, where the pointwise blow-up
     horizon H of sup|u| is finite and below the last state's H_prev, h is
     first scaled by H/H_prev: in the end-game H is the solution's time scale
     and shrinks by about a fifth per step, faster than a proposal made from
@@ -542,7 +575,8 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     log = state.diagnostics
     stats = log.stats
     tol = _STEP_TOLERANCE
-    h, last_horizon = _FIRST_STEP, math.inf
+    h = min(_FIRST_STEP, _FIRST_STEP_HORIZONS * blowup_horizon(state.sup, cfg.params))
+    last_horizon = math.inf
     while True:
         t = state.t
         remaining = cfg.t_max - t
@@ -601,19 +635,14 @@ def make_record(state: SolverState, status: RunStatus, t_blow: float | None = No
     """The record of a run that ended on `state` with `status`, whose last sample
     is `state`: it is sampled here unless it already was.  A BLOWN_UP run blew
     up at t_blow by `criterion`: "pointwise" (the horizon of sup|u|) or
-    "threshold" (the sup-norm cap).  The record carries the log as the run left
-    it, with every row it kept."""
+    "threshold" (the sup-norm cap).  Every measurement of the run enters the
+    record here, the remainder criterion's maximum (:func:`max_remainder_scaled`)
+    too; it carries the log as the run left it, with every row it kept."""
     if state.diagnostics.samples[-1].t != state.t:
         _sample_diagnostics(state, _abs_sq(state.u.values))
     cfg = state.config
     params = cfg.params
-    censored = status is RunStatus.REACHED_TMAX
-    if status is RunStatus.BLOWN_UP:
-        T = t_blow
-    elif censored:
-        T = state.t
-    else:
-        T = None
+    T = {RunStatus.BLOWN_UP: t_blow, RunStatus.REACHED_TMAX: state.t}.get(status)
     samples = state.diagnostics.samples
     record = RunRecord(
         eps=cfg.eps,
@@ -622,9 +651,8 @@ def make_record(state: SolverState, status: RunStatus, t_blow: float | None = No
         lam=params.lam,
         status=status.value,
         T_eps=T,
-        censored=censored,
-        t_blow_pointwise=t_blow if criterion == "pointwise" else None,
-        t_blow_threshold=t_blow if criterion == "threshold" else None,
+        criterion=criterion,
+        max_remainder_scaled=max_remainder_scaled(state.diagnostics, cfg, T),
         max_tail_fraction=max((s.tail_fraction for s in samples), default=None),
         max_shell_fraction=max((s.shell_fraction for s in samples), default=None),
         outside_hypotheses=not cfg.index_condition_ok,

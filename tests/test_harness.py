@@ -588,7 +588,8 @@ class TestCli:
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
         assert "eps=0.0 status=reached-t-max" in capsys.readouterr().out
         record = load_run(tmp_path / "out" / "run_eps0.0.json")
-        assert record.censored and record.max_remainder_scaled is None
+        assert record.criterion is None and record.max_remainder_scaled is None
+        assert not record.usable_for_bound()
 
     @pytest.mark.parametrize("over", [{"theta": 1.0}, {"lam": [0.0, 0.0]}],
                              ids=["critical", "unitary"])

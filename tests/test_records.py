@@ -1,6 +1,8 @@
 """A run file names its experiment (one experiment block per experiment, however its
-numbers are spelled, and enough to run the rung again) and a run's counts."""
+numbers are spelled, and enough to run the rung again), a run's record states each of
+its measurements once, made where the run ends, and a run's counts."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -215,13 +217,58 @@ class TestARunFileNamesItsExperiment:
         assert json.loads(path.read_text())["experiment"] is None
         assert load_run(path).experiment is None
 
-    def test_a_run_file_without_an_experiment_does_not_load(self, tmp_path):
+    @pytest.mark.parametrize("missing", ["experiment", "criterion"])
+    def test_a_run_file_in_an_older_format_does_not_load(self, tmp_path, missing):
+        # a file without an experiment block, or one written before `criterion`
+        # replaced censored and the two copies of T_eps, t_blow_pointwise and
+        # t_blow_threshold
         path = persist_run(stamped(library_config(t_max=1.0)), tmp_path)
         data = json.loads(path.read_text())
-        del data["experiment"]
+        del data[missing]
+        if missing == "criterion":
+            data.update(censored=True, t_blow_pointwise=None, t_blow_threshold=None)
         path.write_text(json.dumps(data))
-        with pytest.raises(KeyError, match="experiment"):
+        with pytest.raises(KeyError, match=missing):
             load_run(path)
+
+
+def rung(d, n, L, **over):
+    """A rung of the amplifying theta = 1/2 equation on a grid of n^d points; `over` sets
+    eps, t_max or the params."""
+    kw = {"params": NonlinearityParams(1j, 0.5, d), "eps": 0.4, "s": 1.0 if d == 1 else 1.2,
+          "t_max": 200.0, "record_every": 4, **over}
+    return SolverConfig(grid=Grid(d, n, L), **kw)
+
+
+class TestOneRecordPerRun:
+    # the 2-D rung is blowup-2d's on a 64^2 grid; both have rows in their remainder
+    # windows [t_star, T/2]
+    @pytest.mark.parametrize("cfg", [rung(1, 512, 40.0, eps=0.2), rung(2, 64, 20.0)],
+                             ids=["1d", "2d"])
+    def test_a_record_made_outside_a_sweep_is_the_sweeps(self, cfg):
+        # make_record states every measurement of the run, the remainder criterion's
+        # maximum among them; the sweep stamps only the bound value and the experiment
+        alone = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        swept = stamped(cfg)
+        assert alone.max_remainder_scaled is not None
+        assert alone.bound_value is alone.experiment is None
+        assert swept.bound_value is not None and swept.experiment is not None
+        assert dataclasses.replace(swept, bound_value=None, experiment=None) == alone
+
+    @pytest.mark.parametrize("cfg, status, criterion", [
+        (library_config(), "blown-up", "pointwise"),
+        (rung(2, 64, 20.0), "blown-up", "threshold"),
+        # t_max falls inside the horizon's bracket of the eps = 0.4 rung
+        (library_config(t_max=3.754), "reached-t-max", None),
+        # lam = 1 disperses the datum into the boundary shell of a box too small for it
+        (rung(1, 64, 6.0, params=NonlinearityParams(1.0 + 0j, 0.5, 1), eps=0.3),
+         "boundary-contaminated", None),
+    ], ids=["pointwise", "threshold", "reached-t-max", "contaminated"])
+    def test_the_criterion_says_what_bracketed_the_blow_up(self, cfg, status, criterion):
+        record = run_to_blowup(init(cfg, gaussian(cfg.grid)))
+        assert (record.status, record.criterion) == (status, criterion)
+        assert record.usable_for_bound() == (status == "blown-up")
+        assert (record.T_eps is None) == (status == "boundary-contaminated")
 
 
 class TestRunStats:

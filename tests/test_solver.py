@@ -333,7 +333,7 @@ class TestStep:
         assert len(log.samples) == n_samples and len(log.rows) == n_rows
         # the run loop brackets the same crossing and records it as a threshold blow-up
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
-        assert rec.status == "blown-up" and rec.t_blow_threshold == rec.T_eps
+        assert rec.status == "blown-up" and rec.criterion == "threshold"
         assert state.t < rec.T_eps < state.t + 0.05
 
 
@@ -346,7 +346,7 @@ class TestRunToBlowup:
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         assert rec.status == "blown-up"
         assert rec.T_eps == pytest.approx(3.7544805, rel=2e-5)
-        assert rec.t_blow_pointwise is not None
+        assert rec.criterion == "pointwise"
         assert rec.invariant_quantity == pytest.approx(0.4 * np.sqrt(rec.T_eps), rel=1e-12)
 
     def test_deterministic(self):
@@ -363,8 +363,8 @@ class TestRunToBlowup:
         cfg = small_config(params=NonlinearityParams(lam=-1j, theta=0.5, d=1),
                            eps=0.3, t_max=3.0, record_every=8)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
-        assert rec.status == "reached-t-max"
-        assert rec.censored
+        assert rec.status == "reached-t-max" and rec.criterion is None
+        assert not rec.usable_for_bound()
         assert rec.T_eps == pytest.approx(3.0, rel=1e-6)
 
     def test_larger_gain_blows_up_sooner(self):
@@ -401,7 +401,7 @@ class TestRunToBlowup:
         monkeypatch.setattr(solver, "_SUP_CAP", 0.6)
         cfg = small_config(eps=0.3, record_every=7)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
-        assert rec.status == "blown-up" and rec.t_blow_threshold == rec.T_eps
+        assert rec.status == "blown-up" and rec.criterion == "threshold"
         assert abs(rec.T_eps - 5.167165066477595) / 5.167165066477595 < 5e-4
         last = rec.diagnostics.samples[-1].t
         assert 0 < 2 * (rec.T_eps - last) <= 1e-3 * last
@@ -416,7 +416,7 @@ class TestRunToBlowup:
             monkeypatch.setattr(solver, "_SUP_CAP", thr * 0.3)
             cfg = small_config(eps=0.3, grid=grid, t_max=60.0, record_every=10**9)
             rec = run_to_blowup(init(cfg, phi))
-            assert rec.status == "blown-up" and rec.t_blow_pointwise == rec.T_eps
+            assert rec.status == "blown-up" and rec.criterion == "pointwise"
             return rec.T_eps
 
         assert measure(1000.0) == measure(4000.0)
@@ -427,7 +427,7 @@ class TestRunToBlowup:
         cfg = small_config(eps=0.4, grid=Grid(1, 512, 30.0), record_every=8)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
         last = rec.diagnostics.samples[-1]
-        assert rec.status == "blown-up" and rec.t_blow_pointwise == rec.T_eps
+        assert rec.status == "blown-up" and rec.criterion == "pointwise"
         assert rec.T_eps == last.t + blowup_horizon(last.report.l_inf, cfg.params)
         assert 0 < rec.T_eps - last.t <= 1e-3 * last.t
 
@@ -436,7 +436,7 @@ class TestRunToBlowup:
         # grid (tail 2.9e-7 measured; 5.2e-3 when it ran on to the cap)
         cfg = small_config(eps=0.4, grid=Grid(1, 2048, 80.0), t_max=200.0, record_every=4)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
-        assert rec.status == "blown-up" and rec.t_blow_pointwise == rec.T_eps
+        assert rec.status == "blown-up" and rec.criterion == "pointwise"
         assert rec.max_tail_fraction < 1e-6
 
     def test_singularity_past_t_max_is_censored(self):
@@ -446,8 +446,7 @@ class TestRunToBlowup:
         # there, 3.4e-3 when it ran on to t_max)
         cfg = small_config(eps=0.4, grid=Grid(1, 2048, 80.0), t_max=3.754, record_every=4)
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
-        assert rec.status == "reached-t-max" and rec.censored
-        assert rec.t_blow_pointwise is None and rec.t_blow_threshold is None
+        assert rec.status == "reached-t-max" and rec.criterion is None
         assert 0 < cfg.t_max - rec.T_eps <= solver._BRACKET * rec.T_eps
         assert rec.max_tail_fraction < 1e-6
         # the record ends on a sample of the state it stopped on
@@ -841,18 +840,35 @@ class TestStepLaw:
         assert not any(kept is row for kept in log.rows for row in thrown)
 
     def test_singularity_that_does_not_recur_is_stepped_past(self, monkeypatch):
-        # a first proposal of 10: from twice the datum, sup|u| = 0.8 with horizon
-        # 1.25, the first trial is cut to land on t_star = 2.5, twice the horizon,
-        # and meets the pointwise singularity.  It is refused as if its err were
-        # inf, the retry takes a fifth of its step, and the run blows up
+        # a first proposal of 10, let through by a limit of 10 horizons: from twice
+        # the datum, sup|u| = 0.8 with horizon 1.25, the first trial is cut to land
+        # on t_star = 2.5, twice the horizon, and meets the pointwise singularity.
+        # It is refused as if its err were inf, the retry takes a fifth of its
+        # step, and the run blows up
         trials = self.spy_trials(monkeypatch)
         monkeypatch.setattr(solver, "_FIRST_STEP", 10.0)
+        monkeypatch.setattr(solver, "_FIRST_STEP_HORIZONS", 10.0)
         cfg = small_config(eps=0.4, record_every=1)
         rec = run_to_blowup(init(cfg, amplified_gaussian(cfg, 2.0)))
         assert rec.status == "blown-up" and rec.diagnostics.stats.singular == 1
         assert trials[0][0] == 2.5 and trials[0][3] == math.inf
         assert trials[1][0] == 2.5 * 0.2
         assert_log_matches_its_counts(rec.diagnostics, cfg.record_every)
+
+    @pytest.mark.parametrize("amplitude", [1000.0, 5000.0])
+    def test_a_large_datum_takes_a_first_step_short_of_its_horizon(self, monkeypatch,
+                                                                   amplitude):
+        # sup|u(0)| = 400 and 2000 have horizons 0.0025 and 0.0005, below the first
+        # proposal 0.005, which met the pointwise singularity (1 and 2 singular
+        # trials): the first trial takes a fifth of the horizon, and no trial of the
+        # run is singular
+        trials = self.spy_trials(monkeypatch)
+        cfg = small_config(eps=0.4)
+        state = init(cfg, amplified_gaussian(cfg, amplitude))
+        first = 0.2 * blowup_horizon(state.sup, cfg.params)
+        rec = run_to_blowup(state)
+        assert first < solver._FIRST_STEP and trials[0][0] == first
+        assert rec.status == "blown-up" and rec.diagnostics.stats.singular == 0
 
     @staticmethod
     def trial_paths(dt):
@@ -963,7 +979,7 @@ class TestStepLaw:
             assert retry["dt"] == 0.5 * tried["dt"]
             assert retry["recorded"] == tried["recorded"]
         last = trials[-1]
-        assert rec.status == "blown-up" and rec.t_blow_threshold == rec.T_eps
+        assert rec.status == "blown-up" and rec.criterion == "threshold"
         assert (len(log.samples), len(log.rows)) == last["recorded"]
         assert rec.T_eps == log.samples[-1].t + 0.5 * last["dt"]
         assert_log_matches_its_counts(log, cfg.record_every)
@@ -1002,15 +1018,17 @@ class TestStepLaw:
     @pytest.mark.parametrize("refusal", ["rejected", "capped", "singular"])
     def test_a_refused_trial_keeps_no_row(self, monkeypatch, refusal):
         # trials that compute their midpoints' rows in a full log, then are refused.
-        # A first proposal of 10 cuts the first trial to land on t_star = 2.5: from
-        # the datum its err is over tolerance, as is its retry's; from twice the
-        # datum it meets the pointwise singularity after its midpoint's row.  A cap
-        # of 0.4/eps = 1 refuses the trials that reach it.  Each refused trial's row
-        # is counted as refused, and none is kept
+        # A first proposal of 10, let through by a limit of 10 horizons, cuts the
+        # first trial to land on t_star = 2.5: from the datum its err is over
+        # tolerance, as is its retry's; from twice the datum it meets the pointwise
+        # singularity after its midpoint's row.  A cap of 0.4/eps = 1 refuses the
+        # trials that reach it.  Each refused trial's row is counted as refused,
+        # and none is kept
         if refusal == "capped":
             monkeypatch.setattr(solver, "_SUP_CAP", 0.4)
         else:
             monkeypatch.setattr(solver, "_FIRST_STEP", 10.0)
+            monkeypatch.setattr(solver, "_FIRST_STEP_HORIZONS", 10.0)
         cfg = small_config(eps=0.4, t_max=3.0, record_every=1)
         datum = amplified_gaussian(cfg, 2.0 if refusal == "singular" else 1.0)
         rec = run_to_blowup(init(cfg, datum, diagnostics=True))

@@ -18,9 +18,9 @@ JSONs and summary.csv, profile_trajectory.csv, diagnostics.csv) byte for
 byte: a changed setting in a run's experiment block or a changed number format
 can keep the persisted byte count, and the ratios and the profile ODE are not in the workloads, so only the
 bytes show it.  A file whose bytes differ only in its line ends says so; for a
-JSON file whose bytes differ it names each key whose numbers moved, a list's
-entries under one key, with the largest relative shift |got - want| / |want|
-among them.
+JSON file whose bytes differ it names each key that only one side has, and each
+key whose values moved, a list's entries under one key, with the largest
+relative shift |got - want| / |want| among its numbers (see `changed_keys`).
 
 Exit status: 0 when every workload and every command's outputs are identical,
 1 when one differs, 2 when a worker, a command or git fails.  `perfbench/run.py`
@@ -92,40 +92,58 @@ def run_shifts(want: list, got: list, key: str) -> list:
             if w[key] and g[key] is not None and g[key] != w[key]]
 
 
-def numbers(value, key: str = ""):
-    """(key path, number) for every number in the JSON `value`, the entries of a list
-    under one path, such as "diagnostics.samples[].t".  A bool is no number."""
-    if isinstance(value, dict):
+def leaves(value, key: str = ""):
+    """(key path, leaf) for every leaf of the JSON `value`: each number, string, bool and
+    null, and each empty list or object.  The entries of a list share one path, such as
+    "diagnostics.samples[].t"."""
+    if isinstance(value, dict) and value:
         for name, item in value.items():
-            yield from numbers(item, f"{key}.{name}" if key else name)
-    elif isinstance(value, list):
+            yield from leaves(item, f"{key}.{name}" if key else name)
+    elif isinstance(value, list) and value:
         for item in value:
-            yield from numbers(item, f"{key}[]")
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield from leaves(item, f"{key}[]")
+    else:
         yield key, value
 
 
-def moved_numbers(want: bytes, got: bytes) -> list:
-    """(key path, largest |got - want| / |want|) of each key whose numbers differ
-    between two JSON documents, in key order; inf where a number left 0, nan where
-    the two hold different counts of numbers under the key."""
+def is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def changed_keys(want: bytes, got: bytes, rev: str) -> list:
+    """One line per key path whose leaves differ between two JSON documents, `want`
+    from <rev> and `got` from the working tree, in key order.  A key that one side
+    lacks is "only in <rev>" or "only in the working tree", whatever its values.  Where
+    both hold as many numbers under a key, the line gives the largest relative shift
+    |got - want| / |want| among them, inf where a number left 0 or is not finite;
+    where the counts differ, both counts; else the first pair of leaves that differ."""
     by_key = []
     for doc in (want, got):
         found = {}
-        for path, x in numbers(json.loads(doc)):
+        for path, x in leaves(json.loads(doc)):
             found.setdefault(path, []).append(x)
         by_key.append(found)
-    moved = []
+    lines = []
     for path in sorted(by_key[0].keys() | by_key[1].keys()):
-        a, b = by_key[0].get(path, []), by_key[1].get(path, [])
+        if path not in by_key[1]:
+            lines.append(f"{path}: only in {rev}")
+            continue
+        if path not in by_key[0]:
+            lines.append(f"{path}: only in the working tree")
+            continue
+        a, b = by_key[0][path], by_key[1][path]
         if a == b:
             continue
         if len(a) != len(b):
-            moved.append((path, math.nan))
-            continue
-        moved.append((path, max(abs(y - x) / abs(x) if x else math.inf
-                                for x, y in zip(a, b) if x != y)))
-    return moved
+            lines.append(f"{path}: {len(a)} values in {rev}, {len(b)} in the working tree")
+        elif all(map(is_number, a + b)):
+            shifts = (abs(y - x) / abs(x) if x else math.inf for x, y in zip(a, b) if x != y)
+            shift = max(math.inf if math.isnan(r) else r for r in shifts)
+            lines.append(f"{path}: largest relative shift {shift:.3e}")
+        else:
+            x, y = next((x, y) for x, y in zip(a, b) if x != y)
+            lines.append(f"{path}: {json.dumps(x)} in {rev}, {json.dumps(y)} in the working tree")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -166,8 +184,8 @@ def main(argv=None) -> int:
                         "bytes differ" + (" only in line ends" if want[name].replace(b"\r", b"")
                                           == got[name].replace(b"\r", b"") else "")))
                     if name.endswith(".json") and name in want and name in got:
-                        for path, shift in moved_numbers(want[name], got[name]):
-                            print(f"    {path}: largest relative shift {shift:.3e}")
+                        for line in changed_keys(want[name], got[name], args.rev):
+                            print(f"    {line}")
                 differ = differ or bool(changed)
         except subprocess.CalledProcessError as e:
             stderr = e.stderr if isinstance(e.stderr, str) else (e.stderr or b"").decode()
