@@ -10,13 +10,7 @@ that t^(theta+gamma) * sup|R| stays essentially flat.
 """
 
 from nlslab import Grid, NonlinearityParams
-from nlslab.lifespan import (
-    decay_ratio_diagnostics,
-    gamma_exponent,
-    remainder_series,
-    sweep,
-    t_star_time,
-)
+from nlslab.lifespan import gamma_exponent, remainder_series, sweep, t_star_time
 from nlslab.solver import SolverConfig
 
 grid = Grid(1, 2048, 80.0)
@@ -31,7 +25,7 @@ print("running eps = 0.2 to blow-up ...")
 T = record.T_eps
 print(f"T_eps = {T:.4f}")
 
-ratios = decay_ratio_diagnostics(record.diagnostics)
+ratios = record.diagnostics.rows
 print("\n   t        r1        r2        r3")
 shown = [r for r in ratios if r.t <= 0.75 * T]
 for r in shown[:: max(1, len(shown) // 10)]:

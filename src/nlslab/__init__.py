@@ -38,8 +38,8 @@ from .lifespan import (
     BoundReport,
     critical_bound,
     critical_pointwise_time,
+    fold,
     gamma_exponent,
-    decay_ratio_diagnostics,
     max_remainder_scaled,
     profile,
     remainder,

@@ -27,7 +27,6 @@ from .initial_data import build as build_initial_data
 from .lifespan import (
     critical_bound,
     critical_pointwise_time,
-    decay_ratio_diagnostics,
     gamma_exponent,
     remainder_series,
     sweep,
@@ -124,12 +123,12 @@ def _cmd_sweep(args) -> int:
     records, summary, _ = sweep(cfg.eps_ladder, cfg.solver_config(), cfg.initial_data,
                                 tolerance=cfg.tolerance, jobs=args.jobs)
     _say_if_outside(cfg, records[0])
-    print(f"bound_value = {summary.bound_value!r}")
-    for rec, q in zip(records, summary.q_values):
-        q_str = "censored/invalid" if q is None else repr(q)
+    print(f"bound_value = {records[0].bound_value!r}")
+    for rec in records:
+        q_str = repr(rec.invariant_quantity) if rec.usable_for_bound() else "censored/invalid"
         print(f"eps={rec.eps!r} status={rec.status} T_eps={rec.T_eps!r} q_eps={q_str}")
     print(f"verdict: {summary.verdict} "
-          f"(running min = {summary.running_min[-1]!r}, tolerance = {summary.tolerance!r})")
+          f"(running min = {summary.min_q!r}, tolerance = {summary.tolerance!r})")
     for rec in records:
         persist_run(rec, args.out)
     print(f"wrote {persist_summary(records, summary, args.out)}")
@@ -172,7 +171,7 @@ def _cmd_diagnostics(args) -> int:
     (record,), _, _ = sweep(cfg.eps_ladder[:1], cfg.solver_config(), cfg.initial_data,
                             diagnostics=True)
     print(f"run status = {record.status}, T_eps = {record.T_eps!r}")
-    ratios = decay_ratio_diagnostics(record.diagnostics)
+    ratios = record.diagnostics.rows
     for name in ("r1", "r2", "r3"):
         vals = [getattr(r, name) for r in ratios if getattr(r, name) is not None]
         if vals:

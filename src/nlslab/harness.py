@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .initial_data import _check_type, check_spec
-from .lifespan import decreasing_ladder
+from .lifespan import checked_tolerance, decreasing_ladder
 from .propagators import NonlinearityParams
 from .records import RunRecord, SweepSummary
 from .solver import DiagnosticSample, SolverConfig
@@ -67,6 +67,7 @@ class ExperimentConfig:
             data["lam"] = complex(lam[0], lam[1])
         cfg = cls(**data)
         decreasing_ladder(cfg.eps_ladder)
+        checked_tolerance(cfg.tolerance)
         if cfg.schema_version != SCHEMA_VERSION:
             raise ValueError(
                 f"config schema_version {cfg.schema_version} != supported {SCHEMA_VERSION}")
@@ -172,26 +173,38 @@ def persist_run(record: RunRecord, out_dir) -> Path:
 
 
 def load_run(path) -> RunRecord:
-    return run_record_from_dict(json.loads(Path(path).read_text()))
+    """The record in a run file; ValueError naming the file, its missing and unknown
+    keys and its schema_version where that is not this one, for another format."""
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"run file {str(path)!r} cannot be loaded: it holds no JSON object")
+    keys = {f.name for f in fields(RunRecord)} | {"schema_version"}
+    problems = [f"{what} keys {sorted(names)}" for what, names in
+                (("missing", keys - set(data)), ("unknown", set(data) - keys)) if names]
+    if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        problems.append(f"schema_version {data['schema_version']!r}, not {SCHEMA_VERSION}")
+    if problems:
+        raise ValueError(f"run file {str(path)!r} cannot be loaded: {'; '.join(problems)}")
+    return run_record_from_dict(data)
 
 
 CSV_COLUMNS = ["eps", "T_eps", "q_eps", "bound_value", "status"]
 
 
 def persist_summary(records, summary: SweepSummary, out_dir) -> Path:
-    """Summary CSV: one row per ladder rung plus a trailing verdict line."""
+    """Summary CSV: one row per ladder rung, read off its record, plus a trailing
+    verdict line, where min_q is labelled running_min (the running minimum's end)."""
     rows = [CSV_COLUMNS]
     rows += [[rec.eps, rec.T_eps, rec.invariant_quantity, rec.bound_value, rec.status]
              for rec in records]
-    rows.append(["verdict", summary.verdict, "running_min",
-                 summary.running_min[-1] if summary.running_min else None,
+    rows.append(["verdict", summary.verdict, "running_min", summary.min_q,
                  "tolerance", summary.tolerance])
     return _write_csv(out_dir, "summary.csv", rows)
 
 
 def persist_diagnostics(rows, out_dir) -> Path:
-    """diagnostics.csv: t and the ratios r1-r3 of each row of
-    :func:`nlslab.lifespan.decay_ratio_diagnostics`, an empty cell for a None ratio."""
+    """diagnostics.csv: t and the ratios r1-r3 of each row, the `rows` of the log of a
+    run started with diagnostics=True, an empty cell for a None ratio."""
     return _write_csv(out_dir, "diagnostics.csv",
                       [["t", "r1", "r2", "r3"], *([r.t, r.r1, r.r2, r.r3] for r in rows)])
 

@@ -7,8 +7,8 @@ lifespan: with 0 < theta < 1, Im(lam) > 0 and datum eps*phi,
     bound_value = (1-theta) d / (2 theta Im(lam) sup_xi |phi_hat(xi)|^(2 theta/d))
 
 up to finite-eps effects; tau0 = bound_value^(1/(1-theta)) is the associated
-time scale.  The sweep measures T_eps on a decreasing eps ladder and compares
-the running minimum of the left side against bound_value with a tolerance.
+time scale.  The sweep measures T_eps on a decreasing eps ladder, and the fold
+compares the least left side of its records against bound_value with a tolerance.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .propagators import (  # profile and remainder are re-exported
 )
 from .records import SweepSummary
 from .solver import (  # max_remainder_scaled and remainder_series are re-exported
-    DiagnosticsLog, SolverConfig, init, max_remainder_scaled, remainder_series, run_to_blowup)
+    SolverConfig, init, max_remainder_scaled, remainder_series, run_to_blowup)
 from .spectral import ComplexField, Space, fourier_forward, sup_modulus
 
 
@@ -107,18 +107,6 @@ def critical_pointwise_time(amplitude, d: int, lam: complex):
     return float(out) if out.ndim == 0 else out
 
 
-def decay_ratio_diagnostics(diag: DiagnosticsLog) -> list:
-    """The rows of a run started with `diagnostics`, one per kept grid time from t = 0:
-    each carries the ratios r1-r3 at the run's index s, which must stay bounded
-    (see :class:`nlslab.solver.DiagnosticRow`).
-
-    Raises ValueError for a default run's log, whose rows carry no ratios.
-    """
-    if not diag.full:
-        raise ValueError("the ratios are computed only in a run started with diagnostics=True")
-    return list(diag.rows)
-
-
 def decreasing_ladder(eps_ladder) -> list:
     """The eps ladder as floats; ValueError unless it has a rung and its rungs are
     finite, >= 0 and strictly decreasing."""
@@ -130,6 +118,32 @@ def decreasing_ladder(eps_ladder) -> list:
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError(f"eps ladder must be strictly decreasing, got {ladder}")
     return ladder
+
+
+def checked_tolerance(tolerance) -> float:
+    """The verdict's tolerance as a float; ValueError unless it lies in [0, 1), so that
+    the threshold bound_value * (1 - tolerance) lies in (0, bound_value]."""
+    tolerance = float(tolerance)
+    if not 0.0 <= tolerance < 1.0:
+        raise ValueError(f"tolerance must lie in [0, 1), got {tolerance!r}")
+    return tolerance
+
+
+def fold(records, tolerance: float) -> SweepSummary:
+    """A ladder's verdict, read off its records' status, invariant_quantity and
+    bound_value (one experiment's, so the first record's is every one's).  min_q is
+    the least q of the runs that blew up.  INCONCLUSIVE where none did or there is
+    no bound, else PASS where min_q >= bound_value * (1 - tolerance), else FAIL."""
+    tolerance = checked_tolerance(tolerance)
+    min_q = min((rec.invariant_quantity for rec in records if rec.usable_for_bound()),
+                default=None)
+    if min_q is None or records[0].bound_value is None:
+        verdict = "INCONCLUSIVE"
+    elif min_q >= records[0].bound_value * (1.0 - tolerance):
+        verdict = "PASS"
+    else:
+        verdict = "FAIL"
+    return SweepSummary(verdict=verdict, min_q=min_q, tolerance=tolerance)
 
 
 def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
@@ -154,16 +168,15 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
     and its own copy of the experiment (see :class:`nlslab.records.RunRecord`),
     whose datum is as :func:`nlslab.initial_data.check_spec` reads it.
     `diagnostics` reaches :func:`nlslab.solver.init`: each run then computes
-    a full row at every kept grid time, for :func:`decay_ratio_diagnostics`
-    and :func:`remainder_series` over the whole run, and the record's values
-    do not change.  Returns (records, summary, bound), with bound from
-    :func:`bound_or_none`.  The ladder must be non-empty and strictly
-    decreasing.
-    Only the runs that blew up enter the bound verdict; those that reached
-    t_max or were contaminated do not.  If no run blew up, or the config has
-    no bound, the verdict is INCONCLUSIVE.
+    a full row at every kept grid time, with the ratios r1-r3 (the log's
+    `rows`) and :func:`remainder_series` over the whole run, and the record's
+    values do not change.  Returns (records, summary, bound), with summary
+    :func:`fold` of the stamped records and bound from :func:`bound_or_none`.
+    The ladder must be non-empty and strictly decreasing, and the tolerance in
+    [0, 1): both are checked before any run.
     """
     ladder = decreasing_ladder(eps_ladder)
+    checked_tolerance(tolerance)
     data_spec = check_spec(data_spec)
     phi = build_initial_data(base_config.grid, data_spec)
     bound = bound_or_none(fourier_forward(phi), base_config.params)
@@ -192,31 +205,7 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
             # the run takes the only reference to its state, and so can release it
             records.append(run_to_blowup(start.pop()))
 
-    q_values, running_min = [], []
-    current_min = None
     for rec in records:
         rec.bound_value = bound_value
         rec.experiment = deepcopy(experiment)
-        if rec.usable_for_bound():
-            q = rec.invariant_quantity
-            q_values.append(q)
-            current_min = q if current_min is None else min(current_min, q)
-        else:
-            q_values.append(None)
-        running_min.append(current_min)
-
-    if current_min is None or bound_value is None:
-        verdict = "INCONCLUSIVE"
-    elif current_min >= bound_value * (1.0 - tolerance):
-        verdict = "PASS"
-    else:
-        verdict = "FAIL"
-    summary = SweepSummary(
-        eps_ladder=ladder,
-        q_values=q_values,
-        running_min=running_min,
-        bound_value=bound_value,
-        tolerance=tolerance,
-        verdict=verdict,
-    )
-    return records, summary, bound
+    return records, fold(records, tolerance), bound

@@ -85,11 +85,9 @@ class RunStats:
 
 @dataclass
 class SweepSummary:
-    """Ladder-level verdict: running minimum of q_eps against the theoretical bound."""
+    """A ladder's verdict, :func:`nlslab.lifespan.fold` of its records: what no
+    record states.  Each rung's eps, q and the bound value are in its record."""
 
-    eps_ladder: list
-    q_values: list          # one entry per rung, None for unusable runs
-    running_min: list       # running min over usable rungs (None until one exists)
-    bound_value: float | None   # None where the config has no bound
-    tolerance: float
     verdict: str            # PASS / FAIL / INCONCLUSIVE
+    min_q: float | None     # least q of the runs that blew up, None if none did
+    tolerance: float

@@ -234,9 +234,8 @@ def test_criterion_5_lifespan_bound_desk_scale(ladder_runs):
         checks.append((
             f"eps={rec.eps}: q={q:.4f} >= 0.9 * bound {0.9 * bound.bound_value:.4f}",
             q >= 0.9 * bound.bound_value))
-    mins = [m for m in summary.running_min if m is not None]
-    checks.append(("running minimum nonincreasing",
-                   all(a >= b for a, b in zip(mins, mins[1:]))))
+    checks.append(("summary.min_q is the least usable q",
+                   summary.min_q == min(r.invariant_quantity for r in usable)))
     times = [r.T_eps for r in usable]
     checks.append(("T_eps increases as eps decreases",
                    all(a < b for a, b in zip(times, times[1:]))))

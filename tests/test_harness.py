@@ -24,7 +24,7 @@ from nlslab.harness import (
     run_record_from_dict,
     run_record_to_dict,
 )
-from nlslab.lifespan import sweep, t_star_time
+from nlslab.lifespan import fold, sweep, t_star_time
 from nlslab.profile_ode import OdeParams, integrate_perturbed, make_perturbation
 from nlslab.solver import SolverConfig
 
@@ -303,12 +303,22 @@ class TestWriters:
         cfg = ExperimentConfig.from_dict(small_config_dict(eps_ladder=[0.4]))
         (record,), _, _ = sweep(cfg.eps_ladder, cfg.solver_config(), cfg.initial_data,
                                 diagnostics=True)
-        ratios = lifespan.decay_ratio_diagnostics(record.diagnostics)
+        ratios = record.diagnostics.rows
         data = persist_diagnostics(ratios, tmp_path).read_bytes()
         assert ends_every_line_in_crlf(data)
         lines = data.decode().splitlines()
         assert lines[0] == "t,r1,r2,r3" and len(lines) == 1 + len(ratios) > 2
         assert [float(line.split(",")[0]) for line in lines[1:]] == [r.t for r in ratios]
+
+    def test_the_run_files_fold_back_to_the_sweeps_summary(self, micro_sweep, tmp_path):
+        cfg, records, summary, _ = micro_sweep
+        for rec in records:
+            persist_run(rec, tmp_path / "sweep")
+        written = persist_summary(records, summary, tmp_path / "sweep").read_bytes()
+        loaded = [load_run(tmp_path / "sweep" / f"run_eps{eps!r}.json") for eps in cfg.eps_ladder]
+        folded = fold(loaded, cfg.tolerance)
+        assert folded == summary
+        assert persist_summary(loaded, folded, tmp_path / "fold").read_bytes() == written
 
     def test_summary_is_in_the_same_dialect(self, micro_sweep, tmp_path):
         _, records, summary, _ = micro_sweep
@@ -686,6 +696,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command, over, message", [
         ("sweep", {"eps_ladder": [0.3, 0.4]}, "eps ladder must be strictly decreasing"),
+        *(("sweep", {"tolerance": tol}, f"tolerance must lie in [0, 1), got {tol!r}")
+          for tol in (2.0, -1.0)),
         ("profile-ode", {"profile_ode": {"eps": 0.9}}, "unknown config field 'profile_ode'"),
         ("sweep", {"jobs": "two"}, "unknown config field 'jobs'"),
         ("simulate", {"record_every": 2.5}, "config field 'record_every' must be an integer"),
@@ -695,7 +707,8 @@ class TestCli:
         *((command, over, message)
           for over, message in NON_FINITE_CONFIGS + OVERSIZED_GRID_CONFIGS + INITIAL_DATA_CONFIGS
           for command in ("simulate", "sweep")),
-    ], ids=["sweep-ladder", "profile-ode-block", "sweep-string-jobs",
+    ], ids=["sweep-ladder", "sweep-tolerance-2", "sweep-tolerance-minus-1", "profile-ode-block",
+            "sweep-string-jobs",
             "simulate-float-record-every", "simulate-removed-gate", "diagnostics-empty-ladder",
             "bounds-empty-ladder",
             *(f"{command}-{case}"
@@ -717,8 +730,9 @@ class TestCli:
         ({"n": 100}, "points per axis must be a power of two >= 8, got 100"),
         ({"t_max": -1.0}, "t_max must be finite and positive, got -1.0"),
         ({"record_every": 0}, "record_every must be positive, got 0"),
+        ({"tolerance": 2.0}, "tolerance must lie in [0, 1), got 2.0"),
         *DATUM_RANGE_CONFIGS,
-    ], ids=["theta", "n", "t_max", "record_every", *DATUM_RANGE_IDS])
+    ], ids=["theta", "n", "t_max", "record_every", "tolerance", *DATUM_RANGE_IDS])
     def test_every_command_refuses_a_config_when_it_loads(
             self, tmp_path, capsys, command, config, message):
         path = tmp_path / "c.json"

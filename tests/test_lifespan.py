@@ -26,9 +26,9 @@ from nlslab.lifespan import (
     bound_or_none,
     critical_bound,
     critical_pointwise_time,
-    gamma_exponent,
-    decay_ratio_diagnostics,
     decreasing_ladder,
+    fold,
+    gamma_exponent,
     max_remainder_scaled,
     profile,
     remainder,
@@ -38,6 +38,7 @@ from nlslab.lifespan import (
     theoretical_bound,
 )
 from nlslab.profile_ode import OdeParams
+from nlslab.records import RunRecord, SweepSummary
 from nlslab.propagators import g_p
 from nlslab.solver import DiagnosticRow, DiagnosticsLog, SolverConfig, init, run_to_blowup
 from stepping import assert_log_matches_its_counts, fixed_step, noting_offers
@@ -372,7 +373,7 @@ class TestLemmaDiagnostics:
         state = init(cfg, gaussian(g), diagnostics=True)
         while state.t < 50.0 - 1e-9:
             state = fixed_step(state, 1.0)
-        ratios = [r for r in decay_ratio_diagnostics(state.diagnostics) if r.t >= 2.0]
+        ratios = [r for r in state.diagnostics.rows if r.t >= 2.0]
         assert len(ratios) == 49
         r1 = [r.r1 for r in ratios if r.r1 is not None]
         r2 = [r.r2 for r in ratios if r.r2 is not None]
@@ -383,19 +384,15 @@ class TestLemmaDiagnostics:
         params = NonlinearityParams(lam=1j, theta=0.5, d=1)
         cfg = SolverConfig(grid=Grid(1, 256, 20.0), params=params, eps=0.2, s=1.0)
         state = init(cfg, gaussian(cfg.grid), diagnostics=True)
-        ratios = decay_ratio_diagnostics(state.diagnostics)
         rep = norms(state.u, 0.0, 1.0)
-        assert ratios[0].r1 == pytest.approx(rep.l_inf / rep.sigma_s, rel=1e-12)
-        # a default run's log carries no ratios
-        with pytest.raises(ValueError, match="diagnostics=True"):
-            decay_ratio_diagnostics(init(cfg, gaussian(cfg.grid)).diagnostics)
+        assert state.diagnostics.rows[0].r1 == pytest.approx(rep.l_inf / rep.sigma_s, rel=1e-12)
 
     def test_vanishing_norms_reported_absent(self):
         # the zero field has no meaningful ratios: every denominator vanishes
         params = NonlinearityParams(lam=1j, theta=0.5, d=1)
         cfg = SolverConfig(grid=Grid(1, 64, 10.0), params=params, eps=0.0, s=1.0)
         state = init(cfg, gaussian(cfg.grid), diagnostics=True)
-        ratios = decay_ratio_diagnostics(state.diagnostics)
+        ratios = state.diagnostics.rows
         assert ratios and ratios[0].r1 is None and ratios[0].r3 is None
 
     def test_r3_bounded_on_random_smooth_fields(self):
@@ -430,12 +427,12 @@ class TestSweep:
         records, summary, bound = sweep([0.4, 0.3], cfg, GAUSS_SPEC)
         assert summary.verdict == "PASS"
         assert bound.bound_value == pytest.approx(0.5, abs=1e-9)
-        assert summary.q_values[0] == pytest.approx(0.775, abs=0.01)
-        assert summary.q_values[1] == pytest.approx(0.715, abs=0.01)
-        assert summary.running_min == sorted(summary.running_min, reverse=True)
-        # q = eps sqrt(T), so the running minimum squared is the empirical
+        assert records[0].invariant_quantity == pytest.approx(0.775, abs=0.01)
+        assert records[1].invariant_quantity == pytest.approx(0.715, abs=0.01)
+        assert summary.min_q == records[1].invariant_quantity
+        # q = eps sqrt(T), so the least q squared is the empirical
         # D0 = min T eps^2 that demo 03 prints
-        assert summary.running_min[-1] ** 2 == pytest.approx(
+        assert summary.min_q ** 2 == pytest.approx(
             min(r.T_eps * r.eps**2 for r in records), rel=1e-12)
         for rec in records:
             assert rec.bound_value == bound.bound_value
@@ -447,16 +444,16 @@ class TestSweep:
                            t_max=30.0, record_every=8)
         records, summary, _ = sweep([0.4], cfg, GAUSS_SPEC)
         assert len(records) == 1
-        assert summary.q_values == [records[0].invariant_quantity]
-        assert summary.running_min == [records[0].invariant_quantity]
+        assert summary.min_q == records[0].invariant_quantity
+        assert summary == fold(records, 0.1)
 
     def test_all_censored_is_inconclusive(self):
         params = NonlinearityParams(lam=1j, theta=0.5, d=1)
         cfg = SolverConfig(grid=Grid(1, 256, 25.0), params=params, eps=0.4, s=1.0,
                            t_max=0.5, record_every=8)
-        _, summary, _ = sweep([0.2, 0.1], cfg, GAUSS_SPEC)
-        assert summary.verdict == "INCONCLUSIVE"
-        assert all(q is None for q in summary.q_values)
+        records, summary, _ = sweep([0.2, 0.1], cfg, GAUSS_SPEC)
+        assert summary.verdict == "INCONCLUSIVE" and summary.min_q is None
+        assert not any(r.usable_for_bound() for r in records)
 
     @pytest.mark.parametrize("lam, theta", [(1j, 1.0), (-1j, 0.5)], ids=["critical", "damped"])
     def test_config_without_a_bound_is_inconclusive(self, lam, theta):
@@ -465,7 +462,7 @@ class TestSweep:
         cfg = SolverConfig(grid=Grid(1, 256, 25.0), params=params, eps=0.4, s=1.0,
                            t_max=0.5, record_every=8)
         records, summary, bound = sweep([0.4, 0.3], cfg, GAUSS_SPEC)
-        assert bound is None and summary.bound_value is None
+        assert bound is None
         assert summary.verdict == "INCONCLUSIVE"
         assert [r.status for r in records] == ["reached-t-max"] * 2
         assert all(r.bound_value is None for r in records)
@@ -475,6 +472,17 @@ class TestSweep:
         cfg = SolverConfig(grid=Grid(1, 256, 25.0), params=params, eps=0.4, s=1.0)
         with pytest.raises(ValueError):
             sweep([0.2, 0.3], cfg, GAUSS_SPEC)
+
+    @pytest.mark.parametrize("tolerance", [2.0, 1.0, -1.0, np.nan])
+    def test_a_tolerance_outside_0_1_is_refused_before_any_run(self, monkeypatch, tolerance):
+        # at 2.0 every q >= -bound would pass, at -1.0 a q above the bound would fail
+        monkeypatch.setattr(lifespan, "init", None)
+        cfg = SolverConfig(grid=Grid(1, 64, 20.0), params=NonlinearityParams(1j, 0.5, 1),
+                           eps=0.4, s=1.0)
+        with pytest.raises(ValueError, match=r"tolerance must lie in \[0, 1\)"):
+            sweep([0.4], cfg, GAUSS_SPEC, tolerance=tolerance)
+        with pytest.raises(ValueError, match=r"tolerance must lie in \[0, 1\)"):
+            fold([], tolerance)
 
     def test_parallel_matches_serial(self, monkeypatch):
         # the pool holds one worker per rung at most, however large jobs is
@@ -610,3 +618,40 @@ class TestSweep:
         rec = records[0]
         assert rec.max_remainder_scaled is not None
         assert 0 < rec.max_remainder_scaled < 1.0
+
+
+def hand_made(status, q, bound_value=0.5, eps=0.4):
+    """A record that no run made: the three fields the fold reads, and the rung's eps."""
+    return RunRecord(eps=eps, theta=0.5, d=1, lam=1j, status=status,
+                     T_eps=None if status == "boundary-contaminated" else 1.0,
+                     invariant_quantity=q, bound_value=bound_value)
+
+
+class TestFold:
+    def test_pass_at_the_threshold_exactly(self):
+        threshold = 0.5 * (1.0 - 0.1)
+        summary = fold([hand_made("blown-up", 0.8), hand_made("blown-up", threshold)], 0.1)
+        assert summary == SweepSummary(verdict="PASS", min_q=threshold, tolerance=0.1)
+        below = np.nextafter(threshold, 0.0)
+        assert fold([hand_made("blown-up", below)], 0.1).verdict == "FAIL"
+
+    @pytest.mark.parametrize("status", ["reached-t-max", "boundary-contaminated"])
+    def test_only_a_blown_up_records_q_enters(self, status):
+        # a q far below the bound, on a run that did not blow up, changes nothing
+        records = [hand_made("blown-up", 0.7), hand_made(status, 0.01, eps=0.3)]
+        assert fold(records, 0.1) == SweepSummary("PASS", 0.7, 0.1)
+        assert fold(records[1:], 0.1) == SweepSummary("INCONCLUSIVE", None, 0.1)
+
+    def test_no_bound_is_inconclusive(self):
+        records = [hand_made("blown-up", 0.7, bound_value=None)]
+        assert fold(records, 0.1) == SweepSummary("INCONCLUSIVE", 0.7, 0.1)
+        assert fold([], 0.1) == SweepSummary("INCONCLUSIVE", None, 0.1)
+
+    def test_min_q_is_the_least_usable_q(self):
+        qs = [0.9, 0.4, 0.6, 0.3]
+        records = [hand_made("blown-up" if k != 3 else "reached-t-max", q, eps=1.0 / (k + 1))
+                   for k, q in enumerate(qs)]
+        summary = fold(records, 0.1)
+        assert summary.min_q == 0.4
+        assert summary.verdict == "FAIL"  # 0.4 < 0.45
+        assert fold(records, 0.2).verdict == "PASS"  # 0.4 >= 0.4

@@ -22,11 +22,11 @@ from nlslab.spectral import Grid
 # modulation included), and the ladder and lam, spelled as integers
 INT_SPELLING = {"initial_data": {"kind": "gaussian", "width": 1, "amplitude": 1, "center": [1],
                                  "modulation": [0]},
-                "n": 256, "L": 25, "s": 1, "t_max": 30, "tolerance": 1, "lam": [0, 1],
+                "n": 256, "L": 25, "s": 1, "t_max": 30, "tolerance": 0, "lam": [0, 1],
                 "eps_ladder": [1, 0.5], "record_every": 8}
 FLOAT_SPELLING = {"initial_data": {"kind": "gaussian", "width": 1.0, "amplitude": 1.0,
                                    "center": [1.0], "modulation": [0.0]},
-                  "n": 256, "L": 25.0, "s": 1.0, "t_max": 30.0, "tolerance": 1.0,
+                  "n": 256, "L": 25.0, "s": 1.0, "t_max": 30.0, "tolerance": 0.0,
                   "lam": [0.0, 1.0], "eps_ladder": [1.0, 0.5], "record_every": 8}
 # the settings of INT_SPELLING's rungs, keyed as in the config file
 SPELLED_EXPERIMENT = {"initial_data": FLOAT_SPELLING["initial_data"], "d": 1, "n": 256,
@@ -225,10 +225,32 @@ class TestARunFileNamesItsExperiment:
         path = persist_run(stamped(library_config(t_max=1.0)), tmp_path)
         data = json.loads(path.read_text())
         del data[missing]
+        unknown = ""
         if missing == "criterion":
             data.update(censored=True, t_blow_pointwise=None, t_blow_threshold=None)
+            unknown = "; unknown keys ['censored', 't_blow_pointwise', 't_blow_threshold']"
         path.write_text(json.dumps(data))
-        with pytest.raises(KeyError, match=missing):
+        with pytest.raises(ValueError) as refused:
+            load_run(path)
+        assert str(refused.value) == (f"run file {str(path)!r} cannot be loaded: "
+                                      f"missing keys [{missing!r}]{unknown}")
+
+    def test_a_run_file_with_an_unknown_key_does_not_load(self, tmp_path):
+        path = persist_run(stamped(library_config(t_max=1.0)), tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "wall_s": 1.0}))
+        with pytest.raises(ValueError, match=r"cannot be loaded: unknown keys \['wall_s'\]$"):
+            load_run(path)
+
+    def test_a_run_file_that_holds_no_object_does_not_load(self, tmp_path):
+        path = tmp_path / "run_eps0.4.json"
+        path.write_text("[0.4]\n")
+        with pytest.raises(ValueError, match="cannot be loaded: it holds no JSON object"):
+            load_run(path)
+
+    def test_a_run_file_of_another_schema_version_does_not_load(self, tmp_path):
+        path = persist_run(stamped(library_config(t_max=1.0)), tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "schema_version": 2}))
+        with pytest.raises(ValueError, match=r"cannot be loaded: schema_version 2, not 1$"):
             load_run(path)
 
 
