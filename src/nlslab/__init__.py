@@ -31,7 +31,6 @@ from .solver import (
     SolverState,
     init,
     make_record,
-    mass_balance_residuals,
     run_to_blowup,
 )
 from .lifespan import (

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .propagators import PointwiseBlowUp, _free_multiplier
+from .propagators import PointwiseBlowUp
 from .solver import SolverConfig, _strang, init
 from .spectral import ComplexField, Grid, _resample
 
@@ -31,10 +31,10 @@ def _fixed_run(config: SolverConfig, phi: ComplexField, t_end: float, dt: float)
     RuntimeError when a step meets the pointwise singularity or the final field
     is not finite."""
     u = init(config, phi).u.values
-    m = _free_multiplier(config.grid, dt)
+    m = config.grid.free_multiplier(dt)
     try:
         for k in range(int(round(t_end / dt))):
-            u = _strang(u, dt / 2.0, m, config.params)
+            u = _strang(u, dt / 2.0, m, config)
     except PointwiseBlowUp:
         raise RuntimeError(f"fixed-step run of dt={dt!r} met a pointwise singularity "
                            f"in the step from t={k * dt!r}") from None

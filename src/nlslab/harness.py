@@ -135,8 +135,19 @@ def run_record_to_dict(record: RunRecord) -> dict:
     return out
 
 
-def run_record_from_dict(data: dict) -> RunRecord:
-    """Rebuild the scalar fields of a persisted run (diagnostics stay a plain dict)."""
+def run_record_from_dict(data, source: str = "run record") -> RunRecord:
+    """Rebuild the scalar fields of a persisted run (diagnostics stay a plain dict).
+    ValueError naming `source`, its missing and unknown keys and its schema_version
+    where that is not this one, for data in another format."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{source} cannot be loaded: it holds no JSON object")
+    keys = {f.name for f in fields(RunRecord)} | {"schema_version"}
+    problems = [f"{what} keys {sorted(names)}" for what, names in
+                (("missing", keys - set(data)), ("unknown", set(data) - keys)) if names]
+    if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        problems.append(f"schema_version {data['schema_version']!r}, not {SCHEMA_VERSION}")
+    if problems:
+        raise ValueError(f"{source} cannot be loaded: {'; '.join(problems)}")
     kwargs = {f.name: data[f.name] for f in fields(RunRecord)}
     kwargs["lam"] = complex(data["lam"][0], data["lam"][1])
     return RunRecord(**kwargs)
@@ -173,19 +184,9 @@ def persist_run(record: RunRecord, out_dir) -> Path:
 
 
 def load_run(path) -> RunRecord:
-    """The record in a run file; ValueError naming the file, its missing and unknown
-    keys and its schema_version where that is not this one, for another format."""
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ValueError(f"run file {str(path)!r} cannot be loaded: it holds no JSON object")
-    keys = {f.name for f in fields(RunRecord)} | {"schema_version"}
-    problems = [f"{what} keys {sorted(names)}" for what, names in
-                (("missing", keys - set(data)), ("unknown", set(data) - keys)) if names]
-    if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-        problems.append(f"schema_version {data['schema_version']!r}, not {SCHEMA_VERSION}")
-    if problems:
-        raise ValueError(f"run file {str(path)!r} cannot be loaded: {'; '.join(problems)}")
-    return run_record_from_dict(data)
+    """The record in a run file; :func:`run_record_from_dict`'s ValueError, naming the
+    file, for another format."""
+    return run_record_from_dict(json.loads(Path(path).read_text()), f"run file {str(path)!r}")
 
 
 CSV_COLUMNS = ["eps", "T_eps", "q_eps", "bound_value", "status"]

@@ -1,10 +1,10 @@
 """Free Schrodinger flow, quadratic gauge factor, power nonlinearity, and its exact pointwise flow.
 
-Also the quantities that the run's diagnostics read off a field: the remainder
-window's exponents (t_star and gamma), the scattering profile A(t), the
-reduced-ODE remainder R(t) and its sup-norm.  They live here because the solver
-computes them during a run, and :mod:`nlslab.lifespan`, which imports the
-solver, re-exports them.
+Also the remainder window's exponents (t_star and gamma), and the field-level
+scattering profile A(t) and reduced-ODE remainder R(t), which :mod:`nlslab.lifespan`
+re-exports.  The lattice work is the grid's: the free multiplier and propagation
+by it, the profile and the remainder's sup, which the run's rows read, are
+:class:`~nlslab.spectral.Grid` methods.
 """
 
 from __future__ import annotations
@@ -14,20 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    ComplexField,
-    Grid,
-    Space,
-    _back_propagation_phase,
-    _int_fields,
-    _phase_overflows,
-    _read_only,
-    _real_fields,
-    _require_space,
-    dft,
-    fourier_forward,
-    idft,
-)
+from .spectral import ComplexField, Space, _int_fields, _real_fields, _require_space
 
 
 class PointwiseBlowUp(Exception):
@@ -78,34 +65,10 @@ class NonlinearityParams:
         return complex(self.lam).imag
 
 
-def _free_multiplier(grid: Grid, t: float) -> np.ndarray:
-    """exp(-i t |xi|^2 / 2), read-only.
-
-    Propagation over t is back-propagation over -t, so the values come from
-    the same 1-D factor: in d = 1 they equal ``np.exp(-0.5j * t *
-    grid.abs_xi_sq)`` bit for bit, and every step size costs n/2 + 1
-    complex exponentials, however large the grid.
-    """
-    if _phase_overflows(grid, -t):
-        raise ValueError(f"free propagation over t={t!r} overflows the phase on the lattice")
-    return _read_only(_back_propagation_phase(grid, -t))
-
-
-def _multiply_spectrum(values: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """idft(m * dft(values)) into `out`, which holds the spectrum in between; it may be `values`.
-
-    With m = ``_free_multiplier(grid, t)`` this is the free flow over t.
-    """
-    spectrum = dft(values, out=out)
-    # m first: numpy's SIMD complex multiply rounds the two operand orders differently
-    np.multiply(m, spectrum, out=spectrum)
-    return idft(spectrum, out=out)
-
-
 def free_propagate(f: ComplexField, t: float) -> ComplexField:
     """Free flow U(t) = exp(i t Lap / 2); t < 0 gives the inverse flow.
 
-    Computed as idft(m * dft(u)) into a fresh array: the unitary transform's
+    Computed by :meth:`Grid.propagate` into a fresh array: the unitary transform's
     scale and sign vector cancel in F^{-1} m F.
     """
     _require_space(f, Space.PHYSICAL, "free_propagate")
@@ -113,8 +76,9 @@ def free_propagate(f: ComplexField, t: float) -> ComplexField:
         raise ValueError(f"propagation time must be finite, got {t}")
     if t == 0.0:
         return f.copy()
-    out = _multiply_spectrum(f.values, _free_multiplier(f.grid, t), np.empty_like(f.values))
-    return ComplexField(f.grid, Space.PHYSICAL, out)
+    g = f.grid
+    return ComplexField(g, Space.PHYSICAL,
+                        g.propagate(f.values, g.free_multiplier(t), np.empty_like(f.values)))
 
 
 def gauge_multiply(f: ComplexField, t: float, inverse: bool = False) -> ComplexField:
@@ -207,67 +171,24 @@ def gamma_exponent(s: float, d: int) -> float:
     return gamma
 
 
-def profile(u: ComplexField, t: float, *, spectrum: np.ndarray | None = None) -> ComplexField:
-    """Scattering profile A(t) = F[U(t)^{-1} u(t)] on the frequency lattice.
-
-    `spectrum` is ``dft(u.values)`` when the caller already has it; it is only read.
-    """
-    vals = fourier_forward(u, spectrum=spectrum).values
-    return ComplexField(u.grid, Space.FREQUENCY,
-                        np.multiply(_back_propagation_phase(u.grid, t), vals, out=vals))
+def profile(u: ComplexField, t: float) -> ComplexField:
+    """Scattering profile A(t) = F[U(t)^{-1} u(t)] on the frequency lattice, by
+    :meth:`Grid.profile`."""
+    return ComplexField(u.grid, Space.FREQUENCY, u.grid.profile(u.values, t))
 
 
 def remainder(u: ComplexField, t: float, params: NonlinearityParams) -> ComplexField:
     """Reduced-ODE remainder R(t) = F[U(t)^{-1} N(u)] - t^(-theta) N(A(t)).
 
-    N(z) = lam |z|^(2 theta/d) z; defined for t > 0.  Both profiles share one
-    back-propagation phase, multiplied in as :func:`profile` does, so each
-    term is bit-identical to its :func:`profile`.
+    N(z) = lam |z|^(2 theta/d) z; defined for t > 0.  Each term's profile is
+    :meth:`Grid.profile`'s; :meth:`Grid.remainder_sup` is its sup without building R.
     """
     if not (t > 0):
         raise ValueError(f"remainder requires t > 0, got {t}")
     g = u.grid
-    nu = ComplexField(g, Space.PHYSICAL, params.lam * g_p(u.values, params.p))
-    phase = _back_propagation_phase(g, t)
-    lhs = phase * fourier_forward(nu).values
-    a = phase * fourier_forward(u).values
-    rhs = t ** (-params.theta) * params.lam * g_p(a, params.p)
+    lhs = g.profile(params.lam * g_p(u.values, params.p), t)
+    rhs = t ** (-params.theta) * params.lam * g_p(g.profile(u.values, t), params.p)
     return ComplexField(g, Space.FREQUENCY, lhs - rhs)
-
-
-def remainder_sup(u: ComplexField, t: float, params: NonlinearityParams, *,
-                  spectrum: np.ndarray | None = None) -> float:
-    """sup_xi |R(t, xi)| of :func:`remainder`, without building R.
-
-    R is lam c (phase) (sign) [dft(G(u)) - t^(-theta) c^b G(dft(u))], with G(z) =
-    |z|^b z, c the unitary transform's scale, `phase` the back-propagation
-    phase and `sign` the (-1)^k vector; the last two and lam's phase have
-    modulus 1, and G commutes with them.  So sup|R| = c |lam| max|dft(G(u)) -
-    t^(-theta) c^b G(dft(u))|: two transforms and no phase.  It agrees with
-    ``sup_modulus(remainder(u, t, params))`` to roundoff.  Defined for t > 0.
-    `spectrum` is ``dft(u.values)`` when the caller already has it; it is only
-    read.  G(u) is transformed in place, and a spectrum of its own is
-    overwritten, so the remainder takes two complex arrays and one float.
-    """
-    if not (t > 0):
-        raise ValueError(f"remainder requires t > 0, got {t}")
-    g, b = u.grid, params.b
-    scale = g.h**g.d / (2.0 * np.pi) ** (g.d / 2.0)
-    values = u.values
-    mod = np.abs(values)
-    if b != 1.0:  # numpy spends a pass on the exponent 1
-        mod **= b
-    diff = np.multiply(mod, values)
-    diff = dft(diff, out=diff)
-    own = spectrum is None
-    if own:
-        spectrum = dft(values)
-    mod = np.abs(spectrum, out=mod)
-    if b != 1.0:
-        mod **= b
-    mod *= t ** (-params.theta) * scale**b
-    diff -= np.multiply(spectrum, mod, out=spectrum if own else None)
-    return scale * abs(params.lam) * float(np.max(np.abs(diff, out=mod)))
 
 
 def nonlinear_flow_exact(z, dt, params: NonlinearityParams, *, out: np.ndarray | None = None,

@@ -4,7 +4,11 @@ One step is: half-step of the exact pointwise nonlinear flow, full spectral
 free propagation, half-step of the nonlinear flow.  The run loop's trials
 and the convergence study's fixed steps take it through one kernel,
 :func:`_strang`: an exact nonlinear substep on either side of a free
-propagation by a Fourier multiplier.  Every run goes through one loop,
+propagation by a Fourier multiplier.  This module reaches the lattice only
+through the methods of the config's :class:`~nlslab.spectral.Grid`: the
+multiplier and the propagation by it, the |u| pass with its sup, the
+quadrature of the step error and of the samples, the norms and the monitors,
+and the rows' profile and remainder.  Every run goes through one loop,
 :func:`run_to_blowup`.  It sizes its steps by step doubling, so the step grows
 wherever the local error allows: a doubling trial takes two steps of dt/2,
 then one of dt, squaring the half step's multiplier in place for the full
@@ -49,31 +53,14 @@ import numpy as np
 from .propagators import (
     NonlinearityParams,
     PointwiseBlowUp,
-    _free_multiplier,
-    _multiply_spectrum,
     blowup_horizon,
     g_p,
     gamma_exponent,
     nonlinear_flow_exact,
-    profile,
-    remainder_sup,
     t_star_time,
 )
 from .records import RunRecord, RunStats
-from .spectral import (
-    ComplexField,
-    Grid,
-    NormReport,
-    Space,
-    _abs_sq,
-    _int_fields,
-    _real_fields,
-    boundary_shell_fraction,
-    dft,
-    norms,
-    spectral_tail_fraction,
-    sup_modulus,
-)
+from .spectral import ComplexField, Grid, NormReport, Space, _int_fields, _real_fields
 
 
 # Relative local error of the two-half-step field that the run loop's step
@@ -228,25 +215,24 @@ class DiagnosticsLog:
 
     def row(self, config: SolverConfig, t: float, values: np.ndarray) -> DiagnosticRow:
         """The row of the field `values` at t, counted in `stats.rows`, as :meth:`offer`
-        keeps it: sup|R(t)| by :func:`remainder_sup` where t > 0, and with `full`
+        keeps it: sup|R(t)| by :meth:`Grid.remainder_sup` where t > 0, and with `full`
         the ratios r1-r3 too."""
         self.stats.rows += 1
-        params = config.params
-        u = ComplexField(config.grid, Space.PHYSICAL, values)
+        g, params = config.grid, config.params
         if not self.full:
-            return DiagnosticRow(t, remainder_sup(u, t, params) if t > 0 else None)
+            return DiagnosticRow(t, g.remainder_sup(values, t, params) if t > 0 else None)
         # one forward transform of u serves the remainder, the norms and the profile
-        spectrum = dft(values)
-        row = DiagnosticRow(t, remainder_sup(u, t, params, spectrum=spectrum) if t > 0 else None)
+        spectrum = g.transform(values)
+        row = DiagnosticRow(t, g.remainder_sup(values, t, params, spectrum=spectrum)
+                            if t > 0 else None)
         s, d, p = config.s, params.d, params.p
-        rep = norms(u, t, s, spectrum=spectrum)
-        nu = ComplexField(config.grid, Space.PHYSICAL, params.lam * g_p(values, p))
-        rep_nu = norms(nu, t, s)
+        rep = g.norms(values, t, s, spectrum=spectrum)
+        rep_nu = g.norms(params.lam * g_p(values, p), t, s)
         if rep.sigma_s > 0:
             row.r1 = (1 + t) ** (d / 2.0) * rep.l_inf / rep.sigma_s
             row.r3 = (1 + t) ** (d * (p - 1) / 2.0) * rep_nu.sigma_s / rep.sigma_s**p
         if t >= 1.0 and rep.h_0s > 0:
-            sup_a = sup_modulus(profile(u, t, spectrum=spectrum))
+            sup_a = g.modulus(g.profile(values, t, spectrum=spectrum))[1]
             row.r2 = ((rep.l_inf - t ** (-d / 2.0) * sup_a) * t ** (d / 2.0 + gamma_exponent(s, d))
                       / rep.h_0s)
         return row
@@ -275,34 +261,14 @@ def _sample_diagnostics(state: SolverState, power: np.ndarray):
     """Append a sample of `state`, whose field has squared modulus `power`."""
     cfg = state.config
     g = cfg.grid
-    wx = g.h**g.d
-    mass = float(wx * np.sum(power))
-    # one forward transform and its |spectrum|^2 serve the norms and the tail monitor
-    spectrum = dft(state.u.values)
-    spectral_power = _abs_sq(spectrum)
-    rep = norms(state.u, state.t, cfg.s, spectrum=spectrum, spectral_power=spectral_power,
-                l2=math.sqrt(mass), sup=state.sup)
+    mass = g.integral(power)
+    rep, tail = g.sample_norms(state.u.values, state.t, cfg.s, l2=math.sqrt(mass), sup=state.sup)
     # |u|^(p+1) as |u|^2 |u|^b: numpy takes b = 1 and 0.5 without a general power
-    lp1 = float(wx * np.sum(power * state.abs_b))
+    lp1 = g.integral(power * state.abs_b)
     samples = state.diagnostics.samples
     energy = max(samples[-1].energy if samples else 0.0, rep.sigma_s)
-    samples.append(DiagnosticSample(
-        t=state.t,
-        report=rep,
-        energy=energy,
-        mass=mass,
-        lp1=lp1,
-        tail_fraction=spectral_tail_fraction(state.u, spectral_power=spectral_power),
-        shell_fraction=state.shell,
-    ))
-
-
-def _modulus(config: SolverConfig, u: np.ndarray):
-    """One pass of |u| over the field u: (|u|, sup|u|), or None when sup|u| is not
-    below the sup-norm cap 1e3/eps, as a non-finite field's is not."""
-    absu = np.abs(u)
-    sup = float(np.max(absu))
-    return (absu, sup) if sup < config.threshold else None  # NaN and inf fail too
+    samples.append(DiagnosticSample(t=state.t, report=rep, energy=energy, mass=mass, lp1=lp1,
+                                    tail_fraction=tail, shell_fraction=state.shell))
 
 
 def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
@@ -310,7 +276,7 @@ def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
     """The state at t carrying the field u on the trajectory of `log`.
 
     Every field on a trajectory comes through here, the datum and each accepted
-    trial field, with the |u| pass of :func:`_modulus`, `absu` and `sup`, that
+    trial field, with the |u| pass of :meth:`Grid.modulus`, `absu` and `sup`, that
     found it below the sup-norm cap, and the trial's step dt, which the log's
     `stats` counts (None for the datum).  That one pass gives sup|u|, the
     boundary-shell fraction, the |u|^2 the sample reuses and the read-only
@@ -325,10 +291,10 @@ def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
     if config.params.b != 1.0:  # numpy spends a pass on the exponent 1
         absu **= config.params.b
     absu.flags.writeable = False
-    u_field = ComplexField(config.grid, Space.PHYSICAL, u)
-    state = SolverState(t=t, u=u_field, config=config, diagnostics=log, sup=sup,
-                        shell=boundary_shell_fraction(u_field, power=power), abs_b=absu)
-    log.offer(config, t, u_field.values)
+    state = SolverState(t=t, u=ComplexField(config.grid, Space.PHYSICAL, u), config=config,
+                        diagnostics=log, sup=sup, shell=config.grid.shell_fraction(power),
+                        abs_b=absu)
+    log.offer(config, t, state.u.values)
     if log.stats.accepted % config.record_every == 0:
         _sample_diagnostics(state, power)
     return state
@@ -406,29 +372,30 @@ def init(config: SolverConfig, phi: ComplexField, diagnostics: bool = False) -> 
     u0 = config.eps * phi.values
     log = DiagnosticsLog(dense_from=_dense_from(config), window=_window(config) is not None,
                          full=diagnostics)
-    modulus = _modulus(config, u0)
-    if modulus is None:
+    absu, sup = config.grid.modulus(u0)
+    if not sup < config.threshold:
         raise ValueError(f"sup-norm cap 1e3/eps = {config.threshold!r} must exceed the "
-                         f"initial sup|eps*phi| = {float(np.max(np.abs(u0)))!r}")
-    return _accept(config, log, 0.0, u0, *modulus, None)
+                         f"initial sup|eps*phi| = {sup!r}")
+    return _accept(config, log, 0.0, u0, absu, sup, None)
 
 
-def _strang(u: np.ndarray, tau: float, m: np.ndarray, params: NonlinearityParams,
+def _strang(u: np.ndarray, tau: float, m: np.ndarray, config: SolverConfig,
             out: np.ndarray | None = None, scratch: np.ndarray | None = None,
             abs_b: np.ndarray | None = None) -> np.ndarray:
     """The Strang step N(tau) F(m) N(tau) from the field u.
 
-    N(tau) is the exact nonlinear substep over tau, F(m) the free propagation
-    by the Fourier multiplier m (that of a step of 2 tau).  A substep's
+    N(tau) is the exact nonlinear substep over tau, F(m) the grid's free
+    propagation by the multiplier m (that of a step of 2 tau).  A substep's
     :class:`PointwiseBlowUp` propagates and ends the step.  The first substep
     reads u and `abs_b` = |u|^b when given, and writes into `out` (a fresh
     array when not given; it may be u); the free propagation and the second
     substep work in place there, with the float `scratch`.
     """
+    params = config.params
     if scratch is None:
         scratch = np.empty(u.shape)
     w = nonlinear_flow_exact(u, tau, params, out=out, scratch=scratch, abs_b=abs_b)
-    _multiply_spectrum(w, m, w)
+    config.grid.propagate(w, m, w)
     return nonlinear_flow_exact(w, tau, params, out=w, scratch=scratch)
 
 
@@ -447,11 +414,9 @@ def _doubling_trial(u: np.ndarray, abs_b: np.ndarray, dt: float, config: SolverC
     two-half-step field, err = ||u_dt - two||_2 / (3 ||two||_2) estimates
     two's local error, O(dt^3), and R = two - (u_dt - two)/3 cancels its
     leading term: Strang splitting is symmetric, so R's local error is
-    O(dt^5) and err bounds it.  err is not finite when u_dt or two is not;
-    R is then two.  The norms are numpy's own sums of products (einsum calls
-    no BLAS), so err does not depend on the BLAS thread count.  A
-    :class:`PointwiseBlowUp` in any path propagates, and the paths after it
-    are not taken.
+    O(dt^5) and err bounds it (:meth:`Grid.norm_ratio`).  err is not finite
+    when u_dt or two is not; R is then two.  A :class:`PointwiseBlowUp` in any
+    path propagates, and the paths after it are not taken.
 
     `mid_row`, when given, maps the midpoint field, the field after the first
     half step at dt/2, to its :class:`DiagnosticRow`, and row is what it
@@ -464,31 +429,25 @@ def _doubling_trial(u: np.ndarray, abs_b: np.ndarray, dt: float, config: SolverC
     compute row, the trial releases its multiplier and scratch, so the row's
     transients take their place, and builds them again after.
     """
-    params = config.params
+    g = config.grid
     half, quarter = 0.5 * dt, 0.25 * dt
-    m = _free_multiplier(config.grid, half)
+    m = g.free_multiplier(half)
     scratch = np.empty(u.shape)
-    mid = _strang(u, quarter, m, params, np.empty_like(u), scratch, abs_b)
+    mid = _strang(u, quarter, m, config, np.empty_like(u), scratch, abs_b)
     row = None
     if mid_row is not None:
         m = scratch = None
         mid.flags.writeable = False  # the row only reads it
         row = mid_row(mid)
         mid.flags.writeable = True
-        m, scratch = _free_multiplier(config.grid, half), np.empty(u.shape)
-    two = _strang(mid, quarter, m, params, mid, scratch)
+        m, scratch = g.free_multiplier(half), np.empty(u.shape)
+    two = _strang(mid, quarter, m, config, mid, scratch)
     # the half steps are done with the trial's own multiplier: square it in place
     m.flags.writeable = True
     m = np.multiply(m, m, out=m)
-    full = _strang(u, half, m, params, np.empty_like(u), scratch, abs_b)
-    # each squared norm is the sum of squares of the real and imaginary parts
+    full = _strang(u, half, m, config, np.empty_like(u), scratch, abs_b)
     diff = np.subtract(full, two, out=full)
-    flat_diff, flat = diff.ravel().view(np.float64), two.ravel().view(np.float64)
-    num, den = float(np.einsum("i,i", flat_diff, flat_diff)), float(np.einsum("i,i", flat, flat))
-    if den > 0:
-        err = math.sqrt(num / den) / 3.0
-    else:
-        err = 0.0 if num == 0 else math.nan
+    err = g.norm_ratio(diff, two) / 3.0
     if math.isfinite(err):  # the run rejects any other trial: extrapolate no inf or NaN
         two -= np.divide(diff, 3.0, out=diff)
     return two, row, err
@@ -525,7 +484,7 @@ def run_to_blowup(state: SolverState) -> RunRecord:
     A trial takes two Strang steps of dt/2 and then one of dt (see
     :func:`_doubling_trial`).  If the error estimate err meets the step
     tolerance `_STEP_TOLERANCE`, only the extrapolated field gets the |u|
-    pass and the cap check (:func:`_modulus`), and one below the cap is
+    pass (:meth:`Grid.modulus`) and the cap check, and one below the cap is
     accepted by :func:`_accept`: the shell check, an offer to the log and,
     every `record_every` accepted steps, a sample.  Before each trial the
     loop asks the log whether it keeps the midpoint at t + dt/2
@@ -610,10 +569,10 @@ def run_to_blowup(state: SolverState) -> RunRecord:
             stats.refuse("rejected" if u is not None else "singular", stats.rows - computed)
             u = None  # the rejected trial's field goes before the retry makes its own
             continue
-        modulus = _modulus(cfg, u)
-        if modulus is None:  # the field reaches the sup-norm cap: the state stays for
-            # the halving retry or the record
-            u = None
+        absu, sup = cfg.grid.modulus(u)
+        if not sup < cfg.threshold:  # the field reaches the sup-norm cap (a non-finite
+            # one too): the state stays for the halving retry or the record
+            u = absu = None
             stats.refuse("capped", stats.rows - computed)
             if dt > _BRACKET * max(t, dt):
                 h = 0.5 * dt
@@ -625,7 +584,7 @@ def run_to_blowup(state: SolverState) -> RunRecord:
         state = None  # nothing reads the old state past the cap check
         if row is not None:
             log.rows.append(row)
-        state = _accept(cfg, log, t_new, u, *modulus, dt)
+        state = _accept(cfg, log, t_new, u, absu, sup, dt)
         if state.shell > _SHELL_TOLERANCE:
             return make_record(state, RunStatus.BOUNDARY_CONTAMINATED)
 
@@ -638,9 +597,10 @@ def make_record(state: SolverState, status: RunStatus, t_blow: float | None = No
     "threshold" (the sup-norm cap).  Every measurement of the run enters the
     record here, the remainder criterion's maximum (:func:`max_remainder_scaled`)
     too; it carries the log as the run left it, with every row it kept."""
-    if state.diagnostics.samples[-1].t != state.t:
-        _sample_diagnostics(state, _abs_sq(state.u.values))
     cfg = state.config
+    if state.diagnostics.samples[-1].t != state.t:
+        absu = cfg.grid.modulus(state.u.values)[0]
+        _sample_diagnostics(state, np.square(absu, out=absu))
     params = cfg.params
     T = {RunStatus.BLOWN_UP: t_blow, RunStatus.REACHED_TMAX: state.t}.get(status)
     samples = state.diagnostics.samples
@@ -661,14 +621,3 @@ def make_record(state: SolverState, status: RunStatus, t_blow: float | None = No
     if T is not None and T > 0:
         record.invariant_quantity = record.q_value()
     return record
-
-
-def mass_balance_residuals(samples, mu: float) -> np.ndarray:
-    """Trapezoid residuals of the mass-balance identity between consecutive samples."""
-    t = np.array([s.t for s in samples])
-    m = np.array([s.mass for s in samples])
-    lp1 = np.array([s.lp1 for s in samples])
-    dt = np.diff(t)
-    rate = np.diff(m) / dt
-    expected = mu * (lp1[:-1] + lp1[1:])
-    return rate - expected

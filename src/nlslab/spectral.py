@@ -9,6 +9,14 @@ along each axis; no other module knows that layout.  The hot path (free
 propagation, norms, monitors) works on the unscaled transform :func:`dft`;
 only this module chooses the numpy transform behind it.
 
+A :class:`Grid` is the basis of a run: it owns every lattice fact the run
+reads.  Its methods are the free multiplier over a span and the propagation by
+it, the |u| pass with its sup, the quadrature of the step error and of the
+samples, the shell and tail monitors, and the transforms of a sample (norms and
+tail) and of a row (norms, profile and the remainder's sup).  The solver and the
+convergence study reach the lattice through these alone; the module's field
+functions (:func:`norms` and the monitors) are their forms on a ComplexField.
+
 A :class:`Grid` keeps no array of its full size but the tail and shell masks,
 which every sample reads.  Its meshes and the (-1)^k sign are one axis each,
 broadcast against one another; |x|^2 and |xi|^2 are built on each access.  The
@@ -59,7 +67,9 @@ class Space(Enum):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on [-L, L)^d with centered frequency lattice.
+    """Uniform periodic grid on [-L, L)^d with centered frequency lattice, and the
+    basis of a run: its methods from :meth:`free_multiplier` on are every lattice
+    fact that a run reads.
 
     Attributes:
         d: spatial dimension, 1 to 3.
@@ -148,7 +158,7 @@ class Grid:
 
     @cached_property
     def _tail_mask(self) -> np.ndarray:
-        """max_i |xi_i| > 2/3 of Nyquist: the band of :func:`spectral_tail_fraction`."""
+        """max_i |xi_i| > 2/3 of Nyquist: the band of :meth:`tail_fraction`."""
         cutoff = (2.0 / 3.0) * np.pi / self.h
         mask = np.zeros(self.shape, dtype=bool)
         for xi in self.xi_mesh:
@@ -157,12 +167,185 @@ class Grid:
 
     @cached_property
     def _shell_mask(self) -> np.ndarray:
-        """max_i |x_i| >= 0.9 L: the outer tenth of :func:`boundary_shell_fraction`."""
+        """max_i |x_i| >= 0.9 L: the outer tenth of :meth:`shell_fraction`."""
         cutoff = 0.9 * self.L
         mask = np.zeros(self.shape, dtype=bool)
         for x in self.x_mesh:
             mask |= np.abs(x) >= cutoff
         return _read_only(mask)
+
+    @cached_property
+    def _unitary_scale(self) -> float:
+        """h^d/(2*pi)^{d/2}, the factor of :func:`fourier_forward` over the DFT."""
+        return self.h**self.d / (2.0 * np.pi) ** (self.d / 2.0)
+
+    # The basis: every lattice fact that the run loop and the convergence study read.
+    # Fields are arrays of the grid's shape; a spectrum is what :meth:`transform` gives.
+
+    def free_multiplier(self, t: float) -> np.ndarray:
+        """exp(-i t |xi|^2 / 2), the free flow's multiplier over t, read-only.
+
+        Propagation over t is back-propagation over -t, so the values come from
+        the same 1-D factor: in d = 1 they equal ``np.exp(-0.5j * t *
+        self.abs_xi_sq)`` bit for bit, and every span costs n/2 + 1 complex
+        exponentials, however large the grid.  ValueError where a value overflows.
+        """
+        if _phase_overflows(self, -t):
+            raise ValueError(f"free propagation over t={t!r} overflows the phase on the lattice")
+        return _read_only(_back_propagation_phase(self, -t))
+
+    def propagate(self, values: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """idft(m * dft(values)) into `out`, which holds the spectrum in between; it may be
+        `values`.  With m = :meth:`free_multiplier` over t this is the free flow over t."""
+        spectrum = dft(values, out=out)
+        # m first: numpy's SIMD complex multiply rounds the two operand orders differently
+        np.multiply(m, spectrum, out=spectrum)
+        return idft(spectrum, out=out)
+
+    def modulus(self, values: np.ndarray) -> tuple:
+        """One pass of |values| over the lattice: (|values|, sup|values|), whose sup is not
+        finite where a value is not."""
+        absu = np.abs(values)
+        return absu, float(np.max(absu))
+
+    def integral(self, density: np.ndarray) -> float:
+        """The quadrature h^d sum(density) of a physical-space density, such as |u|^2."""
+        return float(self.h**self.d * np.sum(density))
+
+    def norm_ratio(self, a: np.ndarray, b: np.ndarray) -> float:
+        """||a||_2 / ||b||_2; 0 where both vanish, NaN where b alone does.  The weights
+        are equal and cancel, and each squared norm is numpy's own sum of products of
+        the real and imaginary parts (einsum calls no BLAS), so the ratio does not
+        depend on the BLAS thread count."""
+        flat_a, flat_b = a.ravel().view(np.float64), b.ravel().view(np.float64)
+        num, den = float(np.einsum("i,i", flat_a, flat_a)), float(np.einsum("i,i", flat_b, flat_b))
+        if den > 0:
+            return math.sqrt(num / den)
+        return 0.0 if num == 0 else math.nan
+
+    def shell_fraction(self, power: np.ndarray) -> float:
+        """Fraction of the mass of the squared modulus `power` in the outer tenth of the
+        box, max_i |x_i| >= 0.9 L: the boundary monitor."""
+        total = np.sum(power)
+        if total == 0.0:
+            return 0.0
+        return float(np.sum(power[self._shell_mask]) / total)
+
+    def tail_fraction(self, spectral_power: np.ndarray) -> float:
+        """Fraction of the energy of ``|transform(u)|^2`` = `spectral_power` carried by
+        the modes with max_i |xi_i| above 2/3 of Nyquist: the resolution monitor."""
+        total = np.sum(spectral_power)
+        if total == 0.0:
+            return 0.0
+        return float(np.sum(spectral_power[self._tail_mask]) / total)
+
+    def transform(self, values: np.ndarray) -> np.ndarray:
+        """The spectrum of the field `values`, which the `spectrum` keyword of
+        :meth:`norms`, :meth:`profile` and :meth:`remainder_sup` takes: the unscaled
+        :func:`dft`, in a fresh array."""
+        return dft(values)
+
+    def _forward(self, values: np.ndarray, spectrum: np.ndarray | None = None) -> np.ndarray:
+        """The values of :func:`fourier_forward`: the signed DFT times the unitary scale.
+        `spectrum` is only read; without it the transform is scaled in place."""
+        out = None
+        if spectrum is None:
+            spectrum = out = dft(values)
+        values = _flip_signs(self, spectrum, out)
+        values *= self._unitary_scale
+        return values
+
+    def profile(self, values: np.ndarray, t: float, *,
+                spectrum: np.ndarray | None = None) -> np.ndarray:
+        """The scattering profile A(t) = F[U(t)^{-1} u(t)] of the field `values`, on the
+        frequency lattice.  `spectrum` is :meth:`transform` of values when the caller
+        already has it; it is only read."""
+        vals = self._forward(values, spectrum)
+        return np.multiply(_back_propagation_phase(self, t), vals, out=vals)
+
+    def remainder_sup(self, values: np.ndarray, t: float, params, *,
+                      spectrum: np.ndarray | None = None) -> float:
+        """sup_xi |R(t, xi)| of :func:`nlslab.propagators.remainder` at the field `values`
+        and the nonlinearity `params`, without building R.  Defined for t > 0.
+
+        R is lam c (phase) (sign) [dft(G(u)) - t^(-theta) c^b G(dft(u))], with G(z) =
+        |z|^b z, c the unitary scale, `phase` the back-propagation phase and `sign`
+        the (-1)^k vector; the last two and lam's phase have modulus 1, and G
+        commutes with them.  So sup|R| = c |lam| max|dft(G(u)) - t^(-theta) c^b
+        G(dft(u))|: two transforms and no phase, equal to the sup of R to roundoff.
+        `spectrum` is :meth:`transform` of values when the caller already has it;
+        it is only read.  G(u) is transformed in place, and a spectrum of its own is
+        overwritten, so the remainder takes two complex arrays and one float.
+        """
+        if not (t > 0):
+            raise ValueError(f"remainder requires t > 0, got {t}")
+        scale, b = self._unitary_scale, params.b
+        mod = np.abs(values)
+        if b != 1.0:  # numpy spends a pass on the exponent 1
+            mod **= b
+        diff = np.multiply(mod, values)
+        diff = dft(diff, out=diff)
+        own = spectrum is None
+        if own:
+            spectrum = dft(values)
+        mod = np.abs(spectrum, out=mod)
+        if b != 1.0:
+            mod **= b
+        mod *= t ** (-params.theta) * scale**b
+        diff -= np.multiply(spectrum, mod, out=spectrum if own else None)
+        return scale * abs(params.lam) * float(np.max(np.abs(diff, out=mod)))
+
+    def norms(self, values: np.ndarray, t: float, s: float, *,
+              spectrum: np.ndarray | None = None, spectral_power: np.ndarray | None = None,
+              l2: float | None = None, sup: float | None = None) -> NormReport:
+        """Weighted norms of the field `values` at time t.
+
+        h_s0 is the H^{s,0} norm computed spectrally with the (1+|xi|^2)^{s/2}
+        multiplier.  h_0s is the weighted L2 norm of the back-propagated field
+        U(t)^{-1} u with weight (1+|x|^2)^{s/2}, i.e. the decay norm tracked by
+        the solver diagnostics; at t = 0 it reduces to the plain weighted norm
+        of u.  A non-finite field yields an all-infinite report.
+        The keywords pass what the caller already has: `spectrum` is
+        :meth:`transform` of values, `spectral_power` is ``np.abs(spectrum) ** 2``,
+        and `l2` and `sup` are the report's ``l2`` and ``l_inf``.
+        """
+        if s < 0:
+            raise ValueError(f"Sobolev index must be >= 0, got {s}")
+        if not np.isfinite(t):
+            raise ValueError(f"time must be finite, got {t}")
+        if t < 0:
+            raise ValueError(f"time must be >= 0, got {t}")
+        if sup is None:
+            sup = self.modulus(values)[1]
+        # a non-finite value has a non-finite modulus, so only then is the field scanned
+        if not np.isfinite(sup) and not np.isfinite(values).all():
+            inf = float("inf")
+            return NormReport(inf, inf, inf, inf, inf)
+        if spectrum is None:
+            spectrum = dft(values)
+        wx = self.h**self.d
+        if spectral_power is None:
+            spectral_power = _abs_sq(spectrum)
+        # the unitary transform's |scale|^2 times the dxi^d quadrature weight is h^d / n^d
+        h_s0 = float(np.sqrt(wx / self.num_points * np.sum(_xi_weight(self, s) * spectral_power)))
+        # U(t)^{-1} u back-propagated inside the fresh phase array
+        back = _back_propagation_phase(self, t)
+        back = idft(np.multiply(back, spectrum, out=back), out=back)
+        back_power = _abs_sq(back)
+        h_0s = float(np.sqrt(wx * np.sum(np.multiply(_x_weight(self, s), back_power,
+                                                     out=back_power))))
+        if l2 is None:
+            l2 = float(np.sqrt(wx * np.sum(_abs_sq(values))))
+        return NormReport(l2=l2, l_inf=sup, h_s0=h_s0, h_0s=h_0s, sigma_s=h_s0 + h_0s)
+
+    def sample_norms(self, values: np.ndarray, t: float, s: float, *, l2: float,
+                     sup: float) -> tuple:
+        """(:meth:`norms`, :meth:`tail_fraction`) of the field `values` at t, whose l2 and
+        sup the caller has: one forward transform and its |spectrum|^2 serve both."""
+        spectrum = dft(values)
+        spectral_power = _abs_sq(spectrum)
+        return (self.norms(values, t, s, spectrum=spectrum, spectral_power=spectral_power,
+                           l2=l2, sup=sup), self.tail_fraction(spectral_power))
 
 
 @dataclass
@@ -248,14 +431,7 @@ def fourier_forward(f: ComplexField, *, spectrum: np.ndarray | None = None) -> C
     read.  Otherwise the transform is scaled in place.
     """
     _require_space(f, Space.PHYSICAL, "fourier_forward")
-    g = f.grid
-    scale = g.h**g.d / (2.0 * np.pi) ** (g.d / 2.0)
-    out = None
-    if spectrum is None:
-        spectrum = out = dft(f.values)
-    values = _flip_signs(g, spectrum, out)
-    values *= scale
-    return ComplexField(g, Space.FREQUENCY, values)
+    return ComplexField(f.grid, Space.FREQUENCY, f.grid._forward(f.values, spectrum))
 
 
 def fourier_inverse(f: ComplexField) -> ComplexField:
@@ -342,85 +518,22 @@ def _phase_overflows(grid: Grid, t: float) -> bool:
     return not math.isfinite((0.5 * float(t)) * (nyquist * nyquist))  # Python floats: no warning
 
 
-def norms(f: ComplexField, t: float, s: float, *, spectrum: np.ndarray | None = None,
-          spectral_power: np.ndarray | None = None, l2: float | None = None,
-          sup: float | None = None) -> NormReport:
-    """Weighted norms of f at time t.
-
-    h_s0 is the H^{s,0} norm computed spectrally with the (1+|xi|^2)^{s/2}
-    multiplier.  h_0s is the weighted L2 norm of the back-propagated field
-    U(t)^{-1} f with weight (1+|x|^2)^{s/2}, i.e. the decay norm tracked by
-    the solver diagnostics; at t = 0 it reduces to the plain weighted norm
-    of f.  A non-finite field yields an all-infinite report.
-    The keywords pass what the caller already has: `spectrum` is
-    ``dft(f.values)``, `spectral_power` is ``np.abs(spectrum) ** 2``,
-    and `l2` and `sup` are the report's ``l2`` and ``l_inf``.
-    """
+def norms(f: ComplexField, t: float, s: float) -> NormReport:
+    """:meth:`Grid.norms` of the physical-space field f at time t."""
     _require_space(f, Space.PHYSICAL, "norms")
-    if s < 0:
-        raise ValueError(f"Sobolev index must be >= 0, got {s}")
-    if not np.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    if sup is None:
-        sup = sup_modulus(f)
-    # a non-finite value has a non-finite modulus, so only then is the field scanned
-    if not np.isfinite(sup) and not f.is_finite():
-        inf = float("inf")
-        return NormReport(inf, inf, inf, inf, inf)
-    g = f.grid
-    if spectrum is None:
-        spectrum = dft(f.values)
-    wx = g.h**g.d
-    if spectral_power is None:
-        spectral_power = _abs_sq(spectrum)
-    # the unitary transform's |scale|^2 times the dxi^d quadrature weight is h^d / n^d
-    h_s0 = float(np.sqrt(wx / g.num_points * np.sum(_xi_weight(g, s) * spectral_power)))
-    # U(t)^{-1} f back-propagated inside the fresh phase array
-    back = _back_propagation_phase(g, t)
-    back = idft(np.multiply(back, spectrum, out=back), out=back)
-    back_power = _abs_sq(back)
-    h_0s = float(np.sqrt(wx * np.sum(np.multiply(_x_weight(g, s), back_power, out=back_power))))
-    if l2 is None:
-        l2 = float(np.sqrt(wx * np.sum(_abs_sq(f.values))))
-    return NormReport(
-        l2=l2,
-        l_inf=sup,
-        h_s0=h_s0,
-        h_0s=h_0s,
-        sigma_s=h_s0 + h_0s,
-    )
+    return f.grid.norms(f.values, t, s)
 
 
-def spectral_tail_fraction(f: ComplexField, *, spectral_power: np.ndarray | None = None) -> float:
-    """Fraction of spectral energy carried by modes with max_i |xi_i| above 2/3 of Nyquist.
-
-    The resolution-adequacy monitor: well-resolved fields keep this tiny.
-    `spectral_power` is ``np.abs(dft(f.values)) ** 2`` when the caller
-    already has it.
-    """
+def spectral_tail_fraction(f: ComplexField) -> float:
+    """:meth:`Grid.tail_fraction` of the physical-space field f."""
     _require_space(f, Space.PHYSICAL, "spectral_tail_fraction")
-    if spectral_power is None:
-        spectral_power = _abs_sq(dft(f.values))
-    total = np.sum(spectral_power)
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(spectral_power[f.grid._tail_mask]) / total)
+    return f.grid.tail_fraction(_abs_sq(dft(f.values)))
 
 
-def boundary_shell_fraction(f: ComplexField, *, power: np.ndarray | None = None) -> float:
-    """Fraction of L2 mass in the outer tenth of the box, max_i |x_i| >= 0.9 L.
-
-    `power` is ``np.abs(f.values) ** 2`` when the caller already has it.
-    """
+def boundary_shell_fraction(f: ComplexField) -> float:
+    """:meth:`Grid.shell_fraction` of the physical-space field f."""
     _require_space(f, Space.PHYSICAL, "boundary_shell_fraction")
-    if power is None:
-        power = _abs_sq(f.values)
-    total = np.sum(power)
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(power[f.grid._shell_mask]) / total)
+    return f.grid.shell_fraction(_abs_sq(f.values))
 
 
 def _resample(phi: ComplexField, grid: Grid) -> ComplexField:

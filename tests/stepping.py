@@ -4,14 +4,12 @@ test picks, and the contract between a finished run's log and its counts."""
 import math
 
 from nlslab import solver
-from nlslab.propagators import _free_multiplier
 
 
 def strang_step(u, dt, config, abs_b=None):
     """One Strang step of dt from the field u: :func:`solver._strang`'s
     N(dt/2) F(m_dt) N(dt/2), whose first substep reads `abs_b` = |u|^b when given."""
-    return solver._strang(u, dt / 2, _free_multiplier(config.grid, dt), config.params,
-                          abs_b=abs_b)
+    return solver._strang(u, dt / 2, config.grid.free_multiplier(dt), config, abs_b=abs_b)
 
 
 def fixed_step(state, dt):
@@ -22,9 +20,9 @@ def fixed_step(state, dt):
     whose field reaches the sup-norm cap fails the test."""
     cfg, log = state.config, state.diagnostics
     u = strang_step(state.u.values, dt, cfg, state.abs_b)
-    modulus = solver._modulus(cfg, u)
-    assert modulus is not None, f"the step of {dt!r} from t={state.t!r} reached the sup-norm cap"
-    return solver._accept(cfg, log, state.t + dt, u, *modulus, dt)
+    absu, sup = cfg.grid.modulus(u)
+    assert sup < cfg.threshold, f"the step of {dt!r} from t={state.t!r} reached the sup-norm cap"
+    return solver._accept(cfg, log, state.t + dt, u, absu, sup, dt)
 
 
 def noting_offers(mp, note):

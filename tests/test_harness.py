@@ -210,8 +210,18 @@ class TestPersistence:
         _, records, _, _ = micro_sweep
         data = run_record_to_dict(records[0])
         del data["T_eps"]
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError) as refused:
             run_record_from_dict(data)
+        assert str(refused.value) == "run record cannot be loaded: missing keys ['T_eps']"
+
+    def test_unknown_run_key_rejected(self, micro_sweep):
+        _, records, _, _ = micro_sweep
+        data = {**run_record_to_dict(records[0]), "wall_s": 1.0, "schema_version": 2}
+        with pytest.raises(ValueError) as refused:
+            run_record_from_dict(data)
+        assert str(refused.value) == ("run record cannot be loaded: unknown keys ['wall_s']; "
+                                      "schema_version 2, not 1")
+        assert run_record_from_dict(run_record_to_dict(records[0])).T_eps == records[0].T_eps
 
     def test_csv_row_count_matches_ladder(self, micro_sweep, tmp_path):
         cfg, records, summary, _ = micro_sweep

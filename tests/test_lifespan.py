@@ -264,9 +264,9 @@ class TestRemainderWindow:
         assert all(row.t in offered for row in rows) and any(row.t > half for row in rows)
         assert len([row for row in rows if row.t <= half]) == inside
         seen = []
-        for module, name in ((solver, "remainder_sup"), (lifespan, "remainder"),
-                             (propagators, "remainder_sup"), (propagators, "remainder")):
-            monkeypatch.setattr(module, name, lambda *args: seen.append(args))
+        for owner, name in ((Grid, "remainder_sup"), (lifespan, "remainder"),
+                            (propagators, "remainder")):
+            monkeypatch.setattr(owner, name, lambda *args: seen.append(args))
         assert max_remainder_scaled(rec.diagnostics, cfg, rec.T_eps) is not None
         assert seen == []
 

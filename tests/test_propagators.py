@@ -21,13 +21,7 @@ from nlslab import (
     norms,
     sup_modulus,
 )
-from nlslab.propagators import (
-    _free_multiplier,
-    coefficient_integral,
-    coefficient_time,
-    remainder,
-    remainder_sup,
-)
+from nlslab.propagators import coefficient_integral, coefficient_time, remainder
 from nlslab.spectral import _back_propagation_phase
 
 
@@ -54,6 +48,11 @@ def apply_multiplier(f, m):
 def params_for(lam, b, d=1):
     # b = 2*theta/d, so theta = b*d/2
     return NonlinearityParams(lam=lam, theta=b * d / 2.0, d=d)
+
+
+def remainder_sup(u, t, params):
+    """The grid's sup|R| of the physical-space field u."""
+    return u.grid.remainder_sup(u.values, t, params)
 
 
 def lattice_phase_overflows(grid, t):
@@ -163,12 +162,12 @@ class TestFreePropagate:
 
     def test_multiplier_values(self):
         g, other_L = Grid(2, 16, 4.0), Grid(2, 16, 5.0)
-        m = _free_multiplier(g, 0.01)
-        assert np.array_equal(_free_multiplier(Grid(2, 16, 4.0), 0.01), m)
+        m = g.free_multiplier(0.01)
+        assert np.array_equal(Grid(2, 16, 4.0).free_multiplier(0.01), m)
         with pytest.raises(ValueError):
             m[0, 0] = 1
-        assert not np.array_equal(_free_multiplier(g, 0.02), m)
-        assert not np.array_equal(_free_multiplier(other_L, 0.01), _free_multiplier(g, 0.01))
+        assert not np.array_equal(g.free_multiplier(0.02), m)
+        assert not np.array_equal(other_L.free_multiplier(0.01), g.free_multiplier(0.01))
 
     @pytest.mark.parametrize("g", [Grid(1, 64, 8.0), Grid(2, 16, 4.0), Grid(3, 8, 0.5)])
     def test_multiplier_overflow_edge(self, g):
@@ -179,9 +178,9 @@ class TestFreePropagate:
         while not lattice_phase_overflows(g, np.nextafter(edge, np.inf)):
             edge = np.nextafter(edge, np.inf)
         for sign in (1.0, -1.0):
-            assert np.isfinite(_free_multiplier(g, sign * edge)).all()
+            assert np.isfinite(g.free_multiplier(sign * edge)).all()
             with pytest.raises(ValueError, match="overflows the phase"):
-                _free_multiplier(g, sign * np.nextafter(edge, np.inf))
+                g.free_multiplier(sign * np.nextafter(edge, np.inf))
 
     @pytest.mark.parametrize("g", [Grid(1, 64, 8.0), Grid(2, 16, 4.0), Grid(1, 8, 1e-300)])
     def test_multiplier_check_is_the_whole_lattice_check(self, g):
@@ -191,7 +190,7 @@ class TestFreePropagate:
         for t in [*ts, *(-t for t in ts)]:
             overflows = lattice_phase_overflows(g, t)
             try:
-                _free_multiplier(g, t)
+                g.free_multiplier(t)
             except ValueError:
                 assert overflows, t
             else:
@@ -199,10 +198,10 @@ class TestFreePropagate:
 
     def test_back_propagation_leaves_the_multiplier_unchanged(self):
         g = Grid(1, 64, 8.0)
-        m = _free_multiplier(g, 0.005)
+        m = g.free_multiplier(0.005)
         for t in (0.3, 0.7, 1.1):
             norms(random_field(g), t, 1.0)
-        assert np.array_equal(_free_multiplier(g, 0.005), m)
+        assert np.array_equal(g.free_multiplier(0.005), m)
 
 
 class TestGauge:

@@ -23,7 +23,7 @@ from nlslab import (
     norms,
     sup_modulus,
 )
-from nlslab import convergence, initial_data, propagators, solver
+from nlslab import convergence, initial_data, solver, spectral
 from nlslab.harness import ExperimentConfig
 from nlslab.initial_data import gaussian
 from nlslab.lifespan import sweep
@@ -32,16 +32,10 @@ from nlslab.propagators import (
     blowup_horizon,
     g_p,
     profile,
-    remainder_sup,
     t_star_time,
 )
 from nlslab.convergence import convergence_study
-from nlslab.solver import (
-    SolverConfig,
-    init,
-    mass_balance_residuals,
-    run_to_blowup,
-)
+from nlslab.solver import SolverConfig, init, run_to_blowup
 from stepping import assert_log_matches_its_counts, fixed_step, noting_offers, strang_step
 
 AMPLIFYING = NonlinearityParams(lam=1j, theta=0.5, d=1)
@@ -61,6 +55,13 @@ def small_config(params=AMPLIFYING, **over):
 # (measured over whole 1-D and 2-D runs).  Its midpoint field is theirs bit for bit.
 TRIAL_ROUNDOFF = 1e-15
 TRIAL_ERR_ROUNDOFF = 2e-16
+
+
+def mass_balance_residuals(samples, mu):
+    """Trapezoid residuals of d||u||^2/dt = 2 mu ||u||_{p+1}^{p+1} between consecutive
+    samples."""
+    t, m, lp1 = (np.array([getattr(s, name) for s in samples]) for name in ("t", "mass", "lp1"))
+    return np.diff(m) / np.diff(t) - mu * (lp1[:-1] + lp1[1:])
 
 
 def doubling_trial(u, dt, config):
@@ -265,7 +266,7 @@ class TestStep:
         assert [row.t for row in log.rows] == [states[k].t for k in (0, 4, 7)]
         assert log.rows[0].remainder_sup is None
         assert [row.remainder_sup for row in log.rows[1:]] == [
-            remainder_sup(states[k].u, states[k].t, cfg.params) for k in (4, 7)]
+            cfg.grid.remainder_sup(states[k].u.values, states[k].t, cfg.params) for k in (4, 7)]
         assert [s.t for s in log.samples] == [s.t for s in states[::3]]
 
     def test_real_lambda_conserves_mass(self):
@@ -310,7 +311,7 @@ class TestStep:
         field = state.u.values.copy()
         field[0] = value
         log = state.diagnostics
-        assert solver._modulus(cfg, field) is None
+        assert not cfg.grid.modulus(field)[1] < cfg.threshold
         assert len(log.samples) == 1 and state.t == 0.0
         # offered at t = 20, past t_star = 2, the field would get a row
         assert log.rows == []
@@ -325,11 +326,11 @@ class TestStep:
         for _ in range(1000):
             n_samples, n_rows = len(log.samples), len(log.rows)
             u = strang_step(state.u.values, 0.05, cfg, state.abs_b)
-            modulus = solver._modulus(cfg, u)
-            if modulus is None:
+            absu, sup = cfg.grid.modulus(u)
+            if not sup < cfg.threshold:
                 break
-            state = solver._accept(cfg, log, state.t + 0.05, u, *modulus, 0.05)
-        assert modulus is None
+            state = solver._accept(cfg, log, state.t + 0.05, u, absu, sup, 0.05)
+        assert not sup < cfg.threshold
         assert len(log.samples) == n_samples and len(log.rows) == n_rows
         # the run loop brackets the same crossing and records it as a threshold blow-up
         rec = run_to_blowup(init(cfg, gaussian(cfg.grid)))
@@ -1108,8 +1109,8 @@ class TestDoublingTrial:
 
             monkeypatch.setattr(module, name, spy)
 
-        for module, name in ((solver, "nonlinear_flow_exact"), (propagators, "dft"),
-                             (propagators, "idft"), (propagators, "_back_propagation_phase")):
+        for module, name in ((solver, "nonlinear_flow_exact"), (spectral, "dft"),
+                             (spectral, "idft"), (spectral, "_back_propagation_phase")):
             count(module, name)
         cfg = small_config(eps=0.4)
         u = cfg.eps * gaussian(cfg.grid).values
@@ -1411,7 +1412,7 @@ def field_functions(u, t, cfg):
     r3 = None
     if rep.sigma_s > 0:
         r3 = (1 + t) ** (d * (p - 1) / 2.0) * rep_nu.sigma_s / rep.sigma_s**p
-    sup_r = remainder_sup(u, t, params) if t > 0 else None
+    sup_r = u.grid.remainder_sup(u.values, t, params) if t > 0 else None
     return t, sup_r, r1, r2, r3
 
 
@@ -1470,8 +1471,6 @@ class TestRows:
     def test_a_row_transforms_its_field_once(self, monkeypatch, full, transforms):
         # a full row's remainder, norms and profile share dft(u); the other two
         # transforms are of G(u) for the remainder and of N(u) for its norms
-        from nlslab import spectral
-
         calls = []
         dft = spectral.dft
 
@@ -1479,13 +1478,120 @@ class TestRows:
             calls.append(values.shape)
             return dft(values, out=out)
 
-        for module in (spectral, propagators, solver):
-            monkeypatch.setattr(module, "dft", spy)
+        monkeypatch.setattr(spectral, "dft", spy)
         cfg = SolverConfig(grid=Grid(2, 32, 12.0), params=NonlinearityParams(1j, 0.5, 2),
                            eps=0.4, s=1.2)
         row = solver.DiagnosticsLog(full=full).row(cfg, 1.5, cfg.eps * gaussian(cfg.grid).values)
         assert row.remainder_sup is not None and (row.r2 is not None) is full
         assert len(calls) == transforms
+
+
+# The basis seam: every lattice fact the run loop and the convergence study read.
+SEAM = ("free_multiplier", "propagate", "modulus", "integral", "norm_ratio", "shell_fraction",
+        "tail_fraction", "transform", "profile", "remainder_sup", "norms", "sample_norms")
+
+
+@dataclasses.dataclass(frozen=True)
+class CountingGrid(Grid):
+    """A Grid that counts the calls of each seam method, and notes each read of the
+    spacing or a mask made outside them (the spies of `reach` note the transforms
+    and phase builds)."""
+
+    calls = collections.Counter()
+    stray = []
+    depth = [0]
+
+    def note(self, what):
+        if not self.depth[0]:
+            self.stray.append(what)
+
+    @property
+    def h(self):
+        self.note("h")
+        return Grid.h.fget(self)
+
+    @property
+    def _tail_mask(self):
+        self.note("_tail_mask")
+        return Grid._tail_mask.__get__(self)
+
+    @property
+    def _shell_mask(self):
+        self.note("_shell_mask")
+        return Grid._shell_mask.__get__(self)
+
+
+def _counted(name):
+    method = getattr(Grid, name)
+
+    @functools.wraps(method)
+    def counted(self, *args, **kwargs):
+        self.calls[name] += 1
+        self.depth[0] += 1
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            self.depth[0] -= 1
+
+    return counted
+
+
+for _name in SEAM:
+    setattr(CountingGrid, _name, _counted(_name))
+
+
+class TestBasisSeam:
+    @pytest.fixture
+    def reach(self, monkeypatch):
+        """The CountingGrid's tallies, cleared, with the module's transforms and phase
+        builders noting each call made outside a seam method."""
+        CountingGrid.calls.clear()
+        CountingGrid.stray.clear()
+        for name in ("dft", "idft", "_back_propagation_phase", "_phase_overflows",
+                     "_flip_signs"):
+            def spy(*args, _name=name, _original=getattr(spectral, name), **kwargs):
+                if not CountingGrid.depth[0]:
+                    CountingGrid.stray.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(spectral, name, spy)
+        return CountingGrid.calls, CountingGrid.stray
+
+    @pytest.mark.parametrize("diagnostics", [False, True], ids=["default", "full rows"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_the_run_loop_reaches_the_lattice_only_through_the_grid(self, reach, d,
+                                                                     diagnostics):
+        calls, stray = reach
+        grid, s = (CountingGrid(1, 256, 20.0), 1.0) if d == 1 else (CountingGrid(2, 64, 16.0), 1.2)
+        cfg = SolverConfig(grid=grid, params=NonlinearityParams(1j, 0.5, d), eps=0.4, s=s)
+        phi = gaussian(Grid(d, grid.n, grid.L))
+        rec = run_to_blowup(init(cfg, phi, diagnostics=diagnostics))
+        log, stats = rec.diagnostics, rec.diagnostics.stats
+        assert rec.status == "blown-up" and stray == []
+        # each trial builds one multiplier, and one more for its midpoint's row; it
+        # takes three propagations and one error ratio.  Each field on the trajectory
+        # gets the shell monitor and a sample, and each row at t > 0 a remainder
+        trials = stats.accepted + stats.rejected + stats.capped
+        assert stats.singular == 0 and trials > 50
+        sampled = {sample.t for sample in log.samples}
+        midpoints = len([row for row in log.rows if row.t not in sampled]) + stats.rows_refused
+        assert midpoints > 0
+        assert calls["free_multiplier"] == trials + midpoints
+        assert calls["propagate"] == 3 * trials and calls["norm_ratio"] == trials
+        assert calls["shell_fraction"] == stats.accepted + 1 == len(log.samples)
+        assert calls["sample_norms"] == calls["tail_fraction"] == len(log.samples)
+        assert calls["remainder_sup"] == stats.rows - (1 if diagnostics else 0)
+        assert set(calls) == set(SEAM) - (set() if diagnostics else {"transform", "profile"})
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_the_fixed_step_loop_reaches_the_lattice_only_through_the_grid(self, reach, d):
+        calls, stray = reach
+        grid = CountingGrid(d, 64 if d == 1 else 16, 10.0)
+        cfg = SolverConfig(grid=grid, params=NonlinearityParams(1j, 0.5, d), eps=0.4,
+                           s=1.0 if d == 1 else 1.2)
+        convergence._fixed_run(cfg, gaussian(Grid(d, grid.n, grid.L)), 0.1, 0.02)
+        assert stray == []
+        assert calls["free_multiplier"] == 1 and calls["propagate"] == 5
 
 
 class TestHigherDimensions:

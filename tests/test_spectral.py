@@ -21,6 +21,25 @@ from nlslab import (
 )
 
 
+PACKAGE = Path(spectral.__file__).parent
+
+
+def read_names(node):
+    """The names that `node` reads or defines: an attribute, a name, the modules and
+    names of an import, or the name of a function or class."""
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module or "", *(a.name for a in node.names)]
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    return []
+
+
 def gaussian_field(grid, width=1.0):
     r2 = grid.abs_x_sq
     return ComplexField(grid, Space.PHYSICAL, np.exp(-r2 / (2.0 * width**2)))
@@ -159,25 +178,42 @@ class TestFourier:
     def test_no_other_module_calls_np_fft(self):
         # the buffer rule lives in dft/idft alone: any other transform would bypass it;
         # and the FFT index order too: no other module indexes the xi lattice
-        def names(node):
-            """The attribute or the modules and names that `node` reads."""
-            if isinstance(node, ast.Attribute):
-                return [node.attr]
-            if isinstance(node, ast.ImportFrom):
-                return [node.module or "", *(a.name for a in node.names)]
-            if isinstance(node, ast.Import):
-                return [a.name for a in node.names]
-            return []
-
-        package = Path(spectral.__file__).parent
-        callers = {path.name for path in package.glob("*.py")
+        callers = {path.name for path in PACKAGE.glob("*.py")
                    for node in ast.walk(ast.parse(path.read_text()))
-                   if any(name.split(".")[-1] == "fft" for name in names(node))}
+                   if any(name.split(".")[-1] == "fft" for name in read_names(node))}
         assert callers == {"spectral.py"}
-        indexers = {path.name for path in package.glob("*.py")
+        indexers = {path.name for path in PACKAGE.glob("*.py")
                     for node in ast.walk(ast.parse(path.read_text()))
-                    if isinstance(node, ast.Subscript) and names(node.value) == ["xi_1d"]}
+                    if isinstance(node, ast.Subscript) and read_names(node.value) == ["xi_1d"]}
         assert indexers == {"spectral.py"}
+
+    def test_no_other_module_reads_the_lattice(self):
+        # the run loop, the convergence study and the tests' fixed steps reach the grid
+        # through Grid's methods alone: no other module reads the spacing h, the
+        # unitary scale, the frequency lattice a multiplier or phase is built from, a
+        # phase builder, a mask or the transforms, and the functions that moved into
+        # Grid are defined nowhere else
+        lattice = {"_unitary_scale", "dxi", "xi_1d", "xi_mesh", "abs_xi_sq", "_sign",
+                   "_flip_signs", "_mirror_index", "_back_propagation_phase",
+                   "_phase_overflows", "_free_multiplier", "_multiply_spectrum", "_modulus",
+                   "_tail_mask", "_shell_mask", "_xi_weight", "_x_weight", "_abs_sq", "dft",
+                   "idft"}
+        paths = [*PACKAGE.glob("*.py"), Path(__file__).with_name("stepping.py")]
+        readers = {}
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text())):
+                read = set(read_names(node)) & lattice
+                if isinstance(node, ast.Attribute) and node.attr == "h":
+                    read.add("h")
+                if read:
+                    readers.setdefault(path.name, set()).update(read)
+        assert readers.keys() == {"spectral.py"}
+        # the scan sees each kind of read
+        probe = ("from .spectral import dft\nfrom nlslab import spectral\n"
+                 "w = grid.h * spectral._back_propagation_phase(grid, t)\n"
+                 "def _modulus(u): return u[grid._shell_mask]\n")
+        seen = {name for node in ast.walk(ast.parse(probe)) for name in read_names(node)}
+        assert {"dft", "_back_propagation_phase", "_modulus", "_shell_mask", "h"} <= seen
 
     def test_wrong_space_rejected(self):
         g = Grid(1, 16, 2.0)
@@ -432,9 +468,11 @@ class TestFftOrderOracles:
         f = wide_random_field(g)
         spectrum = np.fft.fftn(f.values)
         spectral_power = np.abs(spectrum) ** 2
-        assert norms(f, 0.9, 1.1, spectrum=spectrum) == norms(f, 0.9, 1.1)
-        assert (spectral_tail_fraction(f, spectral_power=spectral_power)
-                == spectral_tail_fraction(f))
+        assert g.norms(f.values, 0.9, 1.1, spectrum=spectrum) == norms(f, 0.9, 1.1)
+        assert g.tail_fraction(spectral_power) == spectral_tail_fraction(f)
+        want = norms(f, 0.9, 1.1)
+        assert (g.sample_norms(f.values, 0.9, 1.1, l2=want.l2, sup=sup_modulus(f))
+                == (want, spectral_tail_fraction(f)))
 
     @pytest.mark.parametrize("g", ORACLE_GRIDS, ids=lambda g: f"d{g.d}")
     def test_shared_moduli_are_exact(self, g):
@@ -442,9 +480,11 @@ class TestFftOrderOracles:
         spectrum = np.fft.fftn(f.values)
         power = np.abs(f.values) ** 2
         l2 = float(np.sqrt(g.h**g.d * np.sum(power)))
-        assert norms(f, 0.9, 1.1, spectrum=spectrum, spectral_power=np.abs(spectrum) ** 2,
-                     l2=l2, sup=sup_modulus(f)) == norms(f, 0.9, 1.1)
-        assert boundary_shell_fraction(f, power=power) == boundary_shell_fraction(f)
+        assert g.norms(f.values, 0.9, 1.1, spectrum=spectrum,
+                       spectral_power=np.abs(spectrum) ** 2,
+                       l2=l2, sup=sup_modulus(f)) == norms(f, 0.9, 1.1)
+        assert np.sqrt(g.integral(power)) == l2
+        assert g.shell_fraction(power) == boundary_shell_fraction(f)
 
 
 class TestGridCaches:
