@@ -63,15 +63,14 @@ def _cmd_print_config(args) -> int:
 
 def _cmd_bounds(args) -> int:
     cfg = _load_config(args)
-    params = cfg.params()
-    grid = cfg.grid()
-    phi = build_initial_data(grid, cfg.initial_data)
+    solver_cfg = cfg.solver_config()
+    phi = build_initial_data(solver_cfg.grid, cfg.initial_data)
     phi_hat = fourier_forward(phi)
     sup = sup_modulus(phi_hat)
     print(f"sup |phi_hat| = {sup!r}")
     eps = min(cfg.eps_ladder)
     if cfg.theta < 1.0:
-        rep = theoretical_bound(phi_hat, params)
+        rep = theoretical_bound(phi_hat, solver_cfg.params)
         print(f"bound_value = {rep.bound_value!r}")
         print(f"tau0 = {rep.tau0!r}")
         # the remainder window [t_star, T/2] and its decay rate gamma need
@@ -145,7 +144,7 @@ def _cmd_profile_ode(args) -> int:
     cfg = _load_config(args)
     _check_out(args)
     c, delta = 0.3, 1.0
-    base = OdeParams(a=cfg.theta, b=cfg.params().b, lam=cfg.lam, eps=1.0,
+    base = OdeParams(a=cfg.theta, b=cfg.solver_config().params.b, lam=cfg.lam, eps=1.0,
                      t_star=0.5, psi0_sup=1.0)
     params = replace(base, sigma=0.2 * base.tau1)
     eps = 0.9 * smallness_bound(params, bound_constants(params, c, c, delta), delta)

@@ -95,19 +95,13 @@ class ExperimentConfig:
     def load(cls, path) -> "ExperimentConfig":
         return cls.parse(Path(path).read_text())
 
-    def grid(self) -> Grid:
-        return Grid(self.d, self.n, self.L)
-
-    def params(self) -> NonlinearityParams:
-        return NonlinearityParams(lam=self.lam, theta=self.theta, d=self.d)
-
     def solver_config(self) -> SolverConfig:
-        """The solver's config at the first rung; every field the two configs share is
-        passed by name."""
+        """The solver's config at the first rung, the one source of the experiment's grid
+        and nonlinearity; every field the two configs share is passed by name."""
         shared = {f.name for f in fields(SolverConfig)} & {f.name for f in fields(self)}
         return SolverConfig(
-            grid=self.grid(),
-            params=self.params(),
+            grid=Grid(self.d, self.n, self.L),
+            params=NonlinearityParams(lam=self.lam, theta=self.theta, d=self.d),
             eps=self.eps_ladder[0],
             **{name: getattr(self, name) for name in shared},
         )

@@ -31,7 +31,7 @@ from .propagators import (  # profile and remainder are re-exported
 from .records import SweepSummary
 from .solver import (  # max_remainder_scaled and remainder_series are re-exported
     SolverConfig, init, max_remainder_scaled, remainder_series, run_to_blowup)
-from .spectral import ComplexField, Space, fourier_forward, sup_modulus
+from .spectral import ComplexField, Space, _require_space, fourier_forward, sup_modulus
 
 
 @dataclass
@@ -42,6 +42,16 @@ class BoundReport:
     t_star: float | None = None
 
 
+def _datum_peak(phi_hat: ComplexField, op: str) -> float:
+    """sup|phi_hat|, the datum's peak that every bound reads; ValueError naming `op`
+    unless phi_hat is a frequency-space field, and for a zero datum."""
+    _require_space(phi_hat, Space.FREQUENCY, op)
+    sup = sup_modulus(phi_hat)
+    if sup == 0:
+        raise ValueError("datum transform vanishes identically")
+    return sup
+
+
 def theoretical_bound(phi_hat: ComplexField, params: NonlinearityParams,
                       s: float | None = None, eps: float | None = None) -> BoundReport:
     """Evaluate the explicit lifespan lower-bound constants for datum transform phi_hat.
@@ -49,8 +59,7 @@ def theoretical_bound(phi_hat: ComplexField, params: NonlinearityParams,
     Requires Im(lam) > 0 and 0 < theta < 1.  When s or eps are supplied the
     report also carries gamma = (2s-d)/8 and t_star = eps^(-theta/((1-theta)d)).
     """
-    if phi_hat.space is not Space.FREQUENCY:
-        raise ValueError("theoretical_bound expects the frequency-space datum")
+    sup = _datum_peak(phi_hat, "theoretical_bound")
     theta, d = params.theta, params.d
     if params.mu <= 0:
         raise ValueError(f"lifespan bound requires Im(lam) > 0, got {params.lam}")
@@ -58,9 +67,6 @@ def theoretical_bound(phi_hat: ComplexField, params: NonlinearityParams,
         raise ValueError(
             f"lifespan bound requires 0 < theta < 1 (theta = 1 is the critical case), got {theta}"
         )
-    sup = sup_modulus(phi_hat)
-    if sup == 0:
-        raise ValueError("datum transform vanishes identically")
     # the horizon of the peak mode's flow; its clock from t = 0 reaches it at tau0
     horizon = blowup_horizon(sup, params)
     report = BoundReport(tau0=float(coefficient_time(0.0, horizon, theta)),
@@ -90,11 +96,8 @@ def _critical_horizon(amplitude, d: int, lam: complex):
 
 def critical_bound(phi_hat: ComplexField, d: int, lam: complex) -> float:
     """Critical-case (theta = 1) constant d / (2 Im(lam) sup|phi_hat|^(2/d)), the
-    pointwise flow's horizon at sup|phi_hat|."""
-    sup = sup_modulus(phi_hat)
-    if sup == 0:
-        raise ValueError("datum transform vanishes identically")
-    return _critical_horizon(sup, d, lam)
+    pointwise flow's horizon at sup|phi_hat|, for the frequency-space datum."""
+    return _critical_horizon(_datum_peak(phi_hat, "critical_bound"), d, lam)
 
 
 def critical_pointwise_time(amplitude, d: int, lam: complex):

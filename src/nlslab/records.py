@@ -1,10 +1,20 @@
-"""Run summaries and sweep verdicts shared between the solver and the analysis layer."""
+"""How a run ends (:class:`RunStatus`, which the solver re-exports), run summaries and
+sweep verdicts, shared between the solver and the analysis layer."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
+
+
+class RunStatus(str, Enum):
+    """How a run ended: the `status` of its record."""
+
+    BLOWN_UP = "blown-up"
+    BOUNDARY_CONTAMINATED = "boundary-contaminated"
+    REACHED_TMAX = "reached-t-max"
 
 
 @dataclass
@@ -28,7 +38,7 @@ class RunRecord:
     theta: float
     d: int
     lam: complex
-    status: str
+    status: str              # a RunStatus value
     T_eps: float | None = None
     criterion: str | None = None
     invariant_quantity: float | None = None
@@ -50,7 +60,7 @@ class RunRecord:
 
     def usable_for_bound(self) -> bool:
         """Whether the run blew up, so that its T_eps is a lifespan."""
-        return self.status == "blown-up"
+        return self.status == RunStatus.BLOWN_UP
 
 
 @dataclass

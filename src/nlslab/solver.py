@@ -29,23 +29,24 @@ A run that does not blow up ends on t_max or on boundary contamination; so
 does one whose t_max falls inside the horizon's bracket, censored where the
 bracket is reached rather than stepped on into the spike.
 A :class:`SolverState` is a field on the trajectory; how the run ended (its
-status, blow-up time and criterion) is the run loop's own, and goes only
-into the record, which ends on a sample of the run's last state at every exit.
+status, a :class:`~nlslab.records.RunStatus`, blow-up time and criterion) is
+the run loop's own, and goes only into the record, which ends on a sample of
+the run's last state at every exit.
 The run's :class:`DiagnosticsLog` keeps its samples and its rows: what the
 diagnostics read off the first field offered at or after each time of a grid
-geometric in 1 + t, dense from t_star on, where every run lands.  A field's
-row is computed as the field is kept, so the log holds no field, and the
-rows are all it records of what it kept.  A trial's midpoint field is one of
-the trial's buffers: the trial computes its row, when the log keeps it,
-before the second half step runs over that buffer, and the run loop appends
-the row to the log only if it accepts the trial.
+geometric in 1 + t, dense from t_star on, where every run lands; t_star is
+read in :func:`_window` alone.  A field's row is computed as the field is
+kept, so the log holds no field, and the rows are all it records of what it
+kept.  A trial's midpoint field is one of the trial's buffers: the trial
+computes its row, when the log keeps it, before the second half step runs
+over that buffer, and the run loop appends the row to the log only if it
+accepts the trial.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import partial
 
 import numpy as np
@@ -59,7 +60,7 @@ from .propagators import (
     nonlinear_flow_exact,
     t_star_time,
 )
-from .records import RunRecord, RunStats
+from .records import RunRecord, RunStats, RunStatus  # RunStatus is re-exported
 from .spectral import ComplexField, Grid, NormReport, Space, _int_fields, _real_fields
 
 
@@ -84,12 +85,6 @@ _SHELL_TOLERANCE = 1e-6  # outer-shell mass fraction above which a run is contam
 _SPARSE_PER_DECADE = 16  # grid times per decade of 1 + t before t_star
 _DENSE_PER_DECADE = 160  # from t_star on: the benchmark runs keep every offer in [t_star, T/2]
 _DENSE_INDEX = 2**32  # grid index of t_star, above every index before it
-
-
-class RunStatus(str, Enum):
-    BLOWN_UP = "blown-up"
-    BOUNDARY_CONTAMINATED = "boundary-contaminated"
-    REACHED_TMAX = "reached-t-max"
 
 
 @dataclass(frozen=True)
@@ -300,26 +295,21 @@ def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
     return state
 
 
-def _dense_from(config: SolverConfig) -> float:
-    """Where the grid of kept fields turns dense: t_star, or t = 1 where t_star is
-    undefined (theta outside (0, 1) or eps = 0), the default start of
-    remainder_series."""
-    try:
-        return t_star_time(config.eps, config.params.theta, config.params.d)
-    except ValueError:
-        return 1.0
-
-
-def _window(config: SolverConfig) -> tuple[float, float] | None:
-    """(t_star, theta + gamma) of the remainder criterion's window [t_star, T/2], or None
-    where it is undefined: theta outside (0, 1), eps = 0, or gamma outside (0, 1/2]."""
+def _window(config: SolverConfig) -> tuple[float, float | None]:
+    """(dense_from, exponent): where the grid of kept fields turns dense, and the
+    exponent theta + gamma of the remainder criterion's window [t_star, T/2].
+    dense_from is t_star, or t = 1 where t_star is undefined (theta outside
+    (0, 1) or eps = 0), the default start of remainder_series.  exponent is
+    None where the window is undefined: t_star is, or gamma lies outside (0, 1/2]."""
     params = config.params
     try:
         t_star = t_star_time(config.eps, params.theta, params.d)
-        gamma = gamma_exponent(config.s, params.d)
     except ValueError:
-        return None
-    return t_star, params.theta + gamma
+        return 1.0, None
+    try:
+        return t_star, params.theta + gamma_exponent(config.s, params.d)
+    except ValueError:
+        return t_star, None
 
 
 def remainder_series(diag: DiagnosticsLog, t_min: float = 1.0, t_max: float = math.inf):
@@ -343,10 +333,9 @@ def max_remainder_scaled(diag: DiagnosticsLog, cfg: SolverConfig, T: float | Non
     undefined (:func:`_window`), where the run has no T (boundary
     contamination), or where the window holds no row.
     """
-    window = _window(cfg)
-    if window is None or T is None:
+    t_star, exponent = _window(cfg)
+    if exponent is None or T is None:
         return None
-    t_star, exponent = window
     times, sups = remainder_series(diag, t_min=t_star, t_max=T / 2.0)
     return float(np.max(sups * times ** exponent)) if len(times) else None
 
@@ -370,8 +359,8 @@ def init(config: SolverConfig, phi: ComplexField, diagnostics: bool = False) -> 
     if not phi.is_finite():
         raise ValueError("initial datum contains non-finite values")
     u0 = config.eps * phi.values
-    log = DiagnosticsLog(dense_from=_dense_from(config), window=_window(config) is not None,
-                         full=diagnostics)
+    dense_from, exponent = _window(config)
+    log = DiagnosticsLog(dense_from=dense_from, window=exponent is not None, full=diagnostics)
     absu, sup = config.grid.modulus(u0)
     if not sup < config.threshold:
         raise ValueError(f"sup-norm cap 1e3/eps = {config.threshold!r} must exceed the "

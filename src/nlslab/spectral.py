@@ -92,8 +92,8 @@ class Grid:
         if self.num_points > 2**24:
             raise ValueError(f"a grid holds at most 2**24 points, got n = "
                              f"2**{int(self.n).bit_length() - 1} per axis in d = {self.d}")
-        if not (self.L > 0):
-            raise ValueError(f"box half-width must be positive, got {self.L}")
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"box half-width must be finite and positive, got {self.L}")
 
     @property
     def h(self) -> float:
@@ -223,21 +223,22 @@ class Grid:
             return math.sqrt(num / den)
         return 0.0 if num == 0 else math.nan
 
-    def shell_fraction(self, power: np.ndarray) -> float:
-        """Fraction of the mass of the squared modulus `power` in the outer tenth of the
-        box, max_i |x_i| >= 0.9 L: the boundary monitor."""
+    def _band_fraction(self, power: np.ndarray, mask: np.ndarray) -> float:
+        """Fraction of the sum of `power` on the band `mask`; 0 where the sum vanishes."""
         total = np.sum(power)
         if total == 0.0:
             return 0.0
-        return float(np.sum(power[self._shell_mask]) / total)
+        return float(np.sum(power[mask]) / total)
+
+    def shell_fraction(self, power: np.ndarray) -> float:
+        """Fraction of the mass of the squared modulus `power` in the outer tenth of the
+        box, max_i |x_i| >= 0.9 L: the boundary monitor."""
+        return self._band_fraction(power, self._shell_mask)
 
     def tail_fraction(self, spectral_power: np.ndarray) -> float:
         """Fraction of the energy of ``|transform(u)|^2`` = `spectral_power` carried by
         the modes with max_i |xi_i| above 2/3 of Nyquist: the resolution monitor."""
-        total = np.sum(spectral_power)
-        if total == 0.0:
-            return 0.0
-        return float(np.sum(spectral_power[self._tail_mask]) / total)
+        return self._band_fraction(spectral_power, self._tail_mask)
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         """The spectrum of the field `values`, which the `spectrum` keyword of

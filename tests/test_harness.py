@@ -26,7 +26,9 @@ from nlslab.harness import (
 )
 from nlslab.lifespan import fold, sweep, t_star_time
 from nlslab.profile_ode import OdeParams, integrate_perturbed, make_perturbation
+from nlslab.propagators import NonlinearityParams
 from nlslab.solver import SolverConfig
+from nlslab.spectral import Grid
 
 
 # Python's json reads NaN, Infinity and integers too large for a float; each of
@@ -167,8 +169,11 @@ class TestConfig:
         default = ExperimentConfig()
         assert all(getattr(default, name) != value for name, value in changed.items())
         cfg = ExperimentConfig(eps_ladder=[0.3, 0.2], **changed)
-        assert cfg.solver_config() == SolverConfig(grid=cfg.grid(), params=cfg.params(),
-                                                   eps=0.3, **changed)
+        # the config builds its grid and nonlinearity here alone
+        assert cfg.solver_config() == SolverConfig(
+            grid=Grid(cfg.d, cfg.n, cfg.L),
+            params=NonlinearityParams(lam=cfg.lam, theta=cfg.theta, d=cfg.d), eps=0.3, **changed)
+        assert not hasattr(cfg, "grid") and not hasattr(cfg, "params")
 
     def test_ladder_must_decrease(self):
         for ladder in ([0.3, 0.4], [0.3, 0.3]):

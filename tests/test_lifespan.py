@@ -164,6 +164,16 @@ class TestCriticalBound:
         with pytest.raises(ValueError, match="vanishes"):
             critical_bound(zero, 1, 1j)
 
+    def test_rejects_a_physical_space_field_as_theoretical_bound_does(self):
+        # both bounds read the datum's peak through one reader, which checks the space
+        phi = gaussian(Grid(1, 256, 20.0))
+        with pytest.raises(ValueError, match="expects a frequency-space field") as refused:
+            theoretical_bound(phi, NonlinearityParams(lam=1j, theta=0.5, d=1))
+        assert "theoretical_bound" in str(refused.value)
+        with pytest.raises(ValueError, match="expects a frequency-space field") as refused:
+            critical_bound(phi, 1, 1j)
+        assert "critical_bound" in str(refused.value)
+
 
 class TestProfileExtraction:
     def test_initial_profile_is_datum_transform(self):

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import pytest
 
+import nlslab
+from nlslab import solver
 from nlslab.cli import main
 from nlslab.harness import ExperimentConfig, load_run, persist_run
 from nlslab.initial_data import gaussian
 from nlslab.lifespan import sweep
 from nlslab.propagators import NonlinearityParams
-from nlslab.records import RunStats
+from nlslab.records import RunStats, RunStatus
 from nlslab.solver import SolverConfig, init, run_to_blowup
 from nlslab.spectral import Grid
 
@@ -291,6 +293,16 @@ class TestOneRecordPerRun:
         assert (record.status, record.criterion) == (status, criterion)
         assert record.usable_for_bound() == (status == "blown-up")
         assert (record.T_eps is None) == (status == "boundary-contaminated")
+
+
+class TestRunStatus:
+    def test_the_status_names_are_spelled_once_beside_the_record(self):
+        # records defines them; solver and the package re-export that one class
+        assert nlslab.RunStatus is solver.RunStatus is RunStatus
+        src = Path(nlslab.__file__).parent
+        spelled = sorted(path.name for path in src.glob("*.py")
+                         for status in RunStatus if f'"{status.value}"' in path.read_text())
+        assert spelled == ["records.py"] * len(RunStatus)
 
 
 class TestRunStats:

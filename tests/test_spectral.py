@@ -101,7 +101,7 @@ class TestGrid:
 
     @pytest.mark.parametrize("bad", [(0, 64, 10.0), (4, 64, 10.0), (1, 48, 10.0), (1, 4, 10.0), (1, 64, 0.0),
                                      (1, 2**25, 1.0), (2, 8192, 1.0), (3, 512, 1.0), (1, 2**40, 1.0),
-                                     (1, 2**1100, 1.0)])
+                                     (1, 2**1100, 1.0), (1, 64, float("inf"))])
     def test_rejects_bad_parameters(self, bad):
         with pytest.raises(ValueError):
             Grid(*bad)

@@ -1,5 +1,6 @@
 """tools/physics_identity.py names what moved between two run files: each key that only
-one side has, whatever its value, and each key whose numbers moved, by how much."""
+one side has, whatever its value, and each key whose numbers moved, by how much; and
+between two stdouts, each line that moved."""
 
 import importlib.util
 import json
@@ -52,3 +53,19 @@ class TestChangedKeys:
     def test_equal_documents_differ_in_no_key(self):
         text = doc(T_eps=3.75, criterion=None, diagnostics={})
         assert load_tool().changed_keys(text, text, "abc123") == []
+
+
+class TestChangedLines:
+    def test_each_moved_line_is_named_on_both_sides(self):
+        want = "sup |phi_hat| = 1.0\nbound_value = 0.5\ntau0 = 0.25\n"
+        got = "sup |phi_hat| = 1.0\nbound_value = 0.6\ntau0 = 0.25\ngamma = 0.0625\n"
+        assert load_tool().changed_lines(want, got, "abc123") == [
+            "line 2: abc123 'bound_value = 0.5'",
+            "line 2: working tree 'bound_value = 0.6'",
+            "line 4: abc123 ''",
+            "line 4: working tree 'gamma = 0.0625'",
+        ]
+
+    def test_equal_stdouts_differ_in_no_line(self):
+        text = "measured order = 2.0\n"
+        assert load_tool().changed_lines(text, text, "abc123") == []

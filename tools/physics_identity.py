@@ -16,11 +16,16 @@ It then runs `nlslab sweep`, `nlslab profile-ode` and `nlslab diagnostics` on
 the default config in both trees and compares every file each writes (the run
 JSONs and summary.csv, profile_trajectory.csv, diagnostics.csv) byte for
 byte: a changed setting in a run's experiment block or a changed number format
-can keep the persisted byte count, and the ratios and the profile ODE are not in the workloads, so only the
-bytes show it.  A file whose bytes differ only in its line ends says so; for a
-JSON file whose bytes differ it names each key that only one side has, and each
-key whose values moved, a list's entries under one key, with the largest
-relative shift |got - want| / |want| among its numbers (see `changed_keys`).
+can keep the persisted byte count, and the ratios and the profile ODE are not
+in the workloads, so only the bytes show it.  A file whose bytes differ only in
+its line ends says so; for a JSON file whose bytes differ it names each key that
+only one side has, and each key whose values moved, a list's entries under one
+key, with the largest relative shift |got - want| / |want| among its numbers
+(see `changed_keys`).  Last it compares the stdout of `nlslab bounds` and
+`nlslab convergence` on the default config byte for byte, which write no file:
+the bound, the datum's peak, t_star and the convergence orders are printed
+only, and for a stdout that differs it prints each line that moved on both
+sides (see `changed_lines`).
 
 Exit status: 0 when every workload and every command's outputs are identical,
 1 when one differs, 2 when a worker, a command or git fails.  `perfbench/run.py`
@@ -31,6 +36,7 @@ bit-identity; this can.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -70,15 +76,32 @@ def physics(tree: Path, workload: str) -> dict:
 
 
 COMMANDS = ("sweep", "profile-ode", "diagnostics")
+STDOUT_COMMANDS = ("bounds", "convergence")
+
+
+def nlslab(tree: Path, *args: str) -> str:
+    """The stdout of `nlslab <args>` run by `tree`'s src/."""
+    return subprocess.run([sys.executable, "-m", "nlslab.cli", *args], cwd=tree,
+                          env=single_threaded_env(PYTHONPATH=str(tree / "src")),
+                          capture_output=True, text=True, check=True).stdout
 
 
 def outputs(tree: Path, command: str, out: Path) -> dict:
     """The bytes of each file `nlslab <command>` of `tree`'s src/ writes on the default
     config, by name."""
-    subprocess.run([sys.executable, "-m", "nlslab.cli", command, "--out", str(out)], cwd=tree,
-                   env=single_threaded_env(PYTHONPATH=str(tree / "src")), capture_output=True,
-                   text=True, check=True)
+    nlslab(tree, command, "--out", str(out))
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def changed_lines(want: str, got: str, rev: str) -> list:
+    """Two lines for each line number at which two stdouts differ, `want` from <rev> and
+    `got` from the working tree: that line on each side, "" past a side's end."""
+    lines = []
+    pairs = itertools.zip_longest(want.splitlines(), got.splitlines(), fillvalue="")
+    for number, (a, b) in enumerate(pairs, 1):
+        if a != b:
+            lines += [f"line {number}: {rev} {a!r}", f"line {number}: working tree {b!r}"]
+    return lines
 
 
 SHIFTED_KEYS = ("T_eps", "q_eps", "max_remainder_scaled")
@@ -186,6 +209,12 @@ def main(argv=None) -> int:
                     if name.endswith(".json") and name in want and name in got:
                         for line in changed_keys(want[name], got[name], args.rev):
                             print(f"    {line}")
+                differ = differ or bool(changed)
+            for command in STDOUT_COMMANDS:
+                changed = changed_lines(nlslab(base, command), nlslab(ROOT, command), args.rev)
+                print(f"default {command} stdout: " + ("identical" if not changed else "differs"))
+                for line in changed:
+                    print(f"  {line}")
                 differ = differ or bool(changed)
         except subprocess.CalledProcessError as e:
             stderr = e.stderr if isinstance(e.stderr, str) else (e.stderr or b"").decode()
