@@ -7,11 +7,8 @@ from .spectral import (
     Grid,
     NormReport,
     Space,
-    boundary_shell_fraction,
     fourier_forward,
     fourier_inverse,
-    norms,
-    spectral_tail_fraction,
     sup_modulus,
 )
 from .propagators import (
@@ -40,7 +37,6 @@ from .lifespan import (
     fold,
     gamma_exponent,
     max_remainder_scaled,
-    profile,
     remainder,
     remainder_series,
     sweep,

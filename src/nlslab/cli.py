@@ -27,13 +27,14 @@ from .initial_data import build as build_initial_data
 from .lifespan import (
     critical_bound,
     critical_pointwise_time,
+    datum_peak,
     gamma_exponent,
     remainder_series,
     sweep,
     t_star_time,
     theoretical_bound,
 )
-from .spectral import Grid, fourier_forward, sup_modulus
+from .spectral import Grid, fourier_forward
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -55,6 +56,11 @@ def _say_if_outside(cfg: ExperimentConfig, record) -> None:
               f"for d = {cfg.d}, theta = {cfg.theta!r}: records are flagged outside_hypotheses")
 
 
+def _q_text(record) -> str:
+    """A run's q as simulate and sweep print it: a lifespan's q only where the run blew up."""
+    return repr(record.invariant_quantity) if record.usable_for_bound() else "censored/invalid"
+
+
 def _cmd_print_config(args) -> int:
     cfg = _load_config(args)
     sys.stdout.write(cfg.serialize())
@@ -66,7 +72,7 @@ def _cmd_bounds(args) -> int:
     solver_cfg = cfg.solver_config()
     phi = build_initial_data(solver_cfg.grid, cfg.initial_data)
     phi_hat = fourier_forward(phi)
-    sup = sup_modulus(phi_hat)
+    sup = datum_peak(phi_hat, "bounds")
     print(f"sup |phi_hat| = {sup!r}")
     eps = min(cfg.eps_ladder)
     if cfg.theta < 1.0:
@@ -103,7 +109,7 @@ def _cmd_simulate(args) -> int:
     print(f"status = {record.status}")
     if record.T_eps is not None:
         print(f"T_eps = {record.T_eps!r}")
-        print(f"q_eps = {record.invariant_quantity!r}")
+        print(f"q_eps = {_q_text(record)}")
     samples = record.diagnostics.samples
     masses = np.array([s.mass for s in samples])
     drift = float(np.max(np.abs(masses - masses[0])) / masses[0]) if masses[0] > 0 else 0.0
@@ -124,8 +130,7 @@ def _cmd_sweep(args) -> int:
     _say_if_outside(cfg, records[0])
     print(f"bound_value = {records[0].bound_value!r}")
     for rec in records:
-        q_str = repr(rec.invariant_quantity) if rec.usable_for_bound() else "censored/invalid"
-        print(f"eps={rec.eps!r} status={rec.status} T_eps={rec.T_eps!r} q_eps={q_str}")
+        print(f"eps={rec.eps!r} status={rec.status} T_eps={rec.T_eps!r} q_eps={_q_text(rec)}")
     print(f"verdict: {summary.verdict} "
           f"(running min = {summary.min_q!r}, tolerance = {summary.tolerance!r})")
     for rec in records:

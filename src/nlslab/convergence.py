@@ -30,7 +30,7 @@ def _fixed_run(config: SolverConfig, phi: ComplexField, t_end: float, dt: float)
     """The field after round(t_end/dt) Strang steps of dt from eps*phi; raises
     RuntimeError when a step meets the pointwise singularity or the final field
     is not finite."""
-    u = init(config, phi).u.values
+    u = init(config, phi).u
     m = config.grid.free_multiplier(dt)
     try:
         for k in range(int(round(t_end / dt))):

@@ -131,8 +131,9 @@ def run_record_to_dict(record: RunRecord) -> dict:
 
 def run_record_from_dict(data, source: str = "run record") -> RunRecord:
     """Rebuild the scalar fields of a persisted run (diagnostics stay a plain dict).
-    ValueError naming `source`, its missing and unknown keys and its schema_version
-    where that is not this one, for data in another format."""
+    ValueError naming `source`, its missing and unknown keys, its schema_version
+    where that is not this one, a lam that is no [re, im] pair of numbers and
+    diagnostics that hold no JSON object, for data in another format."""
     if not isinstance(data, dict):
         raise ValueError(f"{source} cannot be loaded: it holds no JSON object")
     keys = {f.name for f in fields(RunRecord)} | {"schema_version"}
@@ -140,6 +141,11 @@ def run_record_from_dict(data, source: str = "run record") -> RunRecord:
                 (("missing", keys - set(data)), ("unknown", set(data) - keys)) if names]
     if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         problems.append(f"schema_version {data['schema_version']!r}, not {SCHEMA_VERSION}")
+    lam = data.get("lam", [0.0, 0.0])
+    if not (type(lam) is list and len(lam) == 2 and all(type(v) in (int, float) for v in lam)):
+        problems.append(f"lam {lam!r}, not a [re, im] pair of numbers")
+    if type(data.get("diagnostics", {})) is not dict:
+        problems.append("diagnostics that hold no JSON object")
     if problems:
         raise ValueError(f"{source} cannot be loaded: {'; '.join(problems)}")
     kwargs = {f.name: data[f.name] for f in fields(RunRecord)}

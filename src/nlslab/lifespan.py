@@ -19,12 +19,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .initial_data import build as build_initial_data, check_spec
-from .propagators import (  # profile and remainder are re-exported
+from .propagators import (  # remainder is re-exported
     NonlinearityParams,
     blowup_horizon,
     coefficient_time,
     gamma_exponent,
-    profile,
     remainder,
     t_star_time,
 )
@@ -42,9 +41,10 @@ class BoundReport:
     t_star: float | None = None
 
 
-def _datum_peak(phi_hat: ComplexField, op: str) -> float:
-    """sup|phi_hat|, the datum's peak that every bound reads; ValueError naming `op`
-    unless phi_hat is a frequency-space field, and for a zero datum."""
+def datum_peak(phi_hat: ComplexField, op: str) -> float:
+    """sup|phi_hat|, the datum's peak that every bound and `nlslab bounds` read, the one
+    reader of it; ValueError naming `op` unless phi_hat is a frequency-space field, and
+    for a zero datum."""
     _require_space(phi_hat, Space.FREQUENCY, op)
     sup = sup_modulus(phi_hat)
     if sup == 0:
@@ -59,7 +59,7 @@ def theoretical_bound(phi_hat: ComplexField, params: NonlinearityParams,
     Requires Im(lam) > 0 and 0 < theta < 1.  When s or eps are supplied the
     report also carries gamma = (2s-d)/8 and t_star = eps^(-theta/((1-theta)d)).
     """
-    sup = _datum_peak(phi_hat, "theoretical_bound")
+    sup = datum_peak(phi_hat, "theoretical_bound")
     theta, d = params.theta, params.d
     if params.mu <= 0:
         raise ValueError(f"lifespan bound requires Im(lam) > 0, got {params.lam}")
@@ -97,7 +97,7 @@ def _critical_horizon(amplitude, d: int, lam: complex):
 def critical_bound(phi_hat: ComplexField, d: int, lam: complex) -> float:
     """Critical-case (theta = 1) constant d / (2 Im(lam) sup|phi_hat|^(2/d)), the
     pointwise flow's horizon at sup|phi_hat|, for the frequency-space datum."""
-    return _critical_horizon(_datum_peak(phi_hat, "critical_bound"), d, lam)
+    return _critical_horizon(datum_peak(phi_hat, "critical_bound"), d, lam)
 
 
 def critical_pointwise_time(amplitude, d: int, lam: complex):

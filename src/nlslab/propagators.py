@@ -1,10 +1,11 @@
 """Free Schrodinger flow, quadratic gauge factor, power nonlinearity, and its exact pointwise flow.
 
 Also the remainder window's exponents (t_star and gamma), and the field-level
-scattering profile A(t) and reduced-ODE remainder R(t), which :mod:`nlslab.lifespan`
-re-exports.  The lattice work is the grid's: the free multiplier and propagation
-by it, the profile and the remainder's sup, which the run's rows read, are
-:class:`~nlslab.spectral.Grid` methods.
+reduced-ODE remainder R(t), which :mod:`nlslab.lifespan` re-exports.  The lattice
+work is the grid's: the free multiplier and propagation by it, the profile and the
+remainder's sup, which the run's rows read, are :class:`~nlslab.spectral.Grid`
+methods on arrays.  The field-level functions here, :func:`free_propagate`,
+:func:`gauge_multiply` and :func:`remainder`, are the tests' independent references.
 """
 
 from __future__ import annotations
@@ -169,12 +170,6 @@ def gamma_exponent(s: float, d: int) -> float:
     if not (0.0 < gamma <= 0.5):
         raise ValueError(f"gamma = (2s-d)/8 = {gamma} outside (0, 1/2]; s = {s}, d = {d}")
     return gamma
-
-
-def profile(u: ComplexField, t: float) -> ComplexField:
-    """Scattering profile A(t) = F[U(t)^{-1} u(t)] on the frequency lattice, by
-    :meth:`Grid.profile`."""
-    return ComplexField(u.grid, Space.FREQUENCY, u.grid.profile(u.values, t))
 
 
 def remainder(u: ComplexField, t: float, params: NonlinearityParams) -> ComplexField:

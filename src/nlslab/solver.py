@@ -28,10 +28,10 @@ event but a rejected trial, retried at most a fifth as long.
 A run that does not blow up ends on t_max or on boundary contamination; so
 does one whose t_max falls inside the horizon's bracket, censored where the
 bracket is reached rather than stepped on into the spike.
-A :class:`SolverState` is a field on the trajectory; how the run ended (its
-status, a :class:`~nlslab.records.RunStatus`, blow-up time and criterion) is
-the run loop's own, and goes only into the record, which ends on a sample of
-the run's last state at every exit.
+A :class:`SolverState` is a field on the trajectory, a read-only array of the
+grid's shape; how the run ended (its status, a :class:`~nlslab.records.RunStatus`,
+blow-up time and criterion) is the run loop's own, and goes only into the record,
+which ends on a sample of the run's last state at every exit.
 The run's :class:`DiagnosticsLog` keeps its samples and its rows: what the
 diagnostics read off the first field offered at or after each time of a grid
 geometric in 1 + t, dense from t_star on, where every run lands; t_star is
@@ -241,10 +241,11 @@ class DiagnosticsLog:
 
 @dataclass
 class SolverState:
-    """A field on the run's trajectory; how the run ends is the run loop's own."""
+    """A field on the run's trajectory, `u`, the read-only complex array of the grid's
+    shape; how the run ends is the run loop's own."""
 
     t: float
-    u: ComplexField
+    u: np.ndarray
     config: SolverConfig
     diagnostics: DiagnosticsLog
     sup: float                           # sup|u|, the boundary-shell mass fraction and
@@ -257,7 +258,7 @@ def _sample_diagnostics(state: SolverState, power: np.ndarray):
     cfg = state.config
     g = cfg.grid
     mass = g.integral(power)
-    rep, tail = g.sample_norms(state.u.values, state.t, cfg.s, l2=math.sqrt(mass), sup=state.sup)
+    rep, tail = g.sample_norms(state.u, state.t, cfg.s, l2=math.sqrt(mass), sup=state.sup)
     # |u|^(p+1) as |u|^2 |u|^b: numpy takes b = 1 and 0.5 without a general power
     lp1 = g.integral(power * state.abs_b)
     samples = state.diagnostics.samples
@@ -286,10 +287,9 @@ def _accept(config: SolverConfig, log: DiagnosticsLog, t: float, u: np.ndarray,
     if config.params.b != 1.0:  # numpy spends a pass on the exponent 1
         absu **= config.params.b
     absu.flags.writeable = False
-    state = SolverState(t=t, u=ComplexField(config.grid, Space.PHYSICAL, u), config=config,
-                        diagnostics=log, sup=sup, shell=config.grid.shell_fraction(power),
-                        abs_b=absu)
-    log.offer(config, t, state.u.values)
+    state = SolverState(t=t, u=u, config=config, diagnostics=log, sup=sup,
+                        shell=config.grid.shell_fraction(power), abs_b=absu)
+    log.offer(config, t, u)
     if log.stats.accepted % config.record_every == 0:
         _sample_diagnostics(state, power)
     return state
@@ -550,7 +550,7 @@ def run_to_blowup(state: SolverState) -> RunRecord:
         mid_row = partial(log.row, cfg, t_mid) if log.keeps(t_mid) else None
         computed = stats.rows
         try:
-            u, row, err = _doubling_trial(state.u.values, state.abs_b, dt, cfg, mid_row)
+            u, row, err = _doubling_trial(state.u, state.abs_b, dt, cfg, mid_row)
         except PointwiseBlowUp:
             u, err = None, math.inf
         proposal, h = h, dt * _resize(err, tol)
@@ -588,7 +588,7 @@ def make_record(state: SolverState, status: RunStatus, t_blow: float | None = No
     too; it carries the log as the run left it, with every row it kept."""
     cfg = state.config
     if state.diagnostics.samples[-1].t != state.t:
-        absu = cfg.grid.modulus(state.u.values)[0]
+        absu = cfg.grid.modulus(state.u)[0]
         _sample_diagnostics(state, np.square(absu, out=absu))
     params = cfg.params
     T = {RunStatus.BLOWN_UP: t_blow, RunStatus.REACHED_TMAX: state.t}.get(status)

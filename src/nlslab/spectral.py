@@ -14,8 +14,10 @@ reads.  Its methods are the free multiplier over a span and the propagation by
 it, the |u| pass with its sup, the quadrature of the step error and of the
 samples, the shell and tail monitors, and the transforms of a sample (norms and
 tail) and of a row (norms, profile and the remainder's sup).  The solver and the
-convergence study reach the lattice through these alone; the module's field
-functions (:func:`norms` and the monitors) are their forms on a ComplexField.
+convergence study reach the lattice through these alone, on plain arrays.  A
+:class:`ComplexField` tags a field with its grid and space only where it crosses
+the package's edge: the datum, :func:`fourier_forward`, :func:`fourier_inverse`
+and :func:`sup_modulus`.
 
 A :class:`Grid` keeps no array of its full size but the tail and shell masks,
 which every sample reads.  Its meshes and the (-1)^k sign are one axis each,
@@ -517,24 +519,6 @@ def _phase_overflows(grid: Grid, t: float) -> bool:
     Nyquist frequency, index n/2 in FFT order, is."""
     nyquist = float(grid.xi_1d[grid.n // 2])
     return not math.isfinite((0.5 * float(t)) * (nyquist * nyquist))  # Python floats: no warning
-
-
-def norms(f: ComplexField, t: float, s: float) -> NormReport:
-    """:meth:`Grid.norms` of the physical-space field f at time t."""
-    _require_space(f, Space.PHYSICAL, "norms")
-    return f.grid.norms(f.values, t, s)
-
-
-def spectral_tail_fraction(f: ComplexField) -> float:
-    """:meth:`Grid.tail_fraction` of the physical-space field f."""
-    _require_space(f, Space.PHYSICAL, "spectral_tail_fraction")
-    return f.grid.tail_fraction(_abs_sq(dft(f.values)))
-
-
-def boundary_shell_fraction(f: ComplexField) -> float:
-    """:meth:`Grid.shell_fraction` of the physical-space field f."""
-    _require_space(f, Space.PHYSICAL, "boundary_shell_fraction")
-    return f.grid.shell_fraction(_abs_sq(f.values))
 
 
 def _resample(phi: ComplexField, grid: Grid) -> ComplexField:

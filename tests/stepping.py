@@ -19,7 +19,7 @@ def fixed_step(state, dt):
     that meets the pointwise singularity raises :class:`PointwiseBlowUp`; one
     whose field reaches the sup-norm cap fails the test."""
     cfg, log = state.config, state.diagnostics
-    u = strang_step(state.u.values, dt, cfg, state.abs_b)
+    u = strang_step(state.u, dt, cfg, state.abs_b)
     absu, sup = cfg.grid.modulus(u)
     assert sup < cfg.threshold, f"the step of {dt!r} from t={state.t!r} reached the sup-norm cap"
     return solver._accept(cfg, log, state.t + dt, u, absu, sup, dt)

@@ -169,7 +169,7 @@ def test_criterion_4_solver_fidelity(monkeypatch):
     checks.append(("free run reaches t_max with its last accepted field there",
                    rec.status == "reached-t-max" and last.t == rec.T_eps))
     exact = free_propagate(ComplexField(g, Space.PHYSICAL, 0.3 * phi.values), 1.0)
-    err_a = float(np.max(np.abs(last.u.values - exact.values)))
+    err_a = float(np.max(np.abs(last.u - exact.values)))
     checks.append((f"free-case error {err_a:.2e} < 1e-12", err_a < 1e-12))
 
     # (b) real lam conserves mass over 1e3 steps

@@ -4,6 +4,7 @@ import ast
 import csv
 import io
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -615,6 +616,24 @@ class TestCli:
         record = load_run(tmp_path / "out" / "run_eps0.0.json")
         assert record.criterion is None and record.max_remainder_scaled is None
         assert not record.usable_for_bound()
+
+    @pytest.mark.parametrize("lam, t_max, status", [([1.0, 0.0], 5.0, "reached-t-max"),
+                                                    ([0.0, 1.0], 30.0, "blown-up")])
+    def test_simulate_and_sweep_say_the_same_of_a_runs_q(self, tmp_path, capsys, lam, t_max,
+                                                         status):
+        # a run that reached t_max has only a lower bound on T_eps, so neither command
+        # prints its q as a lifespan's; one that blew up has its q printed by both
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"n": 256, "L": 25.0, "lam": lam, "eps_ladder": [0.4],
+                                    "t_max": t_max}))
+        said = {}
+        for command, line in (("simulate", r"^q_eps = (.*)$"), ("sweep", r"q_eps=(\S*)$")):
+            main([command, "--config", str(path), "--out", str(tmp_path / command)])
+            said[command] = re.search(line, capsys.readouterr().out, re.MULTILINE).group(1)
+        record = load_run(tmp_path / "simulate" / "run_eps0.4.json")
+        assert record.status == status
+        want = repr(record.invariant_quantity) if status == "blown-up" else "censored/invalid"
+        assert said["simulate"] == said["sweep"] == want
 
     @pytest.mark.parametrize("over", [{"theta": 1.0}, {"lam": [0.0, 0.0]}],
                              ids=["critical", "unitary"])

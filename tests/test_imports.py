@@ -114,3 +114,14 @@ def test_dir_lists_the_lazy_names():
         "      'nlslab.profile_ode' in sys.modules, 'nlslab.convergence' in sys.modules)\n"
     )
     assert out.split() == ["True", "False", "False"]
+
+
+def test_the_field_level_copies_of_grid_methods_are_gone():
+    # Grid.norms, Grid.tail_fraction, Grid.shell_fraction and Grid.profile are the
+    # one form of each on the lattice; no module binds a ComplexField-level copy
+    import nlslab
+    from nlslab import lifespan, propagators, spectral
+
+    gone = ("norms", "spectral_tail_fraction", "boundary_shell_fraction", "profile")
+    for module in (nlslab, spectral, propagators, lifespan):
+        assert [name for name in gone if hasattr(module, name)] == [], module.__name__

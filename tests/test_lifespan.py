@@ -1,8 +1,10 @@
 """Bound constants, profile extraction, diagnostic ratios, and the eps-sweep."""
 
+import ast
 import concurrent.futures
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from nlslab import (
     Space,
     fourier_forward,
     fourier_inverse,
-    norms,
     sup_modulus,
 )
 from nlslab import lifespan, propagators, solver
@@ -30,7 +31,6 @@ from nlslab.lifespan import (
     fold,
     gamma_exponent,
     max_remainder_scaled,
-    profile,
     remainder,
     remainder_series,
     sweep,
@@ -174,26 +174,50 @@ class TestCriticalBound:
             critical_bound(phi, 1, 1j)
         assert "critical_bound" in str(refused.value)
 
+    def test_the_datum_peak_has_one_reader(self):
+        # the bounds and `nlslab bounds` read sup|phi_hat| through datum_peak alone:
+        # no other function of the package calls sup_modulus
+        callers = []
+
+        class Calls(ast.NodeVisitor):
+            def __init__(self, module):
+                self.where = [module]
+
+            def visit_FunctionDef(self, node):
+                self.where.append(node.name)
+                self.generic_visit(node)
+                self.where.pop()
+
+            def visit_Call(self, node):
+                func = node.func
+                if getattr(func, "attr", getattr(func, "id", None)) == "sup_modulus":
+                    callers.append(".".join(self.where))
+                self.generic_visit(node)
+
+        for path in sorted(Path(lifespan.__file__).parent.glob("*.py")):
+            Calls(path.stem).visit(ast.parse(path.read_text()))
+        assert callers == ["lifespan.datum_peak"]
+
 
 class TestProfileExtraction:
     def test_initial_profile_is_datum_transform(self):
         params = NonlinearityParams(lam=1j, theta=0.5, d=1)
         cfg = SolverConfig(grid=Grid(1, 256, 20.0), params=params, eps=0.2, s=1.0)
         state = init(cfg, gaussian(cfg.grid))
-        a = profile(state.u, state.t)
-        expected = fourier_forward(state.u)
-        assert np.max(np.abs(a.values - expected.values)) < 1e-12
+        a = cfg.grid.profile(state.u, state.t)
+        expected = fourier_forward(ComplexField(cfg.grid, Space.PHYSICAL, state.u))
+        assert np.max(np.abs(a - expected.values)) < 1e-12
 
     def test_free_run_has_constant_profile(self):
         params = NonlinearityParams(lam=0j, theta=0.5, d=1)
         cfg = SolverConfig(grid=Grid(1, 256, 20.0), params=params, eps=0.2, s=1.0,
                            record_every=10**9)
         state = init(cfg, gaussian(cfg.grid))
-        a0 = profile(state.u, state.t)
+        a0 = cfg.grid.profile(state.u, state.t)
         for _ in range(40):
             state = fixed_step(state, 0.05)
-        a1 = profile(state.u, state.t)
-        assert np.max(np.abs(a1.values - a0.values)) < 1e-10
+        a1 = cfg.grid.profile(state.u, state.t)
+        assert np.max(np.abs(a1 - a0)) < 1e-10
 
     def test_remainder_is_reduced_ode_residual(self):
         # independent oracle: central finite difference of A along two runs
@@ -210,12 +234,12 @@ class TestProfileExtraction:
             return state
 
         mid = run_to(2.0)
-        a_mid = profile(mid.u, mid.t)
-        r_mid = remainder(mid.u, mid.t, params)
-        a_plus = profile(fixed_step(mid, dt).u, mid.t + dt)
-        a_minus = profile(run_to(2.0 - dt).u, mid.t - dt)
-        lhs = 1j * (a_plus.values - a_minus.values) / (2 * dt)
-        rhs = params.lam * mid.t ** (-params.theta) * g_p(a_mid.values, params.p) + r_mid.values
+        a_mid = g.profile(mid.u, mid.t)
+        r_mid = remainder(ComplexField(g, Space.PHYSICAL, mid.u), mid.t, params)
+        a_plus = g.profile(fixed_step(mid, dt).u, mid.t + dt)
+        a_minus = g.profile(run_to(2.0 - dt).u, mid.t - dt)
+        lhs = 1j * (a_plus - a_minus) / (2 * dt)
+        rhs = params.lam * mid.t ** (-params.theta) * g_p(a_mid, params.p) + r_mid.values
         rel = np.max(np.abs(lhs - rhs)) / np.max(np.abs(r_mid.values))
         assert rel < 1e-4
 
@@ -394,7 +418,7 @@ class TestLemmaDiagnostics:
         params = NonlinearityParams(lam=1j, theta=0.5, d=1)
         cfg = SolverConfig(grid=Grid(1, 256, 20.0), params=params, eps=0.2, s=1.0)
         state = init(cfg, gaussian(cfg.grid), diagnostics=True)
-        rep = norms(state.u, 0.0, 1.0)
+        rep = cfg.grid.norms(state.u, 0.0, 1.0)
         assert state.diagnostics.rows[0].r1 == pytest.approx(rep.l_inf / rep.sigma_s, rel=1e-12)
 
     def test_vanishing_norms_reported_absent(self):
@@ -415,9 +439,9 @@ class TestLemmaDiagnostics:
             spec = (rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
             spec *= np.exp(-g.xi_1d**2 / 4)
             f = fourier_inverse(ComplexField(g, Space.FREQUENCY, spec))
-            rep = norms(f, 0.0, 0.75)
-            nu = ComplexField(g, Space.PHYSICAL, params.lam * g_p(f.values, params.p))
-            vals.append(norms(nu, 0.0, 0.75).sigma_s / rep.sigma_s**params.p)
+            rep = g.norms(f.values, 0.0, 0.75)
+            nu = params.lam * g_p(f.values, params.p)
+            vals.append(g.norms(nu, 0.0, 0.75).sigma_s / rep.sigma_s**params.p)
         assert max(vals) < 0.2
 
 
@@ -611,11 +635,11 @@ class TestSweep:
         assert len(snaps) > 5
         j0 = np.flatnonzero(g.xi_1d == 0)[0]
         t0, v0 = snaps[0]
-        a00 = abs(profile(ComplexField(g, Space.PHYSICAL, v0), t0).values[j0])
+        a00 = abs(g.profile(v0, t0)[j0])
         ode = OdeParams(a=0.5, b=1.0, lam=1j, eps=eps, t_star=t0, psi0_sup=a00 / eps)
         worst = 0.0
         for t, v in snaps:
-            measured = abs(profile(ComplexField(g, Space.PHYSICAL, v), t).values[j0])
+            measured = abs(g.profile(v, t)[j0])
             predicted = eta0_modulus(t, a00 / eps, ode)
             worst = max(worst, abs(measured - predicted) / predicted)
         assert worst < 0.02

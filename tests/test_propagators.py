@@ -18,7 +18,6 @@ from nlslab import (
     g_p,
     gauge_multiply,
     nonlinear_flow_exact,
-    norms,
     sup_modulus,
 )
 from nlslab.propagators import coefficient_integral, coefficient_time, remainder
@@ -200,7 +199,7 @@ class TestFreePropagate:
         g = Grid(1, 64, 8.0)
         m = g.free_multiplier(0.005)
         for t in (0.3, 0.7, 1.1):
-            norms(random_field(g), t, 1.0)
+            g.norms(random_field(g).values, t, 1.0)
         assert np.array_equal(g.free_multiplier(0.005), m)
 
 

@@ -255,6 +255,18 @@ class TestARunFileNamesItsExperiment:
         with pytest.raises(ValueError, match=r"cannot be loaded: schema_version 2, not 1$"):
             load_run(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("lam", [1.0]), ("lam", "x"), ("lam", None), ("lam", [1.0, "a"]), ("lam", [True, 1.0]),
+        ("diagnostics", []), ("diagnostics", "x"), ("diagnostics", None)])
+    def test_a_run_file_with_a_malformed_value_does_not_load(self, tmp_path, key, value):
+        # a lam that is no [re, im] pair of numbers, or diagnostics that hold no JSON
+        # object, is a format fault: refused when the file loads, not when it is read
+        path = persist_run(stamped(library_config(t_max=1.0)), tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        with pytest.raises(ValueError) as refused:
+            load_run(path)
+        assert str(refused.value).startswith(f"run file {str(path)!r} cannot be loaded: {key} ")
+
 
 def rung(d, n, L, **over):
     """A rung of the amplifying theta = 1/2 equation on a grid of n^d points; `over` sets

@@ -18,10 +18,7 @@ from nlslab import (
     Grid,
     NonlinearityParams,
     Space,
-    boundary_shell_fraction,
     free_propagate,
-    norms,
-    sup_modulus,
 )
 from nlslab import convergence, initial_data, solver, spectral
 from nlslab.harness import ExperimentConfig
@@ -31,7 +28,6 @@ from nlslab.propagators import (
     PointwiseBlowUp,
     blowup_horizon,
     g_p,
-    profile,
     t_star_time,
 )
 from nlslab.convergence import convergence_study
@@ -168,14 +164,14 @@ class TestInit:
     def test_scaled_datum(self):
         cfg = small_config(eps=0.1)
         state = init(cfg, gaussian(cfg.grid))
-        assert np.max(np.abs(state.u.values)) == pytest.approx(0.1, rel=1e-14)
+        assert np.max(np.abs(state.u)) == pytest.approx(0.1, rel=1e-14)
         assert state.t == 0.0
 
     def test_initial_energy_is_linear_in_eps(self):
         cfg = small_config(eps=0.37)
         phi = gaussian(cfg.grid)
         state = init(cfg, phi)
-        expected = cfg.eps * norms(phi, 0.0, cfg.s).sigma_s
+        expected = cfg.eps * cfg.grid.norms(phi.values, 0.0, cfg.s).sigma_s
         assert state.diagnostics.samples[0].energy == pytest.approx(expected, rel=1e-12)
 
     def test_zero_eps_stays_zero(self):
@@ -183,7 +179,7 @@ class TestInit:
         state = init(cfg, gaussian(cfg.grid))
         for _ in range(5):
             state = fixed_step(state, 0.01)
-        assert np.all(state.u.values == 0)
+        assert np.all(state.u == 0)
 
     def test_rejects_datum_at_the_threshold(self):
         # sup|eps phi| = 4000 already reaches the cap 1e3/eps = 2500: no step could be
@@ -209,19 +205,19 @@ class TestStep:
             state = fixed_step(state, 0.02)
         exact = free_propagate(ComplexField(cfg.grid, Space.PHYSICAL,
                                             cfg.eps * phi.values), 1.0)
-        assert np.max(np.abs(state.u.values - exact.values)) < 1e-12
+        assert np.max(np.abs(state.u - exact.values)) < 1e-12
 
     def test_state_carries_sup_of_its_field(self):
         cfg = small_config(eps=0.4)
         state = init(cfg, gaussian(cfg.grid))
         for _ in range(20):
-            assert state.sup == np.max(np.abs(state.u.values))
+            assert state.sup == np.max(np.abs(state.u))
             state = fixed_step(state, 0.05)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_sample_reuses_the_steps_modulus_pass(self, d):
         # the shell fraction and sup|u| on the state, and the sample's l2,
-        # l_inf and shell fraction, are the public functions' values bit for bit
+        # l_inf and shell fraction, are the Grid methods' values on u bit for bit
         if d == 1:
             cfg = small_config(eps=0.4, grid=Grid(1, 128, 10.0), record_every=3)
         else:
@@ -230,21 +226,21 @@ class TestStep:
         state = init(cfg, gaussian(cfg.grid))
         samples = state.diagnostics.samples
         for _ in range(60):
-            assert state.shell == boundary_shell_fraction(state.u)
-            assert state.sup == sup_modulus(state.u)
+            assert state.shell == cfg.grid.shell_fraction(np.abs(state.u) ** 2)
+            assert state.sup == np.max(np.abs(state.u))
             if state.diagnostics.stats.accepted % cfg.record_every == 0:
                 sample = samples[-1]
                 assert sample.t == state.t
                 assert sample.shell_fraction == state.shell
-                assert sample.report.l_inf == sup_modulus(state.u)
-                want = norms(state.u, state.t, cfg.s)
+                assert sample.report.l_inf == np.max(np.abs(state.u))
+                want = cfg.grid.norms(state.u, state.t, cfg.s)
                 assert sample.report.l2 == want.l2
                 assert sample.report.h_s0 == want.h_s0
                 assert sample.report.h_0s == pytest.approx(want.h_0s, rel=1e-13)
                 if d == 1:
                     assert sample.report == want
                 wx = cfg.grid.h ** d
-                lp1 = wx * np.sum(np.abs(state.u.values) ** (cfg.params.p + 1.0))
+                lp1 = wx * np.sum(np.abs(state.u) ** (cfg.params.p + 1.0))
                 assert sample.lp1 == pytest.approx(lp1, rel=1e-14)
             state = fixed_step(state, 0.005)
         assert state.shell > 0 and len(samples) == 21
@@ -266,7 +262,7 @@ class TestStep:
         assert [row.t for row in log.rows] == [states[k].t for k in (0, 4, 7)]
         assert log.rows[0].remainder_sup is None
         assert [row.remainder_sup for row in log.rows[1:]] == [
-            cfg.grid.remainder_sup(states[k].u.values, states[k].t, cfg.params) for k in (4, 7)]
+            cfg.grid.remainder_sup(states[k].u, states[k].t, cfg.params) for k in (4, 7)]
         assert [s.t for s in log.samples] == [s.t for s in states[::3]]
 
     def test_real_lambda_conserves_mass(self):
@@ -297,7 +293,7 @@ class TestStep:
         state = init(cfg, gaussian(cfg.grid))
         # sup |u| = 0.5, so the half-step horizon is 1/0.5 = 2 < dt/2
         with pytest.raises(PointwiseBlowUp) as blown:
-            strang_step(state.u.values, 20.0, cfg, state.abs_b)
+            strang_step(state.u, 20.0, cfg, state.abs_b)
         assert blown.value.earliest == pytest.approx(2.0, rel=1e-12)
 
     @pytest.mark.parametrize("eps", [0.5, 0.0], ids=["capped", "no cap"])
@@ -308,7 +304,7 @@ class TestStep:
         # from it and nothing is recorded
         cfg = small_config(eps=eps, record_every=10**9)
         state = init(cfg, gaussian(cfg.grid))
-        field = state.u.values.copy()
+        field = state.u.copy()
         field[0] = value
         log = state.diagnostics
         assert not cfg.grid.modulus(field)[1] < cfg.threshold
@@ -325,7 +321,7 @@ class TestStep:
         log = state.diagnostics
         for _ in range(1000):
             n_samples, n_rows = len(log.samples), len(log.rows)
-            u = strang_step(state.u.values, 0.05, cfg, state.abs_b)
+            u = strang_step(state.u, 0.05, cfg, state.abs_b)
             absu, sup = cfg.grid.modulus(u)
             if not sup < cfg.threshold:
                 break
@@ -1141,7 +1137,7 @@ class TestDoublingTrial:
 
 
 def ownership_config(d):
-    # both blow up inside the box, after 85 (1-D) and 67 (2-D) accepted steps
+    # both blow up inside the box, after 58 (1-D) and 54 (2-D) accepted steps
     if d == 1:
         return small_config(eps=0.4, record_every=1)
     return SolverConfig(grid=Grid(2, 32, 12.0), params=NonlinearityParams(1j, 0.5, 2),
@@ -1174,11 +1170,45 @@ class TestFieldOwnership:
             states.append(fixed_step(states[-1], 0.2))
         state = states[-1]
         assert [row.t for row in state.diagnostics.rows] == [s.t for s in states[-3:]]
-        kept = [(s.u.values, s.u.values.copy()) for s in states]
+        kept = [(s.u, s.u.copy()) for s in states]
         new = fixed_step(state, 0.005)
-        assert new.u.values is not state.u.values
+        assert new.u is not state.u
         for a, copy in kept:
             assert np.array_equal(a, copy)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_every_state_holds_its_field_as_a_read_only_array(self, monkeypatch, d):
+        # the state's field is the accepted trial's own array, made read-only as it
+        # is offered, with no wrapper around it
+        cfg = ownership_config(d)
+        states = [init(cfg, gaussian(cfg.grid))]
+        accept = solver._accept
+
+        def spy_accept(*args):
+            states.append(accept(*args))
+            return states[-1]
+
+        monkeypatch.setattr(solver, "_accept", spy_accept)
+        assert run_to_blowup(states[0]).status == "blown-up" and len(states) > 50
+        for state in states:
+            assert type(state.u) is np.ndarray and state.u.dtype == np.complex128
+            assert state.u.shape == cfg.grid.shape and not state.u.flags.writeable
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_run_builds_no_complex_field(self, monkeypatch, d):
+        # a ComplexField tags a field only where it crosses the package's edge: the
+        # datum reaches init as one, and the run loop builds none
+        cfg = ownership_config(d)
+        state = init(cfg, gaussian(cfg.grid))
+        built, post_init = [], ComplexField.__post_init__
+
+        def noting(field):
+            built.append(field.space)
+            post_init(field)
+
+        monkeypatch.setattr(ComplexField, "__post_init__", noting)
+        assert run_to_blowup(state).status == "blown-up"
+        assert built == []
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_run_leaves_every_accepted_field_unchanged(self, monkeypatch, d):
@@ -1187,7 +1217,7 @@ class TestFieldOwnership:
         # second half step turns into the trial's field
         cfg = long_run_config(d)
         state = fixed_step(init(cfg, gaussian(cfg.grid)), 0.005)
-        kept = [(state.u.values, state.u.values.copy())]
+        kept = [(state.u, state.u.copy())]
         accept = solver._accept
         times = []
 
@@ -1231,7 +1261,7 @@ class TestFieldOwnership:
         # holds none once the offer returns
         cfg = ownership_config(1)
         state = init(cfg, gaussian(cfg.grid))
-        assert not state.u.values.flags.writeable
+        assert not state.u.flags.writeable
         offered, kinds, read = [], [], []
         trial, offer = solver._doubling_trial, solver.DiagnosticsLog.offer
         row = solver.DiagnosticsLog.row
@@ -1317,7 +1347,7 @@ def traced_run(state):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    return rec, peak / state.u.values.nbytes
+    return rec, peak / state.u.nbytes
 
 
 class TestMemory:
@@ -1392,7 +1422,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak / state.u.values.nbytes <= COLD_INIT_FIELDS
+        assert peak / state.u.nbytes <= COLD_INIT_FIELDS
 
 
 def field_functions(u, t, cfg):
@@ -1401,18 +1431,18 @@ def field_functions(u, t, cfg):
     params, s = cfg.params, cfg.s
     d, p = params.d, params.p
     gamma = (2.0 * s - d) / 8.0
-    rep = norms(u, t, s)
-    nu = ComplexField(cfg.grid, Space.PHYSICAL, params.lam * g_p(u.values, p))
-    rep_nu = norms(nu, t, s)
+    g = cfg.grid
+    rep = g.norms(u, t, s)
+    rep_nu = g.norms(params.lam * g_p(u, p), t, s)
     r1 = (1 + t) ** (d / 2.0) * rep.l_inf / rep.sigma_s if rep.sigma_s > 0 else None
     r2 = None
     if t >= 1.0 and rep.h_0s > 0:
-        sup_a = sup_modulus(profile(u, t))
+        sup_a = float(np.max(np.abs(g.profile(u, t))))
         r2 = (rep.l_inf - t ** (-d / 2.0) * sup_a) * t ** (d / 2.0 + gamma) / rep.h_0s
     r3 = None
     if rep.sigma_s > 0:
         r3 = (1 + t) ** (d * (p - 1) / 2.0) * rep_nu.sigma_s / rep.sigma_s**p
-    sup_r = u.grid.remainder_sup(u.values, t, params) if t > 0 else None
+    sup_r = g.remainder_sup(u, t, params) if t > 0 else None
     return t, sup_r, r1, r2, r3
 
 
@@ -1447,9 +1477,8 @@ class TestRows:
         rows = full.diagnostics.rows
         assert rows[0].t == 0.0 and len(rows) > 50
         for row in rows:
-            u = ComplexField(cfg.grid, Space.PHYSICAL, offered[row.t])
             assert (row.t, row.remainder_sup, row.r1, row.r2, row.r3) == field_functions(
-                u, row.t, cfg)
+                offered[row.t], row.t, cfg)
 
     def test_default_rows_are_the_rows_of_a_full_run_from_t_star_on(self, two_mode_runs):
         from nlslab.lifespan import max_remainder_scaled

@@ -12,11 +12,8 @@ from nlslab import (
     ComplexField,
     Grid,
     Space,
-    boundary_shell_fraction,
     fourier_forward,
     fourier_inverse,
-    norms,
-    spectral_tail_fraction,
     sup_modulus,
 )
 
@@ -229,7 +226,7 @@ class TestNorms:
     def test_s0_reduces_to_l2(self):
         g = Grid(1, 128, 10.0)
         f = random_field(g, seed=11)
-        rep = norms(f, t=0.0, s=0.0)
+        rep = g.norms(f.values, t=0.0, s=0.0)
         assert rep.h_s0 == pytest.approx(rep.l2, rel=1e-12)
         assert rep.h_0s == pytest.approx(rep.l2, rel=1e-12)
         assert rep.sigma_s == pytest.approx(2 * rep.l2, rel=1e-12)
@@ -240,7 +237,7 @@ class TestNorms:
         # the transform side is identical because the Gaussian is self-reciprocal.
         expected = np.sqrt(1.5 * np.sqrt(np.pi))
         g = Grid(1, 256, 12.0)
-        rep = norms(gaussian_field(g), t=0.0, s=1.0)
+        rep = g.norms(gaussian_field(g).values, t=0.0, s=1.0)
         assert rep.h_s0 == pytest.approx(expected, rel=1e-8)
         assert rep.h_0s == pytest.approx(expected, rel=1e-8)
 
@@ -248,9 +245,8 @@ class TestNorms:
         g = Grid(1, 64, 8.0)
         f = random_field(g, seed=5)
         c = 2.7 - 0.3j
-        scaled = ComplexField(g, Space.PHYSICAL, c * f.values)
-        r1 = norms(f, t=0.5, s=1.2)
-        r2 = norms(scaled, t=0.5, s=1.2)
+        r1 = g.norms(f.values, t=0.5, s=1.2)
+        r2 = g.norms(c * f.values, t=0.5, s=1.2)
         for name in ("l2", "l_inf", "h_s0", "h_0s", "sigma_s"):
             assert getattr(r2, name) == pytest.approx(abs(c) * getattr(r1, name), rel=1e-12)
 
@@ -259,7 +255,7 @@ class TestNorms:
         g = Grid(1, 64, 8.0)
         f = random_field(g, seed=seed)
         svals = sorted(np.random.default_rng(seed + 50).uniform(0.0, 2.0, size=3))
-        reports = [norms(f, t=0.3, s=s) for s in svals]
+        reports = [g.norms(f.values, t=0.3, s=s) for s in svals]
         for lo, hi in zip(reports, reports[1:]):
             assert lo.h_s0 <= hi.h_s0 * (1 + 1e-12)
             assert lo.h_0s <= hi.h_0s * (1 + 1e-12)
@@ -267,7 +263,7 @@ class TestNorms:
     def test_l2_below_weighted(self):
         g = Grid(2, 32, 6.0)
         f = random_field(g, seed=9)
-        rep = norms(f, t=0.0, s=0.7)
+        rep = g.norms(f.values, t=0.0, s=0.7)
         assert rep.l2 <= rep.h_s0 * (1 + 1e-12)
         assert rep.l2 <= rep.h_0s * (1 + 1e-12)
 
@@ -277,7 +273,7 @@ class TestNorms:
         g = Grid(1, 128, 9.0)
         f = random_field(g, seed=21)
         s = 0.8
-        rep = norms(f, t=0.0, s=s)
+        rep = g.norms(f.values, t=0.0, s=s)
         direct = np.sqrt(g.h * np.sum((1 + g.x_1d**2) ** s * np.abs(f.values) ** 2))
         assert rep.h_0s == pytest.approx(direct, rel=1e-12)
 
@@ -285,16 +281,15 @@ class TestNorms:
         g = Grid(1, 16, 2.0)
         vals = np.zeros(16, dtype=complex)
         vals[3] = np.inf
-        f = ComplexField(g, Space.PHYSICAL, vals)
-        rep = norms(f, t=0.0, s=1.0)
+        rep = g.norms(vals, t=0.0, s=1.0)
         assert not rep.is_finite()
         assert rep.sigma_s == np.inf
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_time(self, t):
-        f = random_field(Grid(1, 32, 4.0))
+        g = Grid(1, 32, 4.0)
         with pytest.raises(ValueError, match="finite"):
-            norms(f, t, 1.0)
+            g.norms(random_field(g).values, t, 1.0)
 
 
 class TestBackPropagationPhase:
@@ -376,29 +371,38 @@ class TestSupModulus:
         assert sup_modulus(f) == pytest.approx(1.0, abs=1e-14)
 
 
+def tail_fraction(g, values):
+    """:meth:`Grid.tail_fraction` of the field `values`, from its |dft|^2."""
+    return g.tail_fraction(np.abs(np.fft.fftn(values)) ** 2)
+
+
+def shell_fraction(g, values):
+    """:meth:`Grid.shell_fraction` of the field `values`, from its |values|^2."""
+    return g.shell_fraction(np.abs(values) ** 2)
+
+
 class TestMonitors:
     def test_tail_fraction_smooth_vs_rough(self):
         g = Grid(1, 128, 10.0)
-        smooth = gaussian_field(g)
-        assert spectral_tail_fraction(smooth) < 1e-12
+        smooth = gaussian_field(g).values
+        assert tail_fraction(g, smooth) < 1e-12
         rng = np.random.default_rng(1)
-        rough = ComplexField(g, Space.PHYSICAL, rng.standard_normal(128) + 0j)
-        assert spectral_tail_fraction(rough) > 1e-3
+        rough = rng.standard_normal(128) + 0j
+        assert tail_fraction(g, rough) > 1e-3
 
     def test_shell_fraction(self):
         g = Grid(1, 128, 10.0)
-        centered = gaussian_field(g)
-        assert boundary_shell_fraction(centered) < 1e-12
+        centered = gaussian_field(g).values
+        assert shell_fraction(g, centered) < 1e-12
         edge = np.zeros(128, dtype=complex)
         edge[0] = 1.0  # x = -L sits in the outer shell
-        f = ComplexField(g, Space.PHYSICAL, edge)
-        assert boundary_shell_fraction(f) == pytest.approx(1.0)
+        assert shell_fraction(g, edge) == pytest.approx(1.0)
 
     def test_zero_field(self):
         g = Grid(1, 16, 2.0)
-        z = ComplexField(g, Space.PHYSICAL, np.zeros(16, dtype=complex))
-        assert spectral_tail_fraction(z) == 0.0
-        assert boundary_shell_fraction(z) == 0.0
+        z = np.zeros(16, dtype=complex)
+        assert tail_fraction(g, z) == 0.0
+        assert shell_fraction(g, z) == 0.0
 
 
 # The formulas through the public unitary transform and the xi meshes, kept as
@@ -445,7 +449,7 @@ class TestFftOrderOracles:
     @pytest.mark.parametrize("t, s", [(0.0, 1.0), (0.7, 1.2), (3.1, 0.6)])
     def test_norms(self, g, t, s):
         f = wide_random_field(g, seed=g.d)
-        rep = norms(f, t, s)
+        rep = g.norms(f.values, t, s)
         for got, want in zip((rep.l2, rep.h_s0, rep.h_0s), oracle_norms(f, t, s)):
             assert got == pytest.approx(want, rel=1e-13)
         assert rep.sigma_s == rep.h_s0 + rep.h_0s
@@ -455,24 +459,21 @@ class TestFftOrderOracles:
         f = wide_random_field(g, seed=10 + g.d)
         want = oracle_tail_fraction(f)
         assert want > 0.01
-        assert spectral_tail_fraction(f) == pytest.approx(want, rel=1e-13)
-        with pytest.raises(ValueError, match="expects a physical-space field"):
-            spectral_tail_fraction(fourier_forward(f))
+        assert tail_fraction(g, f.values) == pytest.approx(want, rel=1e-13)
         want = oracle_shell_fraction(f)
         assert want > 1e-6
         # same mask and summation order as the oracle: bit-identical
-        assert boundary_shell_fraction(f) == want
+        assert shell_fraction(g, f.values) == want
 
     def test_shared_spectrum_is_exact(self):
         g = ORACLE_GRIDS[1]
         f = wide_random_field(g)
         spectrum = np.fft.fftn(f.values)
         spectral_power = np.abs(spectrum) ** 2
-        assert g.norms(f.values, 0.9, 1.1, spectrum=spectrum) == norms(f, 0.9, 1.1)
-        assert g.tail_fraction(spectral_power) == spectral_tail_fraction(f)
-        want = norms(f, 0.9, 1.1)
+        want = g.norms(f.values, 0.9, 1.1)
+        assert g.norms(f.values, 0.9, 1.1, spectrum=spectrum) == want
         assert (g.sample_norms(f.values, 0.9, 1.1, l2=want.l2, sup=sup_modulus(f))
-                == (want, spectral_tail_fraction(f)))
+                == (want, g.tail_fraction(spectral_power)))
 
     @pytest.mark.parametrize("g", ORACLE_GRIDS, ids=lambda g: f"d{g.d}")
     def test_shared_moduli_are_exact(self, g):
@@ -482,9 +483,8 @@ class TestFftOrderOracles:
         l2 = float(np.sqrt(g.h**g.d * np.sum(power)))
         assert g.norms(f.values, 0.9, 1.1, spectrum=spectrum,
                        spectral_power=np.abs(spectrum) ** 2,
-                       l2=l2, sup=sup_modulus(f)) == norms(f, 0.9, 1.1)
+                       l2=l2, sup=sup_modulus(f)) == g.norms(f.values, 0.9, 1.1)
         assert np.sqrt(g.integral(power)) == l2
-        assert g.shell_fraction(power) == boundary_shell_fraction(f)
 
 
 class TestGridCaches:
@@ -510,7 +510,8 @@ class TestGridCaches:
 
         def start(g):
             cfg = SolverConfig(grid=g, params=NonlinearityParams(1j, 0.9, 3), eps=0.4, s=1.55)
-            fourier_inverse(fourier_forward(init(cfg, gaussian(g)).u))
+            u = init(cfg, gaussian(g)).u
+            fourier_inverse(fourier_forward(ComplexField(g, Space.PHYSICAL, u)))
 
         start(Grid(3, 8, 6.0))  # the lazy imports (numpy.fft among them) are not the grid's
         spectral._xi_weight.cache_clear()

@@ -1,6 +1,7 @@
 """tools/physics_identity.py names what moved between two run files: each key that only
 one side has, whatever its value, and each key whose numbers moved, by how much; and
-between two stdouts, each line that moved."""
+between two stdouts, each line that moved, all but the line that names where a command
+wrote."""
 
 import importlib.util
 import json
@@ -69,3 +70,14 @@ class TestChangedLines:
     def test_equal_stdouts_differ_in_no_line(self):
         text = "measured order = 2.0\n"
         assert load_tool().changed_lines(text, text, "abc123") == []
+
+
+class TestComparableStdout:
+    def test_simulate_is_compared_all_but_where_it_wrote(self):
+        # the trial and row counts are compared between commits, the output path is not
+        tool = load_tool()
+        assert "simulate" in tool.STDOUT_COMMANDS
+        lines = ["eps = 0.4\n", "status = blown-up\n", "T_eps = 3.75\n",
+                 "trials: 58 accepted, 0 rejected, 0 singular, 0 capped; rows: 0 computed, "
+                 "0 refused; dt in [0.005, 0.2]\n", "wrote simulate-rev/run_eps0.4.json\n"]
+        assert tool.comparable("".join(lines)) == "".join(lines[:-1])

@@ -21,11 +21,12 @@ in the workloads, so only the bytes show it.  A file whose bytes differ only in
 its line ends says so; for a JSON file whose bytes differ it names each key that
 only one side has, and each key whose values moved, a list's entries under one
 key, with the largest relative shift |got - want| / |want| among its numbers
-(see `changed_keys`).  Last it compares the stdout of `nlslab bounds` and
-`nlslab convergence` on the default config byte for byte, which write no file:
-the bound, the datum's peak, t_star and the convergence orders are printed
-only, and for a stdout that differs it prints each line that moved on both
-sides (see `changed_lines`).
+(see `changed_keys`).  Last it compares the stdout of `nlslab bounds`,
+`nlslab convergence` and `nlslab simulate` on the default config byte for byte,
+all but the `wrote <path>` line: the bound, the datum's peak, t_star, the
+convergence orders and a run's trial and row counts are printed only, and for a
+stdout that differs it prints each line that moved on both sides (see
+`changed_lines`).
 
 Exit status: 0 when every workload and every command's outputs are identical,
 1 when one differs, 2 when a worker, a command or git fails.  `perfbench/run.py`
@@ -76,7 +77,7 @@ def physics(tree: Path, workload: str) -> dict:
 
 
 COMMANDS = ("sweep", "profile-ode", "diagnostics")
-STDOUT_COMMANDS = ("bounds", "convergence")
+STDOUT_COMMANDS = ("bounds", "convergence", "simulate")
 
 
 def nlslab(tree: Path, *args: str) -> str:
@@ -91,6 +92,13 @@ def outputs(tree: Path, command: str, out: Path) -> dict:
     config, by name."""
     nlslab(tree, command, "--out", str(out))
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def comparable(stdout: str) -> str:
+    """A command's stdout without its `wrote <path>` lines, which name the directory each
+    tree wrote into."""
+    return "".join(line for line in stdout.splitlines(keepends=True)
+                   if not line.startswith("wrote "))
 
 
 def changed_lines(want: str, got: str, rev: str) -> list:
@@ -211,7 +219,10 @@ def main(argv=None) -> int:
                             print(f"    {line}")
                 differ = differ or bool(changed)
             for command in STDOUT_COMMANDS:
-                changed = changed_lines(nlslab(base, command), nlslab(ROOT, command), args.rev)
+                want, got = (comparable(nlslab(tree, command, "--out",
+                                               str(Path(tmp) / f"{command}-{side}")))
+                             for tree, side in ((base, "rev"), (ROOT, "tree")))
+                changed = changed_lines(want, got, args.rev)
                 print(f"default {command} stdout: " + ("identical" if not changed else "differs"))
                 for line in changed:
                     print(f"  {line}")
