@@ -10,9 +10,9 @@ evaluates the constants for the shipped Gaussian datum and shows the two
 exact scaling laws the formula obeys.
 """
 
-from nlslab import Grid, NonlinearityParams, fourier_forward, sup_modulus
+from nlslab import Grid, NonlinearityParams, fourier_forward
 from nlslab.initial_data import gaussian
-from nlslab.lifespan import theoretical_bound
+from nlslab.lifespan import datum_peak, theoretical_bound
 
 grid = Grid(1, 1024, 40.0)
 phi = gaussian(grid, width=1.0)
@@ -20,7 +20,7 @@ phi_hat = fourier_forward(phi)
 params = NonlinearityParams(lam=1j, theta=0.5, d=1)
 
 print("datum: unit Gaussian, d=1, theta=1/2, lam=i")
-print(f"  sup |phi_hat|      = {sup_modulus(phi_hat):.12f}")
+print(f"  sup |phi_hat|      = {datum_peak(phi_hat, 'demo'):.12f}")
 
 rep = theoretical_bound(phi_hat, params, s=1.0, eps=0.2)
 print(f"  bound_value        = {rep.bound_value:.12f}")

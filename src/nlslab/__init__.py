@@ -9,7 +9,6 @@ from .spectral import (
     Space,
     fourier_forward,
     fourier_inverse,
-    sup_modulus,
 )
 from .propagators import (
     NonlinearityParams,

@@ -27,7 +27,7 @@ import numpy as np
 from .initial_data import _check_type, check_spec
 from .lifespan import checked_tolerance, decreasing_ladder
 from .propagators import NonlinearityParams
-from .records import RunRecord, SweepSummary
+from .records import RunRecord, RunStatus, SweepSummary
 from .solver import DiagnosticSample, SolverConfig
 from .spectral import Grid, NormReport
 
@@ -129,11 +129,30 @@ def run_record_to_dict(record: RunRecord) -> dict:
     return out
 
 
+_NUMBER = (int, float)  # json reads true and false as bools, which are no numbers
+# The JSON type of each RunRecord field in a run file: (what it must be, the test).
+_RUN_FIELD_TYPES = {
+    **dict.fromkeys(("eps", "theta"), ("a number", lambda v: type(v) in _NUMBER)),
+    "d": ("an integer", lambda v: type(v) is int),
+    "lam": ("a [re, im] pair of numbers",
+            lambda v: type(v) is list and len(v) == 2 and all(type(x) in _NUMBER for x in v)),
+    "status": (f"one of {[s.value for s in RunStatus]}", lambda v: v in list(RunStatus)),
+    "criterion": ('null, "pointwise" or "threshold"',
+                  lambda v: v in (None, "pointwise", "threshold")),
+    **dict.fromkeys(("T_eps", "invariant_quantity", "bound_value", "max_remainder_scaled",
+                     "max_tail_fraction", "max_shell_fraction"),
+                    ("a number or null", lambda v: v is None or type(v) in _NUMBER)),
+    "outside_hypotheses": ("a bool", lambda v: type(v) is bool),
+    "experiment": ("a JSON object or null", lambda v: v is None or type(v) is dict),
+    "diagnostics": ("a JSON object", lambda v: type(v) is dict),
+}
+
+
 def run_record_from_dict(data, source: str = "run record") -> RunRecord:
     """Rebuild the scalar fields of a persisted run (diagnostics stay a plain dict).
     ValueError naming `source`, its missing and unknown keys, its schema_version
-    where that is not this one, a lam that is no [re, im] pair of numbers and
-    diagnostics that hold no JSON object, for data in another format."""
+    where that is not this one, and each field whose value has not the JSON type
+    of :data:`_RUN_FIELD_TYPES`, for data in another format."""
     if not isinstance(data, dict):
         raise ValueError(f"{source} cannot be loaded: it holds no JSON object")
     keys = {f.name for f in fields(RunRecord)} | {"schema_version"}
@@ -141,11 +160,8 @@ def run_record_from_dict(data, source: str = "run record") -> RunRecord:
                 (("missing", keys - set(data)), ("unknown", set(data) - keys)) if names]
     if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         problems.append(f"schema_version {data['schema_version']!r}, not {SCHEMA_VERSION}")
-    lam = data.get("lam", [0.0, 0.0])
-    if not (type(lam) is list and len(lam) == 2 and all(type(v) in (int, float) for v in lam)):
-        problems.append(f"lam {lam!r}, not a [re, im] pair of numbers")
-    if type(data.get("diagnostics", {})) is not dict:
-        problems.append("diagnostics that hold no JSON object")
+    problems += [f"{name} {data[name]!r}, not {what}" for name, (what, ok) in
+                 _RUN_FIELD_TYPES.items() if name in data and not ok(data[name])]
     if problems:
         raise ValueError(f"{source} cannot be loaded: {'; '.join(problems)}")
     kwargs = {f.name: data[f.name] for f in fields(RunRecord)}

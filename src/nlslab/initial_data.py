@@ -32,11 +32,8 @@ def _modulated(grid: Grid, envelope: np.ndarray, modulation) -> np.ndarray:
 
 def gaussian(grid: Grid, width: float = 1.0, center=None, modulation=None,
              amplitude: float = 1.0) -> ComplexField:
-    """amplitude * exp(-|x-c|^2 / (2 width^2)) * exp(i k.x)."""
-    c = _center_vector(grid, center)
-    r2 = sum((x - ci) ** 2 for x, ci in zip(grid.x_mesh, c))
-    env = amplitude * np.exp(-r2 / (2.0 * width**2))
-    return ComplexField(grid, Space.PHYSICAL, _modulated(grid, env, modulation))
+    """amplitude * exp(-|x-c|^2 / (2 width^2)) * exp(i k.x): the power-1 super-gaussian."""
+    return super_gaussian(grid, width, 1, center, modulation, amplitude)
 
 
 def super_gaussian(grid: Grid, width: float = 1.0, power: int = 2, center=None,

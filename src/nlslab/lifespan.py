@@ -1,4 +1,4 @@
-"""Lifespan bound constants, the diagnostic ratios of a run, and the eps-sweep.
+"""Lifespan bound constants, the eps-sweep, and the fold of its records into a verdict.
 
 The headline quantity is the explicit lower-bound value for the rescaled
 lifespan: with 0 < theta < 1, Im(lam) > 0 and datum eps*phi,
@@ -14,7 +14,7 @@ compares the least left side of its records against bound_value with a tolerance
 from __future__ import annotations
 
 from copy import deepcopy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .propagators import (  # remainder is re-exported
 from .records import SweepSummary
 from .solver import (  # max_remainder_scaled and remainder_series are re-exported
     SolverConfig, init, max_remainder_scaled, remainder_series, run_to_blowup)
-from .spectral import ComplexField, Space, _require_space, fourier_forward, sup_modulus
+from .spectral import ComplexField, Space, _require_space, fourier_forward
 
 
 @dataclass
@@ -46,7 +46,7 @@ def datum_peak(phi_hat: ComplexField, op: str) -> float:
     reader of it; ValueError naming `op` unless phi_hat is a frequency-space field, and
     for a zero datum."""
     _require_space(phi_hat, Space.FREQUENCY, op)
-    sup = sup_modulus(phi_hat)
+    sup = phi_hat.grid.modulus(phi_hat.values)[1]
     if sup == 0:
         raise ValueError("datum transform vanishes identically")
     return sup
@@ -187,8 +187,8 @@ def sweep(eps_ladder, base_config: SolverConfig, data_spec: dict,
     grid, params = base_config.grid, base_config.params
     experiment = {"initial_data": data_spec, "d": grid.d, "n": grid.n, "L": grid.L,
                   "lam": [float(params.lam.real), float(params.lam.imag)], "theta": params.theta,
-                  "s": base_config.s, "t_max": base_config.t_max,
-                  "record_every": base_config.record_every}
+                  **{f.name: getattr(base_config, f.name) for f in fields(SolverConfig)
+                     if f.name not in ("grid", "params", "eps")}}
 
     configs = [replace(base_config, eps=e) for e in ladder]
     if jobs > 1:

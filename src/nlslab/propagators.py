@@ -76,7 +76,7 @@ def free_propagate(f: ComplexField, t: float) -> ComplexField:
     if not np.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
     if t == 0.0:
-        return f.copy()
+        return ComplexField(f.grid, Space.PHYSICAL, f.values.copy())
     g = f.grid
     return ComplexField(g, Space.PHYSICAL,
                         g.propagate(f.values, g.free_multiplier(t), np.empty_like(f.values)))

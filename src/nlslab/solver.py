@@ -356,7 +356,7 @@ def init(config: SolverConfig, phi: ComplexField, diagnostics: bool = False) -> 
         gamma_exponent(config.s, config.params.d)
     if phi.space is not Space.PHYSICAL:
         raise ValueError("initial datum must be a physical-space field")
-    if not phi.is_finite():
+    if not np.isfinite(phi.values).all():
         raise ValueError("initial datum contains non-finite values")
     u0 = config.eps * phi.values
     dense_from, exponent = _window(config)

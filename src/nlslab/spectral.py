@@ -16,8 +16,7 @@ samples, the shell and tail monitors, and the transforms of a sample (norms and
 tail) and of a row (norms, profile and the remainder's sup).  The solver and the
 convergence study reach the lattice through these alone, on plain arrays.  A
 :class:`ComplexField` tags a field with its grid and space only where it crosses
-the package's edge: the datum, :func:`fourier_forward`, :func:`fourier_inverse`
-and :func:`sup_modulus`.
+the package's edge: the datum, :func:`fourier_forward` and :func:`fourier_inverse`.
 
 A :class:`Grid` keeps no array of its full size but the tail and shell masks,
 which every sample reads.  Its meshes and the (-1)^k sign are one axis each,
@@ -370,12 +369,6 @@ class ComplexField:
                 f"field shape {self.values.shape} does not match grid shape {self.grid.shape}"
             )
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.values).all())
-
-    def copy(self) -> "ComplexField":
-        return ComplexField(self.grid, self.space, self.values.copy())
-
 
 @dataclass(frozen=True)
 class NormReport:
@@ -386,9 +379,6 @@ class NormReport:
     h_s0: float
     h_0s: float
     sigma_s: float
-
-    def is_finite(self) -> bool:
-        return all(np.isfinite(v) for v in (self.l2, self.l_inf, self.h_s0, self.h_0s))
 
 
 def _require_space(f: ComplexField, space: Space, op: str):
@@ -426,15 +416,13 @@ def _flip_signs(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -
     return values
 
 
-def fourier_forward(f: ComplexField, *, spectrum: np.ndarray | None = None) -> ComplexField:
+def fourier_forward(f: ComplexField) -> ComplexField:
     """Unitary continuous-convention transform: DFT scaled by h^d/(2*pi)^{d/2}.
 
     Output frequencies are on the xi_k = pi*k/L lattice of ``grid.xi_mesh``.
-    `spectrum` is ``dft(f.values)`` when the caller already has it; it is only
-    read.  Otherwise the transform is scaled in place.
     """
     _require_space(f, Space.PHYSICAL, "fourier_forward")
-    return ComplexField(f.grid, Space.FREQUENCY, f.grid._forward(f.values, spectrum))
+    return ComplexField(f.grid, Space.FREQUENCY, f.grid._forward(f.values))
 
 
 def fourier_inverse(f: ComplexField) -> ComplexField:
@@ -452,11 +440,6 @@ def _abs_sq(values: np.ndarray) -> np.ndarray:
     """|values|^2 in one float array: ``np.abs(values) ** 2``, squared in place."""
     power = np.abs(values)
     return np.square(power, out=power)
-
-
-def sup_modulus(f: ComplexField) -> float:
-    """Max of |values| over the lattice (either space)."""
-    return float(np.max(np.abs(f.values)))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

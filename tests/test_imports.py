@@ -117,11 +117,15 @@ def test_dir_lists_the_lazy_names():
 
 
 def test_the_field_level_copies_of_grid_methods_are_gone():
-    # Grid.norms, Grid.tail_fraction, Grid.shell_fraction and Grid.profile are the
-    # one form of each on the lattice; no module binds a ComplexField-level copy
+    # Grid.norms, Grid.tail_fraction, Grid.shell_fraction, Grid.profile and
+    # Grid.modulus are the one form of each on the lattice; no module binds a
+    # ComplexField-level copy, and neither a field nor a norm report checks itself
     import nlslab
     from nlslab import lifespan, propagators, spectral
 
-    gone = ("norms", "spectral_tail_fraction", "boundary_shell_fraction", "profile")
+    gone = ("norms", "spectral_tail_fraction", "boundary_shell_fraction", "profile",
+            "sup_modulus")
     for module in (nlslab, spectral, propagators, lifespan):
         assert [name for name in gone if hasattr(module, name)] == [], module.__name__
+    assert [name for name in ("is_finite", "copy") if hasattr(spectral.ComplexField, name)] == []
+    assert not hasattr(spectral.NormReport, "is_finite")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nlslab import Grid, fourier_forward, sup_modulus
+from nlslab import Grid, fourier_forward
 from nlslab.initial_data import build, bump_sum, gaussian, super_gaussian
 
 
@@ -29,6 +29,22 @@ class TestGaussian:
         g = Grid(2, 32, 6.0)
         f = gaussian(g, center=1.0)
         assert f.values.shape == (32, 32)
+
+    @pytest.mark.parametrize("g", [Grid(1, 64, 6.0), Grid(2, 32, 6.0), Grid(3, 16, 6.0)],
+                             ids=["d1", "d2", "d3"])
+    @pytest.mark.parametrize("kw", [{}, {"width": 1.3, "center": 0.7, "modulation": -1.1,
+                                         "amplitude": 2.5}], ids=["plain", "every"])
+    def test_is_the_power_1_super_gaussian_bit_for_bit(self, g, kw):
+        # gaussian is the power-1 super-gaussian, and both are the closed form
+        # amplitude * exp(-|x-c|^2 / (2 width^2)) * exp(i k.x) bit for bit
+        width, amplitude = kw.get("width", 1.0), kw.get("amplitude", 1.0)
+        r2 = sum((x - kw.get("center", 0.0)) ** 2 for x in g.x_mesh)
+        want = (amplitude * np.exp(-r2 / (2.0 * width**2))).astype(np.complex128)
+        if "modulation" in kw:
+            want = want * np.exp(1j * sum(kw["modulation"] * x for x in g.x_mesh))
+        got = gaussian(g, **kw).values
+        assert np.array_equal(got, super_gaussian(g, power=1, **kw).values)
+        assert np.array_equal(got, want)
 
 
 class TestSuperGaussian:
@@ -64,9 +80,9 @@ class TestBuild:
     def test_dispatch(self):
         g = Grid(1, 64, 8.0)
         f = build(g, {"kind": "gaussian", "width": 1.5})
-        assert sup_modulus(f) == pytest.approx(1.0)
+        assert g.modulus(f.values)[1] == pytest.approx(1.0)
         f2 = build(g, {"kind": "bump_sum", "bumps": [{"width": 1.0}]})
-        assert sup_modulus(f2) == pytest.approx(1.0)
+        assert g.modulus(f2.values)[1] == pytest.approx(1.0)
         every = {"width": 1.5, "power": 2, "center": 0.5, "modulation": 1.0, "amplitude": 2.0}
         f3 = build(g, {"kind": "super_gaussian", **every})
         assert np.array_equal(f3.values, super_gaussian(g, **every).values)

@@ -17,9 +17,8 @@ from nlslab import (
     Space,
     fourier_forward,
     fourier_inverse,
-    sup_modulus,
 )
-from nlslab import lifespan, propagators, solver
+from nlslab import cli, lifespan, propagators, solver
 from nlslab.harness import ExperimentConfig
 from nlslab.initial_data import build as build_initial_data
 from nlslab.initial_data import gaussian
@@ -55,12 +54,13 @@ def unit_peak_datum(n=128, L=10.0):
 class TestTheoreticalBound:
     def test_reference_values(self):
         params = NonlinearityParams(lam=1j, theta=0.5, d=1)
-        rep = theoretical_bound(unit_peak_datum(), params)
+        datum = unit_peak_datum()
+        rep = theoretical_bound(datum, params)
         assert rep.bound_value == pytest.approx(0.5, abs=1e-12)
         assert rep.tau0 == pytest.approx(0.25, abs=1e-12)
         # the ODE module's time scale coincides with tau0 for a=theta, b=2theta/d
         ode = OdeParams(a=params.theta, b=params.b, lam=params.lam, eps=1.0, t_star=1.0,
-                        psi0_sup=sup_modulus(unit_peak_datum()))
+                        psi0_sup=datum.grid.modulus(datum.values)[1])
         assert ode.tau1 == pytest.approx(rep.tau0, rel=1e-12)
 
     def test_scaling_in_datum(self):
@@ -135,7 +135,7 @@ class TestCriticalBound:
         # eps^(2/d) log T(eps sup) = critical_bound: one horizon on the clock log t
         g = Grid(d, 32, 10.0)
         datum = ComplexField(g, Space.FREQUENCY, 1.3 * np.exp(-g.abs_xi_sq / 2))
-        sup = sup_modulus(datum)
+        sup = g.modulus(datum.values)[1]
         t = critical_pointwise_time(eps * sup, d, 0.2 + 1.5j)
         assert eps ** (2.0 / d) * np.log(t) == pytest.approx(
             critical_bound(datum, d, 0.2 + 1.5j), rel=1e-12)
@@ -176,7 +176,7 @@ class TestCriticalBound:
 
     def test_the_datum_peak_has_one_reader(self):
         # the bounds and `nlslab bounds` read sup|phi_hat| through datum_peak alone:
-        # no other function of the package calls sup_modulus
+        # no other function of lifespan or cli calls Grid.modulus
         callers = []
 
         class Calls(ast.NodeVisitor):
@@ -190,11 +190,12 @@ class TestCriticalBound:
 
             def visit_Call(self, node):
                 func = node.func
-                if getattr(func, "attr", getattr(func, "id", None)) == "sup_modulus":
+                if getattr(func, "attr", getattr(func, "id", None)) == "modulus":
                     callers.append(".".join(self.where))
                 self.generic_visit(node)
 
-        for path in sorted(Path(lifespan.__file__).parent.glob("*.py")):
+        for module in (lifespan, cli):
+            path = Path(module.__file__)
             Calls(path.stem).visit(ast.parse(path.read_text()))
         assert callers == ["lifespan.datum_peak"]
 
@@ -269,8 +270,8 @@ def default_rungs():
 def hand_built_log(cfg, times):
     """A DiagnosticsLog with the Gaussian datum's sup|R| row at each time."""
     u = gaussian(cfg.grid)
-    return DiagnosticsLog(rows=[DiagnosticRow(t, sup_modulus(remainder(u, t, cfg.params)))
-                                for t in times])
+    sups = [cfg.grid.modulus(remainder(u, t, cfg.params).values)[1] for t in times]
+    return DiagnosticsLog(rows=[DiagnosticRow(t, sup) for t, sup in zip(times, sups)])
 
 
 class TestRemainderWindow:

@@ -257,15 +257,34 @@ class TestARunFileNamesItsExperiment:
 
     @pytest.mark.parametrize("key, value", [
         ("lam", [1.0]), ("lam", "x"), ("lam", None), ("lam", [1.0, "a"]), ("lam", [True, 1.0]),
-        ("diagnostics", []), ("diagnostics", "x"), ("diagnostics", None)])
+        ("diagnostics", []), ("diagnostics", "x"), ("diagnostics", None),
+        ("eps", "0.4"), ("eps", None), ("theta", "a"), ("theta", True), ("d", 1.5),
+        ("d", True), ("d", "1"), ("status", "exploded"), ("status", None), ("status", 1),
+        ("criterion", "both"), ("criterion", False), ("T_eps", [1.0]), ("T_eps", "3.75"),
+        ("invariant_quantity", "x"), ("bound_value", True), ("max_remainder_scaled", {}),
+        ("max_tail_fraction", "x"), ("max_shell_fraction", [0.0]),
+        ("outside_hypotheses", "no"), ("outside_hypotheses", 0), ("outside_hypotheses", None),
+        ("experiment", []), ("experiment", "x")])
     def test_a_run_file_with_a_malformed_value_does_not_load(self, tmp_path, key, value):
-        # a lam that is no [re, im] pair of numbers, or diagnostics that hold no JSON
-        # object, is a format fault: refused when the file loads, not when it is read
+        # a field whose value has not the JSON type of the record's field is a format
+        # fault: refused when the file loads, not when q_value() or fold reads it
         path = persist_run(stamped(library_config(t_max=1.0)), tmp_path)
         path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
         with pytest.raises(ValueError) as refused:
             load_run(path)
         assert str(refused.value).startswith(f"run file {str(path)!r} cannot be loaded: {key} ")
+
+    def test_a_run_file_with_every_kind_of_well_typed_value_loads(self, tmp_path):
+        # an integer passes for a number, and null for a number the run did not measure
+        path = persist_run(stamped(library_config(t_max=1.0)), tmp_path)
+        edited = {"eps": 1, "theta": 1, "T_eps": None, "criterion": None,
+                  "invariant_quantity": None, "bound_value": 2, "max_remainder_scaled": None,
+                  "max_tail_fraction": 0, "max_shell_fraction": None, "experiment": None,
+                  "outside_hypotheses": True, "status": "reached-t-max"}
+        path.write_text(json.dumps({**json.loads(path.read_text()), **edited}))
+        record = load_run(path)
+        assert {key: getattr(record, key) for key in edited} == edited
+        assert not record.usable_for_bound()
 
 
 def rung(d, n, L, **over):

@@ -1,7 +1,7 @@
 """tools/physics_identity.py names what moved between two run files: each key that only
 one side has, whatever its value, and each key whose numbers moved, by how much; and
 between two stdouts, each line that moved, all but the line that names where a command
-wrote."""
+or a demo wrote; and it runs each demo by its own tree's src/."""
 
 import importlib.util
 import json
@@ -81,3 +81,17 @@ class TestComparableStdout:
                  "trials: 58 accepted, 0 rejected, 0 singular, 0 capped; rows: 0 computed, "
                  "0 refused; dt in [0.005, 0.2]\n", "wrote simulate-rev/run_eps0.4.json\n"]
         assert tool.comparable("".join(lines)) == "".join(lines[:-1])
+
+
+class TestDemos:
+    def test_each_demo_is_run_by_its_own_trees_src_all_but_where_it_wrote(self, tmp_path):
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "marker.py").write_text('WHICH = "this tree"\n')
+        (tmp_path / "demos").mkdir()
+        (tmp_path / "demos" / "01_reads_src.py").write_text(
+            'import marker\nprint(f"bound from {marker.WHICH}")\n'
+            'print("\\nwrote out/summary.csv")\n')
+        (tmp_path / "demos" / "02_plain.py").write_text('print("gamma = 0.0625")\n')
+        (tmp_path / "demos" / "notes.txt").write_text("not a demo\n")
+        assert load_tool().demos(tmp_path) == {"01_reads_src.py": "bound from this tree\n\n",
+                                               "02_plain.py": "gamma = 0.0625\n"}

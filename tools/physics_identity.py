@@ -26,10 +26,13 @@ key, with the largest relative shift |got - want| / |want| among its numbers
 all but the `wrote <path>` line: the bound, the datum's peak, t_star, the
 convergence orders and a run's trial and row counts are printed only, and for a
 stdout that differs it prints each line that moved on both sides (see
-`changed_lines`).
+`changed_lines`).  And it runs each demo under `demos/` in both trees and
+compares its stdout the same way, all but its `wrote` lines: the demos cover the
+critical case, the three profile-ODE perturbations and the bound's scaling laws,
+which no workload and no default command runs.
 
-Exit status: 0 when every workload and every command's outputs are identical,
-1 when one differs, 2 when a worker, a command or git fails.  `perfbench/run.py`
+Exit status: 0 when every workload, command and demo output is identical, 1
+when one differs, 2 when a worker, a command, a demo or git fails.  `perfbench/run.py`
 accepts T_eps within 1e-3 of its reference, so its `correct: true` cannot show
 bit-identity; this can.
 """
@@ -80,11 +83,16 @@ COMMANDS = ("sweep", "profile-ode", "diagnostics")
 STDOUT_COMMANDS = ("bounds", "convergence", "simulate")
 
 
-def nlslab(tree: Path, *args: str) -> str:
-    """The stdout of `nlslab <args>` run by `tree`'s src/."""
-    return subprocess.run([sys.executable, "-m", "nlslab.cli", *args], cwd=tree,
+def python(tree: Path, *args: str) -> str:
+    """The stdout of `python <args>` in `tree`, importing `tree`'s src/."""
+    return subprocess.run([sys.executable, *args], cwd=tree,
                           env=single_threaded_env(PYTHONPATH=str(tree / "src")),
                           capture_output=True, text=True, check=True).stdout
+
+
+def nlslab(tree: Path, *args: str) -> str:
+    """The stdout of `nlslab <args>` run by `tree`'s src/."""
+    return python(tree, "-m", "nlslab.cli", *args)
 
 
 def outputs(tree: Path, command: str, out: Path) -> dict:
@@ -99,6 +107,13 @@ def comparable(stdout: str) -> str:
     tree wrote into."""
     return "".join(line for line in stdout.splitlines(keepends=True)
                    if not line.startswith("wrote "))
+
+
+def demos(tree: Path) -> dict:
+    """The stdout of each demo of `tree`, run by its src/, all but its `wrote` lines, by
+    file name."""
+    return {path.name: comparable(python(tree, str(path.relative_to(tree))))
+            for path in sorted((tree / "demos").glob("*.py"))}
 
 
 def changed_lines(want: str, got: str, rev: str) -> list:
@@ -224,6 +239,15 @@ def main(argv=None) -> int:
                              for tree, side in ((base, "rev"), (ROOT, "tree")))
                 changed = changed_lines(want, got, args.rev)
                 print(f"default {command} stdout: " + ("identical" if not changed else "differs"))
+                for line in changed:
+                    print(f"  {line}")
+                differ = differ or bool(changed)
+            want, got = demos(base), demos(ROOT)
+            for name in sorted(want.keys() | got.keys()):
+                changed = ([f"only in {args.rev}"] if name not in got else
+                           ["only in the working tree"] if name not in want else
+                           changed_lines(want[name], got[name], args.rev))
+                print(f"demo {name} stdout: " + ("identical" if not changed else "differs"))
                 for line in changed:
                     print(f"  {line}")
                 differ = differ or bool(changed)
